@@ -21,16 +21,14 @@ import numpy as np
 
 from . import __version__
 from .errors import GwhfError
-from .kernels import (KernelJet, OMEGA_CONVENTIONS, RadialKernel, delta_h,
-                      i_prime, jet_from_radial, kernel_from_spec, rho1,
-                      rho1_charged, rho1_radial, validate_kernel,
-                      variance_asymptote, wick_oracle_E)
+from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
+                      jet_from_radial, kernel_from_spec, rho1, rho1_charged,
+                      rho1_radial, validate_kernel, variance_asymptote,
+                      wick_oracle_E)
 from .mc import McConfig, McReport, estimate_charge_intensity, \
     estimate_charge_variance, estimate_intensity
-from .simulate import (gef_series_field, load_grid, polyentire_field,
-                       save_grid, stft_field, to_gwhf_plane)
-from .windows import (Window, hermite, generalized_gaussian, hermite_mixture,
-                      invariance_check, jet_from_constants,
+from .simulate import FieldSource, load_grid, save_grid, to_gwhf_plane
+from .windows import (invariance_check, jet_from_constants,
                       rho1_stft_from_constants, uncertainty_constants,
                       window_from_spec)
 from .zeros import detect_zeros, zeros_from_csv, zeros_to_csv
@@ -51,32 +49,22 @@ def _parse_domain(text: str) -> tuple[float, float, float, float]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _window_from_arg(text: str) -> Window:
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return window_from_spec(json.load(fh))
-    name, _, arg = text.partition(":")
-    if name == "hermite":
-        return hermite(int(arg or 0))
-    if name in ("gaussian", "generalized-gaussian"):
-        params = [float(v) for v in arg.split(";")] if arg else [1.0]
-        return generalized_gaussian(*params)
-    if name == "hermite-mixture":
-        return hermite_mixture([complex(v) for v in arg.split(";")])
-    raise argparse.ArgumentTypeError(f"unknown window spec {text!r}")
-
-
-def _kernel_from_arg(text: str) -> RadialKernel | KernelJet:
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return kernel_from_spec(json.load(fh))
-    name, _, arg = text.partition(":")
-    spec: dict = {"family": name}
-    if arg and name != "custom":
-        spec["q"] = int(arg)
-    if name == "custom":
-        spec["jet"] = [float(v) for v in arg.split(";")]
-    return kernel_from_spec(spec)
+def _source_from_args(args) -> dict:
+    """The field source named by simulate --simulator/--window or by
+    verify --window, else --kernel, as a FieldSource/McConfig source dict."""
+    name = getattr(args, "simulator", None) or ("stft" if args.window else args.kernel)
+    if name == "stft":
+        if not args.window:
+            raise GwhfError("the stft simulator needs --window")
+        return {"family": "window", "window": args.window}
+    if name in ("series", "gef-series"):
+        return {"family": "series-gef"}
+    if name == "poisson":
+        return {"family": "poisson", "density": 1.0 / math.pi}
+    if name and name.startswith("polyentire:"):
+        q, _, kind = name[len("polyentire:"):].partition(":")
+        return {"family": "polyentire", "q": int(q) if q.isdigit() else q, "kind": kind}
+    raise GwhfError(f"unsupported field source {name!r}")
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -102,31 +90,33 @@ def _write_report(report: McReport, out_dir: str | None, name: str) -> None:
 # intensity / variance
 # ---------------------------------------------------------------------------
 
+def _by_convention(out: dict, key: str, fn) -> None:
+    """out[key] = fn("regression"), plus key_by_convention when conventions differ."""
+    values = {}
+    for conv in OMEGA_CONVENTIONS:
+        try:
+            values[conv] = fn(conv)
+        except GwhfError as exc:
+            values[conv] = f"invalid: {exc}"
+    out[key] = values["regression"]
+    if values["regression"] != values["alternate"]:
+        out[f"{key}_by_convention"] = values
+
+
 def _cmd_intensity(args) -> int:
     out: dict = {}
     if args.window:
-        g = _window_from_arg(args.window)
+        g = window_from_spec(args.window)
         c = uncertainty_constants(g)
         out["window"] = g.label
         out["constants"] = {f"c{k}": v for k, v in zip(range(1, 6), c.as_tuple())}
         jet = jet_from_constants(c)
-        out["jet"] = list(jet.as_tuple())
-        values = {}
-        for conv in OMEGA_CONVENTIONS:
-            try:
-                values[conv] = rho1_stft_from_constants(c, conv)
-            except GwhfError as exc:
-                values[conv] = f"invalid: {exc}"
-        out["rho1_stft"] = values["regression"]
-        if values["regression"] != values["alternate"]:
-            out["rho1_stft_by_convention"] = values
-        if isinstance(values["regression"], float):
-            out["rho1"] = values["regression"] / math.pi
-        out["delta_h"] = delta_h(jet)
+        _by_convention(out, "rho1_stft", lambda conv: rho1_stft_from_constants(c, conv))
+        if isinstance(out["rho1_stft"], float):
+            out["rho1"] = out["rho1_stft"] / math.pi
         out["rho1_charged_stft_plane"] = 1.0
-        out["rho1_charged"] = rho1_charged()
     else:
-        kern = _kernel_from_arg(args.kernel)
+        kern = kernel_from_spec(args.kernel)
         if isinstance(kern, RadialKernel):
             out["kernel"] = kern.label
             jet = jet_from_radial(kern)
@@ -137,24 +127,16 @@ def _cmd_intensity(args) -> int:
         else:
             jet = kern
             out["kernel"] = "custom-jet"
-            values = {}
-            for conv in OMEGA_CONVENTIONS:
-                try:
-                    values[conv] = rho1(jet, conv)
-                except GwhfError as exc:
-                    values[conv] = f"invalid: {exc}"
-            out["rho1"] = values["regression"]
-            if values["regression"] != values["alternate"]:
-                out["rho1_by_convention"] = values
-        out["jet"] = list(jet.as_tuple())
-        out["delta_h"] = delta_h(jet)
-        out["rho1_charged"] = rho1_charged()
+            _by_convention(out, "rho1", lambda conv: rho1(jet, conv))
+    out["jet"] = list(jet.as_tuple())
+    out["delta_h"] = delta_h(jet)
+    out["rho1_charged"] = rho1_charged()
     _emit_json(out, args.out)
     return 0
 
 
 def _cmd_variance_asymptote(args) -> int:
-    kern = _kernel_from_arg(args.kernel)
+    kern = kernel_from_spec(args.kernel)
     if not isinstance(kern, RadialKernel):
         raise GwhfError("variance asymptote needs a radial kernel, not a bare jet")
     value = variance_asymptote(kern)
@@ -168,17 +150,11 @@ def _cmd_variance_asymptote(args) -> int:
 
 def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if args.simulator == "series":
-        grid = gef_series_field(args.domain, args.spacing, seed=args.seed)
-    elif args.simulator.startswith("polyentire"):
-        _, q, kind = args.simulator.split(":")
-        grid = polyentire_field(int(q), kind, args.domain, args.spacing,
-                                args.dt, args.seed)
-    else:
-        g = _window_from_arg(args.window)
-        grid = stft_field(g, args.domain, args.spacing, args.dt, args.seed)
-        if args.plane == "gwhf":
-            grid = to_gwhf_plane(grid)
+    source = FieldSource(_source_from_args(args), args.domain, args.spacing, args.dt)
+    grid = source.realize(args.seed)
+    if args.plane == "gwhf" and grid.plane == "stft":
+        # --domain was read in the stft plane; map the whole grid over
+        grid = to_gwhf_plane(grid)
     path = os.path.join(args.out, "field.gwhf")
     save_grid(grid, path)
     meta = {"path": path, "plane": grid.plane, "nx": grid.nx, "ny": grid.ny,
@@ -258,32 +234,17 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _mc_config(args, radii=()) -> McConfig:
-    if args.window:
-        source = {"family": "window", "window": _window_from_arg(args.window)}
-    elif args.kernel == "gef-series":
-        source = {"family": "series-gef"}
-        g = None
-    elif args.kernel and args.kernel.startswith("polyentire"):
-        _, q, kind = args.kernel.split(":")
-        source = {"family": "polyentire", "q": int(q), "kind": kind}
-    elif args.kernel == "poisson":
-        source = {"family": "poisson", "density": 1.0 / math.pi}
-    else:
-        raise GwhfError(f"unsupported verify source {args.kernel!r}")
-    return McConfig(source=source, domain=args.domain, spacing=args.spacing,
-                    dt=args.dt, n_realizations=args.n, seed=args.seed,
-                    radii=tuple(radii), threads=args.threads,
+    return McConfig(source=_source_from_args(args), domain=args.domain,
+                    spacing=args.spacing, dt=args.dt, n_realizations=args.n,
+                    seed=args.seed, radii=tuple(radii), threads=args.threads,
                     convention=args.convention)
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "intensity":
-        report = estimate_intensity(_mc_config(args))
-        _write_report(report, args.out, "intensity")
-        return 0 if report.passes else 1
-    if args.suite == "charge":
-        report = estimate_charge_intensity(_mc_config(args))
-        _write_report(report, args.out, "charge")
+    if args.suite in ("intensity", "charge"):
+        estimate = estimate_intensity if args.suite == "intensity" else estimate_charge_intensity
+        report = estimate(_mc_config(args))
+        _write_report(report, args.out, args.suite)
         return 0 if report.passes else 1
     if args.suite == "charge-variance":
         radii = [float(v) for v in args.radii.split(",")]
@@ -300,7 +261,7 @@ def _cmd_verify(args) -> int:
                          f"{'ok' if ratio_ok else 'FAIL'}\n")
         return 0 if (band_ok and ratio_ok) else 1
     if args.suite == "invariance":
-        g = _window_from_arg(args.window or "hermite:0")
+        g = window_from_spec(args.window or "hermite:0")
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.n):
@@ -312,7 +273,7 @@ def _cmd_verify(args) -> int:
                    os.path.join(args.out, "invariance.json") if args.out else None)
         return 0 if worst <= 1e-7 else 1
     if args.suite == "tau2-oracle":
-        kern = _kernel_from_arg(args.kernel or "gef")
+        kern = kernel_from_spec(args.kernel or "gef")
         if not isinstance(kern, RadialKernel):
             raise GwhfError("tau2 oracle needs a radial kernel")
         ds = np.geomspace(0.05, 8.0, 40)
@@ -409,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 0):
-        os.environ["GWHF_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except GwhfError as exc:

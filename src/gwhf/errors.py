@@ -39,3 +39,7 @@ class PlaneError(GwhfError, ValueError):
 
 class DomainError(GwhfError, ValueError):
     """Requested statistics region does not fit the grid interior."""
+
+
+class ContainerError(GwhfError, ValueError):
+    """File is not a complete, well-formed grid container."""

@@ -21,13 +21,14 @@ All functions are pure; kernel objects are immutable.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DegeneratePairError, InvalidKernelError,
+from .errors import (DegeneratePairError, GwhfError, InvalidKernelError,
                      SingularKernelError)
 from .quadrature import adaptive_quad, half_line_quad
 
@@ -571,16 +572,39 @@ def validate_kernel(kernel: RadialKernel | KernelJet,
 
 
 # ---------------------------------------------------------------------------
-# JSON kernel specification
+# Kernel specification: JSON record or "name:args" text
 # ---------------------------------------------------------------------------
 
-def kernel_from_spec(spec: dict) -> RadialKernel | KernelJet:
-    """Build a kernel from the JSON record {"family", "q", "jet"}.
+def build_from_spec(spec, what: str, error: type[GwhfError], from_text, build):
+    """build(record) for a `what` spec given as its JSON record, as
+    "@file.json", or as "name:args" text, which from_text(name, args) turns
+    into the same record.  Any malformed spec raises `error` naming it."""
+    try:
+        if isinstance(spec, str) and spec.startswith("@"):
+            with open(spec[1:]) as fh:
+                record = json.load(fh)
+        elif isinstance(spec, str):
+            name, _, args = spec.partition(":")
+            record = from_text(name, args)
+        else:
+            record = spec
+        if not isinstance(record, dict):
+            raise TypeError("expected a JSON object or name:args text")
+        return build(record)
+    except KeyError as exc:
+        raise error(f"bad {what} spec {spec!r}: missing field {exc}") from exc
+    except (TypeError, ValueError, OSError) as exc:
+        kind = type(exc) if isinstance(exc, GwhfError) else error
+        raise kind(f"bad {what} spec {spec!r}: {exc}") from exc
 
-    Families: "gef"; "laguerre" (q = polynomial index r, pure type of order
-    r+1); "laguerre-avg" (q = mixture order); "custom" (bare jet
-    [b10, b01, h20, h02, h11], intensity formulas only).
-    """
+
+def _kernel_record(name: str, args: str) -> dict:
+    if name == "custom":
+        return {"family": name, "jet": [float(v) for v in args.split(";")]}
+    return {"family": name, "q": int(args)} if args else {"family": name}
+
+
+def _build_kernel(spec: dict) -> RadialKernel | KernelJet:
     family = spec.get("family")
     if family == "gef":
         return gef_kernel()
@@ -594,6 +618,15 @@ def kernel_from_spec(spec: dict) -> RadialKernel | KernelJet:
             raise InvalidKernelError("custom kernel needs jet = [b10, b01, h20, h02, h11]")
         return KernelJet(*(float(v) for v in jet))
     raise InvalidKernelError(f"unknown kernel family {family!r}")
+
+
+def kernel_from_spec(spec: dict | str) -> RadialKernel | KernelJet:
+    """Build a kernel from the JSON record {"family", "q", "jet"}, from
+    "@file.json", or from the text gef, laguerre:R, laguerre-avg:Q or
+    custom:b10;b01;h20;h02;h11.  Families: "gef"; "laguerre" (q = polynomial
+    index r, pure type of order r+1); "laguerre-avg" (q = mixture order);
+    "custom" (bare jet, intensity formulas only)."""
+    return build_from_spec(spec, "kernel", InvalidKernelError, _kernel_record, _build_kernel)
 
 
 def integral_identity_residual(p: RadialKernel, s_lo: float = 1e-3,

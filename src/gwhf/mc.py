@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidKernelError
-from .kernels import (DEFAULT_CONVENTION, RadialKernel, gef_kernel,
-                      laguerre_avg_kernel, laguerre_kernel, rho1_radial,
-                      variance_asymptote)
-from .simulate import FieldGrid, SeriesPlan, StftPlan, stream, to_gwhf_plane
-from .windows import Window, hermite, rho1_stft, window_from_spec
+from .kernels import DEFAULT_CONVENTION, variance_asymptote
+from .simulate import FieldSource, stream
+from .windows import Window, window_from_spec
 from .zeros import ChargedZero, detect_zeros, disk_stats
 
 __all__ = ["McConfig", "McItem", "McReport",
@@ -45,11 +43,10 @@ def default_threads() -> int:
 class McConfig:
     """One verification run: a field source plus sampling parameters.
 
-    source families:
-      {"family": "window", "window": <window spec>, "plane": "stft"|"gwhf"}
-      {"family": "series-gef"}
-      {"family": "polyentire", "q": int, "kind": "pure"|"full"}
+    source families: those of simulate.FieldSource, plus
       {"family": "poisson", "density": float}   (control point process)
+    A window given as a spec (JSON record or text) is built here, so the
+    report config names it by its label whichever form it came in.
     """
     source: dict
     domain: tuple[float, float, float, float]
@@ -67,6 +64,9 @@ class McConfig:
             raise ValueError("need at least 2 realizations")
         if self.radii and list(self.radii) != sorted(self.radii):
             raise ValueError("radii must be sorted ascending")
+        win = self.source.get("window")
+        if win is not None and not isinstance(win, Window):
+            object.__setattr__(self, "source", dict(self.source, window=window_from_spec(win)))
 
     def as_dict(self) -> dict:
         source = {k: (v.label if isinstance(v, Window) else v)
@@ -137,170 +137,85 @@ class McReport:
 
 
 # ---------------------------------------------------------------------------
-# Field sources
+# Sources
 # ---------------------------------------------------------------------------
 
-class _Source:
-    """Resolved source: per-realization grids or point sets plus theory values."""
+class _PoissonControl:
+    """Uniform points with i.i.d. +-1 charges: the one source with no grid."""
+
+    kernel, charge_density = None, 0.0
 
     def __init__(self, cfg: McConfig):
-        src = cfg.source
-        self.family = src.get("family")
-        self.cfg = cfg
-        self.kernel: RadialKernel | None = None
-        self.window: Window | None = None
-        self.notes: list[str] = []
-        if self.family == "window":
-            win = src.get("window")
-            self.window = win if isinstance(win, Window) else window_from_spec(win)
-            plane = src.get("plane", "stft")
-            if plane not in ("stft", "gwhf"):
-                raise ValueError(f"unknown plane {plane!r}")
-            self.plane = plane
-            dt = cfg.dt if cfg.dt is not None else 1.0 / 64.0
-            if plane == "stft":
-                self.plans = [StftPlan(self.window, cfg.domain, cfg.spacing, dt, cfg.margin)]
-            else:
-                sp = math.sqrt(math.pi)
-                x0, x1, y0, y1 = cfg.domain
-                sdom = (x0 / sp, x1 / sp, -y1 / sp, -y0 / sp)
-                m = None if cfg.margin is None else cfg.margin / sp
-                self.plans = [StftPlan(self.window, sdom, cfg.spacing / sp, dt, m)]
-            if self.window.kind == "hermite":
-                self.kernel = laguerre_kernel(self.window.order)
-            else:
-                self.notes.append("no radial kernel for this window; "
-                                  "variance theory unavailable")
-            self.density = rho1_stft(self.window, cfg.convention)
-            if plane == "gwhf":
-                self.density /= math.pi
-            self.charge_density = 1.0 if plane == "stft" else 1.0 / math.pi
-        elif self.family == "series-gef":
-            self.plane = "gwhf"
-            self.plans = [SeriesPlan(cfg.domain, cfg.spacing, margin=cfg.margin)]
-            self.kernel = gef_kernel()
-            self.density = rho1_radial(self.kernel)
-            self.charge_density = 1.0 / math.pi
-        elif self.family == "polyentire":
-            q = int(src["q"])
-            kind = src.get("kind", "pure")
-            self.plane = "gwhf"
-            sp = math.sqrt(math.pi)
-            x0, x1, y0, y1 = cfg.domain
-            sdom = (x0 / sp, x1 / sp, -y1 / sp, -y0 / sp)
-            dt = cfg.dt if cfg.dt is not None else 1.0 / 64.0
-            m = None if cfg.margin is None else cfg.margin / sp
-            if kind == "pure":
-                self.plans = [StftPlan(hermite(q - 1), sdom, cfg.spacing / sp, dt, m)]
-                self.kernel = laguerre_kernel(q - 1)
-            elif kind == "full":
-                windows = [hermite(k) for k in range(q)]
-                if m is None:
-                    m = 2.0 * max(max(w.support_radius, w.freq_radius)
-                                  for w in windows)
-                self.plans = [StftPlan(w, sdom, cfg.spacing / sp, dt, m)
-                              for w in windows]
-                self.kernel = laguerre_avg_kernel(q)
-            else:
-                raise ValueError(f"unknown polyentire kind {kind!r}")
-            self.density = rho1_radial(self.kernel)
-            self.charge_density = 1.0 / math.pi
-        elif self.family == "poisson":
-            self.plane = "gwhf"
-            self.plans = []
-            self.density = float(src.get("density", 1.0 / math.pi))
-            self.charge_density = 0.0
-            self.notes.append("poisson control: uniform points, i.i.d. +-1 charges")
-        else:
-            raise ValueError(f"unknown source family {self.family!r}")
+        self.rate = float(cfg.source.get("density", 1.0 / math.pi))
+        self.interior = cfg.domain
+        self.notes = ["poisson control: uniform points, i.i.d. +-1 charges"]
 
-    @property
-    def interior(self) -> tuple[float, float, float, float]:
-        if self.family == "poisson":
-            return self.cfg.domain
-        plan = self.plans[0]
-        if isinstance(plan, StftPlan) and self.plane == "gwhf":
-            x0, x1, y0, y1 = plan.requested
-            sp = math.sqrt(math.pi)
-            return (sp * x0, sp * x1, -sp * y1, -sp * y0)
-        return plan.requested
+    def density(self, convention: str = DEFAULT_CONVENTION) -> float:
+        return self.rate
 
-    def interior_area(self) -> float:
+    def zeros(self, seed: int, r: int) -> list[ChargedZero]:
+        rng = stream(seed, r, 0)
         x0, x1, y0, y1 = self.interior
-        return (x1 - x0) * (y1 - y0)
-
-    def zeros_for(self, r: int):
-        cfg = self.cfg
-        if self.family == "poisson":
-            rng = stream(cfg.seed, r, 0)
-            x0, x1, y0, y1 = self.cfg.domain
-            area = (x1 - x0) * (y1 - y0)
-            n = rng.poisson(self.density * area)
-            xy = rng.uniform(size=(int(n), 2))
-            signs = np.where(rng.uniform(size=int(n)) < 0.5, 1, -1)
-            return [ChargedZero(position=complex(x0 + (x1 - x0) * a, y0 + (y1 - y0) * b),
-                                charge=int(s), winding=int(s), refined=True,
-                                jacobian_sign=int(s))
-                    for (a, b), s in zip(xy, signs)]
-        grid = self.plans[0].realize(stream(cfg.seed, r, 0), seed_label=cfg.seed)
-        if len(self.plans) > 1:
-            acc = grid.values.copy()
-            for k in range(1, len(self.plans)):
-                acc += self.plans[k].realize(stream(cfg.seed, r, k)).values
-            grid = FieldGrid(values=acc / math.sqrt(len(self.plans)),
-                             origin=grid.origin, spacing=grid.spacing,
-                             plane=grid.plane, seed=cfg.seed,
-                             margin=grid.margin, meta=grid.meta)
-        if self.plane == "gwhf" and grid.plane == "stft":
-            grid = to_gwhf_plane(grid)
-        return [z for z in detect_zeros(grid) if not z.degenerate]
+        n = rng.poisson(self.rate * ((x1 - x0) * (y1 - y0)))
+        xy = rng.uniform(size=(int(n), 2))
+        signs = np.where(rng.uniform(size=int(n)) < 0.5, 1, -1)
+        return [ChargedZero(position=complex(x0 + (x1 - x0) * a, y0 + (y1 - y0) * b),
+                            charge=int(s), winding=int(s), refined=True,
+                            jacobian_sign=int(s))
+                for (a, b), s in zip(xy, signs)]
 
 
-def _map_realizations(cfg: McConfig, worker):
-    n = cfg.n_realizations
+def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
+    if cfg.source.get("family") == "poisson":
+        return _PoissonControl(cfg)
+    return FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
+
+
+def _zeros(source: FieldSource | _PoissonControl, cfg: McConfig, r: int) -> list[ChargedZero]:
+    """Non-degenerate charged zeros of realization r."""
+    if isinstance(source, _PoissonControl):
+        return source.zeros(cfg.seed, r)
+    return [z for z in detect_zeros(source.realize(cfg.seed, r)) if not z.degenerate]
+
+
+def _map_realizations(cfg: McConfig, worker) -> list:
+    """[worker(r) for each realization r], in order whatever the thread count."""
     threads = cfg.threads if cfg.threads > 0 else default_threads()
-    results = [None] * n
     if threads <= 1:
-        for r in range(n):
-            results[r] = worker(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, res in enumerate(pool.map(worker, range(n))):
-                results[r] = res
-    return results
+        return [worker(r) for r in range(cfg.n_realizations)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, range(cfg.n_realizations)))
 
 
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
 
+def _per_area(cfg: McConfig, quantity: str, stat, theory_of) -> McReport:
+    """Mean of stat(zeros) per realization per unit area, against theory_of(source)."""
+    t0 = time.time()
+    source = _source(cfg)
+    theory = theory_of(source)
+    x0, x1, y0, y1 = source.interior
+    area = (x1 - x0) * (y1 - y0)
+    values = np.array(_map_realizations(cfg, lambda r: stat(_zeros(source, cfg, r))),
+                      dtype=float)
+    mean = float(np.mean(values)) / area
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) / area
+    item = McItem(label=quantity, empirical=mean, se=se, theory=theory)
+    return McReport(quantity=quantity, items=[item], config=cfg.as_dict(),
+                    elapsed_s=time.time() - t0, notes=source.notes)
+
+
 def estimate_intensity(cfg: McConfig) -> McReport:
     """Mean interior zero count per unit area, against the closed formula."""
-    t0 = time.time()
-    source = _Source(cfg)
-    area = source.interior_area()
-    counts = np.array(_map_realizations(cfg, lambda r: len(source.zeros_for(r))),
-                      dtype=float)
-    mean = float(np.mean(counts)) / area
-    se = float(np.std(counts, ddof=1) / math.sqrt(len(counts))) / area
-    item = McItem(label="density", empirical=mean, se=se, theory=source.density)
-    return McReport(quantity="density", items=[item], config=cfg.as_dict(),
-                    elapsed_s=time.time() - t0, notes=source.notes)
+    return _per_area(cfg, "density", len, lambda source: source.density(cfg.convention))
 
 
 def estimate_charge_intensity(cfg: McConfig) -> McReport:
     """Mean signed charge per unit area; theory is kernel-independent."""
-    t0 = time.time()
-    source = _Source(cfg)
-    area = source.interior_area()
-    sums = np.array(_map_realizations(
-        cfg, lambda r: sum(z.charge for z in source.zeros_for(r))), dtype=float)
-    mean = float(np.mean(sums)) / area
-    se = float(np.std(sums, ddof=1) / math.sqrt(len(sums))) / area
-    item = McItem(label="charge_density", empirical=mean, se=se,
-                  theory=source.charge_density)
-    return McReport(quantity="charge_density", items=[item], config=cfg.as_dict(),
-                    elapsed_s=time.time() - t0, notes=source.notes)
+    return _per_area(cfg, "charge_density", lambda zs: sum(z.charge for z in zs),
+                     lambda source: source.charge_density)
 
 
 def _variance_se(samples: np.ndarray) -> float:
@@ -325,7 +240,7 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     t0 = time.time()
     if not cfg.radii:
         raise ValueError("charge variance needs a radii list")
-    source = _Source(cfg)
+    source = _source(cfg)
     notes = list(source.notes)
     x0, x1, y0, y1 = source.interior
     center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
@@ -337,21 +252,18 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
         notes.append("fewer than 100 realizations: variance standard errors are wide")
 
     radii = list(cfg.radii)
-
-    def worker(r: int):
-        zs = source.zeros_for(r)
-        return [st.total_charge for st in disk_stats(zs, center, radii)]
-
-    charges = np.array(_map_realizations(cfg, worker), dtype=float)
-
-    if source.family == "poisson":
+    if isinstance(source, _PoissonControl):
         # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
-        theory_var = [source.density * math.pi * R for R in radii]
+        theory_var = [source.rate * math.pi * R for R in radii]
     elif source.kernel is not None:
-        limit = variance_asymptote(source.kernel)
-        theory_var = [limit for _ in radii]
+        theory_var = [variance_asymptote(source.kernel)] * len(radii)
     else:
         raise InvalidKernelError("no radial kernel available for variance theory")
+
+    def worker(r: int):
+        return [st.total_charge for st in disk_stats(_zeros(source, cfg, r), center, radii)]
+
+    charges = np.array(_map_realizations(cfg, worker), dtype=float)
 
     items = []
     variances = []

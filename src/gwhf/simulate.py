@@ -1,12 +1,12 @@
 """Field realizations on rectangular grids.
 
-Two independent simulators:
-
-* stft_field — the canonical path: pair discretized complex white noise
-  with translated/modulated copies of a window, columnwise by FFT over the
-  noise record.  Works for arbitrary windows.
-* gef_series_field — truncated random entire series with Gaussian weight;
-  an independent cross-check for the flat kernel.
+FieldSource turns a source spec into plans, an output plane, an interior
+and theory values; the CLI, the Monte Carlo harness and the one-shot
+stft_field, gef_series_field and polyentire_field all realize through it.
+Two independent simulators: StftPlan pairs discretized complex white noise
+with translated/modulated copies of any window, columnwise by FFT over the
+noise record; SeriesPlan sums a truncated random entire series with
+Gaussian weight, a cross-check for the flat kernel.
 
 Coordinate conventions: grids in the "stft" plane sample the spectrogram
 coordinates (x = time shift, y = frequency); grids in the "gwhf" plane
@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasBandError, DomainError, PlaneError
-from .windows import Window, hermite
+from .errors import (AliasBandError, ContainerError, DomainError,
+                     InvalidKernelError, PlaneError)
+from .kernels import (DEFAULT_CONVENTION, gef_kernel, laguerre_avg_kernel,
+                      laguerre_kernel, rho1_radial)
+from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
     "FieldGrid", "stream", "complex_normals",
-    "StftPlan", "SeriesPlan", "stft_field", "to_gwhf_plane",
+    "StftPlan", "SeriesPlan", "FieldSource", "stft_field", "to_gwhf_plane",
     "gef_series_field", "polyentire_field", "series_terms_required",
     "save_grid", "load_grid", "grid_to_csv",
 ]
@@ -215,8 +218,21 @@ def stft_field(g: Window, domain: tuple[float, float, float, float],
     spacing is rounded to the nearest FFT-compatible value and recorded in
     the metadata).  Deterministic given (seed, domain, spacing, dt).
     """
-    plan = StftPlan(g, domain, spacing, dt, margin)
-    return plan.realize(stream(seed), seed_label=seed)
+    return FieldSource({"family": "window", "window": g}, domain, spacing, dt,
+                       margin).realize(seed)
+
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _gwhf_box(box: tuple[float, float, float, float], inverse: bool = False
+              ) -> tuple[float, float, float, float]:
+    """stft-plane rectangle -> gwhf-plane rectangle under z = sqrt(pi) conj(u + i v),
+    or back with `inverse`."""
+    x0, x1, y0, y1 = (float(v) for v in box)
+    if inverse:
+        return (x0 / _SQRT_PI, x1 / _SQRT_PI, -y1 / _SQRT_PI, -y0 / _SQRT_PI)
+    return (_SQRT_PI * x0, _SQRT_PI * x1, -_SQRT_PI * y1, -_SQRT_PI * y0)
 
 
 def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
@@ -228,19 +244,15 @@ def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
     """
     if grid.plane != "stft":
         raise PlaneError("grid is not in the stft plane (double application?)")
-    sp = math.sqrt(math.pi)
     us = grid.xs
     vs = grid.ys
     phase = np.exp(1j * math.pi * vs[:, None] * us[None, :])
     vals = (phase * grid.values)[::-1, :]
-    origin = complex(sp * us[0], -sp * vs[-1])
-    ix0, ix1, iy0, iy1 = grid.interior
-    meta = dict(grid.meta)
-    meta["interior"] = (sp * ix0, sp * ix1, -sp * iy1, -sp * iy0)
-    meta["mapped_from"] = "stft"
-    return FieldGrid(values=vals, origin=origin, spacing=sp * grid.spacing,
-                     plane="gwhf", seed=grid.seed, margin=sp * grid.margin,
-                     meta=meta)
+    origin = complex(_SQRT_PI * us[0], -_SQRT_PI * vs[-1])
+    meta = dict(grid.meta, interior=_gwhf_box(grid.interior), mapped_from="stft")
+    return FieldGrid(values=vals, origin=origin,
+                     spacing=_SQRT_PI * grid.spacing, plane="gwhf", seed=grid.seed,
+                     margin=_SQRT_PI * grid.margin, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +316,8 @@ def gef_series_field(domain: tuple[float, float, float, float], spacing: float,
     F(z) = exp(-|z|^2/2) sum_{n<N} xi_n z^n / sqrt(n!), xi_n i.i.d. standard
     circular Gaussians.  One realization per call; deterministic in seed.
     """
-    plan = SeriesPlan(domain, spacing, n_terms, margin)
-    return plan.realize(stream(seed), seed_label=seed)
-
-
-# ---------------------------------------------------------------------------
-# Higher-order fields
-# ---------------------------------------------------------------------------
-
-def _stft_domain_for_gwhf(domain: tuple[float, float, float, float]
-                          ) -> tuple[float, float, float, float]:
-    x0, x1, y0, y1 = (float(v) for v in domain)
-    sp = math.sqrt(math.pi)
-    return (x0 / sp, x1 / sp, -y1 / sp, -y0 / sp)
+    return FieldSource({"family": "series-gef", "n_terms": n_terms}, domain, spacing,
+                       margin=margin).realize(seed)
 
 
 def polyentire_field(q: int, kind: str, domain: tuple[float, float, float, float],
@@ -329,31 +330,92 @@ def polyentire_field(q: int, kind: str, domain: tuple[float, float, float, float
     windows h_0..h_{q-1}; component k of the realization draws from the
     stream (seed, 0, k), so components are independent and reproducible.
     """
-    if not 1 <= q <= 8:
-        raise ValueError("q must be in [1, 8]")
-    if kind not in ("pure", "full"):
-        raise ValueError(f"kind must be 'pure' or 'full', got {kind!r}")
-    sdom = _stft_domain_for_gwhf(domain)
-    sp = math.sqrt(math.pi)
-    s_spacing = spacing / sp
-    s_margin = None if margin is None else margin / sp
-    if kind == "pure":
-        plan = StftPlan(hermite(q - 1), sdom, s_spacing, dt, s_margin)
-        grid = plan.realize(stream(seed, 0, 0), seed_label=seed)
-        return to_gwhf_plane(grid)
-    windows = [hermite(k) for k in range(q)]
-    if s_margin is None:
-        # components must share one grid, so the widest window sets the margin
-        s_margin = 2.0 * max(max(w.support_radius, w.freq_radius) for w in windows)
-    plans = [StftPlan(w, sdom, s_spacing, dt, s_margin) for w in windows]
-    base = plans[0].realize(stream(seed, 0, 0), seed_label=seed)
-    acc = base.values.copy()
-    for k in range(1, q):
-        acc += plans[k].realize(stream(seed, 0, k)).values
-    mixed = FieldGrid(values=acc / math.sqrt(q), origin=base.origin,
-                      spacing=base.spacing, plane="stft", seed=seed,
-                      margin=base.margin, meta=dict(base.meta, components=q))
-    return to_gwhf_plane(mixed)
+    return FieldSource({"family": "polyentire", "q": q, "kind": kind}, domain, spacing,
+                       dt, margin).realize(seed)
+
+
+# ---------------------------------------------------------------------------
+# Field sources: spec -> plans, plane, interior and theory values
+# ---------------------------------------------------------------------------
+
+class FieldSource:
+    """One field family on one grid, built once and realized many times.
+
+    Spec families:
+      {"family": "window", "window": <Window | window spec>, "plane": "stft"|"gwhf"}
+      {"family": "series-gef", "n_terms": int | None}
+      {"family": "polyentire", "q": 1..8, "kind": "pure"|"full"}
+
+    domain, spacing, margin and the theory values (kernel, None with a note
+    for a window without one; density(convention); charge_density) refer to
+    the output plane; a gwhf-plane window source simulates the preimage.
+    """
+
+    def __init__(self, spec: dict, domain: tuple[float, float, float, float],
+                 spacing: float, dt: float | None = None, margin: float | None = None):
+        family = spec.get("family")
+        self.plane = spec.get("plane", "stft") if family == "window" else "gwhf"
+        if self.plane not in ("stft", "gwhf"):
+            raise PlaneError(f"unknown plane {self.plane!r}")
+        self.charge_density = 1.0 / math.pi if self.plane == "gwhf" else 1.0
+        self.window, self.notes = None, []
+        if family == "series-gef":
+            self.kernel = gef_kernel()
+            self.plans = [SeriesPlan(domain, spacing, spec.get("n_terms"), margin)]
+            self.interior = self.plans[0].requested
+            return
+        if family == "window":
+            win = spec.get("window")
+            self.window = win if isinstance(win, Window) else window_from_spec(win)
+            windows = [self.window]
+            self.kernel = (laguerre_kernel(self.window.order)
+                           if self.window.kind == "hermite" else None)
+            if self.kernel is None:
+                self.notes.append("no radial kernel for this window; "
+                                  "variance theory unavailable")
+        elif family == "polyentire":
+            q, kind = spec.get("q"), spec.get("kind", "pure")
+            if not (isinstance(q, (int, np.integer)) and 1 <= q <= 8
+                    and kind in ("pure", "full")):
+                raise InvalidKernelError(f"polyentire needs q in [1, 8] and kind "
+                                         f"'pure' or 'full', got q={q!r}, kind={kind!r}")
+            pure = kind == "pure"
+            windows = [hermite(q - 1)] if pure else [hermite(k) for k in range(q)]
+            self.kernel = laguerre_kernel(q - 1) if pure else laguerre_avg_kernel(q)
+        else:
+            raise InvalidKernelError(f"unknown source family {family!r}")
+        if self.plane == "gwhf":
+            domain, spacing = _gwhf_box(domain, inverse=True), spacing / _SQRT_PI
+            margin = None if margin is None else margin / _SQRT_PI
+        if margin is None:
+            # components share one grid, so the widest window sets the margin
+            margin = 2.0 * max(max(w.support_radius, w.freq_radius) for w in windows)
+        dt = 1.0 / 64.0 if dt is None else dt
+        self.plans = [StftPlan(w, domain, spacing, dt, margin) for w in windows]
+        box = self.plans[0].requested
+        self.interior = _gwhf_box(box) if self.plane == "gwhf" else box
+
+    def density(self, convention: str = DEFAULT_CONVENTION) -> float:
+        """Expected zeros per unit area of the output plane."""
+        if self.window is None:
+            return rho1_radial(self.kernel)
+        rho = rho1_stft(self.window, convention)
+        return rho / math.pi if self.plane == "gwhf" else rho
+
+    def realize(self, seed: int, r: int = 0) -> FieldGrid:
+        """Realization r in the source's plane; component k draws from stream(seed, r, k)."""
+        grid = self.plans[0].realize(stream(seed, r, 0), seed_label=seed)
+        if len(self.plans) > 1:
+            acc = grid.values.copy()
+            for k in range(1, len(self.plans)):
+                acc += self.plans[k].realize(stream(seed, r, k)).values
+            grid = FieldGrid(values=acc / math.sqrt(len(self.plans)), origin=grid.origin,
+                             spacing=grid.spacing, plane=grid.plane, seed=seed,
+                             margin=grid.margin,
+                             meta=dict(grid.meta, components=len(self.plans)))
+        if self.plane == "gwhf" and grid.plane == "stft":
+            grid = to_gwhf_plane(grid)
+        return grid
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +445,33 @@ def save_grid(grid: FieldGrid, path: str) -> None:
 
 
 def load_grid(path: str) -> FieldGrid:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a grid container")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        raw = fh.read()
-    nx, ny = header["nx"], header["ny"]
-    vals = np.frombuffer(raw, dtype="<c8", count=nx * ny).reshape(ny, nx).astype(complex)
-    meta = header.get("meta", {})
-    if isinstance(meta.get("interior"), list):
-        meta["interior"] = tuple(meta["interior"])
-    return FieldGrid(values=vals, origin=complex(*header["origin"]),
-                     spacing=header["spacing"], plane=header["plane"],
-                     seed=header["seed"], margin=header.get("margin", 0.0),
-                     meta=meta)
+    """Read a container written by save_grid.  A file that is not one, has
+    a header key missing, or whose payload is not exactly nx*ny*8 bytes
+    raises ContainerError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if not blob.startswith(_MAGIC):
+            raise ValueError("no container magic")
+        start = len(_MAGIC) + 8
+        (hlen,) = struct.unpack_from("<Q", blob, len(_MAGIC))
+        header = json.loads(blob[start:start + hlen])
+        nx, ny = int(header["nx"]), int(header["ny"])
+        payload = blob[start + hlen:]
+        if len(payload) != nx * ny * 8:
+            raise ValueError(f"payload is {len(payload)} bytes, the header's "
+                             f"{nx} x {ny} grid needs {nx * ny * 8}")
+        vals = np.frombuffer(payload, dtype="<c8").reshape(ny, nx).astype(complex)
+        meta = dict(header.get("meta", {}))
+        if isinstance(meta.get("interior"), list):
+            meta["interior"] = tuple(meta["interior"])
+        return FieldGrid(values=vals, origin=complex(*header["origin"]),
+                         spacing=header["spacing"], plane=header["plane"],
+                         seed=header["seed"], margin=header.get("margin", 0.0),
+                         meta=meta)
+    except (KeyError, OSError, TypeError, ValueError, struct.error) as exc:
+        raise ContainerError(f"{path} is not a valid grid container: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
 
 def grid_to_csv(grid: FieldGrid, path: str) -> None:

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InvalidWindowError
 from .kernels import (DEFAULT_CONVENTION, KernelJet, RadialKernel,
-                      laguerre_kernel, rho1)
+                      build_from_spec, laguerre_kernel, rho1)
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -422,12 +422,21 @@ def invariance_check(g: Window, x0: float, xi0: float, xi1: float,
 
 
 # ---------------------------------------------------------------------------
-# JSON window specification
+# Window specification: JSON record or "name:args" text
 # ---------------------------------------------------------------------------
 
-def window_from_spec(spec: dict) -> Window:
-    """Build a window from the JSON record
-    {"family", "r", "params", "coeffs", "samples_path", "dt"}."""
+def _window_record(name: str, args: str) -> dict:
+    if name == "hermite":
+        return {"family": name, "r": int(args or 0)}
+    if name in ("gaussian", "generalized-gaussian"):
+        return {"family": "generalized-gaussian",
+                "params": [float(v) for v in args.split(";")] if args else [1.0]}
+    if name == "hermite-mixture":
+        return {"family": name, "coeffs": [[c.real, c.imag] for c in map(complex, args.split(";"))]}
+    return {"family": name}
+
+
+def _build_window(spec: dict) -> Window:
     family = spec.get("family")
     if family == "hermite":
         return hermite(int(spec.get("r", 0)))
@@ -448,3 +457,11 @@ def window_from_spec(spec: dict) -> Window:
             raise InvalidWindowError("samples family needs samples_path and dt")
         return window_from_samples(np.load(path), float(dt), label=f"samples:{path}")
     raise InvalidWindowError(f"unknown window family {family!r}")
+
+
+def window_from_spec(spec: dict | str) -> Window:
+    """Build a window from the JSON record {"family", "r", "params",
+    "coeffs", "samples_path", "dt"}, from "@file.json", or from the text
+    hermite:R, gaussian:sigma;phase;x0;xi0;xi1 (an alias of
+    generalized-gaussian) or hermite-mixture:c0;c1;..."""
+    return build_from_spec(spec, "window", InvalidWindowError, _window_record, _build_window)

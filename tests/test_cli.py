@@ -111,14 +111,17 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
 
 def test_verify_reports_byte_identical(tmp_path, capsys):
     outs = []
-    for name in ("a", "b"):
+    env = dict(os.environ)
+    for name, threads in (("a", "1"), ("b", "2")):
         out_dir = str(tmp_path / name)
         code, _, _ = run_cli(capsys, "verify", "intensity", "--window", "hermite:0",
-                             "-n", "5", "--domain", "0,4,0,4", "--out", out_dir)
+                             "-n", "5", "--domain", "0,4,0,4", "--out", out_dir,
+                             "--threads", threads)
         assert code == 0
         outs.append(open(os.path.join(out_dir, "intensity.json")).read())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["elapsed_s"] is None
+    assert dict(os.environ) == env  # --threads reaches McConfig, not the environment
 
 
 def test_verify_tau2_and_invariance(tmp_path, capsys):
@@ -139,11 +142,41 @@ def test_verify_exit_code_gates(capsys):
     assert code != 0
 
 
-def test_cli_error_paths(capsys):
-    code, _, err = run_cli(capsys, "intensity", "--kernel", "custom:1;2")
+@pytest.mark.parametrize("argv, names", [
+    (["intensity", "--kernel", "custom:1;2"], "custom"),
+    (["intensity", "--window", "foo"], "foo"),
+    (["intensity", "--window", "gaussian:abc"], "gaussian:abc"),
+    (["intensity", "--kernel", "laguerre"], "laguerre"),
+    (["verify", "intensity", "--kernel", "polyentire:3", "-n", "2"], "kind=''"),
+    (["verify", "intensity", "--kernel", "polyentire:3:bogus", "-n", "2"], "bogus"),
+    (["simulate", "--simulator", "polyentire:9:pure"], "9"),
+    (["simulate"], "--window"),
+], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
+        "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
+        "polyentire-order-too-high", "simulate-without-window"])
+def test_cli_error_paths(capsys, tmp_path, argv, names):
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path)]
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "error" in err
+    assert err.startswith("error:") and names in err
     with pytest.raises(SystemExit):
         cli.main(["verify", "nope"])
+
+
+def test_zeros_refuses_damaged_grid(tmp_path, capsys):
+    out_dir = str(tmp_path / "run")
+    run_cli(capsys, "simulate", "--window", "hermite:0", "--domain", "0,2,0,2",
+            "--out", out_dir)
+    blob = open(os.path.join(out_dir, "field.gwhf"), "rb").read()
+    path = tmp_path / "damaged.gwhf"
+    # truncated payload, header and magic, then a file that is no container
+    for damaged in (blob[:-8], blob[:40], blob[:3], b"x,y,re,im\n"):
+        path.write_bytes(damaged)
+        code, _, err = run_cli(capsys, "zeros", "--grid", str(path),
+                               "--out", str(tmp_path / "z.csv"))
+        assert code == 2
+        assert err.startswith("error:") and str(path) in err
 
 
 def test_help_smoke(capsys):

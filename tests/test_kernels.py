@@ -336,3 +336,20 @@ def test_kernel_from_spec_families():
         K.kernel_from_spec({"family": "nope"})
     with pytest.raises(InvalidKernelError):
         K.kernel_from_spec({"family": "custom", "jet": [1, 2]})
+    # the text form parses into the same record and builds the same kernel
+    s = np.linspace(0.0, 6.0, 13)
+    pairs = [
+        ("gef", {"family": "gef"}),
+        ("laguerre:2", {"family": "laguerre", "q": 2}),
+        ("laguerre-avg:3", {"family": "laguerre-avg", "q": 3}),
+    ]
+    for text, record in pairs:
+        a, b = K.kernel_from_spec(text), K.kernel_from_spec(record)
+        assert a.label == b.label
+        for fa, fb in zip(a.pdd(s), b.pdd(s)):
+            assert np.array_equal(fa, fb)
+    text_jet = K.kernel_from_spec("custom:0;0;-3;-3;0")
+    assert text_jet == K.kernel_from_spec({"family": "custom", "jet": [0, 0, -3, -3, 0]})
+    for bad in ("laguerre", "laguerre:x", "laguerre:-1", "custom:", "nope"):
+        with pytest.raises(InvalidKernelError, match=bad):
+            K.kernel_from_spec(bad)

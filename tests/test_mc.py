@@ -65,6 +65,16 @@ def test_reports_deterministic_and_thread_independent():
     assert a.items[0].se == c.items[0].se
 
 
+def test_window_source_forms_give_identical_reports():
+    from gwhf.windows import hermite
+    reports = [mc.estimate_intensity(_cfg(
+        source={"family": "window", "window": win}, n_realizations=3)
+    ).to_json(include_elapsed=False)
+        for win in (hermite(1), {"family": "hermite", "r": 1}, "hermite:1")]
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["config"]["source"]["window"] == "hermite:1"
+
+
 def test_report_serialization_schema():
     rep = mc.estimate_intensity(_cfg(n_realizations=4))
     data = json.loads(rep.to_json())

@@ -246,3 +246,25 @@ def test_window_from_spec(tmp_path, hermites):
     assert W.rho1_stft(s) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(InvalidWindowError):
         W.window_from_spec({"family": "wavelet"})
+    # the text form parses into the same record and builds the same window
+    t = np.linspace(-2.0, 2.0, 9)
+    pairs = [
+        ("hermite:3", {"family": "hermite", "r": 3}),
+        ("gaussian:1.0;0.0;0.5;0.0;0.0", {"family": "generalized-gaussian",
+                                          "params": [1.0, 0.0, 0.5, 0.0, 0.0]}),
+        ("generalized-gaussian:0.7;0.2", {"family": "generalized-gaussian",
+                                          "params": [0.7, 0.2]}),
+        ("hermite-mixture:1;1j", {"family": "hermite-mixture",
+                                  "coeffs": [[1, 0], [0, 1]]}),
+    ]
+    for text, record in pairs:
+        a, b = W.window_from_spec(text), W.window_from_spec(record)
+        assert (a.label, a.kind, a.support_radius, a.freq_radius) == \
+            (b.label, b.kind, b.support_radius, b.freq_radius)
+        assert np.array_equal(a.rule(t), b.rule(t))
+        assert np.array_equal(a.derivative(t), b.derivative(t))
+    for bad in ("wavelet:1", "gaussian:abc", "hermite:x", "hermite-mixture:",
+                "hermite:99", "@" + str(tmp_path / "missing.json")):
+        with pytest.raises(InvalidWindowError) as exc:
+            W.window_from_spec(bad)
+        assert repr(bad) in str(exc.value)
