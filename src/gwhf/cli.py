@@ -71,6 +71,7 @@ def _emit_json(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidKernelError
+from .errors import DomainError, GwhfError, InvalidKernelError
 from .kernels import DEFAULT_CONVENTION, variance_asymptote
 from .simulate import FieldSource, stream
 from .windows import Window, window_from_spec
@@ -179,12 +179,19 @@ def _zeros(source: FieldSource | _PoissonControl, cfg: McConfig, r: int) -> list
 
 
 def _map_realizations(cfg: McConfig, worker) -> list:
-    """[worker(r) for each realization r], in order whatever the thread count."""
+    """[worker(r) for each realization r], in order whatever the thread count.
+    A GwhfError is re-raised as its own class, naming the seed and realization."""
+    def labelled(r: int):
+        try:
+            return worker(r)
+        except GwhfError as exc:
+            raise type(exc)(f"seed {cfg.seed} realization {r}: {exc}") from exc
+
     threads = cfg.threads if cfg.threads > 0 else default_threads()
     if threads <= 1:
-        return [worker(r) for r in range(cfg.n_realizations)]
+        return [labelled(r) for r in range(cfg.n_realizations)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(cfg.n_realizations)))
+        return list(pool.map(labelled, range(cfg.n_realizations)))
 
 
 # ---------------------------------------------------------------------------

@@ -446,8 +446,8 @@ def save_grid(grid: FieldGrid, path: str) -> None:
 
 def load_grid(path: str) -> FieldGrid:
     """Read a container written by save_grid.  A file that is not one, has
-    a header key missing, or whose payload is not exactly nx*ny*8 bytes
-    raises ContainerError."""
+    a header key missing, whose payload is not exactly nx*ny*8 bytes, or
+    that holds a non-finite sample raises ContainerError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -462,6 +462,8 @@ def load_grid(path: str) -> FieldGrid:
             raise ValueError(f"payload is {len(payload)} bytes, the header's "
                              f"{nx} x {ny} grid needs {nx * ny * 8}")
         vals = np.frombuffer(payload, dtype="<c8").reshape(ny, nx).astype(complex)
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{np.count_nonzero(~np.isfinite(vals))} non-finite samples")
         meta = dict(header.get("meta", {}))
         if isinstance(meta.get("interior"), list):
             meta["interior"] = tuple(meta["interior"])

@@ -139,10 +139,12 @@ def hermite(r: int) -> Window:
 
 
 def hermite_mixture(coeffs: Sequence[complex], label: str | None = None) -> Window:
-    """Normalized finite combination sum_r coeffs[r] h_r."""
+    """Normalized finite combination sum_r coeffs[r] h_r.  The default label
+    is the text spec of the coefficients as given, so it rebuilds the window."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0 or c.size - 1 > HERMITE_MAX_ORDER:
         raise InvalidWindowError("coeffs must be a nonempty 1-d sequence of length <= 13")
+    label = label or "hermite-mixture:" + ";".join(f"{v.real}{v.imag:+}j" for v in c.tolist())
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise InvalidWindowError("all mixture coefficients vanish")
@@ -166,7 +168,7 @@ def hermite_mixture(coeffs: Sequence[complex], label: str | None = None) -> Wind
 
     support = _support_radius_from(rule)
     return Window(rule=rule, derivative=derivative, support_radius=support,
-                  freq_radius=support, label=label or f"hermite-mixture:{rmax}",
+                  freq_radius=support, label=label,
                   kind="mixture")
 
 
@@ -174,7 +176,8 @@ def generalized_gaussian(sigma: float, lambda_phase: float = 0.0, x0: float = 0.
                          xi0: float = 0.0, xi1: float = 0.0) -> Window:
     """Squeezed state: (lambda/sqrt(sigma)) exp(-(pi/sigma^2)[(t-x0)^2 + i(xi0 t + xi1 t^2)]).
 
-    |lambda| = 2^{1/4} is enforced internally so the norm is exactly 1.
+    |lambda| = 2^{1/4} is enforced internally so the norm is exactly 1.  The
+    label is the text spec without trailing zero parameters.
     """
     if sigma <= 0:
         raise InvalidWindowError("sigma must be positive")
@@ -190,8 +193,12 @@ def generalized_gaussian(sigma: float, lambda_phase: float = 0.0, x0: float = 0.
         return rule(t) * (-a * (2.0 * (t - x0) + 1j * (xi0 + 2.0 * xi1 * t)))
 
     support = abs(x0) + sigma * math.sqrt(math.log(2.0 ** 0.25 / (math.sqrt(sigma) * 1e-12)) / math.pi) + 0.25
-    w = Window(rule=rule, derivative=derivative, support_radius=support,
-               freq_radius=1.0, label=f"generalized-gaussian:{sigma}", kind="generalized-gaussian")
+    params = [sigma, lambda_phase, x0, xi0, xi1]
+    while len(params) > 1 and params[-1] == 0:
+        params.pop()
+    w = Window(rule=rule, derivative=derivative, support_radius=support, freq_radius=1.0,
+               label="generalized-gaussian:" + ";".join(map(str, params)),
+               kind="generalized-gaussian")
     return _with_measured_freq_radius(w)
 
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, ResolutionError
 from .simulate import FieldGrid
@@ -87,56 +88,78 @@ def _demod(plane: str, values, positions, ref):
     return values * np.exp(-1j * _edge_gauge(plane, ref, positions))
 
 
-def _gauged_ccw_windings(values: np.ndarray, positions: np.ndarray,
-                         plane: str, spacing: float) -> np.ndarray:
-    """Integer winding of every plaquette, counterclockwise gauged loop."""
-    a, pa = values[:-1, :-1], positions[:-1, :-1]
-    b, pb = values[:-1, 1:], positions[:-1, 1:]
-    c, pc = values[1:, 1:], positions[1:, 1:]
-    d, pd = values[1:, :-1], positions[1:, :-1]
+def _plane_points(grid: FieldGrid, i, j, xi, eta):
+    """Plane position of the local point (xi, eta) of cell (i, j)."""
+    return (grid.origin.real + (i + xi) * grid.spacing
+            + 1j * (grid.origin.imag + (j + eta) * grid.spacing))
 
-    def inc(v1, v2, p1, p2):
-        return np.angle(v2 * np.conj(v1) * np.exp(-1j * _edge_gauge(plane, p1, p2)))
 
-    tot = (inc(a, b, pa, pb) + inc(b, c, pb, pc)
-           + inc(c, d, pc, pd) + inc(d, a, pd, pa))
-    tot += _loop_defect(plane, spacing)
+def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
+    """Integer winding of every plaquette, counterclockwise gauged loop.
+
+    Each lattice edge's gauged increment is computed once; a plaquette adds
+    its bottom and right edges and subtracts its top and left ones, so the
+    windings of any block of plaquettes sum to the gauged circulation
+    around the block's boundary.
+    """
+    v, p = grid.values, grid.xs[None, :] + 1j * grid.ys[:, None]
+
+    def inc(a, b):
+        return np.angle(_demod(grid.plane, v[b] * np.conj(v[a]), p[b], p[a]))
+
+    horiz = inc(np.s_[:, :-1], np.s_[:, 1:])
+    vert = inc(np.s_[:-1, :], np.s_[1:, :])
+    tot = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]
+    tot += _loop_defect(grid.plane, grid.spacing)
     return np.rint(tot / _TWO_PI).astype(int)
 
 
-def _positions(grid: FieldGrid) -> np.ndarray:
-    return grid.xs[None, :] + 1j * grid.ys[:, None]
-
-
 # ---------------------------------------------------------------------------
-# Local interpolation
+# Local interpolation, batched over cells
 # ---------------------------------------------------------------------------
 
-def _cubic(p0, p1, p2, p3, u):
-    # Catmull-Rom through p1 (u=0) and p2 (u=1)
+def _cubic(p, u):
+    # Catmull-Rom along the last axis, through p[..., 1] (u=0) and p[..., 2] (u=1)
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
     return p1 + 0.5 * u * (p2 - p0 + u * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
                                           + u * (3.0 * (p1 - p2) + p3 - p0)))
 
 
-def _cubic_d(p0, p1, p2, p3, u):
+def _cubic_d(p, u):
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
     return 0.5 * (p2 - p0) + u * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) \
         + 1.5 * u * u * (3.0 * (p1 - p2) + p3 - p0)
 
 
-class _BicubicPatch:
-    """Catmull-Rom surface through a 4x4 stencil; local cell is [0,1]^2."""
+def _bicubic(stencils: np.ndarray, xi: np.ndarray, eta: np.ndarray):
+    """Value, d/dxi and d/deta of the Catmull-Rom surface through each
+    (4, 4) stencil (rows along eta, columns along xi, local cell [0,1]^2)
+    at its own point (xi[m], eta[m])."""
+    rows = _cubic(stencils, xi[:, None])
+    drows = _cubic_d(stencils, xi[:, None])
+    return _cubic(rows, eta), _cubic(drows, eta), _cubic_d(rows, eta)
 
-    def __init__(self, patch: np.ndarray):
-        self.p = patch  # rows: eta direction, cols: xi direction
 
-    def value(self, xi: float, eta: float) -> complex:
-        rows = [_cubic(*self.p[r], xi) for r in range(4)]
-        return _cubic(*rows, eta)
+def _full_stencil(grid: FieldGrid, i, j):
+    return (1 <= i) & (i < grid.nx - 2) & (1 <= j) & (j < grid.ny - 2)
 
-    def grad(self, xi: float, eta: float) -> tuple[complex, complex]:
-        rows = [_cubic(*self.p[r], xi) for r in range(4)]
-        drows = [_cubic_d(*self.p[r], xi) for r in range(4)]
-        return _cubic(*drows, eta), _cubic_d(*rows, eta)
+
+def _stencils(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(M, 4, 4) sample stencils around cells (i, j), the carrier relative
+    to each cell center removed when it matters.
+
+    The demodulation factor is unimodular (zero set unchanged), but it
+    perturbs the interpolation error, so a raw stencil is kept whenever
+    the carrier varies by less than 0.05 rad across it.
+    """
+    k = np.arange(-1, 3)
+    rows, cols = j[:, None, None] + k[:, None], i[:, None, None] + k
+    h = grid.spacing
+    pos = (grid.origin.real + h * cols) + 1j * (grid.origin.imag + h * rows)
+    gauge = _edge_gauge(grid.plane, _plane_points(grid, i, j, 0.5, 0.5)[:, None, None], pos)
+    raw = grid.values[rows, cols]
+    keep = np.max(np.abs(gauge), axis=(1, 2)) < 0.05
+    return np.where(keep[:, None, None], raw, raw * np.exp(-1j * gauge))
 
 
 def _bilinear_cell_zero(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float]:
@@ -174,69 +197,61 @@ def _bilinear_cell_zero(a: complex, b: complex, c: complex, d: complex) -> tuple
     return min(max(best[0], 0.0), 1.0), min(max(best[1], 0.0), 1.0)
 
 
-def _demodulated_patch(grid: FieldGrid, i: int, j: int) -> np.ndarray:
-    """4x4 stencil with the carrier removed when it matters.
+def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local zero (xi, eta) of each stencil's Catmull-Rom surface; NaN
+    where Newton finds none.
 
-    The demodulation factor is unimodular (zero set unchanged), but it
-    perturbs the interpolation error, so the raw stencil is kept whenever
-    the carrier varies negligibly across it.
+    Twenty Newton steps from the cell center, on all stencils at once.  A
+    zero is the iterate of smallest |f| below 1e-3 rms inside
+    [-0.05, 1.05]^2: only inside the cell, since wandering onto a
+    neighboring zero would duplicate it under a foreign winding label.  A
+    stencil stops once such an iterate has |f| < 1e-12 rms, at a singular
+    Jacobian, or when an iterate leaves [-0.75, 1.75]^2.
     """
-    patch = grid.values[j - 1:j + 3, i - 1:i + 3]
-    h = grid.spacing
-    ii = grid.origin.real + h * np.arange(i - 1, i + 3)
-    jj = grid.origin.imag + h * np.arange(j - 1, j + 3)
-    pos = ii[None, :] + 1j * jj[:, None]
-    ref = grid.origin + complex((i + 0.5) * h, (j + 0.5) * h)
-    gauge = _edge_gauge(grid.plane, ref, pos)
-    if np.max(np.abs(gauge)) < 0.05:
-        return patch
-    return patch * np.exp(-1j * gauge)
+    m = len(stencils)
+    rms = np.sqrt(np.mean(np.abs(stencils.reshape(m, 16)) ** 2, axis=1))
+    xi, eta = np.full(m, 0.5), np.full(m, 0.5)
+    best_xi, best_eta, best_f = np.full(m, np.nan), np.full(m, np.nan), np.full(m, np.inf)
+    live = np.arange(m)
+    for _ in range(20):
+        x, y = xi[live], eta[live]
+        f, fx, fy = _bicubic(stencils[live], x, y)
+        af = np.abs(f)
+        near = (af < 1e-3 * rms[live]) & (-0.05 <= x) & (x <= 1.05) & (-0.05 <= y) & (y <= 1.05)
+        up = near & (af < best_f[live])
+        best_xi[live[up]], best_eta[live[up]], best_f[live[up]] = x[up], y[up], af[up]
+        det = fx.real * fy.imag - fx.imag * fy.real
+        go = ~(near & (af < 1e-12 * rms[live])) & (det != 0.0)
+        live, f, fx, fy, det = live[go], f[go], fx[go], fy[go], det[go]
+        xi[live] -= (f.real * fy.imag - f.imag * fy.real) / det
+        eta[live] -= (fx.real * f.imag - fx.imag * f.real) / det
+        x, y = xi[live], eta[live]
+        live = live[(-0.75 <= x) & (x <= 1.75) & (-0.75 <= y) & (y <= 1.75)]
+    return best_xi, best_eta
+
+
+def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-grid zero positions of flagged cells (i, j), and whether Newton
+    placed them; cells without a full stencil, and those Newton rejects,
+    take the zero of the bilinear interpolant of the demodulated corners."""
+    xi, eta = np.full(len(i), np.nan), np.full(len(i), np.nan)
+    full = _full_stencil(grid, i, j)
+    xi[full], eta[full] = _newton(_stencils(grid, i[full], j[full]))
+    ok = ~np.isnan(xi)
+    for m in np.flatnonzero(~ok):
+        a, b = i[m], j[m]
+        corners = grid.xs[a:a + 2][None, :] + 1j * grid.ys[b:b + 2][:, None]
+        w = _demod(grid.plane, grid.values[b:b + 2, a:a + 2], corners,
+                   _plane_points(grid, a, b, 0.5, 0.5))
+        xi[m], eta[m] = _bilinear_cell_zero(w[0, 0], w[0, 1], w[1, 1], w[1, 0])
+    return _plane_points(grid, i, j, xi, eta), ok
 
 
 def refine_zero(grid: FieldGrid, cell: tuple[int, int]) -> tuple[complex, bool]:
-    """Sub-grid zero position for a flagged cell (i, j).
-
-    Newton iteration on the local bicubic interpolant of the demodulated
-    patch, seeded at the cell center; falls back to the bilinear
-    interpolant zero (refined=False) when the stencil is incomplete, the
-    iteration leaves the neighborhood, or 20 steps do not converge.
-    """
-    i, j = cell
-    if 1 <= i < grid.nx - 2 and 1 <= j < grid.ny - 2:
-        patch = _demodulated_patch(grid, i, j)
-        surf = _BicubicPatch(patch)
-        rms = float(np.sqrt(np.mean(np.abs(patch) ** 2)))
-        xi, eta = 0.5, 0.5
-        best = None
-        for _ in range(20):
-            f = surf.value(xi, eta)
-            if abs(f) < 1e-3 * rms and -0.05 <= xi <= 1.05 and -0.05 <= eta <= 1.05:
-                # accept only inside this cell: wandering onto a neighboring
-                # zero would duplicate it under a foreign winding label
-                if best is None or abs(f) < best[2]:
-                    best = (xi, eta, abs(f))
-                if abs(f) < 1e-12 * rms:
-                    break
-            fx, fy = surf.grad(xi, eta)
-            det = fx.real * fy.imag - fx.imag * fy.real
-            if det == 0.0:
-                break
-            dxi = (f.real * fy.imag - f.imag * fy.real) / det
-            deta = (fx.real * f.imag - fx.imag * f.real) / det
-            xi, eta = xi - dxi, eta - deta
-            if not (-0.75 <= xi <= 1.75 and -0.75 <= eta <= 1.75):
-                break
-        if best is not None:
-            pos = grid.origin + complex((i + best[0]) * grid.spacing,
-                                        (j + best[1]) * grid.spacing)
-            return pos, True
-    v = grid.values
-    pos_corners = _positions(grid)[j:j + 2, i:i + 2]
-    ref = grid.origin + complex((i + 0.5) * grid.spacing, (j + 0.5) * grid.spacing)
-    w = _demod(grid.plane, v[j:j + 2, i:i + 2], pos_corners, ref)
-    xi, eta = _bilinear_cell_zero(w[0, 0], w[0, 1], w[1, 1], w[1, 0])
-    pos = grid.origin + complex((i + xi) * grid.spacing, (j + eta) * grid.spacing)
-    return pos, False
+    """Sub-grid zero position for a flagged cell (i, j), and whether Newton
+    on the local bicubic interpolant placed it (False: bilinear fallback)."""
+    pos, ok = _refine(grid, np.array([cell[0]]), np.array([cell[1]]))
+    return complex(pos[0]), bool(ok[0])
 
 
 def _bilinear_eval(grid: FieldGrid, pts: np.ndarray) -> np.ndarray:
@@ -253,154 +268,109 @@ def _bilinear_eval(grid: FieldGrid, pts: np.ndarray) -> np.ndarray:
             + (1 - u) * w * v[j + 1, i] + u * w * v[j + 1, i + 1])
 
 
-def charge_of(grid: FieldGrid, position: complex) -> tuple[int, bool]:
-    """Orientation charge at a zero from the local differential of the field.
+def _charges(grid: FieldGrid, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation charge at zeros from the local differential of the field.
 
     The gradient is taken from the bicubic interpolant of the demodulated
-    4x4 stencil at the zero itself (demodulation is unimodular, so the
+    4x4 stencil at each zero itself (demodulation is unimodular, so the
     Jacobian sign at a zero is unchanged); grid-edge zeros fall back to
     half-spacing central differences of the demodulated samples.  Returns
-    (sign, degenerate): Jacobian magnitudes below 1e-12 times the squared
-    local gradient scale are flagged degenerate and excluded from
-    statistics.
+    (signs, degenerate): Jacobian magnitudes below 1e-12 times the squared
+    local gradient scale are flagged degenerate, with sign 0, and excluded
+    from statistics.
     """
     h = grid.spacing
-    fi = (position.real - grid.origin.real) / h
-    fj = (position.imag - grid.origin.imag) / h
-    i = min(max(int(math.floor(fi)), 0), grid.nx - 2)
-    j = min(max(int(math.floor(fj)), 0), grid.ny - 2)
-    if 1 <= i < grid.nx - 2 and 1 <= j < grid.ny - 2:
-        surf = _BicubicPatch(_demodulated_patch(grid, i, j))
-        gx, gy = surf.grad(fi - i, fj - j)
-        fx, fy = gx / h, gy / h
-    else:
-        step = 0.5 * h
-        pts = np.array([position + step, position - step,
-                        position + 1j * step, position - 1j * step])
-        vals = _bilinear_eval(grid, pts) * np.exp(
-            -1j * _edge_gauge(grid.plane, np.full(4, position, dtype=complex), pts))
-        fx = (vals[0] - vals[1]) / (2.0 * step)
-        fy = (vals[2] - vals[3]) / (2.0 * step)
+    fi = (pos.real - grid.origin.real) / h
+    fj = (pos.imag - grid.origin.imag) / h
+    i = np.clip(np.floor(fi).astype(int), 0, grid.nx - 2)
+    j = np.clip(np.floor(fj).astype(int), 0, grid.ny - 2)
+    full = _full_stencil(grid, i, j)
+    fx, fy = np.empty_like(pos), np.empty_like(pos)
+    _, gx, gy = _bicubic(_stencils(grid, i[full], j[full]), fi[full] - i[full], fj[full] - j[full])
+    fx[full], fy[full] = gx / h, gy / h
+    p, step = pos[~full], 0.5 * h
+    pts = np.stack([p + step, p - step, p + 1j * step, p - 1j * step], axis=1)
+    vals = _demod(grid.plane, _bilinear_eval(grid, pts), pts, p[:, None])
+    fx[~full] = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+    fy[~full] = (vals[:, 2] - vals[:, 3]) / (2.0 * step)
     jac = -_plane_orientation(grid) * (fx * np.conj(fy)).imag
-    scale = max(abs(fx), abs(fy), 1e-300)
-    if abs(jac) < 1e-12 * scale * scale:
-        return 0, True
-    return (1 if jac > 0 else -1), False
+    scale = np.maximum(np.maximum(np.abs(fx), np.abs(fy)), 1e-300)
+    flat = np.abs(jac) < 1e-12 * scale * scale
+    return np.where(flat, 0, np.where(jac > 0, 1, -1)), flat
 
 
-def _subdivided_windings(grid: FieldGrid, cell: tuple[int, int], factor: int = 4):
-    """Bicubic 4x subdivision of one cell; zero candidates per subcell."""
-    i, j = cell
-    if not (1 <= i < grid.nx - 2 and 1 <= j < grid.ny - 2):
+def charge_of(grid: FieldGrid, position: complex) -> tuple[int, bool]:
+    """Orientation charge (sign, degenerate) at one zero, as detect_zeros
+    assigns it."""
+    sign, flat = _charges(grid, np.array([position], dtype=complex))
+    return int(sign[0]), bool(flat[0])
+
+
+def _close_pairs(pos: np.ndarray, lim: float) -> np.ndarray:
+    """(K, 2) index pairs a < b with |pos[a] - pos[b]| < lim."""
+    # the tree compares squared distances; query wider, then apply the strict test
+    pairs = cKDTree(np.column_stack([pos.real, pos.imag])).query_pairs(
+        2.0 * lim, output_type="ndarray")
+    return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < lim]
+
+
+def _subdivided(grid: FieldGrid, i: int, j: int, factor: int = 4):
+    """Bicubic 4x subdivision of cell (i, j): (positions, ccw windings) of
+    its zero candidates, or None when they are not resolved."""
+    if not _full_stencil(grid, i, j):
         return None
-    surf = _BicubicPatch(_demodulated_patch(grid, i, j))
     s = np.linspace(0.0, 1.0, factor + 1)
-    sub = np.array([[surf.value(x, y) for x in s] for y in s])
+    surf = _stencils(grid, np.array([i]), np.array([j]))[0]
+    sub = _cubic(_cubic(surf, s[:, None]), s[:, None])  # sub[y, x]
     # demodulated field: plain counterclockwise increments suffice, and the
     # subcell loop defect is far below the rounding threshold
     a, b, c, d = sub[:-1, :-1], sub[:-1, 1:], sub[1:, 1:], sub[1:, :-1]
     tot = (np.angle(b * np.conj(a)) + np.angle(c * np.conj(b))
            + np.angle(d * np.conj(c)) + np.angle(a * np.conj(d)))
     w = np.rint(tot / _TWO_PI).astype(int)
-    found = []
-    for (jj, ii) in zip(*np.nonzero(w)):
-        if abs(w[jj, ii]) >= 2:
-            return None
-        xi = (ii + 0.5) / factor
-        eta = (jj + 0.5) / factor
-        pos = grid.origin + complex((i + xi) * grid.spacing, (j + eta) * grid.spacing)
-        found.append((pos, int(w[jj, ii])))
+    if np.any(np.abs(w) >= 2):
+        return None
+    jj, ii = np.nonzero(w)
+    pos = _plane_points(grid, i, j, (ii + 0.5) / factor, (jj + 0.5) / factor)
     # zeros landing in touching subcells are not genuinely resolved (a true
     # multiple zero aliases the subcell phases into neighboring windings)
-    for m in range(len(found)):
-        for n in range(m + 1, len(found)):
-            if abs(found[m][0] - found[n][0]) < 2.0 * grid.spacing / factor:
-                return None
-    return found
-
-
-def _ring_winding(grid: FieldGrid, i0: int, j0: int, size: int = 2) -> int | None:
-    """Gauged circulation around a size x size block of cells: the net
-    enclosed charge-winding, used to adjudicate knife-edge duplicates."""
-    if i0 < 0 or j0 < 0 or i0 + size > grid.nx - 1 or j0 + size > grid.ny - 1:
+    if len(_close_pairs(pos, 2.0 * grid.spacing / factor)):
         return None
-    idx: list[tuple[int, int]] = []
-    idx += [(i0 + k, j0) for k in range(size)]
-    idx += [(i0 + size, j0 + k) for k in range(size)]
-    idx += [(i0 + size - k, j0 + size) for k in range(size)]
-    idx += [(i0, j0 + size - k) for k in range(size)]
-    idx.append((i0, j0))
-    pos = np.array([grid.origin + complex(i * grid.spacing, j * grid.spacing)
-                    for i, j in idx])
-    vals = np.array([grid.values[j, i] for i, j in idx])
-    inc = np.angle(vals[1:] * np.conj(vals[:-1])
-                   * np.exp(-1j * _edge_gauge(grid.plane, pos[:-1], pos[1:])))
-    total = float(np.sum(inc)) + _loop_defect(grid.plane, grid.spacing) * size * size
-    return int(np.rint(total / _TWO_PI))
+    return pos, w[jj, ii]
 
 
-def _dedup_candidates(grid: FieldGrid, cands: list[tuple[complex, bool, int]]
-                      ) -> list[tuple[complex, bool, int]]:
-    """Merge candidates closer than 0.35 spacing (knife-edge zeros claimed
-    by both adjacent cells); a ring circulation decides the surviving
+def _dedup(grid: FieldGrid, raw: np.ndarray, pos: np.ndarray, wind: np.ndarray) -> np.ndarray:
+    """Keep-mask over candidates that merges those closer than 0.35 spacing
+    (knife-edge zeros claimed by both adjacent cells): the net raw winding
+    of the 2x2 block of cells around each cluster decides the surviving
     winding(s)."""
-    if len(cands) < 2:
-        return cands
     h = grid.spacing
-    tol = 0.35 * h
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, (pos, _, _) in enumerate(cands):
-        key = (int(math.floor(pos.real / h)), int(math.floor(pos.imag / h)))
-        buckets.setdefault(key, []).append(idx)
-    parent = list(range(len(cands)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (kx, ky), members in buckets.items():
-        neigh = [i for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                 for i in buckets.get((kx + dx, ky + dy), [])]
-        for a in members:
-            for b in neigh:
-                if b <= a:
-                    continue
-                if abs(cands[a][0] - cands[b][0]) < tol:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(cands)):
-        groups.setdefault(find(idx), []).append(idx)
-
-    out: list[tuple[complex, bool, int]] = []
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(cands[members[0]])
+    keep = np.ones(len(pos), dtype=bool)
+    pairs = _close_pairs(pos, 0.35 * h)
+    label = np.arange(len(pos))
+    while True:  # each cluster takes its smallest member as label
+        low = label.copy()
+        np.minimum.at(low, pairs, label[pairs[:, ::-1]])
+        if np.array_equal(low, label):
+            break
+        label = low
+    for root in np.unique(label[pairs[:, 0]]):
+        members = np.flatnonzero(label == root)
+        center = np.mean(pos[members])
+        i0 = int(round((center.real - grid.origin.real) / h)) - 1
+        j0 = int(round((center.imag - grid.origin.imag) / h)) - 1
+        if not (0 <= i0 <= raw.shape[1] - 2 and 0 <= j0 <= raw.shape[0] - 2):
             continue
-        center = np.mean([cands[m][0] for m in members])
-        fi = (center.real - grid.origin.real) / h
-        fj = (center.imag - grid.origin.imag) / h
-        ring = _ring_winding(grid, int(round(fi)) - 1, int(round(fj)) - 1)
-        orient = _plane_orientation(grid)
-        if ring is None:
-            out.extend(cands[m] for m in members)
-            continue
-        net = orient * ring
-        spread = max(abs(cands[a][0] - cands[b][0])
-                     for a in members for b in members)
+        net = _plane_orientation(grid) * int(raw[j0:j0 + 2, i0:i0 + 2].sum())
+        spread = np.max(np.abs(pos[members, None] - pos[None, members]))
         if abs(net) >= 2 and spread < 0.75 * h:
             raise ResolutionError(
                 f"net winding {net} concentrated near {center:.4g}: "
                 "multiple zero beyond this grid's resolving power; halve the spacing")
-        if net == sum(cands[m][2] for m in members):
-            out.extend(cands[m] for m in members)
-            continue
-        keep = [m for m in members if cands[m][2] == (1 if net > 0 else -1)][:abs(net)]
-        out.extend(cands[m] for m in keep)
-    return out
+        if net != wind[members].sum():
+            keep[members] = False
+            keep[members[wind[members] == (1 if net > 0 else -1)][:abs(net)]] = True
+    return keep
 
 
 def detect_zeros(grid: FieldGrid, refine: bool = True,
@@ -417,68 +387,59 @@ def detect_zeros(grid: FieldGrid, refine: bool = True,
     do not double count).
     """
     orient = _plane_orientation(grid)
-    ccw = _gauged_ccw_windings(grid.values, _positions(grid), grid.plane, grid.spacing)
+    raw = _plaquette_windings(grid)
+    flagged = raw
     x0, x1, y0, y1 = grid.interior
     if interior_only:
         # refinement never moves a candidate outside its own cell, so cells
         # beyond a two-cell pad of the interior cannot contribute
         h = grid.spacing
-        i_arr = np.arange(ccw.shape[1])
-        j_arr = np.arange(ccw.shape[0])
+        i_arr = np.arange(raw.shape[1])
+        j_arr = np.arange(raw.shape[0])
         keep_i = ((grid.origin.real + (i_arr + 1) * h >= x0 - 2 * h)
                   & (grid.origin.real + i_arr * h <= x1 + 2 * h))
         keep_j = ((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
                   & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
-        ccw = ccw * (keep_j[:, None] & keep_i[None, :])
-    cands: list[tuple[complex, bool, int]] = []
-    cells = np.nonzero(ccw)
-    for jj, ii in zip(*cells):
-        w_raw = int(ccw[jj, ii])
-        if abs(w_raw) >= 2:
-            split = _subdivided_windings(grid, (ii, jj))
-            if split is None:
-                cy = grid.origin + complex((ii + 0.5) * grid.spacing,
-                                           (jj + 0.5) * grid.spacing)
-                raise ResolutionError(
-                    f"plaquette near {cy:.4g} holds winding {w_raw} even after "
-                    "local refinement; halve the grid spacing")
-            for pos, w_sub in split:
-                cands.append((pos, False, orient * w_sub))
-        else:
-            if refine:
-                pos, ok = refine_zero(grid, (ii, jj))
-            else:
-                pos, ok = (grid.origin + complex((ii + 0.5) * grid.spacing,
-                                                 (jj + 0.5) * grid.spacing), False)
-            cands.append((pos, ok, orient * w_raw))
-    cands = _dedup_candidates(grid, cands)
+        flagged = raw * (keep_j[:, None] & keep_i[None, :])
+    j, i = np.nonzero(flagged)
+    w = flagged[j, i]
+    one = np.abs(w) == 1
+    if refine:
+        pos, ok = _refine(grid, i[one], j[one])
+    else:
+        pos = _plane_points(grid, i[one], j[one], 0.5, 0.5)
+        ok = np.zeros(len(pos), dtype=bool)
+    # candidates in cell order; a subdivided cell's candidates in subcell order
+    parts = [(np.flatnonzero(one), pos, ok, orient * w[one])]
+    for k in np.flatnonzero(~one):
+        split = _subdivided(grid, i[k], j[k])
+        if split is None:
+            raise ResolutionError(
+                f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
+                f"winding {w[k]} even after local refinement; halve the grid spacing")
+        n = len(split[0])
+        parts.append((np.full(n, k), split[0], np.zeros(n, dtype=bool), orient * split[1]))
+    cell, pos, ok, wind = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(cell, kind="stable")
+    pos, ok, wind = pos[order], ok[order], wind[order]
+    keep = _dedup(grid, raw, pos, wind)
+    pos, ok, wind = pos[keep], ok[keep], wind[keep]
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
     # from samples, so they carry the degenerate flag (kept in the list,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
-    pos_arr = np.array([c[0] for c in cands], dtype=complex)
-    too_close = np.zeros(len(cands), dtype=bool)
-    if len(cands) > 1:
-        order = np.argsort(pos_arr.real)
-        sorted_pos = pos_arr[order]
-        lim = 0.75 * grid.spacing
-        for a in range(len(order)):
-            b = a + 1
-            while b < len(order) and sorted_pos[b].real - sorted_pos[a].real < lim:
-                if abs(sorted_pos[b] - sorted_pos[a]) < lim:
-                    too_close[order[a]] = too_close[order[b]] = True
-                b += 1
-    out: list[ChargedZero] = []
-    for k, (pos, ok, w) in enumerate(cands):
-        if interior_only and not (x0 <= pos.real <= x1 and y0 <= pos.imag <= y1):
-            continue
-        sign, degen = charge_of(grid, pos)
-        out.append(ChargedZero(position=pos, charge=w, winding=w,
-                               refined=ok, jacobian_sign=sign,
-                               degenerate=degen or bool(too_close[k])))
-    out.sort(key=lambda z: (z.position.imag, z.position.real))
-    return out
+    degenerate = np.zeros(len(pos), dtype=bool)
+    degenerate[_close_pairs(pos, 0.75 * grid.spacing).ravel()] = True
+    if interior_only:
+        inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
+        pos, ok, wind, degenerate = pos[inside], ok[inside], wind[inside], degenerate[inside]
+    sign, flat = _charges(grid, pos)
+    degenerate |= flat
+    return [ChargedZero(position=complex(pos[k]), charge=int(wind[k]), winding=int(wind[k]),
+                        refined=bool(ok[k]), jacobian_sign=int(sign[k]),
+                        degenerate=bool(degenerate[k]))
+            for k in np.lexsort((pos.real, pos.imag))]
 
 
 def disk_stats(zeros: list[ChargedZero], center: complex, radii: list[float],

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gwhf import kernels as K
 from gwhf import windows as W
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("gwhf", derandomize=True, database=None, deadline=None)
+settings.load_profile("gwhf")
 
 
 @pytest.fixture(scope="session")

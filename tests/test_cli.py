@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from gwhf import cli
@@ -125,13 +126,20 @@ def test_verify_reports_byte_identical(tmp_path, capsys):
 
 
 def test_verify_tau2_and_invariance(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "verify", "tau2-oracle", "--kernel", "laguerre:1")
-    assert code == 0
-    assert json.loads(out)["max_residual"] <= 1e-8
-    code, out, _ = run_cli(capsys, "verify", "invariance", "--window", "hermite:1",
-                           "-n", "5")
-    assert code == 0
-    assert json.loads(out)["max_deviation"] <= 1e-7
+    # without --out, and with an --out directory that does not exist yet
+    for out_dir in (None, tmp_path / "new" / "nested"):
+        extra = ["--out", str(out_dir)] if out_dir else []
+        code, out, _ = run_cli(capsys, "verify", "tau2-oracle", "--kernel", "laguerre:1",
+                               *extra)
+        assert code == 0
+        assert json.loads(out)["max_residual"] <= 1e-8
+        code, out2, _ = run_cli(capsys, "verify", "invariance", "--window", "hermite:1",
+                                "-n", "5", *extra)
+        assert code == 0
+        assert json.loads(out2)["max_deviation"] <= 1e-7
+        if out_dir:
+            assert (out_dir / "tau2_oracle.json").read_text() == out
+            assert (out_dir / "invariance.json").read_text() == out2
 
 
 def test_verify_exit_code_gates(capsys):
@@ -170,8 +178,10 @@ def test_zeros_refuses_damaged_grid(tmp_path, capsys):
             "--out", out_dir)
     blob = open(os.path.join(out_dir, "field.gwhf"), "rb").read()
     path = tmp_path / "damaged.gwhf"
-    # truncated payload, header and magic, then a file that is no container
-    for damaged in (blob[:-8], blob[:40], blob[:3], b"x,y,re,im\n"):
+    # truncated payload, header and magic, a file that is no container, and
+    # a NaN sample in an intact container
+    nan = np.array([complex(np.nan, 0.0)], dtype="<c8").tobytes()
+    for damaged in (blob[:-8], blob[:40], blob[:3], b"x,y,re,im\n", blob[:-8] + nan):
         path.write_bytes(damaged)
         code, _, err = run_cli(capsys, "zeros", "--grid", str(path),
                                "--out", str(tmp_path / "z.csv"))

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gwhf import mc
-from gwhf.errors import DomainError
+from gwhf.errors import DomainError, ResolutionError
+from gwhf.simulate import FieldSource
 
 PI = math.pi
 
@@ -152,3 +154,20 @@ def test_cross_simulator_density_agreement():
     gap = abs(a.empirical - b.empirical)
     assert gap <= 3.0 * math.hypot(a.se, b.se)
     assert a.theory == pytest.approx(b.theory, abs=1e-12)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_errors_name_seed_and_realization(monkeypatch, threads):
+    cfg = _cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=4, seed=21,
+               threads=threads)
+    bad = FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt).realize(21, 2).values
+    detect = mc.detect_zeros
+
+    def flaky(grid, *args, **kwargs):
+        if np.array_equal(grid.values, bad):
+            raise ResolutionError("plaquette holds winding 2")
+        return detect(grid, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "detect_zeros", flaky)
+    with pytest.raises(ResolutionError, match=r"^seed 21 realization 2: plaquette holds winding 2$"):
+        mc.estimate_intensity(cfg)

@@ -263,6 +263,17 @@ def test_window_from_spec(tmp_path, hermites):
             (b.label, b.kind, b.support_radius, b.freq_radius)
         assert np.array_equal(a.rule(t), b.rule(t))
         assert np.array_equal(a.derivative(t), b.derivative(t))
+    # labels are text specs that rebuild the window; trailing zero
+    # parameters are dropped, so a plain Gaussian keeps its short label
+    plain = W.window_from_spec("gaussian:1.0")
+    chirped = W.window_from_spec("gaussian:1.0;0.0;0.25;0.0;0.3")
+    assert plain.label == "generalized-gaussian:1.0"
+    assert chirped.label != plain.label
+    for w in (plain, chirped, g, m, W.window_from_spec("hermite-mixture:0.3;-0.2-0.1j;0;1e-7j"),
+              W.window_from_spec("generalized-gaussian:0.7;0.2;0;0")):
+        rebuilt = W.window_from_spec(w.label)
+        assert rebuilt.label == w.label
+        assert W.uncertainty_constants(rebuilt) == W.uncertainty_constants(w)
     for bad in ("wavelet:1", "gaussian:abc", "hermite:x", "hermite-mixture:",
                 "hermite:99", "@" + str(tmp_path / "missing.json")):
         with pytest.raises(InvalidWindowError) as exc:

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_grid
 from gwhf import simulate as S
+from gwhf import windows as W
 from gwhf import zeros as Z
 from gwhf.errors import DomainError, ResolutionError
 
@@ -141,6 +145,70 @@ def test_detection_regression_fixture(hermites):
     zs = [z for z in Z.detect_zeros(grid) if not z.degenerate]
     assert len(zs) == 109
     assert sum(z.charge for z in zs) == 67
+    total = sum(z.position for z in zs)
+    assert abs(total - (441.04665520668465 + 430.5027753506468j)) < 1e-9
+
+
+def test_edge_zero_without_refinement_or_interior_cut():
+    # one zero well inside and one in the last cell column, where the 4x4
+    # stencil is incomplete: refinement takes the bilinear zero and the
+    # charge comes from central differences
+    inner, edge = -0.31 + 0.22j, 0.99 - 0.4j
+    grid = dataclasses.replace(
+        synthetic_grid(lambda z: (z - inner) * np.conj(z - edge)), margin=0.1)
+    assert grid.interior[1] < edge.real
+    assert (edge.real - grid.origin.real) // grid.spacing == grid.nx - 2
+    assert Z.charge_of(grid, edge) == (-1, False)
+    (z_in,) = Z.detect_zeros(grid)
+    assert abs(z_in.position - inner) < 1e-9 and z_in.refined
+    z_edge, z_in2 = Z.detect_zeros(grid, interior_only=False)
+    assert z_in2 == z_in
+    assert abs(z_edge.position - edge) < 1e-3 and not z_edge.refined
+    assert z_edge.charge == z_edge.jacobian_sign == -1 and not z_edge.degenerate
+    # without refinement every zero sits at its cell center
+    centers = Z.detect_zeros(grid, refine=False, interior_only=False)
+    for z, root, charge in zip(centers, (edge, inner), (-1, 1)):
+        offset = (z.position - grid.origin) / grid.spacing
+        assert abs(offset.real % 1 - 0.5) < 1e-9 and abs(offset.imag % 1 - 0.5) < 1e-9
+        assert abs(z.position - root) < grid.spacing
+        assert z.charge == z.jacobian_sign == charge and not z.refined
+
+
+@pytest.fixture(scope="module", params=["stft", "gwhf"])
+def realization(request):
+    if request.param == "stft":
+        return S.stft_field(W.hermite(1), (0, 4, 0, 4), 1 / 16, 1 / 64, seed=41)
+    return S.gef_series_field((-3, 3, -3, 3), 0.1, seed=41)
+
+
+def _boundary_winding(grid, i0, j0, w, h):
+    """Gauged circulation, in turns, around the w x h block of cells whose
+    lower-left cell is (i0, j0), walked counterclockwise along its edge."""
+    walk = ([(i0 + k, j0) for k in range(w)] + [(i0 + w, j0 + k) for k in range(h)]
+            + [(i0 + w - k, j0 + h) for k in range(w)]
+            + [(i0, j0 + h - k) for k in range(h)] + [(i0, j0)])
+    i, j = np.array(walk).T
+    pos = grid.origin + grid.spacing * (i + 1j * j)
+    vals = grid.values[j, i]
+    inc = np.angle(vals[1:] * np.conj(vals[:-1])
+                   * np.exp(-1j * Z._edge_gauge(grid.plane, pos[:-1], pos[1:])))
+    total = inc.sum() + Z._loop_defect(grid.plane, grid.spacing) * w * h
+    return int(np.rint(total / (2 * PI)))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_block_windings_match_boundary_circulation(realization, data):
+    # argument principle: the plaquette windings of any block of cells sum
+    # to the gauged circulation around the block's boundary
+    grid = realization
+    windings = Z._plaquette_windings(grid)
+    ny, nx = windings.shape
+    w = data.draw(st.integers(1, nx), label="w")
+    h = data.draw(st.integers(1, ny), label="h")
+    i0 = data.draw(st.integers(0, nx - w), label="i0")
+    j0 = data.draw(st.integers(0, ny - h), label="j0")
+    assert windings[j0:j0 + h, i0:i0 + w].sum() == _boundary_winding(grid, i0, j0, w, h)
 
 
 # ---------------------------------------------------------------------------
