@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate, out="out")
 
     p = sub.add_parser("zeros", help="extract charged zeros from a saved grid "
-                                     "(CSV header: x,y,charge,winding,refined)")
+                                     "(CSV header: x,y,charge,winding,refined,"
+                                     "jacobian_sign,degenerate)")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-refine", action="store_true")

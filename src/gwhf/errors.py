@@ -42,4 +42,4 @@ class DomainError(GwhfError, ValueError):
 
 
 class ContainerError(GwhfError, ValueError):
-    """File is not a complete, well-formed grid container."""
+    """File is not a complete, well-formed grid container or zeros CSV."""

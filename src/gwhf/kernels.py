@@ -476,21 +476,23 @@ def variance_asymptote(p: RadialKernel, tol: float = 1e-9) -> float:
 def charge_variance_exact(p: RadialKernel, radius: float) -> float:
     """Var[charge in B_R] at finite R from the two-point intensity.
 
-    Var = 2 pi int_0^{2R} (tau2(d) - 1/pi^2) A_R(d) d dd + rho1 pi R^2 with
-    A_R the lens-shaped overlap area of two radius-R disks at distance d.
-    Used as the finite-R oracle for the Monte Carlo suites.
+    Var = rho1 pi R^2 + (2/pi) int_0^{2R} I'(d^2) A_R(d) d dd with A_R the
+    lens-shaped overlap area of two radius-R disks at distance d.  I' loses
+    every digit to its (1 - P^2)^-3 as d -> 0, so the integral is taken by
+    parts against A_R (A_R(0) = pi R^2, A_R(2R) = 0, A_R' = -sqrt(4R^2 - d^2))
+    and with d = 2R sin(theta):
+        Var = rho1 pi R^2 - R^2 I(0) + (4R^2/pi) int_0^{pi/2} I(4R^2 sin^2) cos^2,
+    where the first two terms cancel, since pi rho1 = I(0) for every radial
+    kernel.  I is stable and has an analytic s = 0 limit.  Used as the
+    finite-R oracle for the Monte Carlo suites.
     """
     R = float(radius)
+    rho1_radial(p)  # rejects a kernel outside the standing assumptions
 
-    def f(d):
-        d = np.asarray(d, dtype=float)
-        tau = (1.0 + i_prime(p, d * d)) / math.pi ** 2
-        overlap = (2.0 * R * R * np.arccos(np.clip(d / (2.0 * R), -1.0, 1.0))
-                   - 0.5 * d * np.sqrt(np.maximum(4.0 * R * R - d * d, 0.0)))
-        return (tau - 1.0 / math.pi ** 2) * overlap * 2.0 * math.pi * d
+    def f(theta):
+        return i_function(p, 4.0 * R * R * np.sin(theta) ** 2) * np.cos(theta) ** 2
 
-    val = adaptive_quad(f, 0.0, 2.0 * R, tol=1e-10)
-    return val + rho1_radial(p) * math.pi * R * R
+    return 4.0 * R * R / math.pi * adaptive_quad(f, 0.0, 0.5 * math.pi, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

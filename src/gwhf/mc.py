@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -171,27 +172,45 @@ def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
     return FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
 
 
-def _zeros(source: FieldSource | _PoissonControl, cfg: McConfig, r: int) -> list[ChargedZero]:
-    """Non-degenerate charged zeros of realization r."""
+# most realizations one worker simulates together; reports do not depend on it
+_BLOCK = 8
+
+
+def _block_zeros(source: FieldSource | _PoissonControl, cfg: McConfig,
+                 rs: range) -> Iterator[list[ChargedZero]]:
+    """Non-degenerate charged zeros of each realization in rs, in order.
+    map drops each grid once its zeros are found, before the next is made."""
     if isinstance(source, _PoissonControl):
-        return source.zeros(cfg.seed, r)
-    return [z for z in detect_zeros(source.realize(cfg.seed, r)) if not z.degenerate]
+        return (source.zeros(cfg.seed, r) for r in rs)
+    return map(lambda grid: [z for z in detect_zeros(grid) if not z.degenerate],
+               source.realize_batch(cfg.seed, rs))
 
 
-def _map_realizations(cfg: McConfig, worker) -> list:
-    """[worker(r) for each realization r], in order whatever the thread count.
-    A GwhfError is re-raised as its own class, naming the seed and realization."""
-    def labelled(r: int):
-        try:
-            return worker(r)
-        except GwhfError as exc:
-            raise type(exc)(f"seed {cfg.seed} realization {r}: {exc}") from exc
-
+def _map_realizations(cfg: McConfig, source: FieldSource | _PoissonControl, stat) -> list:
+    """[stat(zeros of r) for each realization r], in order whatever the thread
+    count.  Each worker takes a contiguous block of at most _BLOCK
+    realizations, fewer when that would leave a thread without a block.  A
+    GwhfError is re-raised as its own class, naming the seed and realization."""
+    n = cfg.n_realizations
     threads = cfg.threads if cfg.threads > 0 else default_threads()
+    size = min(_BLOCK, -(-n // threads))
+
+    def block(lo: int) -> list:
+        rs, out = range(lo, min(lo + size, n)), []
+        try:
+            for zs in _block_zeros(source, cfg, rs):
+                out.append(stat(zs))
+        except GwhfError as exc:
+            raise type(exc)(f"seed {cfg.seed} realization {rs[len(out)]}: {exc}") from exc
+        return out
+
+    starts = range(0, n, size)
     if threads <= 1:
-        return [labelled(r) for r in range(cfg.n_realizations)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(labelled, range(cfg.n_realizations)))
+        blocks = [block(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(block, starts))
+    return [v for b in blocks for v in b]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +224,7 @@ def _per_area(cfg: McConfig, quantity: str, stat, theory_of) -> McReport:
     theory = theory_of(source)
     x0, x1, y0, y1 = source.interior
     area = (x1 - x0) * (y1 - y0)
-    values = np.array(_map_realizations(cfg, lambda r: stat(_zeros(source, cfg, r))),
-                      dtype=float)
+    values = np.array(_map_realizations(cfg, source, stat), dtype=float)
     mean = float(np.mean(values)) / area
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) / area
     item = McItem(label=quantity, empirical=mean, se=se, theory=theory)
@@ -267,10 +285,10 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     else:
         raise InvalidKernelError("no radial kernel available for variance theory")
 
-    def worker(r: int):
-        return [st.total_charge for st in disk_stats(_zeros(source, cfg, r), center, radii)]
+    def stat(zs: list[ChargedZero]) -> list[int]:
+        return [st.total_charge for st in disk_stats(zs, center, radii)]
 
-    charges = np.array(_map_realizations(cfg, worker), dtype=float)
+    charges = np.array(_map_realizations(cfg, source, stat), dtype=float)
 
     items = []
     variances = []

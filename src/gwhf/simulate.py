@@ -6,7 +6,8 @@ stft_field, gef_series_field and polyentire_field all realize through it.
 Two independent simulators: StftPlan pairs discretized complex white noise
 with translated/modulated copies of any window, columnwise by FFT over the
 noise record; SeriesPlan sums a truncated random entire series with
-Gaussian weight, a cross-check for the flat kernel.
+Gaussian weight, a cross-check for the flat kernel, for a whole batch of
+realizations at once as one matrix product per chunk of the grid.
 
 Coordinate conventions: grids in the "stft" plane sample the spectrogram
 coordinates (x = time shift, y = frequency); grids in the "gwhf" plane
@@ -24,6 +25,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -264,8 +266,20 @@ def series_terms_required(r_max: float) -> int:
     return int(math.ceil(math.e * r_max ** 2 + 10.0 * r_max)) + 1
 
 
+# grid points per basis chunk: the (n_terms x chunk) basis is 1.4 MB at 351 terms
+_CHUNK = 256
+
+
 class SeriesPlan:
-    """Grid and coefficient-count precomputation for the entire-series field."""
+    """Grid and coefficient-count precomputation for the entire-series field.
+
+    A batch of B realizations is one (B x N) @ (N x chunk) product per chunk
+    of at most _CHUNK grid points, against the weighted basis
+    b_n(z) = exp(-|z|^2/2) z^n / sqrt(n!) = b_{n-1} z / sqrt(n), whose entries
+    are at most 1 in modulus, so nothing overflows at the grid corners.  BLAS
+    computes each row of the product the same way for any B, so a grid does
+    not depend on the batch it is drawn in.
+    """
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
                  n_terms: int | None = None, margin: float | None = None):
@@ -292,20 +306,36 @@ class SeriesPlan:
             raise ValueError(f"n_terms = {n_terms} below the truncation rule ({needed}) "
                              f"for grid radius {r_max:.2f}")
         self.n_terms = int(n_terms)
-        self.weight = np.exp(-0.5 * np.abs(self.z) ** 2)
 
-    def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
-        xi = complex_normals(rng, self.n_terms)
-        acc = np.full(self.z.shape, xi[0], dtype=complex)
-        term = np.ones_like(self.z)
-        for n in range(1, self.n_terms):
-            term = term * self.z / math.sqrt(n)
-            acc += xi[n] * term
+    def realize_batch(self, rngs: Iterable[np.random.Generator],
+                      seed_label: int = 0) -> list[FieldGrid]:
+        """One grid per generator, each drawing its n_terms coefficients from it."""
+        xi = np.stack([complex_normals(rng, self.n_terms) for rng in rngs])
+        count = len(xi)
+        if count == 1:
+            # numpy hands a one-row product to gemv, which rounds differently
+            # from gemm; a zero row keeps the row on the gemm path
+            xi = np.vstack([xi, np.zeros_like(xi)])
+        z = self.z.ravel()
+        inv_sqrt = 1.0 / np.sqrt(np.arange(1, self.n_terms))[:, None]
+        out = np.empty((len(xi), z.size), dtype=complex)
+        basis = np.empty((self.n_terms, _CHUNK), dtype=complex)
+        for lo in range(0, z.size, _CHUNK):
+            zc = z[lo:lo + _CHUNK]
+            b = basis[:, :zc.size]
+            b[0] = np.exp(-0.5 * np.abs(zc) ** 2)
+            np.multiply(inv_sqrt, zc, out=b[1:])
+            np.multiply.accumulate(b, axis=0, out=b)
+            np.matmul(xi, b, out=out[:, lo:lo + zc.size])
         meta = {"interior": self.requested, "simulator": "series",
                 "n_terms": self.n_terms}
-        return FieldGrid(values=self.weight * acc, origin=self.origin,
-                         spacing=self.spacing, plane="gwhf", seed=seed_label,
-                         margin=self.margin, meta=meta)
+        return [FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
+                          spacing=self.spacing, plane="gwhf", seed=seed_label,
+                          margin=self.margin, meta=dict(meta))
+                for v in out[:count]]
+
+    def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
+        return self.realize_batch([rng], seed_label)[0]
 
 
 def gef_series_field(domain: tuple[float, float, float, float], spacing: float,
@@ -402,8 +432,21 @@ class FieldSource:
         rho = rho1_stft(self.window, convention)
         return rho / math.pi if self.plane == "gwhf" else rho
 
+    def realize_batch(self, seed: int, rs: Iterable[int]) -> Iterator[FieldGrid]:
+        """Realizations rs, in order, in the source's plane; component k of
+        realization r draws from stream(seed, r, k).  A series source draws
+        the whole batch in one product; window sources make each grid only
+        when it is asked for, and the iterator holds no grid it has handed
+        out."""
+        if isinstance(self.plans[0], SeriesPlan):
+            return iter(self.plans[0].realize_batch([stream(seed, r, 0) for r in rs], seed))
+        return (self._window_grid(seed, r) for r in rs)
+
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
-        """Realization r in the source's plane; component k draws from stream(seed, r, k)."""
+        """Realization r in the source's plane."""
+        return next(self.realize_batch(seed, [r]))
+
+    def _window_grid(self, seed: int, r: int) -> FieldGrid:
         grid = self.plans[0].realize(stream(seed, r, 0), seed_label=seed)
         if len(self.plans) > 1:
             acc = grid.values.copy()

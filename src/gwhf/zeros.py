@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, ResolutionError
+from .errors import ContainerError, DomainError, ResolutionError
 from .simulate import FieldGrid
 
 __all__ = [
@@ -473,27 +473,36 @@ def disk_stats(zeros: list[ChargedZero], center: complex, radii: list[float],
 # CSV round trip
 # ---------------------------------------------------------------------------
 
+_CSV_HEADER = "x,y,charge,winding,refined,jacobian_sign,degenerate"
+
+
 def zeros_to_csv(zeros: list[ChargedZero], path: str) -> None:
+    """One row per zero, every ChargedZero field; flags are written as 0/1."""
     with open(path, "w") as fh:
-        fh.write("x,y,charge,winding,refined\n")
+        fh.write(_CSV_HEADER + "\n")
         for z in zeros:
-            fh.write(f"{z.position.real:.9g},{z.position.imag:.9g},"
-                     f"{z.charge},{z.winding},{int(z.refined)}\n")
+            fh.write(f"{z.position.real:.9g},{z.position.imag:.9g},{z.charge},"
+                     f"{z.winding},{int(z.refined)},{z.jacobian_sign},"
+                     f"{int(z.degenerate)}\n")
 
 
 def zeros_from_csv(path: str) -> list[ChargedZero]:
+    """Read a CSV written by zeros_to_csv.  Any other header (the older
+    five-column one included) or a malformed row raises ContainerError."""
     out: list[ChargedZero] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,y,charge,winding,refined":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            xs, ys, cs, ws, rs = line.split(",")
-            out.append(ChargedZero(position=complex(float(xs), float(ys)),
-                                   charge=int(cs), winding=int(ws),
-                                   refined=bool(int(rs)),
-                                   jacobian_sign=int(cs)))
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != _CSV_HEADER:
+                raise ValueError(f"header {header!r}, expected {_CSV_HEADER!r}")
+            for line in fh:
+                if not line.strip():
+                    continue
+                xs, ys, cs, ws, rs, js, ds = line.strip().split(",")
+                out.append(ChargedZero(position=complex(float(xs), float(ys)),
+                                       charge=int(cs), winding=int(ws),
+                                       refined=bool(int(rs)), jacobian_sign=int(js),
+                                       degenerate=bool(int(ds))))
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise ContainerError(f"{path} is not a zeros CSV: {exc}") from exc
     return out

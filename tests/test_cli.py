@@ -70,7 +70,7 @@ def test_simulate_zeros_plot_pipeline(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "zeros", "--grid", grid_path, "--out", csv_path)
     assert code == 0
     lines = open(csv_path).read().splitlines()
-    assert lines[0] == "x,y,charge,winding,refined"
+    assert lines[0] == "x,y,charge,winding,refined,jacobian_sign,degenerate"
     assert len(lines) > 80
     svg_path = str(tmp_path / "zeros.svg")
     code, _, _ = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
@@ -85,11 +85,17 @@ def test_simulate_zeros_plot_pipeline(tmp_path, capsys):
 def test_plot_empty_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "empty.csv")
     with open(csv_path, "w") as fh:
-        fh.write("x,y,charge,winding,refined\n")
+        fh.write("x,y,charge,winding,refined,jacobian_sign,degenerate\n")
     svg_path = str(tmp_path / "empty.svg")
     code, _, _ = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
     assert code == 0
     assert "<svg" in open(svg_path).read()
+    # the former five-column CSV lacks the sign and degenerate flag: refused
+    with open(csv_path, "w") as fh:
+        fh.write("x,y,charge,winding,refined\n0.5,0.5,1,1,1\n")
+    code, _, err = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
+    assert code == 2
+    assert err.startswith("error: ") and csv_path in err
 
 
 def test_outputs_byte_identical_across_reruns(tmp_path, capsys):

@@ -272,6 +272,35 @@ def test_charge_variance_exact_converges_to_asymptote(gef):
     assert ratio <= 2.4
 
 
+# Var[charge in B_R] from the former integral of I' against the lens area,
+# frozen where its panel doubling converged; it raised DecayViolationError
+# for every other builtin kernel and radius up to 6.
+_FLAT_VARIANCE = {1: 0.42551103798806045, 2: 0.7568293843343663, 3: 1.1177934649256276,
+                  4: 1.4829724941795632, 5: 1.8495541145181384, 6: 2.2167912808820134}
+_FROZEN_VARIANCE = {
+    **{(name, R): v for name in ("gef", "laguerre:0", "laguerre-avg:1")
+       for R, v in _FLAT_VARIANCE.items()},
+    ("laguerre:3", 3): 5.6928572807545414,
+    ("laguerre-avg:3", 3): 2.295907243267008,
+}
+
+
+def test_charge_variance_exact_matches_former_values(builtin_kernels):
+    for (name, R), frozen in _FROZEN_VARIANCE.items():
+        assert K.charge_variance_exact(builtin_kernels[name], R) == pytest.approx(
+            frozen, rel=1e-10), (name, R)
+
+
+@pytest.mark.parametrize("name", list(K.BUILTIN_KERNELS()))
+def test_charge_variance_exact_every_builtin_kernel(builtin_kernels, name):
+    kern = builtin_kernels[name]
+    values = [K.charge_variance_exact(kern, R) for R in (1.0, 3.0, 6.0)]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    assert values[0] < values[1] < values[2]
+    assert K.charge_variance_exact(kern, 40.0) / 40.0 == pytest.approx(
+        K.variance_asymptote(kern), rel=1e-3)
+
+
 def test_antiderivative_decomposition(gef, lag1):
     # I(r^2) minus the variance integrand telescopes to a pure boundary term
     for kern in (gef, lag1):

@@ -156,6 +156,17 @@ def test_cross_simulator_density_agreement():
     assert a.theory == pytest.approx(b.theory, abs=1e-12)
 
 
+def test_series_reports_independent_of_threads_and_blocks():
+    # 21 realizations: blocks of 8, 8, 5 at one and two threads, 7, 7, 7 at three
+    texts = set()
+    for threads in (1, 2, 3):
+        cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0),
+                   spacing=0.1, n_realizations=21, seed=5, radii=(1.0, 2.0), threads=threads)
+        texts.add(mc.estimate_charge_variance(cfg).to_json(include_elapsed=False)
+                  + mc.estimate_intensity(cfg).to_json(include_elapsed=False))
+    assert len(texts) == 1
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_errors_name_seed_and_realization(monkeypatch, threads):
     cfg = _cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=4, seed=21,

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwhf import simulate as S
-from gwhf.errors import AliasBandError, PlaneError
+from gwhf.errors import AliasBandError, ContainerError, PlaneError
 from gwhf.quadrature import adaptive_quad
 
 PI = math.pi
@@ -163,6 +165,48 @@ def test_series_empirical_covariance():
         assert abs(samples.mean() - theory) <= 4 * max(se, 1e-3)
 
 
+def test_series_batch_rows_equal_single_realizations():
+    # 29 x 29 points: three full basis chunks and a partial one
+    plan = S.SeriesPlan((-2.0, 2.0, -2.0, 2.0), 0.2)
+    assert plan.z.size % S._CHUNK != 0 and plan.z.size > 2 * S._CHUNK
+    singles = [plan.realize(S.stream(13, r)).values for r in range(12)]
+    for size in range(1, 10):
+        for start in (0, 12 - size):
+            batch = plan.realize_batch([S.stream(13, r) for r in range(start, start + size)])
+            assert len(batch) == size
+            for k, grid in enumerate(batch):
+                assert np.array_equal(grid.values, singles[start + k]), (size, start, k)
+    source = S.FieldSource({"family": "series-gef"}, (-2.0, 2.0, -2.0, 2.0), 0.2)
+    grids = list(source.realize_batch(13, range(5)))
+    assert all(np.array_equal(g.values, singles[r]) for r, g in enumerate(grids))
+    assert np.array_equal(source.realize(13, 3).values, singles[3])
+
+
+def test_window_source_batch_matches_realize(hermites):
+    source = S.FieldSource({"family": "polyentire", "q": 2, "kind": "full"},
+                           (-2.0, 2.0, -2.0, 2.0), 0.1, 1 / 64)
+    grids = list(source.realize_batch(8, [3, 1, 4]))
+    for r, grid in zip([3, 1, 4], grids):
+        assert np.array_equal(grid.values, source.realize(8, r).values)
+        assert grid.plane == "gwhf" and grid.meta["components"] == 2
+
+
+def test_series_matches_per_term_sum():
+    # the criterion-6 geometry: |z| reaches 9.6 at the corners, 351 terms
+    plan = S.SeriesPlan((-6.5, 6.5, -6.5, 6.5), 0.08)
+    assert plan.n_terms == 351
+    xi = S.complex_normals(S.stream(77, 4), plan.n_terms)
+    acc = np.zeros(plan.z.shape, dtype=complex)
+    term = np.ones(plan.z.shape, dtype=complex)
+    for n in range(plan.n_terms):
+        if n:
+            term = term * plan.z / math.sqrt(n)
+        acc += xi[n] * term
+    ref = np.exp(-0.5 * np.abs(plan.z) ** 2) * acc
+    got = plan.realize(S.stream(77, 4)).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_polyentire_pure_q1_matches_gef_stats(hermites):
     # same machinery as the h0 window: twisted kernel exp(-|z|^2/2)
     f = S.polyentire_field(1, "pure", (-3, 3, -3, 3), 0.1, 1 / 64, seed=6)
@@ -201,3 +245,33 @@ def test_grid_csv_export(tmp_path, hermites):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,re,im"
     assert len(lines) == 1 + g.nx * g.ny
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(ny=st.integers(16, 20), nx=st.integers(16, 20), plane=st.sampled_from(["stft", "gwhf"]),
+       origin=st.tuples(_finite, _finite), spacing=st.floats(1e-6, 1e3),
+       seed=st.integers(0, 2 ** 63 - 1), margin=st.floats(0.0, 1e3),
+       interior=st.tuples(_finite, _finite, _finite, _finite),
+       label=st.text(max_size=12), sample_seed=st.integers(0, 2 ** 32 - 1),
+       cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+def test_grid_container_roundtrip_property(tmp_path_factory, ny, nx, plane, origin, spacing,
+                                           seed, margin, interior, label, sample_seed, cuts):
+    rng = np.random.default_rng(sample_seed)
+    values = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
+    grid = S.FieldGrid(values=values, origin=complex(*origin), spacing=spacing, plane=plane,
+                       seed=seed, margin=margin, meta={"interior": interior, "label": label})
+    path = tmp_path_factory.mktemp("container") / "field.gwhf"
+    S.save_grid(grid, str(path))
+    back = S.load_grid(str(path))
+    assert (back.plane, back.origin, back.spacing, back.seed, back.margin) == \
+        (plane, complex(*origin), spacing, seed, margin)
+    assert back.meta == {"interior": interior, "label": label}
+    assert isinstance(back.meta["interior"], tuple)
+    assert np.array_equal(back.values, values.astype(np.complex64))
+    blob = path.read_bytes()
+    for cut in cuts:
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(ContainerError):
+            S.load_grid(str(path))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import synthetic_grid
 from gwhf import simulate as S
 from gwhf import windows as W
 from gwhf import zeros as Z
-from gwhf.errors import DomainError, ResolutionError
+from gwhf.errors import ContainerError, DomainError, ResolutionError
 
 PI = math.pi
 
@@ -242,14 +243,30 @@ def test_zeros_csv_roundtrip(tmp_path):
     zs = [Z.ChargedZero(position=complex(1.23456789123, -0.000012345), charge=-1,
                         winding=-1, refined=True, jacobian_sign=-1),
           Z.ChargedZero(position=0.5 + 0.25j, charge=1, winding=1,
-                        refined=False, jacobian_sign=1)]
+                        refined=False, jacobian_sign=1),
+          Z.ChargedZero(position=-0.75 + 2.0j, charge=1, winding=1,
+                        refined=True, jacobian_sign=0, degenerate=True)]
     path = tmp_path / "zeros.csv"
     Z.zeros_to_csv(zs, str(path))
     text = path.read_text().splitlines()
-    assert text[0] == "x,y,charge,winding,refined"
+    assert text[0] == "x,y,charge,winding,refined,jacobian_sign,degenerate"
     assert text[1].startswith("1.23456789,")  # nine significant digits
     back = Z.zeros_from_csv(str(path))
-    assert len(back) == 2
+    assert len(back) == 3
     assert back[0].charge == -1 and back[0].refined
     assert abs(back[0].position - zs[0].position) < 1e-8
     assert back[1].charge == 1 and not back[1].refined
+    assert back[2] == zs[2]  # sign 0 and the degenerate flag survive
+    assert [dataclasses.replace(z, position=0j) for z in back] == \
+        [dataclasses.replace(z, position=0j) for z in zs]
+
+
+@pytest.mark.parametrize("text", ["x,y,charge,winding,refined\n0.5,0.5,1,1,1\n",
+                                  "x,y,charge,winding,refined,jacobian_sign,degenerate\n"
+                                  "0.5,0.5,1,1,1\n",
+                                  "\x89PNG\r\n"])
+def test_zeros_csv_refuses_other_formats(tmp_path, text):
+    path = tmp_path / "zeros.csv"
+    path.write_text(text)
+    with pytest.raises(ContainerError, match=re.escape(str(path))):
+        Z.zeros_from_csv(str(path))
