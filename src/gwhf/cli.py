@@ -175,7 +175,8 @@ def _cmd_zeros(args) -> int:
 
 def _svg_scatter(zeros, out_path: str) -> None:
     """Fixed-format scatter: plus marks for positive charges, circles for
-    negative, equal-aspect axes."""
+    negative, grey squares for degenerate zeros (no certified charge),
+    equal-aspect axes."""
     if zeros:
         xs = [z.position.real for z in zeros]
         ys = [z.position.imag for z in zeros]
@@ -211,7 +212,11 @@ def _svg_scatter(zeros, out_path: str) -> None:
                      f'text-anchor="middle">{yt}</text>')
     for z in zeros:
         cx, cy = sx(z.position.real), sy(z.position.imag)
-        if z.charge > 0:
+        if z.degenerate:
+            parts.append(f'<rect x="{cx - m:.2f}" y="{cy - m:.2f}" width="{2 * m:.2f}" '
+                         f'height="{2 * m:.2f}" stroke="#808080" stroke-width="1.5" '
+                         f'fill="none"/>')
+        elif z.charge > 0:
             parts.append(f'<path d="M {cx - m:.2f} {cy:.2f} H {cx + m:.2f} '
                          f'M {cx:.2f} {cy - m:.2f} V {cy + m:.2f}" '
                          f'stroke="#d04040" stroke-width="1.5" fill="none"/>')
@@ -363,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("plot", help="SVG scatter of a zeros CSV: plus marks for "
-                                    "positive charges, circles for negative")
+                                    "positive charges, circles for negative, "
+                                    "grey squares for degenerate zeros")
     p.add_argument("--zeros", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)

@@ -43,3 +43,7 @@ class DomainError(GwhfError, ValueError):
 
 class ContainerError(GwhfError, ValueError):
     """File is not a complete, well-formed grid container or zeros CSV."""
+
+
+class ParameterError(GwhfError, ValueError):
+    """A numeric setting (spacing, dt, realization count, grid size) is out of range."""

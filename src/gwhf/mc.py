@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, GwhfError, InvalidKernelError
+from .errors import DomainError, GwhfError, InvalidKernelError, ParameterError
 from .kernels import DEFAULT_CONVENTION, variance_asymptote
 from .simulate import FieldSource, stream
 from .windows import Window, window_from_spec
@@ -62,9 +62,10 @@ class McConfig:
 
     def __post_init__(self):
         if self.n_realizations < 2:
-            raise ValueError("need at least 2 realizations")
+            raise ParameterError(f"n_realizations = {self.n_realizations}: "
+                                 "need at least 2 realizations")
         if self.radii and list(self.radii) != sorted(self.radii):
-            raise ValueError("radii must be sorted ascending")
+            raise ParameterError(f"radii {list(self.radii)} must be sorted ascending")
         win = self.source.get("window")
         if win is not None and not isinstance(win, Window):
             object.__setattr__(self, "source", dict(self.source, window=window_from_spec(win)))
@@ -264,7 +265,7 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     """
     t0 = time.time()
     if not cfg.radii:
-        raise ValueError("charge variance needs a radii list")
+        raise ParameterError("charge variance needs a radii list (radii is empty)")
     source = _source(cfg)
     notes = list(source.notes)
     x0, x1, y0, y1 = source.interior

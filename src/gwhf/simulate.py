@@ -25,12 +25,13 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (AliasBandError, ContainerError, DomainError,
-                     InvalidKernelError, PlaneError)
+                     InvalidKernelError, InvalidWindowError, ParameterError,
+                     PlaneError)
 from .kernels import (DEFAULT_CONVENTION, gef_kernel, laguerre_avg_kernel,
                       laguerre_kernel, rho1_radial)
 from .windows import Window, hermite, rho1_stft, window_from_spec
@@ -82,9 +83,10 @@ class FieldGrid:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2 or v.shape[0] < 16 or v.shape[1] < 16:
-            raise ValueError("values must be a 2-d complex array, at least 16 x 16")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+            raise ParameterError(f"values must be a 2-d complex array, at least "
+                                 f"16 x 16, got shape {v.shape}")
+        if not self.spacing > 0:
+            raise ParameterError(f"grid spacing {self.spacing} must be positive")
         if self.plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {self.plane!r}")
         object.__setattr__(self, "values", v)
@@ -120,39 +122,91 @@ class FieldGrid:
         return (x0 + m, x1 - m, y0 + m, y1 - m)
 
 
+def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float,
+                     plane: str = "stft") -> None:
+    """Refuse a grid below 16 x 16, naming spacing, domain and margin in the
+    output plane (a gwhf-plane StftPlan gets them in the stft plane)."""
+    if nx < 16 or ny < 16:
+        if plane == "gwhf":
+            spacing, domain, margin = _SQRT_PI * spacing, _gwhf_box(domain), _SQRT_PI * margin
+        box = ", ".join(f"{v:.6g}" for v in domain)
+        raise ParameterError(f"spacing {spacing:.6g} gives a {nx} x {ny} grid on domain "
+                             f"({box}) with margin {margin:.4g}; a grid needs at least "
+                             "16 x 16 points")
+
+
 # ---------------------------------------------------------------------------
 # Windowed transform of white noise
 # ---------------------------------------------------------------------------
 
+def _fft_frame(n: int) -> int:
+    """Smallest 7-smooth length (2^a 3^b 5^c 7^d) at or above n.  pocketfft
+    runs such lengths on its fast path; a large prime factor (1418 = 2 * 709)
+    makes the same transform several times slower."""
+    m = max(int(n), 1)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 class StftPlan:
     """Reusable precomputation for repeated realizations of one configuration.
 
-    The window factors conj(g(t_k - x_i)) are column-independent of the
-    noise, so they are built once; a realization is then one elementwise
-    product, a fold of the record onto the FFT frame, and one batched FFT.
+    `window` is one Window or a sequence of q windows.  All windows share one
+    noise time grid t_k = t0 + k dt, k < K, with t0 = x_lo - (widest support
+    radius); component k of a realization is its own white-noise record on
+    that grid, and the plan realizes the normalized sum (V_1 + ... + V_q)/sqrt(q).
+    The window factors conj(g_k(t_k - x_i)) do not depend on the noise, so
+    they are built once.  A realization multiplies each noise record into its
+    factors and adds the products, slice by slice, into one (nx, n_fft) frame
+    (the record folded onto the FFT period); then one FFT, one row gather and
+    one output phase make the grid.
+
+    n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
+    spacing is rounded down to 1/(n_fft dt), never up.  domain, spacing and
+    margin are stft-plane values; plane="gwhf" returns grids already mapped
+    to the invariant plane, as to_gwhf_plane maps them, with the mapping's
+    phase folded into the output phase once per plan.
     """
 
-    def __init__(self, window: Window, domain: tuple[float, float, float, float],
-                 spacing: float, dt: float, margin: float | None = None):
+    def __init__(self, window: Window | Sequence[Window],
+                 domain: tuple[float, float, float, float],
+                 spacing: float, dt: float, margin: float | None = None,
+                 plane: str = "stft"):
+        windows = (window,) if isinstance(window, Window) else tuple(window)
+        if not windows:
+            raise InvalidWindowError("StftPlan needs at least one window")
+        if plane not in ("stft", "gwhf"):
+            raise PlaneError(f"unknown plane {plane!r}")
         x0, x1, y0, y1 = (float(v) for v in domain)
         if not (x1 > x0 and y1 > y0):
             raise DomainError(f"empty domain {domain}")
-        if spacing <= 0 or dt <= 0:
-            raise ValueError("spacing and dt must be positive")
-        if dt > 1.0 / (8.0 * window.freq_radius):
+        if not spacing > 0:
+            raise ParameterError(f"spacing {spacing} must be positive")
+        if not dt > 0:
+            raise ParameterError(f"dt {dt} must be positive")
+        freq = max(w.freq_radius for w in windows)
+        T = max(w.support_radius for w in windows)
+        if dt > 1.0 / (8.0 * freq):
             raise AliasBandError(
                 f"dt = {dt} too coarse for window frequency extent "
-                f"{window.freq_radius:.2f}; need dt <= {1.0 / (8.0 * window.freq_radius):.4g}")
+                f"{freq:.2f}; need dt <= {1.0 / (8.0 * freq):.4g}")
         if margin is None:
-            margin = 2.0 * max(window.support_radius, window.freq_radius)
-        self.window = window
+            margin = 2.0 * max(T, freq)
+        self.windows = windows
+        self.plane = plane
         self.dt = float(dt)
         self.margin = float(margin)
         self.requested = (x0, x1, y0, y1)
 
-        n_fft = int(round(1.0 / (spacing * dt)))
+        n_fft = _fft_frame(math.ceil(1.0 / (spacing * dt) - 1e-9))
         if n_fft < 8:
-            raise ValueError(f"spacing {spacing} and dt {dt} give FFT frame {n_fft} < 8")
+            raise ParameterError(f"spacing {spacing} and dt {dt} give FFT frame {n_fft} < 8")
         self.n_fft = n_fft
         s = 1.0 / (n_fft * dt)
         self.spacing = s
@@ -160,10 +214,10 @@ class StftPlan:
         xlo, xhi = x0 - margin, x1 + margin
         ylo, yhi = y0 - margin, y1 + margin
         band = 0.5 / dt
-        if max(abs(ylo), abs(yhi)) + window.freq_radius > band:
+        if max(abs(ylo), abs(yhi)) + freq > band:
             raise AliasBandError(
                 f"frequency range [{ylo:.2f}, {yhi:.2f}] plus window extent "
-                f"{window.freq_radius:.2f} exceeds the alias-free band {band:.2f}")
+                f"{freq:.2f} exceeds the alias-free band {band:.2f}")
 
         self.nx = int(math.floor((xhi - xlo) / s + 1e-9)) + 1
         self.x0 = xlo
@@ -171,43 +225,61 @@ class StftPlan:
         self.ny = int(math.floor((yhi - jlo * s) / s + 1e-9)) + 1
         self.jlo = jlo
         self.y0 = jlo * s
+        _check_grid_size(self.nx, self.ny, spacing, domain, margin, plane)
 
-        T = window.support_radius
         t0 = xlo - T
         K = int(math.ceil((xhi + T - t0) / dt)) + 1
-        if K < 2:
-            raise DomainError("noise record shorter than the window support")
         self.t0 = t0
         self.K = K
 
         xs = self.x0 + s * np.arange(self.nx)
         tk = t0 + dt * np.arange(K)
         offsets = tk[None, :] - xs[:, None]
-        self.window_factors = np.conj(window.rule(offsets))  # (nx, K)
+        self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, K) each
 
         js = jlo + np.arange(self.ny)
-        self.freq_rows = np.mod(js, n_fft)
-        self.row_phase = np.exp(-2j * math.pi * t0 * (js * s)) * math.sqrt(dt)
+        freq_rows = np.mod(js, n_fft)
+        row_phase = np.exp(-2j * math.pi * t0 * (js * s)) * math.sqrt(dt / len(windows))
+        if plane == "stft":
+            self._rows, self._phase = freq_rows, row_phase[:, None]
+        else:
+            # F(z) = exp(i pi u v) V(u, v) with the rows flipped so y increases
+            phase = row_phase[:, None] * _gwhf_phase(xs, self.y0 + s * np.arange(self.ny))
+            self._rows, self._phase = freq_rows[::-1], phase[::-1].copy()
 
-    def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
-        noise = complex_normals(rng, self.K)
-        c = noise[None, :] * self.window_factors
-        blocks = -(-self.K // self.n_fft)
-        if blocks * self.n_fft != self.K:
-            pad = np.zeros((self.nx, blocks * self.n_fft - self.K), dtype=complex)
-            c = np.concatenate([c, pad], axis=1)
-        folded = c.reshape(self.nx, blocks, self.n_fft).sum(axis=1)
-        spec = np.fft.fft(folded, axis=1)
-        vals = spec[:, self.freq_rows].T * self.row_phase[:, None]
+    def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
+                seed_label: int = 0) -> FieldGrid:
+        """One grid; `rng` holds one generator per window (a single-window
+        plan also takes a bare generator), each drawing K noise samples."""
+        rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        if len(rngs) != len(self.windows):
+            raise ValueError(f"{len(rngs)} generators for {len(self.windows)} windows")
+        N, K = self.n_fft, self.K
+        frame = np.zeros((self.nx, N), dtype=complex)
+        for gen, factors in zip(rngs, self.window_factors):
+            noise = complex_normals(gen, K)
+            for lo in range(0, K, N):
+                hi = min(lo + N, K)
+                frame[:, :hi - lo] += noise[lo:hi] * factors[:, lo:hi]
+        spec = np.fft.fft(frame, axis=1)
+        vals = spec[:, self._rows].T * self._phase
         meta = {
             "interior": self.requested,
-            "window": self.window.label,
+            "window": self.windows[0].label,
             "dt": self.dt,
             "requested_spacing_rounded_to": self.spacing,
         }
-        return FieldGrid(values=vals, origin=complex(self.x0, self.y0),
-                         spacing=self.spacing, plane="stft", seed=seed_label,
-                         margin=self.margin, meta=meta)
+        if len(self.windows) > 1:
+            meta["components"] = len(self.windows)
+        if self.plane == "stft":
+            return FieldGrid(values=vals, origin=complex(self.x0, self.y0),
+                             spacing=self.spacing, plane="stft", seed=seed_label,
+                             margin=self.margin, meta=meta)
+        y1 = self.y0 + self.spacing * (self.ny - 1)
+        meta.update(interior=_gwhf_box(self.requested), mapped_from="stft")
+        return FieldGrid(values=vals, origin=complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
+                         spacing=_SQRT_PI * self.spacing, plane="gwhf", seed=seed_label,
+                         margin=_SQRT_PI * self.margin, meta=meta)
 
 
 def stft_field(g: Window, domain: tuple[float, float, float, float],
@@ -217,7 +289,7 @@ def stft_field(g: Window, domain: tuple[float, float, float, float],
 
     V(x, y) ~= sum_k xi_k conj(g(t_k - x)) exp(-2 pi i t_k y) sqrt(dt),
     evaluated columnwise on the FFT's native frequency grid (the requested
-    spacing is rounded to the nearest FFT-compatible value and recorded in
+    spacing is rounded down to that of a 7-smooth FFT frame and recorded in
     the metadata).  Deterministic given (seed, domain, spacing, dt).
     """
     return FieldSource({"family": "window", "window": g}, domain, spacing, dt,
@@ -237,6 +309,12 @@ def _gwhf_box(box: tuple[float, float, float, float], inverse: bool = False
     return (_SQRT_PI * x0, _SQRT_PI * x1, -_SQRT_PI * y1, -_SQRT_PI * y0)
 
 
+def _gwhf_phase(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """exp(i pi u v) on the stft-plane lattice (rows vs, columns us), the
+    phase of F(z) = exp(-i x y) V(conj(z)/sqrt(pi)) before the row flip."""
+    return np.exp(1j * math.pi * vs[:, None] * us[None, :])
+
+
 def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
     """Re-index a spectrogram-plane grid to the invariant plane.
 
@@ -248,8 +326,7 @@ def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
         raise PlaneError("grid is not in the stft plane (double application?)")
     us = grid.xs
     vs = grid.ys
-    phase = np.exp(1j * math.pi * vs[:, None] * us[None, :])
-    vals = (phase * grid.values)[::-1, :]
+    vals = (_gwhf_phase(us, vs) * grid.values)[::-1, :]
     origin = complex(_SQRT_PI * us[0], -_SQRT_PI * vs[-1])
     meta = dict(grid.meta, interior=_gwhf_box(grid.interior), mapped_from="stft")
     return FieldGrid(values=vals, origin=origin,
@@ -286,6 +363,8 @@ class SeriesPlan:
         x0, x1, y0, y1 = (float(v) for v in domain)
         if not (x1 > x0 and y1 > y0):
             raise DomainError(f"empty domain {domain}")
+        if not spacing > 0:
+            raise ParameterError(f"spacing {spacing} must be positive")
         if margin is None:
             margin = 4.0 * spacing
         self.margin = float(margin)
@@ -294,6 +373,7 @@ class SeriesPlan:
         xlo, ylo = x0 - margin, y0 - margin
         nx = int(math.floor((x1 + margin - xlo) / spacing + 1e-9)) + 1
         ny = int(math.floor((y1 + margin - ylo) / spacing + 1e-9)) + 1
+        _check_grid_size(nx, ny, spacing, domain, margin)
         xs = xlo + spacing * np.arange(nx)
         ys = ylo + spacing * np.arange(ny)
         self.z = xs[None, :] + 1j * ys[:, None]
@@ -303,7 +383,7 @@ class SeriesPlan:
         if n_terms is None:
             n_terms = needed
         elif n_terms < needed:
-            raise ValueError(f"n_terms = {n_terms} below the truncation rule ({needed}) "
+            raise ParameterError(f"n_terms = {n_terms} below the truncation rule ({needed}) "
                              f"for grid radius {r_max:.2f}")
         self.n_terms = int(n_terms)
 
@@ -378,7 +458,10 @@ class FieldSource:
 
     domain, spacing, margin and the theory values (kernel, None with a note
     for a window without one; density(convention); charge_density) refer to
-    the output plane; a gwhf-plane window source simulates the preimage.
+    the output plane.  A window or polyentire source holds one StftPlan over
+    all its windows (one FFT per realization), built on the stft-plane
+    preimage of a gwhf-plane domain and mapping its grids over itself; a
+    series source holds one SeriesPlan.
     """
 
     def __init__(self, spec: dict, domain: tuple[float, float, float, float],
@@ -391,8 +474,8 @@ class FieldSource:
         self.window, self.notes = None, []
         if family == "series-gef":
             self.kernel = gef_kernel()
-            self.plans = [SeriesPlan(domain, spacing, spec.get("n_terms"), margin)]
-            self.interior = self.plans[0].requested
+            self.plan = SeriesPlan(domain, spacing, spec.get("n_terms"), margin)
+            self.interior = self.plan.requested
             return
         if family == "window":
             win = spec.get("window")
@@ -415,14 +498,13 @@ class FieldSource:
         else:
             raise InvalidKernelError(f"unknown source family {family!r}")
         if self.plane == "gwhf":
+            if not spacing > 0:
+                raise ParameterError(f"spacing {spacing} must be positive")
             domain, spacing = _gwhf_box(domain, inverse=True), spacing / _SQRT_PI
             margin = None if margin is None else margin / _SQRT_PI
-        if margin is None:
-            # components share one grid, so the widest window sets the margin
-            margin = 2.0 * max(max(w.support_radius, w.freq_radius) for w in windows)
         dt = 1.0 / 64.0 if dt is None else dt
-        self.plans = [StftPlan(w, domain, spacing, dt, margin) for w in windows]
-        box = self.plans[0].requested
+        self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
+        box = self.plan.requested
         self.interior = _gwhf_box(box) if self.plane == "gwhf" else box
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
@@ -438,27 +520,14 @@ class FieldSource:
         the whole batch in one product; window sources make each grid only
         when it is asked for, and the iterator holds no grid it has handed
         out."""
-        if isinstance(self.plans[0], SeriesPlan):
-            return iter(self.plans[0].realize_batch([stream(seed, r, 0) for r in rs], seed))
-        return (self._window_grid(seed, r) for r in rs)
+        if isinstance(self.plan, SeriesPlan):
+            return iter(self.plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
+        q = len(self.plan.windows)
+        return (self.plan.realize([stream(seed, r, k) for k in range(q)], seed) for r in rs)
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""
         return next(self.realize_batch(seed, [r]))
-
-    def _window_grid(self, seed: int, r: int) -> FieldGrid:
-        grid = self.plans[0].realize(stream(seed, r, 0), seed_label=seed)
-        if len(self.plans) > 1:
-            acc = grid.values.copy()
-            for k in range(1, len(self.plans)):
-                acc += self.plans[k].realize(stream(seed, r, k)).values
-            grid = FieldGrid(values=acc / math.sqrt(len(self.plans)), origin=grid.origin,
-                             spacing=grid.spacing, plane=grid.plane, seed=seed,
-                             margin=grid.margin,
-                             meta=dict(grid.meta, components=len(self.plans)))
-        if self.plane == "gwhf" and grid.plane == "stft":
-            grid = to_gwhf_plane(grid)
-        return grid
 
 
 # ---------------------------------------------------------------------------

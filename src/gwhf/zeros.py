@@ -97,18 +97,22 @@ def _plane_points(grid: FieldGrid, i, j, xi, eta):
 def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
     """Integer winding of every plaquette, counterclockwise gauged loop.
 
-    Each lattice edge's gauged increment is computed once; a plaquette adds
-    its bottom and right edges and subtracts its top and left ones, so the
-    windings of any block of plaquettes sum to the gauged circulation
-    around the block's boundary.
+    Each lattice edge's gauged increment is computed once.  The carrier
+    advance along an edge depends on one coordinate only, so the edge
+    products are demodulated by broadcasting a per-row or per-column phase
+    vector.  A plaquette adds its bottom and right edges and subtracts its
+    top and left ones, so the windings of any block of plaquettes sum to
+    the gauged circulation around the block's boundary.
     """
-    v, p = grid.values, grid.xs[None, :] + 1j * grid.ys[:, None]
-
-    def inc(a, b):
-        return np.angle(_demod(grid.plane, v[b] * np.conj(v[a]), p[b], p[a]))
-
-    horiz = inc(np.s_[:, :-1], np.s_[:, 1:])
-    vert = inc(np.s_[:-1, :], np.s_[1:, :])
+    v, h = grid.values, grid.spacing
+    horiz = v[:, 1:] * np.conj(v[:, :-1])
+    vert = v[1:, :] * np.conj(v[:-1, :])
+    if grid.plane == "gwhf":
+        horiz *= np.exp(1j * h * grid.ys)[:, None]  # gauge -h y
+        vert *= np.exp(-1j * h * grid.xs)  # gauge h x
+    else:
+        vert *= np.exp(2j * math.pi * h * grid.xs)  # gauge -2 pi h x; horizontal 0
+    horiz, vert = np.angle(horiz), np.angle(vert)
     tot = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]
     tot += _loop_defect(grid.plane, grid.spacing)
     return np.rint(tot / _TWO_PI).astype(int)

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,8 +81,40 @@ def test_simulate_zeros_plot_pipeline(tmp_path, capsys):
     svg = open(svg_path).read()
     pluses = svg.count("<path d=")
     circles = svg.count("<circle")
-    assert pluses + circles == len(lines) - 1
+    degenerate = sum(row.endswith(",1") for row in lines[1:])
+    assert pluses + circles == len(lines) - 1 - degenerate
+    assert svg.count('stroke="#808080"') == degenerate
     assert pluses > circles  # mostly positive charge
+
+
+def test_plot_marks_degenerate_zeros_neutrally(tmp_path, capsys):
+    csv_path = str(tmp_path / "z.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("x,y,charge,winding,refined,jacobian_sign,degenerate\n"
+                 "0.5,0.5,1,1,1,1,0\n"
+                 "1.5,0.5,-1,-1,1,-1,0\n"
+                 "1.0,1.5,1,1,0,0,1\n")
+    svg_path = str(tmp_path / "z.svg")
+    code, _, _ = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
+    assert code == 0
+    svg = open(svg_path).read()
+    assert svg.count("<path d=") == 1 and svg.count("<circle") == 1
+    # the degenerate row, at (1.0, 1.5), gets the one grey square
+    marks = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="8.00" height="8.00" '
+                       r'stroke="#808080"', svg)
+    assert len(marks) == 1
+    cx, cy = float(marks[0][0]) + 4, float(marks[0][1]) + 4
+    assert (cx, cy) == (40 + 600 * 1.0 / 2, 40 + 600 * (2 - 1.5) / 2)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "gwhf", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gwhf")
 
 
 def test_plot_empty_csv(tmp_path, capsys):
@@ -165,9 +200,17 @@ def test_verify_exit_code_gates(capsys):
     (["verify", "intensity", "--kernel", "polyentire:3:bogus", "-n", "2"], "bogus"),
     (["simulate", "--simulator", "polyentire:9:pure"], "9"),
     (["simulate"], "--window"),
+    (["simulate", "--window", "hermite:1", "--spacing", "0"], "spacing 0.0"),
+    (["simulate", "--window", "hermite:1", "--dt", "0"], "dt 0.0"),
+    (["simulate", "--window", "hermite:1", "--spacing", "2"], "spacing 2 gives"),
+    (["simulate", "--simulator", "polyentire:2:pure", "--spacing", "3"], "spacing 3 gives"),
+    (["simulate", "--simulator", "series", "--spacing", "-1"], "spacing -1.0"),
+    (["verify", "intensity", "--window", "hermite:1", "-n", "1"], "n_realizations = 1"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
-        "polyentire-order-too-high", "simulate-without-window"])
+        "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
+        "zero-dt", "grid-below-16x16", "gwhf-grid-below-16x16", "series-negative-spacing",
+        "one-realization"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

@@ -67,6 +67,16 @@ def test_reports_deterministic_and_thread_independent():
     assert a.items[0].se == c.items[0].se
 
 
+def test_polyentire_report_independent_of_threads():
+    texts = set()
+    for threads in (1, 2):
+        cfg = _cfg(source={"family": "polyentire", "q": 2, "kind": "full"},
+                   domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1, n_realizations=6,
+                   seed=17, threads=threads)
+        texts.add(mc.estimate_charge_intensity(cfg).to_json(include_elapsed=False))
+    assert len(texts) == 1
+
+
 def test_window_source_forms_give_identical_reports():
     from gwhf.windows import hermite
     reports = [mc.estimate_intensity(_cfg(

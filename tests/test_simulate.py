@@ -134,6 +134,98 @@ def test_to_gwhf_plane_geometry(hermites):
         S.to_gwhf_plane(f)
 
 
+def _reference_fold(c, n_fft):
+    """The record folded onto the FFT period by a zero-padded copy, as the
+    simulator did before it added slices into one frame."""
+    nx, k = c.shape
+    blocks = -(-k // n_fft)
+    c = np.concatenate([c, np.zeros((nx, blocks * n_fft - k), dtype=complex)], axis=1)
+    return c.reshape(nx, blocks, n_fft).sum(axis=1)
+
+
+def _reference_component(plan, g, noise):
+    """V(x_i, y_j) of one window and one noise record on the plan's frame:
+    pairing products, fold, FFT, row gather and row phase."""
+    xs = plan.x0 + plan.spacing * np.arange(plan.nx)
+    tk = plan.t0 + plan.dt * np.arange(plan.K)
+    c = noise[None, :] * np.conj(g.rule(tk[None, :] - xs[:, None]))
+    spec = np.fft.fft(_reference_fold(c, plan.n_fft), axis=1)
+    js = plan.jlo + np.arange(plan.ny)
+    phase = np.exp(-2j * PI * plan.t0 * (js * plan.spacing)) * math.sqrt(plan.dt)
+    return spec[:, np.mod(js, plan.n_fft)].T * phase[:, None]
+
+
+def test_single_window_grid_equals_reference_fold(hermites):
+    plan = S.StftPlan(hermites[1], (0, 4, 0, 4), 1 / 16, 1 / 64)
+    assert plan.n_fft == 1024 and plan.K > plan.n_fft  # the record wraps the frame
+    for r in range(3):
+        noise = S.complex_normals(S.stream(31, r), plan.K)
+        ref = _reference_component(plan, hermites[1], noise)
+        assert np.array_equal(plan.realize(S.stream(31, r)).values, ref)
+
+
+def test_multi_window_plan_matches_per_component_sum(hermites):
+    ws = [hermites[0], hermites[1], hermites[2]]
+    plan = S.StftPlan(ws, (0, 3, 0, 3), 1 / 16, 1 / 64)
+    assert plan.t0 == plan.x0 - max(w.support_radius for w in ws)
+    for r in range(2):
+        rngs = [S.stream(32, r, k) for k in range(3)]
+        ref = sum(_reference_component(plan, g, S.complex_normals(S.stream(32, r, k), plan.K))
+                  for k, g in enumerate(ws)) / math.sqrt(3)
+        got = plan.realize(rngs)
+        assert got.meta["components"] == 3
+        assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    with pytest.raises(ValueError):
+        plan.realize(S.stream(32, 0))  # one generator for three windows
+
+
+def test_gwhf_plane_plan_matches_mapped_grid(hermites):
+    ws = [hermites[0], hermites[1]]
+    args = ((0, 3, -1, 2), 1 / 16, 1 / 64)
+    stft = S.StftPlan(ws, *args).realize([S.stream(33, 0, k) for k in range(2)], 33)
+    mapped = S.to_gwhf_plane(stft)
+    got = S.StftPlan(ws, *args, plane="gwhf").realize(
+        [S.stream(33, 0, k) for k in range(2)], 33)
+    assert np.max(np.abs(got.values - mapped.values)) <= 1e-12 * np.max(np.abs(mapped.values))
+    for attr in ("origin", "spacing", "plane", "seed", "margin", "meta", "interior"):
+        assert getattr(got, attr) == getattr(mapped, attr), attr
+
+
+def test_fft_frame_is_smallest_7_smooth_length():
+    def smooth(n):
+        for p in (2, 3, 5, 7):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 4000):
+        m = S._fft_frame(n)
+        assert m >= n and smooth(m)
+        assert not any(smooth(k) for k in range(n, m))
+    assert S._fft_frame(1418) == 1440 and S._fft_frame(1024) == 1024
+
+
+@pytest.mark.parametrize("spacing", [1 / 16, 1 / 32, 0.05, 0.1 / math.sqrt(PI),
+                                     0.08 / math.sqrt(PI), 0.0437, 1 / 9])
+@pytest.mark.parametrize("dt", [1 / 64, 1 / 48])
+def test_plan_spacing_never_coarser_than_requested(hermites, spacing, dt):
+    plan = S.StftPlan(hermites[0], (0, 2, 0, 2), spacing, dt)
+    assert plan.spacing <= spacing * (1 + 1e-12)
+    assert plan.spacing >= spacing * (1 - 0.05)
+    assert plan.spacing == 1 / (plan.n_fft * dt)
+
+
+def test_polyentire_frame_and_spacing():
+    # 0.08 in the gwhf plane asks for a 1418-sample frame; 1440 is the 7-smooth one
+    src = S.FieldSource({"family": "polyentire", "q": 3, "kind": "full"},
+                        (-6.5, 6.5, -6.5, 6.5), 0.08, 1 / 64)
+    assert src.plan.n_fft == 1440
+    grid = src.realize(5)
+    assert grid.spacing == pytest.approx(0.0788, abs=5e-5) and grid.spacing < 0.08
+    assert grid.meta["requested_spacing_rounded_to"] == src.plan.spacing
+    assert grid.meta["components"] == 3 and grid.plane == "gwhf"
+
+
 def test_series_field_deterministic_and_rule():
     g1 = S.gef_series_field((-3, 3, -3, 3), 0.1, seed=4)
     g2 = S.gef_series_field((-3, 3, -3, 3), 0.1, seed=4)

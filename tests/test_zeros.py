@@ -175,6 +175,43 @@ def test_edge_zero_without_refinement_or_interior_cut():
         assert z.charge == z.jacobian_sign == charge and not z.refined
 
 
+def _full_grid_windings(grid):
+    """Plaquette windings with the carrier removed by a full-grid gauge
+    exponential per edge direction, as the detector computed them before it
+    took the gauge as per-row and per-column phase vectors."""
+    v = grid.values
+    p = grid.xs[None, :] + 1j * grid.ys[:, None]
+
+    def inc(a, b):
+        pa, pb = p[a], p[b]
+        if grid.plane == "gwhf":
+            gauge = ((pb - pa) * np.conj(0.5 * (pa + pb))).imag
+        else:
+            gauge = -2 * PI * 0.5 * (pa.real + pb.real) * (pb.imag - pa.imag)
+        return np.angle(v[b] * np.conj(v[a]) * np.exp(-1j * gauge))
+
+    horiz = inc(np.s_[:, :-1], np.s_[:, 1:])
+    vert = inc(np.s_[:-1, :], np.s_[1:, :])
+    defect = (2.0 if grid.plane == "gwhf" else -2 * PI) * grid.spacing ** 2
+    tot = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1] + defect
+    return np.rint(tot / (2 * PI)).astype(int)
+
+
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-5, 5, -5, 5), 0.08),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+    ({"family": "series-gef"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+], ids=["stft-window", "gwhf-window", "polyentire-full", "series"])
+def test_windings_match_full_grid_gauge(spec, domain, spacing):
+    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    for r in range(3):
+        grid = source.realize(61, r)
+        windings = Z._plaquette_windings(grid)
+        assert np.count_nonzero(windings) > 50
+        assert np.array_equal(windings, _full_grid_windings(grid))
+
+
 @pytest.fixture(scope="module", params=["stft", "gwhf"])
 def realization(request):
     if request.param == "stft":
