@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GwhfError
+from .errors import GwhfError, ParameterError
 from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
                       jet_from_radial, kernel_from_spec, rho1, rho1_charged,
                       rho1_radial, validate_kernel, variance_asymptote,
@@ -268,6 +268,8 @@ def _cmd_verify(args) -> int:
         return 0 if (band_ok and ratio_ok) else 1
     if args.suite == "invariance":
         g = window_from_spec(args.window or "hermite:0")
+        if args.seed < 0:
+            raise ParameterError(f"seed {args.seed} must be a non-negative integer")
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.n):

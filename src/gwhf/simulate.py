@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AliasBandError, ContainerError, DomainError,
                      InvalidKernelError, InvalidWindowError, ParameterError,
@@ -48,6 +49,8 @@ _MAGIC = b"GWHF1\n"
 
 def stream(seed: int, realization: int = 0, component: int = 0) -> np.random.Generator:
     """Counter-based generator for one (realization, component) pair."""
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be a non-negative integer")
     ss = np.random.SeedSequence(seed, spawn_key=(realization, component))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -154,6 +157,24 @@ def _fft_frame(n: int) -> int:
         m += 1
 
 
+def _outer_phase(y0: float, dy: float, n: int, rate: np.ndarray) -> np.ndarray:
+    """exp(i y_j rate_i) for y_j = y0 + j dy, j < n, as an (n, len(rate)) array.
+    Row j = a b + c is the product of a coarse row exp(i y_{ab} rate) and a
+    fine row exp(i c dy rate): two small tables of exponentials and one
+    broadcast product, instead of a complex exponential per entry."""
+    b = max(1, math.isqrt(n))
+    a = -(-n // b)
+    coarse = np.exp(1j * (y0 + dy * b * np.arange(a))[:, None] * rate)
+    fine = np.exp(1j * (dy * np.arange(b))[:, None] * rate)
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(a * b, -1)[:n]
+
+
+# bytes of FFT frame per block of grid columns; small blocks keep a
+# realization's temporaries small, and MC worker threads re-fault whole-grid
+# frames of several MB on every realization
+_FRAME_BLOCK_BYTES = 1 << 20
+
+
 class StftPlan:
     """Reusable precomputation for repeated realizations of one configuration.
 
@@ -161,11 +182,19 @@ class StftPlan:
     noise time grid t_k = t0 + k dt, k < K, with t0 = x_lo - (widest support
     radius); component k of a realization is its own white-noise record on
     that grid, and the plan realizes the normalized sum (V_1 + ... + V_q)/sqrt(q).
-    The window factors conj(g_k(t_k - x_i)) do not depend on the noise, so
-    they are built once.  A realization multiplies each noise record into its
-    factors and adds the products, slice by slice, into one (nx, n_fft) frame
-    (the record folded onto the FFT period); then one FFT, one row gather and
-    one output phase make the grid.
+
+    The plan is banded: every window is below 1e-12 beyond its support_radius
+    (Window's contract), so column x_i pairs only with the W = floor(2T/dt) + 2
+    samples (at most K) from its first one k_i with t_k >= x_i - T, T the
+    widest radius; the products with the rest of the record are never
+    formed.  The window factors conj(g(t_{k_i + w} - x_i)) do not depend on
+    the noise and are built once, (nx, W) per window.  A realization takes
+    each record's band of every column, multiplies it into its factors and
+    sums the components (a band longer than n_fft is folded onto the FFT
+    period); then an FFT, a row gather and the (ny, nx) output phase make
+    the grid, one block of columns with about 1 MB of frame at a time.
+    Band i starts at tau_i = t0 + k_i dt, so the output phase, built once
+    per plan, is exp(-2 pi i y_j tau_i) sqrt(dt/q).
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  domain, spacing and
@@ -208,6 +237,7 @@ class StftPlan:
         if n_fft < 8:
             raise ParameterError(f"spacing {spacing} and dt {dt} give FFT frame {n_fft} < 8")
         self.n_fft = n_fft
+        self._block = max(1, _FRAME_BLOCK_BYTES // (16 * n_fft))
         s = 1.0 / (n_fft * dt)
         self.spacing = s
 
@@ -232,19 +262,29 @@ class StftPlan:
         self.t0 = t0
         self.K = K
 
+        # column i pairs with the W samples from its first one at or after
+        # x_i - T; the last band is pulled back to end inside the record
+        W = min(int(math.floor(2.0 * T / dt)) + 2, K)
         xs = self.x0 + s * np.arange(self.nx)
+        starts = np.ceil((xs - T - t0) / dt - 1e-9).astype(np.int64)
+        starts = np.clip(starts, 0, K - W)
+        self.W = W
+        self.starts = starts
         tk = t0 + dt * np.arange(K)
-        offsets = tk[None, :] - xs[:, None]
-        self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, K) each
+        offsets = tk[starts[:, None] + np.arange(W)] - xs[:, None]
+        self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, W) each
 
+        # band i starts at tau_i = t0 + k_i dt: V(x_i, y_j) is its FFT times
+        # exp(-2 pi i y_j tau_i); the gwhf plane adds exp(i pi y_j x_i)
         js = jlo + np.arange(self.ny)
         freq_rows = np.mod(js, n_fft)
-        row_phase = np.exp(-2j * math.pi * t0 * (js * s)) * math.sqrt(dt / len(windows))
+        col_rate = -2.0 * math.pi * (t0 + dt * starts)
+        if plane == "gwhf":
+            col_rate += math.pi * xs
+        phase = _outer_phase(self.y0, s, self.ny, col_rate) * math.sqrt(dt / len(windows))
         if plane == "stft":
-            self._rows, self._phase = freq_rows, row_phase[:, None]
-        else:
-            # F(z) = exp(i pi u v) V(u, v) with the rows flipped so y increases
-            phase = row_phase[:, None] * _gwhf_phase(xs, self.y0 + s * np.arange(self.ny))
+            self._rows, self._phase = freq_rows, phase
+        else:  # rows flipped so y increases in the invariant plane
             self._rows, self._phase = freq_rows[::-1], phase[::-1].copy()
 
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
@@ -253,16 +293,26 @@ class StftPlan:
         plan also takes a bare generator), each drawing K noise samples."""
         rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         if len(rngs) != len(self.windows):
-            raise ValueError(f"{len(rngs)} generators for {len(self.windows)} windows")
-        N, K = self.n_fft, self.K
-        frame = np.zeros((self.nx, N), dtype=complex)
-        for gen, factors in zip(rngs, self.window_factors):
-            noise = complex_normals(gen, K)
-            for lo in range(0, K, N):
-                hi = min(lo + N, K)
-                frame[:, :hi - lo] += noise[lo:hi] * factors[:, lo:hi]
-        spec = np.fft.fft(frame, axis=1)
-        vals = spec[:, self._rows].T * self._phase
+            raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
+        N, W = self.n_fft, self.W
+        records = [sliding_window_view(complex_normals(gen, self.K), W) for gen in rngs]
+        vals = np.empty((self.ny, self.nx), dtype=complex)
+        for lo in range(0, self.nx, self._block):
+            cols = slice(lo, lo + self._block)
+            bands = None
+            for record, factors in zip(records, self.window_factors):
+                band = record[self.starts[cols]]
+                band *= factors[cols]
+                if bands is None:
+                    bands = band
+                else:
+                    bands += band
+            # a band longer than the frame folds onto the FFT period
+            for f0 in range(N, W, N):
+                f1 = min(f0 + N, W)
+                bands[:, :f1 - f0] += bands[:, f0:f1]
+            spec = np.fft.fft(bands[:, :N], n=N, axis=1)
+            np.multiply(spec[:, self._rows].T, self._phase[:, cols], out=vals[:, cols])
         meta = {
             "interior": self.requested,
             "window": self.windows[0].label,
@@ -309,12 +359,6 @@ def _gwhf_box(box: tuple[float, float, float, float], inverse: bool = False
     return (_SQRT_PI * x0, _SQRT_PI * x1, -_SQRT_PI * y1, -_SQRT_PI * y0)
 
 
-def _gwhf_phase(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """exp(i pi u v) on the stft-plane lattice (rows vs, columns us), the
-    phase of F(z) = exp(-i x y) V(conj(z)/sqrt(pi)) before the row flip."""
-    return np.exp(1j * math.pi * vs[:, None] * us[None, :])
-
-
 def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
     """Re-index a spectrogram-plane grid to the invariant plane.
 
@@ -326,7 +370,7 @@ def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
         raise PlaneError("grid is not in the stft plane (double application?)")
     us = grid.xs
     vs = grid.ys
-    vals = (_gwhf_phase(us, vs) * grid.values)[::-1, :]
+    vals = (np.exp(1j * math.pi * vs[:, None] * us[None, :]) * grid.values)[::-1, :]
     origin = complex(_SQRT_PI * us[0], -_SQRT_PI * vs[-1])
     meta = dict(grid.meta, interior=_gwhf_box(grid.interior), mapped_from="stft")
     return FieldGrid(values=vals, origin=origin,
@@ -459,9 +503,9 @@ class FieldSource:
     domain, spacing, margin and the theory values (kernel, None with a note
     for a window without one; density(convention); charge_density) refer to
     the output plane.  A window or polyentire source holds one StftPlan over
-    all its windows (one FFT per realization), built on the stft-plane
-    preimage of a gwhf-plane domain and mapping its grids over itself; a
-    series source holds one SeriesPlan.
+    all its windows (their bands summed before the FFT), built on the
+    stft-plane preimage of a gwhf-plane domain and mapping its grids over
+    itself; a series source holds one SeriesPlan.
     """
 
     def __init__(self, spec: dict, domain: tuple[float, float, float, float],

@@ -318,31 +318,6 @@ def _close_pairs(pos: np.ndarray, lim: float) -> np.ndarray:
     return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < lim]
 
 
-def _subdivided(grid: FieldGrid, i: int, j: int, factor: int = 4):
-    """Bicubic 4x subdivision of cell (i, j): (positions, ccw windings) of
-    its zero candidates, or None when they are not resolved."""
-    if not _full_stencil(grid, i, j):
-        return None
-    s = np.linspace(0.0, 1.0, factor + 1)
-    surf = _stencils(grid, np.array([i]), np.array([j]))[0]
-    sub = _cubic(_cubic(surf, s[:, None]), s[:, None])  # sub[y, x]
-    # demodulated field: plain counterclockwise increments suffice, and the
-    # subcell loop defect is far below the rounding threshold
-    a, b, c, d = sub[:-1, :-1], sub[:-1, 1:], sub[1:, 1:], sub[1:, :-1]
-    tot = (np.angle(b * np.conj(a)) + np.angle(c * np.conj(b))
-           + np.angle(d * np.conj(c)) + np.angle(a * np.conj(d)))
-    w = np.rint(tot / _TWO_PI).astype(int)
-    if np.any(np.abs(w) >= 2):
-        return None
-    jj, ii = np.nonzero(w)
-    pos = _plane_points(grid, i, j, (ii + 0.5) / factor, (jj + 0.5) / factor)
-    # zeros landing in touching subcells are not genuinely resolved (a true
-    # multiple zero aliases the subcell phases into neighboring windings)
-    if len(_close_pairs(pos, 2.0 * grid.spacing / factor)):
-        return None
-    return pos, w[jj, ii]
-
-
 def _dedup(grid: FieldGrid, raw: np.ndarray, pos: np.ndarray, wind: np.ndarray) -> np.ndarray:
     """Keep-mask over candidates that merges those closer than 0.35 spacing
     (knife-edge zeros claimed by both adjacent cells): the net raw winding
@@ -382,9 +357,11 @@ def detect_zeros(grid: FieldGrid, refine: bool = True,
     """All charged zeros of the grid, attributed by refined position.
 
     Each plaquette's gauged phase circulation is summed along the
-    plane-oriented loop; one unit of winding flags one zero.  Cells with
-    |winding| >= 2 get one local 4x bicubic refinement pass; if still
-    unresolved a ResolutionError asks for a finer grid.  Zeros claimed by
+    plane-oriented loop; one unit of winding flags one zero.  A cell with
+    |winding| >= 2 raises a ResolutionError asking for a finer grid (a
+    principal-branch four-edge loop reaches it only when every edge
+    increment is within about spacing^2 of +-pi; coincident zeros are
+    caught by the ring check of the merge instead).  Zeros claimed by
     two adjacent cells (knife-edge positions) are merged by a ring
     adjudication.  With interior_only, zeros are kept when their refined
     position lies in the margin-excluded region (position-based, so seams
@@ -407,25 +384,18 @@ def detect_zeros(grid: FieldGrid, refine: bool = True,
         flagged = raw * (keep_j[:, None] & keep_i[None, :])
     j, i = np.nonzero(flagged)
     w = flagged[j, i]
-    one = np.abs(w) == 1
+    multiple = np.flatnonzero(np.abs(w) >= 2)
+    if multiple.size:
+        k = multiple[0]
+        raise ResolutionError(
+            f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
+            f"winding {w[k]}; halve the grid spacing")
     if refine:
-        pos, ok = _refine(grid, i[one], j[one])
+        pos, ok = _refine(grid, i, j)
     else:
-        pos = _plane_points(grid, i[one], j[one], 0.5, 0.5)
+        pos = _plane_points(grid, i, j, 0.5, 0.5)
         ok = np.zeros(len(pos), dtype=bool)
-    # candidates in cell order; a subdivided cell's candidates in subcell order
-    parts = [(np.flatnonzero(one), pos, ok, orient * w[one])]
-    for k in np.flatnonzero(~one):
-        split = _subdivided(grid, i[k], j[k])
-        if split is None:
-            raise ResolutionError(
-                f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
-                f"winding {w[k]} even after local refinement; halve the grid spacing")
-        n = len(split[0])
-        parts.append((np.full(n, k), split[0], np.zeros(n, dtype=bool), orient * split[1]))
-    cell, pos, ok, wind = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(cell, kind="stable")
-    pos, ok, wind = pos[order], ok[order], wind[order]
+    wind = orient * w
     keep = _dedup(grid, raw, pos, wind)
     pos, ok, wind = pos[keep], ok[keep], wind[keep]
     # zeros with a partner closer than three quarters of a cell are below

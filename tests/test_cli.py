@@ -206,11 +206,15 @@ def test_verify_exit_code_gates(capsys):
     (["simulate", "--simulator", "polyentire:2:pure", "--spacing", "3"], "spacing 3 gives"),
     (["simulate", "--simulator", "series", "--spacing", "-1"], "spacing -1.0"),
     (["verify", "intensity", "--window", "hermite:1", "-n", "1"], "n_realizations = 1"),
+    (["simulate", "--window", "hermite:1", "--seed", "-1"], "seed -1"),
+    (["verify", "intensity", "--window", "hermite:1", "-n", "2", "--seed", "-1"], "seed -1"),
+    (["verify", "invariance", "--window", "hermite:1", "-n", "2", "--seed", "-1"], "seed -1"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
         "zero-dt", "grid-below-16x16", "gwhf-grid-below-16x16", "series-negative-spacing",
-        "one-realization"])
+        "one-realization", "simulate-negative-seed", "verify-negative-seed",
+        "invariance-negative-seed"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

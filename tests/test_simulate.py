@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gwhf import simulate as S
-from gwhf.errors import AliasBandError, ContainerError, PlaneError
+from gwhf.errors import AliasBandError, ContainerError, ParameterError, PlaneError
 from gwhf.quadrature import adaptive_quad
+from gwhf.windows import window_from_spec
 
 PI = math.pi
 
@@ -161,7 +162,26 @@ def test_single_window_grid_equals_reference_fold(hermites):
     for r in range(3):
         noise = S.complex_normals(S.stream(31, r), plan.K)
         ref = _reference_component(plan, hermites[1], noise)
-        assert np.array_equal(plan.realize(S.stream(31, r)).values, ref)
+        got = plan.realize(S.stream(31, r)).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("label, spacing", [
+    ("hermite:1", 0.25),     # frame shorter than the band: the band folds
+    ("hermite:12", 1 / 16),  # the widest Hermite window
+    ("gaussian:1.0;0.0;0.25;0.0;0.3", 1 / 16),  # the chirped criterion-8 window
+])
+def test_banded_plan_matches_untruncated_fold(label, spacing):
+    g = window_from_spec(label)
+    plan = S.StftPlan(g, (0, 4, 0, 4), spacing, 1 / 64)
+    assert plan.W == math.floor(2 * g.support_radius * 64) + 2 and plan.W < plan.K
+    if spacing == 0.25:
+        assert plan.n_fft == 256 < plan.W
+    for r in range(2):
+        noise = S.complex_normals(S.stream(34, r), plan.K)
+        ref = _reference_component(plan, g, noise)
+        got = plan.realize(S.stream(34, r)).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_multi_window_plan_matches_per_component_sum(hermites):
@@ -177,6 +197,14 @@ def test_multi_window_plan_matches_per_component_sum(hermites):
         assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     with pytest.raises(ValueError):
         plan.realize(S.stream(32, 0))  # one generator for three windows
+
+
+def test_realize_and_stream_reject_bad_inputs_with_parameter_error(hermites):
+    plan = S.StftPlan([hermites[0], hermites[1]], (0, 2, 0, 2), 1 / 16, 1 / 64)
+    with pytest.raises(ParameterError, match="3 generators for 2 windows"):
+        plan.realize([S.stream(35, 0, k) for k in range(3)])
+    with pytest.raises(ParameterError, match="seed -1"):
+        S.stream(-1)
 
 
 def test_gwhf_plane_plan_matches_mapped_grid(hermites):

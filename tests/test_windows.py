@@ -219,6 +219,41 @@ def test_window_from_samples_matches_analytic(hermites):
     assert W.rho1_stft(g) == pytest.approx(5.0 / 3.0, abs=1e-7)
 
 
+def _seeded_mixture(n, seed):
+    rng = np.random.default_rng(seed)
+    return W.hermite_mixture(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _sampled(fn, n=640):
+    dt = 1.0 / 64.0
+    t = (np.arange(n) - (n - 1) / 2.0) * dt
+    return W.window_from_samples(fn(t), dt)
+
+
+_CONTRACT_WINDOWS = {
+    **{f"hermite:{r}": (lambda r=r: W.hermite(r)) for r in range(W.HERMITE_MAX_ORDER + 1)},
+    "mixture-2": lambda: _seeded_mixture(2, 11),
+    "mixture-5": lambda: _seeded_mixture(5, 12),
+    "mixture-13": lambda: _seeded_mixture(13, 13),
+    "gaussian-criterion-8": lambda: W.generalized_gaussian(1.0, 0.0, 0.25, 0.0, 0.3),
+    "gaussian-narrow-shifted": lambda: W.generalized_gaussian(0.5, 0.3, -1.5, 0.7, 1.2),
+    "gaussian-wide-shifted": lambda: W.generalized_gaussian(2.5, 0.0, 2.0, -0.4),
+    "modulated-hermite": lambda: W.modulate(W.hermite(2), 1.25, 0.5, 0.3),
+    "modulated-mixture": lambda: W.modulate(W.hermite_mixture([1.0, 0.5j, 0.3]), -2.0, 0.0, 0.8),
+    "samples-hermite": lambda: _sampled(W.hermite(1).rule),
+    "samples-chirped": lambda: _sampled(
+        lambda t: np.exp(-PI * (t - 0.5) ** 2 + 2j * PI * 0.3 * t * t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_WINDOWS))
+def test_window_negligible_beyond_support_radius(name):
+    # the banded STFT plan drops every product beyond the support radius
+    g = _CONTRACT_WINDOWS[name]()
+    s = g.support_radius + np.linspace(0.0, 20.0, 20001)
+    assert max(np.max(np.abs(g.rule(s))), np.max(np.abs(g.rule(-s)))) < 1e-12
+
+
 def test_window_from_samples_rejects_coarse_grid():
     dt = 1.0 / 32.0
     t = np.arange(-6.0, 6.0, dt)
