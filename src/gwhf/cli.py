@@ -253,7 +253,10 @@ def _cmd_verify(args) -> int:
         _write_report(report, args.out, args.suite)
         return 0 if report.passes else 1
     if args.suite == "charge-variance":
-        radii = [float(v) for v in args.radii.split(",")]
+        try:
+            radii = [float(v) for v in args.radii.split(",")]
+        except ValueError:
+            raise ParameterError(f"radii {args.radii!r} must be comma-separated numbers") from None
         report = estimate_charge_variance(_mc_config(args, radii))
         _write_report(report, args.out, "charge_variance")
         per_r = {it.label: it for it in report.items if it.label.startswith("R=")}
@@ -318,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spacing", type=float, default=spacing)
         p.add_argument("--dt", type=float, default=dt,
                        help="noise sample spacing for windowed transforms")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0: GWHF_THREADS or 1); results "
-                            "do not depend on this")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1); results do not depend on this")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("intensity",

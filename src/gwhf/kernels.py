@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (DegeneratePairError, GwhfError, InvalidKernelError,
-                     SingularKernelError)
+                     ParameterError, SingularKernelError)
 from .quadrature import adaptive_quad, half_line_quad
 
 __all__ = [
@@ -58,7 +58,8 @@ DEFAULT_CONVENTION = "regression"
 
 def _check_convention(convention: str) -> int:
     if convention not in OMEGA_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}, expected one of {OMEGA_CONVENTIONS}")
+        raise ParameterError(f"unknown convention {convention!r}, "
+                             f"expected one of {OMEGA_CONVENTIONS}")
     return +1 if convention == "regression" else -1
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,24 +19,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, GwhfError, InvalidKernelError, ParameterError
-from .kernels import DEFAULT_CONVENTION, variance_asymptote
+from .kernels import DEFAULT_CONVENTION, _check_convention, variance_asymptote
 from .simulate import FieldSource, stream
 from .windows import Window, window_from_spec
 from .zeros import ChargedZero, detect_zeros, disk_stats
 
 __all__ = ["McConfig", "McItem", "McReport",
            "estimate_intensity", "estimate_charge_intensity",
-           "estimate_charge_variance", "default_threads"]
-
-
-def default_threads() -> int:
-    env = os.environ.get("GWHF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+           "estimate_charge_variance"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +46,7 @@ class McConfig:
     dt: float | None = None
     radii: tuple[float, ...] = ()
     margin: float | None = None
-    threads: int = 0
+    threads: int = 1
     convention: str = DEFAULT_CONVENTION
 
     def __post_init__(self):
@@ -66,6 +55,11 @@ class McConfig:
                                  "need at least 2 realizations")
         if self.radii and list(self.radii) != sorted(self.radii):
             raise ParameterError(f"radii {list(self.radii)} must be sorted ascending")
+        if not all(r > 0 for r in self.radii):
+            raise ParameterError(f"radii {list(self.radii)} must be positive")
+        if self.threads < 1:
+            raise ParameterError(f"threads = {self.threads}: need at least 1 worker thread")
+        _check_convention(self.convention)
         win = self.source.get("window")
         if win is not None and not isinstance(win, Window):
             object.__setattr__(self, "source", dict(self.source, window=window_from_spec(win)))
@@ -162,7 +156,7 @@ class _PoissonControl:
         xy = rng.uniform(size=(int(n), 2))
         signs = np.where(rng.uniform(size=int(n)) < 0.5, 1, -1)
         return [ChargedZero(position=complex(x0 + (x1 - x0) * a, y0 + (y1 - y0) * b),
-                            charge=int(s), winding=int(s), refined=True,
+                            charge=int(s), refined=True,
                             jacobian_sign=int(s))
                 for (a, b), s in zip(xy, signs)]
 
@@ -193,8 +187,7 @@ def _map_realizations(cfg: McConfig, source: FieldSource | _PoissonControl, stat
     realizations, fewer when that would leave a thread without a block.  A
     GwhfError is re-raised as its own class, naming the seed and realization."""
     n = cfg.n_realizations
-    threads = cfg.threads if cfg.threads > 0 else default_threads()
-    size = min(_BLOCK, -(-n // threads))
+    size = min(_BLOCK, -(-n // cfg.threads))
 
     def block(lo: int) -> list:
         rs, out = range(lo, min(lo + size, n)), []
@@ -206,10 +199,10 @@ def _map_realizations(cfg: McConfig, source: FieldSource | _PoissonControl, stat
         return out
 
     starts = range(0, n, size)
-    if threads <= 1:
+    if cfg.threads == 1:
         blocks = [block(lo) for lo in starts]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             blocks = list(pool.map(block, starts))
     return [v for b in blocks for v in b]
 

@@ -1,8 +1,8 @@
 """Field realizations on rectangular grids.
 
 FieldSource turns a source spec into plans, an output plane, an interior
-and theory values; the CLI, the Monte Carlo harness and the one-shot
-stft_field, gef_series_field and polyentire_field all realize through it.
+and theory values; it is the one way to realize a field, for the CLI, the
+Monte Carlo harness and one-shot callers alike.
 Two independent simulators: StftPlan pairs discretized complex white noise
 with translated/modulated copies of any window, columnwise by FFT over the
 noise record; SeriesPlan sums a truncated random entire series with
@@ -39,8 +39,8 @@ from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
     "FieldGrid", "stream", "complex_normals",
-    "StftPlan", "SeriesPlan", "FieldSource", "stft_field", "to_gwhf_plane",
-    "gef_series_field", "polyentire_field", "series_terms_required",
+    "StftPlan", "SeriesPlan", "FieldSource", "to_gwhf_plane",
+    "series_terms_required",
     "save_grid", "load_grid", "grid_to_csv",
 ]
 
@@ -332,20 +332,6 @@ class StftPlan:
                          margin=_SQRT_PI * self.margin, meta=meta)
 
 
-def stft_field(g: Window, domain: tuple[float, float, float, float],
-               spacing: float, dt: float, seed: int,
-               margin: float | None = None) -> FieldGrid:
-    """One realization of the windowed transform of complex white noise.
-
-    V(x, y) ~= sum_k xi_k conj(g(t_k - x)) exp(-2 pi i t_k y) sqrt(dt),
-    evaluated columnwise on the FFT's native frequency grid (the requested
-    spacing is rounded down to that of a 7-smooth FFT frame and recorded in
-    the metadata).  Deterministic given (seed, domain, spacing, dt).
-    """
-    return FieldSource({"family": "window", "window": g}, domain, spacing, dt,
-                       margin).realize(seed)
-
-
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -462,32 +448,6 @@ class SeriesPlan:
         return self.realize_batch([rng], seed_label)[0]
 
 
-def gef_series_field(domain: tuple[float, float, float, float], spacing: float,
-                     n_terms: int | None = None, seed: int = 0,
-                     margin: float | None = None) -> FieldGrid:
-    """Gaussian entire function by truncated series, with the flat weight applied.
-
-    F(z) = exp(-|z|^2/2) sum_{n<N} xi_n z^n / sqrt(n!), xi_n i.i.d. standard
-    circular Gaussians.  One realization per call; deterministic in seed.
-    """
-    return FieldSource({"family": "series-gef", "n_terms": n_terms}, domain, spacing,
-                       margin=margin).realize(seed)
-
-
-def polyentire_field(q: int, kind: str, domain: tuple[float, float, float, float],
-                     spacing: float, dt: float, seed: int,
-                     margin: float | None = None) -> FieldGrid:
-    """Order-q field in the invariant plane.
-
-    kind="pure": windowed-noise field with window h_{q-1}, mapped over.
-    kind="full": normalized sum of q independent pure components with
-    windows h_0..h_{q-1}; component k of the realization draws from the
-    stream (seed, 0, k), so components are independent and reproducible.
-    """
-    return FieldSource({"family": "polyentire", "q": q, "kind": kind}, domain, spacing,
-                       dt, margin).realize(seed)
-
-
 # ---------------------------------------------------------------------------
 # Field sources: spec -> plans, plane, interior and theory values
 # ---------------------------------------------------------------------------
@@ -499,6 +459,7 @@ class FieldSource:
       {"family": "window", "window": <Window | window spec>, "plane": "stft"|"gwhf"}
       {"family": "series-gef", "n_terms": int | None}
       {"family": "polyentire", "q": 1..8, "kind": "pure"|"full"}
+        (pure: the window h_{q-1}; full: h_0..h_{q-1}, a normalized sum)
 
     domain, spacing, margin and the theory values (kernel, None with a note
     for a window without one; density(convention); charge_density) refer to

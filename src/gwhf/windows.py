@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InvalidWindowError
 from .kernels import (DEFAULT_CONVENTION, KernelJet, RadialKernel,
-                      build_from_spec, laguerre_kernel, rho1)
+                      _check_convention, build_from_spec, laguerre_kernel, rho1)
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -337,7 +337,7 @@ def uncertainty_constants(g: Window) -> UncertaintyConstants:
 
 
 def _discriminant(c: UncertaintyConstants, convention: str) -> float:
-    sgn = +1.0 if convention == "regression" else -1.0
+    sgn = _check_convention(convention)
     return ((c.c2 - c.c1 ** 2) * c.c3 - c.c2 * c.c4 ** 2 - c.c5 ** 2
             + sgn * 2.0 * c.c1 * c.c4 * c.c5)
 

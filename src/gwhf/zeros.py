@@ -19,7 +19,10 @@ and the charge is the orientation sign of F as a planar map; spectrogram
 the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
-An independent verifier recomputes the sign from the differential of the
+Every step runs once per grid on arrays: flagged cells are refined
+together by Newton on their bicubic stencils, the cells Newton rejects by
+one bilinear solve, and zeros are kept inside grid.interior.  An
+independent verifier recomputes the sign from the differential of the
 locally demodulated field at the refined position; simple zeros must agree
 (tested, not assumed).
 """
@@ -36,7 +39,7 @@ from .simulate import FieldGrid
 
 __all__ = [
     "ChargedZero", "DiskStat",
-    "detect_zeros", "refine_zero", "charge_of", "disk_stats",
+    "detect_zeros", "charge_of", "disk_stats",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -45,13 +48,21 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ChargedZero:
-    """One extracted zero with its plane-oriented winding and charge."""
+    """One extracted zero with its plane-oriented charge.
+
+    The loop orientation makes the charge the winding itself, so `winding`
+    is a read-only alias of `charge`, kept for the CSV column and for the
+    certificate jacobian_sign == winding == charge.
+    """
     position: complex
     charge: int
-    winding: int
     refined: bool
     jacobian_sign: int
     degenerate: bool = False
+
+    @property
+    def winding(self) -> int:
+        return self.charge
 
 
 @dataclass(frozen=True)
@@ -166,39 +177,40 @@ def _stencils(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.where(keep[:, None, None], raw, raw * np.exp(-1j * gauge))
 
 
-def _bilinear_cell_zero(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float]:
-    """Zero of the bilinear interpolant on the unit cell with corners
-    a=(0,0), b=(1,0), c=(1,1), d=(0,1); cell center when no root lands inside."""
+def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Zero (xi, eta) of the bilinear interpolant on each unit cell with
+    corners a=(0,0), b=(1,0), c=(1,1), d=(0,1), all cells at once.
+
+    Of the real roots xi of the quadratic (at most two, the +sqrt one first)
+    in [-0.05, 1.05] whose eta also lands there, the one of smallest residual is
+    taken (the first on ties) and clipped to the cell; the cell center
+    when there is none.  Real and imaginary parts are combined in the
+    order complex arithmetic would use, so each cell gets the bits a
+    one-cell solve would give it.
+    """
     A, B, C, D = a, b - a, d - a, a - b + c - d
     al = B.real * D.imag - B.imag * D.real
     be = A.real * D.imag + B.real * C.imag - A.imag * D.real - B.imag * C.real
     ga = A.real * C.imag - A.imag * C.real
-    roots: list[float] = []
-    if abs(al) < 1e-300:
-        if abs(be) > 1e-300:
-            roots.append(-ga / be)
-    else:
-        disc = be * be - 4.0 * al * ga
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            roots.extend([(-be + sq) / (2.0 * al), (-be - sq) / (2.0 * al)])
-    best = None
-    for xi in roots:
-        if not -0.05 <= xi <= 1.05:
-            continue
-        den = C + D * xi
-        num = A + B * xi
+    linear = np.abs(al) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq = np.sqrt(be * be - 4.0 * al * ga)  # NaN: no real root
+        xi = np.stack([(-be + sq) / (2.0 * al), (-be - sq) / (2.0 * al)])
+        xi[:, linear] = np.nan
+        one = linear & (np.abs(be) > 1e-300)
+        xi[0, one] = -ga[one] / be[one]
+        den_re, den_im = C.real + D.real * xi, C.imag + D.imag * xi
+        num_re, num_im = A.real + B.real * xi, A.imag + B.imag * xi
         # eta from whichever component is better conditioned
-        if max(abs(den.real), abs(den.imag)) < 1e-300:
-            continue
-        eta = -(num.real / den.real) if abs(den.real) >= abs(den.imag) else -(num.imag / den.imag)
-        if -0.05 <= eta <= 1.05:
-            err = abs(A + B * xi + C * eta + D * xi * eta)
-            if best is None or err < best[2]:
-                best = (xi, eta, err)
-    if best is None:
-        return 0.5, 0.5
-    return min(max(best[0], 0.0), 1.0), min(max(best[1], 0.0), 1.0)
+        eta = np.where(np.abs(den_re) >= np.abs(den_im), -(num_re / den_re), -(num_im / den_im))
+        err = np.hypot(A.real + B.real * xi + C.real * eta + D.real * xi * eta,
+                       A.imag + B.imag * xi + C.imag * eta + D.imag * xi * eta)
+    ok = ((-0.05 <= xi) & (xi <= 1.05) & (-0.05 <= eta) & (eta <= 1.05)
+          & (np.maximum(np.abs(den_re), np.abs(den_im)) >= 1e-300))
+    second = ok[1] & (~ok[0] | (err[1] < err[0]))
+    found = ok[0] | ok[1]
+    return (np.where(found, np.clip(np.where(second, xi[1], xi[0]), 0.0, 1.0), 0.5),
+            np.where(found, np.clip(np.where(second, eta[1], eta[0]), 0.0, 1.0), 0.5))
 
 
 def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,20 +254,13 @@ def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, 
     full = _full_stencil(grid, i, j)
     xi[full], eta[full] = _newton(_stencils(grid, i[full], j[full]))
     ok = ~np.isnan(xi)
-    for m in np.flatnonzero(~ok):
-        a, b = i[m], j[m]
-        corners = grid.xs[a:a + 2][None, :] + 1j * grid.ys[b:b + 2][:, None]
-        w = _demod(grid.plane, grid.values[b:b + 2, a:a + 2], corners,
-                   _plane_points(grid, a, b, 0.5, 0.5))
-        xi[m], eta[m] = _bilinear_cell_zero(w[0, 0], w[0, 1], w[1, 1], w[1, 0])
+    k = np.arange(2)
+    rows, cols = j[~ok, None, None] + k[:, None], i[~ok, None, None] + k
+    corners = grid.xs[cols] + 1j * grid.ys[rows]
+    w = _demod(grid.plane, grid.values[rows, cols], corners,
+               _plane_points(grid, i[~ok], j[~ok], 0.5, 0.5)[:, None, None])
+    xi[~ok], eta[~ok] = _bilinear_zeros(w[:, 0, 0], w[:, 0, 1], w[:, 1, 1], w[:, 1, 0])
     return _plane_points(grid, i, j, xi, eta), ok
-
-
-def refine_zero(grid: FieldGrid, cell: tuple[int, int]) -> tuple[complex, bool]:
-    """Sub-grid zero position for a flagged cell (i, j), and whether Newton
-    on the local bicubic interpolant placed it (False: bilinear fallback)."""
-    pos, ok = _refine(grid, np.array([cell[0]]), np.array([cell[1]]))
-    return complex(pos[0]), bool(ok[0])
 
 
 def _bilinear_eval(grid: FieldGrid, pts: np.ndarray) -> np.ndarray:
@@ -352,8 +357,7 @@ def _dedup(grid: FieldGrid, raw: np.ndarray, pos: np.ndarray, wind: np.ndarray) 
     return keep
 
 
-def detect_zeros(grid: FieldGrid, refine: bool = True,
-                 interior_only: bool = True) -> list[ChargedZero]:
+def detect_zeros(grid: FieldGrid, refine: bool = True) -> list[ChargedZero]:
     """All charged zeros of the grid, attributed by refined position.
 
     Each plaquette's gauged phase circulation is summed along the
@@ -363,25 +367,23 @@ def detect_zeros(grid: FieldGrid, refine: bool = True,
     increment is within about spacing^2 of +-pi; coincident zeros are
     caught by the ring check of the merge instead).  Zeros claimed by
     two adjacent cells (knife-edge positions) are merged by a ring
-    adjudication.  With interior_only, zeros are kept when their refined
-    position lies in the margin-excluded region (position-based, so seams
-    do not double count).
+    adjudication.  Zeros are kept when their refined position lies in
+    grid.interior (position-based, so seams do not double count); a grid
+    with margin 0 and no recorded interior keeps its whole extent.
     """
     orient = _plane_orientation(grid)
     raw = _plaquette_windings(grid)
-    flagged = raw
     x0, x1, y0, y1 = grid.interior
-    if interior_only:
-        # refinement never moves a candidate outside its own cell, so cells
-        # beyond a two-cell pad of the interior cannot contribute
-        h = grid.spacing
-        i_arr = np.arange(raw.shape[1])
-        j_arr = np.arange(raw.shape[0])
-        keep_i = ((grid.origin.real + (i_arr + 1) * h >= x0 - 2 * h)
-                  & (grid.origin.real + i_arr * h <= x1 + 2 * h))
-        keep_j = ((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
-                  & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
-        flagged = raw * (keep_j[:, None] & keep_i[None, :])
+    # refinement never moves a candidate outside its own cell, so cells
+    # beyond a two-cell pad of the interior cannot contribute
+    h = grid.spacing
+    i_arr = np.arange(raw.shape[1])
+    j_arr = np.arange(raw.shape[0])
+    keep_i = ((grid.origin.real + (i_arr + 1) * h >= x0 - 2 * h)
+              & (grid.origin.real + i_arr * h <= x1 + 2 * h))
+    keep_j = ((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
+              & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
+    flagged = raw * (keep_j[:, None] & keep_i[None, :])
     j, i = np.nonzero(flagged)
     w = flagged[j, i]
     multiple = np.flatnonzero(np.abs(w) >= 2)
@@ -405,12 +407,11 @@ def detect_zeros(grid: FieldGrid, refine: bool = True,
     # charge total)
     degenerate = np.zeros(len(pos), dtype=bool)
     degenerate[_close_pairs(pos, 0.75 * grid.spacing).ravel()] = True
-    if interior_only:
-        inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
-        pos, ok, wind, degenerate = pos[inside], ok[inside], wind[inside], degenerate[inside]
+    inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
+    pos, ok, wind, degenerate = pos[inside], ok[inside], wind[inside], degenerate[inside]
     sign, flat = _charges(grid, pos)
     degenerate |= flat
-    return [ChargedZero(position=complex(pos[k]), charge=int(wind[k]), winding=int(wind[k]),
+    return [ChargedZero(position=complex(pos[k]), charge=int(wind[k]),
                         refined=bool(ok[k]), jacobian_sign=int(sign[k]),
                         degenerate=bool(degenerate[k]))
             for k in np.lexsort((pos.real, pos.imag))]
@@ -462,7 +463,8 @@ def zeros_to_csv(zeros: list[ChargedZero], path: str) -> None:
 
 def zeros_from_csv(path: str) -> list[ChargedZero]:
     """Read a CSV written by zeros_to_csv.  Any other header (the older
-    five-column one included) or a malformed row raises ContainerError."""
+    five-column one included), a malformed row, or a row whose winding
+    differs from its charge raises ContainerError."""
     out: list[ChargedZero] = []
     try:
         with open(path) as fh:
@@ -473,8 +475,11 @@ def zeros_from_csv(path: str) -> list[ChargedZero]:
                 if not line.strip():
                     continue
                 xs, ys, cs, ws, rs, js, ds = line.strip().split(",")
+                if int(ws) != int(cs):
+                    raise ValueError(f"row {line.strip()!r} has winding {ws} "
+                                     f"but charge {cs}")
                 out.append(ChargedZero(position=complex(float(xs), float(ys)),
-                                       charge=int(cs), winding=int(ws),
+                                       charge=int(cs),
                                        refined=bool(int(rs)), jacobian_sign=int(js),
                                        degenerate=bool(int(ds))))
     except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError

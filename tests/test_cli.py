@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -209,12 +210,16 @@ def test_verify_exit_code_gates(capsys):
     (["simulate", "--window", "hermite:1", "--seed", "-1"], "seed -1"),
     (["verify", "intensity", "--window", "hermite:1", "-n", "2", "--seed", "-1"], "seed -1"),
     (["verify", "invariance", "--window", "hermite:1", "-n", "2", "--seed", "-1"], "seed -1"),
+    (["verify", "charge-variance", "--kernel", "gef-series", "--radii", "1,x", "-n", "2"],
+     "'1,x'"),
+    (["verify", "charge-variance", "--kernel", "poisson", "--radii", "0,1", "-n", "2"],
+     "radii [0.0, 1.0]"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
         "zero-dt", "grid-below-16x16", "gwhf-grid-below-16x16", "series-negative-spacing",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
-        "invariance-negative-seed"])
+        "invariance-negative-seed", "radii-not-numbers", "radius-zero"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]
@@ -240,6 +245,14 @@ def test_zeros_refuses_damaged_grid(tmp_path, capsys):
                                "--out", str(tmp_path / "z.csv"))
         assert code == 2
         assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("name", ["kernels", "windows", "simulate", "zeros", "mc",
+                                  "quadrature"])
+def test_public_names_exist(name):
+    module = importlib.import_module(f"gwhf.{name}")
+    assert module.__all__
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_help_smoke(capsys):

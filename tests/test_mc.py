@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gwhf import mc
-from gwhf.errors import DomainError, ResolutionError
+from gwhf.errors import DomainError, ParameterError, ResolutionError
 from gwhf.simulate import FieldSource
 
 PI = math.pi
@@ -138,6 +138,10 @@ def test_config_validation():
         _cfg(n_realizations=1)
     with pytest.raises(ValueError):
         _cfg(radii=(3.0, 1.0))
+    with pytest.raises(ParameterError, match="regresion"):
+        _cfg(convention="regresion")
+    with pytest.raises(ParameterError, match="threads = 0"):
+        _cfg(threads=0)
     with pytest.raises(ValueError):
         mc.estimate_charge_variance(_cfg())  # no radii
     with pytest.raises(DomainError):

@@ -30,15 +30,19 @@ def test_complex_normals_moments():
 
 
 def test_stft_field_deterministic(hermites):
-    g1 = S.stft_field(hermites[1], (0, 4, 0, 4), 1 / 16, 1 / 64, seed=9)
-    g2 = S.stft_field(hermites[1], (0, 4, 0, 4), 1 / 16, 1 / 64, seed=9)
+    g1 = S.FieldSource({"family": "window", "window": hermites[1]},
+                       (0, 4, 0, 4), 1 / 16, 1 / 64).realize(9)
+    g2 = S.FieldSource({"family": "window", "window": hermites[1]},
+                       (0, 4, 0, 4), 1 / 16, 1 / 64).realize(9)
     assert np.array_equal(g1.values, g2.values)
-    g3 = S.stft_field(hermites[1], (0, 4, 0, 4), 1 / 16, 1 / 64, seed=10)
+    g3 = S.FieldSource({"family": "window", "window": hermites[1]},
+                       (0, 4, 0, 4), 1 / 16, 1 / 64).realize(10)
     assert not np.array_equal(g1.values, g3.values)
 
 
 def test_stft_field_metadata(hermites):
-    g = S.stft_field(hermites[0], (0, 4, 0, 4), 1 / 16, 1 / 64, seed=1)
+    g = S.FieldSource({"family": "window", "window": hermites[0]},
+                      (0, 4, 0, 4), 1 / 16, 1 / 64).realize(1)
     assert g.plane == "stft"
     assert g.spacing == pytest.approx(1 / 16, abs=1e-12)
     assert g.meta["interior"] == (0, 4, 0, 4)
@@ -116,14 +120,17 @@ def test_stft_interior_row_stationarity(hermites):
 
 def test_alias_band_rejected(hermites):
     with pytest.raises(AliasBandError):
-        S.stft_field(hermites[0], (0, 4, 28, 31), 1 / 16, 1 / 64, seed=1)
+        S.FieldSource({"family": "window", "window": hermites[0]},
+                      (0, 4, 28, 31), 1 / 16, 1 / 64).realize(1)
     with pytest.raises(AliasBandError):
         # dt far too coarse for the window's frequency extent
-        S.stft_field(hermites[0], (0, 4, 0, 4), 1 / 16, 1 / 2, seed=1)
+        S.FieldSource({"family": "window", "window": hermites[0]},
+                      (0, 4, 0, 4), 1 / 16, 1 / 2).realize(1)
 
 
 def test_to_gwhf_plane_geometry(hermites):
-    g = S.stft_field(hermites[1], (0, 4, 0, 4), 1 / 16, 1 / 64, seed=3)
+    g = S.FieldSource({"family": "window", "window": hermites[1]},
+                      (0, 4, 0, 4), 1 / 16, 1 / 64).realize(3)
     f = S.to_gwhf_plane(g)
     assert f.plane == "gwhf"
     assert np.allclose(np.abs(f.values), np.abs(g.values[::-1, :]))
@@ -255,14 +262,14 @@ def test_polyentire_frame_and_spacing():
 
 
 def test_series_field_deterministic_and_rule():
-    g1 = S.gef_series_field((-3, 3, -3, 3), 0.1, seed=4)
-    g2 = S.gef_series_field((-3, 3, -3, 3), 0.1, seed=4)
+    g1 = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(4)
+    g2 = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(4)
     assert np.array_equal(g1.values, g2.values)
     assert g1.plane == "gwhf"
     r_max = max(abs(complex(x, y)) for x in g1.xs[[0, -1]] for y in g1.ys[[0, -1]])
     assert g1.meta["n_terms"] >= S.series_terms_required(r_max)
     with pytest.raises(ValueError):
-        S.gef_series_field((-3, 3, -3, 3), 0.1, n_terms=20, seed=4)
+        S.FieldSource({"family": "series-gef", "n_terms": 20}, (-3, 3, -3, 3), 0.1).realize(4)
 
 
 def test_series_empirical_covariance():
@@ -329,24 +336,30 @@ def test_series_matches_per_term_sum():
 
 def test_polyentire_pure_q1_matches_gef_stats(hermites):
     # same machinery as the h0 window: twisted kernel exp(-|z|^2/2)
-    f = S.polyentire_field(1, "pure", (-3, 3, -3, 3), 0.1, 1 / 64, seed=6)
+    f = S.FieldSource({"family": "polyentire", "q": 1, "kind": "pure"},
+                      (-3, 3, -3, 3), 0.1, 1 / 64).realize(6)
     assert f.plane == "gwhf"
     assert np.mean(np.abs(f.values) ** 2) == pytest.approx(1.0, abs=0.15)
     with pytest.raises(ValueError):
-        S.polyentire_field(9, "pure", (-3, 3, -3, 3), 0.1, 1 / 64, seed=6)
+        S.FieldSource({"family": "polyentire", "q": 9, "kind": "pure"},
+                      (-3, 3, -3, 3), 0.1, 1 / 64).realize(6)
     with pytest.raises(ValueError):
-        S.polyentire_field(2, "mixed", (-3, 3, -3, 3), 0.1, 1 / 64, seed=6)
+        S.FieldSource({"family": "polyentire", "q": 2, "kind": "mixed"},
+                      (-3, 3, -3, 3), 0.1, 1 / 64).realize(6)
 
 
 def test_polyentire_full_uses_independent_components():
-    pure = S.polyentire_field(2, "pure", (-2, 2, -2, 2), 0.1, 1 / 64, seed=8)
-    full = S.polyentire_field(2, "full", (-2, 2, -2, 2), 0.1, 1 / 64, seed=8)
+    pure = S.FieldSource({"family": "polyentire", "q": 2, "kind": "pure"},
+                         (-2, 2, -2, 2), 0.1, 1 / 64).realize(8)
+    full = S.FieldSource({"family": "polyentire", "q": 2, "kind": "full"},
+                         (-2, 2, -2, 2), 0.1, 1 / 64).realize(8)
     assert pure.values.shape == full.values.shape
     assert not np.allclose(pure.values, full.values)
 
 
 def test_grid_container_roundtrip(tmp_path, hermites):
-    g = S.stft_field(hermites[0], (0, 2, 0, 2), 1 / 16, 1 / 64, seed=12)
+    g = S.FieldSource({"family": "window", "window": hermites[0]},
+                      (0, 2, 0, 2), 1 / 16, 1 / 64).realize(12)
     path = tmp_path / "field.gwhf"
     S.save_grid(g, str(path))
     back = S.load_grid(str(path))
@@ -359,7 +372,8 @@ def test_grid_container_roundtrip(tmp_path, hermites):
 
 
 def test_grid_csv_export(tmp_path, hermites):
-    g = S.stft_field(hermites[0], (0, 1, 0, 1), 1 / 16, 1 / 64, seed=12)
+    g = S.FieldSource({"family": "window", "window": hermites[0]},
+                      (0, 1, 0, 1), 1 / 16, 1 / 64).realize(12)
     path = tmp_path / "grid.csv"
     S.grid_to_csv(g, str(path))
     lines = path.read_text().splitlines()

@@ -5,7 +5,7 @@ import pytest
 
 from gwhf import kernels as K
 from gwhf import windows as W
-from gwhf.errors import InvalidWindowError
+from gwhf.errors import InvalidWindowError, ParameterError
 from gwhf.quadrature import adaptive_quad
 
 PI = math.pi
@@ -148,6 +148,9 @@ def test_alternate_convention_differs_for_chirped_shifted_window():
     alt = W.rho1_stft_from_constants(c, "alternate")
     assert reg == pytest.approx(1.0, abs=1e-9)
     assert abs(alt - reg) > 1e-2
+    # a misspelled convention is refused, not read as "alternate"
+    with pytest.raises(ParameterError, match="regresion"):
+        W.rho1_stft_from_constants(c, "regresion")
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_multiple_separated_roots_with_charges():
 # ---------------------------------------------------------------------------
 
 def test_refined_positions_stay_near_cells(hermites):
-    grid = S.gef_series_field((-3, 3, -3, 3), 0.1, seed=2)
+    grid = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(2)
     zs = Z.detect_zeros(grid)
     assert zs, "expected zeros on this domain"
     for z in zs:
@@ -94,12 +94,12 @@ def test_refined_positions_stay_near_cells(hermites):
 
 
 def test_gef_series_all_positive_charges():
-    zs = Z.detect_zeros(S.gef_series_field((-4, 4, -4, 4), 0.05, seed=3))
+    zs = Z.detect_zeros(S.FieldSource({"family": "series-gef"}, (-4, 4, -4, 4), 0.05).realize(3))
     assert zs and all(z.charge == 1 for z in zs if not z.degenerate)
 
 
 def test_weight_transform_preserves_charges():
-    grid = S.gef_series_field((-4, 4, -4, 4), 0.05, seed=13)
+    grid = S.FieldSource({"family": "series-gef"}, (-4, 4, -4, 4), 0.05).realize(13)
     zz = grid.xs[None, :] + 1j * grid.ys[:, None]
     unweighted = S.FieldGrid(values=grid.values * np.exp(0.5 * np.abs(zz) ** 2),
                              origin=grid.origin, spacing=grid.spacing,
@@ -118,7 +118,8 @@ def test_weight_transform_preserves_charges():
 
 
 def test_plane_equivariance(hermites):
-    stft = S.stft_field(hermites[1], (0, 6, 0, 6), 1 / 16, 1 / 64, seed=17)
+    stft = S.FieldSource({"family": "window", "window": hermites[1]},
+                         (0, 6, 0, 6), 1 / 16, 1 / 64).realize(17)
     gwhf = S.to_gwhf_plane(stft)
     za = Z.detect_zeros(stft)
     zb = Z.detect_zeros(gwhf)
@@ -142,7 +143,8 @@ def test_winding_jacobian_agreement_on_realizations(hermites):
 
 def test_detection_regression_fixture(hermites):
     # frozen after the first run with the documented default seed
-    grid = S.stft_field(hermites[1], (0, 8, 0, 8), 1 / 16, 1 / 64, seed=0xC0FFEE)
+    grid = S.FieldSource({"family": "window", "window": hermites[1]},
+                         (0, 8, 0, 8), 1 / 16, 1 / 64).realize(0xC0FFEE)
     zs = [z for z in Z.detect_zeros(grid) if not z.degenerate]
     assert len(zs) == 109
     assert sum(z.charge for z in zs) == 67
@@ -153,26 +155,109 @@ def test_detection_regression_fixture(hermites):
 def test_edge_zero_without_refinement_or_interior_cut():
     # one zero well inside and one in the last cell column, where the 4x4
     # stencil is incomplete: refinement takes the bilinear zero and the
-    # charge comes from central differences
+    # charge comes from central differences.  The margin cuts the edge zero;
+    # a margin-0 copy of the same samples keeps the whole extent.
     inner, edge = -0.31 + 0.22j, 0.99 - 0.4j
     grid = dataclasses.replace(
         synthetic_grid(lambda z: (z - inner) * np.conj(z - edge)), margin=0.1)
-    assert grid.interior[1] < edge.real
+    whole = dataclasses.replace(grid, margin=0.0)
+    assert grid.interior[1] < edge.real < whole.interior[1]
     assert (edge.real - grid.origin.real) // grid.spacing == grid.nx - 2
     assert Z.charge_of(grid, edge) == (-1, False)
     (z_in,) = Z.detect_zeros(grid)
     assert abs(z_in.position - inner) < 1e-9 and z_in.refined
-    z_edge, z_in2 = Z.detect_zeros(grid, interior_only=False)
+    z_edge, z_in2 = Z.detect_zeros(whole)
     assert z_in2 == z_in
     assert abs(z_edge.position - edge) < 1e-3 and not z_edge.refined
     assert z_edge.charge == z_edge.jacobian_sign == -1 and not z_edge.degenerate
     # without refinement every zero sits at its cell center
-    centers = Z.detect_zeros(grid, refine=False, interior_only=False)
+    centers = Z.detect_zeros(whole, refine=False)
     for z, root, charge in zip(centers, (edge, inner), (-1, 1)):
         offset = (z.position - grid.origin) / grid.spacing
         assert abs(offset.real % 1 - 0.5) < 1e-9 and abs(offset.imag % 1 - 0.5) < 1e-9
         assert abs(z.position - root) < grid.spacing
         assert z.charge == z.jacobian_sign == charge and not z.refined
+
+
+def _bilinear_cell_zero(a, b, c, d):
+    """One cell at a time, as the detector solved its bilinear fallback
+    before the solve was batched: the reference for Z._bilinear_zeros."""
+    A, B, C, D = a, b - a, d - a, a - b + c - d
+    al = B.real * D.imag - B.imag * D.real
+    be = A.real * D.imag + B.real * C.imag - A.imag * D.real - B.imag * C.real
+    ga = A.real * C.imag - A.imag * C.real
+    roots = []
+    if abs(al) < 1e-300:
+        if abs(be) > 1e-300:
+            roots.append(-ga / be)
+    else:
+        disc = be * be - 4.0 * al * ga
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            roots.extend([(-be + sq) / (2.0 * al), (-be - sq) / (2.0 * al)])
+    best = None
+    for xi in roots:
+        if not -0.05 <= xi <= 1.05:
+            continue
+        den = C + D * xi
+        num = A + B * xi
+        if max(abs(den.real), abs(den.imag)) < 1e-300:
+            continue
+        eta = -(num.real / den.real) if abs(den.real) >= abs(den.imag) else -(num.imag / den.imag)
+        if -0.05 <= eta <= 1.05:
+            err = abs(A + B * xi + C * eta + D * xi * eta)
+            if best is None or err < best[2]:
+                best = (xi, eta, err)
+    if best is None:
+        return 0.5, 0.5
+    return min(max(best[0], 0.0), 1.0), min(max(best[1], 0.0), 1.0)
+
+
+def _corner_sets():
+    """Seeded (a, b, c, d) corner arrays at (0,0), (1,0), (1,1), (0,1)."""
+    rng = np.random.default_rng(2024)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b, c, d = cn(4, 4000)
+    # parallelogram: dyadic corners, so a - b + c - d is exactly 0 (al = 0)
+    pa, pb, pc = np.round(64 * cn(3, 1000)) / 64
+    # a zero corner, at (0,0) and at (1,1)
+    za, zb, zc, zd = cn(4, 1000)
+    za[:500], zc[500:] = 0, 0
+    # no real root: f = (xi + i) + (1 - i xi) eta never vanishes, turned by w
+    w = cn(1000)
+    # an affine field whose root sits on an edge of the [-0.05, 1.05] band
+    # or within 1e-9 of it
+    edge = np.array([-0.05, 1.05])[rng.integers(0, 2, (2, 1000))]
+    x0, y0 = edge + 1e-9 * rng.choice([-1.0, 0.0, 1.0], (2, 1000))
+    return {
+        "random": (a, b, c, d),
+        "parallelogram": (pa, pb, pc, pa - pb + pc),
+        "zero-corner": (za, zb, zc, zd),
+        "no-real-root": (1j * w, (1 + 1j) * w, 2 * w, (1 + 1j) * w),
+        "just-outside": (-x0 - 1j * y0, 1 - x0 - 1j * y0, 1 - x0 + 1j * (1 - y0),
+                         -x0 + 1j * (1 - y0)),
+        # coefficients below the 1e-300 cut-offs, though their quadratic is not 0
+        "tiny": (1e-151 * a[:1000], 1e-151 * b[:1000], 1e-151 * c[:1000], 1e-151 * d[:1000]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "parallelogram", "zero-corner",
+                                  "no-real-root", "just-outside", "tiny"])
+def test_batched_bilinear_matches_scalar(kind):
+    a, b, c, d = _corner_sets()[kind]
+    ref = np.array([_bilinear_cell_zero(*corners) for corners in zip(a, b, c, d)])
+    xi, eta = Z._bilinear_zeros(a, b, c, d)
+    assert np.array_equal(xi, ref[:, 0]) and np.array_equal(eta, ref[:, 1])
+    center = (ref == 0.5).all(axis=1)
+    if kind in ("no-real-root", "tiny"):
+        assert center.all()
+    elif kind == "just-outside":
+        assert 0 < center.sum() < len(center)  # roots just inside are kept
+    else:
+        assert not center.all()
 
 
 def _full_grid_windings(grid):
@@ -215,8 +300,9 @@ def test_windings_match_full_grid_gauge(spec, domain, spacing):
 @pytest.fixture(scope="module", params=["stft", "gwhf"])
 def realization(request):
     if request.param == "stft":
-        return S.stft_field(W.hermite(1), (0, 4, 0, 4), 1 / 16, 1 / 64, seed=41)
-    return S.gef_series_field((-3, 3, -3, 3), 0.1, seed=41)
+        return S.FieldSource({"family": "window", "window": W.hermite(1)},
+                             (0, 4, 0, 4), 1 / 16, 1 / 64).realize(41)
+    return S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(41)
 
 
 def _boundary_winding(grid, i0, j0, w, h):
@@ -259,7 +345,7 @@ def test_disk_stats_empty():
 
 
 def test_disk_stats_counts_and_interior():
-    zs = [Z.ChargedZero(position=complex(r, 0), charge=c, winding=c,
+    zs = [Z.ChargedZero(position=complex(r, 0), charge=c,
                         refined=True, jacobian_sign=c)
           for r, c in [(0.5, 1), (1.5, -1), (2.5, 1)]]
     stats = Z.disk_stats(zs, 0j, [1.0, 2.0, 3.0])
@@ -270,7 +356,7 @@ def test_disk_stats_counts_and_interior():
 
 
 def test_disk_stats_excludes_degenerate():
-    zs = [Z.ChargedZero(position=0.1 + 0j, charge=1, winding=1, refined=True,
+    zs = [Z.ChargedZero(position=0.1 + 0j, charge=1, refined=True,
                         jacobian_sign=1, degenerate=True)]
     stats = Z.disk_stats(zs, 0j, [1.0])
     assert stats[0].count == 0
@@ -278,16 +364,17 @@ def test_disk_stats_excludes_degenerate():
 
 def test_zeros_csv_roundtrip(tmp_path):
     zs = [Z.ChargedZero(position=complex(1.23456789123, -0.000012345), charge=-1,
-                        winding=-1, refined=True, jacobian_sign=-1),
-          Z.ChargedZero(position=0.5 + 0.25j, charge=1, winding=1,
+                        refined=True, jacobian_sign=-1),
+          Z.ChargedZero(position=0.5 + 0.25j, charge=1,
                         refined=False, jacobian_sign=1),
-          Z.ChargedZero(position=-0.75 + 2.0j, charge=1, winding=1,
+          Z.ChargedZero(position=-0.75 + 2.0j, charge=1,
                         refined=True, jacobian_sign=0, degenerate=True)]
     path = tmp_path / "zeros.csv"
     Z.zeros_to_csv(zs, str(path))
     text = path.read_text().splitlines()
     assert text[0] == "x,y,charge,winding,refined,jacobian_sign,degenerate"
     assert text[1].startswith("1.23456789,")  # nine significant digits
+    assert text[1].split(",")[2:4] == ["-1", "-1"]  # winding is written as the charge
     back = Z.zeros_from_csv(str(path))
     assert len(back) == 3
     assert back[0].charge == -1 and back[0].refined
@@ -301,6 +388,8 @@ def test_zeros_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize("text", ["x,y,charge,winding,refined\n0.5,0.5,1,1,1\n",
                                   "x,y,charge,winding,refined,jacobian_sign,degenerate\n"
                                   "0.5,0.5,1,1,1\n",
+                                  "x,y,charge,winding,refined,jacobian_sign,degenerate\n"
+                                  "0.5,0.5,1,-1,1,1,0\n",
                                   "\x89PNG\r\n"])
 def test_zeros_csv_refuses_other_formats(tmp_path, text):
     path = tmp_path / "zeros.csv"
