@@ -222,7 +222,8 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [-0.05, 1.05]^2: only inside the cell, since wandering onto a
     neighboring zero would duplicate it under a foreign winding label.  A
     stencil stops once such an iterate has |f| < 1e-12 rms, at a singular
-    Jacobian, or when an iterate leaves [-0.75, 1.75]^2.
+    Jacobian, or when an iterate leaves [-0.75, 1.75]^2; the loop ends
+    early once every stencil has stopped.
     """
     m = len(stencils)
     rms = np.sqrt(np.mean(np.abs(stencils.reshape(m, 16)) ** 2, axis=1))
@@ -230,6 +231,8 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best_xi, best_eta, best_f = np.full(m, np.nan), np.full(m, np.nan), np.full(m, np.inf)
     live = np.arange(m)
     for _ in range(20):
+        if not live.size:
+            break
         x, y = xi[live], eta[live]
         f, fx, fy = _bicubic(stencils[live], x, y)
         af = np.abs(f)

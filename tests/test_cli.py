@@ -206,6 +206,8 @@ def test_verify_exit_code_gates(capsys):
     (["simulate", "--window", "hermite:1", "--spacing", "2"], "spacing 2 gives"),
     (["simulate", "--simulator", "polyentire:2:pure", "--spacing", "3"], "spacing 3 gives"),
     (["simulate", "--simulator", "series", "--spacing", "-1"], "spacing -1.0"),
+    (["simulate", "--simulator", "series", "--domain=-28,28,-28,28", "--spacing", "1"],
+     "grid radius 45.25 exceeds the series limit 37.42"),
     (["verify", "intensity", "--window", "hermite:1", "-n", "1"], "n_realizations = 1"),
     (["simulate", "--window", "hermite:1", "--seed", "-1"], "seed -1"),
     (["verify", "intensity", "--window", "hermite:1", "-n", "2", "--seed", "-1"], "seed -1"),
@@ -218,6 +220,7 @@ def test_verify_exit_code_gates(capsys):
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
         "zero-dt", "grid-below-16x16", "gwhf-grid-below-16x16", "series-negative-spacing",
+        "series-radius-beyond-limit",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
         "invariance-negative-seed", "radii-not-numbers", "radius-zero"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):

@@ -318,10 +318,12 @@ def test_window_source_batch_matches_realize(hermites):
         assert grid.plane == "gwhf" and grid.meta["components"] == 2
 
 
-def test_series_matches_per_term_sum():
-    # the criterion-6 geometry: |z| reaches 9.6 at the corners, 351 terms
-    plan = S.SeriesPlan((-6.5, 6.5, -6.5, 6.5), 0.08)
-    assert plan.n_terms == 351
+@pytest.mark.parametrize("n_terms", [None, 512, 513], ids=["rule-351", "512", "513"])
+def test_series_matches_per_term_sum(n_terms):
+    # the criterion-6 geometry: |z| reaches 9.6 at the corners, 351 terms by
+    # the rule; 512 and 513 end the basis on a full and a one-row doubling block
+    plan = S.SeriesPlan((-6.5, 6.5, -6.5, 6.5), 0.08, n_terms)
+    assert plan.n_terms == (n_terms or 351)
     xi = S.complex_normals(S.stream(77, 4), plan.n_terms)
     acc = np.zeros(plan.z.shape, dtype=complex)
     term = np.ones(plan.z.shape, dtype=complex)
@@ -332,6 +334,36 @@ def test_series_matches_per_term_sum():
     ref = np.exp(-0.5 * np.abs(plan.z) ** 2) * acc
     got = plan.realize(S.stream(77, 4)).values
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("domain, spacing, margin, bound", [
+    ((-6.5, 6.5, -6.5, 6.5), 0.08, None, 3e-14),
+    ((-26.0, 26.0, -26.0, 26.0), 1.0, 0.0, 1e-12),
+], ids=["criterion-6", "near-radius-limit"])
+def test_series_matches_extended_precision_sum(domain, spacing, margin, bound):
+    # a term-by-term sum in np.longdouble at ~400 sampled points plus the
+    # corners, the origin and the largest |z|; near the radius limit the
+    # scale rho^n/sqrt(n!) reaches 4e292
+    plan = S.SeriesPlan(domain, spacing, margin=margin)
+    n = np.arange(1, plan.n_terms, dtype=np.longdouble)
+    scale = np.cumprod(np.r_[np.longdouble(1), np.longdouble(plan.rho) / np.sqrt(n)])
+    # exp(n log rho - lgamma(n+1)/2) would be off by 2e-13 at 351 terms
+    assert np.max(np.abs(plan.scale / scale - 1)) <= 3e-14
+    nx = plan.z.shape[1]
+    flat = np.abs(plan.z).ravel()
+    idx = np.r_[np.random.default_rng(5).choice(flat.size, 400, replace=False),
+                0, nx - 1, flat.size - nx, flat.size - 1, np.argmin(flat), np.argmax(flat)]
+    z = plan.z.ravel()[idx].astype(np.clongdouble)
+    xi = S.complex_normals(S.stream(77, 4), plan.n_terms).astype(np.clongdouble)
+    acc, term = np.zeros(z.shape, np.clongdouble), np.ones(z.shape, np.clongdouble)
+    for k in range(plan.n_terms):
+        if k:
+            term = term * z / np.sqrt(n[k - 1])
+        acc += xi[k] * term
+    ref = np.exp(-np.abs(z) ** 2 / 2) * acc
+    got = plan.realize(S.stream(77, 4)).values
+    assert np.all(got != 0)
+    assert np.max(np.abs(got.ravel()[idx] - ref)) <= bound * np.max(np.abs(got))
 
 
 def test_polyentire_pure_q1_matches_gef_stats(hermites):
