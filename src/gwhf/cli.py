@@ -11,6 +11,7 @@ default seed is 0xC0FFEE; pass --seed random for entropy seeding.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -204,10 +205,20 @@ def _svg_scatter(zeros, out_path: str) -> None:
         f'<rect x="{pad:.1f}" y="{pad:.1f}" width="{(x1 - x0) * scale:.1f}" '
         f'height="{(y1 - y0) * scale:.1f}" fill="white" stroke="black"/>',
     ]
-    for xt in range(x0, x1 + 1):
+    def ticks(lo: int, hi: int, step: int) -> range:
+        return range(-(-lo // step) * step, hi + 1, step)
+
+    # one tick per unit up to a span of 20; beyond, the smallest step of
+    # 2, 5, 10, 20, 50, ... that leaves at most 20 ticks per axis
+    step = 1
+    if span > 20:
+        step = next(s for e in itertools.count()
+                    for s in (2 * 10 ** e, 5 * 10 ** e, 10 ** (e + 1))
+                    if max(len(ticks(x0, x1, s)), len(ticks(y0, y1, s))) <= 20)
+    for xt in ticks(x0, x1, step):
         parts.append(f'<text x="{sx(xt):.1f}" y="{h - pad / 4:.1f}" font-size="12" '
                      f'text-anchor="middle">{xt}</text>')
-    for yt in range(y0, y1 + 1):
+    for yt in ticks(y0, y1, step):
         parts.append(f'<text x="{pad / 4:.1f}" y="{sy(yt) + 4:.1f}" font-size="12" '
                      f'text-anchor="middle">{yt}</text>')
     for z in zeros:

@@ -19,12 +19,12 @@ and the charge is the orientation sign of F as a planar map; spectrogram
 the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
-Every step runs once per grid on arrays: flagged cells are refined
-together by Newton on their bicubic stencils, the cells Newton rejects by
-one bilinear solve, and zeros are kept inside grid.interior.  An
-independent verifier recomputes the sign from the differential of the
-locally demodulated field at the refined position; simple zeros must agree
-(tested, not assumed).
+Every step runs once per grid on arrays: flagged cells, border cells too
+(their stencils extrapolated past the grid), are refined by Newton on
+bicubic stencils, the cells Newton rejects by one bilinear solve, and
+zeros are kept inside grid.interior.  An independent verifier recomputes
+the sign from the differential of the demodulated bicubic surface at the
+refined position; simple zeros must agree (tested, not assumed).
 """
 from __future__ import annotations
 
@@ -155,26 +155,30 @@ def _bicubic(stencils: np.ndarray, xi: np.ndarray, eta: np.ndarray):
     return _cubic(rows, eta), _cubic(drows, eta), _cubic_d(rows, eta)
 
 
-def _full_stencil(grid: FieldGrid, i, j):
-    return (1 <= i) & (i < grid.nx - 2) & (1 <= j) & (j < grid.ny - 2)
-
-
 def _stencils(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """(M, 4, 4) sample stencils around cells (i, j), the carrier relative
     to each cell center removed when it matters.
 
     The demodulation factor is unimodular (zero set unchanged), but it
     perturbs the interpolation error, so a raw stencil is kept whenever
-    the carrier varies by less than 0.05 rad across it.
+    the carrier varies by less than 0.05 rad across it.  A border cell's
+    stencil row or column beyond the grid is extrapolated linearly from
+    the two inside it (2 inner - next), so every cell has a stencil.
     """
     k = np.arange(-1, 3)
-    rows, cols = j[:, None, None] + k[:, None], i[:, None, None] + k
+    rows = np.clip(j[:, None] + k, 0, grid.ny - 1)[:, :, None]
+    cols = np.clip(i[:, None] + k, 0, grid.nx - 1)[:, None, :]
     h = grid.spacing
     pos = (grid.origin.real + h * cols) + 1j * (grid.origin.imag + h * rows)
     gauge = _edge_gauge(grid.plane, _plane_points(grid, i, j, 0.5, 0.5)[:, None, None], pos)
     raw = grid.values[rows, cols]
     keep = np.max(np.abs(gauge), axis=(1, 2)) < 0.05
-    return np.where(keep[:, None, None], raw, raw * np.exp(-1j * gauge))
+    st = np.where(keep[:, None, None], raw, raw * np.exp(-1j * gauge))
+    for t, c, n in ((st, j, grid.ny), (st.swapaxes(1, 2), i, grid.nx)):  # rows, then columns
+        lo, hi = c == 0, c == n - 2
+        t[lo, 0] = 2.0 * t[lo, 1] - t[lo, 2]
+        t[hi, 3] = 2.0 * t[hi, 2] - t[hi, 1]
+    return st
 
 
 def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -251,11 +255,9 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sub-grid zero positions of flagged cells (i, j), and whether Newton
-    placed them; cells without a full stencil, and those Newton rejects,
-    take the zero of the bilinear interpolant of the demodulated corners."""
-    xi, eta = np.full(len(i), np.nan), np.full(len(i), np.nan)
-    full = _full_stencil(grid, i, j)
-    xi[full], eta[full] = _newton(_stencils(grid, i[full], j[full]))
+    placed them; cells Newton rejects take the zero of the bilinear
+    interpolant of the demodulated corners."""
+    xi, eta = _newton(_stencils(grid, i, j))
     ok = ~np.isnan(xi)
     k = np.arange(2)
     rows, cols = j[~ok, None, None] + k[:, None], i[~ok, None, None] + k
@@ -266,27 +268,12 @@ def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, 
     return _plane_points(grid, i, j, xi, eta), ok
 
 
-def _bilinear_eval(grid: FieldGrid, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the raw grid at arbitrary points."""
-    pts = np.asarray(pts, dtype=complex)
-    fx = (pts.real - grid.origin.real) / grid.spacing
-    fy = (pts.imag - grid.origin.imag) / grid.spacing
-    i = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
-    j = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
-    u = np.clip(fx - i, 0.0, 1.0)
-    w = np.clip(fy - j, 0.0, 1.0)
-    v = grid.values
-    return ((1 - u) * (1 - w) * v[j, i] + u * (1 - w) * v[j, i + 1]
-            + (1 - u) * w * v[j + 1, i] + u * w * v[j + 1, i + 1])
-
-
 def _charges(grid: FieldGrid, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orientation charge at zeros from the local differential of the field.
 
     The gradient is taken from the bicubic interpolant of the demodulated
     4x4 stencil at each zero itself (demodulation is unimodular, so the
-    Jacobian sign at a zero is unchanged); grid-edge zeros fall back to
-    half-spacing central differences of the demodulated samples.  Returns
+    Jacobian sign at a zero is unchanged), border cells included.  Returns
     (signs, degenerate): Jacobian magnitudes below 1e-12 times the squared
     local gradient scale are flagged degenerate, with sign 0, and excluded
     from statistics.
@@ -296,15 +283,8 @@ def _charges(grid: FieldGrid, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fj = (pos.imag - grid.origin.imag) / h
     i = np.clip(np.floor(fi).astype(int), 0, grid.nx - 2)
     j = np.clip(np.floor(fj).astype(int), 0, grid.ny - 2)
-    full = _full_stencil(grid, i, j)
-    fx, fy = np.empty_like(pos), np.empty_like(pos)
-    _, gx, gy = _bicubic(_stencils(grid, i[full], j[full]), fi[full] - i[full], fj[full] - j[full])
-    fx[full], fy[full] = gx / h, gy / h
-    p, step = pos[~full], 0.5 * h
-    pts = np.stack([p + step, p - step, p + 1j * step, p - 1j * step], axis=1)
-    vals = _demod(grid.plane, _bilinear_eval(grid, pts), pts, p[:, None])
-    fx[~full] = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
-    fy[~full] = (vals[:, 2] - vals[:, 3]) / (2.0 * step)
+    _, gx, gy = _bicubic(_stencils(grid, i, j), fi - i, fj - j)
+    fx, fy = gx / h, gy / h
     jac = -_plane_orientation(grid) * (fx * np.conj(fy)).imag
     scale = np.maximum(np.maximum(np.abs(fx), np.abs(fy)), 1e-300)
     flat = np.abs(jac) < 1e-12 * scale * scale
@@ -466,25 +446,34 @@ def zeros_to_csv(zeros: list[ChargedZero], path: str) -> None:
 
 def zeros_from_csv(path: str) -> list[ChargedZero]:
     """Read a CSV written by zeros_to_csv.  Any other header (the older
-    five-column one included), a malformed row, or a row whose winding
-    differs from its charge raises ContainerError."""
+    five-column one included), a malformed row, or a row holding a value
+    the writer never writes (a non-finite position, a charge other than
+    +-1 or differing from the winding, a jacobian_sign outside {-1, 0, 1},
+    a flag other than 0 or 1) raises ContainerError naming the file and
+    the row."""
     out: list[ChargedZero] = []
     try:
         with open(path) as fh:
             header = fh.readline().strip()
             if header != _CSV_HEADER:
                 raise ValueError(f"header {header!r}, expected {_CSV_HEADER!r}")
-            for line in fh:
-                if not line.strip():
+            for row, line in enumerate(fh, start=2):
+                text = line.strip()
+                if not text:
                     continue
-                xs, ys, cs, ws, rs, js, ds = line.strip().split(",")
-                if int(ws) != int(cs):
-                    raise ValueError(f"row {line.strip()!r} has winding {ws} "
-                                     f"but charge {cs}")
-                out.append(ChargedZero(position=complex(float(xs), float(ys)),
-                                       charge=int(cs),
-                                       refined=bool(int(rs)), jacobian_sign=int(js),
-                                       degenerate=bool(int(ds))))
+                try:
+                    xs, ys, cs, ws, rs, js, ds = text.split(",")
+                    x, y = float(xs), float(ys)
+                    charge, winding, sign, flags = int(cs), int(ws), int(js), (int(rs), int(ds))
+                except ValueError as exc:
+                    raise ValueError(f"row {row} {text!r}: {exc}") from None
+                if not (math.isfinite(x) and math.isfinite(y) and charge in (-1, 1)
+                        and winding == charge and sign in (-1, 0, 1) and set(flags) <= {0, 1}):
+                    raise ValueError(f"row {row} {text!r} needs finite x and y, charge = "
+                                     "winding = +-1, jacobian_sign -1, 0 or 1, flags 0 or 1")
+                out.append(ChargedZero(position=complex(x, y), charge=charge,
+                                       refined=bool(flags[0]), jacobian_sign=sign,
+                                       degenerate=bool(flags[1])))
     except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise ContainerError(f"{path} is not a zeros CSV: {exc}") from exc
     return out

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,13 +74,13 @@ def test_simulate_zeros_plot_pipeline(tmp_path, capsys):
     csv_path = str(tmp_path / "zeros.csv")
     code, _, _ = run_cli(capsys, "zeros", "--grid", grid_path, "--out", csv_path)
     assert code == 0
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "x,y,charge,winding,refined,jacobian_sign,degenerate"
     assert len(lines) > 80
     svg_path = str(tmp_path / "zeros.svg")
     code, _, _ = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
     assert code == 0
-    svg = open(svg_path).read()
+    svg = Path(svg_path).read_text()
     pluses = svg.count("<path d=")
     circles = svg.count("<circle")
     degenerate = sum(row.endswith(",1") for row in lines[1:])
@@ -98,7 +99,7 @@ def test_plot_marks_degenerate_zeros_neutrally(tmp_path, capsys):
     svg_path = str(tmp_path / "z.svg")
     code, _, _ = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
     assert code == 0
-    svg = open(svg_path).read()
+    svg = Path(svg_path).read_text()
     assert svg.count("<path d=") == 1 and svg.count("<circle") == 1
     # the degenerate row, at (1.0, 1.5), gets the one grey square
     marks = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="8.00" height="8.00" '
@@ -106,6 +107,21 @@ def test_plot_marks_degenerate_zeros_neutrally(tmp_path, capsys):
     assert len(marks) == 1
     cx, cy = float(marks[0][0]) + 4, float(marks[0][1]) + 4
     assert (cx, cy) == (40 + 600 * 1.0 / 2, 40 + 600 * (2 - 1.5) / 2)
+
+
+def test_plot_ticks_bounded(tmp_path, capsys):
+    # one tick per unit up to a span of 20 units; beyond, the smallest step
+    # of 2, 5, 10, 20, 50, ... that leaves at most 20 ticks per axis
+    csv_path, svg_path = tmp_path / "z.csv", tmp_path / "z.svg"
+    for far, step in ((20.0, 1), (21.0, 2), (50.0, 5), (100000.0, 10000)):
+        csv_path.write_text("x,y,charge,winding,refined,jacobian_sign,degenerate\n"
+                            f"0.5,0.5,1,1,1,1,0\n{far},0.5,-1,-1,1,-1,0\n")
+        code, _, _ = run_cli(capsys, "plot", "--zeros", str(csv_path), "--out", str(svg_path))
+        assert code == 0
+        labels = [int(v) for v in re.findall(r'text-anchor="middle">(-?\d+)</text>',
+                                             svg_path.read_text())]
+        y_labels = [0, 1] if step == 1 else [0]
+        assert labels == list(range(0, int(far) + 1, step)) + y_labels
 
 
 def test_python_dash_m_runs_the_cli():
@@ -125,7 +141,7 @@ def test_plot_empty_csv(tmp_path, capsys):
     svg_path = str(tmp_path / "empty.svg")
     code, _, _ = run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
     assert code == 0
-    assert "<svg" in open(svg_path).read()
+    assert "<svg" in Path(svg_path).read_text()
     # the former five-column CSV lacks the sign and degenerate flag: refused
     with open(csv_path, "w") as fh:
         fh.write("x,y,charge,winding,refined\n0.5,0.5,1,1,1\n")
@@ -141,13 +157,13 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
         out_dir = str(tmp_path / name)
         run_cli(capsys, "simulate", "--window", "hermite:0",
                 "--domain", "0,4,0,4", "--seed", "21", "--out", out_dir)
-        blobs.append(open(os.path.join(out_dir, "field.gwhf"), "rb").read())
+        blobs.append(Path(out_dir, "field.gwhf").read_bytes())
         csv_path = os.path.join(out_dir, "z.csv")
         run_cli(capsys, "zeros", "--grid", os.path.join(out_dir, "field.gwhf"),
                 "--out", csv_path)
         svg_path = os.path.join(out_dir, "z.svg")
         run_cli(capsys, "plot", "--zeros", csv_path, "--out", svg_path)
-        texts.append(open(csv_path).read() + open(svg_path).read())
+        texts.append(Path(csv_path).read_text() + Path(svg_path).read_text())
     assert blobs[0] == blobs[1]
     assert texts[0] == texts[1]
 
@@ -161,7 +177,7 @@ def test_verify_reports_byte_identical(tmp_path, capsys):
                              "-n", "5", "--domain", "0,4,0,4", "--out", out_dir,
                              "--threads", threads)
         assert code == 0
-        outs.append(open(os.path.join(out_dir, "intensity.json")).read())
+        outs.append(Path(out_dir, "intensity.json").read_text())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["elapsed_s"] is None
     assert dict(os.environ) == env  # --threads reaches McConfig, not the environment
@@ -216,16 +232,23 @@ def test_verify_exit_code_gates(capsys):
      "'1,x'"),
     (["verify", "charge-variance", "--kernel", "poisson", "--radii", "0,1", "-n", "2"],
      "radii [0.0, 1.0]"),
+    (["plot"], "row 2 'nan,0.5,1,1,1,1,0'"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
         "zero-dt", "grid-below-16x16", "gwhf-grid-below-16x16", "series-negative-spacing",
         "series-radius-beyond-limit",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
-        "invariance-negative-seed", "radii-not-numbers", "radius-zero"])
+        "invariance-negative-seed", "radii-not-numbers", "radius-zero",
+        "plot-nan-position"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]
+    if argv[0] == "plot":
+        csv_path = tmp_path / "z.csv"
+        csv_path.write_text("x,y,charge,winding,refined,jacobian_sign,degenerate\n"
+                            "nan,0.5,1,1,1,1,0\n")
+        argv = argv + ["--zeros", str(csv_path), "--out", str(tmp_path / "z.svg")]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "error" in err
     assert err.startswith("error:") and names in err
@@ -237,7 +260,7 @@ def test_zeros_refuses_damaged_grid(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     run_cli(capsys, "simulate", "--window", "hermite:0", "--domain", "0,2,0,2",
             "--out", out_dir)
-    blob = open(os.path.join(out_dir, "field.gwhf"), "rb").read()
+    blob = Path(out_dir, "field.gwhf").read_bytes()
     path = tmp_path / "damaged.gwhf"
     # truncated payload, header and magic, a file that is no container, and
     # a NaN sample in an intact container

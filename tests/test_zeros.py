@@ -152,27 +152,37 @@ def test_detection_regression_fixture(hermites):
     assert abs(total - (441.04665520668465 + 430.5027753506468j)) < 1e-9
 
 
-def test_edge_zero_without_refinement_or_interior_cut():
-    # one zero well inside and one in the last cell column, where the 4x4
-    # stencil is incomplete: refinement takes the bilinear zero and the
-    # charge comes from central differences.  The margin cuts the edge zero;
-    # a margin-0 copy of the same samples keeps the whole extent.
-    inner, edge = -0.31 + 0.22j, 0.99 - 0.4j
+@pytest.mark.parametrize("edge", [0.99 - 0.4j, -0.96 + 0.4j, 0.4 - 0.97j, 0.5 + 0.99j,
+                                  -0.96 - 0.97j],
+                         ids=["right", "left", "bottom", "top", "corner"])
+@pytest.mark.parametrize("plane", ["gwhf", "stft"])
+def test_edge_zero_without_refinement_or_interior_cut(plane, edge):
+    # one zero well inside and one in a border cell (on each side, and in
+    # the corner cell (0, 0)), whose 4x4 stencil reaches past the grid: the
+    # missing row or column is extrapolated linearly, so Newton refines the
+    # edge zero and its sign comes from the same bicubic surface as inside.
+    # The margin cuts the edge zero; a margin-0 copy of the same samples
+    # keeps the whole extent.  The stft plane's carrier is demodulated, which
+    # costs interpolation accuracy on this unmodulated field.
+    inner = -0.31 + 0.22j
+    orient = 1 if plane == "gwhf" else -1  # the charge of a holomorphic zero
     grid = dataclasses.replace(
-        synthetic_grid(lambda z: (z - inner) * np.conj(z - edge)), margin=0.1)
+        synthetic_grid(lambda z: (z - inner) * np.conj(z - edge), plane=plane), margin=0.1)
     whole = dataclasses.replace(grid, margin=0.0)
-    assert grid.interior[1] < edge.real < whole.interior[1]
-    assert (edge.real - grid.origin.real) // grid.spacing == grid.nx - 2
-    assert Z.charge_of(grid, edge) == (-1, False)
+    x0, x1, y0, y1 = grid.interior
+    assert not (x0 <= edge.real <= x1 and y0 <= edge.imag <= y1)
+    cell = (edge - grid.origin) / grid.spacing
+    assert cell.real // 1 in (0, grid.nx - 2) or cell.imag // 1 in (0, grid.ny - 2)
+    assert Z.charge_of(grid, edge) == (-orient, False)
     (z_in,) = Z.detect_zeros(grid)
-    assert abs(z_in.position - inner) < 1e-9 and z_in.refined
-    z_edge, z_in2 = Z.detect_zeros(whole)
+    assert abs(z_in.position - inner) < (1e-9 if plane == "gwhf" else 1e-4) and z_in.refined
+    z_edge, z_in2 = sorted(Z.detect_zeros(whole), key=lambda z: abs(z.position - edge))
     assert z_in2 == z_in
-    assert abs(z_edge.position - edge) < 1e-3 and not z_edge.refined
-    assert z_edge.charge == z_edge.jacobian_sign == -1 and not z_edge.degenerate
+    assert abs(z_edge.position - edge) < (1e-3 if plane == "gwhf" else 3e-3) and z_edge.refined
+    assert z_edge.charge == z_edge.jacobian_sign == -orient and not z_edge.degenerate
     # without refinement every zero sits at its cell center
-    centers = Z.detect_zeros(whole, refine=False)
-    for z, root, charge in zip(centers, (edge, inner), (-1, 1)):
+    centers = sorted(Z.detect_zeros(whole, refine=False), key=lambda z: abs(z.position - edge))
+    for z, root, charge in zip(centers, (edge, inner), (-orient, orient)):
         offset = (z.position - grid.origin) / grid.spacing
         assert abs(offset.real % 1 - 0.5) < 1e-9 and abs(offset.imag % 1 - 0.5) < 1e-9
         assert abs(z.position - root) < grid.spacing
@@ -390,9 +400,18 @@ def test_zeros_csv_roundtrip(tmp_path):
                                   "0.5,0.5,1,1,1\n",
                                   "x,y,charge,winding,refined,jacobian_sign,degenerate\n"
                                   "0.5,0.5,1,-1,1,1,0\n",
-                                  "\x89PNG\r\n"])
+                                  "\x89PNG\r\n",
+                                  *(f"x,y,charge,winding,refined,jacobian_sign,degenerate\n"
+                                    f"0.5,0.5,1,1,1,1,0\n{row}\n"
+                                    for row in ("nan,0.5,1,1,1,1,0", "0.5,inf,1,1,1,1,0",
+                                                "0.5,0.5,3,3,1,1,0", "0.5,0.5,0,0,1,0,0",
+                                                "0.5,0.5,1,1,1,5,0", "0.5,0.5,3,3,7,5,9",
+                                                "0.5,0.5,1,1,2,1,0", "0.5,0.5,1,1,1,1,-1"))])
 def test_zeros_csv_refuses_other_formats(tmp_path, text):
     path = tmp_path / "zeros.csv"
     path.write_text(text)
-    with pytest.raises(ContainerError, match=re.escape(str(path))):
+    with pytest.raises(ContainerError, match=re.escape(str(path))) as info:
         Z.zeros_from_csv(str(path))
+    if text.startswith(Z._CSV_HEADER + "\n"):  # the refused row, the last, is named
+        last_row = text.count("\n")
+        assert f"row {last_row} " in str(info.value)
