@@ -284,6 +284,8 @@ def _cmd_verify(args) -> int:
         g = window_from_spec(args.window or "hermite:0")
         if args.seed < 0:
             raise ParameterError(f"seed {args.seed} must be a non-negative integer")
+        if args.n < 1:
+            raise ParameterError(f"-n {args.n}: invariance needs at least 1 draw")
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.n):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, GwhfError, InvalidKernelError, ParameterError
 from .kernels import DEFAULT_CONVENTION, _check_convention, variance_asymptote
-from .simulate import FieldSource, stream
+from .simulate import FieldSource, _check_domain, stream
 from .windows import Window, window_from_spec
 from .zeros import ChargedZero, detect_zeros, disk_stats
 
@@ -143,7 +143,9 @@ class _PoissonControl:
 
     def __init__(self, cfg: McConfig):
         self.rate = float(cfg.source.get("density", 1.0 / math.pi))
-        self.interior = cfg.domain
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ParameterError(f"poisson density {self.rate} must be finite and positive")
+        self.interior = _check_domain(cfg.domain)
         self.notes = ["poisson control: uniform points, i.i.d. +-1 charges"]
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:

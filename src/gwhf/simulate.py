@@ -125,6 +125,15 @@ class FieldGrid:
         return (x0 + m, x1 - m, y0 + m, y1 - m)
 
 
+def _check_domain(domain) -> tuple[float, float, float, float]:
+    """The rectangle (x0, x1, y0, y1) as floats; DomainError unless it is
+    finite with x1 > x0 and y1 > y0."""
+    x0, x1, y0, y1 = box = tuple(float(v) for v in domain)
+    if not (all(map(math.isfinite, box)) and x1 > x0 and y1 > y0):
+        raise DomainError(f"domain {domain} must be a finite rectangle with x1 > x0 and y1 > y0")
+    return box
+
+
 def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float,
                      plane: str = "stft") -> None:
     """Refuse a grid below 16 x 16, naming spacing, domain and margin in the
@@ -212,9 +221,7 @@ class StftPlan:
             raise InvalidWindowError("StftPlan needs at least one window")
         if plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {plane!r}")
-        x0, x1, y0, y1 = (float(v) for v in domain)
-        if not (x1 > x0 and y1 > y0):
-            raise DomainError(f"empty domain {domain}")
+        x0, x1, y0, y1 = _check_domain(domain)
         if not spacing > 0:
             raise ParameterError(f"spacing {spacing} must be positive")
         if not dt > 0:
@@ -398,9 +405,7 @@ class SeriesPlan:
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
                  n_terms: int | None = None, margin: float | None = None):
-        x0, x1, y0, y1 = (float(v) for v in domain)
-        if not (x1 > x0 and y1 > y0):
-            raise DomainError(f"empty domain {domain}")
+        x0, x1, y0, y1 = _check_domain(domain)
         if not spacing > 0:
             raise ParameterError(f"spacing {spacing} must be positive")
         if margin is None:
@@ -523,7 +528,8 @@ class FieldSource:
         if self.plane == "gwhf":
             if not spacing > 0:
                 raise ParameterError(f"spacing {spacing} must be positive")
-            domain, spacing = _gwhf_box(domain, inverse=True), spacing / _SQRT_PI
+            # checked here, so an error names the gwhf-plane rectangle given
+            domain, spacing = _gwhf_box(_check_domain(domain), inverse=True), spacing / _SQRT_PI
             margin = None if margin is None else margin / _SQRT_PI
         dt = 1.0 / 64.0 if dt is None else dt
         self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)

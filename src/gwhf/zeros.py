@@ -22,9 +22,11 @@ spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 Every step runs once per grid on arrays: flagged cells, border cells too
 (their stencils extrapolated past the grid), are refined by Newton on
 bicubic stencils, the cells Newton rejects by one bilinear solve, and
-zeros are kept inside grid.interior.  An independent verifier recomputes
-the sign from the differential of the demodulated bicubic surface at the
-refined position; simple zeros must agree (tested, not assumed).
+zeros are kept inside grid.interior.  Each zero's position and its
+Jacobian sign come from one interpolant of one demodulated stencil, so
+the sign is read at that interpolant's own root.  The sign is computed
+from the differential, independently of the winding; simple zeros must
+agree (tested, not assumed).
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .simulate import FieldGrid
 
 __all__ = [
     "ChargedZero", "DiskStat",
-    "detect_zeros", "charge_of", "disk_stats",
+    "detect_zeros", "disk_stats",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -92,11 +94,6 @@ def _edge_gauge(plane: str, pa, pb):
 def _loop_defect(plane: str, spacing: float) -> float:
     # sum of edge gauges around one counterclockwise plaquette
     return (2.0 if plane == "gwhf" else -_TWO_PI) * spacing * spacing
-
-
-def _demod(plane: str, values, positions, ref):
-    """Samples with the carrier relative to `ref` removed (zero set unchanged)."""
-    return values * np.exp(-1j * _edge_gauge(plane, ref, positions))
 
 
 def _plane_points(grid: FieldGrid, i, j, xi, eta):
@@ -253,49 +250,35 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best_xi, best_eta
 
 
-def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-grid zero positions of flagged cells (i, j), and whether Newton
-    placed them; cells Newton rejects take the zero of the bilinear
-    interpolant of the demodulated corners."""
-    xi, eta = _newton(_stencils(grid, i, j))
-    ok = ~np.isnan(xi)
-    k = np.arange(2)
-    rows, cols = j[~ok, None, None] + k[:, None], i[~ok, None, None] + k
-    corners = grid.xs[cols] + 1j * grid.ys[rows]
-    w = _demod(grid.plane, grid.values[rows, cols], corners,
-               _plane_points(grid, i[~ok], j[~ok], 0.5, 0.5)[:, None, None])
-    xi[~ok], eta[~ok] = _bilinear_zeros(w[:, 0, 0], w[:, 0, 1], w[:, 1, 1], w[:, 1, 0])
-    return _plane_points(grid, i, j, xi, eta), ok
+def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray, newton: bool):
+    """Position, refined flag, Jacobian sign and degenerate flag of the zero
+    of each flagged cell (i, j), all read from one interpolant of the cell's
+    demodulated stencil, gathered once.
 
-
-def _charges(grid: FieldGrid, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orientation charge at zeros from the local differential of the field.
-
-    The gradient is taken from the bicubic interpolant of the demodulated
-    4x4 stencil at each zero itself (demodulation is unimodular, so the
-    Jacobian sign at a zero is unchanged), border cells included.  Returns
-    (signs, degenerate): Jacobian magnitudes below 1e-12 times the squared
-    local gradient scale are flagged degenerate, with sign 0, and excluded
-    from statistics.
+    Newton zeros take their gradient from the bicubic surface at their own
+    root.  Cells Newton rejects take the root of the bilinear interpolant of
+    the stencil's inner corners and that interpolant's gradient there.
+    Without Newton, zeros sit at cell centers on the bicubic surface.  The
+    sign is the orientation of the interpolant as a planar map, independent
+    of the winding that flagged the cell (demodulation is unimodular, so it
+    is the field's own sign at a simple zero).  Jacobian magnitudes below
+    1e-12 times the squared local gradient scale are flagged degenerate,
+    with sign 0, and excluded from statistics.
     """
-    h = grid.spacing
-    fi = (pos.real - grid.origin.real) / h
-    fj = (pos.imag - grid.origin.imag) / h
-    i = np.clip(np.floor(fi).astype(int), 0, grid.nx - 2)
-    j = np.clip(np.floor(fj).astype(int), 0, grid.ny - 2)
-    _, gx, gy = _bicubic(_stencils(grid, i, j), fi - i, fj - j)
-    fx, fy = gx / h, gy / h
+    st = _stencils(grid, i, j)
+    half = np.full(len(i), 0.5)
+    xi, eta = _newton(st) if newton else (half, half.copy())
+    _, fx, fy = _bicubic(st, xi, eta)  # NaN where Newton found no root
+    ok = ~np.isnan(xi)
+    a, b, c, d = st[~ok, 1, 1], st[~ok, 1, 2], st[~ok, 2, 2], st[~ok, 2, 1]
+    xi[~ok], eta[~ok] = _bilinear_zeros(a, b, c, d)
+    fx[~ok] = b - a + (a - b + c - d) * eta[~ok]
+    fy[~ok] = d - a + (a - b + c - d) * xi[~ok]
     jac = -_plane_orientation(grid) * (fx * np.conj(fy)).imag
     scale = np.maximum(np.maximum(np.abs(fx), np.abs(fy)), 1e-300)
     flat = np.abs(jac) < 1e-12 * scale * scale
-    return np.where(flat, 0, np.where(jac > 0, 1, -1)), flat
-
-
-def charge_of(grid: FieldGrid, position: complex) -> tuple[int, bool]:
-    """Orientation charge (sign, degenerate) at one zero, as detect_zeros
-    assigns it."""
-    sign, flat = _charges(grid, np.array([position], dtype=complex))
-    return int(sign[0]), bool(flat[0])
+    sign = np.where(flat, 0, np.where(jac > 0, 1, -1))
+    return _plane_points(grid, i, j, xi, eta), ok & newton, sign, flat
 
 
 def _close_pairs(pos: np.ndarray, lim: float) -> np.ndarray:
@@ -375,25 +358,20 @@ def detect_zeros(grid: FieldGrid, refine: bool = True) -> list[ChargedZero]:
         raise ResolutionError(
             f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
             f"winding {w[k]}; halve the grid spacing")
-    if refine:
-        pos, ok = _refine(grid, i, j)
-    else:
-        pos = _plane_points(grid, i, j, 0.5, 0.5)
-        ok = np.zeros(len(pos), dtype=bool)
+    pos, ok, sign, flat = _refine(grid, i, j, refine)
     wind = orient * w
     keep = _dedup(grid, raw, pos, wind)
-    pos, ok, wind = pos[keep], ok[keep], wind[keep]
+    pos, ok, sign, flat, wind = pos[keep], ok[keep], sign[keep], flat[keep], wind[keep]
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
     # from samples, so they carry the degenerate flag (kept in the list,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
-    degenerate = np.zeros(len(pos), dtype=bool)
+    degenerate = flat.copy()
     degenerate[_close_pairs(pos, 0.75 * grid.spacing).ravel()] = True
     inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
-    pos, ok, wind, degenerate = pos[inside], ok[inside], wind[inside], degenerate[inside]
-    sign, flat = _charges(grid, pos)
-    degenerate |= flat
+    pos, ok, sign, wind, degenerate = (pos[inside], ok[inside], sign[inside], wind[inside],
+                                       degenerate[inside])
     return [ChargedZero(position=complex(pos[k]), charge=int(wind[k]),
                         refined=bool(ok[k]), jacobian_sign=int(sign[k]),
                         degenerate=bool(degenerate[k]))

@@ -233,6 +233,16 @@ def test_verify_exit_code_gates(capsys):
     (["verify", "charge-variance", "--kernel", "poisson", "--radii", "0,1", "-n", "2"],
      "radii [0.0, 1.0]"),
     (["plot"], "row 2 'nan,0.5,1,1,1,1,0'"),
+    (["simulate", "--window", "hermite:1", "--domain=0,inf,0,8"], "domain (0.0, inf, 0.0, 8.0)"),
+    (["simulate", "--simulator", "series", "--domain=0,inf,0,8"], "domain (0.0, inf, 0.0, 8.0)"),
+    (["simulate", "--simulator", "polyentire:3:full", "--domain=0,8,0,-inf"],
+     "domain (0.0, 8.0, 0.0, -inf)"),
+    (["verify", "intensity", "--kernel", "poisson", "-n", "3", "--domain=1,0,0,1"],
+     "domain (1.0, 0.0, 0.0, 1.0)"),
+    (["verify", "intensity", "--kernel", "poisson", "-n", "3", "--domain=0,nan,0,1"],
+     "domain (0.0, nan, 0.0, 1.0)"),
+    (["verify", "invariance", "--window", "hermite:1", "-n", "0"], "-n 0"),
+    (["verify", "invariance", "--window", "hermite:1", "-n", "-3"], "-n -3"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -240,7 +250,9 @@ def test_verify_exit_code_gates(capsys):
         "series-radius-beyond-limit",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
         "invariance-negative-seed", "radii-not-numbers", "radius-zero",
-        "plot-nan-position"])
+        "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
+        "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
+        "invariance-no-draws", "invariance-negative-draws"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

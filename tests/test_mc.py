@@ -150,6 +150,9 @@ def test_config_validation():
             spacing=0.1, radii=(6.0,)))
     with pytest.raises(ValueError):
         mc.estimate_intensity(_cfg(source={"family": "unknown"}))
+    for density in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match=f"poisson density {density}"):
+            mc.estimate_intensity(_cfg(source={"family": "poisson", "density": density}))
 
 
 def test_cross_simulator_density_agreement():
