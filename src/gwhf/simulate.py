@@ -46,6 +46,13 @@ __all__ = [
 
 _MAGIC = b"GWHF1\n"
 
+# the fewest points a grid takes along either axis
+_MIN_POINTS = 16
+# default grid pad of both simulators, in cells beyond the requested domain:
+# detect_zeros reads the stencils of cells within two cells of the interior,
+# and those reach four cells past it
+_PAD_CELLS = 4
+
 
 def stream(seed: int, realization: int = 0, component: int = 0) -> np.random.Generator:
     """Counter-based generator for one (realization, component) pair."""
@@ -72,8 +79,8 @@ class FieldGrid:
 
     values[j, i] sits at origin + (i + 1j*j) * spacing.  `margin` is the
     boundary band excluded from statistics; `meta["interior"]` records the
-    requested statistics region (the simulators inflate the simulated
-    domain so that region is fully interior).
+    requested statistics region (the simulators pad it by 4 cells by
+    default, the stencils the detector reads for zeros inside it).
     """
     values: np.ndarray
     origin: complex
@@ -85,9 +92,9 @@ class FieldGrid:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] < 16 or v.shape[1] < 16:
+        if v.ndim != 2 or min(v.shape) < _MIN_POINTS:
             raise ParameterError(f"values must be a 2-d complex array, at least "
-                                 f"16 x 16, got shape {v.shape}")
+                                 f"{_MIN_POINTS} x {_MIN_POINTS}, got shape {v.shape}")
         if not self.spacing > 0:
             raise ParameterError(f"grid spacing {self.spacing} must be positive")
         if self.plane not in ("stft", "gwhf"):
@@ -138,13 +145,26 @@ def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float,
                      plane: str = "stft") -> None:
     """Refuse a grid below 16 x 16, naming spacing, domain and margin in the
     output plane (a gwhf-plane StftPlan gets them in the stft plane)."""
-    if nx < 16 or ny < 16:
+    if nx < _MIN_POINTS or ny < _MIN_POINTS:
         if plane == "gwhf":
             spacing, domain, margin = _SQRT_PI * spacing, _gwhf_box(domain), _SQRT_PI * margin
         box = ", ".join(f"{v:.6g}" for v in domain)
         raise ParameterError(f"spacing {spacing:.6g} gives a {nx} x {ny} grid on domain "
                              f"({box}) with margin {margin:.4g}; a grid needs at least "
-                             "16 x 16 points")
+                             f"{_MIN_POINTS} x {_MIN_POINTS} points")
+
+
+def _crop(n: int, pos0: float, s: float, lo: float, hi: float) -> slice:
+    """The points of the lattice pos0 + s k, k < n, that lie in [lo, hi],
+    widened by whole points (towards the lattice's ends once one end is
+    reached) to _MIN_POINTS when fewer; n is at least _MIN_POINTS."""
+    k0 = max(0, int(math.ceil((lo - pos0) / s - 1e-9)))
+    k1 = min(n, int(math.floor((hi - pos0) / s + 1e-9)) + 1)
+    short = _MIN_POINTS - (k1 - k0)
+    if short > 0:
+        k1 = min(n, max(0, k0 - (short + 1) // 2) + _MIN_POINTS)
+        k0 = k1 - _MIN_POINTS
+    return slice(k0, k1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +212,14 @@ class StftPlan:
     radius); component k of a realization is its own white-noise record on
     that grid, and the plan realizes the normalized sum (V_1 + ... + V_q)/sqrt(q).
 
+    The lattice (columns x_lo + s i, rows s j) and the noise record are those
+    of the domain padded by the anchor margin: `margin` when given, else
+    2 max(T, freq radius).  An explicit margin is also the grid's pad.  By
+    default the grid is only the domain plus _PAD_CELLS cells on each side,
+    all the detector reads (widened to _MIN_POINTS on an axis with fewer,
+    never past the anchored lattice), and each of its samples is
+    bit-identical to the same sample of the anchored grid.
+
     The plan is banded: every window is below 1e-12 beyond its support_radius
     (Window's contract), so column x_i pairs only with the W = floor(2T/dt) + 2
     samples (at most K) from its first one k_i with t_k >= x_i - T, T the
@@ -209,7 +237,9 @@ class StftPlan:
     spacing is rounded down to 1/(n_fft dt), never up.  domain, spacing and
     margin are stft-plane values; plane="gwhf" returns grids already mapped
     to the invariant plane, as to_gwhf_plane maps them, with the mapping's
-    phase folded into the output phase once per plan.
+    phase folded into the output phase once per plan.  The phase table is
+    built on the anchored rows, whose split into coarse and fine factors
+    fixes its rounding, then cut to the kept rows.
     """
 
     def __init__(self, window: Window | Sequence[Window],
@@ -232,12 +262,10 @@ class StftPlan:
             raise AliasBandError(
                 f"dt = {dt} too coarse for window frequency extent "
                 f"{freq:.2f}; need dt <= {1.0 / (8.0 * freq):.4g}")
-        if margin is None:
-            margin = 2.0 * max(T, freq)
+        anchor = 2.0 * max(T, freq) if margin is None else float(margin)
         self.windows = windows
         self.plane = plane
         self.dt = float(dt)
-        self.margin = float(margin)
         self.requested = (x0, x1, y0, y1)
 
         n_fft = _fft_frame(math.ceil(1.0 / (spacing * dt) - 1e-9))
@@ -248,21 +276,23 @@ class StftPlan:
         s = 1.0 / (n_fft * dt)
         self.spacing = s
 
-        xlo, xhi = x0 - margin, x1 + margin
-        ylo, yhi = y0 - margin, y1 + margin
+        xlo, xhi = x0 - anchor, x1 + anchor
+        nx = int(math.floor((xhi - xlo) / s + 1e-9)) + 1
+        jlo = int(math.ceil((y0 - anchor) / s - 1e-9))
+        ny = int(math.floor((y1 + anchor - jlo * s) / s + 1e-9)) + 1
+        _check_grid_size(nx, ny, spacing, domain, anchor, plane)
+        if margin is None:
+            self.margin = _PAD_CELLS * s
+            cols = _crop(nx, xlo, s, x0 - self.margin, x1 + self.margin)
+            rows = _crop(ny, jlo * s, s, y0 - self.margin, y1 + self.margin)
+        else:  # an explicit margin is also the grid's pad
+            self.margin, cols, rows = anchor, slice(0, nx), slice(0, ny)
         band = 0.5 / dt
+        ylo, yhi = (jlo + rows.start) * s, (jlo + rows.stop - 1) * s
         if max(abs(ylo), abs(yhi)) + freq > band:
             raise AliasBandError(
                 f"frequency range [{ylo:.2f}, {yhi:.2f}] plus window extent "
                 f"{freq:.2f} exceeds the alias-free band {band:.2f}")
-
-        self.nx = int(math.floor((xhi - xlo) / s + 1e-9)) + 1
-        self.x0 = xlo
-        jlo = int(math.ceil(ylo / s - 1e-9))
-        self.ny = int(math.floor((yhi - jlo * s) / s + 1e-9)) + 1
-        self.jlo = jlo
-        self.y0 = jlo * s
-        _check_grid_size(self.nx, self.ny, spacing, domain, margin, plane)
 
         t0 = xlo - T
         K = int(math.ceil((xhi + T - t0) / dt)) + 1
@@ -272,23 +302,26 @@ class StftPlan:
         # column i pairs with the W samples from its first one at or after
         # x_i - T; the last band is pulled back to end inside the record
         W = min(int(math.floor(2.0 * T / dt)) + 2, K)
-        xs = self.x0 + s * np.arange(self.nx)
+        xs = (xlo + s * np.arange(nx))[cols]
         starts = np.ceil((xs - T - t0) / dt - 1e-9).astype(np.int64)
         starts = np.clip(starts, 0, K - W)
         self.W = W
         self.starts = starts
+        self.nx, self.ny = len(xs), rows.stop - rows.start
+        self.x0 = float(xs[0])
+        self.jlo = jlo + rows.start
+        self.y0 = self.jlo * s
         tk = t0 + dt * np.arange(K)
         offsets = tk[starts[:, None] + np.arange(W)] - xs[:, None]
         self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, W) each
 
         # band i starts at tau_i = t0 + k_i dt: V(x_i, y_j) is its FFT times
         # exp(-2 pi i y_j tau_i); the gwhf plane adds exp(i pi y_j x_i)
-        js = jlo + np.arange(self.ny)
-        freq_rows = np.mod(js, n_fft)
+        freq_rows = np.mod(self.jlo + np.arange(self.ny), n_fft)
         col_rate = -2.0 * math.pi * (t0 + dt * starts)
         if plane == "gwhf":
             col_rate += math.pi * xs
-        phase = _outer_phase(self.y0, s, self.ny, col_rate) * math.sqrt(dt / len(windows))
+        phase = _outer_phase(jlo * s, s, ny, col_rate)[rows] * math.sqrt(dt / len(windows))
         if plane == "stft":
             self._rows, self._phase = freq_rows, phase
         else:  # rows flipped so y increases in the invariant plane
@@ -409,7 +442,7 @@ class SeriesPlan:
         if not spacing > 0:
             raise ParameterError(f"spacing {spacing} must be positive")
         if margin is None:
-            margin = 4.0 * spacing
+            margin = _PAD_CELLS * spacing
         self.margin = float(margin)
         self.requested = (x0, x1, y0, y1)
         self.spacing = float(spacing)
@@ -489,7 +522,9 @@ class FieldSource:
     the output plane.  A window or polyentire source holds one StftPlan over
     all its windows (their bands summed before the FFT), built on the
     stft-plane preimage of a gwhf-plane domain and mapping its grids over
-    itself; a series source holds one SeriesPlan.
+    itself; a series source holds one SeriesPlan.  Without a margin both
+    plans pad the domain by 4 cells; the StftPlan keeps the lattice and
+    noise record of its anchor margin, so no sample depends on the pad.
     """
 
     def __init__(self, spec: dict, domain: tuple[float, float, float, float],

@@ -341,7 +341,9 @@ def detect_zeros(grid: FieldGrid, refine: bool = True) -> list[ChargedZero]:
     raw = _plaquette_windings(grid)
     x0, x1, y0, y1 = grid.interior
     # refinement never moves a candidate outside its own cell, so cells
-    # beyond a two-cell pad of the interior cannot contribute
+    # beyond a two-cell pad of the interior cannot contribute; the stencils
+    # of those within it reach four cells past the interior, the pad both
+    # simulators leave by default
     h = grid.spacing
     i_arr = np.arange(raw.shape[1])
     j_arr = np.arange(raw.shape[0])

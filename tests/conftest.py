@@ -43,3 +43,13 @@ def synthetic_grid(fn, half=1.0, n=41, offset=0.013 + 0.007j, plane="gwhf"):
     zz = xs[None, :] + 1j * ys[:, None]
     return FieldGrid(values=fn(zz), origin=complex(xs[0], ys[0]),
                      spacing=xs[1] - xs[0], plane=plane, seed=0)
+
+
+def anchored_plan(plan):
+    """`plan`'s configuration with the explicit margin 2 max(T, freq), the
+    one its noise record is anchored to: a grid of that plan holds every
+    grid of a default plan as a sub-block."""
+    from gwhf.simulate import StftPlan
+    ws = plan.windows
+    margin = 2 * max(max(w.support_radius, w.freq_radius) for w in ws)
+    return StftPlan(ws, plan.requested, plan.spacing, plan.dt, margin, plan.plane)

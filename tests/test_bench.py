@@ -1,0 +1,30 @@
+"""The benchmark's workloads against the package: every workload's set-up
+and one `stft-h1` unit under the benchmark's winding/sign check, so a name
+or signature the benchmark calls that stops working fails here first."""
+import importlib.util
+import sys
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_workloads_set_up_and_run_one_stft_unit(monkeypatch):
+    wl = _workloads(monkeypatch)
+    assert sorted(wl.WORKLOADS) == ["closed-form", "gef-hyperuniform", "poly3-full-2t",
+                                    "stft-h1"]
+    for workload in wl.WORKLOADS.values():
+        workload.setup(1)
+    stft = wl.WORKLOADS["stft-h1"]
+    with wl.SignCheck() as sign:
+        unit = stft.run_unit(1, 1, sign)
+    assert unit.output is not None and (unit.ops, unit.failed) == (stft.chunk, 0)
+    checks = stft.checks([unit.output], sign)
+    assert all(ok for _, ok in checks), checks

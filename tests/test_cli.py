@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import anchored_plan
 from gwhf import cli
+from gwhf.simulate import FieldSource, load_grid, save_grid, stream
 
 PI = math.pi
 
@@ -87,6 +89,27 @@ def test_simulate_zeros_plot_pipeline(tmp_path, capsys):
     assert pluses + circles == len(lines) - 1 - degenerate
     assert svg.count('stroke="#808080"') == degenerate
     assert pluses > circles  # mostly positive charge
+
+
+def test_zeros_csv_of_default_container_equals_anchored_one(tmp_path, capsys):
+    # the README example; its container holds the interior plus a 4-cell pad
+    out_dir = str(tmp_path / "run")
+    run_cli(capsys, "simulate", "--window", "hermite:1", "--domain", "0,8,0,8",
+            "--seed", "7", "--out", out_dir)
+    small = load_grid(os.path.join(out_dir, "field.gwhf"))
+    assert (small.nx, small.ny) == (136, 137)
+    # the same realization on the grid padded by the anchor margin 2 max(T, freq)
+    src = FieldSource({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8),
+                      small.spacing, small.meta["dt"])
+    plan = anchored_plan(src.plan)
+    assert (plan.nx, plan.ny) == (345, 345)
+    save_grid(plan.realize(stream(7), 7), str(tmp_path / "anchored.gwhf"))
+    csvs = []
+    for name in (os.path.join(out_dir, "field.gwhf"), str(tmp_path / "anchored.gwhf")):
+        csvs.append(tmp_path / (Path(name).stem + ".csv"))
+        assert run_cli(capsys, "zeros", "--grid", name, "--out", str(csvs[-1]))[0] == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+    assert len(csvs[0].read_text().splitlines()) > 80
 
 
 def test_plot_marks_degenerate_zeros_neutrally(tmp_path, capsys):

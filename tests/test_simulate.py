@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import anchored_plan
 from gwhf import simulate as S
+from gwhf import zeros as Z
 from gwhf.errors import AliasBandError, ContainerError, ParameterError, PlaneError
 from gwhf.quadrature import adaptive_quad
 from gwhf.windows import window_from_spec
@@ -41,15 +43,26 @@ def test_stft_field_deterministic(hermites):
 
 
 def test_stft_field_metadata(hermites):
-    g = S.FieldSource({"family": "window", "window": hermites[0]},
-                      (0, 4, 0, 4), 1 / 16, 1 / 64).realize(1)
+    src = S.FieldSource({"family": "window", "window": hermites[0]},
+                        (0, 4, 0, 4), 1 / 16, 1 / 64)
+    g = src.realize(1)
+    h = g.spacing
     assert g.plane == "stft"
-    assert g.spacing == pytest.approx(1 / 16, abs=1e-12)
+    assert h == pytest.approx(1 / 16, abs=1e-12)
     assert g.meta["interior"] == (0, 4, 0, 4)
-    assert g.margin >= 2 * hermites[0].support_radius
+    # the grid is the interior plus a 4-cell pad, on the lattice of the
+    # anchored plan
+    assert g.margin == 4 * h
     x0, x1, y0, y1 = g.extent
-    pad = 2 * g.spacing
-    assert x0 <= 0 - g.margin + pad and x1 >= 4 + g.margin - pad
+    for lo, hi in ((x0, x1), (y0, y1)):
+        assert 0 - 4 * h - 1e-9 <= lo < 0 - 3 * h and 4 + 3 * h < hi <= 4 + 4 * h + 1e-9
+    # the noise record is the one a grid padded by 2 max(T, freq) draws
+    anchored = anchored_plan(src.plan)
+    assert anchored.margin >= 2 * hermites[0].support_radius
+    assert (src.plan.t0, src.plan.K) == (anchored.t0, anchored.K)
+    assert src.plan.t0 == 0 - anchored.margin - hermites[0].support_radius
+    offset = (src.plan.x0 - anchored.x0) / h
+    assert abs(offset - round(offset)) < 1e-9
 
 
 def test_stft_pointwise_variance_is_window_energy(hermites):
@@ -194,7 +207,9 @@ def test_banded_plan_matches_untruncated_fold(label, spacing):
 def test_multi_window_plan_matches_per_component_sum(hermites):
     ws = [hermites[0], hermites[1], hermites[2]]
     plan = S.StftPlan(ws, (0, 3, 0, 3), 1 / 16, 1 / 64)
-    assert plan.t0 == plan.x0 - max(w.support_radius for w in ws)
+    T = max(w.support_radius for w in ws)
+    # the record starts T before the grid column of the anchor margin
+    assert plan.t0 == 0 - 2 * max(T, max(w.freq_radius for w in ws)) - T
     for r in range(2):
         rngs = [S.stream(32, r, k) for k in range(3)]
         ref = sum(_reference_component(plan, g, S.complex_normals(S.stream(32, r, k), plan.K))
@@ -224,6 +239,52 @@ def test_gwhf_plane_plan_matches_mapped_grid(hermites):
     assert np.max(np.abs(got.values - mapped.values)) <= 1e-12 * np.max(np.abs(mapped.values))
     for attr in ("origin", "spacing", "plane", "seed", "margin", "meta", "interior"):
         assert getattr(got, attr) == getattr(mapped, attr), attr
+
+
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-6, 6, -6, 6), 0.1),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+    # the chirped criterion-8 window
+    ({"family": "window", "window": "gaussian:1.0;0.0;0.25;0.0;0.3"}, (0, 8, 0, 8), 1 / 16),
+    # frame shorter than the band: the band folds
+    ({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 0.25),
+], ids=["stft-h1", "gwhf-h1", "poly3-full", "chirp", "h1-folded"])
+def test_default_plan_is_sub_block_of_anchored_plan(spec, domain, spacing):
+    src = S.FieldSource(spec, domain, spacing, 1 / 64)
+    plan, ref = src.plan, anchored_plan(src.plan)
+    assert (plan.t0, plan.K, plan.W, plan.n_fft) == (ref.t0, ref.K, ref.W, ref.n_fft)
+    assert plan.nx < ref.nx and plan.ny < ref.ny
+    i0 = round((plan.x0 - ref.x0) / plan.spacing)
+    j0 = plan.jlo - ref.jlo
+    if plan.plane == "gwhf":  # rows flipped
+        j0 = ref.ny - j0 - plan.ny
+    q = len(plan.windows)
+    for r in range(2):
+        got = plan.realize([S.stream(41, r, k) for k in range(q)], 41)
+        whole = ref.realize([S.stream(41, r, k) for k in range(q)], 41)
+        assert np.array_equal(got.values, whole.values[j0:j0 + plan.ny, i0:i0 + plan.nx])
+        za, zb = Z.detect_zeros(got), Z.detect_zeros(whole)
+        assert za and len(za) == len(zb)
+        for a, b in zip(za, zb):
+            assert (a.charge, a.refined, a.jacobian_sign, a.degenerate) == \
+                (b.charge, b.refined, b.jacobian_sign, b.degenerate)
+            assert abs(a.position - b.position) <= 1e-12
+
+
+def test_default_pad_widens_to_the_grid_floor(hermites):
+    # a 4-cell pad gives 15 points on each axis of this domain; the parent
+    # lattice has more, so the pad widens to 16 points instead of refusing
+    plan = S.StftPlan(hermites[1], (0, 2, 0, 2), 0.3, 1 / 64)
+    ref = anchored_plan(plan)
+    assert (plan.nx, plan.ny) == (16, 16) and min(ref.nx, ref.ny) > 16
+    i0, j0 = round((plan.x0 - ref.x0) / plan.spacing), plan.jlo - ref.jlo
+    got, whole = plan.realize(S.stream(42)), ref.realize(S.stream(42))
+    assert np.array_equal(got.values, whole.values[j0:j0 + 16, i0:i0 + 16])
+    # widening never passes the ends of the anchored lattice
+    assert S._crop(16, 0.0, 1.0, 5.0, 7.0) == slice(0, 16)
+    assert S._crop(20, 0.0, 1.0, 17.0, 30.0) == slice(4, 20)
+    assert S._crop(40, 0.0, 1.0, 10.0, 12.0) == slice(3, 19)
 
 
 def test_fft_frame_is_smallest_7_smooth_length():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_grid
+from conftest import anchored_plan, synthetic_grid
 from gwhf import simulate as S
 from gwhf import windows as W
 from gwhf import zeros as Z
@@ -146,8 +146,11 @@ _POLY3 = ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.
 def test_newton_rejected_zero_sign_matches_winding(source, seed, r, near, margin0):
     # Newton rejects these cells; the sign is read from the bilinear
     # interpolant whose root places the zero, so it matches the winding
-    grid = S.FieldSource(*source, 1 / 64).realize(seed, r)
-    if margin0:
+    src = S.FieldSource(*source, 1 / 64)
+    grid = src.realize(seed, r)
+    if margin0:  # the zero lies in the anchored plan's grid, beyond the default pad
+        plan = anchored_plan(src.plan)
+        grid = plan.realize([S.stream(seed, r, k) for k in range(len(plan.windows))], seed)
         grid = dataclasses.replace(grid, margin=0.0, meta={})
     z = min(Z.detect_zeros(grid), key=lambda z: abs(z.position - near))
     assert abs(z.position - near) < 1e-3
