@@ -26,7 +26,7 @@ from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
                       jet_from_radial, kernel_from_spec, rho1, rho1_charged,
                       rho1_radial, validate_kernel, variance_asymptote,
                       wick_oracle_E)
-from .mc import McConfig, McReport, estimate_charge_intensity, \
+from .mc import McConfig, McReport, _source, estimate_charge_intensity, \
     estimate_charge_variance, estimate_intensity
 from .simulate import FieldSource, load_grid, save_grid, to_gwhf_plane
 from .windows import (invariance_check, jet_from_constants,
@@ -265,9 +265,14 @@ def _cmd_verify(args) -> int:
         return 0 if report.passes else 1
     if args.suite == "charge-variance":
         try:
-            radii = [float(v) for v in args.radii.split(",")]
+            radii = None if args.radii is None else [float(v) for v in args.radii.split(",")]
         except ValueError:
             raise ParameterError(f"radii {args.radii!r} must be comma-separated numbers") from None
+        if radii is None:  # whole radii up to the largest disk that fits the interior
+            x0, x1, y0, y1 = _source(_mc_config(args)).interior
+            cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+            radii = [float(r) for r in range(1, int(min(x1 - x0, y1 - y0)) + 1)
+                     if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1]
         report = estimate_charge_variance(_mc_config(args, radii))
         _write_report(report, args.out, "charge_variance")
         per_r = {it.label: it for it in report.items if it.label.startswith("R=")}
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="window spec (stft-plane suites)")
     p.add_argument("--kernel", help="gef | gef-series | polyentire:q:kind | poisson")
     p.add_argument("-n", type=int, default=200, help="number of realizations/draws")
-    p.add_argument("--radii", default="1,2,3,4,5,6", help="disk radii for charge-variance")
+    p.add_argument("--radii", help="disk radii for charge-variance (default: 1, 2, ... that fit)")
     p.add_argument("--convention", default="regression", choices=list(OMEGA_CONVENTIONS))
     p.set_defaults(func=_cmd_verify)
 

@@ -30,7 +30,7 @@ class AliasBandError(GwhfError, ValueError):
 
 
 class ResolutionError(GwhfError, RuntimeError):
-    """Grid too coarse: a plaquette holds more than one zero after refinement."""
+    """Too coarse to resolve: a plaquette holds two zeros, or a circle's phase never settles."""
 
 
 class PlaneError(GwhfError, ValueError):

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import DomainError, GwhfError, InvalidKernelError, ParameterError
 from .kernels import DEFAULT_CONVENTION, _check_convention, variance_asymptote
-from .simulate import FieldSource, _check_domain, stream
+from .simulate import FieldSource, SeriesPlan, _check_domain, stream
 from .windows import Window, window_from_spec
-from .zeros import ChargedZero, detect_zeros, disk_stats
+from .zeros import circle_charges, detect_zeros
 
 __all__ = ["McConfig", "McItem", "McReport",
            "estimate_intensity", "estimate_charge_intensity",
@@ -139,7 +139,7 @@ class McReport:
 class _PoissonControl:
     """Uniform points with i.i.d. +-1 charges: the one source with no grid."""
 
-    kernel, charge_density = None, 0.0
+    kernel, charge_density, plan = None, 0.0, None
 
     def __init__(self, cfg: McConfig):
         self.rate = float(cfg.source.get("density", 1.0 / math.pi))
@@ -151,16 +151,13 @@ class _PoissonControl:
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         return self.rate
 
-    def zeros(self, seed: int, r: int) -> list[ChargedZero]:
+    def points(self, seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         rng = stream(seed, r, 0)
         x0, x1, y0, y1 = self.interior
-        n = rng.poisson(self.rate * ((x1 - x0) * (y1 - y0)))
-        xy = rng.uniform(size=(int(n), 2))
-        signs = np.where(rng.uniform(size=int(n)) < 0.5, 1, -1)
-        return [ChargedZero(position=complex(x0 + (x1 - x0) * a, y0 + (y1 - y0) * b),
-                            charge=int(s), refined=True,
-                            jacobian_sign=int(s))
-                for (a, b), s in zip(xy, signs)]
+        n = int(rng.poisson(self.rate * ((x1 - x0) * (y1 - y0))))
+        xy = rng.uniform(size=(n, 2))
+        pos = (x0 + (x1 - x0) * xy[:, 0]) + 1j * (y0 + (y1 - y0) * xy[:, 1])
+        return pos, np.where(rng.uniform(size=n) < 0.5, 1, -1)
 
 
 def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
@@ -173,20 +170,22 @@ def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
 _BLOCK = 8
 
 
-def _block_zeros(source: FieldSource | _PoissonControl, cfg: McConfig,
-                 rs: range) -> Iterator[list[ChargedZero]]:
-    """Non-degenerate charged zeros of each realization in rs, in order.
-    map drops each grid once its zeros are found, before the next is made."""
+def _block_points(source: FieldSource | _PoissonControl, cfg: McConfig,
+                  rs: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Positions and charges of the non-degenerate zeros of each realization
+    in rs, in order; each grid is dropped once its zeros are found."""
     if isinstance(source, _PoissonControl):
-        return (source.zeros(cfg.seed, r) for r in rs)
-    return map(lambda grid: [z for z in detect_zeros(grid) if not z.degenerate],
-               source.realize_batch(cfg.seed, rs))
+        return (source.points(cfg.seed, r) for r in rs)
+    live = ([z for z in zs if not z.degenerate] for zs in
+            map(detect_zeros, source.realize_batch(cfg.seed, rs)))
+    return ((np.array([z.position for z in zs]), np.array([z.charge for z in zs], dtype=int))
+            for zs in live)
 
 
-def _map_realizations(cfg: McConfig, source: FieldSource | _PoissonControl, stat) -> list:
-    """[stat(zeros of r) for each realization r], in order whatever the thread
-    count.  Each worker takes a contiguous block of at most _BLOCK
-    realizations, fewer when that would leave a thread without a block.  A
+def _map_realizations(cfg: McConfig, values_of) -> list:
+    """The values of all realizations in order whatever the thread count,
+    values_of(rs) iterating over those of a contiguous block rs of at most
+    _BLOCK, fewer when that would leave a thread without a block.  A
     GwhfError is re-raised as its own class, naming the seed and realization."""
     n = cfg.n_realizations
     size = min(_BLOCK, -(-n // cfg.threads))
@@ -194,8 +193,8 @@ def _map_realizations(cfg: McConfig, source: FieldSource | _PoissonControl, stat
     def block(lo: int) -> list:
         rs, out = range(lo, min(lo + size, n)), []
         try:
-            for zs in _block_zeros(source, cfg, rs):
-                out.append(stat(zs))
+            for value in values_of(rs):
+                out.append(value)
         except GwhfError as exc:
             raise type(exc)(f"seed {cfg.seed} realization {rs[len(out)]}: {exc}") from exc
         return out
@@ -220,7 +219,8 @@ def _per_area(cfg: McConfig, quantity: str, stat, theory_of) -> McReport:
     theory = theory_of(source)
     x0, x1, y0, y1 = source.interior
     area = (x1 - x0) * (y1 - y0)
-    values = np.array(_map_realizations(cfg, source, stat), dtype=float)
+    values = np.array(_map_realizations(
+        cfg, lambda rs: (stat(*pc) for pc in _block_points(source, cfg, rs))), dtype=float)
     mean = float(np.mean(values)) / area
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) / area
     item = McItem(label=quantity, empirical=mean, se=se, theory=theory)
@@ -230,12 +230,13 @@ def _per_area(cfg: McConfig, quantity: str, stat, theory_of) -> McReport:
 
 def estimate_intensity(cfg: McConfig) -> McReport:
     """Mean interior zero count per unit area, against the closed formula."""
-    return _per_area(cfg, "density", len, lambda source: source.density(cfg.convention))
+    return _per_area(cfg, "density", lambda pos, chg: chg.size,
+                     lambda source: source.density(cfg.convention))
 
 
 def estimate_charge_intensity(cfg: McConfig) -> McReport:
     """Mean signed charge per unit area; theory is kernel-independent."""
-    return _per_area(cfg, "charge_density", lambda zs: sum(z.charge for z in zs),
+    return _per_area(cfg, "charge_density", lambda pos, chg: int(chg.sum()),
                      lambda source: source.charge_density)
 
 
@@ -253,10 +254,11 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     """Across-realization variance of disk charge, per radius, as Var/R.
 
     One concentric disk per realization per radius (overlapping-disk
-    averaging would correlate samples and bias the standard errors).  The
-    report also carries a weighted linear fit of Var against R over the
-    upper half of the radii.  Theory per radius is the large-R limit of
-    Var/R from quadrature of the kernel profile.
+    averaging would correlate samples and bias the standard errors); a
+    series source takes each disk's charge as its field's winding on the
+    circle, with no grid.  The report also carries a weighted linear fit of
+    Var against R over the upper half of the radii.  Theory per radius is
+    the large-R limit of Var/R from quadrature of the kernel profile.
     """
     t0 = time.time()
     if not cfg.radii:
@@ -281,10 +283,15 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     else:
         raise InvalidKernelError("no radial kernel available for variance theory")
 
-    def stat(zs: list[ChargedZero]) -> list[int]:
-        return [st.total_charge for st in disk_stats(zs, center, radii)]
+    def disk_charges(rs: range) -> Iterator:
+        if isinstance(source.plan, SeriesPlan):
+            coeffs = source.plan.coefficients([stream(cfg.seed, r, 0) for r in rs])
+            return circle_charges(lambda z: source.plan.evaluate(coeffs, z), center, radii,
+                                  cfg.spacing)
+        dists = ((np.abs(pos - center), chg) for pos, chg in _block_points(source, cfg, rs))
+        return ([int(chg[dist <= R].sum()) for R in radii] for dist, chg in dists)
 
-    charges = np.array(_map_realizations(cfg, source, stat), dtype=float)
+    charges = np.array(_map_realizations(cfg, disk_charges), dtype=float)
 
     items = []
     variances = []

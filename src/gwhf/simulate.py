@@ -427,13 +427,14 @@ class SeriesPlan:
     sum_n (xi_n c_n) u_n(z), with the per-plan scale c_n = rho^n / sqrt(n!)
     (rho the grid radius, the largest |z|) and the basis
     u_n(z) = exp(-|z|^2/2) (z/rho)^n.  Every basis entry is at most 1 in
-    modulus.  The basis of a chunk of at most _CHUNK grid points is filled
-    by doubling, u[s:2s] = u[:s] (z/rho)^s, in about log2(n_terms) array
-    products instead of a chain over n.  A batch of B realizations is one
-    (B x N) @ (N x chunk) product per chunk; BLAS computes each row of it the
-    same way for any B, so a grid does not depend on the batch it is drawn
-    in.  The scale peaks near exp(rho^2/2), so the grid radius is limited to
-    _MAX_RADIUS, where it and exp(-rho^2/2) stay normal float64 numbers.
+    modulus.  One evaluator serves the grid and any other points: the basis
+    of a chunk of at most _CHUNK points is filled by doubling, u[s:2s] =
+    u[:s] (z/rho)^s, in about log2(n_terms) array products instead of a
+    chain over n.  A batch of B realizations is one (B x N) @ (N x chunk)
+    product per chunk; BLAS computes each row of it the same way for any B,
+    so a grid does not depend on the batch it is drawn in.  The scale peaks
+    near exp(rho^2/2), so the grid radius is limited to _MAX_RADIUS, where
+    it and exp(-rho^2/2) stay normal float64 numbers.
     """
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
@@ -471,18 +472,21 @@ class SeriesPlan:
         # is about 300 times less accurate at 351 terms
         self.scale = np.cumprod(np.r_[1.0, r_max / np.sqrt(np.arange(1.0, self.n_terms))])
 
-    def realize_batch(self, rngs: Iterable[np.random.Generator],
-                      seed_label: int = 0) -> list[FieldGrid]:
-        """One grid per generator, each drawing its n_terms coefficients from it."""
-        xi = np.stack([complex_normals(rng, self.n_terms) for rng in rngs]) * self.scale
-        count = len(xi)
+    def coefficients(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+        """(B, n_terms) scaled coefficients xi_n c_n, one row per generator."""
+        return np.stack([complex_normals(rng, self.n_terms) for rng in rngs]) * self.scale
+
+    def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """(B, z.size) values at points z within the grid radius of the B
+        fields whose scaled coefficients are the rows of coeffs."""
+        count = len(coeffs)
         if count == 1:
             # numpy hands a one-row product to gemv, which rounds differently
             # from gemm; a zero row keeps the row on the gemm path
-            xi = np.vstack([xi, np.zeros_like(xi)])
-        z = self.z.ravel()
-        out = np.empty((len(xi), z.size), dtype=complex)
-        basis = np.empty((self.n_terms, _CHUNK), dtype=complex)
+            coeffs = np.vstack([coeffs, np.zeros_like(coeffs)])
+        z = np.ravel(z)
+        out = np.empty((len(coeffs), z.size), dtype=complex)
+        basis = np.empty((self.n_terms, min(_CHUNK, z.size)), dtype=complex)
         for lo in range(0, z.size, _CHUNK):
             zc = z[lo:lo + _CHUNK]
             u = basis[:, :zc.size]
@@ -492,13 +496,18 @@ class SeriesPlan:
                 # u[s:2s] = u[:s] (z/rho)^s, then w = (z/rho)^(2s)
                 np.multiply(u[:min(s, self.n_terms - s)], w, out=u[s:2 * s])
                 w, s = w * w, 2 * s
-            np.matmul(xi, u, out=out[:, lo:lo + zc.size])
+            np.matmul(coeffs, u, out=out[:, lo:lo + zc.size])
+        return out[:count]
+
+    def realize_batch(self, rngs: Iterable[np.random.Generator],
+                      seed_label: int = 0) -> list[FieldGrid]:
+        """One grid per generator: its coefficients evaluated on the grid."""
         meta = {"interior": self.requested, "simulator": "series",
                 "n_terms": self.n_terms}
         return [FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
                           spacing=self.spacing, plane="gwhf", seed=seed_label,
                           margin=self.margin, meta=dict(meta))
-                for v in out[:count]]
+                for v in self.evaluate(self.coefficients(rngs), self.z)]
 
     def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
         return self.realize_batch([rng], seed_label)[0]

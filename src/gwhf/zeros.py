@@ -26,12 +26,13 @@ zeros are kept inside grid.interior.  Each zero's position and its
 Jacobian sign come from one interpolant of one demodulated stencil, so
 the sign is read at that interpolant's own root.  The sign is computed
 from the differential, independently of the winding; simple zeros must
-agree (tested, not assumed).
+agree (tested, not assumed).  circle_charges needs no grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,7 +42,7 @@ from .simulate import FieldGrid
 
 __all__ = [
     "ChargedZero", "DiskStat",
-    "detect_zeros", "disk_stats",
+    "detect_zeros", "disk_stats", "circle_charges",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -405,6 +406,44 @@ def disk_stats(zeros: list[ChargedZero], center: complex, radii: list[float],
         else:
             stats.append(DiskStat(center=center, radius=float(r), count=0, total_charge=0))
     return stats
+
+
+def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
+                   radii: Sequence[float], spacing: float) -> Iterator[np.ndarray]:
+    """Charge inside each circle |z - center| = R of each field (the rows of
+    field(z)), row by row: its phase winding, by the argument principle.
+    Circles start from ceil(2 pi R / spacing) points, at least 16; arcs with
+    a phase step over 1 rad or a vanishing end are halved, all in one call a
+    round.  A row with an arc unsettled after 40 halvings (its field
+    vanishes on or next to the circle) raises ResolutionError naming R."""
+    radii = np.asarray(radii, dtype=float)
+    counts = np.maximum(16, np.ceil(_TWO_PI * radii / spacing).astype(int))
+    ring = np.repeat(np.arange(len(radii)), counts)  # circle of each point
+    j = np.arange(ring.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    nxt = np.arange(ring.size) - j + (j + 1) % counts[ring]
+    theta = _TWO_PI * j / counts[ring]
+    v = field(center + radii[ring] * np.exp(1j * theta))
+    # arcs (field row, circle, start angle, end values): every one at first
+    b, p = np.indices(v.shape).reshape(2, -1)
+    k, ta, va, vb = ring[p], theta[p], v[b, p], v[b, nxt[p]]
+    total = np.zeros(len(v) * len(radii))
+    for halvings in range(41):
+        if halvings:
+            tm = ta + _TWO_PI / counts[k] / 2.0 ** halvings
+            vm = field(center + radii[k] * np.exp(1j * tm))[b, np.arange(b.size)]
+            b, k, ta, va, vb = np.r_[b, b], np.r_[k, k], np.r_[ta, tm], np.r_[va, vm], np.r_[vm, vb]
+        prod = vb * np.conj(va)
+        step = np.angle(prod)
+        coarse = ~(np.abs(step) <= 1.0) | (prod == 0)
+        total += np.bincount((b * len(radii) + k)[~coarse], step[~coarse], total.size)
+        b, k, ta, va, vb = (x[coarse] for x in (b, k, ta, va, vb))
+        if not b.size:
+            break
+    for row, charges in enumerate(np.rint(total.reshape(len(v), -1) / _TWO_PI).astype(int)):
+        if row in b:
+            raise ResolutionError(f"phase on the circle of radius {radii[k[b == row][0]]:g} "
+                                  f"about {center:.4g} not settled after 40 halvings")
+        yield charges
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark's workloads against the package: every workload's set-up
-and one `stft-h1` unit under the benchmark's winding/sign check, so a name
-or signature the benchmark calls that stops working fails here first."""
+and one `stft-h1` and one `gef-hyperuniform` unit under the benchmark's
+winding/sign check, so a name or signature the benchmark calls that stops
+working fails here first."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -27,4 +28,15 @@ def test_bench_workloads_set_up_and_run_one_stft_unit(monkeypatch):
         unit = stft.run_unit(1, 1, sign)
     assert unit.output is not None and (unit.ops, unit.failed) == (stft.chunk, 0)
     checks = stft.checks([unit.output], sign)
+    assert all(ok for _, ok in checks), checks
+
+
+def test_bench_gef_hyperuniform_unit_passes_its_checks(monkeypatch):
+    wl = _workloads(monkeypatch)
+    gef = wl.WORKLOADS["gef-hyperuniform"]
+    gef.setup(1)
+    with wl.SignCheck() as sign:
+        unit = gef.run_unit(1, 1, sign)
+    assert unit.output is not None and (unit.ops, unit.failed) == (gef.chunk, 0)
+    checks = gef.checks([unit.output], sign)
     assert all(ok for _, ok in checks), checks

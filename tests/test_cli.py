@@ -347,6 +347,15 @@ def test_verify_charge_and_variance_cli(tmp_path, capsys):
     assert (tmp_path / "charge_variance.json").exists()
 
 
+def test_verify_charge_variance_default_radii_fit_default_domain(capsys):
+    # the default domain 0,8,0,8 holds disks of radius 1 to 4 about its centre
+    code, out, err = run_cli(capsys, "verify", "charge-variance", "--kernel", "gef-series",
+                             "-n", "10")
+    assert code != 2, err
+    assert [it["label"] for it in json.loads(out)["items"]] == \
+        ["R=1", "R=2", "R=3", "R=4", "fit-slope"]
+
+
 def test_simulate_series_and_polyentire_cli(tmp_path, capsys):
     out_dir = str(tmp_path / "series")
     code, out, _ = run_cli(capsys, "simulate", "--simulator", "series",

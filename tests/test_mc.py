@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from gwhf import mc
 from gwhf.errors import DomainError, ParameterError, ResolutionError
-from gwhf.simulate import FieldSource
+from gwhf.simulate import FieldSource, SeriesPlan, stream
 
 PI = math.pi
 
@@ -171,6 +172,42 @@ def test_cross_simulator_density_agreement():
     gap = abs(a.empirical - b.empirical)
     assert gap <= 3.0 * math.hypot(a.se, b.se)
     assert a.theory == pytest.approx(b.theory, abs=1e-12)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_circle_errors_name_seed_and_realization(monkeypatch, threads):
+    # realization 2's field becomes exp(-|z|^2/2) (z - 1), which vanishes on
+    # the circle of radius 1 about the centre
+    cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
+               n_realizations=4, seed=21, radii=(1.0, 2.0), threads=threads)
+    draw = SeriesPlan.coefficients
+    bad = draw(FieldSource(cfg.source, cfg.domain, cfg.spacing).plan, [stream(21, 2, 0)])[0]
+
+    def vanishing(plan, rngs):
+        coeffs = draw(plan, rngs)
+        hit = (coeffs == bad).all(axis=1)
+        coeffs[hit] = 0.0
+        coeffs[hit, :2] = [-1.0, plan.rho]
+        return coeffs
+
+    monkeypatch.setattr(SeriesPlan, "coefficients", vanishing)
+    with pytest.raises(ResolutionError,
+                       match=r"^seed 21 realization 2: phase on the circle of radius 1 "):
+        mc.estimate_charge_variance(cfg)
+
+
+def test_poisson_reports_pinned():
+    # positions and charges drawn per realization as before they were kept
+    # as arrays: the reports of all three estimators keep their bytes
+    cfg = mc.McConfig(source={"family": "poisson", "density": 1 / PI},
+                      domain=(-6.5, 6.5, -6.5, 6.5), spacing=0.08, n_realizations=50,
+                      seed=78, radii=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    digest = hashlib.sha256()
+    for estimate in (mc.estimate_intensity, mc.estimate_charge_intensity,
+                     mc.estimate_charge_variance):
+        digest.update(estimate(cfg).to_json(include_elapsed=False).encode())
+    assert digest.hexdigest() == \
+        "fc8e91c201f1b9c2d93a60ce65bb15f84cbc1fc8bc98bcfbd5dfc8c8b1f22333"
 
 
 def test_series_reports_independent_of_threads_and_blocks():

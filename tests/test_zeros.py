@@ -362,6 +362,67 @@ def test_block_windings_match_boundary_circulation(realization, data):
 
 
 # ---------------------------------------------------------------------------
+# Disk charges from circles (argument principle)
+# ---------------------------------------------------------------------------
+
+def test_circle_charges_of_known_fields():
+    # row 0 holomorphic with zeros at 0.5 and 1.5+0.2i, row 1 antiholomorphic
+    # with its zero at -0.3; a circle of radius 2 about 0.1 holds all three
+    def field(z):
+        return np.stack([(z - 0.5) * (z - (1.5 + 0.2j)), np.conj(z) + 0.3])
+
+    charges = np.array(list(Z.circle_charges(field, 0.1 + 0j, [0.2, 1.0, 2.0], 0.1)))
+    assert charges.tolist() == [[0, 1, 2], [0, -1, -1]]
+
+
+@pytest.mark.parametrize("root", [1.0 + 0j, complex(math.cos(0.1234), math.sin(0.1234))])
+def test_circle_charges_refuse_a_zero_on_the_circle(root):
+    # one zero on a sample point, one between two: both leave an arc that
+    # never settles; the rows before it still come out, then the error
+    # names the radius
+    rows = Z.circle_charges(lambda z: np.stack([z, z - root]), 0j, [0.5, 1.0], 0.05)
+    assert next(rows).tolist() == [1, 1]
+    with pytest.raises(ResolutionError, match=r"^phase on the circle of radius 1 about 0"):
+        next(rows)
+
+
+def _exact_root(coeffs, rho, z0):
+    """Newton on the series polynomial sum_n coeffs[n] (z/rho)^n from z0."""
+    poly = np.polynomial.Polynomial(coeffs)
+    slope = poly.deriv()
+    w = z0 / rho
+    for _ in range(30):
+        w = w - poly(w) / slope(w)
+    return w * rho
+
+
+@pytest.mark.parametrize("domain, spacing, center, radii", [
+    ((-6.5, 6.5, -6.5, 6.5), 0.08, 0j, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),  # criterion 6
+    ((0.0, 8.0, 0.0, 8.0), 1 / 16, 4 + 4j, (1.0, 2.0, 3.0, 4.0)),  # away from the origin
+])
+def test_circle_charges_match_detector_disk_charges(domain, spacing, center, radii):
+    # 200 series realizations: the charge counted on each circle equals the
+    # detector's disk charge, except where the exact root next to the
+    # circle lies within 1e-3 cells of it
+    plan = S.SeriesPlan(domain, spacing)
+    for lo in range(0, 200, 8):
+        rs = range(lo, lo + 8)
+        coeffs = plan.coefficients([S.stream(77, r, 0) for r in rs])
+        circle = np.array(list(Z.circle_charges(lambda z: plan.evaluate(coeffs, z), center,
+                                                radii, spacing)))
+        grids = plan.realize_batch([S.stream(77, r, 0) for r in rs])
+        for b, grid in enumerate(grids):
+            zs = Z.detect_zeros(grid)
+            disk = [st.total_charge for st in Z.disk_stats(zs, center, radii)]
+            for k in np.flatnonzero(circle[b] != disk):
+                gaps = [abs(abs(_exact_root(coeffs[b], plan.rho, z.position) - center)
+                            - radii[k]) for z in zs
+                        if abs(abs(z.position - center) - radii[k]) < spacing]
+                assert min(gaps, default=math.inf) < 1e-3 * spacing, \
+                    (rs[b], radii[k], circle[b, k], disk[k])
+
+
+# ---------------------------------------------------------------------------
 # Disk statistics and CSV
 # ---------------------------------------------------------------------------
 
