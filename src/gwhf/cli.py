@@ -26,13 +26,13 @@ from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
                       jet_from_radial, kernel_from_spec, rho1, rho1_charged,
                       rho1_radial, validate_kernel, variance_asymptote,
                       wick_oracle_E)
-from .mc import McConfig, McReport, _source, estimate_charge_intensity, \
+from .mc import McConfig, McReport, _disk_fits, estimate_charge_intensity, \
     estimate_charge_variance, estimate_intensity
-from .simulate import FieldSource, load_grid, save_grid, to_gwhf_plane
+from .simulate import FieldSource, _check_domain, load_grid, save_grid, to_gwhf_plane
 from .windows import (invariance_check, jet_from_constants,
                       rho1_stft_from_constants, uncertainty_constants,
                       window_from_spec)
-from .zeros import detect_zeros, zeros_from_csv, zeros_to_csv
+from .zeros import ZeroSet, detect_zeros, zeros_from_csv, zeros_to_csv
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -174,7 +174,7 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
-def _svg_scatter(zeros, out_path: str) -> None:
+def _svg_scatter(zeros: ZeroSet, out_path: str) -> None:
     """Fixed-format scatter: plus marks for positive charges, circles for
     negative, grey squares for degenerate zeros (no certified charge),
     equal-aspect axes."""
@@ -268,11 +268,10 @@ def _cmd_verify(args) -> int:
             radii = None if args.radii is None else [float(v) for v in args.radii.split(",")]
         except ValueError:
             raise ParameterError(f"radii {args.radii!r} must be comma-separated numbers") from None
-        if radii is None:  # whole radii up to the largest disk that fits the interior
-            x0, x1, y0, y1 = _source(_mc_config(args)).interior
-            cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        if radii is None:  # whole radii up to the largest disk that fits the domain
+            x0, x1, y0, y1 = domain = _check_domain(args.domain)
             radii = [float(r) for r in range(1, int(min(x1 - x0, y1 - y0)) + 1)
-                     if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1]
+                     if _disk_fits(domain, r)]
         report = estimate_charge_variance(_mc_config(args, radii))
         _write_report(report, args.out, "charge_variance")
         per_r = {it.label: it for it in report.items if it.label.startswith("R=")}

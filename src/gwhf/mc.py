@@ -176,10 +176,16 @@ def _block_points(source: FieldSource | _PoissonControl, cfg: McConfig,
     in rs, in order; each grid is dropped once its zeros are found."""
     if isinstance(source, _PoissonControl):
         return (source.points(cfg.seed, r) for r in rs)
-    live = ([z for z in zs if not z.degenerate] for zs in
-            map(detect_zeros, source.realize_batch(cfg.seed, rs)))
-    return ((np.array([z.position for z in zs]), np.array([z.charge for z in zs], dtype=int))
-            for zs in live)
+    return ((zs.position[~zs.degenerate], zs.charge[~zs.degenerate])
+            for zs in map(detect_zeros, source.realize_batch(cfg.seed, rs)))
+
+
+def _disk_fits(box: tuple[float, float, float, float], radius: float) -> bool:
+    """Whether the closed disk of this radius about the centre of the
+    rectangle box = (x0, x1, y0, y1) lies inside it."""
+    x0, x1, y0, y1 = box
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return x0 <= cx - radius and cx + radius <= x1 and y0 <= cy - radius and cy + radius <= y1
 
 
 def _map_realizations(cfg: McConfig, values_of) -> list:
@@ -267,10 +273,8 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     notes = list(source.notes)
     x0, x1, y0, y1 = source.interior
     center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    rmax = max(cfg.radii)
-    if (center.real - rmax < x0 or center.real + rmax > x1
-            or center.imag - rmax < y0 or center.imag + rmax > y1):
-        raise DomainError(f"radius {rmax} disk does not fit interior {source.interior}")
+    if not _disk_fits(source.interior, max(cfg.radii)):
+        raise DomainError(f"radius {max(cfg.radii)} disk does not fit interior {source.interior}")
     if cfg.n_realizations < 100:
         notes.append("fewer than 100 realizations: variance standard errors are wide")
 

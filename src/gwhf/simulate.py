@@ -41,7 +41,7 @@ __all__ = [
     "FieldGrid", "stream", "complex_normals",
     "StftPlan", "SeriesPlan", "FieldSource", "to_gwhf_plane",
     "series_terms_required",
-    "save_grid", "load_grid", "grid_to_csv",
+    "save_grid", "load_grid",
 ]
 
 _MAGIC = b"GWHF1\n"
@@ -239,7 +239,9 @@ class StftPlan:
     to the invariant plane, as to_gwhf_plane maps them, with the mapping's
     phase folded into the output phase once per plan.  The phase table is
     built on the anchored rows, whose split into coarse and fine factors
-    fixes its rounding, then cut to the kept rows.
+    fixes its rounding, then cut to the kept rows.  `interior` is the
+    output-plane rectangle every grid records: the domain, or its gwhf-plane
+    image.
     """
 
     def __init__(self, window: Window | Sequence[Window],
@@ -267,6 +269,7 @@ class StftPlan:
         self.plane = plane
         self.dt = float(dt)
         self.requested = (x0, x1, y0, y1)
+        self.interior = self.requested if plane == "stft" else _gwhf_box(self.requested)
 
         n_fft = _fft_frame(math.ceil(1.0 / (spacing * dt) - 1e-9))
         if n_fft < 8:
@@ -354,7 +357,7 @@ class StftPlan:
             spec = np.fft.fft(bands[:, :N], n=N, axis=1)
             np.multiply(spec[:, self._rows].T, self._phase[:, cols], out=vals[:, cols])
         meta = {
-            "interior": self.requested,
+            "interior": self.interior,
             "window": self.windows[0].label,
             "dt": self.dt,
             "requested_spacing_rounded_to": self.spacing,
@@ -366,7 +369,7 @@ class StftPlan:
                              spacing=self.spacing, plane="stft", seed=seed_label,
                              margin=self.margin, meta=meta)
         y1 = self.y0 + self.spacing * (self.ny - 1)
-        meta.update(interior=_gwhf_box(self.requested), mapped_from="stft")
+        meta["mapped_from"] = "stft"
         return FieldGrid(values=vals, origin=complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
                          spacing=_SQRT_PI * self.spacing, plane="gwhf", seed=seed_label,
                          margin=_SQRT_PI * self.margin, meta=meta)
@@ -534,6 +537,8 @@ class FieldSource:
     itself; a series source holds one SeriesPlan.  Without a margin both
     plans pad the domain by 4 cells; the StftPlan keeps the lattice and
     noise record of its anchor margin, so no sample depends on the pad.
+    The source's interior, and that of each of its grids, is the domain
+    given, bit for bit.
     """
 
     def __init__(self, spec: dict, domain: tuple[float, float, float, float],
@@ -573,12 +578,14 @@ class FieldSource:
             if not spacing > 0:
                 raise ParameterError(f"spacing {spacing} must be positive")
             # checked here, so an error names the gwhf-plane rectangle given
-            domain, spacing = _gwhf_box(_check_domain(domain), inverse=True), spacing / _SQRT_PI
+            box = _check_domain(domain)
+            domain, spacing = _gwhf_box(box, inverse=True), spacing / _SQRT_PI
             margin = None if margin is None else margin / _SQRT_PI
         dt = 1.0 / 64.0 if dt is None else dt
         self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
-        box = self.plan.requested
-        self.interior = _gwhf_box(box) if self.plane == "gwhf" else box
+        if self.plane == "gwhf":  # the stft-plane round trip may miss it by an ulp
+            self.plan.interior = box
+        self.interior = self.plan.interior
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         """Expected zeros per unit area of the output plane."""
@@ -659,17 +666,6 @@ def load_grid(path: str) -> FieldGrid:
     except (KeyError, OSError, TypeError, ValueError, struct.error) as exc:
         raise ContainerError(f"{path} is not a valid grid container: "
                              f"{type(exc).__name__}: {exc}") from exc
-
-
-def grid_to_csv(grid: FieldGrid, path: str) -> None:
-    """Plain-text export, one row per sample: x,y,re,im."""
-    xs, ys = grid.xs, grid.ys
-    with open(path, "w") as fh:
-        fh.write("x,y,re,im\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                v = grid.values[j, i]
-                fh.write(f"{xs[i]:.9g},{ys[j]:.9g},{v.real:.9g},{v.imag:.9g}\n")
 
 
 def _jsonable(obj):

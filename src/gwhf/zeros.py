@@ -26,7 +26,8 @@ zeros are kept inside grid.interior.  Each zero's position and its
 Jacobian sign come from one interpolant of one demodulated stencil, so
 the sign is read at that interpolant's own root.  The sign is computed
 from the differential, independently of the winding; simple zeros must
-agree (tested, not assumed).  circle_charges needs no grid.
+agree (tested, not assumed).  The zeros of a grid are one ZeroSet of
+parallel arrays.  circle_charges needs no grid.
 """
 from __future__ import annotations
 
@@ -37,12 +38,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContainerError, DomainError, ResolutionError
+from .errors import ContainerError, ResolutionError
 from .simulate import FieldGrid
 
 __all__ = [
-    "ChargedZero", "DiskStat",
-    "detect_zeros", "disk_stats", "circle_charges",
+    "ChargedZero", "ZeroSet",
+    "detect_zeros", "circle_charges",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -68,12 +69,25 @@ class ChargedZero:
         return self.charge
 
 
-@dataclass(frozen=True)
-class DiskStat:
-    center: complex
-    radius: float
-    count: int
-    total_charge: int
+@dataclass(frozen=True, eq=False)
+class ZeroSet:
+    """The zeros of one grid as parallel arrays, ordered by (imag, real):
+    position (complex), charge (int), refined (bool), jacobian_sign (int)
+    and degenerate (bool).  Iterating it yields one ChargedZero per zero."""
+    position: np.ndarray
+    charge: np.ndarray
+    refined: np.ndarray
+    jacobian_sign: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def __iter__(self) -> Iterator[ChargedZero]:
+        for p, c, r, s, d in zip(self.position.tolist(), self.charge.tolist(),
+                                 self.refined.tolist(), self.jacobian_sign.tolist(),
+                                 self.degenerate.tolist()):
+            yield ChargedZero(position=p, charge=c, refined=r, jacobian_sign=s, degenerate=d)
 
 
 def _plane_orientation(grid: FieldGrid) -> int:
@@ -324,7 +338,7 @@ def _dedup(grid: FieldGrid, raw: np.ndarray, pos: np.ndarray, wind: np.ndarray) 
     return keep
 
 
-def detect_zeros(grid: FieldGrid, refine: bool = True) -> list[ChargedZero]:
+def detect_zeros(grid: FieldGrid, refine: bool = True) -> ZeroSet:
     """All charged zeros of the grid, attributed by refined position.
 
     Each plaquette's gauged phase circulation is summed along the
@@ -367,45 +381,15 @@ def detect_zeros(grid: FieldGrid, refine: bool = True) -> list[ChargedZero]:
     pos, ok, sign, flat, wind = pos[keep], ok[keep], sign[keep], flat[keep], wind[keep]
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
-    # from samples, so they carry the degenerate flag (kept in the list,
+    # from samples, so they carry the degenerate flag (kept in the set,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
     degenerate = flat.copy()
     degenerate[_close_pairs(pos, 0.75 * grid.spacing).ravel()] = True
     inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
-    pos, ok, sign, wind, degenerate = (pos[inside], ok[inside], sign[inside], wind[inside],
-                                       degenerate[inside])
-    return [ChargedZero(position=complex(pos[k]), charge=int(wind[k]),
-                        refined=bool(ok[k]), jacobian_sign=int(sign[k]),
-                        degenerate=bool(degenerate[k]))
-            for k in np.lexsort((pos.real, pos.imag))]
-
-
-def disk_stats(zeros: list[ChargedZero], center: complex, radii: list[float],
-               interior: tuple[float, float, float, float] | None = None
-               ) -> list[DiskStat]:
-    """Count and signed charge in closed disks around a center.
-
-    Degenerate-flagged zeros are excluded.  When an interior rectangle is
-    given, every disk must fit inside it.
-    """
-    if interior is not None:
-        x0, x1, y0, y1 = interior
-        rmax = max(radii) if radii else 0.0
-        if (center.real - rmax < x0 or center.real + rmax > x1
-                or center.imag - rmax < y0 or center.imag + rmax > y1):
-            raise DomainError(f"disk of radius {rmax} at {center} exceeds interior {interior}")
-    pos = np.array([z.position for z in zeros if not z.degenerate], dtype=complex)
-    chg = np.array([z.charge for z in zeros if not z.degenerate], dtype=int)
-    stats = []
-    for r in radii:
-        if pos.size:
-            mask = np.abs(pos - center) <= r
-            stats.append(DiskStat(center=center, radius=float(r),
-                                  count=int(mask.sum()), total_charge=int(chg[mask].sum())))
-        else:
-            stats.append(DiskStat(center=center, radius=float(r), count=0, total_charge=0))
-    return stats
+    order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside]))]
+    return ZeroSet(position=pos[order], charge=wind[order], refined=ok[order],
+                   jacobian_sign=sign[order], degenerate=degenerate[order])
 
 
 def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
@@ -453,24 +437,25 @@ def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
 _CSV_HEADER = "x,y,charge,winding,refined,jacobian_sign,degenerate"
 
 
-def zeros_to_csv(zeros: list[ChargedZero], path: str) -> None:
-    """One row per zero, every ChargedZero field; flags are written as 0/1."""
+def zeros_to_csv(zeros: ZeroSet, path: str) -> None:
+    """One row per zero, every ZeroSet field, the charge twice (as charge
+    and as winding); flags are written as 0/1."""
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for z in zeros:
-            fh.write(f"{z.position.real:.9g},{z.position.imag:.9g},{z.charge},"
-                     f"{z.winding},{int(z.refined)},{z.jacobian_sign},"
-                     f"{int(z.degenerate)}\n")
+        for p, c, r, s, d in zip(zeros.position.tolist(), zeros.charge.tolist(),
+                                 zeros.refined.tolist(), zeros.jacobian_sign.tolist(),
+                                 zeros.degenerate.tolist()):
+            fh.write(f"{p.real:.9g},{p.imag:.9g},{c},{c},{int(r)},{s},{int(d)}\n")
 
 
-def zeros_from_csv(path: str) -> list[ChargedZero]:
+def zeros_from_csv(path: str) -> ZeroSet:
     """Read a CSV written by zeros_to_csv.  Any other header (the older
     five-column one included), a malformed row, or a row holding a value
     the writer never writes (a non-finite position, a charge other than
     +-1 or differing from the winding, a jacobian_sign outside {-1, 0, 1},
     a flag other than 0 or 1) raises ContainerError naming the file and
     the row."""
-    out: list[ChargedZero] = []
+    rows = []
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -490,9 +475,9 @@ def zeros_from_csv(path: str) -> list[ChargedZero]:
                         and winding == charge and sign in (-1, 0, 1) and set(flags) <= {0, 1}):
                     raise ValueError(f"row {row} {text!r} needs finite x and y, charge = "
                                      "winding = +-1, jacobian_sign -1, 0 or 1, flags 0 or 1")
-                out.append(ChargedZero(position=complex(x, y), charge=charge,
-                                       refined=bool(flags[0]), jacobian_sign=sign,
-                                       degenerate=bool(flags[1])))
+                rows.append((complex(x, y), charge, flags[0], sign, flags[1]))
     except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise ContainerError(f"{path} is not a zeros CSV: {exc}") from exc
-    return out
+    columns = list(zip(*rows)) or [()] * 5
+    return ZeroSet(*(np.array(col, dtype=t)
+                     for col, t in zip(columns, (complex, int, bool, int, bool))))

@@ -1,7 +1,7 @@
 """The benchmark's workloads against the package: every workload's set-up
-and one `stft-h1` and one `gef-hyperuniform` unit under the benchmark's
-winding/sign check, so a name or signature the benchmark calls that stops
-working fails here first."""
+and one `stft-h1`, one `gef-hyperuniform` and one `poly3-full-2t` unit
+under the benchmark's winding/sign check, so a name or signature the
+benchmark calls that stops working fails here first."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -39,4 +39,17 @@ def test_bench_gef_hyperuniform_unit_passes_its_checks(monkeypatch):
         unit = gef.run_unit(1, 1, sign)
     assert unit.output is not None and (unit.ops, unit.failed) == (gef.chunk, 0)
     checks = gef.checks([unit.output], sign)
+    assert all(ok for _, ok in checks), checks
+
+
+def test_bench_poly3_full_2t_unit_passes_its_checks(monkeypatch):
+    # two MC threads, and the detector on gwhf-plane grids
+    wl = _workloads(monkeypatch)
+    poly = wl.WORKLOADS["poly3-full-2t"]
+    poly.threads = 2  # as bench/run.py sets it for this workload
+    poly.setup(1)
+    with wl.SignCheck() as sign:
+        unit = poly.run_unit(1, 1, sign)
+    assert unit.output is not None and (unit.ops, unit.failed) == (poly.chunk, 0)
+    checks = poly.checks([unit.output], sign)
     assert all(ok for _, ok in checks), checks

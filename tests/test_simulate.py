@@ -65,6 +65,17 @@ def test_stft_field_metadata(hermites):
     assert abs(offset - round(offset)) < 1e-9
 
 
+@pytest.mark.parametrize("spec", [{"family": "polyentire", "q": 2, "kind": "pure"},
+                                  {"family": "window", "window": "hermite:1", "plane": "gwhf"}],
+                         ids=["polyentire", "gwhf-window"])
+def test_gwhf_plane_interior_is_the_domain_given(spec):
+    # the stft-plane preimage of 0,8,0,8 maps back to 7.999999999999999
+    src = S.FieldSource(spec, (0, 8, 0, 8), 0.08)
+    assert S._gwhf_box(src.plan.requested) != (0.0, 8.0, 0.0, 8.0)
+    assert src.interior == (0.0, 8.0, 0.0, 8.0)
+    assert [g.interior for g in src.realize_batch(1, range(2))] == [(0.0, 8.0, 0.0, 8.0)] * 2
+
+
 def test_stft_pointwise_variance_is_window_energy(hermites):
     plan = S.StftPlan(hermites[1], (0, 2, 0, 2), 1 / 16, 1 / 64)
     iy = plan.ny // 2
@@ -462,16 +473,6 @@ def test_grid_container_roundtrip(tmp_path, hermites):
     assert back.meta["interior"] == g.meta["interior"]
     # payload is complex64: float32-level agreement
     assert np.allclose(back.values, g.values, atol=2e-6)
-
-
-def test_grid_csv_export(tmp_path, hermites):
-    g = S.FieldSource({"family": "window", "window": hermites[0]},
-                      (0, 1, 0, 1), 1 / 16, 1 / 64).realize(12)
-    path = tmp_path / "grid.csv"
-    S.grid_to_csv(g, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 1 + g.nx * g.ny
 
 
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

@@ -11,7 +11,7 @@ from conftest import anchored_plan, synthetic_grid
 from gwhf import simulate as S
 from gwhf import windows as W
 from gwhf import zeros as Z
-from gwhf.errors import ContainerError, DomainError, ResolutionError
+from gwhf.errors import ContainerError, ResolutionError
 
 PI = math.pi
 
@@ -22,9 +22,7 @@ PI = math.pi
 
 def test_simple_zero_positive():
     grid = synthetic_grid(lambda z: z)
-    zs = Z.detect_zeros(grid)
-    assert len(zs) == 1
-    z = zs[0]
+    (z,) = Z.detect_zeros(grid)
     assert z.charge == z.winding == z.jacobian_sign == 1
     assert abs(z.position) < 1e-10
     assert z.refined
@@ -32,19 +30,17 @@ def test_simple_zero_positive():
 
 def test_simple_zero_negative():
     grid = synthetic_grid(np.conj)
-    zs = Z.detect_zeros(grid)
-    assert len(zs) == 1
-    assert zs[0].charge == zs[0].winding == zs[0].jacobian_sign == -1
+    (z,) = Z.detect_zeros(grid)
+    assert z.charge == z.winding == z.jacobian_sign == -1
 
 
 def test_refine_recovers_analytic_root():
     root = 0.3 + 0.4j
     grid = synthetic_grid(lambda z: (z - root) * np.exp(z), half=0.4, n=41,
                           offset=0.305 + 0.405j)
-    zs = Z.detect_zeros(grid)
-    assert len(zs) == 1
-    assert abs(zs[0].position - root) < 1e-6
-    assert zs[0].refined
+    (z,) = Z.detect_zeros(grid)
+    assert abs(z.position - root) < 1e-6
+    assert z.refined
 
 
 def test_double_zero_raises_resolution_error():
@@ -99,7 +95,7 @@ def test_weight_transform_preserves_charges():
                              plane=grid.plane, seed=grid.seed,
                              margin=grid.margin, meta=grid.meta)
     za = Z.detect_zeros(grid)
-    zb = Z.detect_zeros(unweighted)
+    zb = list(Z.detect_zeros(unweighted))
     assert len(za) == len(zb)
     pa = np.array([z.position for z in za])
     pb = np.array([z.position for z in zb])
@@ -115,7 +111,7 @@ def test_plane_equivariance(hermites):
                          (0, 6, 0, 6), 1 / 16, 1 / 64).realize(17)
     gwhf = S.to_gwhf_plane(stft)
     za = Z.detect_zeros(stft)
-    zb = Z.detect_zeros(gwhf)
+    zb = list(Z.detect_zeros(gwhf))
     assert len(za) == len(zb)
     mapped = np.array([math.sqrt(PI) * np.conj(z.position) for z in za])
     pb = np.array([z.position for z in zb])
@@ -413,49 +409,32 @@ def test_circle_charges_match_detector_disk_charges(domain, spacing, center, rad
         grids = plan.realize_batch([S.stream(77, r, 0) for r in rs])
         for b, grid in enumerate(grids):
             zs = Z.detect_zeros(grid)
-            disk = [st.total_charge for st in Z.disk_stats(zs, center, radii)]
+            live = ~zs.degenerate
+            dist = np.abs(zs.position[live] - center)
+            disk = [int(zs.charge[live][dist <= R].sum()) for R in radii]
             for k in np.flatnonzero(circle[b] != disk):
-                gaps = [abs(abs(_exact_root(coeffs[b], plan.rho, z.position) - center)
-                            - radii[k]) for z in zs
-                        if abs(abs(z.position - center) - radii[k]) < spacing]
+                near = np.abs(np.abs(zs.position - center) - radii[k]) < spacing
+                gaps = [abs(abs(_exact_root(coeffs[b], plan.rho, p) - center) - radii[k])
+                        for p in zs.position[near]]
                 assert min(gaps, default=math.inf) < 1e-3 * spacing, \
                     (rs[b], radii[k], circle[b, k], disk[k])
 
 
 # ---------------------------------------------------------------------------
-# Disk statistics and CSV
+# CSV
 # ---------------------------------------------------------------------------
 
-def test_disk_stats_empty():
-    stats = Z.disk_stats([], 0j, [1.0, 2.0])
-    assert [(s.count, s.total_charge) for s in stats] == [(0, 0), (0, 0)]
-
-
-def test_disk_stats_counts_and_interior():
-    zs = [Z.ChargedZero(position=complex(r, 0), charge=c,
-                        refined=True, jacobian_sign=c)
-          for r, c in [(0.5, 1), (1.5, -1), (2.5, 1)]]
-    stats = Z.disk_stats(zs, 0j, [1.0, 2.0, 3.0])
-    assert [(s.count, s.total_charge) for s in stats] == [(1, 1), (2, 0), (3, 1)]
-    assert all(abs(s.total_charge) <= s.count for s in stats)
-    with pytest.raises(DomainError):
-        Z.disk_stats(zs, 0j, [3.0], interior=(-2, 2, -2, 2))
-
-
-def test_disk_stats_excludes_degenerate():
-    zs = [Z.ChargedZero(position=0.1 + 0j, charge=1, refined=True,
-                        jacobian_sign=1, degenerate=True)]
-    stats = Z.disk_stats(zs, 0j, [1.0])
-    assert stats[0].count == 0
+def _exact_fields(zs):
+    # every ZeroSet field but the position, which the CSV rounds
+    return (zs.charge, zs.refined, zs.jacobian_sign, zs.degenerate)
 
 
 def test_zeros_csv_roundtrip(tmp_path):
-    zs = [Z.ChargedZero(position=complex(1.23456789123, -0.000012345), charge=-1,
-                        refined=True, jacobian_sign=-1),
-          Z.ChargedZero(position=0.5 + 0.25j, charge=1,
-                        refined=False, jacobian_sign=1),
-          Z.ChargedZero(position=-0.75 + 2.0j, charge=1,
-                        refined=True, jacobian_sign=0, degenerate=True)]
+    zs = Z.ZeroSet(position=np.array([complex(1.23456789123, -0.000012345), 0.5 + 0.25j,
+                                      -0.75 + 2.0j]),
+                   charge=np.array([-1, 1, 1]), refined=np.array([True, False, True]),
+                   jacobian_sign=np.array([-1, 1, 0]),
+                   degenerate=np.array([False, False, True]))
     path = tmp_path / "zeros.csv"
     Z.zeros_to_csv(zs, str(path))
     text = path.read_text().splitlines()
@@ -464,12 +443,26 @@ def test_zeros_csv_roundtrip(tmp_path):
     assert text[1].split(",")[2:4] == ["-1", "-1"]  # winding is written as the charge
     back = Z.zeros_from_csv(str(path))
     assert len(back) == 3
-    assert back[0].charge == -1 and back[0].refined
-    assert abs(back[0].position - zs[0].position) < 1e-8
-    assert back[1].charge == 1 and not back[1].refined
-    assert back[2] == zs[2]  # sign 0 and the degenerate flag survive
-    assert [dataclasses.replace(z, position=0j) for z in back] == \
-        [dataclasses.replace(z, position=0j) for z in zs]
+    assert np.all(np.abs(back.position - zs.position) < 1e-8)
+    for got, want in zip(_exact_fields(back), _exact_fields(zs)):  # sign 0 and flags survive
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [z.winding for z in back] == [-1, 1, 1]
+
+    # a detected STFT hermite:1 realization with degenerate and unrefined zeros
+    grid = S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8),
+                         1 / 16).realize(7, 33)
+    zs = Z.detect_zeros(grid)
+    assert zs.degenerate.any() and (~zs.refined & ~zs.degenerate).any()
+    Z.zeros_to_csv(zs, str(path))
+    back = Z.zeros_from_csv(str(path))
+    assert len(back) == len(zs)
+    nine = [complex(float(f"{p.real:.9g}"), float(f"{p.imag:.9g}")) for p in zs.position]
+    assert np.array_equal(back.position, nine)  # nine significant digits
+    for got, want in zip(_exact_fields(back), _exact_fields(zs)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    again = tmp_path / "again.csv"
+    Z.zeros_to_csv(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("text", ["x,y,charge,winding,refined\n0.5,0.5,1,1,1\n",
