@@ -2,7 +2,10 @@
 
 
 class GwhfError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  `realization` is set when
+    detect_zeros raises for one grid of a sequence: that grid's position."""
+
+    realization: int | None = None
 
 
 class InvalidKernelError(GwhfError, ValueError):

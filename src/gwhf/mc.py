@@ -173,11 +173,15 @@ _BLOCK = 8
 def _block_points(source: FieldSource | _PoissonControl, cfg: McConfig,
                   rs: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Positions and charges of the non-degenerate zeros of each realization
-    in rs, in order; each grid is dropped once its zeros are found."""
+    in rs, in order.  The grids of rs are detected in one call, which drops
+    each grid once its flagged cells are gathered, and its zero set is
+    split by realization."""
     if isinstance(source, _PoissonControl):
         return (source.points(cfg.seed, r) for r in rs)
-    return ((zs.position[~zs.degenerate], zs.charge[~zs.degenerate])
-            for zs in map(detect_zeros, source.realize_batch(cfg.seed, rs)))
+    zs = detect_zeros(source.realize_batch(cfg.seed, rs))
+    live = ~zs.degenerate
+    cuts = np.searchsorted(zs.realization[live], np.arange(1, len(rs)))
+    return zip(np.split(zs.position[live], cuts), np.split(zs.charge[live], cuts))
 
 
 def _disk_fits(box: tuple[float, float, float, float], radius: float) -> bool:
@@ -192,7 +196,9 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
     """The values of all realizations in order whatever the thread count,
     values_of(rs) iterating over those of a contiguous block rs of at most
     _BLOCK, fewer when that would leave a thread without a block.  A
-    GwhfError is re-raised as its own class, naming the seed and realization."""
+    GwhfError is re-raised as its own class, naming the seed and the
+    realization: the one its `realization` names, as detect_zeros sets it
+    for a block, else the one whose value was due."""
     n = cfg.n_realizations
     size = min(_BLOCK, -(-n // cfg.threads))
 
@@ -202,7 +208,8 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
             for value in values_of(rs):
                 out.append(value)
         except GwhfError as exc:
-            raise type(exc)(f"seed {cfg.seed} realization {rs[len(out)]}: {exc}") from exc
+            r = rs[len(out) if exc.realization is None else exc.realization]
+            raise type(exc)(f"seed {cfg.seed} realization {r}: {exc}") from exc
         return out
 
     starts = range(0, n, size)

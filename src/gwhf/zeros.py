@@ -19,26 +19,30 @@ and the charge is the orientation sign of F as a planar map; spectrogram
 the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
-Every step runs once per grid on arrays: flagged cells, border cells too
-(their stencils extrapolated past the grid), are refined by Newton on
-bicubic stencils, the cells Newton rejects by one bilinear solve, and
-zeros are kept inside grid.interior.  Each zero's position and its
-Jacobian sign come from one interpolant of one demodulated stencil, so
-the sign is read at that interpolant's own root.  The sign is computed
-from the differential, independently of the winding; simple zeros must
-agree (tested, not assumed).  The zeros of a grid are one ZeroSet of
-parallel arrays.  circle_charges needs no grid.
+One call detects one grid or a block of them, all on arrays.  Each grid
+in turn gives its windings and the stencils of its flagged cells, border
+cells too (their stencils extrapolated past the grid), and is dropped.
+Then all flagged cells of the block are refined at once, by Newton on
+bicubic stencils and the cells Newton rejects by one bilinear solve; the
+merge of duplicates, the degenerate rule and the cut to grid.interior act
+within each grid.  Each zero's position and its Jacobian sign come from
+one interpolant of one demodulated stencil, so the sign is read at that
+interpolant's own root.  The sign is computed from the differential,
+independently of the winding; simple zeros must agree (tested, not
+assumed).  The zeros of a block are one ZeroSet of parallel arrays with a
+realization column, each grid's zeros the same as when it is detected
+alone.  circle_charges needs no grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContainerError, ResolutionError
+from .errors import ContainerError, GwhfError, ResolutionError
 from .simulate import FieldGrid
 
 __all__ = [
@@ -71,14 +75,17 @@ class ChargedZero:
 
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """The zeros of one grid as parallel arrays, ordered by (imag, real):
-    position (complex), charge (int), refined (bool), jacobian_sign (int)
-    and degenerate (bool).  Iterating it yields one ChargedZero per zero."""
+    """The zeros of one grid, or of each grid of a sequence, as parallel
+    arrays ordered by (realization, imag, real): position (complex), charge
+    (int), refined (bool), jacobian_sign (int), degenerate (bool) and
+    realization (int, the grid's position in the sequence; 0 for one grid).
+    Iterating it yields one ChargedZero per zero."""
     position: np.ndarray
     charge: np.ndarray
     refined: np.ndarray
     jacobian_sign: np.ndarray
     degenerate: np.ndarray
+    realization: np.ndarray
 
     def __len__(self) -> int:
         return len(self.position)
@@ -265,10 +272,11 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best_xi, best_eta
 
 
-def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray, newton: bool):
-    """Position, refined flag, Jacobian sign and degenerate flag of the zero
-    of each flagged cell (i, j), all read from one interpolant of the cell's
-    demodulated stencil, gathered once.
+def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
+    """Local position (xi, eta), refined flag, Jacobian sign and degenerate
+    flag of the zero of each flagged cell, all read from one interpolant of
+    the cell's demodulated stencil st[m]; orient is the plane orientation of
+    each cell's grid.
 
     Newton zeros take their gradient from the bicubic surface at their own
     root.  Cells Newton rejects take the root of the bilinear interpolant of
@@ -278,10 +286,10 @@ def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray, newton: bool):
     of the winding that flagged the cell (demodulation is unimodular, so it
     is the field's own sign at a simple zero).  Jacobian magnitudes below
     1e-12 times the squared local gradient scale are flagged degenerate,
-    with sign 0, and excluded from statistics.
+    with sign 0, and excluded from statistics.  Every step is element-wise
+    over cells, so a cell gets the same bits in any batch.
     """
-    st = _stencils(grid, i, j)
-    half = np.full(len(i), 0.5)
+    half = np.full(len(st), 0.5)
     xi, eta = _newton(st) if newton else (half, half.copy())
     _, fx, fy = _bicubic(st, xi, eta)  # NaN where Newton found no root
     ok = ~np.isnan(xi)
@@ -289,29 +297,35 @@ def _refine(grid: FieldGrid, i: np.ndarray, j: np.ndarray, newton: bool):
     xi[~ok], eta[~ok] = _bilinear_zeros(a, b, c, d)
     fx[~ok] = b - a + (a - b + c - d) * eta[~ok]
     fy[~ok] = d - a + (a - b + c - d) * xi[~ok]
-    jac = -_plane_orientation(grid) * (fx * np.conj(fy)).imag
+    jac = -orient * (fx * np.conj(fy)).imag
     scale = np.maximum(np.maximum(np.abs(fx), np.abs(fy)), 1e-300)
     flat = np.abs(jac) < 1e-12 * scale * scale
     sign = np.where(flat, 0, np.where(jac > 0, 1, -1))
-    return _plane_points(grid, i, j, xi, eta), ok & newton, sign, flat
+    return xi, eta, ok & newton, sign, flat
 
 
-def _close_pairs(pos: np.ndarray, lim: float) -> np.ndarray:
-    """(K, 2) index pairs a < b with |pos[a] - pos[b]| < lim."""
-    # the tree compares squared distances; query wider, then apply the strict test
-    pairs = cKDTree(np.column_stack([pos.real, pos.imag])).query_pairs(
-        2.0 * lim, output_type="ndarray")
-    return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < lim]
+def _close_pairs(pos: np.ndarray, realization: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(K, 2) index pairs a < b of one realization with
+    |pos[a] - pos[b]| < 0.75 h[a], h being each candidate's grid spacing:
+    every pair that either close-pair rule can use, from one tree."""
+    # the realization is a third coordinate, spaced wider than the query
+    # radius, so no pair forms across realizations; the tree compares
+    # squared distances, so query wider, then apply the strict test
+    reach = 1.5 * h.max(initial=0.0)
+    xyz = np.column_stack([pos.real, pos.imag, 2.0 * reach * realization])
+    pairs = cKDTree(xyz).query_pairs(reach, output_type="ndarray")
+    return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h[pairs[:, 0]]]
 
 
-def _dedup(grid: FieldGrid, raw: np.ndarray, pos: np.ndarray, wind: np.ndarray) -> np.ndarray:
+def _dedup(cells: list[_Cells], realization: np.ndarray, pos: np.ndarray,
+           wind: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Keep-mask over candidates that merges those closer than 0.35 spacing
     (knife-edge zeros claimed by both adjacent cells): the net raw winding
     of the 2x2 block of cells around each cluster decides the surviving
-    winding(s)."""
-    h = grid.spacing
+    winding(s).  pairs are the close pairs of _close_pairs; clusters are
+    visited in realization order, so a ResolutionError carries the first
+    realization that raises."""
     keep = np.ones(len(pos), dtype=bool)
-    pairs = _close_pairs(pos, 0.35 * h)
     label = np.arange(len(pos))
     while True:  # each cluster takes its smallest member as label
         low = label.copy()
@@ -320,39 +334,47 @@ def _dedup(grid: FieldGrid, raw: np.ndarray, pos: np.ndarray, wind: np.ndarray) 
             break
         label = low
     for root in np.unique(label[pairs[:, 0]]):
+        r = int(realization[root])
+        raw, origin, h, orient = cells[r][:4]
         members = np.flatnonzero(label == root)
         center = np.mean(pos[members])
-        i0 = int(round((center.real - grid.origin.real) / h)) - 1
-        j0 = int(round((center.imag - grid.origin.imag) / h)) - 1
+        i0 = int(round((center.real - origin.real) / h)) - 1
+        j0 = int(round((center.imag - origin.imag) / h)) - 1
         if not (0 <= i0 <= raw.shape[1] - 2 and 0 <= j0 <= raw.shape[0] - 2):
             continue
-        net = _plane_orientation(grid) * int(raw[j0:j0 + 2, i0:i0 + 2].sum())
+        net = orient * int(raw[j0:j0 + 2, i0:i0 + 2].sum())
         spread = np.max(np.abs(pos[members, None] - pos[None, members]))
         if abs(net) >= 2 and spread < 0.75 * h:
-            raise ResolutionError(
+            exc = ResolutionError(
                 f"net winding {net} concentrated near {center:.4g}: "
                 "multiple zero beyond this grid's resolving power; halve the spacing")
+            exc.realization = r
+            raise exc
         if net != wind[members].sum():
             keep[members] = False
             keep[members[wind[members] == (1 if net > 0 else -1)][:abs(net)]] = True
     return keep
 
 
-def detect_zeros(grid: FieldGrid, refine: bool = True) -> ZeroSet:
-    """All charged zeros of the grid, attributed by refined position.
+class _Cells(NamedTuple):
+    """What the block steps need of one grid once the grid is dropped: its
+    raw windings (kept for the merge, as small integers), origin, spacing,
+    plane orientation and interior, and the cells (i, j), plane-oriented
+    windings and stencils of its flagged cells."""
+    raw: np.ndarray
+    origin: complex
+    spacing: float
+    orient: int
+    interior: tuple[float, float, float, float]
+    i: np.ndarray
+    j: np.ndarray
+    wind: np.ndarray
+    stencils: np.ndarray
 
-    Each plaquette's gauged phase circulation is summed along the
-    plane-oriented loop; one unit of winding flags one zero.  A cell with
-    |winding| >= 2 raises a ResolutionError asking for a finer grid (a
-    principal-branch four-edge loop reaches it only when every edge
-    increment is within about spacing^2 of +-pi; coincident zeros are
-    caught by the ring check of the merge instead).  Zeros claimed by
-    two adjacent cells (knife-edge positions) are merged by a ring
-    adjudication.  Zeros are kept when their refined position lies in
-    grid.interior (position-based, so seams do not double count); a grid
-    with margin 0 and no recorded interior keeps its whole extent.
-    """
-    orient = _plane_orientation(grid)
+
+def _flagged_cells(grid: FieldGrid) -> _Cells:
+    """The _Cells of one grid.  A cell with |winding| >= 2 raises
+    ResolutionError."""
     raw = _plaquette_windings(grid)
     x0, x1, y0, y1 = grid.interior
     # refinement never moves a candidate outside its own cell, so cells
@@ -375,21 +397,76 @@ def detect_zeros(grid: FieldGrid, refine: bool = True) -> ZeroSet:
         raise ResolutionError(
             f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
             f"winding {w[k]}; halve the grid spacing")
-    pos, ok, sign, flat = _refine(grid, i, j, refine)
-    wind = orient * w
-    keep = _dedup(grid, raw, pos, wind)
-    pos, ok, sign, flat, wind = pos[keep], ok[keep], sign[keep], flat[keep], wind[keep]
+    orient = _plane_orientation(grid)
+    return _Cells(raw.astype(np.int16), grid.origin, h, orient, grid.interior,
+                  i, j, orient * w, _stencils(grid, i, j))
+
+
+def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) -> ZeroSet:
+    """All charged zeros of one grid, or of each grid of a sequence (read
+    one at a time: no grid is held once its cells are gathered),
+    attributed by refined position.  A single grid is a sequence of one.
+
+    Each plaquette's gauged phase circulation is summed along the
+    plane-oriented loop; one unit of winding flags one zero.  A cell with
+    |winding| >= 2 raises a ResolutionError asking for a finer grid (a
+    principal-branch four-edge loop reaches it only when every edge
+    increment is within about spacing^2 of +-pi; coincident zeros are
+    caught by the ring check of the merge instead).  Zeros claimed by
+    two adjacent cells (knife-edge positions) are merged by a ring
+    adjudication.  Zeros are kept when their refined position lies in
+    grid.interior (position-based, so seams do not double count); a grid
+    with margin 0 and no recorded interior keeps its whole extent.
+
+    Newton, the bilinear fallback and the Jacobian sign run once over the
+    flagged cells of all grids; the merge, the degenerate rule and the
+    interior cut act within each grid.  Each zero's `realization` is its
+    grid's position in the sequence, and the set is ordered by
+    (realization, imag, real); every field of a grid's zeros is the same
+    whichever sequence the grid is detected in.  A GwhfError raised for a
+    grid, or by the sequence while producing it, is raised for the first
+    grid that fails, with that grid's position as its `realization`.
+    """
+    cells, failure = [], None
+    try:
+        for grid in [grids] if isinstance(grids, FieldGrid) else grids:
+            cells.append(_flagged_cells(grid))
+            del grid  # hold no grid past its gather
+    except GwhfError as exc:
+        exc.realization, failure = len(cells), exc
+    counts = [len(c.i) for c in cells]
+
+    def joined(name, empty):  # the flagged cells of all grids, in grid order
+        return np.concatenate([empty] + [getattr(c, name) for c in cells])
+
+    def per_cell(name):  # a value of each grid, repeated for each of its cells
+        return np.repeat(np.array([getattr(c, name) for c in cells]), counts, axis=0)
+
+    realization = np.repeat(np.arange(len(cells)), counts)
+    i, j, wind = (joined(name, np.empty(0, int)) for name in ("i", "j", "wind"))
+    origin, h = per_cell("origin"), per_cell("spacing")
+    xi, eta, ok, sign, flat = _refine(joined("stencils", np.empty((0, 4, 4), complex)),
+                                      refine, per_cell("orient"))
+    pos = origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
+    pairs = _close_pairs(pos, realization, h)
+    near = np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.35 * h[pairs[:, 0]]
+    keep = _dedup(cells, realization, pos, wind, pairs[near])
+    if failure is not None:
+        raise failure
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
     # from samples, so they carry the degenerate flag (kept in the set,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
     degenerate = flat.copy()
-    degenerate[_close_pairs(pos, 0.75 * grid.spacing).ravel()] = True
-    inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
-    order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside]))]
+    degenerate[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]].ravel()] = True
+    x0, x1, y0, y1 = per_cell("interior").reshape(-1, 4).T
+    inside = keep & (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
+    order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside],
+                                               realization[inside]))]
     return ZeroSet(position=pos[order], charge=wind[order], refined=ok[order],
-                   jacobian_sign=sign[order], degenerate=degenerate[order])
+                   jacobian_sign=sign[order], degenerate=degenerate[order],
+                   realization=realization[order])
 
 
 def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
@@ -438,8 +515,17 @@ _CSV_HEADER = "x,y,charge,winding,refined,jacobian_sign,degenerate"
 
 
 def zeros_to_csv(zeros: ZeroSet, path: str) -> None:
-    """One row per zero, every ZeroSet field, the charge twice (as charge
-    and as winding); flags are written as 0/1."""
+    """One row per zero, every ZeroSet field but the realization, the charge
+    twice (as charge and as winding); flags are written as 0/1.  The CSV
+    has no realization column, so a set holding any realization but 0 (the
+    zeros of a block of grids) raises ContainerError naming how many it
+    holds."""
+    if zeros.realization.any():
+        held = np.unique(zeros.realization)
+        raise ContainerError(f"{path}: the zero set holds {held.size} "
+                             f"realization{'s' * (held.size > 1)} "
+                             f"(up to {held[-1]}) and a zeros CSV holds one; "
+                             "write each realization's zeros on its own")
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for p, c, r, s, d in zip(zeros.position.tolist(), zeros.charge.tolist(),
@@ -480,4 +566,5 @@ def zeros_from_csv(path: str) -> ZeroSet:
         raise ContainerError(f"{path} is not a zeros CSV: {exc}") from exc
     columns = list(zip(*rows)) or [()] * 5
     return ZeroSet(*(np.array(col, dtype=t)
-                     for col, t in zip(columns, (complex, int, bool, int, bool))))
+                     for col, t in zip(columns, (complex, int, bool, int, bool))),
+                   realization=np.zeros(len(rows), dtype=int))

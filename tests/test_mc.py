@@ -223,16 +223,42 @@ def test_series_reports_independent_of_threads_and_blocks():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_errors_name_seed_and_realization(monkeypatch, threads):
-    cfg = _cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=4, seed=21,
-               threads=threads)
-    bad = FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt).realize(21, 2).values
+    # realization 3's field becomes exp(-|z|^2/2) (z - a)(z - b), a and b
+    # 0.1 cells apart across a cell edge: the merge raises, after Newton ran
+    # over the whole block.  Realization 3 is the fourth of one block at one
+    # thread and the second of the block 2, 3 at two.
+    cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
+               n_realizations=4, seed=21, threads=threads)
+    plan = FieldSource(cfg.source, cfg.domain, cfg.spacing).plan
+    edge = plan.origin + plan.spacing * (40 + 30.5j)
+    a, b = edge - 0.005, edge + 0.005
+    draw = SeriesPlan.coefficients
+    bad = draw(plan, [stream(21, 3, 0)])[0]
+
+    def doubled(self, rngs):
+        coeffs = draw(self, rngs)
+        hit = (coeffs == bad).all(axis=1)
+        coeffs[hit] = 0.0
+        coeffs[hit, :3] = [a * b, -(a + b) * self.rho, self.rho ** 2]
+        return coeffs
+
+    monkeypatch.setattr(SeriesPlan, "coefficients", doubled)
+    with pytest.raises(ResolutionError,
+                       match=r"^seed 21 realization 3: net winding 2 concentrated near "):
+        mc.estimate_intensity(cfg)
+
+
+@pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
+def test_detector_called_once_per_block(monkeypatch, n, threads):
+    # blocks of 8, 8 at one thread and of 4, 4 at two: one detector call each
+    calls = []
     detect = mc.detect_zeros
 
-    def flaky(grid, *args, **kwargs):
-        if np.array_equal(grid.values, bad):
-            raise ResolutionError("plaquette holds winding 2")
-        return detect(grid, *args, **kwargs)
+    def counted(grids, *args, **kwargs):
+        calls.append(1)
+        return detect(grids, *args, **kwargs)
 
-    monkeypatch.setattr(mc, "detect_zeros", flaky)
-    with pytest.raises(ResolutionError, match=r"^seed 21 realization 2: plaquette holds winding 2$"):
-        mc.estimate_intensity(cfg)
+    monkeypatch.setattr(mc, "detect_zeros", counted)
+    mc.estimate_intensity(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=n,
+                               threads=threads))
+    assert len(calls) == 2

@@ -11,7 +11,7 @@ from conftest import anchored_plan, synthetic_grid
 from gwhf import simulate as S
 from gwhf import windows as W
 from gwhf import zeros as Z
-from gwhf.errors import ContainerError, ResolutionError
+from gwhf.errors import ContainerError, ParameterError, ResolutionError
 
 PI = math.pi
 
@@ -358,6 +358,73 @@ def test_block_windings_match_boundary_circulation(realization, data):
 
 
 # ---------------------------------------------------------------------------
+# Blocks of grids
+# ---------------------------------------------------------------------------
+
+_FIELDS = [f.name for f in dataclasses.fields(Z.ZeroSet) if f.name != "realization"]
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-5, 5, -5, 5), 0.08),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+    ({"family": "series-gef"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+], ids=["stft-window", "gwhf-window", "polyentire-full", "series"])
+def test_block_detection_equals_one_grid_at_a_time(spec, domain, spacing, refine):
+    # eight realizations and, fifth, a grid with no flagged cell,
+    # detected in blocks of 1, 3 and 8: every field of every grid's zeros
+    # is == to that grid detected alone, dtype included
+    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    grids = list(source.realize_batch(59, range(8)))
+    # a unimodular field following the plane's carrier: no zero, no winding
+    g = grids[0]
+    phase = -2 * PI * g.xs * (g.ys - g.ys.mean())[:, None] if g.plane == "stft" else 0.0
+    flat = dataclasses.replace(g, values=np.exp(1j * phase) * np.ones_like(g.values))
+    assert not Z._plaquette_windings(flat).any()
+    grids.insert(4, flat)
+    alone = [Z.detect_zeros(g, refine=refine) for g in grids]
+    assert not len(alone[4]) and all(len(zs) > 10 for k, zs in enumerate(alone) if k != 4)
+    for zs in alone:
+        assert zs.realization.dtype == int and not zs.realization.any()
+    for size in (1, 3, 8):
+        for lo in range(0, len(grids), size):
+            block = Z.detect_zeros(iter(grids[lo:lo + size]), refine=refine)
+            n = min(size, len(grids) - lo)
+            assert np.all(np.diff(block.realization) >= 0) and np.all(block.realization < n)
+            for b in range(n):
+                mine = block.realization == b
+                for name in _FIELDS:
+                    got, want = getattr(block, name)[mine], getattr(alone[lo + b], name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), \
+                        (size, lo + b, name)
+
+
+def test_block_error_names_the_first_grid_that_fails():
+    # a grid the sequence fails to make, and a double zero the merge
+    # refuses: the error raised is that of the earliest failing grid, whose
+    # position it carries; grids after it are never read
+    good, double = synthetic_grid(lambda z: z), synthetic_grid(lambda z: z * z, n=21)
+
+    def grids(*kinds):
+        for kind in kinds:
+            if kind == "unmade":
+                S.FieldGrid(values=np.ones((1, 1)), origin=0j, spacing=0.1, plane="gwhf",
+                            seed=0)
+            yield good if kind == "good" else double
+
+    with pytest.raises(ParameterError, match="at least") as info:
+        Z.detect_zeros(grids("good", "good", "unmade", "double"))
+    assert info.value.realization == 2
+    with pytest.raises(ResolutionError, match="net winding 2") as info:
+        Z.detect_zeros(grids("good", "double", "good", "unmade"))
+    assert info.value.realization == 1
+    with pytest.raises(ResolutionError, match="net winding 2") as info:
+        Z.detect_zeros(double)
+    assert info.value.realization == 0
+
+
+# ---------------------------------------------------------------------------
 # Disk charges from circles (argument principle)
 # ---------------------------------------------------------------------------
 
@@ -434,7 +501,7 @@ def test_zeros_csv_roundtrip(tmp_path):
                                       -0.75 + 2.0j]),
                    charge=np.array([-1, 1, 1]), refined=np.array([True, False, True]),
                    jacobian_sign=np.array([-1, 1, 0]),
-                   degenerate=np.array([False, False, True]))
+                   degenerate=np.array([False, False, True]), realization=np.zeros(3, int))
     path = tmp_path / "zeros.csv"
     Z.zeros_to_csv(zs, str(path))
     text = path.read_text().splitlines()
@@ -447,6 +514,7 @@ def test_zeros_csv_roundtrip(tmp_path):
     for got, want in zip(_exact_fields(back), _exact_fields(zs)):  # sign 0 and flags survive
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert [z.winding for z in back] == [-1, 1, 1]
+    assert back.realization.dtype == int and not back.realization.any()
 
     # a detected STFT hermite:1 realization with degenerate and unrefined zeros
     grid = S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8),
@@ -463,6 +531,22 @@ def test_zeros_csv_roundtrip(tmp_path):
     again = tmp_path / "again.csv"
     Z.zeros_to_csv(back, str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_zeros_csv_refuses_a_block(tmp_path):
+    # the CSV has no realization column: a set of several realizations, or
+    # of one realization other than the first, is refused before writing
+    source = S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 1 / 16)
+    path = tmp_path / "zeros.csv"
+    block = Z.detect_zeros(source.realize_batch(7, range(3)))
+    assert set(block.realization.tolist()) == {0, 1, 2}
+    with pytest.raises(ContainerError, match=r"holds 3 realizations \(up to 2\)"):
+        Z.zeros_to_csv(block, str(path))
+    last = dataclasses.replace(block, **{f.name: getattr(block, f.name)[block.realization == 2]
+                                         for f in dataclasses.fields(block)})
+    with pytest.raises(ContainerError, match=r"holds 1 realization \(up to 2\)"):
+        Z.zeros_to_csv(last, str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("text", ["x,y,charge,winding,refined\n0.5,0.5,1,1,1\n",
