@@ -272,6 +272,9 @@ def _cmd_verify(args) -> int:
             x0, x1, y0, y1 = domain = _check_domain(args.domain)
             radii = [float(r) for r in range(1, int(min(x1 - x0, y1 - y0)) + 1)
                      if _disk_fits(domain, r)]
+            if not radii:
+                raise ParameterError(f"no disk of whole radius from 1 up fits domain {domain} "
+                                     "about its centre; give radii with --radii")
         report = estimate_charge_variance(_mc_config(args, radii))
         _write_report(report, args.out, "charge_variance")
         per_r = {it.label: it for it in report.items if it.label.startswith("R=")}

@@ -6,6 +6,11 @@ in growing disks) against the closed-form predictions.  Every realization
 draws from a counter-based stream keyed by (seed, realization, component),
 so reports are deterministic and independent of the thread count; the
 per-realization statistics are stored and reduced in fixed order.
+
+The field source of the last geometry (source spec, domain, spacing, dt,
+margin) is kept in a single-entry cache, so repeated calls on one geometry
+build no plan and compute no theory value again.  The Poisson control is
+built afresh each call.
 """
 from __future__ import annotations
 
@@ -18,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, GwhfError, InvalidKernelError, ParameterError
-from .kernels import DEFAULT_CONVENTION, _check_convention, variance_asymptote
+from .errors import DomainError, GwhfError, ParameterError
+from .kernels import DEFAULT_CONVENTION, _check_convention
 from .simulate import FieldSource, SeriesPlan, _check_domain, stream
 from .windows import Window, window_from_spec
 from .zeros import circle_charges, detect_zeros
@@ -160,10 +165,27 @@ class _PoissonControl:
         return pos, np.where(rng.uniform(size=n) < 0.5, 1, -1)
 
 
+# (key, source) of the last geometry _source built
+_last: tuple[tuple, FieldSource] | None = None
+
+
 def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
+    """The field source of cfg's geometry, the cached one when the last call
+    had the same key.  Threads racing on the cache at worst build twice."""
+    global _last
     if cfg.source.get("family") == "poisson":
         return _PoissonControl(cfg)
-    return FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
+    # a window by identity: the cached source holds it, so no other object
+    # takes its id while the key is in use
+    spec = tuple(sorted((k, id(v) if isinstance(v, Window) else v)
+                        for k, v in cfg.source.items()))
+    key = (spec, tuple(cfg.domain), cfg.spacing, cfg.dt, cfg.margin)
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    source = FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
+    _last = (key, source)
+    return source
 
 
 # most realizations one worker simulates together; reports do not depend on it
@@ -238,7 +260,7 @@ def _per_area(cfg: McConfig, quantity: str, stat, theory_of) -> McReport:
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) / area
     item = McItem(label=quantity, empirical=mean, se=se, theory=theory)
     return McReport(quantity=quantity, items=[item], config=cfg.as_dict(),
-                    elapsed_s=time.time() - t0, notes=source.notes)
+                    elapsed_s=time.time() - t0, notes=list(source.notes))
 
 
 def estimate_intensity(cfg: McConfig) -> McReport:
@@ -269,8 +291,11 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     One concentric disk per realization per radius (overlapping-disk
     averaging would correlate samples and bias the standard errors); a
     series source takes each disk's charge as its field's winding on the
-    circle, with no grid.  The report also carries a weighted linear fit of
-    Var against R over the upper half of the radii.  Theory per radius is
+    circle, with no grid; when the disks are centred on the origin the
+    circles' starting values come from SeriesPlan.circle_values, one
+    inverse FFT per circle, and only arc midpoints from the evaluator.  The
+    report also carries a weighted linear fit of Var against R over the
+    upper half of the radii.  Theory per radius is
     the large-R limit of Var/R from quadrature of the kernel profile.
     """
     t0 = time.time()
@@ -289,16 +314,16 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     if isinstance(source, _PoissonControl):
         # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
         theory_var = [source.rate * math.pi * R for R in radii]
-    elif source.kernel is not None:
-        theory_var = [variance_asymptote(source.kernel)] * len(radii)
     else:
-        raise InvalidKernelError("no radial kernel available for variance theory")
+        theory_var = [source.variance_asymptote] * len(radii)
 
     def disk_charges(rs: range) -> Iterator:
-        if isinstance(source.plan, SeriesPlan):
-            coeffs = source.plan.coefficients([stream(cfg.seed, r, 0) for r in rs])
-            return circle_charges(lambda z: source.plan.evaluate(coeffs, z), center, radii,
-                                  cfg.spacing)
+        plan = source.plan
+        if isinstance(plan, SeriesPlan):
+            coeffs = plan.coefficients([stream(cfg.seed, r, 0) for r in rs])
+            start = None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts))
+            return circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii,
+                                  cfg.spacing, start)
         dists = ((np.abs(pos - center), chg) for pos, chg in _block_points(source, cfg, rs))
         return ([int(chg[dist <= R].sum()) for R in radii] for dist, chg in dists)
 

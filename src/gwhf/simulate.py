@@ -25,6 +25,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (AliasBandError, ContainerError, DomainError,
                      InvalidKernelError, InvalidWindowError, ParameterError,
                      PlaneError)
 from .kernels import (DEFAULT_CONVENTION, gef_kernel, laguerre_avg_kernel,
-                      laguerre_kernel, rho1_radial)
+                      laguerre_kernel, rho1_radial, variance_asymptote)
 from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
@@ -437,7 +438,10 @@ class SeriesPlan:
     product per chunk; BLAS computes each row of it the same way for any B,
     so a grid does not depend on the batch it is drawn in.  The scale peaks
     near exp(rho^2/2), so the grid radius is limited to _MAX_RADIUS, where
-    it and exp(-rho^2/2) stay normal float64 numbers.
+    it and exp(-rho^2/2) stay normal float64 numbers.  On a circle about
+    the origin the field is a trigonometric polynomial in the angle, so
+    circle_values gives it at equispaced angles by one inverse FFT per
+    circle, with no basis.
     """
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
@@ -502,6 +506,24 @@ class SeriesPlan:
             np.matmul(coeffs, u, out=out[:, lo:lo + zc.size])
         return out[:count]
 
+    def circle_values(self, coeffs: np.ndarray, radii: Sequence[float],
+                      counts: Sequence[int]) -> np.ndarray:
+        """(B, sum(counts)) values of the B fields whose scaled coefficients
+        are the rows of coeffs at R_k exp(2 pi i j / M_k), j = 0 .. M_k - 1,
+        for each radius R_k (within the grid radius) and count M_k in turn.
+        On |z| = R the field is exp(-R^2/2) sum_n a_n (R/rho)^n exp(i n
+        theta): the terms a_n (R/rho)^n folded modulo M and summed by one
+        unnormalized inverse FFT per circle, over all rows at once."""
+        n = np.arange(self.n_terms)
+        out = []
+        for radius, m in zip(radii, counts):
+            terms = coeffs * (radius / self.rho) ** n
+            folded = np.zeros((len(coeffs), -(-self.n_terms // m) * m), dtype=complex)
+            folded[:, :self.n_terms] = terms
+            folded = folded.reshape(len(coeffs), -1, m).sum(axis=1)
+            out.append(np.fft.ifft(folded, axis=1, norm="forward") * math.exp(-0.5 * radius ** 2))
+        return np.concatenate(out, axis=1)
+
     def realize_batch(self, rngs: Iterable[np.random.Generator],
                       seed_label: int = 0) -> list[FieldGrid]:
         """One grid per generator: its coefficients evaluated on the grid."""
@@ -530,11 +552,13 @@ class FieldSource:
         (pure: the window h_{q-1}; full: h_0..h_{q-1}, a normalized sum)
 
     domain, spacing, margin and the theory values (kernel, None with a note
-    for a window without one; density(convention); charge_density) refer to
-    the output plane.  A window or polyentire source holds one StftPlan over
-    all its windows (their bands summed before the FFT), built on the
-    stft-plane preimage of a gwhf-plane domain and mapping its grids over
-    itself; a series source holds one SeriesPlan.  Without a margin both
+    for a window without one; density(convention); charge_density;
+    variance_asymptote) refer to the output plane; each theory value is
+    computed once per source, density once per convention.  A window or
+    polyentire source holds one StftPlan over all its windows (their bands
+    summed before the FFT), built on the stft-plane preimage of a
+    gwhf-plane domain and mapping its grids over itself; a series source
+    holds one SeriesPlan.  Without a margin both
     plans pad the domain by 4 cells; the StftPlan keeps the lattice and
     noise record of its anchor margin, so no sample depends on the pad.
     The source's interior, and that of each of its grids, is the domain
@@ -548,7 +572,7 @@ class FieldSource:
         if self.plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {self.plane!r}")
         self.charge_density = 1.0 / math.pi if self.plane == "gwhf" else 1.0
-        self.window, self.notes = None, []
+        self.window, self.notes, self._densities = None, [], {}
         if family == "series-gef":
             self.kernel = gef_kernel()
             self.plan = SeriesPlan(domain, spacing, spec.get("n_terms"), margin)
@@ -589,10 +613,22 @@ class FieldSource:
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         """Expected zeros per unit area of the output plane."""
-        if self.window is None:
-            return rho1_radial(self.kernel)
-        rho = rho1_stft(self.window, convention)
-        return rho / math.pi if self.plane == "gwhf" else rho
+        if convention not in self._densities:
+            if self.window is None:
+                rho = rho1_radial(self.kernel)
+            else:
+                rho = rho1_stft(self.window, convention)
+                rho = rho / math.pi if self.plane == "gwhf" else rho
+            self._densities[convention] = rho
+        return self._densities[convention]
+
+    @cached_property
+    def variance_asymptote(self) -> float:
+        """Large-R limit of Var[charge in B_R]/R, from the radial kernel;
+        InvalidKernelError for a window without one."""
+        if self.kernel is None:
+            raise InvalidKernelError("no radial kernel available for variance theory")
+        return variance_asymptote(self.kernel)
 
     def realize_batch(self, seed: int, rs: Iterable[int]) -> Iterator[FieldGrid]:
         """Realizations rs, in order, in the source's plane; component k of

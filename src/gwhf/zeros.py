@@ -470,20 +470,27 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
 
 
 def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
-                   radii: Sequence[float], spacing: float) -> Iterator[np.ndarray]:
+                   radii: Sequence[float], spacing: float,
+                   start: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+                   ) -> Iterator[np.ndarray]:
     """Charge inside each circle |z - center| = R of each field (the rows of
     field(z)), row by row: its phase winding, by the argument principle.
-    Circles start from ceil(2 pi R / spacing) points, at least 16; arcs with
-    a phase step over 1 rad or a vanishing end are halved, all in one call a
-    round.  A row with an arc unsettled after 40 halvings (its field
-    vanishes on or next to the circle) raises ResolutionError naming R."""
+    Circle k starts from counts[k] = ceil(2 pi R_k / spacing) points, at
+    least 16, equispaced from angle 0; start(radii, counts), when given,
+    gives the rows' values there, circle after circle, in place of field
+    (SeriesPlan.circle_values does on circles about the origin).  Arcs
+    with a phase step over 1 rad or a vanishing end are halved, their
+    midpoints from field, all in one call a round.  A row with an arc
+    unsettled after 40 halvings (its field vanishes on or next to the
+    circle) raises ResolutionError naming R."""
     radii = np.asarray(radii, dtype=float)
     counts = np.maximum(16, np.ceil(_TWO_PI * radii / spacing).astype(int))
     ring = np.repeat(np.arange(len(radii)), counts)  # circle of each point
     j = np.arange(ring.size) - np.repeat(np.cumsum(counts) - counts, counts)
     nxt = np.arange(ring.size) - j + (j + 1) % counts[ring]
     theta = _TWO_PI * j / counts[ring]
-    v = field(center + radii[ring] * np.exp(1j * theta))
+    v = (field(center + radii[ring] * np.exp(1j * theta)) if start is None
+         else start(radii, counts))
     # arcs (field row, circle, start angle, end values): every one at first
     b, p = np.indices(v.shape).reshape(2, -1)
     k, ta, va, vb = ring[p], theta[p], v[b, p], v[b, nxt[p]]
@@ -492,7 +499,8 @@ def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
         if halvings:
             tm = ta + _TWO_PI / counts[k] / 2.0 ** halvings
             vm = field(center + radii[k] * np.exp(1j * tm))[b, np.arange(b.size)]
-            b, k, ta, va, vb = np.r_[b, b], np.r_[k, k], np.r_[ta, tm], np.r_[va, vm], np.r_[vm, vb]
+            b, k, ta, va, vb = (np.concatenate(pair) for pair in
+                                ((b, b), (k, k), (ta, tm), (va, vm), (vm, vb)))
         prod = vb * np.conj(va)
         step = np.angle(prod)
         coarse = ~(np.abs(step) <= 1.0) | (prod == 0)

@@ -255,6 +255,8 @@ def test_verify_exit_code_gates(capsys):
      "'1,x'"),
     (["verify", "charge-variance", "--kernel", "poisson", "--radii", "0,1", "-n", "2"],
      "radii [0.0, 1.0]"),
+    (["verify", "charge-variance", "--kernel", "gef-series", "--domain", "0,1.5,0,1.5"],
+     "fits domain (0.0, 1.5, 0.0, 1.5) about its centre; give radii with --radii"),
     (["plot"], "row 2 'nan,0.5,1,1,1,1,0'"),
     (["simulate", "--window", "hermite:1", "--domain=0,inf,0,8"], "domain (0.0, inf, 0.0, 8.0)"),
     (["simulate", "--simulator", "series", "--domain=0,inf,0,8"], "domain (0.0, inf, 0.0, 8.0)"),
@@ -273,6 +275,7 @@ def test_verify_exit_code_gates(capsys):
         "series-radius-beyond-limit",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
         "invariance-negative-seed", "radii-not-numbers", "radius-zero",
+        "no-default-radius-fits",
         "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
         "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
         "invariance-no-draws", "invariance-negative-draws"])

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from gwhf import mc
+from gwhf import mc, simulate, windows
 from gwhf.errors import DomainError, ParameterError, ResolutionError
 from gwhf.simulate import FieldSource, SeriesPlan, stream
 
@@ -262,3 +265,97 @@ def test_detector_called_once_per_block(monkeypatch, n, threads):
     mc.estimate_intensity(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=n,
                                threads=threads))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("domain, spacing, center, fft", [
+    ((-3.0, 3.0, -3.0, 3.0), 0.1, 0j, True),
+    ((0.0, 8.0, 0.0, 8.0), 1 / 16, 4 + 4j, False),
+], ids=["origin", "off-centre"])
+def test_circle_start_values_from_fft_only_about_the_origin(monkeypatch, domain, spacing,
+                                                            center, fft):
+    # the estimator's disk charges are those of the evaluator path either way
+    seen = []
+    count = mc.circle_charges
+
+    def recorded(field, c, radii, sp, start=None):
+        rows = list(count(field, c, radii, sp, start))
+        seen.append((c, start is not None, rows))
+        return iter(rows)
+
+    monkeypatch.setattr(mc, "circle_charges", recorded)
+    cfg = _cfg(source={"family": "series-gef"}, domain=domain, spacing=spacing,
+               n_realizations=16, seed=77, radii=(1.0, 2.0))
+    mc.estimate_charge_variance(cfg)
+    plan = mc._source(cfg).plan
+    assert [(c, started) for c, started, _ in seen] == [(center, fft)] * 2
+    for lo, (_, _, rows) in zip((0, 8), seen):
+        coeffs = plan.coefficients([stream(77, r, 0) for r in range(lo, lo + 8)])
+        ref = count(lambda z: plan.evaluate(coeffs, z), center, cfg.radii, spacing)
+        assert np.array_equal(np.array(rows), np.array(list(ref)))
+
+
+def test_estimators_reuse_the_source_of_one_geometry(monkeypatch):
+    builds, asymptotes = [], []
+    init, asymptote = SeriesPlan.__init__, simulate.variance_asymptote
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_asymptote(*args, **kwargs):
+        asymptotes.append(1)
+        return asymptote(*args, **kwargs)
+
+    monkeypatch.setattr(SeriesPlan, "__init__", counted_init)
+    monkeypatch.setattr(simulate, "variance_asymptote", counted_asymptote)
+    monkeypatch.setattr(mc, "_last", None)
+    cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
+               n_realizations=8, seed=5, radii=(1.0, 2.0))
+    cold = mc.estimate_charge_variance(cfg).to_json(include_elapsed=False)
+    warm = mc.estimate_charge_variance(cfg).to_json(include_elapsed=False)
+    assert (len(builds), len(asymptotes)) == (1, 1)
+    assert warm == cold
+    mc.estimate_charge_variance(dataclasses.replace(cfg, domain=(-2.5, 2.5, -2.5, 2.5)))
+    assert (len(builds), len(asymptotes)) == (2, 2)
+    poisson = dataclasses.replace(cfg, source={"family": "poisson"})
+    assert mc._source(poisson) is not mc._source(poisson)
+
+
+def test_concurrent_calls_on_two_geometries_get_their_own_sources(monkeypatch):
+    # four threads alternate two geometries through the one-entry cache with
+    # a short switch interval: every report equals the serial one
+    monkeypatch.setattr(mc, "_last", None)
+    cfgs = [_cfg(source={"family": "series-gef"}, domain=(-h, h, -h, h), spacing=0.1,
+                 n_realizations=4, seed=5, radii=(1.0, 2.0)) for h in (2.5, 3.0)]
+    serial = [mc.estimate_charge_variance(c).to_json(include_elapsed=False) for c in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(mc.estimate_charge_variance, cfgs[k % 2]) for k in range(24)]
+            texts = [f.result(timeout=120).to_json(include_elapsed=False) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [serial[k % 2] for k in range(24)]
+
+
+def test_a_new_window_object_gets_a_new_source(monkeypatch):
+    monkeypatch.setattr(mc, "_last", None)
+    cfg = _cfg(source={"family": "window", "window": windows.hermite(1)},
+               domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8)
+    first = mc._source(cfg)
+    assert mc._source(dataclasses.replace(cfg)) is first
+    again = dataclasses.replace(cfg, source={"family": "window", "window": windows.hermite(1)})
+    assert mc._source(again) is not first
+
+
+def test_reports_do_not_share_the_cached_sources_notes(monkeypatch):
+    monkeypatch.setattr(mc, "_last", None)
+    cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
+               n_realizations=4, seed=5, radii=(1.0, 2.0))
+    for estimate in (mc.estimate_intensity, mc.estimate_charge_intensity,
+                     mc.estimate_charge_variance):
+        first = estimate(cfg)
+        notes = list(first.notes)
+        first.notes.append("edited")
+        assert estimate(cfg).notes == notes

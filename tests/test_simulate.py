@@ -408,6 +408,21 @@ def test_series_matches_per_term_sum(n_terms):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_series_circle_values_match_evaluator():
+    # the criterion-6 circles: R = 1 .. 4 take fewer points than the 351
+    # terms (the fold wraps them), R = 5 and 6 more (zero padding)
+    plan = S.SeriesPlan((-6.5, 6.5, -6.5, 6.5), 0.08)
+    radii = np.arange(1.0, 7.0)
+    counts = np.maximum(16, np.ceil(2 * PI * radii / 0.08).astype(int))
+    assert counts[3] < plan.n_terms < counts[4]
+    coeffs = plan.coefficients([S.stream(77, r, 0) for r in range(40)])
+    got = np.split(plan.circle_values(coeffs, radii, counts), np.cumsum(counts)[:-1], axis=1)
+    for radius, m, values in zip(radii, counts, got):
+        ref = plan.evaluate(coeffs, radius * np.exp(2j * PI * np.arange(m) / m))
+        err = np.max(np.abs(values - ref), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1)), radius
+
+
 @pytest.mark.parametrize("domain, spacing, margin, bound", [
     ((-6.5, 6.5, -6.5, 6.5), 0.08, None, 3e-14),
     ((-26.0, 26.0, -26.0, 26.0), 1.0, 0.0, 1e-12),

@@ -466,13 +466,18 @@ def _exact_root(coeffs, rho, z0):
 def test_circle_charges_match_detector_disk_charges(domain, spacing, center, radii):
     # 200 series realizations: the charge counted on each circle equals the
     # detector's disk charge, except where the exact root next to the
-    # circle lies within 1e-3 cells of it
+    # circle lies within 1e-3 cells of it.  About the origin the charges
+    # started from the FFT circle values equal those of the evaluator.
     plan = S.SeriesPlan(domain, spacing)
     for lo in range(0, 200, 8):
         rs = range(lo, lo + 8)
         coeffs = plan.coefficients([S.stream(77, r, 0) for r in rs])
         circle = np.array(list(Z.circle_charges(lambda z: plan.evaluate(coeffs, z), center,
                                                 radii, spacing)))
+        if center == 0:
+            fft = Z.circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii, spacing,
+                                   lambda rr, counts: plan.circle_values(coeffs, rr, counts))
+            assert np.array_equal(np.array(list(fft)), circle), rs
         grids = plan.realize_batch([S.stream(77, r, 0) for r in rs])
         for b, grid in enumerate(grids):
             zs = Z.detect_zeros(grid)
