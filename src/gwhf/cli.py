@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GwhfError, ParameterError
+from .errors import GwhfError, ParameterError, PlaneError
 from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
                       jet_from_radial, kernel_from_spec, rho1, rho1_charged,
                       rho1_radial, validate_kernel, variance_asymptote,
@@ -50,6 +50,11 @@ def _parse_domain(text: str) -> tuple[float, float, float, float]:
     return tuple(parts)  # type: ignore[return-value]
 
 
+# the field sources named by --simulator or --kernel, besides stft (which
+# needs --window)
+_SOURCE_NAMES = "series | gef-series | polyentire:q:kind | poisson"
+
+
 def _source_from_args(args) -> dict:
     """The field source named by simulate --simulator/--window or by
     verify --window, else --kernel, as a FieldSource/McConfig source dict."""
@@ -65,7 +70,8 @@ def _source_from_args(args) -> dict:
     if name and name.startswith("polyentire:"):
         q, _, kind = name[len("polyentire:"):].partition(":")
         return {"family": "polyentire", "q": int(q) if q.isdigit() else q, "kind": kind}
-    raise GwhfError(f"unsupported field source {name!r}")
+    raise GwhfError(f"unsupported field source {name!r}; a source is a --window, "
+                    f"or one of {_SOURCE_NAMES}")
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -151,8 +157,12 @@ def _cmd_variance_asymptote(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    spec = _source_from_args(args)
+    if args.plane == "stft" and spec["family"] != "window":
+        raise PlaneError(f"the {args.simulator} simulator draws gwhf-plane grids only; "
+                         "--plane stft needs a --window")
     os.makedirs(args.out, exist_ok=True)
-    source = FieldSource(_source_from_args(args), args.domain, args.spacing, args.dt)
+    source = FieldSource(spec, args.domain, args.spacing, args.dt)
     grid = source.realize(args.seed)
     if args.plane == "gwhf" and grid.plane == "stft":
         # --domain was read in the stft plane; map the whole grid over
@@ -369,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="window spec for the stft simulator")
     p.add_argument("--simulator", default="stft",
                    help="stft | series | polyentire:q:kind")
-    p.add_argument("--plane", default="stft", choices=["stft", "gwhf"])
+    p.add_argument("--plane", default=None, choices=["stft", "gwhf"],
+                   help="output plane (default: the simulator's own; a --window grid "
+                        "is drawn in the stft plane and mapped over with gwhf)")
     p.set_defaults(func=_cmd_simulate, out="out")
 
     p = sub.add_parser("zeros", help="extract charged zeros from a saved grid "
@@ -385,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "invariance", "tau2-oracle"])
     common(p)
     p.add_argument("--window", help="window spec (stft-plane suites)")
-    p.add_argument("--kernel", help="gef | gef-series | polyentire:q:kind | poisson")
+    p.add_argument("--kernel", help=f"field source of the Monte Carlo suites: {_SOURCE_NAMES}; "
+                                    "tau2-oracle takes a radial kernel spec (default gef)")
     p.add_argument("-n", type=int, default=200, help="number of realizations/draws")
     p.add_argument("--radii", help="disk radii for charge-variance (default: 1, 2, ... that fit)")
     p.add_argument("--convention", default="regression", choices=list(OMEGA_CONVENTIONS))

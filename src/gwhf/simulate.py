@@ -21,6 +21,7 @@ bit-identical grids.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import struct
@@ -78,10 +79,11 @@ def complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 class FieldGrid:
     """Complex field samples on a rectangular lattice.
 
-    values[j, i] sits at origin + (i + 1j*j) * spacing.  `margin` is the
-    boundary band excluded from statistics; `meta["interior"]` records the
-    requested statistics region (the simulators pad it by 4 cells by
-    default, the stencils the detector reads for zeros inside it).
+    values[j, i] sits at origin + (i + 1j*j) * spacing, both finite.
+    `margin` is the boundary band excluded from statistics; `meta["interior"]`
+    records the requested statistics region, a finite rectangle (the
+    simulators pad it by 4 cells by default, the stencils the detector reads
+    for zeros inside it).
     """
     values: np.ndarray
     origin: complex
@@ -96,10 +98,14 @@ class FieldGrid:
         if v.ndim != 2 or min(v.shape) < _MIN_POINTS:
             raise ParameterError(f"values must be a 2-d complex array, at least "
                                  f"{_MIN_POINTS} x {_MIN_POINTS}, got shape {v.shape}")
-        if not self.spacing > 0:
-            raise ParameterError(f"grid spacing {self.spacing} must be positive")
+        if not cmath.isfinite(self.origin):
+            raise ParameterError(f"grid origin {self.origin} must be finite")
+        if not 0 < self.spacing < math.inf:
+            raise ParameterError(f"grid spacing {self.spacing} must be positive and finite")
         if self.plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {self.plane!r}")
+        if self.meta.get("interior") is not None:
+            _check_domain(self.meta["interior"])
         object.__setattr__(self, "values", v)
 
     @property
@@ -136,7 +142,10 @@ class FieldGrid:
 def _check_domain(domain) -> tuple[float, float, float, float]:
     """The rectangle (x0, x1, y0, y1) as floats; DomainError unless it is
     finite with x1 > x0 and y1 > y0."""
-    x0, x1, y0, y1 = box = tuple(float(v) for v in domain)
+    try:
+        x0, x1, y0, y1 = box = tuple(float(v) for v in domain)
+    except (TypeError, ValueError):
+        raise DomainError(f"domain {domain!r} must be four numbers x0, x1, y0, y1") from None
     if not (all(map(math.isfinite, box)) and x1 > x0 and y1 > y0):
         raise DomainError(f"domain {domain} must be a finite rectangle with x1 > x0 and y1 > y0")
     return box
@@ -199,12 +208,6 @@ def _outer_phase(y0: float, dy: float, n: int, rate: np.ndarray) -> np.ndarray:
     return (coarse[:, None, :] * fine[None, :, :]).reshape(a * b, -1)[:n]
 
 
-# bytes of FFT frame per block of grid columns; small blocks keep a
-# realization's temporaries small, and MC worker threads re-fault whole-grid
-# frames of several MB on every realization
-_FRAME_BLOCK_BYTES = 1 << 20
-
-
 class StftPlan:
     """Reusable precomputation for repeated realizations of one configuration.
 
@@ -229,10 +232,10 @@ class StftPlan:
     the noise and are built once, (nx, W) per window.  A realization takes
     each record's band of every column, multiplies it into its factors and
     sums the components (a band longer than n_fft is folded onto the FFT
-    period); then an FFT, a row gather and the (ny, nx) output phase make
-    the grid, one block of columns with about 1 MB of frame at a time.
-    Band i starts at tau_i = t0 + k_i dt, so the output phase, built once
-    per plan, is exp(-2 pi i y_j tau_i) sqrt(dt/q).
+    period); then one FFT over the whole (nx, n_fft) frame, a row gather
+    and the (ny, nx) output phase make the grid.  Band i starts at
+    tau_i = t0 + k_i dt, so the output phase, built once per plan, is
+    exp(-2 pi i y_j tau_i) sqrt(dt/q).
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  domain, spacing and
@@ -276,7 +279,6 @@ class StftPlan:
         if n_fft < 8:
             raise ParameterError(f"spacing {spacing} and dt {dt} give FFT frame {n_fft} < 8")
         self.n_fft = n_fft
-        self._block = max(1, _FRAME_BLOCK_BYTES // (16 * n_fft))
         s = 1.0 / (n_fft * dt)
         self.spacing = s
 
@@ -339,24 +341,20 @@ class StftPlan:
         if len(rngs) != len(self.windows):
             raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
         N, W = self.n_fft, self.W
-        records = [sliding_window_view(complex_normals(gen, self.K), W) for gen in rngs]
-        vals = np.empty((self.ny, self.nx), dtype=complex)
-        for lo in range(0, self.nx, self._block):
-            cols = slice(lo, lo + self._block)
-            bands = None
-            for record, factors in zip(records, self.window_factors):
-                band = record[self.starts[cols]]
-                band *= factors[cols]
-                if bands is None:
-                    bands = band
-                else:
-                    bands += band
-            # a band longer than the frame folds onto the FFT period
-            for f0 in range(N, W, N):
-                f1 = min(f0 + N, W)
-                bands[:, :f1 - f0] += bands[:, f0:f1]
-            spec = np.fft.fft(bands[:, :N], n=N, axis=1)
-            np.multiply(spec[:, self._rows].T, self._phase[:, cols], out=vals[:, cols])
+        bands = None
+        for gen, factors in zip(rngs, self.window_factors):
+            band = sliding_window_view(complex_normals(gen, self.K), W)[self.starts]
+            band *= factors
+            if bands is None:
+                bands = band
+            else:
+                bands += band
+        # a band longer than the frame folds onto the FFT period
+        for f0 in range(N, W, N):
+            f1 = min(f0 + N, W)
+            bands[:, :f1 - f0] += bands[:, f0:f1]
+        spec = np.fft.fft(bands[:, :N], n=N, axis=1)
+        vals = spec[:, self._rows].T * self._phase
         meta = {
             "interior": self.interior,
             "window": self.windows[0].label,

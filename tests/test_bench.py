@@ -1,20 +1,27 @@
 """The benchmark's workloads against the package: every workload's set-up
 and one `stft-h1`, one `gef-hyperuniform` and one `poly3-full-2t` unit
-under the benchmark's winding/sign check, so a name or signature the
-benchmark calls that stops working fails here first."""
+under the benchmark's winding/sign check, and one `stft-h1` unit under the
+benchmark's tracer, so a name or signature the benchmark calls that stops
+working fails here first."""
 import importlib.util
 import sys
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+from gwhf import mc, simulate
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def _bench_module(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads(monkeypatch):
+    return _bench_module(monkeypatch, "workloads")
 
 
 def test_bench_workloads_set_up_and_run_one_stft_unit(monkeypatch):
@@ -53,3 +60,25 @@ def test_bench_poly3_full_2t_unit_passes_its_checks(monkeypatch):
     assert unit.output is not None and (unit.ops, unit.failed) == (poly.chunk, 0)
     checks = poly.checks([unit.output], sign)
     assert all(ok for _, ok in checks), checks
+
+
+def test_bench_traced_stft_unit_matches_untraced_and_restores(monkeypatch):
+    wl = _workloads(monkeypatch)
+    tracing = _bench_module(monkeypatch, "tracing")
+    stft = wl.WORKLOADS["stft-h1"]
+    stft.setup(1)
+    detect, realize = mc.detect_zeros, simulate.StftPlan.realize
+    with wl.SignCheck() as sign:
+        plain = stft.run_unit(1, 1, sign)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)  # installed before the sign check, as the runner does
+    try:
+        with wl.SignCheck() as sign:
+            traced = stft.run_unit(1, 1, sign, tracer)
+    finally:
+        tracer.restore()
+    assert traced.output is not None and (traced.ops, traced.failed) == (stft.chunk, 0)
+    assert stft.digest([traced.output]) == stft.digest([plain.output])
+    layers = tracing.layer_metrics(tracer, traced.ops, stft.threads)
+    assert layers["simulate.stft.realize_calls"] > 0
+    assert mc.detect_zeros is detect and simulate.StftPlan.realize is realize

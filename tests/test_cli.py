@@ -268,6 +268,10 @@ def test_verify_exit_code_gates(capsys):
      "domain (0.0, nan, 0.0, 1.0)"),
     (["verify", "invariance", "--window", "hermite:1", "-n", "0"], "-n 0"),
     (["verify", "invariance", "--window", "hermite:1", "-n", "-3"], "-n -3"),
+    (["verify", "intensity", "--kernel", "gef", "-n", "2"], "gef-series"),
+    (["simulate", "--simulator", "series", "--plane", "stft"], "series simulator"),
+    (["simulate", "--simulator", "polyentire:2:pure", "--plane", "stft"],
+     "polyentire:2:pure simulator"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -278,7 +282,8 @@ def test_verify_exit_code_gates(capsys):
         "no-default-radius-fits",
         "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
         "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
-        "invariance-no-draws", "invariance-negative-draws"])
+        "invariance-no-draws", "invariance-negative-draws", "verify-kernel-gef",
+        "series-stft-plane", "polyentire-stft-plane"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]
@@ -309,6 +314,34 @@ def test_zeros_refuses_damaged_grid(tmp_path, capsys):
                                "--out", str(tmp_path / "z.csv"))
         assert code == 2
         assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("key, value, names", [
+    ("spacing", math.inf, "spacing inf"),
+    ("origin", [math.nan, 0.0], "origin (nan"),
+    ("interior", [math.nan, 2, 0, 2], "domain (nan, 2, 0, 2)"),
+    ("interior", [2, 0, 0, 2], "domain (2, 0, 0, 2)"),
+    ("interior", "abc", "domain 'abc'"),
+], ids=["infinite-spacing", "nan-origin", "nan-interior", "empty-interior",
+        "interior-not-numbers"])
+def test_zeros_refuses_non_finite_geometry(tmp_path, capsys, key, value, names):
+    out_dir = str(tmp_path / "run")
+    run_cli(capsys, "simulate", "--window", "hermite:1", "--domain", "0,2,0,2",
+            "--out", out_dir)
+    blob = Path(out_dir, "field.gwhf").read_bytes()
+    # magic line, little-endian header length, JSON header, payload
+    start = blob.index(b"\n") + 1
+    hlen = int.from_bytes(blob[start:start + 8], "little")
+    header = json.loads(blob[start + 8:start + 8 + hlen])
+    (header["meta"] if key == "interior" else header)[key] = value
+    edited = json.dumps(header).encode()
+    path = tmp_path / "edited.gwhf"
+    path.write_bytes(blob[:start] + len(edited).to_bytes(8, "little") + edited
+                     + blob[start + 8 + hlen:])
+    code, _, err = run_cli(capsys, "zeros", "--grid", str(path),
+                           "--out", str(tmp_path / "z.csv"))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err and names in err
 
 
 @pytest.mark.parametrize("name", ["kernels", "windows", "simulate", "zeros", "mc",

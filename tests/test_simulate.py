@@ -215,9 +215,17 @@ def test_banded_plan_matches_untruncated_fold(label, spacing):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_multi_window_plan_matches_per_component_sum(hermites):
+@pytest.mark.parametrize("spacing", [
+    1 / 16,  # the frame is longer than the band
+    0.25,    # the summed band folds onto the frame
+])
+def test_multi_window_plan_matches_per_component_sum(hermites, spacing):
     ws = [hermites[0], hermites[1], hermites[2]]
-    plan = S.StftPlan(ws, (0, 3, 0, 3), 1 / 16, 1 / 64)
+    plan = S.StftPlan(ws, (0, 3, 0, 3), spacing, 1 / 64)
+    if spacing == 0.25:
+        assert (plan.n_fft, plan.W, plan.nx) == (256, 448, 20)
+    else:
+        assert plan.n_fft > plan.W
     T = max(w.support_radius for w in ws)
     # the record starts T before the grid column of the anchor margin
     assert plan.t0 == 0 - 2 * max(T, max(w.freq_radius for w in ws)) - T
@@ -491,12 +499,15 @@ def test_grid_container_roundtrip(tmp_path, hermites):
 
 
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# a rectangle's side: x0 + side > x0 for every x0 drawn from _finite
+_extent = st.floats(min_value=1e-3, max_value=1e6)
 
 
 @given(ny=st.integers(16, 20), nx=st.integers(16, 20), plane=st.sampled_from(["stft", "gwhf"]),
        origin=st.tuples(_finite, _finite), spacing=st.floats(1e-6, 1e3),
        seed=st.integers(0, 2 ** 63 - 1), margin=st.floats(0.0, 1e3),
-       interior=st.tuples(_finite, _finite, _finite, _finite),
+       interior=st.tuples(_finite, _extent, _finite, _extent).map(
+           lambda b: (b[0], b[0] + b[1], b[2], b[2] + b[3])),
        label=st.text(max_size=12), sample_seed=st.integers(0, 2 ** 32 - 1),
        cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
 def test_grid_container_roundtrip_property(tmp_path_factory, ny, nx, plane, origin, spacing,
