@@ -57,8 +57,15 @@ _SOURCE_NAMES = "series | gef-series | polyentire:q:kind | poisson"
 
 def _source_from_args(args) -> dict:
     """The field source named by simulate --simulator/--window or by
-    verify --window, else --kernel, as a FieldSource/McConfig source dict."""
-    name = getattr(args, "simulator", None) or ("stft" if args.window else args.kernel)
+    verify --window or --kernel, as a FieldSource/McConfig source dict; a
+    --window together with another source is refused."""
+    flag, name = (("--simulator", args.simulator) if hasattr(args, "simulator")
+                  else ("--kernel", args.kernel))
+    if args.window:
+        if name not in (None, "stft"):
+            raise GwhfError(f"--window {args.window} is for the stft simulator; "
+                            f"{flag} {name} names another field source")
+        name = "stft"
     if name == "stft":
         if not args.window:
             raise GwhfError("the stft simulator needs --window")

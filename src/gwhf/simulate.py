@@ -3,11 +3,16 @@
 FieldSource turns a source spec into plans, an output plane, an interior
 and theory values; it is the one way to realize a field, for the CLI, the
 Monte Carlo harness and one-shot callers alike.
-Two independent simulators: StftPlan pairs discretized complex white noise
-with translated/modulated copies of any window, columnwise by FFT over the
-noise record; SeriesPlan sums a truncated random entire series with
-Gaussian weight, a cross-check for the flat kernel, for a whole batch of
-realizations at once as one matrix product per chunk of the grid.
+Two independent simulators.  StftPlan pairs discretized complex white
+noise with translated/modulated copies of any window, columnwise by FFT
+over the noise record.  Each column sees only the window's time band of
+the record, and, by time-frequency symmetry, the grid's rows see only the
+noise frequencies within one window bandwidth of them: the record is cut
+to that band by one FFT and used at every D-th sample, the largest
+decimation the band allows.  SeriesPlan sums a truncated random entire
+series with Gaussian weight, a cross-check for the flat kernel, for a
+whole batch of realizations at once as one matrix product per chunk of
+the grid.
 
 Coordinate conventions: grids in the "stft" plane sample the spectrogram
 coordinates (x = time shift, y = frequency); grids in the "gwhf" plane
@@ -151,6 +156,12 @@ def _check_domain(domain) -> tuple[float, float, float, float]:
     return box
 
 
+def _check_spacing(spacing: float) -> None:
+    """ParameterError unless the grid spacing is positive and finite."""
+    if not 0 < spacing < math.inf:
+        raise ParameterError(f"spacing {spacing} must be positive and finite")
+
+
 def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float,
                      plane: str = "stft") -> None:
     """Refuse a grid below 16 x 16, naming spacing, domain and margin in the
@@ -224,17 +235,32 @@ class StftPlan:
     never past the anchored lattice), and each of its samples is
     bit-identical to the same sample of the anchored grid.
 
+    The plan is band-limited in frequency.  The anchored rows span yc +- hy,
+    and a window's spectrum is negligible beyond its freq_radius F, so those
+    rows only see noise frequencies within hy + F of yc.  The decimation
+    factor D is the largest divisor of n_fft with hy + F <= 1/(2 D dt) (1
+    when none larger fits); it depends only on the anchored rows, so a
+    default plan and its anchored twin share it.  For D > 1 each record is
+    zero-padded to L = D M samples (M 7-smooth, long enough for every band)
+    and transformed; the M bins centred on yc are kept, and one inverse FFT
+    of length M gives the band-limited record at every D-th sample, already
+    scaled by D.  The dropped bins lie at least 1/(2 D dt) - hy >= F from
+    every row, and the same inequality keeps the D-fold sum of the
+    decimated pairing free of aliasing, so the grid is unchanged up to the
+    windows' 1e-12 tails.  Everything below runs at the step D dt.
+
     The plan is banded: every window is below 1e-12 beyond its support_radius
-    (Window's contract), so column x_i pairs only with the W = floor(2T/dt) + 2
-    samples (at most K) from its first one k_i with t_k >= x_i - T, T the
-    widest radius; the products with the rest of the record are never
-    formed.  The window factors conj(g(t_{k_i + w} - x_i)) do not depend on
-    the noise and are built once, (nx, W) per window.  A realization takes
-    each record's band of every column, multiplies it into its factors and
-    sums the components (a band longer than n_fft is folded onto the FFT
-    period); then one FFT over the whole (nx, n_fft) frame, a row gather
-    and the (ny, nx) output phase make the grid.  Band i starts at
-    tau_i = t0 + k_i dt, so the output phase, built once per plan, is
+    (Window's contract), so column x_i pairs only with the W =
+    floor(2T/(D dt)) + 2 record samples (at most the record's length) from
+    its first one k_i with t0 + D k_i dt >= x_i - T, T the widest radius;
+    the products with the rest of the record are never formed.  The window
+    factors conj(g(t0 + D (k_i + w) dt - x_i)) do not depend on the noise
+    and are built once, (nx, W) per window.  A realization multiplies each
+    record's band of every column into its factors and sums the components
+    into an (nx, n_fft/D) frame (a band longer than the frame is folded onto
+    the FFT period); then one FFT over the whole frame, a row gather and the
+    (ny, nx) output phase make the grid.  Band i starts at
+    tau_i = t0 + D k_i dt, so the output phase, built once per plan, is
     exp(-2 pi i y_j tau_i) sqrt(dt/q).
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
@@ -258,8 +284,7 @@ class StftPlan:
         if plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {plane!r}")
         x0, x1, y0, y1 = _check_domain(domain)
-        if not spacing > 0:
-            raise ParameterError(f"spacing {spacing} must be positive")
+        _check_spacing(spacing)
         if not dt > 0:
             raise ParameterError(f"dt {dt} must be positive")
         freq = max(w.freq_radius for w in windows)
@@ -305,26 +330,44 @@ class StftPlan:
         self.t0 = t0
         self.K = K
 
-        # column i pairs with the W samples from its first one at or after
-        # x_i - T; the last band is pulled back to end inside the record
-        W = min(int(math.floor(2.0 * T / dt)) + 2, K)
-        xs = (xlo + s * np.arange(nx))[cols]
-        starts = np.ceil((xs - T - t0) / dt - 1e-9).astype(np.int64)
-        starts = np.clip(starts, 0, K - W)
+        # the anchored rows yc +- hy see noise frequencies within hy + freq of yc
+        hy = 0.5 * (ny - 1) * s
+        D = max(d for d in range(1, n_fft + 1)
+                if n_fft % d == 0 and (d == 1 or hy + freq <= 0.5 / (d * dt)))
+        self.D = D
+        step = D * dt
+        # column i pairs with the W record samples from its first one at or
+        # after x_i - T; at the full rate the last band is pulled back to end
+        # inside the record
+        W = int(math.floor(2.0 * T / step)) + 2
+        xs = xlo + s * np.arange(nx)
+        starts = np.ceil((xs - T - t0) / step - 1e-9).astype(np.int64)
+        n_rec = K
+        if D > 1:
+            # the decimated record holds every anchored column's band
+            n_rec = _fft_frame(max(-(-K // D), int(starts[-1]) + W))
+            # bins b0 .. b0 + n_rec - 1 of the length-D n_rec transform, the
+            # n_rec nearest yc, each at the position b mod n_rec
+            b0 = round((jlo + 0.5 * (ny - 1)) * n_rec / (n_fft // D)) - n_rec // 2
+            self._keep = (b0 + (np.arange(n_rec) - b0) % n_rec) % (D * n_rec)
+        W = min(W, n_rec)
+        starts = np.clip(starts, 0, n_rec - W)[cols]
+        xs = xs[cols]
         self.W = W
         self.starts = starts
         self.nx, self.ny = len(xs), rows.stop - rows.start
         self.x0 = float(xs[0])
         self.jlo = jlo + rows.start
         self.y0 = self.jlo * s
-        tk = t0 + dt * np.arange(K)
+        tk = t0 + step * np.arange(n_rec)
         offsets = tk[starts[:, None] + np.arange(W)] - xs[:, None]
         self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, W) each
+        self.frame_shape = (self.nx, n_fft // D)
 
-        # band i starts at tau_i = t0 + k_i dt: V(x_i, y_j) is its FFT times
+        # band i starts at tau_i = t0 + D k_i dt: V(x_i, y_j) is its FFT times
         # exp(-2 pi i y_j tau_i); the gwhf plane adds exp(i pi y_j x_i)
-        freq_rows = np.mod(self.jlo + np.arange(self.ny), n_fft)
-        col_rate = -2.0 * math.pi * (t0 + dt * starts)
+        freq_rows = np.mod(self.jlo + np.arange(self.ny), n_fft // D)
+        col_rate = -2.0 * math.pi * (t0 + step * starts)
         if plane == "gwhf":
             col_rate += math.pi * xs
         phase = _outer_phase(jlo * s, s, ny, col_rate)[rows] * math.sqrt(dt / len(windows))
@@ -334,27 +377,35 @@ class StftPlan:
             self._rows, self._phase = freq_rows[::-1], phase[::-1].copy()
 
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                seed_label: int = 0) -> FieldGrid:
+                seed_label: int = 0, frame: np.ndarray | None = None) -> FieldGrid:
         """One grid; `rng` holds one generator per window (a single-window
-        plan also takes a bare generator), each drawing K noise samples."""
+        plan also takes a bare generator), each drawing K noise samples.
+        `frame`, a complex array of shape frame_shape, is the FFT's work
+        space, overwritten; reusing one across calls saves re-faulting a
+        fresh one, and the grid is the same either way."""
         rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         if len(rngs) != len(self.windows):
             raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
-        N, W = self.n_fft, self.W
-        bands = None
-        for gen, factors in zip(rngs, self.window_factors):
-            band = sliding_window_view(complex_normals(gen, self.K), W)[self.starts]
+        N, W = self.frame_shape[1], self.W
+        if frame is None:
+            frame = np.empty(self.frame_shape, dtype=complex)
+        records = np.stack([complex_normals(gen, self.K) for gen in rngs])
+        if self.D > 1:
+            spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
+            records = np.fft.ifft(spec[:, self._keep], axis=1)
+        frame[:, W:] = 0
+        for k, (record, factors) in enumerate(zip(records, self.window_factors)):
+            band = sliding_window_view(record, W)[self.starts]
             band *= factors
-            if bands is None:
-                bands = band
-            else:
-                bands += band
-        # a band longer than the frame folds onto the FFT period
-        for f0 in range(N, W, N):
-            f1 = min(f0 + N, W)
-            bands[:, :f1 - f0] += bands[:, f0:f1]
-        spec = np.fft.fft(bands[:, :N], n=N, axis=1)
-        vals = spec[:, self._rows].T * self._phase
+            # a band longer than the frame folds onto the FFT period
+            for f0 in range(0, W, N):
+                part = band[:, f0:f0 + N]
+                if k == f0 == 0:
+                    frame[:, :part.shape[1]] = part
+                else:
+                    frame[:, :part.shape[1]] += part
+        np.fft.fft(frame, axis=1, out=frame)
+        vals = frame[:, self._rows].T * self._phase
         meta = {
             "interior": self.interior,
             "window": self.windows[0].label,
@@ -445,8 +496,7 @@ class SeriesPlan:
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
                  n_terms: int | None = None, margin: float | None = None):
         x0, x1, y0, y1 = _check_domain(domain)
-        if not spacing > 0:
-            raise ParameterError(f"spacing {spacing} must be positive")
+        _check_spacing(spacing)
         if margin is None:
             margin = _PAD_CELLS * spacing
         self.margin = float(margin)
@@ -597,14 +647,14 @@ class FieldSource:
         else:
             raise InvalidKernelError(f"unknown source family {family!r}")
         if self.plane == "gwhf":
-            if not spacing > 0:
-                raise ParameterError(f"spacing {spacing} must be positive")
+            _check_spacing(spacing)
             # checked here, so an error names the gwhf-plane rectangle given
             box = _check_domain(domain)
             domain, spacing = _gwhf_box(box, inverse=True), spacing / _SQRT_PI
             margin = None if margin is None else margin / _SQRT_PI
         dt = 1.0 / 64.0 if dt is None else dt
         self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
+        self._frames = []  # FFT frames of finished realize_batch calls
         if self.plane == "gwhf":  # the stft-plane round trip may miss it by an ulp
             self.plan.interior = box
         self.interior = self.plan.interior
@@ -633,11 +683,27 @@ class FieldSource:
         realization r draws from stream(seed, r, k).  A series source draws
         the whole batch in one product; window sources make each grid only
         when it is asked for, and the iterator holds no grid it has handed
-        out."""
-        if isinstance(self.plan, SeriesPlan):
-            return iter(self.plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
-        q = len(self.plan.windows)
-        return (self.plan.realize([stream(seed, r, k) for k in range(q)], seed) for r in rs)
+        out.  A window source's call makes all its grids in one FFT frame,
+        which it takes from the frames of finished calls when there is one
+        (one per concurrent call at most): a fresh frame per call lets the
+        allocator trim the heap once it is freed, and the next call faults
+        its pages in again."""
+        plan = self.plan
+        if isinstance(plan, SeriesPlan):
+            return iter(plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
+
+        def grids():
+            try:
+                frame = self._frames.pop()
+            except IndexError:
+                frame = np.empty(plan.frame_shape, dtype=complex)
+            try:
+                for r in rs:
+                    yield plan.realize([stream(seed, r, k) for k in range(len(plan.windows))],
+                                       seed, frame)
+            finally:
+                self._frames.append(frame)
+        return grids()
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""

@@ -54,13 +54,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ChargedZero:
+class ChargedZero(NamedTuple):
     """One extracted zero with its plane-oriented charge.
 
     The loop orientation makes the charge the winding itself, so `winding`
     is a read-only alias of `charge`, kept for the CSV column and for the
-    certificate jacobian_sign == winding == charge.
+    certificate jacobian_sign == winding == charge.  A named tuple: as
+    immutable as a frozen dataclass, and about half the cost per zero when
+    a ZeroSet is iterated.
     """
     position: complex
     charge: int
@@ -94,7 +95,7 @@ class ZeroSet:
         for p, c, r, s, d in zip(self.position.tolist(), self.charge.tolist(),
                                  self.refined.tolist(), self.jacobian_sign.tolist(),
                                  self.degenerate.tolist()):
-            yield ChargedZero(position=p, charge=c, refined=r, jacobian_sign=s, degenerate=d)
+            yield ChargedZero(p, c, r, s, d)
 
 
 def _plane_orientation(grid: FieldGrid) -> int:

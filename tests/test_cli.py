@@ -272,6 +272,15 @@ def test_verify_exit_code_gates(capsys):
     (["simulate", "--simulator", "series", "--plane", "stft"], "series simulator"),
     (["simulate", "--simulator", "polyentire:2:pure", "--plane", "stft"],
      "polyentire:2:pure simulator"),
+    (["simulate", "--simulator", "series", "--window", "hermite:1"],
+     "--window hermite:1 is for the stft simulator; --simulator series names another"),
+    (["simulate", "--simulator", "gef-series", "--window", "hermite:1"], "--simulator gef-series"),
+    (["simulate", "--simulator", "polyentire:3:full", "--window", "hermite:1"],
+     "--simulator polyentire:3:full"),
+    (["simulate", "--simulator", "series", "--domain=0,4,0,4", "--spacing", "inf"],
+     "spacing inf must be positive and finite"),
+    (["verify", "intensity", "--window", "hermite:1", "--kernel", "polyentire:3:full", "-n", "2"],
+     "--window hermite:1 is for the stft simulator; --kernel polyentire:3:full"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -283,7 +292,9 @@ def test_verify_exit_code_gates(capsys):
         "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
         "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
         "invariance-no-draws", "invariance-negative-draws", "verify-kernel-gef",
-        "series-stft-plane", "polyentire-stft-plane"])
+        "series-stft-plane", "polyentire-stft-plane", "series-with-window",
+        "gef-series-with-window", "polyentire-with-window", "series-infinite-spacing",
+        "verify-window-and-kernel"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

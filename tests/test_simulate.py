@@ -205,14 +205,71 @@ def test_single_window_grid_equals_reference_fold(hermites):
 def test_banded_plan_matches_untruncated_fold(label, spacing):
     g = window_from_spec(label)
     plan = S.StftPlan(g, (0, 4, 0, 4), spacing, 1 / 64)
-    assert plan.W == math.floor(2 * g.support_radius * 64) + 2 and plan.W < plan.K
+    # band and frame in decimated samples, one per D dt
+    assert plan.D == 2
+    assert plan.W == math.floor(2 * g.support_radius * 64 / plan.D) + 2 and plan.W < plan.K
     if spacing == 0.25:
-        assert plan.n_fft == 256 < plan.W
+        assert plan.n_fft == 256 and plan.n_fft // plan.D == 128 < plan.W
     for r in range(2):
         noise = S.complex_normals(S.stream(34, r), plan.K)
         ref = _reference_component(plan, g, noise)
         got = plan.realize(S.stream(34, r)).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("y1, anchored, D", [
+    # anchored rows -6.77 .. 18.77: hy + freq_radius = 16.16 exceeds
+    # 1/(2 * 2 dt) = 16, so the record is used at the full rate
+    (12, False, 1),
+    # every anchored row, -6.77 .. 17.77, kept: hy + freq_radius = 15.66,
+    # so the kept band reaches within 0.34 of the rows' noise band
+    (11, True, 2),
+], ids=["full-rate", "band-edge"])
+def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites, y1,
+                                                                       anchored, D):
+    plan = S.StftPlan(hermites[1], (0, 4, 0, y1), 1 / 16, 1 / 64)
+    if anchored:
+        plan = anchored_plan(plan)
+    assert plan.D == D and plan.n_fft == 1024
+    assert plan.W == math.floor(2 * hermites[1].support_radius * 64 / D) + 2
+    for r in range(2):
+        noise = S.complex_normals(S.stream(36, r), plan.K)
+        ref = _reference_component(plan, hermites[1], noise)
+        got = plan.realize(S.stream(36, r)).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 32),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+], ids=["stft-h1", "criterion-7-fine", "poly3-full"])
+def test_monte_carlo_geometries_realize_at_half_rate(spec, domain, spacing):
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    assert plan.D == 2
+    assert plan.frame_shape == (plan.nx, plan.n_fft // 2)
+
+
+def test_frame_buffer_changes_no_grid(hermites):
+    plan = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
+    frame = np.full(plan.frame_shape, np.nan + 1j, dtype=complex)
+    for r in range(3):
+        rngs = [S.stream(37, r, k) for k in range(2)]
+        fresh = plan.realize(rngs).values
+        reused = plan.realize([S.stream(37, r, k) for k in range(2)], 37, frame).values
+        assert np.array_equal(fresh, reused)
+        assert not np.shares_memory(reused, frame)
+
+
+@pytest.mark.parametrize("spec", [{"family": "window", "window": "hermite:1"},
+                                  {"family": "polyentire", "q": 2, "kind": "full"}],
+                         ids=["window", "polyentire"])
+def test_batch_grids_share_no_memory(spec):
+    grids = list(S.FieldSource(spec, (0, 4, 0, 4), 1 / 16, 1 / 64).realize_batch(38, range(4)))
+    for a in range(4):
+        for b in range(a + 1, 4):
+            assert not np.shares_memory(grids[a].values, grids[b].values)
+    assert not np.array_equal(grids[0].values, grids[1].values)
 
 
 @pytest.mark.parametrize("spacing", [
@@ -223,9 +280,9 @@ def test_multi_window_plan_matches_per_component_sum(hermites, spacing):
     ws = [hermites[0], hermites[1], hermites[2]]
     plan = S.StftPlan(ws, (0, 3, 0, 3), spacing, 1 / 64)
     if spacing == 0.25:
-        assert (plan.n_fft, plan.W, plan.nx) == (256, 448, 20)
+        assert (plan.n_fft, plan.D, plan.W, plan.nx) == (256, 2, 225, 20)
     else:
-        assert plan.n_fft > plan.W
+        assert plan.n_fft // plan.D > plan.W
     T = max(w.support_radius for w in ws)
     # the record starts T before the grid column of the anchor margin
     assert plan.t0 == 0 - 2 * max(T, max(w.freq_radius for w in ws)) - T
@@ -350,6 +407,12 @@ def test_series_field_deterministic_and_rule():
     assert g1.meta["n_terms"] >= S.series_terms_required(r_max)
     with pytest.raises(ValueError):
         S.FieldSource({"family": "series-gef", "n_terms": 20}, (-3, 3, -3, 3), 0.1).realize(4)
+
+
+@pytest.mark.parametrize("spacing", [math.inf, 0.0, -0.5, math.nan])
+def test_series_plan_refuses_spacing_not_positive_and_finite(spacing):
+    with pytest.raises(ParameterError, match=f"spacing {spacing} must be positive and finite"):
+        S.SeriesPlan((0, 4, 0, 4), spacing)
 
 
 def test_series_empirical_covariance():
