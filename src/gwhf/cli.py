@@ -195,9 +195,8 @@ def _svg_scatter(zeros: ZeroSet, out_path: str) -> None:
     """Fixed-format scatter: plus marks for positive charges, circles for
     negative, grey squares for degenerate zeros (no certified charge),
     equal-aspect axes."""
-    if zeros:
-        xs = [z.position.real for z in zeros]
-        ys = [z.position.imag for z in zeros]
+    xs, ys = zeros.position.real.tolist(), zeros.position.imag.tolist()
+    if xs:
         x0, x1 = math.floor(min(xs)), math.ceil(max(xs))
         y0, y1 = math.floor(min(ys)), math.ceil(max(ys))
     else:
@@ -238,13 +237,14 @@ def _svg_scatter(zeros: ZeroSet, out_path: str) -> None:
     for yt in ticks(y0, y1, step):
         parts.append(f'<text x="{pad / 4:.1f}" y="{sy(yt) + 4:.1f}" font-size="12" '
                      f'text-anchor="middle">{yt}</text>')
-    for z in zeros:
-        cx, cy = sx(z.position.real), sy(z.position.imag)
-        if z.degenerate:
+    for x, y, charge, degenerate in zip(xs, ys, zeros.charge.tolist(),
+                                        zeros.degenerate.tolist()):
+        cx, cy = sx(x), sy(y)
+        if degenerate:
             parts.append(f'<rect x="{cx - m:.2f}" y="{cy - m:.2f}" width="{2 * m:.2f}" '
                          f'height="{2 * m:.2f}" stroke="#808080" stroke-width="1.5" '
                          f'fill="none"/>')
-        elif z.charge > 0:
+        elif charge > 0:
             parts.append(f'<path d="M {cx - m:.2f} {cy:.2f} H {cx + m:.2f} '
                          f'M {cx:.2f} {cy - m:.2f} V {cy + m:.2f}" '
                          f'stroke="#d04040" stroke-width="1.5" fill="none"/>')
@@ -350,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"gwhf {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, domain="0,8,0,8", spacing=1 / 16, dt=1 / 64):
+    def common(p):
         p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                        help="64-bit seed (default 0xC0FFEE); 'random' for entropy")
-        p.add_argument("--domain", type=_parse_domain, default=_parse_domain(domain),
+        p.add_argument("--domain", type=_parse_domain, default=(0.0, 8.0, 0.0, 8.0),
                        help="x0,x1,y0,y1 rectangle")
-        p.add_argument("--spacing", type=float, default=spacing)
-        p.add_argument("--dt", type=float, default=dt,
+        p.add_argument("--spacing", type=float, default=1 / 16)
+        p.add_argument("--dt", type=float, default=1 / 64,
                        help="noise sample spacing for windowed transforms")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (default 1); results do not depend on this")

@@ -85,17 +85,7 @@ def laguerre_sum(n: int, t):
     """First-order generalized Laguerre L^(1)_n(t) = sum_{k<=n} L_k(t)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    acc = prev.copy()
-    if n == 0:
-        return acc if acc.ndim else float(acc)
-    cur = 1.0 - t
-    acc = acc + cur
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
-        acc = acc + cur
-    return acc if acc.ndim else float(acc)
+    return sum(laguerre(k, t) for k in range(n + 1))
 
 
 def _laguerre_coeffs(n: int) -> np.ndarray:
@@ -457,7 +447,7 @@ def variance_integrand(p: RadialKernel, r):
     return float(out[0]) if np.asarray(r).ndim == 0 else out
 
 
-def variance_asymptote(p: RadialKernel, tol: float = 1e-9) -> float:
+def variance_asymptote(p: RadialKernel) -> float:
     """Large-R limit of Var[charge in B_R]/R: (2/pi) * integral of the integrand.
 
     The constant comes from the perimeter term of the disk overlap: two
@@ -466,11 +456,11 @@ def variance_asymptote(p: RadialKernel, tol: float = 1e-9) -> float:
     the first absolute moment of (1/pi^2 - tau2).  Validated against the
     exact finite-R double-disk integral and direct simulation.
 
-    Adaptive quadrature with explicit tail truncation; raises
+    Adaptive quadrature to 1e-9 with explicit tail truncation; raises
     DecayViolationError when the profile decays too slowly to certify the
     tail below tolerance.
     """
-    val = half_line_quad(lambda r: variance_integrand(p, r), tol=tol)
+    val = half_line_quad(lambda r: variance_integrand(p, r))
     return 2.0 * val / math.pi
 
 
@@ -515,8 +505,7 @@ class ValidationReport:
         return [k for k, v in self.checks.items() if not v]
 
 
-def validate_kernel(kernel: RadialKernel | KernelJet,
-                    grid: np.ndarray | None = None) -> ValidationReport:
+def validate_kernel(kernel: RadialKernel | KernelJet) -> ValidationReport:
     """Check the standing assumptions and report every violated predicate.
 
     For radial kernels: normalization P(0)=1, strict contraction |P|<1 on a
@@ -535,9 +524,8 @@ def validate_kernel(kernel: RadialKernel | KernelJet,
         if not checks["normalization"]:
             details["normalization"] = f"P(0) = {p0!r}"
 
-        if grid is None:
-            grid = np.concatenate([np.linspace(1e-3, 1.0, 200, endpoint=False),
-                                   np.linspace(1.0, 400.0, 2000)])
+        grid = np.concatenate([np.linspace(1e-3, 1.0, 200, endpoint=False),
+                               np.linspace(1.0, 400.0, 2000)])
         vals = np.abs(np.asarray(kernel.p(grid), dtype=float))
         bad = np.nonzero(vals > 1.0 - 1e-12)[0]
         checks["contraction"] = bad.size == 0
@@ -632,15 +620,15 @@ def kernel_from_spec(spec: dict | str) -> RadialKernel | KernelJet:
     return build_from_spec(spec, "kernel", InvalidKernelError, _kernel_record, _build_kernel)
 
 
-def integral_identity_residual(p: RadialKernel, s_lo: float = 1e-3,
-                               s_hi: float = 80.0) -> float:
+def integral_identity_residual(p: RadialKernel) -> float:
     """| (1/pi^2) int (1 - pi^2 tau2) dA  -  rho1 | for a radial kernel.
 
     The area integral reduces to -(1/pi) int_0^inf I'(s) ds.  The closed
-    form of I' is integrated on [s_lo, s_hi]; the two end corrections use
-    the independent expression for I itself, so a transcription error in
-    either expression breaks the identity.
+    form of I' is integrated on [s_lo, s_hi] = [1e-3, 80]; the two end
+    corrections use the independent expression for I itself, so a
+    transcription error in either expression breaks the identity.
     """
+    s_lo, s_hi = 1e-3, 80.0
     mid = adaptive_quad(lambda s: i_prime(p, s), s_lo, s_hi, tol=1e-9)
     head = i_function(p, s_lo) - i_function(p, 0.0)
     tail = -i_function(p, s_hi)

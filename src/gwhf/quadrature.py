@@ -18,6 +18,9 @@ from .errors import DecayViolationError
 
 __all__ = ["panel_quad", "adaptive_quad", "half_line_quad"]
 
+# Gauss-Legendre nodes per panel; the most panels adaptive_quad doubles to
+_ORDER, _MAX_PANELS = 16, 4096
+
 
 @lru_cache(maxsize=16)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -26,7 +29,7 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               panels: int, order: int = 16) -> float:
+               panels: int, order: int = _ORDER) -> float:
     """Integrate f over [a, b] with `panels` equal Gauss-Legendre panels."""
     x, w = _gl_nodes(order)
     edges = np.linspace(a, b, panels + 1)
@@ -38,39 +41,34 @@ def panel_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  tol: float = 1e-10, order: int = 16,
-                  initial_panels: int = 4, max_panels: int = 4096) -> float:
+                  tol: float = 1e-10, initial_panels: int = 4) -> float:
     """Refine by doubling the panel count until successive results differ < tol."""
     if b <= a:
         return 0.0
     panels = initial_panels
-    prev = panel_quad(f, a, b, panels, order)
-    while panels < max_panels:
+    prev = panel_quad(f, a, b, panels)
+    while panels < _MAX_PANELS:
         panels *= 2
-        cur = panel_quad(f, a, b, panels, order)
+        cur = panel_quad(f, a, b, panels)
         if abs(cur - prev) < tol:
             return cur
         prev = cur
     raise DecayViolationError(
         f"quadrature on [{a}, {b}] did not stabilize below {tol} "
-        f"with {max_panels} panels")
+        f"with {_MAX_PANELS} panels")
 
 
-def half_line_quad(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-9,
-                   block: float = 4.0, max_radius: float = 200.0) -> float:
-    """Integrate f over [0, inf) by blocks, truncating once a block is negligible.
-
-    The tail is declared convergent when the last block contributes less
-    than tol/10; otherwise the integrand decays too slowly and a
-    DecayViolationError is raised.
+def half_line_quad(f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integrate f over [0, inf) to 1e-9 by blocks of length 4, truncating
+    once a block contributes less than 1e-10; an integrand still above that
+    at radius 200 decays too slowly, and a DecayViolationError is raised.
     """
     total = 0.0
     a = 0.0
-    while a < max_radius:
-        piece = adaptive_quad(f, a, a + block, tol=tol / 10.0)
+    while a < 200.0:
+        piece = adaptive_quad(f, a, a + 4.0, tol=1e-10)
         total += piece
-        a += block
-        if a >= 2 * block and abs(piece) < tol / 10.0:
+        a += 4.0
+        if a >= 8.0 and abs(piece) < 1e-10:
             return total
-    raise DecayViolationError(
-        f"tail of half-line integral still above {tol / 10.0} at radius {max_radius}")
+    raise DecayViolationError("tail of half-line integral still above 1e-10 at radius 200.0")

@@ -59,6 +59,10 @@ _MIN_POINTS = 16
 # detect_zeros reads the stencils of cells within two cells of the interior,
 # and those reach four cells past it
 _PAD_CELLS = 4
+# the most elements of any one array a plan or a realization allocates (the
+# grid, the anchored phase table, the noise record, the decimation transform,
+# the FFT frame): 256 MiB of complex samples
+_MAX_ELEMENTS = 2 ** 24
 
 
 def stream(seed: int, realization: int = 0, component: int = 0) -> np.random.Generator:
@@ -162,17 +166,27 @@ def _check_spacing(spacing: float) -> None:
         raise ParameterError(f"spacing {spacing} must be positive and finite")
 
 
-def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float,
-                     plane: str = "stft") -> None:
-    """Refuse a grid below 16 x 16, naming spacing, domain and margin in the
-    output plane (a gwhf-plane StftPlan gets them in the stft plane)."""
+def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float) -> None:
+    """Refuse a grid below 16 x 16, naming spacing, domain and margin as the
+    caller gave them."""
     if nx < _MIN_POINTS or ny < _MIN_POINTS:
-        if plane == "gwhf":
-            spacing, domain, margin = _SQRT_PI * spacing, _gwhf_box(domain), _SQRT_PI * margin
         box = ", ".join(f"{v:.6g}" for v in domain)
         raise ParameterError(f"spacing {spacing:.6g} gives a {nx} x {ny} grid on domain "
                              f"({box}) with margin {margin:.4g}; a grid needs at least "
                              f"{_MIN_POINTS} x {_MIN_POINTS} points")
+
+
+def _check_elements(sizes: dict, spacing: float, domain, margin: float,
+                    dt: float | None = None) -> None:
+    """Refuse the geometry, named as _check_grid_size names it, when an array
+    of `sizes` (name -> elements, none allocated yet) exceeds _MAX_ELEMENTS."""
+    name, count = max(sizes.items(), key=lambda item: item[1])
+    if count > _MAX_ELEMENTS:
+        box = ", ".join(f"{v:.6g}" for v in domain)
+        step = "" if dt is None else f" and dt {dt:.6g}"
+        raise ParameterError(f"domain ({box}) at spacing {spacing:.6g}{step} with margin "
+                             f"{margin:.4g} needs a {name} of {count} elements, more than "
+                             f"the {_MAX_ELEMENTS} any one array may hold")
 
 
 def _crop(n: int, pos0: float, s: float, lo: float, hi: float) -> slice:
@@ -195,16 +209,15 @@ def _crop(n: int, pos0: float, s: float, lo: float, hi: float) -> slice:
 def _fft_frame(n: int) -> int:
     """Smallest 7-smooth length (2^a 3^b 5^c 7^d) at or above n.  pocketfft
     runs such lengths on its fast path; a large prime factor (1418 = 2 * 709)
-    makes the same transform several times slower."""
-    m = max(int(n), 1)
-    while True:
-        k = m
-        for p in (2, 3, 5, 7):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
+    makes the same transform several times slower.  Each odd 7-smooth part
+    below 2n is doubled up to n: 1,100 candidates at n = 10^11."""
+    n = max(int(n), 1)
+    odd = [1]
+    for p in (3, 5, 7):
+        for m in list(odd):
+            while (m := m * p) < 2 * n:
+                odd.append(m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
 def _outer_phase(y0: float, dy: float, n: int, rate: np.ndarray) -> np.ndarray:
@@ -239,15 +252,16 @@ class StftPlan:
     and a window's spectrum is negligible beyond its freq_radius F, so those
     rows only see noise frequencies within hy + F of yc.  The decimation
     factor D is the largest divisor of n_fft with hy + F <= 1/(2 D dt) (1
-    when none larger fits); it depends only on the anchored rows, so a
-    default plan and its anchored twin share it.  For D > 1 each record is
-    zero-padded to L = D M samples (M 7-smooth, long enough for every band)
-    and transformed; the M bins centred on yc are kept, and one inverse FFT
-    of length M gives the band-limited record at every D-th sample, already
-    scaled by D.  The dropped bins lie at least 1/(2 D dt) - hy >= F from
-    every row, and the same inequality keeps the D-fold sum of the
-    decimated pairing free of aliasing, so the grid is unchanged up to the
-    windows' 1e-12 tails.  Everything below runs at the step D dt.
+    when none larger fits), sought downwards from that bound; it depends
+    only on the anchored rows, so a default plan and its anchored twin
+    share it.  For D > 1 each record is zero-padded to L = D M samples (M
+    7-smooth, long enough for every band) and transformed; the M bins
+    centred on yc are kept, and one inverse FFT of length M gives the
+    band-limited record at every D-th sample, already scaled by D.  The
+    dropped bins lie at least 1/(2 D dt) - hy >= F from every row, and the
+    same inequality keeps the D-fold sum of the decimated pairing free of
+    aliasing, so the grid is unchanged up to the windows' 1e-12 tails.
+    Everything below runs at the step D dt.
 
     The plan is banded: every window is below 1e-12 beyond its support_radius
     (Window's contract), so column x_i pairs only with the W =
@@ -261,7 +275,10 @@ class StftPlan:
     the FFT period); then one FFT over the whole frame, a row gather and the
     (ny, nx) output phase make the grid.  Band i starts at
     tau_i = t0 + D k_i dt, so the output phase, built once per plan, is
-    exp(-2 pi i y_j tau_i) sqrt(dt/q).
+    exp(-2 pi i y_j tau_i) sqrt(dt/q).  realize takes its frame from the
+    plan's pool, making one only when every pooled frame is in use, and
+    returns it after the row gather: a fresh frame per grid faults its pages
+    in again once the allocator has trimmed a freed one.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  domain, spacing and
@@ -269,9 +286,11 @@ class StftPlan:
     to the invariant plane, as to_gwhf_plane maps them, with the mapping's
     phase folded into the output phase once per plan.  The phase table is
     built on the anchored rows, whose split into coarse and fine factors
-    fixes its rounding, then cut to the kept rows.  `interior` is the
-    output-plane rectangle every grid records: the domain, or its gwhf-plane
-    image.
+    fixes its rounding, then cut to the kept rows.  The output lattice and
+    metadata are fixed per plan, but `interior`, the output-plane rectangle
+    every grid records (the domain, or its gwhf-plane image), is read per
+    grid: a FieldSource may set it after building the plan.  A geometry
+    needing an array of over _MAX_ELEMENTS elements is refused first.
     """
 
     def __init__(self, window: Window | Sequence[Window],
@@ -311,7 +330,10 @@ class StftPlan:
         nx = int(math.floor((xhi - xlo) / s + 1e-9)) + 1
         jlo = int(math.ceil((y0 - anchor) / s - 1e-9))
         ny = int(math.floor((y1 + anchor - jlo * s) / s + 1e-9)) + 1
-        _check_grid_size(nx, ny, spacing, domain, anchor, plane)
+        # spacing, domain and margin as the caller gave them, for refusals
+        given = ((spacing, domain, anchor) if plane == "stft" else
+                 (_SQRT_PI * spacing, _gwhf_box(domain), _SQRT_PI * anchor))
+        _check_grid_size(nx, ny, *given)
         if margin is None:
             self.margin = _PAD_CELLS * s
             cols = _crop(nx, xlo, s, x0 - self.margin, x1 + self.margin)
@@ -327,13 +349,18 @@ class StftPlan:
 
         t0 = xlo - T
         K = int(math.ceil((xhi + T - t0) / dt)) + 1
+        ncols = cols.stop - cols.start
+        _check_elements({f"{ny} x {ncols} phase table": ny * ncols,
+                         "noise record": len(windows) * K}, *given, dt)
         self.t0 = t0
         self.K = K
 
-        # the anchored rows yc +- hy see noise frequencies within hy + freq of yc
+        # the anchored rows yc +- hy see noise frequencies within hy + freq of
+        # yc, so no D above 1/(2 dt (hy + freq)) fits
         hy = 0.5 * (ny - 1) * s
-        D = max(d for d in range(1, n_fft + 1)
-                if n_fft % d == 0 and (d == 1 or hy + freq <= 0.5 / (d * dt)))
+        top = min(n_fft, int(0.5 / (dt * (hy + freq))) + 1)
+        D = next(d for d in range(top, 0, -1)
+                 if n_fft % d == 0 and (d == 1 or hy + freq <= 0.5 / (d * dt)))
         self.D = D
         step = D * dt
         # column i pairs with the W record samples from its first one at or
@@ -342,20 +369,22 @@ class StftPlan:
         W = int(math.floor(2.0 * T / step)) + 2
         xs = xlo + s * np.arange(nx)
         starts = np.ceil((xs - T - t0) / step - 1e-9).astype(np.int64)
-        n_rec = K
+        # the decimated record holds every anchored column's band
+        n_rec = K if D == 1 else _fft_frame(max(-(-K // D), int(starts[-1]) + W))
+        W = min(W, n_rec)
+        _check_elements({"decimation transform": len(windows) * D * n_rec if D > 1 else 0,
+                         "frame": ncols * (n_fft // D), "window band": ncols * W},
+                        *given, dt)
         if D > 1:
-            # the decimated record holds every anchored column's band
-            n_rec = _fft_frame(max(-(-K // D), int(starts[-1]) + W))
             # bins b0 .. b0 + n_rec - 1 of the length-D n_rec transform, the
             # n_rec nearest yc, each at the position b mod n_rec
             b0 = round((jlo + 0.5 * (ny - 1)) * n_rec / (n_fft // D)) - n_rec // 2
             self._keep = (b0 + (np.arange(n_rec) - b0) % n_rec) % (D * n_rec)
-        W = min(W, n_rec)
         starts = np.clip(starts, 0, n_rec - W)[cols]
         xs = xs[cols]
         self.W = W
         self.starts = starts
-        self.nx, self.ny = len(xs), rows.stop - rows.start
+        self.nx, self.ny = ncols, rows.stop - rows.start
         self.x0 = float(xs[0])
         self.jlo = jlo + rows.start
         self.y0 = self.jlo * s
@@ -363,6 +392,7 @@ class StftPlan:
         offsets = tk[starts[:, None] + np.arange(W)] - xs[:, None]
         self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, W) each
         self.frame_shape = (self.nx, n_fft // D)
+        self._frames = []  # FFT frames no realize call is using
 
         # band i starts at tau_i = t0 + D k_i dt: V(x_i, y_j) is its FFT times
         # exp(-2 pi i y_j tau_i); the gwhf plane adds exp(i pi y_j x_i)
@@ -371,28 +401,39 @@ class StftPlan:
         if plane == "gwhf":
             col_rate += math.pi * xs
         phase = _outer_phase(jlo * s, s, ny, col_rate)[rows] * math.sqrt(dt / len(windows))
+        # every grid's metadata but its interior, which a FieldSource may reset
+        self._meta = {"interior": None, "window": windows[0].label, "dt": self.dt,
+                      "requested_spacing_rounded_to": s}
+        if len(windows) > 1:
+            self._meta["components"] = len(windows)
         if plane == "stft":
             self._rows, self._phase = freq_rows, phase
+            self._lattice = {"origin": complex(self.x0, self.y0), "spacing": s,
+                             "plane": plane, "margin": self.margin}
         else:  # rows flipped so y increases in the invariant plane
             self._rows, self._phase = freq_rows[::-1], phase[::-1].copy()
+            self._meta["mapped_from"] = "stft"
+            y1 = self.y0 + s * (self.ny - 1)
+            self._lattice = {"origin": complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
+                             "spacing": _SQRT_PI * s, "plane": plane,
+                             "margin": _SQRT_PI * self.margin}
 
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                seed_label: int = 0, frame: np.ndarray | None = None) -> FieldGrid:
+                seed_label: int = 0) -> FieldGrid:
         """One grid; `rng` holds one generator per window (a single-window
-        plan also takes a bare generator), each drawing K noise samples.
-        `frame`, a complex array of shape frame_shape, is the FFT's work
-        space, overwritten; reusing one across calls saves re-faulting a
-        fresh one, and the grid is the same either way."""
+        plan also takes a bare generator), each drawing K noise samples."""
         rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         if len(rngs) != len(self.windows):
             raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
         N, W = self.frame_shape[1], self.W
-        if frame is None:
-            frame = np.empty(self.frame_shape, dtype=complex)
         records = np.stack([complex_normals(gen, self.K) for gen in rngs])
         if self.D > 1:
             spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
             records = np.fft.ifft(spec[:, self._keep], axis=1)
+        try:
+            frame = self._frames.pop()
+        except IndexError:  # every frame is in use, or none was made yet
+            frame = np.empty(self.frame_shape, dtype=complex)
         frame[:, W:] = 0
         for k, (record, factors) in enumerate(zip(records, self.window_factors)):
             band = sliding_window_view(record, W)[self.starts]
@@ -406,23 +447,9 @@ class StftPlan:
                     frame[:, :part.shape[1]] += part
         np.fft.fft(frame, axis=1, out=frame)
         vals = frame[:, self._rows].T * self._phase
-        meta = {
-            "interior": self.interior,
-            "window": self.windows[0].label,
-            "dt": self.dt,
-            "requested_spacing_rounded_to": self.spacing,
-        }
-        if len(self.windows) > 1:
-            meta["components"] = len(self.windows)
-        if self.plane == "stft":
-            return FieldGrid(values=vals, origin=complex(self.x0, self.y0),
-                             spacing=self.spacing, plane="stft", seed=seed_label,
-                             margin=self.margin, meta=meta)
-        y1 = self.y0 + self.spacing * (self.ny - 1)
-        meta["mapped_from"] = "stft"
-        return FieldGrid(values=vals, origin=complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
-                         spacing=_SQRT_PI * self.spacing, plane="gwhf", seed=seed_label,
-                         margin=_SQRT_PI * self.margin, meta=meta)
+        self._frames.append(frame)
+        return FieldGrid(values=vals, seed=seed_label,
+                         meta=dict(self._meta, interior=self.interior), **self._lattice)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -506,6 +533,7 @@ class SeriesPlan:
         nx = int(math.floor((x1 + margin - xlo) / spacing + 1e-9)) + 1
         ny = int(math.floor((y1 + margin - ylo) / spacing + 1e-9)) + 1
         _check_grid_size(nx, ny, spacing, domain, margin)
+        _check_elements({f"{nx} x {ny} grid": nx * ny}, spacing, domain, margin)
         xs = xlo + spacing * np.arange(nx)
         ys = ylo + spacing * np.arange(ny)
         self.z = xs[None, :] + 1j * ys[:, None]
@@ -610,7 +638,8 @@ class FieldSource:
     plans pad the domain by 4 cells; the StftPlan keeps the lattice and
     noise record of its anchor margin, so no sample depends on the pad.
     The source's interior, and that of each of its grids, is the domain
-    given, bit for bit.
+    given, bit for bit.  Every realize_batch call, from any thread, draws
+    its FFT frames from the one pool of the source's StftPlan.
     """
 
     def __init__(self, spec: dict, domain: tuple[float, float, float, float],
@@ -654,7 +683,6 @@ class FieldSource:
             margin = None if margin is None else margin / _SQRT_PI
         dt = 1.0 / 64.0 if dt is None else dt
         self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
-        self._frames = []  # FFT frames of finished realize_batch calls
         if self.plane == "gwhf":  # the stft-plane round trip may miss it by an ulp
             self.plan.interior = box
         self.interior = self.plan.interior
@@ -683,27 +711,12 @@ class FieldSource:
         realization r draws from stream(seed, r, k).  A series source draws
         the whole batch in one product; window sources make each grid only
         when it is asked for, and the iterator holds no grid it has handed
-        out.  A window source's call makes all its grids in one FFT frame,
-        which it takes from the frames of finished calls when there is one
-        (one per concurrent call at most): a fresh frame per call lets the
-        allocator trim the heap once it is freed, and the next call faults
-        its pages in again."""
+        out."""
         plan = self.plan
         if isinstance(plan, SeriesPlan):
             return iter(plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
-
-        def grids():
-            try:
-                frame = self._frames.pop()
-            except IndexError:
-                frame = np.empty(plan.frame_shape, dtype=complex)
-            try:
-                for r in rs:
-                    yield plan.realize([stream(seed, r, k) for k in range(len(plan.windows))],
-                                       seed, frame)
-            finally:
-                self._frames.append(frame)
-        return grids()
+        return (plan.realize([stream(seed, r, k) for k in range(len(plan.windows))], seed)
+                for r in rs)
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""

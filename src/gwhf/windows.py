@@ -138,13 +138,15 @@ def hermite(r: int) -> Window:
                   freq_radius=support, label=f"hermite:{r}", kind="hermite", order=r)
 
 
-def hermite_mixture(coeffs: Sequence[complex], label: str | None = None) -> Window:
-    """Normalized finite combination sum_r coeffs[r] h_r.  The default label
-    is the text spec of the coefficients as given, so it rebuilds the window."""
+def hermite_mixture(coeffs: Sequence[complex]) -> Window:
+    """Normalized finite combination sum_r coeffs[r] h_r.  The label is the
+    text spec of the coefficients as given, so it rebuilds the window."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0 or c.size - 1 > HERMITE_MAX_ORDER:
         raise InvalidWindowError("coeffs must be a nonempty 1-d sequence of length <= 13")
-    label = label or "hermite-mixture:" + ";".join(f"{v.real}{v.imag:+}j" for v in c.tolist())
+    label = "hermite-mixture:" + ";".join(f"{v.real}{v.imag:+}j" for v in c.tolist())
+    if not np.isfinite(c).all():
+        raise InvalidWindowError(f"mixture coefficients must be finite, got {label}")
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise InvalidWindowError("all mixture coefficients vanish")
@@ -179,6 +181,10 @@ def generalized_gaussian(sigma: float, lambda_phase: float = 0.0, x0: float = 0.
     |lambda| = 2^{1/4} is enforced internally so the norm is exactly 1.  The
     label is the text spec without trailing zero parameters.
     """
+    params = [sigma, lambda_phase, x0, xi0, xi1]
+    for name, value in zip(("sigma", "phase", "x0", "xi0", "xi1"), params):
+        if not math.isfinite(value):
+            raise InvalidWindowError(f"generalized-gaussian {name} must be finite, got {value}")
     if sigma <= 0:
         raise InvalidWindowError("sigma must be positive")
     lam = 2.0 ** 0.25 * np.exp(1j * lambda_phase)
@@ -193,7 +199,6 @@ def generalized_gaussian(sigma: float, lambda_phase: float = 0.0, x0: float = 0.
         return rule(t) * (-a * (2.0 * (t - x0) + 1j * (xi0 + 2.0 * xi1 * t)))
 
     support = abs(x0) + sigma * math.sqrt(math.log(2.0 ** 0.25 / (math.sqrt(sigma) * 1e-12)) / math.pi) + 0.25
-    params = [sigma, lambda_phase, x0, xi0, xi1]
     while len(params) > 1 and params[-1] == 0:
         params.pop()
     w = Window(rule=rule, derivative=derivative, support_radius=support, freq_radius=1.0,

@@ -281,6 +281,19 @@ def test_verify_exit_code_gates(capsys):
      "spacing inf must be positive and finite"),
     (["verify", "intensity", "--window", "hermite:1", "--kernel", "polyentire:3:full", "-n", "2"],
      "--window hermite:1 is for the stft simulator; --kernel polyentire:3:full"),
+    # refused by the plan constructors before any array of the grid's size exists
+    (["simulate", "--simulator", "series", "--domain=-1,1,-1,1", "--spacing", "1e-5"],
+     "domain (-1, 1, -1, 1) at spacing 1e-05 with margin 4e-05 needs a 200009 x 200009 grid"),
+    (["simulate", "--window", "hermite:1", "--domain", "0,1,0,1", "--spacing", "1e-5"],
+     "domain (0, 1, 0, 1) at spacing 1e-05 and dt 0.015625"),
+    (["simulate", "--window", "hermite:1", "--domain", "0,0.5,0,0.5", "--spacing", "0.01",
+      "--dt", "1e-9"], "at spacing 0.01 and dt 1e-09 with margin 6.77 needs a noise record"),
+    (["intensity", "--window", "gaussian:nan"], "sigma must be finite, got nan"),
+    (["intensity", "--window", "gaussian:1;nan"], "phase must be finite, got nan"),
+    (["intensity", "--window", "hermite-mixture:1;nan"],
+     "coefficients must be finite, got hermite-mixture:1.0+0.0j;nan+0.0j"),
+    (["intensity", "--window", "hermite-mixture:1;inf"],
+     "coefficients must be finite, got hermite-mixture:1.0+0.0j;inf+0.0j"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -294,7 +307,9 @@ def test_verify_exit_code_gates(capsys):
         "invariance-no-draws", "invariance-negative-draws", "verify-kernel-gef",
         "series-stft-plane", "polyentire-stft-plane", "series-with-window",
         "gef-series-with-window", "polyentire-with-window", "series-infinite-spacing",
-        "verify-window-and-kernel"])
+        "verify-window-and-kernel", "series-grid-too-large", "stft-grid-too-large",
+        "stft-record-too-long", "gaussian-nan-sigma", "gaussian-nan-phase",
+        "mixture-nan-coefficient", "mixture-inf-coefficient"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

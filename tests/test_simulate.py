@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -217,6 +219,14 @@ def test_banded_plan_matches_untruncated_fold(label, spacing):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _largest_fitting_divisor(plan):
+    """D by trying every divisor of n_fft against the anchored rows' half-width."""
+    hy = 0.5 * (anchored_plan(plan).ny - 1) * plan.spacing
+    F = max(w.freq_radius for w in plan.windows)
+    return max(d for d in range(1, plan.n_fft + 1) if plan.n_fft % d == 0
+               and (d == 1 or hy + F <= 0.5 / (d * plan.dt)))
+
+
 @pytest.mark.parametrize("y1, anchored, D", [
     # anchored rows -6.77 .. 18.77: hy + freq_radius = 16.16 exceeds
     # 1/(2 * 2 dt) = 16, so the record is used at the full rate
@@ -230,7 +240,7 @@ def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites,
     plan = S.StftPlan(hermites[1], (0, 4, 0, y1), 1 / 16, 1 / 64)
     if anchored:
         plan = anchored_plan(plan)
-    assert plan.D == D and plan.n_fft == 1024
+    assert plan.D == _largest_fitting_divisor(plan) == D and plan.n_fft == 1024
     assert plan.W == math.floor(2 * hermites[1].support_radius * 64 / D) + 2
     for r in range(2):
         noise = S.complex_normals(S.stream(36, r), plan.K)
@@ -246,19 +256,47 @@ def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites,
 ], ids=["stft-h1", "criterion-7-fine", "poly3-full"])
 def test_monte_carlo_geometries_realize_at_half_rate(spec, domain, spacing):
     plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
-    assert plan.D == 2
+    assert plan.D == _largest_fitting_divisor(plan) == 2
     assert plan.frame_shape == (plan.nx, plan.n_fft // 2)
 
 
+def test_plan_refuses_a_frame_beyond_the_element_cap(hermites):
+    # its 12.2 million-element phase table would pass; the command-line tests
+    # refuse a grid, a phase table and a noise record
+    with pytest.raises(ParameterError, match="needs a frame of 17865360 elements"):
+        S.StftPlan(hermites[1], (0, 1, 0, 1), 1.1e-3, 1 / 64)
+
+
 def test_frame_buffer_changes_no_grid(hermites):
-    plan = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
+    ws = [hermites[0], hermites[1]]
+    plan, twin = (S.StftPlan(ws, (0, 4, 0, 4), 1 / 16, 1 / 64) for _ in range(2))
     frame = np.full(plan.frame_shape, np.nan + 1j, dtype=complex)
     for r in range(3):
-        rngs = [S.stream(37, r, k) for k in range(2)]
-        fresh = plan.realize(rngs).values
-        reused = plan.realize([S.stream(37, r, k) for k in range(2)], 37, frame).values
+        fresh = twin.realize([S.stream(37, r, k) for k in range(2)]).values
+        plan._frames[:] = [frame]  # a frame full of stale values
+        reused = plan.realize([S.stream(37, r, k) for k in range(2)], 37).values
         assert np.array_equal(fresh, reused)
         assert not np.shares_memory(reused, frame)
+        assert len(plan._frames) == 1 and plan._frames[0] is frame
+
+
+def test_threads_share_one_plan_and_its_frames(hermites):
+    plan = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
+
+    def grid(r):
+        return plan.realize([S.stream(39, r, k) for k in range(2)], 39).values
+
+    serial = [grid(r) for r in range(16)]
+    plan._frames.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often inside realize
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(grid, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+    assert 1 <= len(plan._frames) <= 2
 
 
 @pytest.mark.parametrize("spec", [{"family": "window", "window": "hermite:1"},
