@@ -298,10 +298,13 @@ def _cmd_verify(args) -> int:
         top = per_r[f"R={radii[-1]:g}"]
         mid = per_r[f"R={radii[len(radii) // 2]:g}"]
         band_ok = abs(top.empirical - top.theory) <= 0.2 * top.theory
-        ratio = (top.empirical * radii[-1]) / (mid.empirical * radii[len(radii) // 2])
-        ratio_ok = ratio <= 2.4
+        if mid.empirical > 0:
+            ratio = (top.empirical * radii[-1]) / (mid.empirical * radii[len(radii) // 2])
+            ratio_ok, growth = ratio <= 2.4, f"{ratio:.2f}"
+        else:  # no growth to measure from a charge that never varied
+            ratio_ok, growth = False, f"undefined (zero variance at {mid.label})"
         sys.stderr.write(f"[gwhf] Var/R band at R={radii[-1]:g}: "
-                         f"{'ok' if band_ok else 'FAIL'}; growth ratio {ratio:.2f} "
+                         f"{'ok' if band_ok else 'FAIL'}; growth ratio {growth} "
                          f"{'ok' if ratio_ok else 'FAIL'}\n")
         return 0 if (band_ok and ratio_ok) else 1
     if args.suite == "invariance":

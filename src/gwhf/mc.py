@@ -58,8 +58,8 @@ class McConfig:
         if self.n_realizations < 2:
             raise ParameterError(f"n_realizations = {self.n_realizations}: "
                                  "need at least 2 realizations")
-        if self.radii and list(self.radii) != sorted(self.radii):
-            raise ParameterError(f"radii {list(self.radii)} must be sorted ascending")
+        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
+            raise ParameterError(f"radii {list(self.radii)} must be strictly increasing")
         if not all(r > 0 for r in self.radii):
             raise ParameterError(f"radii {list(self.radii)} must be positive")
         if self.threads < 1:
@@ -295,7 +295,8 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     circles' starting values come from SeriesPlan.circle_values, one
     inverse FFT per circle, and only arc midpoints from the evaluator.  The
     report also carries a weighted linear fit of Var against R over the
-    upper half of the radii.  Theory per radius is
+    upper half of the radii, unless one of them has a zero standard error,
+    which a note then names.  Theory per radius is
     the large-R limit of Var/R from quadrature of the kernel profile.
     """
     t0 = time.time()
@@ -336,13 +337,18 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
         v = float(np.var(charges[:, k], ddof=1))
         se = _variance_se(charges[:, k])
         variances.append(v)
-        ses.append(max(se, 1e-300))
+        ses.append(se)
         items.append(McItem(label=f"R={R:g}", empirical=v / R, se=se / R,
                             theory=theory_var[k]))
 
-    # weighted straight-line fit Var ~ a + b R over the upper half of the radii
+    # weighted straight-line fit Var ~ a + b R over the upper half of the
+    # radii; a radius whose charge never varied has no weight to give it
     upper = [k for k in range(len(radii)) if radii[k] >= radii[len(radii) // 2]]
-    if len(upper) >= 2:
+    flat = [radii[k] for k in upper if ses[k] == 0.0]
+    if len(upper) >= 2 and flat:
+        notes.append("fit-slope left out: zero standard error at R="
+                     + ", ".join(f"{R:g}" for R in flat))
+    elif len(upper) >= 2:
         rr = np.array([radii[k] for k in upper])
         vv = np.array([variances[k] for k in upper])
         ww = np.array([1.0 / ses[k] ** 2 for k in upper])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidWindowError
 from .kernels import (DEFAULT_CONVENTION, KernelJet, RadialKernel,
@@ -261,6 +260,10 @@ def window_from_samples(samples: np.ndarray, dt: float, label: str = "samples") 
     padded[:n] = samples
     freqs = np.fft.fftfreq(npad, d=dt)
     dsamples = np.fft.ifft(np.fft.fft(padded) * (2j * math.pi * freqs))[:n]
+
+    # imported here: scipy.interpolate is most of a fresh process's import
+    # time, and only sampled windows use it
+    from scipy.interpolate import CubicSpline
 
     sp_re = CubicSpline(t, samples.real, bc_type="natural")
     sp_im = CubicSpline(t, samples.imag, bc_type="natural")

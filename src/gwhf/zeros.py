@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ContainerError, GwhfError, ResolutionError
 from .simulate import FieldGrid
@@ -52,6 +51,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# how far past its cell, in cells, a refined root may lie: Newton and the
+# bilinear solve accept roots in [-_BAND, 1 + _BAND]^2 of the cell (the
+# bilinear one then clipped to it); _close_pairs needs _BAND < 0.125
+_BAND = 0.05
 
 
 class ChargedZero(NamedTuple):
@@ -206,7 +209,7 @@ def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     corners a=(0,0), b=(1,0), c=(1,1), d=(0,1), all cells at once.
 
     Of the real roots xi of the quadratic (at most two, the +sqrt one first)
-    in [-0.05, 1.05] whose eta also lands there, the one of smallest residual is
+    in [-_BAND, 1 + _BAND] whose eta also lands there, the one of smallest residual is
     taken (the first on ties) and clipped to the cell; the cell center
     when there is none.  Real and imaginary parts are combined in the
     order complex arithmetic would use, so each cell gets the bits a
@@ -229,7 +232,7 @@ def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
         eta = np.where(np.abs(den_re) >= np.abs(den_im), -(num_re / den_re), -(num_im / den_im))
         err = np.hypot(A.real + B.real * xi + C.real * eta + D.real * xi * eta,
                        A.imag + B.imag * xi + C.imag * eta + D.imag * xi * eta)
-    ok = ((-0.05 <= xi) & (xi <= 1.05) & (-0.05 <= eta) & (eta <= 1.05)
+    ok = ((-_BAND <= xi) & (xi <= 1 + _BAND) & (-_BAND <= eta) & (eta <= 1 + _BAND)
           & (np.maximum(np.abs(den_re), np.abs(den_im)) >= 1e-300))
     second = ok[1] & (~ok[0] | (err[1] < err[0]))
     found = ok[0] | ok[1]
@@ -243,7 +246,7 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Twenty Newton steps from the cell center, on all stencils at once.  A
     zero is the iterate of smallest |f| below 1e-3 rms inside
-    [-0.05, 1.05]^2: only inside the cell, since wandering onto a
+    [-_BAND, 1 + _BAND]^2: only inside the cell, since wandering onto a
     neighboring zero would duplicate it under a foreign winding label.  A
     stencil stops once such an iterate has |f| < 1e-12 rms, at a singular
     Jacobian, or when an iterate leaves [-0.75, 1.75]^2; the loop ends
@@ -260,7 +263,8 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y = xi[live], eta[live]
         f, fx, fy = _bicubic(stencils[live], x, y)
         af = np.abs(f)
-        near = (af < 1e-3 * rms[live]) & (-0.05 <= x) & (x <= 1.05) & (-0.05 <= y) & (y <= 1.05)
+        near = ((af < 1e-3 * rms[live]) & (-_BAND <= x) & (x <= 1 + _BAND)
+                & (-_BAND <= y) & (y <= 1 + _BAND))
         up = near & (af < best_f[live])
         best_xi[live[up]], best_eta[live[up]], best_f[live[up]] = x[up], y[up], af[up]
         det = fx.real * fy.imag - fx.imag * fy.real
@@ -305,16 +309,31 @@ def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
     return xi, eta, ok & newton, sign, flat
 
 
-def _close_pairs(pos: np.ndarray, realization: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 h: np.ndarray) -> np.ndarray:
     """(K, 2) index pairs a < b of one realization with
     |pos[a] - pos[b]| < 0.75 h[a], h being each candidate's grid spacing:
-    every pair that either close-pair rule can use, from one tree."""
-    # the realization is a third coordinate, spaced wider than the query
-    # radius, so no pair forms across realizations; the tree compares
-    # squared distances, so query wider, then apply the strict test
-    reach = 1.5 * h.max(initial=0.0)
-    xyz = np.column_stack([pos.real, pos.imag, 2.0 * reach * realization])
-    pairs = cKDTree(xyz).query_pairs(reach, output_type="ndarray")
+    every pair that either close-pair rule can use, from the cell lattice.
+
+    Candidate m is the one root of flagged cell (i[m], j[m]) of its
+    realization, and lies within _BAND cells of that cell.  Two candidates
+    whose cells are not neighbours are then at least 1 - 2 _BAND cells
+    apart, so while _BAND < 0.125 every close pair is a pair of neighbouring
+    cells, and each such pair is found once, from the cell whose forward
+    neighbour the other is."""
+    # one key per cell; the padding keeps every neighbour's key in its own
+    # row and realization
+    width = j.max(initial=0) + 3
+    key = (realization * (i.max(initial=0) + 2) + i) * width + j + 1
+    order = np.argsort(key)
+    keys = key[order]
+    found = []
+    for di, dj in ((1, -1), (1, 0), (1, 1), (0, 1)):
+        target = key + di * width + dj
+        at = np.searchsorted(keys, target).clip(max=len(keys) - 1)
+        hit = np.flatnonzero(keys[at] == target)
+        found.append(np.column_stack([hit, order[at[hit]]]))
+    pairs = np.sort(np.concatenate(found), axis=1)
     return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h[pairs[:, 0]]]
 
 
@@ -449,7 +468,7 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     xi, eta, ok, sign, flat = _refine(joined("stencils", np.empty((0, 4, 4), complex)),
                                       refine, per_cell("orient"))
     pos = origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
-    pairs = _close_pairs(pos, realization, h)
+    pairs = _close_pairs(pos, realization, i, j, h)
     near = np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.35 * h[pairs[:, 0]]
     keep = _dedup(cells, realization, pos, wind, pairs[near])
     if failure is not None:

@@ -147,14 +147,40 @@ def test_plot_ticks_bounded(tmp_path, capsys):
         assert labels == list(range(0, int(far) + 1, step)) + y_labels
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_python(*args):
+    """A new interpreter run with args, the package under test importable."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-m", "gwhf", "--help"], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _fresh_python("-m", "gwhf", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: gwhf")
+
+
+def test_import_loads_no_scipy():
+    # scipy.interpolate and scipy.spatial are most of a fresh import's time
+    done = _fresh_python("-c", "import sys, gwhf, gwhf.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_samples_window_imports_its_spline_on_first_use(tmp_path):
+    dt = 1.0 / 64.0
+    path = tmp_path / "h0.npy"
+    np.save(path, np.exp(-PI * ((np.arange(768) - 383.5) * dt) ** 2))  # centred on 0
+    done = _fresh_python("-c", "import sys; from gwhf.windows import window_from_spec; "
+                         f"w = window_from_spec({{'family': 'samples', 'samples_path': {str(path)!r}, "
+                         f"'dt': {dt!r}}}); "
+                         "print(w.kind, 'scipy.interpolate' in sys.modules, "
+                         "abs(w(0.0) - 2 ** 0.25) < 1e-6)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "samples True True\n"
 
 
 def test_plot_empty_csv(tmp_path, capsys):
@@ -255,6 +281,9 @@ def test_verify_exit_code_gates(capsys):
      "'1,x'"),
     (["verify", "charge-variance", "--kernel", "poisson", "--radii", "0,1", "-n", "2"],
      "radii [0.0, 1.0]"),
+    (["verify", "charge-variance", "--kernel", "series", "--domain=-3,3,-3,3",
+      "--spacing", "0.1", "--radii", "1,1", "-n", "50", "--seed", "1"],
+     "radii [1.0, 1.0] must be strictly increasing"),
     (["verify", "charge-variance", "--kernel", "gef-series", "--domain", "0,1.5,0,1.5"],
      "fits domain (0.0, 1.5, 0.0, 1.5) about its centre; give radii with --radii"),
     (["plot"], "row 2 'nan,0.5,1,1,1,1,0'"),
@@ -300,7 +329,7 @@ def test_verify_exit_code_gates(capsys):
         "zero-dt", "grid-below-16x16", "gwhf-grid-below-16x16", "series-negative-spacing",
         "series-radius-beyond-limit",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
-        "invariance-negative-seed", "radii-not-numbers", "radius-zero",
+        "invariance-negative-seed", "radii-not-numbers", "radius-zero", "radius-repeated",
         "no-default-radius-fits",
         "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
         "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
@@ -407,6 +436,19 @@ def test_verify_charge_and_variance_cli(tmp_path, capsys):
     assert code == 0
     assert "growth ratio" in err
     assert (tmp_path / "charge_variance.json").exists()
+
+
+@pytest.mark.parametrize("radii, n", [("1,2", "2"), ("0.05,0.1", "3")])
+def test_verify_charge_variance_fails_on_a_radius_that_never_varied(capsys, radii, n):
+    # every realization has the same charge in the middle disk: there is no
+    # growth ratio to take, so the run fails instead of dividing by zero
+    code, out, err = run_cli(capsys, "verify", "charge-variance", "--kernel", "series",
+                             "--domain=-3,3,-3,3", "--spacing", "0.1", "--radii", radii,
+                             "-n", n, "--seed", "1")
+    assert code == 1
+    mid = radii.split(",")[1]
+    assert f"growth ratio undefined (zero variance at R={mid}) FAIL" in err
+    assert json.loads(out)["items"][-1]["label"] == f"R={mid}"
 
 
 @pytest.mark.parametrize("kernel", ["gef-series", "polyentire:2:pure"])

@@ -142,6 +142,8 @@ def test_config_validation():
         _cfg(n_realizations=1)
     with pytest.raises(ValueError):
         _cfg(radii=(3.0, 1.0))
+    with pytest.raises(ParameterError, match=r"radii \[1.0, 1.0\] must be strictly increasing"):
+        _cfg(radii=(1.0, 1.0))
     with pytest.raises(ParameterError, match="regresion"):
         _cfg(convention="regresion")
     with pytest.raises(ParameterError, match="threads = 0"):
@@ -359,3 +361,14 @@ def test_reports_do_not_share_the_cached_sources_notes(monkeypatch):
         notes = list(first.notes)
         first.notes.append("edited")
         assert estimate(cfg).notes == notes
+
+
+def test_charge_variance_leaves_out_fit_over_a_radius_that_never_varied():
+    # three realizations with the same charge in the two upper disks: no
+    # weight for the fit, so no fit-slope row, and a note naming the radius
+    cfg = mc.McConfig(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0),
+                      spacing=0.1, n_realizations=3, seed=1, radii=(0.05, 0.1, 0.2))
+    rep = mc.estimate_charge_variance(cfg)
+    assert [it.label for it in rep.items] == ["R=0.05", "R=0.1", "R=0.2"]
+    assert rep.items[1].se == 0.0
+    assert rep.notes[-1] == "fit-slope left out: zero standard error at R=0.1"

@@ -282,6 +282,57 @@ def test_batched_bilinear_matches_scalar(kind):
         assert not center.all()
 
 
+def _all_close_pairs(pos, realization, h):
+    """The pairs _close_pairs must give, from every pair of candidates."""
+    a, b = np.triu_indices(len(pos), 1)
+    close = (realization[a] == realization[b]) & (np.abs(pos[a] - pos[b]) < 0.75 * h[a])
+    return np.column_stack([a[close], b[close]])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_close_pairs_match_all_pairs(seed):
+    # realizations of different sizes, spacings and origins, two of them on
+    # one geometry; one candidate in each of most cells, anywhere in the band
+    # Newton accepts around its cell, the band's edges included; candidates
+    # in random order
+    rng = np.random.default_rng(seed)
+    band = Z._BAND
+    parts = []
+    for r, (nx, ny, origin, h) in enumerate([(7, 5, -1.3 + 0.4j, 0.1), (4, 9, 2.0 - 1.0j, 0.25),
+                                             (6, 6, 0j, 1 / 16), (6, 6, 0j, 1 / 16)]):
+        j, i = np.divmod(np.flatnonzero(rng.uniform(size=nx * ny) < 0.6), nx)
+        xi, eta = rng.uniform(-band, 1 + band, size=(2, len(i)))
+        edge = rng.uniform(size=(2, len(i))) < 0.2
+        xi[edge[0]], eta[edge[1]] = (rng.choice([-band, 1 + band], size=k) for k in edge.sum(1))
+        pos = origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
+        parts.append((np.full(len(i), r), i, j, np.full(len(i), h), pos))
+    columns = [np.concatenate(col) for col in zip(*parts)]
+    shuffle = rng.permutation(len(columns[0]))
+    realization, i, j, h, pos = (col[shuffle] for col in columns)
+    ref = _all_close_pairs(pos, realization, h)
+    got = Z._close_pairs(pos, realization, i, j, h)
+    assert len(ref) > 10
+    assert np.array_equal(got[np.lexsort(got.T[::-1])], ref)
+
+
+def test_close_pairs_of_no_candidate_and_of_one():
+    for n in (0, 1):
+        pairs = Z._close_pairs(np.full(n, 0.5 + 0.5j), np.zeros(n, int), np.zeros(n, int),
+                               np.zeros(n, int), np.ones(n))
+        assert pairs.shape == (0, 2)
+
+
+@pytest.mark.parametrize("newton", [True, False])
+def test_refined_roots_stay_in_the_band(newton):
+    # the premise of the lattice search in _close_pairs
+    rng = np.random.default_rng(11)
+    st = rng.normal(size=(4000, 4, 4)) + 1j * rng.normal(size=(4000, 4, 4))
+    xi, eta, refined, _, _ = Z._refine(st, newton, np.ones(4000, int))
+    assert refined.any() == newton and not refined.all()
+    for u in (xi, eta):
+        assert ((-Z._BAND <= u) & (u <= 1 + Z._BAND)).all()
+
+
 def _full_grid_windings(grid):
     """Plaquette windings with the carrier removed by a full-grid gauge
     exponential per edge direction, as the detector computed them before it
