@@ -245,22 +245,24 @@ class StftPlan:
     2 max(T, freq radius).  An explicit margin is also the grid's pad.  By
     default the grid is only the domain plus _PAD_CELLS cells on each side,
     all the detector reads (widened to _MIN_POINTS on an axis with fewer,
-    never past the anchored lattice), and each of its samples is
-    bit-identical to the same sample of the anchored grid.
+    never past the anchored lattice).
 
-    The plan is band-limited in frequency.  The anchored rows span yc +- hy,
+    The plan is band-limited in frequency.  The kept rows span yc +- hy,
     and a window's spectrum is negligible beyond its freq_radius F, so those
     rows only see noise frequencies within hy + F of yc.  The decimation
     factor D is the largest divisor of n_fft with hy + F <= 1/(2 D dt) (1
-    when none larger fits), sought downwards from that bound; it depends
-    only on the anchored rows, so a default plan and its anchored twin
-    share it.  For D > 1 each record is zero-padded to L = D M samples (M
-    7-smooth, long enough for every band) and transformed; the M bins
-    centred on yc are kept, and one inverse FFT of length M gives the
-    band-limited record at every D-th sample, already scaled by D.  The
-    dropped bins lie at least 1/(2 D dt) - hy >= F from every row, and the
-    same inequality keeps the D-fold sum of the decimated pairing free of
-    aliasing, so the grid is unchanged up to the windows' 1e-12 tails.
+    when none larger fits), sought downwards from that bound.  A default
+    plan keeps fewer rows than its anchored twin (the same configuration
+    with the explicit margin 2 max(T, F)), so its D may be larger and its
+    samples then equal the twin's to rounding (about 3e-14 of the grid's
+    maximum), not bit for bit.  For D > 1 each record is zero-padded to
+    L = D M samples (M 7-smooth, long enough for every band) and
+    transformed; the M bins centred on yc are kept, and one inverse FFT of
+    length M gives the band-limited record at every D-th sample, already
+    scaled by D.  The dropped bins lie at least 1/(2 D dt) - hy >= F from
+    every row, and the same inequality keeps the D-fold sum of the
+    decimated pairing free of aliasing, so the grid is unchanged up to the
+    windows' 1e-12 tails.
     Everything below runs at the step D dt.
 
     The plan is banded: every window is below 1e-12 beyond its support_radius
@@ -355,9 +357,9 @@ class StftPlan:
         self.t0 = t0
         self.K = K
 
-        # the anchored rows yc +- hy see noise frequencies within hy + freq of
-        # yc, so no D above 1/(2 dt (hy + freq)) fits
-        hy = 0.5 * (ny - 1) * s
+        # the kept rows yc +- hy see noise frequencies within hy + freq of yc,
+        # so no D above 1/(2 dt (hy + freq)) fits
+        hy = 0.5 * (rows.stop - rows.start - 1) * s
         top = min(n_fft, int(0.5 / (dt * (hy + freq))) + 1)
         D = next(d for d in range(top, 0, -1)
                  if n_fft % d == 0 and (d == 1 or hy + freq <= 0.5 / (d * dt)))
@@ -378,7 +380,8 @@ class StftPlan:
         if D > 1:
             # bins b0 .. b0 + n_rec - 1 of the length-D n_rec transform, the
             # n_rec nearest yc, each at the position b mod n_rec
-            b0 = round((jlo + 0.5 * (ny - 1)) * n_rec / (n_fft // D)) - n_rec // 2
+            jc = jlo + 0.5 * (rows.start + rows.stop - 1)
+            b0 = round(jc * n_rec / (n_fft // D)) - n_rec // 2
             self._keep = (b0 + (np.arange(n_rec) - b0) % n_rec) % (D * n_rec)
         starts = np.clip(starts, 0, n_rec - W)[cols]
         xs = xs[cols]

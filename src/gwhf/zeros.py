@@ -156,25 +156,29 @@ def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
 # Local interpolation, batched over cells
 # ---------------------------------------------------------------------------
 
-def _cubic(p, u):
-    # Catmull-Rom along the last axis, through p[..., 1] (u=0) and p[..., 2] (u=1)
-    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
-    return p1 + 0.5 * u * (p2 - p0 + u * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
-                                          + u * (3.0 * (p1 - p2) + p3 - p0)))
+def _coefficients(p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coefficients (a0, a1, a2, a3) of the Catmull-Rom cubic along the last
+    axis of p through p[..., 1] (u=0) and p[..., 2] (u=1): its value is
+    a0 + u/2 (a1 + u (a2 + u a3))."""
+    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    return p1, p2 - p0, 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3, 3.0 * (p1 - p2) + p3 - p0
 
 
-def _cubic_d(p, u):
-    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
-    return 0.5 * (p2 - p0) + u * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) \
-        + 1.5 * u * u * (3.0 * (p1 - p2) + p3 - p0)
+def _cubic(a, u):
+    return a[0] + 0.5 * u * (a[1] + u * (a[2] + u * a[3]))
 
 
-def _bicubic(stencils: np.ndarray, xi: np.ndarray, eta: np.ndarray):
+def _cubic_d(a, u):
+    return 0.5 * a[1] + u * a[2] + 1.5 * u * u * a[3]
+
+
+def _bicubic(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray):
     """Value, d/dxi and d/deta of the Catmull-Rom surface through each
     (4, 4) stencil (rows along eta, columns along xi, local cell [0,1]^2)
-    at its own point (xi[m], eta[m])."""
-    rows = _cubic(stencils, xi[:, None])
-    drows = _cubic_d(stencils, xi[:, None])
+    at its own point (xi[m], eta[m]); coef is (4, M, 4), the stencils'
+    _coefficients along xi stacked, one cubic per stencil row."""
+    rows = _coefficients(_cubic(coef, xi[:, None]))
+    drows = _coefficients(_cubic_d(coef, xi[:, None]))
     return _cubic(rows, eta), _cubic(drows, eta), _cubic_d(rows, eta)
 
 
@@ -209,11 +213,15 @@ def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     corners a=(0,0), b=(1,0), c=(1,1), d=(0,1), all cells at once.
 
     Of the real roots xi of the quadratic (at most two, the +sqrt one first)
-    in [-_BAND, 1 + _BAND] whose eta also lands there, the one of smallest residual is
-    taken (the first on ties) and clipped to the cell; the cell center
-    when there is none.  Real and imaginary parts are combined in the
-    order complex arithmetic would use, so each cell gets the bits a
-    one-cell solve would give it.
+    in [-_BAND, 1 + _BAND] whose eta also lands there, a root inside the
+    cell [0, 1]^2 is taken over one in the band around it, and among roots
+    of the same kind the one of smallest residual (the first on ties); it
+    is clipped to the cell, and the cell center is taken when there is
+    none.  For two exact roots both residuals are rounding noise, so
+    position, not residual, decides between the cell's own root and a
+    neighbour's.  Real and imaginary parts are combined in the order
+    complex arithmetic would use, so each cell gets the bits a one-cell
+    solve would give it.
     """
     A, B, C, D = a, b - a, d - a, a - b + c - d
     al = B.real * D.imag - B.imag * D.real
@@ -234,23 +242,26 @@ def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
                        A.imag + B.imag * xi + C.imag * eta + D.imag * xi * eta)
     ok = ((-_BAND <= xi) & (xi <= 1 + _BAND) & (-_BAND <= eta) & (eta <= 1 + _BAND)
           & (np.maximum(np.abs(den_re), np.abs(den_im)) >= 1e-300))
-    second = ok[1] & (~ok[0] | (err[1] < err[0]))
+    inside = ok & (0.0 <= xi) & (xi <= 1.0) & (0.0 <= eta) & (eta <= 1.0)
+    second = ok[1] & (~ok[0] | (inside[1] & ~inside[0])
+                      | ((inside[1] == inside[0]) & (err[1] < err[0])))
     found = ok[0] | ok[1]
     return (np.where(found, np.clip(np.where(second, xi[1], xi[0]), 0.0, 1.0), 0.5),
             np.where(found, np.clip(np.where(second, eta[1], eta[0]), 0.0, 1.0), 0.5))
 
 
-def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local zero (xi, eta) of each stencil's Catmull-Rom surface; NaN
-    where Newton finds none.
+def _newton(stencils: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local zero (xi, eta) of each stencil's Catmull-Rom surface, coef
+    being the stencils' stacked _coefficients; NaN where Newton finds none.
 
     Twenty Newton steps from the cell center, on all stencils at once.  A
     zero is the iterate of smallest |f| below 1e-3 rms inside
     [-_BAND, 1 + _BAND]^2: only inside the cell, since wandering onto a
     neighboring zero would duplicate it under a foreign winding label.  A
-    stencil stops once such an iterate has |f| < 1e-12 rms, at a singular
-    Jacobian, or when an iterate leaves [-0.75, 1.75]^2; the loop ends
-    early once every stencil has stopped.
+    stencil stops once an iterate has |f| < 1e-12 rms, in the band or not
+    (one converged outside it stays there, so it can never become the
+    zero), at a singular Jacobian, or when an iterate leaves
+    [-0.75, 1.75]^2; the loop ends early once every stencil has stopped.
     """
     m = len(stencils)
     rms = np.sqrt(np.mean(np.abs(stencils.reshape(m, 16)) ** 2, axis=1))
@@ -261,14 +272,14 @@ def _newton(stencils: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not live.size:
             break
         x, y = xi[live], eta[live]
-        f, fx, fy = _bicubic(stencils[live], x, y)
+        f, fx, fy = _bicubic(coef[:, live], x, y)
         af = np.abs(f)
         near = ((af < 1e-3 * rms[live]) & (-_BAND <= x) & (x <= 1 + _BAND)
                 & (-_BAND <= y) & (y <= 1 + _BAND))
         up = near & (af < best_f[live])
         best_xi[live[up]], best_eta[live[up]], best_f[live[up]] = x[up], y[up], af[up]
         det = fx.real * fy.imag - fx.imag * fy.real
-        go = ~(near & (af < 1e-12 * rms[live])) & (det != 0.0)
+        go = ~(af < 1e-12 * rms[live]) & (det != 0.0)
         live, f, fx, fy, det = live[go], f[go], fx[go], fy[go], det[go]
         xi[live] -= (f.real * fy.imag - f.imag * fy.real) / det
         eta[live] -= (fx.real * f.imag - fx.imag * f.real) / det
@@ -295,8 +306,9 @@ def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
     over cells, so a cell gets the same bits in any batch.
     """
     half = np.full(len(st), 0.5)
-    xi, eta = _newton(st) if newton else (half, half.copy())
-    _, fx, fy = _bicubic(st, xi, eta)  # NaN where Newton found no root
+    coef = np.stack(_coefficients(st))
+    xi, eta = _newton(st, coef) if newton else (half, half.copy())
+    _, fx, fy = _bicubic(coef, xi, eta)  # NaN where Newton found no root
     ok = ~np.isnan(xi)
     a, b, c, d = st[~ok, 1, 1], st[~ok, 1, 2], st[~ok, 2, 2], st[~ok, 2, 1]
     xi[~ok], eta[~ok] = _bilinear_zeros(a, b, c, d)

@@ -47,8 +47,9 @@ def synthetic_grid(fn, half=1.0, n=41, offset=0.013 + 0.007j, plane="gwhf"):
 
 def anchored_plan(plan):
     """`plan`'s configuration with the explicit margin 2 max(T, freq), the
-    one its noise record is anchored to: a grid of that plan holds every
-    grid of a default plan as a sub-block."""
+    one its noise record is anchored to: its lattice holds a default plan's
+    lattice as a sub-block, and its grids agree there with the default
+    plan's to rounding."""
     from gwhf.simulate import StftPlan
     ws = plan.windows
     margin = 2 * max(max(w.support_radius, w.freq_radius) for w in ws)

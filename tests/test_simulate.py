@@ -189,12 +189,25 @@ def _reference_component(plan, g, noise):
     return spec[:, np.mod(js, plan.n_fft)].T * phase[:, None]
 
 
+def _reference_grid(plan, seed, r):
+    """The plan's grid for realization r of `seed` from the reference fold:
+    the normalized sum of its components, mapped as to_gwhf_plane maps a
+    grid when the plan is in the gwhf plane."""
+    ws = plan.windows
+    ref = sum(_reference_component(plan, g, S.complex_normals(S.stream(seed, r, k), plan.K))
+              for k, g in enumerate(ws)) / math.sqrt(len(ws))
+    if plan.plane == "gwhf":
+        xs = plan.x0 + plan.spacing * np.arange(plan.nx)
+        ys = plan.y0 + plan.spacing * np.arange(plan.ny)
+        ref = (np.exp(1j * PI * ys[:, None] * xs[None, :]) * ref)[::-1]
+    return ref
+
+
 def test_single_window_grid_equals_reference_fold(hermites):
     plan = S.StftPlan(hermites[1], (0, 4, 0, 4), 1 / 16, 1 / 64)
     assert plan.n_fft == 1024 and plan.K > plan.n_fft  # the record wraps the frame
     for r in range(3):
-        noise = S.complex_normals(S.stream(31, r), plan.K)
-        ref = _reference_component(plan, hermites[1], noise)
+        ref = _reference_grid(plan, 31, r)
         got = plan.realize(S.stream(31, r)).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -208,43 +221,54 @@ def test_banded_plan_matches_untruncated_fold(label, spacing):
     g = window_from_spec(label)
     plan = S.StftPlan(g, (0, 4, 0, 4), spacing, 1 / 64)
     # band and frame in decimated samples, one per D dt
-    assert plan.D == 2
+    assert plan.D == _largest_fitting_divisor(plan) == 4
     assert plan.W == math.floor(2 * g.support_radius * 64 / plan.D) + 2 and plan.W < plan.K
     if spacing == 0.25:
-        assert plan.n_fft == 256 and plan.n_fft // plan.D == 128 < plan.W
+        assert plan.n_fft == 256 and plan.n_fft // plan.D == 64 < plan.W
     for r in range(2):
-        noise = S.complex_normals(S.stream(34, r), plan.K)
-        ref = _reference_component(plan, g, noise)
+        ref = _reference_grid(plan, 34, r)
         got = plan.realize(S.stream(34, r)).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("label", [
+    "gaussian:1.0",
+    "gaussian:1.6;0.7;0;0;0.3",  # squeezed and chirped: T = 4.99, F = 1.92
+    "hermite-mixture:0.0012301533574825742-0.8905918387572742j;"
+    "0.2987455375084699-0.45467078517172255j;-0.2741378553622176-0.9916465549964624j",
+], ids=["gaussian", "squeezed-chirped", "hermite-mixture"])
+def test_general_windows_at_quarter_rate_match_reference_fold(label):
+    g = window_from_spec(label)
+    plan = S.StftPlan(g, (0, 8, 0, 8), 1 / 16, 1 / 64)
+    assert plan.D == _largest_fitting_divisor(plan) == 4
+    for r in range(2):
+        ref = _reference_grid(plan, 43, r)
+        got = plan.realize(S.stream(43, r)).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def _largest_fitting_divisor(plan):
-    """D by trying every divisor of n_fft against the anchored rows' half-width."""
-    hy = 0.5 * (anchored_plan(plan).ny - 1) * plan.spacing
+    """D by trying every divisor of n_fft against the kept rows' half-width."""
+    hy = 0.5 * (plan.ny - 1) * plan.spacing
     F = max(w.freq_radius for w in plan.windows)
     return max(d for d in range(1, plan.n_fft + 1) if plan.n_fft % d == 0
                and (d == 1 or hy + F <= 0.5 / (d * plan.dt)))
 
 
-@pytest.mark.parametrize("y1, anchored, D", [
-    # anchored rows -6.77 .. 18.77: hy + freq_radius = 16.16 exceeds
+@pytest.mark.parametrize("y1, D", [
+    # kept rows -0.25 .. 26.25: hy + freq_radius = 16.64 exceeds
     # 1/(2 * 2 dt) = 16, so the record is used at the full rate
-    (12, False, 1),
-    # every anchored row, -6.77 .. 17.77, kept: hy + freq_radius = 15.66,
-    # so the kept band reaches within 0.34 of the rows' noise band
-    (11, True, 2),
+    (26, 1),
+    # kept rows -0.25 .. 8.94: hy + freq_radius = 7.98, so the kept band
+    # reaches within 0.02 of 1/(2 * 4 dt) = 8
+    (8.7, 4),
 ], ids=["full-rate", "band-edge"])
-def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites, y1,
-                                                                       anchored, D):
+def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites, y1, D):
     plan = S.StftPlan(hermites[1], (0, 4, 0, y1), 1 / 16, 1 / 64)
-    if anchored:
-        plan = anchored_plan(plan)
     assert plan.D == _largest_fitting_divisor(plan) == D and plan.n_fft == 1024
     assert plan.W == math.floor(2 * hermites[1].support_radius * 64 / D) + 2
     for r in range(2):
-        noise = S.complex_normals(S.stream(36, r), plan.K)
-        ref = _reference_component(plan, hermites[1], noise)
+        ref = _reference_grid(plan, 36, r)
         got = plan.realize(S.stream(36, r)).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -253,18 +277,20 @@ def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites,
     ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
     ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 32),
     ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
-], ids=["stft-h1", "criterion-7-fine", "poly3-full"])
-def test_monte_carlo_geometries_realize_at_half_rate(spec, domain, spacing):
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-6, 6, -6, 6), 0.1),
+], ids=["stft-h1", "criterion-7-fine", "poly3-full", "gwhf-h1"])
+def test_monte_carlo_geometries_realize_at_quarter_rate(spec, domain, spacing):
     plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
-    assert plan.D == _largest_fitting_divisor(plan) == 2
-    assert plan.frame_shape == (plan.nx, plan.n_fft // 2)
+    assert plan.D == _largest_fitting_divisor(plan) == 4
+    assert plan.frame_shape == (plan.nx, plan.n_fft // 4)
 
 
 def test_plan_refuses_a_frame_beyond_the_element_cap(hermites):
-    # its 12.2 million-element phase table would pass; the command-line tests
-    # refuse a grid, a phase table and a noise record
-    with pytest.raises(ParameterError, match="needs a frame of 17865360 elements"):
-        S.StftPlan(hermites[1], (0, 1, 0, 1), 1.1e-3, 1 / 64)
+    # rows 28 wide keep D = 1, so each frame row is the whole 35,721-sample
+    # FFT; the 13.1 million-element phase table would pass, and the
+    # command-line tests refuse a grid, a phase table and a noise record
+    with pytest.raises(ParameterError, match="needs a frame of 20218086 elements"):
+        S.StftPlan(hermites[1], (0, 1, -14, 14), 1.8e-3, 1 / 64)
 
 
 def test_frame_buffer_changes_no_grid(hermites):
@@ -318,7 +344,7 @@ def test_multi_window_plan_matches_per_component_sum(hermites, spacing):
     ws = [hermites[0], hermites[1], hermites[2]]
     plan = S.StftPlan(ws, (0, 3, 0, 3), spacing, 1 / 64)
     if spacing == 0.25:
-        assert (plan.n_fft, plan.D, plan.W, plan.nx) == (256, 2, 225, 20)
+        assert (plan.n_fft, plan.D, plan.W, plan.nx) == (256, 4, 113, 20)
     else:
         assert plan.n_fft // plan.D > plan.W
     T = max(w.support_radius for w in ws)
@@ -326,8 +352,7 @@ def test_multi_window_plan_matches_per_component_sum(hermites, spacing):
     assert plan.t0 == 0 - 2 * max(T, max(w.freq_radius for w in ws)) - T
     for r in range(2):
         rngs = [S.stream(32, r, k) for k in range(3)]
-        ref = sum(_reference_component(plan, g, S.complex_normals(S.stream(32, r, k), plan.K))
-                  for k, g in enumerate(ws)) / math.sqrt(3)
+        ref = _reference_grid(plan, 32, r)
         got = plan.realize(rngs)
         assert got.meta["components"] == 3
         assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -364,21 +389,20 @@ def test_gwhf_plane_plan_matches_mapped_grid(hermites):
     # frame shorter than the band: the band folds
     ({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 0.25),
 ], ids=["stft-h1", "gwhf-h1", "poly3-full", "chirp", "h1-folded"])
-def test_default_plan_is_sub_block_of_anchored_plan(spec, domain, spacing):
+def test_default_plan_matches_reference_fold_and_anchored_zeros(spec, domain, spacing):
+    # the default plan decimates by the D its own rows admit, at least its
+    # anchored twin's: the grids agree with the reference fold, not bit for bit
     src = S.FieldSource(spec, domain, spacing, 1 / 64)
-    plan, ref = src.plan, anchored_plan(src.plan)
-    assert (plan.t0, plan.K, plan.W, plan.n_fft) == (ref.t0, ref.K, ref.W, ref.n_fft)
-    assert plan.nx < ref.nx and plan.ny < ref.ny
-    i0 = round((plan.x0 - ref.x0) / plan.spacing)
-    j0 = plan.jlo - ref.jlo
-    if plan.plane == "gwhf":  # rows flipped
-        j0 = ref.ny - j0 - plan.ny
+    plan, twin = src.plan, anchored_plan(src.plan)
+    assert (plan.t0, plan.K, plan.n_fft) == (twin.t0, twin.K, twin.n_fft)
+    assert plan.nx < twin.nx and plan.ny < twin.ny and plan.D >= twin.D
     q = len(plan.windows)
     for r in range(2):
         got = plan.realize([S.stream(41, r, k) for k in range(q)], 41)
-        whole = ref.realize([S.stream(41, r, k) for k in range(q)], 41)
-        assert np.array_equal(got.values, whole.values[j0:j0 + plan.ny, i0:i0 + plan.nx])
-        za, zb = Z.detect_zeros(got), Z.detect_zeros(whole)
+        ref = _reference_grid(plan, 41, r)
+        assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        za = Z.detect_zeros(got)
+        zb = Z.detect_zeros(twin.realize([S.stream(41, r, k) for k in range(q)], 41))
         assert za and len(za) == len(zb)
         for a, b in zip(za, zb):
             assert (a.charge, a.refined, a.jacobian_sign, a.degenerate) == \
@@ -390,11 +414,12 @@ def test_default_pad_widens_to_the_grid_floor(hermites):
     # a 4-cell pad gives 15 points on each axis of this domain; the parent
     # lattice has more, so the pad widens to 16 points instead of refusing
     plan = S.StftPlan(hermites[1], (0, 2, 0, 2), 0.3, 1 / 64)
-    ref = anchored_plan(plan)
-    assert (plan.nx, plan.ny) == (16, 16) and min(ref.nx, ref.ny) > 16
-    i0, j0 = round((plan.x0 - ref.x0) / plan.spacing), plan.jlo - ref.jlo
-    got, whole = plan.realize(S.stream(42)), ref.realize(S.stream(42))
-    assert np.array_equal(got.values, whole.values[j0:j0 + 16, i0:i0 + 16])
+    twin = anchored_plan(plan)
+    assert (plan.nx, plan.ny) == (16, 16) and min(twin.nx, twin.ny) > 16
+    assert plan.D == _largest_fitting_divisor(plan) == 4
+    ref = _reference_grid(plan, 42, 0)
+    got = plan.realize(S.stream(42)).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # widening never passes the ends of the anchored lattice
     assert S._crop(16, 0.0, 1.0, 5.0, 7.0) == slice(0, 16)
     assert S._crop(20, 0.0, 1.0, 17.0, 30.0) == slice(4, 20)

@@ -203,7 +203,9 @@ def test_edge_zero_without_refinement_or_interior_cut(plane, edge):
 
 def _bilinear_cell_zero(a, b, c, d):
     """One cell at a time, as the detector solved its bilinear fallback
-    before the solve was batched: the reference for Z._bilinear_zeros."""
+    before the solve was batched: the reference for Z._bilinear_zeros.  A
+    root inside the cell beats one in the band around it; among roots of
+    one kind the smaller residual wins, the first on ties."""
     A, B, C, D = a, b - a, d - a, a - b + c - d
     al = B.real * D.imag - B.imag * D.real
     be = A.real * D.imag + B.real * C.imag - A.imag * D.real - B.imag * C.real
@@ -227,9 +229,10 @@ def _bilinear_cell_zero(a, b, c, d):
             continue
         eta = -(num.real / den.real) if abs(den.real) >= abs(den.imag) else -(num.imag / den.imag)
         if -0.05 <= eta <= 1.05:
-            err = abs(A + B * xi + C * eta + D * xi * eta)
-            if best is None or err < best[2]:
-                best = (xi, eta, err)
+            rank = (not (0.0 <= xi <= 1.0 and 0.0 <= eta <= 1.0),
+                    abs(A + B * xi + C * eta + D * xi * eta))
+            if best is None or rank < best[2]:
+                best = (xi, eta, rank)
     if best is None:
         return 0.5, 0.5
     return min(max(best[0], 0.0), 1.0), min(max(best[1], 0.0), 1.0)
@@ -254,6 +257,15 @@ def _corner_sets():
     # or within 1e-9 of it
     edge = np.array([-0.05, 1.05])[rng.integers(0, 2, (2, 1000))]
     x0, y0 = edge + 1e-9 * rng.choice([-1.0, 0.0, 1.0], (2, 1000))
+    # exact roots (x1, y1) in the band past the left or right edge and
+    # (x2, y2) inside: f = w [(xi - x1)(eta - y2) + i (xi - x2)(eta - y1)]
+    x1 = np.where(rng.uniform(size=1000) < 0.5, -1, 1) * rng.uniform(0.001, 0.05, 1000)
+    x1[x1 > 0] += 1
+    y1, (x2, y2) = rng.uniform(-0.05, 1.05, 1000), rng.uniform(0.05, 0.95, (2, 1000))
+
+    def two_roots(xi, eta):
+        return w * ((xi - x1) * (eta - y2) + 1j * (xi - x2) * (eta - y1))
+
     return {
         "random": (a, b, c, d),
         "parallelogram": (pa, pb, pc, pa - pb + pc),
@@ -263,13 +275,15 @@ def _corner_sets():
                          -x0 + 1j * (1 - y0)),
         # coefficients below the 1e-300 cut-offs, though their quadratic is not 0
         "tiny": (1e-151 * a[:1000], 1e-151 * b[:1000], 1e-151 * c[:1000], 1e-151 * d[:1000]),
+        "band-and-inside": (two_roots(0, 0), two_roots(1, 0), two_roots(1, 1),
+                            two_roots(0, 1), x2, y2),
     }
 
 
 @pytest.mark.parametrize("kind", ["random", "parallelogram", "zero-corner",
-                                  "no-real-root", "just-outside", "tiny"])
+                                  "no-real-root", "just-outside", "tiny", "band-and-inside"])
 def test_batched_bilinear_matches_scalar(kind):
-    a, b, c, d = _corner_sets()[kind]
+    a, b, c, d, *inside = _corner_sets()[kind]
     ref = np.array([_bilinear_cell_zero(*corners) for corners in zip(a, b, c, d)])
     xi, eta = Z._bilinear_zeros(a, b, c, d)
     assert np.array_equal(xi, ref[:, 0]) and np.array_equal(eta, ref[:, 1])
@@ -280,6 +294,89 @@ def test_batched_bilinear_matches_scalar(kind):
         assert 0 < center.sum() < len(center)  # roots just inside are kept
     else:
         assert not center.all()
+    if inside:  # the root inside the cell, whichever residual is smaller
+        assert np.allclose(xi, inside[0], rtol=0, atol=1e-9)
+        assert np.allclose(eta, inside[1], rtol=0, atol=1e-9)
+
+
+def _newton_reference(stencils):
+    """Z._newton as it was before the xi-coefficients were computed once
+    per call and a stencil stopped at a root outside the band: every
+    surface evaluation rebuilds its cubics from the stencil, and only a
+    root inside the band stops a stencil.  The reference for Z._newton."""
+    def cubic(p, u):
+        p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
+        return p1 + 0.5 * u * (p2 - p0 + u * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
+                                              + u * (3.0 * (p1 - p2) + p3 - p0)))
+
+    def cubic_d(p, u):
+        p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
+        return 0.5 * (p2 - p0) + u * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) \
+            + 1.5 * u * u * (3.0 * (p1 - p2) + p3 - p0)
+
+    m, band = len(stencils), Z._BAND
+    rms = np.sqrt(np.mean(np.abs(stencils.reshape(m, 16)) ** 2, axis=1))
+    xi, eta = np.full(m, 0.5), np.full(m, 0.5)
+    best_xi, best_eta, best_f = np.full(m, np.nan), np.full(m, np.nan), np.full(m, np.inf)
+    live = np.arange(m)
+    for _ in range(20):
+        if not live.size:
+            break
+        x, y = xi[live], eta[live]
+        rows, drows = cubic(stencils[live], x[:, None]), cubic_d(stencils[live], x[:, None])
+        f, fx, fy = cubic(rows, y), cubic(drows, y), cubic_d(rows, y)
+        af = np.abs(f)
+        near = ((af < 1e-3 * rms[live]) & (-band <= x) & (x <= 1 + band)
+                & (-band <= y) & (y <= 1 + band))
+        up = near & (af < best_f[live])
+        best_xi[live[up]], best_eta[live[up]], best_f[live[up]] = x[up], y[up], af[up]
+        det = fx.real * fy.imag - fx.imag * fy.real
+        go = ~(near & (af < 1e-12 * rms[live])) & (det != 0.0)
+        live, f, fx, fy, det = live[go], f[go], fx[go], fy[go], det[go]
+        xi[live] -= (f.real * fy.imag - f.imag * fy.real) / det
+        eta[live] -= (fx.real * f.imag - fx.imag * f.real) / det
+        x, y = xi[live], eta[live]
+        live = live[(-0.75 <= x) & (x <= 1.75) & (-0.75 <= y) & (y <= 1.75)]
+    return best_xi, best_eta
+
+
+def _outside_root_stencil():
+    """Samples of f = (xi + 0.16) + i (eta - 0.5) at xi, eta = -1 .. 2: a
+    surface whose only root lies 0.16 cells left of the cell, beyond the
+    band.  Catmull-Rom reproduces it exactly, so Newton converges there."""
+    u = np.arange(-1.0, 3.0)
+    return ((u[None, :] + 0.16) + 1j * (u[:, None] - 0.5))[None]
+
+
+@pytest.mark.parametrize("spec, domain, spacing", [
+    _STFT_H1[0:3],
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-6, 6, -6, 6), 0.1),
+    _POLY3[0:3],
+], ids=["stft-h1", "gwhf-h1", "poly3-full"])
+def test_newton_matches_reference_loop_bit_for_bit(spec, domain, spacing):
+    grids = S.FieldSource(spec, domain, spacing, 1 / 64).realize_batch(44, range(16))
+    st = np.concatenate([Z._flagged_cells(g).stencils for g in grids]
+                        + [_outside_root_stencil()])
+    xi, eta = Z._newton(st, np.stack(Z._coefficients(st)))
+    ref_xi, ref_eta = _newton_reference(st)
+    assert len(st) > 500 and np.isnan(xi[:-1]).any() and np.isnan(xi[-1])
+    assert np.array_equal(xi, ref_xi, equal_nan=True)
+    assert np.array_equal(eta, ref_eta, equal_nan=True)
+
+
+def test_newton_stops_at_a_root_outside_the_band(monkeypatch):
+    st = _outside_root_stencil()
+    calls = []
+    bicubic = Z._bicubic
+
+    def counted(*args):
+        calls.append(1)
+        return bicubic(*args)
+
+    monkeypatch.setattr(Z, "_bicubic", counted)
+    xi, eta = Z._newton(st, np.stack(Z._coefficients(st)))
+    # one step from the center reaches the root, where |f| < 1e-12 rms stops it
+    assert np.isnan(xi).all() and np.isnan(eta).all() and len(calls) == 2
 
 
 def _all_close_pairs(pos, realization, h):
