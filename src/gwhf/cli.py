@@ -28,7 +28,7 @@ from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
                       wick_oracle_E)
 from .mc import McConfig, McReport, _disk_fits, estimate_charge_intensity, \
     estimate_charge_variance, estimate_intensity
-from .simulate import FieldSource, _check_domain, load_grid, save_grid, to_gwhf_plane
+from .simulate import FieldSource, _check_domain, load_grid, save_grid
 from .windows import (invariance_check, jet_from_constants,
                       rho1_stft_from_constants, uncertainty_constants,
                       window_from_spec)
@@ -165,15 +165,13 @@ def _cmd_variance_asymptote(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _source_from_args(args)
-    if args.plane == "stft" and spec["family"] != "window":
+    if spec["family"] == "window":
+        spec["plane"] = args.plane or "stft"
+    elif args.plane == "stft":
         raise PlaneError(f"the {args.simulator} simulator draws gwhf-plane grids only; "
                          "--plane stft needs a --window")
     os.makedirs(args.out, exist_ok=True)
-    source = FieldSource(spec, args.domain, args.spacing, args.dt)
-    grid = source.realize(args.seed)
-    if args.plane == "gwhf" and grid.plane == "stft":
-        # --domain was read in the stft plane; map the whole grid over
-        grid = to_gwhf_plane(grid)
+    grid = FieldSource(spec, args.domain, args.spacing, args.dt).realize(args.seed)
     path = os.path.join(args.out, "field.gwhf")
     save_grid(grid, path)
     meta = {"path": path, "plane": grid.plane, "nx": grid.nx, "ny": grid.ny,
@@ -390,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulator", default="stft",
                    help="stft | series | polyentire:q:kind")
     p.add_argument("--plane", default=None, choices=["stft", "gwhf"],
-                   help="output plane (default: the simulator's own; a --window grid "
-                        "is drawn in the stft plane and mapped over with gwhf)")
+                   help="output plane, in which --domain and --spacing are read "
+                        "(default: stft for a --window, gwhf otherwise)")
     p.set_defaults(func=_cmd_simulate, out="out")
 
     p = sub.add_parser("zeros", help="extract charged zeros from a saved grid "

@@ -19,6 +19,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -165,27 +166,25 @@ class _PoissonControl:
         return pos, np.where(rng.uniform(size=n) < 0.5, 1, -1)
 
 
-# (key, source) of the last geometry _source built
-_last: tuple[tuple, FieldSource] | None = None
-
-
 def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
     """The field source of cfg's geometry, the cached one when the last call
-    had the same key.  Threads racing on the cache at worst build twice."""
-    global _last
+    had the same geometry.  Threads racing on the cache at worst build twice."""
     if cfg.source.get("family") == "poisson":
         return _PoissonControl(cfg)
-    # a window by identity: the cached source holds it, so no other object
-    # takes its id while the key is in use
-    spec = tuple(sorted((k, id(v) if isinstance(v, Window) else v)
-                        for k, v in cfg.source.items()))
-    key = (spec, tuple(cfg.domain), cfg.spacing, cfg.dt, cfg.margin)
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1]
-    source = FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
-    _last = (key, source)
-    return source
+    spec = tuple(sorted(cfg.source.items()))
+    try:
+        hash(spec)
+    except TypeError:  # no valid spec holds an unhashable value: FieldSource names it
+        return FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
+    return _field_source(spec, tuple(cfg.domain), cfg.spacing, cfg.dt, cfg.margin)
+
+
+# a Window in the spec is a key by its fields, whose rules compare by
+# identity, so two windows built apart get two sources
+@lru_cache(maxsize=1)
+def _field_source(spec: tuple, domain: tuple, spacing: float, dt: float | None,
+                  margin: float | None) -> FieldSource:
+    return FieldSource(dict(spec), domain, spacing, dt, margin)
 
 
 # most realizations one worker simulates together; reports do not depend on it

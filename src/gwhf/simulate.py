@@ -46,7 +46,7 @@ from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
     "FieldGrid", "stream", "complex_normals",
-    "StftPlan", "SeriesPlan", "FieldSource", "to_gwhf_plane",
+    "StftPlan", "SeriesPlan", "FieldSource",
     "series_terms_required",
     "save_grid", "load_grid",
 ]
@@ -176,17 +176,31 @@ def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float) ->
                              f"{_MIN_POINTS} x {_MIN_POINTS} points")
 
 
-def _check_elements(sizes: dict, spacing: float, domain, margin: float,
-                    dt: float | None = None) -> None:
-    """Refuse the geometry, named as _check_grid_size names it, when an array
-    of `sizes` (name -> elements, none allocated yet) exceeds _MAX_ELEMENTS."""
+def _geometry(spacing: float, domain, margin: float, dt: float | None = None) -> str:
+    """Spacing, domain, margin and dt as the caller gave them, for refusals."""
+    box = ", ".join(f"{v:.6g}" for v in domain)
+    step = "" if dt is None else f" and dt {dt:.6g}"
+    return f"domain ({box}) at spacing {spacing:.6g}{step} with margin {margin:.4g}"
+
+
+def _check_elements(sizes: dict, where: str) -> None:
+    """Refuse the geometry `where` when an array of `sizes` (name ->
+    elements, none allocated yet) exceeds _MAX_ELEMENTS."""
     name, count = max(sizes.items(), key=lambda item: item[1])
     if count > _MAX_ELEMENTS:
-        box = ", ".join(f"{v:.6g}" for v in domain)
-        step = "" if dt is None else f" and dt {dt:.6g}"
-        raise ParameterError(f"domain ({box}) at spacing {spacing:.6g}{step} with margin "
-                             f"{margin:.4g} needs a {name} of {count} elements, more than "
+        raise ParameterError(f"{where} needs a {name} of {count} elements, more than "
                              f"the {_MAX_ELEMENTS} any one array may hold")
+
+
+def _ratio(num: float, den: float, name: str, where: str) -> float:
+    """num / den (inf when den underflows to 0), the ratio a plan rounds to a
+    count or lattice index: ParameterError, naming the geometry `where`, when
+    it is not finite or exceeds _MAX_ELEMENTS in size, before any rounding."""
+    value = num / den if den > 0 else math.inf
+    if not abs(value) <= _MAX_ELEMENTS:
+        raise ParameterError(f"{where} needs {name} of {value:.6g}, more than "
+                             f"the {_MAX_ELEMENTS} elements any one array may hold")
+    return value
 
 
 def _crop(n: int, pos0: float, s: float, lo: float, hi: float) -> slice:
@@ -240,36 +254,46 @@ class StftPlan:
     radius); component k of a realization is its own white-noise record on
     that grid, and the plan realizes the normalized sum (V_1 + ... + V_q)/sqrt(q).
 
+    domain, spacing and margin are read in the output plane `plane`.  A
+    gwhf-plane geometry is taken to its stft-plane preimage under
+    z = sqrt(pi) conj(u + i v) first, and every attribute but `interior`
+    is an stft-plane value.  `interior`, which every grid records, is the
+    domain given, bit for bit.  plane="gwhf" grids sample the invariant
+    field F(z) = exp(-i x y) V(conj(z)/sqrt(pi)), rows flipped so y
+    increases: the mapping's phase is folded into the output phase once per
+    plan.
+
     The lattice (columns x_lo + s i, rows s j) and the noise record are those
     of the domain padded by the anchor margin: `margin` when given, else
-    2 max(T, freq radius).  An explicit margin is also the grid's pad.  By
-    default the grid is only the domain plus _PAD_CELLS cells on each side,
-    all the detector reads (widened to _MIN_POINTS on an axis with fewer,
-    never past the anchored lattice).
+    2 max(T, freq radius) in the stft plane.  An explicit margin is also the
+    grid's pad.  By default the grid is only the domain plus _PAD_CELLS
+    cells on each side, all the detector reads (widened to _MIN_POINTS on an
+    axis with fewer, never past the anchored lattice).
 
     The plan is band-limited in frequency.  The kept rows span yc +- hy,
     and a window's spectrum is negligible beyond its freq_radius F, so those
     rows only see noise frequencies within hy + F of yc.  The decimation
-    factor D is the largest divisor of n_fft with hy + F <= 1/(2 D dt) (1
-    when none larger fits), sought downwards from that bound.  A default
+    factor D is the largest divisor of n_fft that is 1 or has
+    hy + F <= 1/(2 D dt), sought downwards from that bound.  A default
     plan keeps fewer rows than its anchored twin (the same configuration
     with the explicit margin 2 max(T, F)), so its D may be larger and its
     samples then equal the twin's to rounding (about 3e-14 of the grid's
-    maximum), not bit for bit.  For D > 1 each record is zero-padded to
-    L = D M samples (M 7-smooth, long enough for every band) and
-    transformed; the M bins centred on yc are kept, and one inverse FFT of
-    length M gives the band-limited record at every D-th sample, already
-    scaled by D.  The dropped bins lie at least 1/(2 D dt) - hy >= F from
-    every row, and the same inequality keeps the D-fold sum of the
+    maximum), not bit for bit.  Each record is zero-padded to L = D M
+    samples (M 7-smooth, long enough for every band) and transformed; the
+    M bins centred on yc are kept, and one inverse FFT of length M gives
+    the band-limited record at every D-th sample, already scaled by D.  At
+    D = 1 every bin is kept, and the same two transforms return the padded
+    record to rounding.  The dropped bins lie at least 1/(2 D dt) - hy >= F
+    from every row, and the same inequality keeps the D-fold sum of the
     decimated pairing free of aliasing, so the grid is unchanged up to the
     windows' 1e-12 tails.
     Everything below runs at the step D dt.
 
     The plan is banded: every window is below 1e-12 beyond its support_radius
     (Window's contract), so column x_i pairs only with the W =
-    floor(2T/(D dt)) + 2 record samples (at most the record's length) from
-    its first one k_i with t0 + D k_i dt >= x_i - T, T the widest radius;
-    the products with the rest of the record are never formed.  The window
+    floor(2T/(D dt)) + 2 record samples from its first one k_i with
+    t0 + D k_i dt >= x_i - T, T the widest radius; the products with the
+    rest of the record are never formed.  The window
     factors conj(g(t0 + D (k_i + w) dt - x_i)) do not depend on the noise
     and are built once, (nx, W) per window.  A realization multiplies each
     record's band of every column into its factors and sums the components
@@ -283,16 +307,12 @@ class StftPlan:
     in again once the allocator has trimmed a freed one.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
-    spacing is rounded down to 1/(n_fft dt), never up.  domain, spacing and
-    margin are stft-plane values; plane="gwhf" returns grids already mapped
-    to the invariant plane, as to_gwhf_plane maps them, with the mapping's
-    phase folded into the output phase once per plan.  The phase table is
+    spacing is rounded down to 1/(n_fft dt), never up.  The phase table is
     built on the anchored rows, whose split into coarse and fine factors
     fixes its rounding, then cut to the kept rows.  The output lattice and
-    metadata are fixed per plan, but `interior`, the output-plane rectangle
-    every grid records (the domain, or its gwhf-plane image), is read per
-    grid: a FieldSource may set it after building the plan.  A geometry
-    needing an array of over _MAX_ELEMENTS elements is refused first.
+    metadata are fixed per plan.  A geometry needing a count beyond
+    _MAX_ELEMENTS, or an array of more elements, is refused first, naming
+    the arguments as given.
     """
 
     def __init__(self, window: Window | Sequence[Window],
@@ -304,7 +324,7 @@ class StftPlan:
             raise InvalidWindowError("StftPlan needs at least one window")
         if plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {plane!r}")
-        x0, x1, y0, y1 = _check_domain(domain)
+        box = _check_domain(domain)
         _check_spacing(spacing)
         if not dt > 0:
             raise ParameterError(f"dt {dt} must be positive")
@@ -314,34 +334,38 @@ class StftPlan:
             raise AliasBandError(
                 f"dt = {dt} too coarse for window frequency extent "
                 f"{freq:.2f}; need dt <= {1.0 / (8.0 * freq):.4g}")
-        anchor = 2.0 * max(T, freq) if margin is None else float(margin)
+        # the stft-plane preimage of the geometry given in `plane`
+        unit = 1.0 if plane == "stft" else _SQRT_PI
+        x0, x1, y0, y1 = box if plane == "stft" else _gwhf_box(box, inverse=True)
+        anchor = 2.0 * max(T, freq) if margin is None else float(margin) / unit
+        where = _geometry(spacing, domain, unit * anchor, dt)
         self.windows = windows
         self.plane = plane
         self.dt = float(dt)
         self.requested = (x0, x1, y0, y1)
-        self.interior = self.requested if plane == "stft" else _gwhf_box(self.requested)
+        self.interior = box
 
-        n_fft = _fft_frame(math.ceil(1.0 / (spacing * dt) - 1e-9))
+        xlo, xhi = x0 - anchor, x1 + anchor
+        t0 = xlo - T
+        K = int(math.ceil(_ratio(xhi + T - t0, dt, "a noise record length", where))) + 1
+        n_fft = _fft_frame(math.ceil(
+            _ratio(1.0, spacing / unit * dt, "an FFT frame length", where) - 1e-9))
         if n_fft < 8:
             raise ParameterError(f"spacing {spacing} and dt {dt} give FFT frame {n_fft} < 8")
         self.n_fft = n_fft
         s = 1.0 / (n_fft * dt)
         self.spacing = s
 
-        xlo, xhi = x0 - anchor, x1 + anchor
-        nx = int(math.floor((xhi - xlo) / s + 1e-9)) + 1
-        jlo = int(math.ceil((y0 - anchor) / s - 1e-9))
-        ny = int(math.floor((y1 + anchor - jlo * s) / s + 1e-9)) + 1
-        # spacing, domain and margin as the caller gave them, for refusals
-        given = ((spacing, domain, anchor) if plane == "stft" else
-                 (_SQRT_PI * spacing, _gwhf_box(domain), _SQRT_PI * anchor))
-        _check_grid_size(nx, ny, *given)
-        if margin is None:
-            self.margin = _PAD_CELLS * s
-            cols = _crop(nx, xlo, s, x0 - self.margin, x1 + self.margin)
-            rows = _crop(ny, jlo * s, s, y0 - self.margin, y1 + self.margin)
-        else:  # an explicit margin is also the grid's pad
-            self.margin, cols, rows = anchor, slice(0, nx), slice(0, ny)
+        nx = int(math.floor(_ratio(xhi - xlo, s, "a grid width", where) + 1e-9)) + 1
+        jlo = int(math.ceil(_ratio(y0 - anchor, s, "a first row index", where) - 1e-9))
+        ny = int(math.floor(_ratio(y1 + anchor - jlo * s, s, "a grid height", where)
+                            + 1e-9)) + 1
+        _check_grid_size(nx, ny, spacing, domain, unit * anchor)
+        # an explicit margin is also the grid's pad, and cropping to it keeps
+        # the whole anchored lattice
+        self.margin = anchor if margin is not None else _PAD_CELLS * s
+        cols = _crop(nx, xlo, s, x0 - self.margin, x1 + self.margin)
+        rows = _crop(ny, jlo * s, s, y0 - self.margin, y1 + self.margin)
         band = 0.5 / dt
         ylo, yhi = (jlo + rows.start) * s, (jlo + rows.stop - 1) * s
         if max(abs(ylo), abs(yhi)) + freq > band:
@@ -349,11 +373,9 @@ class StftPlan:
                 f"frequency range [{ylo:.2f}, {yhi:.2f}] plus window extent "
                 f"{freq:.2f} exceeds the alias-free band {band:.2f}")
 
-        t0 = xlo - T
-        K = int(math.ceil((xhi + T - t0) / dt)) + 1
         ncols = cols.stop - cols.start
         _check_elements({f"{ny} x {ncols} phase table": ny * ncols,
-                         "noise record": len(windows) * K}, *given, dt)
+                         "noise record": len(windows) * K}, where)
         self.t0 = t0
         self.K = K
 
@@ -366,24 +388,19 @@ class StftPlan:
         self.D = D
         step = D * dt
         # column i pairs with the W record samples from its first one at or
-        # after x_i - T; at the full rate the last band is pulled back to end
-        # inside the record
+        # after x_i - T; the decimated record holds every anchored column's band
         W = int(math.floor(2.0 * T / step)) + 2
         xs = xlo + s * np.arange(nx)
         starts = np.ceil((xs - T - t0) / step - 1e-9).astype(np.int64)
-        # the decimated record holds every anchored column's band
-        n_rec = K if D == 1 else _fft_frame(max(-(-K // D), int(starts[-1]) + W))
-        W = min(W, n_rec)
-        _check_elements({"decimation transform": len(windows) * D * n_rec if D > 1 else 0,
-                         "frame": ncols * (n_fft // D), "window band": ncols * W},
-                        *given, dt)
-        if D > 1:
-            # bins b0 .. b0 + n_rec - 1 of the length-D n_rec transform, the
-            # n_rec nearest yc, each at the position b mod n_rec
-            jc = jlo + 0.5 * (rows.start + rows.stop - 1)
-            b0 = round(jc * n_rec / (n_fft // D)) - n_rec // 2
-            self._keep = (b0 + (np.arange(n_rec) - b0) % n_rec) % (D * n_rec)
-        starts = np.clip(starts, 0, n_rec - W)[cols]
+        n_rec = _fft_frame(max(-(-K // D), int(starts[-1]) + W))
+        _check_elements({"decimation transform": len(windows) * D * n_rec,
+                         "frame": ncols * (n_fft // D), "window band": ncols * W}, where)
+        # bins b0 .. b0 + n_rec - 1 of the length-D n_rec transform, the
+        # n_rec nearest yc, each at the position b mod n_rec
+        jc = jlo + 0.5 * (rows.start + rows.stop - 1)
+        b0 = round(jc * n_rec / (n_fft // D)) - n_rec // 2
+        self._keep = (b0 + (np.arange(n_rec) - b0) % n_rec) % (D * n_rec)
+        starts = starts[cols]
         xs = xs[cols]
         self.W = W
         self.starts = starts
@@ -403,9 +420,10 @@ class StftPlan:
         col_rate = -2.0 * math.pi * (t0 + step * starts)
         if plane == "gwhf":
             col_rate += math.pi * xs
+        # not built on the kept rows alone: freeing the larger anchored table
+        # lifts glibc's mmap threshold, keeping each grid's arrays on the heap
         phase = _outer_phase(jlo * s, s, ny, col_rate)[rows] * math.sqrt(dt / len(windows))
-        # every grid's metadata but its interior, which a FieldSource may reset
-        self._meta = {"interior": None, "window": windows[0].label, "dt": self.dt,
+        self._meta = {"interior": box, "window": windows[0].label, "dt": self.dt,
                       "requested_spacing_rounded_to": s}
         if len(windows) > 1:
             self._meta["components"] = len(windows)
@@ -430,9 +448,8 @@ class StftPlan:
             raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
         N, W = self.frame_shape[1], self.W
         records = np.stack([complex_normals(gen, self.K) for gen in rngs])
-        if self.D > 1:
-            spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
-            records = np.fft.ifft(spec[:, self._keep], axis=1)
+        spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
+        records = np.fft.ifft(spec[:, self._keep], axis=1)
         try:
             frame = self._frames.pop()
         except IndexError:  # every frame is in use, or none was made yet
@@ -451,8 +468,7 @@ class StftPlan:
         np.fft.fft(frame, axis=1, out=frame)
         vals = frame[:, self._rows].T * self._phase
         self._frames.append(frame)
-        return FieldGrid(values=vals, seed=seed_label,
-                         meta=dict(self._meta, interior=self.interior), **self._lattice)
+        return FieldGrid(values=vals, seed=seed_label, meta=dict(self._meta), **self._lattice)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -466,25 +482,6 @@ def _gwhf_box(box: tuple[float, float, float, float], inverse: bool = False
     if inverse:
         return (x0 / _SQRT_PI, x1 / _SQRT_PI, -y1 / _SQRT_PI, -y0 / _SQRT_PI)
     return (_SQRT_PI * x0, _SQRT_PI * x1, -_SQRT_PI * y1, -_SQRT_PI * y0)
-
-
-def to_gwhf_plane(grid: FieldGrid) -> FieldGrid:
-    """Re-index a spectrogram-plane grid to the invariant plane.
-
-    F(z) = exp(-i x y) V(conj(z)/sqrt(pi)): positions map by
-    z = sqrt(pi) (u - i v), a unimodular phase multiplies the samples, and
-    the row order flips so y still increases.  Densities scale by pi.
-    """
-    if grid.plane != "stft":
-        raise PlaneError("grid is not in the stft plane (double application?)")
-    us = grid.xs
-    vs = grid.ys
-    vals = (np.exp(1j * math.pi * vs[:, None] * us[None, :]) * grid.values)[::-1, :]
-    origin = complex(_SQRT_PI * us[0], -_SQRT_PI * vs[-1])
-    meta = dict(grid.meta, interior=_gwhf_box(grid.interior), mapped_from="stft")
-    return FieldGrid(values=vals, origin=origin,
-                     spacing=_SQRT_PI * grid.spacing, plane="gwhf", seed=grid.seed,
-                     margin=_SQRT_PI * grid.margin, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +529,13 @@ class SeriesPlan:
         self.margin = float(margin)
         self.requested = (x0, x1, y0, y1)
         self.spacing = float(spacing)
+        where = _geometry(spacing, domain, margin)
         xlo, ylo = x0 - margin, y0 - margin
-        nx = int(math.floor((x1 + margin - xlo) / spacing + 1e-9)) + 1
-        ny = int(math.floor((y1 + margin - ylo) / spacing + 1e-9)) + 1
+        nx = int(math.floor(_ratio(x1 + margin - xlo, spacing, "a grid width", where) + 1e-9)) + 1
+        ny = int(math.floor(_ratio(y1 + margin - ylo, spacing, "a grid height", where)
+                            + 1e-9)) + 1
         _check_grid_size(nx, ny, spacing, domain, margin)
-        _check_elements({f"{nx} x {ny} grid": nx * ny}, spacing, domain, margin)
+        _check_elements({f"{nx} x {ny} grid": nx * ny}, where)
         xs = xlo + spacing * np.arange(nx)
         ys = ylo + spacing * np.arange(ny)
         self.z = xs[None, :] + 1j * ys[:, None]
@@ -635,9 +634,8 @@ class FieldSource:
     variance_asymptote) refer to the output plane; each theory value is
     computed once per source, density once per convention.  A window or
     polyentire source holds one StftPlan over all its windows (their bands
-    summed before the FFT), built on the stft-plane preimage of a
-    gwhf-plane domain and mapping its grids over itself; a series source
-    holds one SeriesPlan.  Without a margin both
+    summed before the FFT), which reads the geometry in the source's plane;
+    a series source holds one SeriesPlan.  Without a margin both
     plans pad the domain by 4 cells; the StftPlan keeps the lattice and
     noise record of its anchor margin, so no sample depends on the pad.
     The source's interior, and that of each of its grids, is the domain
@@ -678,16 +676,8 @@ class FieldSource:
             self.kernel = laguerre_kernel(q - 1) if pure else laguerre_avg_kernel(q)
         else:
             raise InvalidKernelError(f"unknown source family {family!r}")
-        if self.plane == "gwhf":
-            _check_spacing(spacing)
-            # checked here, so an error names the gwhf-plane rectangle given
-            box = _check_domain(domain)
-            domain, spacing = _gwhf_box(box, inverse=True), spacing / _SQRT_PI
-            margin = None if margin is None else margin / _SQRT_PI
         dt = 1.0 / 64.0 if dt is None else dt
         self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
-        if self.plane == "gwhf":  # the stft-plane round trip may miss it by an ulp
-            self.plan.interior = box
         self.interior = self.plan.interior
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -47,10 +49,11 @@ def synthetic_grid(fn, half=1.0, n=41, offset=0.013 + 0.007j, plane="gwhf"):
 
 def anchored_plan(plan):
     """`plan`'s configuration with the explicit margin 2 max(T, freq), the
-    one its noise record is anchored to: its lattice holds a default plan's
-    lattice as a sub-block, and its grids agree there with the default
-    plan's to rounding."""
+    one its noise record is anchored to, given in the plan's output plane:
+    its lattice holds a default plan's lattice as a sub-block, and its grids
+    agree there with the default plan's to rounding."""
     from gwhf.simulate import StftPlan
     ws = plan.windows
+    unit = math.sqrt(math.pi) if plan.plane == "gwhf" else 1.0
     margin = 2 * max(max(w.support_radius, w.freq_radius) for w in ws)
-    return StftPlan(ws, plan.requested, plan.spacing, plan.dt, margin, plan.plane)
+    return StftPlan(ws, plan.interior, unit * plan.spacing, plan.dt, unit * margin, plan.plane)

@@ -317,6 +317,23 @@ def test_verify_exit_code_gates(capsys):
      "domain (0, 1, 0, 1) at spacing 1e-05 and dt 0.015625"),
     (["simulate", "--window", "hermite:1", "--domain", "0,0.5,0,0.5", "--spacing", "0.01",
       "--dt", "1e-9"], "at spacing 0.01 and dt 1e-09 with margin 6.77 needs a noise record"),
+    # counts whose ratios overflow, or whose spacing * dt underflows to 0
+    (["simulate", "--window", "hermite:1", "--spacing", "1e-320"],
+     "at spacing 9.99989e-321 and dt 0.015625 with margin 6.77 needs an FFT frame length of inf"),
+    (["simulate", "--window", "hermite:1", "--dt", "1e-320"],
+     "and dt 9.99989e-321 with margin 6.77 needs a noise record length of inf"),
+    (["simulate", "--window", "hermite:1", "--spacing", "1e-200", "--dt", "1e-200"],
+     "at spacing 1e-200 and dt 1e-200 with margin 6.77 needs a noise record length of 2.831e+201"),
+    (["simulate", "--simulator", "series", "--spacing", "1e-320", "--domain=-1,1,-1,1"],
+     "domain (-1, 1, -1, 1) at spacing 9.99989e-321 with margin 4e-320 needs a grid width of inf"),
+    (["verify", "intensity", "--window", "hermite:1", "--domain", "0,1e308,0,1", "-n", "2"],
+     "domain (0, 1e+308, 0, 1) at spacing 0.0625 and dt 0.015625 with margin 6.77 "
+     "needs a noise record length of inf"),
+    # the gwhf-plane spacing, domain and margin (sqrt(pi) 6.77) as given
+    (["simulate", "--window", "hermite:1", "--plane", "gwhf", "--domain=-1,1,-1,1",
+      "--spacing", "1e-5"],
+     "domain (-1, 1, -1, 1) at spacing 1e-05 and dt 0.015625 with margin 12 needs a "
+     "2600137 x 200026 phase table"),
     (["intensity", "--window", "gaussian:nan"], "sigma must be finite, got nan"),
     (["intensity", "--window", "gaussian:1;nan"], "phase must be finite, got nan"),
     (["intensity", "--window", "hermite-mixture:1;nan"],
@@ -337,7 +354,9 @@ def test_verify_exit_code_gates(capsys):
         "series-stft-plane", "polyentire-stft-plane", "series-with-window",
         "gef-series-with-window", "polyentire-with-window", "series-infinite-spacing",
         "verify-window-and-kernel", "series-grid-too-large", "stft-grid-too-large",
-        "stft-record-too-long", "gaussian-nan-sigma", "gaussian-nan-phase",
+        "stft-record-too-long", "stft-frame-overflow", "stft-record-overflow",
+        "stft-frame-underflow", "series-grid-overflow", "verify-domain-overflow",
+        "gwhf-plane-grid-too-large", "gaussian-nan-sigma", "gaussian-nan-phase",
         "mixture-nan-coefficient", "mixture-inf-coefficient"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
@@ -478,3 +497,16 @@ def test_simulate_series_and_polyentire_cli(tmp_path, capsys):
                            "--plane", "gwhf", "--domain", "0,4,0,4",
                            "--seed", "5", "--out", out_dir)
     assert code == 0 and json.loads(out)["plane"] == "gwhf"
+
+
+def test_simulate_window_in_the_gwhf_plane_reads_the_domain_there(tmp_path, capsys):
+    out_dir = str(tmp_path / "run")
+    code, _, _ = run_cli(capsys, "simulate", "--window", "hermite:1", "--plane", "gwhf",
+                         "--domain=-3,3,-3,3", "--seed", "5", "--out", out_dir)
+    assert code == 0
+    saved = load_grid(os.path.join(out_dir, "field.gwhf"))
+    grid = FieldSource({"family": "window", "window": "hermite:1", "plane": "gwhf"},
+                       (-3, 3, -3, 3), 1 / 16, 1 / 64).realize(5)
+    assert np.array_equal(saved.values, grid.values.astype(np.complex64))
+    assert (saved.plane, saved.origin, saved.spacing, saved.margin, saved.meta) == \
+        (grid.plane, grid.origin, grid.spacing, grid.margin, grid.meta)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gwhf import mc, simulate, windows
-from gwhf.errors import DomainError, ParameterError, ResolutionError
+from gwhf.errors import DomainError, InvalidKernelError, ParameterError, ResolutionError
 from gwhf.simulate import FieldSource, SeriesPlan, stream
 
 PI = math.pi
@@ -61,6 +61,9 @@ def test_polyentire_sources():
         domain=(-4.0, 4.0, -4.0, 4.0), n_realizations=20, spacing=0.1))
     assert rep2.items[0].theory == pytest.approx((2 + 0.5) / (2 * PI), abs=1e-12)
     assert abs(rep2.items[0].z) <= 4.0
+    # a spec value the source cache cannot hash is refused by name, not by the cache
+    with pytest.raises(InvalidKernelError, match=r"got q=\[2\]"):
+        mc.estimate_intensity(_cfg(source={"family": "polyentire", "q": [2], "kind": "full"}))
 
 
 def test_reports_deterministic_and_thread_independent():
@@ -310,7 +313,7 @@ def test_estimators_reuse_the_source_of_one_geometry(monkeypatch):
 
     monkeypatch.setattr(SeriesPlan, "__init__", counted_init)
     monkeypatch.setattr(simulate, "variance_asymptote", counted_asymptote)
-    monkeypatch.setattr(mc, "_last", None)
+    mc._field_source.cache_clear()
     cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
                n_realizations=8, seed=5, radii=(1.0, 2.0))
     cold = mc.estimate_charge_variance(cfg).to_json(include_elapsed=False)
@@ -323,10 +326,10 @@ def test_estimators_reuse_the_source_of_one_geometry(monkeypatch):
     assert mc._source(poisson) is not mc._source(poisson)
 
 
-def test_concurrent_calls_on_two_geometries_get_their_own_sources(monkeypatch):
+def test_concurrent_calls_on_two_geometries_get_their_own_sources():
     # four threads alternate two geometries through the one-entry cache with
     # a short switch interval: every report equals the serial one
-    monkeypatch.setattr(mc, "_last", None)
+    mc._field_source.cache_clear()
     cfgs = [_cfg(source={"family": "series-gef"}, domain=(-h, h, -h, h), spacing=0.1,
                  n_realizations=4, seed=5, radii=(1.0, 2.0)) for h in (2.5, 3.0)]
     serial = [mc.estimate_charge_variance(c).to_json(include_elapsed=False) for c in cfgs]
@@ -341,8 +344,8 @@ def test_concurrent_calls_on_two_geometries_get_their_own_sources(monkeypatch):
     assert texts == [serial[k % 2] for k in range(24)]
 
 
-def test_a_new_window_object_gets_a_new_source(monkeypatch):
-    monkeypatch.setattr(mc, "_last", None)
+def test_a_new_window_object_gets_a_new_source():
+    mc._field_source.cache_clear()
     cfg = _cfg(source={"family": "window", "window": windows.hermite(1)},
                domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8)
     first = mc._source(cfg)
@@ -351,8 +354,8 @@ def test_a_new_window_object_gets_a_new_source(monkeypatch):
     assert mc._source(again) is not first
 
 
-def test_reports_do_not_share_the_cached_sources_notes(monkeypatch):
-    monkeypatch.setattr(mc, "_last", None)
+def test_reports_do_not_share_the_cached_sources_notes():
+    mc._field_source.cache_clear()
     cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
                n_realizations=4, seed=5, radii=(1.0, 2.0))
     for estimate in (mc.estimate_intensity, mc.estimate_charge_intensity,

@@ -154,18 +154,21 @@ def test_alias_band_rejected(hermites):
                       (0, 4, 0, 4), 1 / 16, 1 / 2).realize(1)
 
 
-def test_to_gwhf_plane_geometry(hermites):
-    g = S.FieldSource({"family": "window", "window": hermites[1]},
-                      (0, 4, 0, 4), 1 / 16, 1 / 64).realize(3)
-    f = S.to_gwhf_plane(g)
-    assert f.plane == "gwhf"
+def test_gwhf_plane_grid_geometry(hermites):
+    # over the image of (0, 4)^2 the gwhf-plane source samples the stft-plane
+    # grid's lattice, mapped: rows flipped, spacing and interior scaled
+    spec = {"family": "window", "window": hermites[1]}
+    g = S.FieldSource(spec, (0, 4, 0, 4), 1 / 16, 1 / 64).realize(3)
+    box = S._gwhf_box((0, 4, 0, 4))
+    f = S.FieldSource(dict(spec, plane="gwhf"), box, math.sqrt(PI) / 16, 1 / 64).realize(3)
+    assert f.plane == "gwhf" and f.interior == box
     assert np.allclose(np.abs(f.values), np.abs(g.values[::-1, :]))
     assert f.spacing == pytest.approx(math.sqrt(PI) * g.spacing)
     ix0, ix1, iy0, iy1 = f.interior
     assert (ix0, ix1) == pytest.approx((0.0, 4 * math.sqrt(PI)))
     assert (iy0, iy1) == pytest.approx((-4 * math.sqrt(PI), 0.0))
     with pytest.raises(PlaneError):
-        S.to_gwhf_plane(f)
+        S.StftPlan(hermites[1], box, 0.1, 1 / 64, plane="invariant")
 
 
 def _reference_fold(c, n_fft):
@@ -191,8 +194,9 @@ def _reference_component(plan, g, noise):
 
 def _reference_grid(plan, seed, r):
     """The plan's grid for realization r of `seed` from the reference fold:
-    the normalized sum of its components, mapped as to_gwhf_plane maps a
-    grid when the plan is in the gwhf plane."""
+    the normalized sum of its components, mapped to the invariant plane,
+    F(z) = exp(-i x y) V(conj(z)/sqrt(pi)), when the plan is in the gwhf
+    plane."""
     ws = plan.windows
     ref = sum(_reference_component(plan, g, S.complex_normals(S.stream(seed, r, k), plan.K))
               for k, g in enumerate(ws)) / math.sqrt(len(ws))
@@ -369,15 +373,32 @@ def test_realize_and_stream_reject_bad_inputs_with_parameter_error(hermites):
 
 
 def test_gwhf_plane_plan_matches_mapped_grid(hermites):
+    # a gwhf-plane plan over the image of an stft-plane rectangle: the
+    # reference fold mapped to the invariant plane, on the stft-plane plan's
+    # lattice mapped by z = sqrt(pi) conj(u + i v)
     ws = [hermites[0], hermites[1]]
-    args = ((0, 3, -1, 2), 1 / 16, 1 / 64)
-    stft = S.StftPlan(ws, *args).realize([S.stream(33, 0, k) for k in range(2)], 33)
-    mapped = S.to_gwhf_plane(stft)
-    got = S.StftPlan(ws, *args, plane="gwhf").realize(
-        [S.stream(33, 0, k) for k in range(2)], 33)
-    assert np.max(np.abs(got.values - mapped.values)) <= 1e-12 * np.max(np.abs(mapped.values))
-    for attr in ("origin", "spacing", "plane", "seed", "margin", "meta", "interior"):
-        assert getattr(got, attr) == getattr(mapped, attr), attr
+    rngs = [S.stream(33, 0, k) for k in range(2)]
+    stft = S.StftPlan(ws, (0, 3, -1, 2), 1 / 16, 1 / 64).realize(rngs, 33)
+    box = S._gwhf_box((0, 3, -1, 2))
+    plan = S.StftPlan(ws, box, math.sqrt(PI) / 16, 1 / 64, plane="gwhf")
+    got = plan.realize([S.stream(33, 0, k) for k in range(2)], 33)
+    ref = _reference_grid(plan, 33, 0)
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.allclose(np.abs(got.values), np.abs(stft.values[::-1]))
+    assert (got.plane, got.seed, got.values.shape) == ("gwhf", 33, stft.values.shape)
+    assert got.origin == pytest.approx(math.sqrt(PI) * complex(stft.xs[0], -stft.ys[-1]))
+    assert got.spacing == pytest.approx(math.sqrt(PI) * stft.spacing)
+    assert got.margin == pytest.approx(math.sqrt(PI) * stft.margin)
+    assert got.meta == dict(stft.meta, interior=box, mapped_from="stft")
+
+
+def test_direct_gwhf_plane_plan_keeps_the_domain_given(hermites):
+    # the stft-plane preimage of 0,8,0,8 maps back to 7.999999999999999
+    plan = S.StftPlan(hermites[1], (0, 8, 0, 8), 0.08, 1 / 64, plane="gwhf")
+    assert S._gwhf_box(plan.requested) != (0.0, 8.0, 0.0, 8.0)
+    assert plan.interior == (0.0, 8.0, 0.0, 8.0)
+    assert [plan.realize(S.stream(1, r)).interior for r in range(2)] == \
+        [(0.0, 8.0, 0.0, 8.0)] * 2
 
 
 @pytest.mark.parametrize("spec, domain, spacing", [

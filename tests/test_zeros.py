@@ -107,9 +107,11 @@ def test_weight_transform_preserves_charges():
 
 
 def test_plane_equivariance(hermites):
-    stft = S.FieldSource({"family": "window", "window": hermites[1]},
-                         (0, 6, 0, 6), 1 / 16, 1 / 64).realize(17)
-    gwhf = S.to_gwhf_plane(stft)
+    # the stft-plane source and the gwhf-plane one over the image of its domain
+    spec = {"family": "window", "window": hermites[1]}
+    stft = S.FieldSource(spec, (0, 6, 0, 6), 1 / 16, 1 / 64).realize(17)
+    gwhf = S.FieldSource(dict(spec, plane="gwhf"), S._gwhf_box((0, 6, 0, 6)),
+                         math.sqrt(PI) / 16, 1 / 64).realize(17)
     za = Z.detect_zeros(stft)
     zb = list(Z.detect_zeros(gwhf))
     assert len(za) == len(zb)
