@@ -11,6 +11,7 @@ default seed is 0xC0FFEE; pass --seed random for entropy seeding.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -421,8 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call in this process shares, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run `gwhf <argv>` (sys.argv[1:] when None) and return its exit code:
+    2 with an `error:` line for a GwhfError.  One parser serves every call in
+    a process; parsing leaves it unchanged, so no call sees another's values."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GwhfError as exc:

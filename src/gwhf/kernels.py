@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegeneratePairError, GwhfError, InvalidKernelError,
                      ParameterError, SingularKernelError)
@@ -172,22 +173,28 @@ class ConditionalCov2:
 # ---------------------------------------------------------------------------
 
 def poly_exp_kernel(coeffs: Sequence[float], label: str = "poly-exp") -> RadialKernel:
-    """Profile P(t) = C(t) exp(-t/2) for a polynomial C with C(0) = 1."""
-    c = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    c1 = c.deriv()
-    c2 = c1.deriv()
+    """Profile P(t) = C(t) exp(-t/2) for a polynomial C with C(0) = 1.
+
+    C, C' and C'' are evaluated by polyval on coefficient arrays: a numpy
+    Polynomial would first map its default domain onto itself, which changes
+    no bit but costs most of a call.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    c1 = npoly.polyder(c)
+    c2 = npoly.polyder(c1)
 
     def p(s):
         s = np.asarray(s, dtype=float)
-        return c(s) * np.exp(-s / 2.0)
+        return npoly.polyval(s, c) * np.exp(-s / 2.0)
 
     def dp(s):
         s = np.asarray(s, dtype=float)
-        return (c1(s) - 0.5 * c(s)) * np.exp(-s / 2.0)
+        return (npoly.polyval(s, c1) - 0.5 * npoly.polyval(s, c)) * np.exp(-s / 2.0)
 
     def ddp(s):
         s = np.asarray(s, dtype=float)
-        return (c2(s) - c1(s) + 0.25 * c(s)) * np.exp(-s / 2.0)
+        return (npoly.polyval(s, c2) - npoly.polyval(s, c1)
+                + 0.25 * npoly.polyval(s, c)) * np.exp(-s / 2.0)
 
     return RadialKernel(p=p, dp=dp, ddp=ddp, label=label)
 
@@ -315,7 +322,7 @@ def i_function(p: RadialKernel, s):
     s_arr = np.atleast_1d(s_arr)
     if np.any(s_arr < 0):
         raise ValueError("s must be >= 0")
-    P, dP, _ = p.pdd(s_arr)
+    P, dP = p.p(s_arr), p.dp(s_arr)
     denom = 1.0 - P * P
     zero = s_arr == 0.0
     if np.any((np.abs(denom) < 1e-14) & ~zero):

@@ -29,30 +29,64 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               panels: int, order: int = _ORDER) -> float:
-    """Integrate f over [a, b] with `panels` equal Gauss-Legendre panels."""
+               panels: int, order: int = _ORDER) -> float | np.ndarray:
+    """Integrate f over [a, b] with `panels` equal Gauss-Legendre panels.
+
+    An f that returns a stack of k rows (a 2-D array or a sequence of k
+    arrays) gives the k row integrals.  Each row is summed as a one-row f
+    returning it would be, in its own memory layout: numpy's matmul takes
+    another summation path for a strided row (a .real or .imag view) than
+    for a contiguous one.
+    """
     x, w = _gl_nodes(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     pts = (mid[:, None] + half * x[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float).reshape(panels, order)
-    return float(half * np.sum(vals @ w))
+
+    def integral(row):
+        return half * np.sum(np.asarray(row, dtype=float).reshape(panels, order) @ w)
+
+    vals = f(pts)
+    if np.ndim(vals[0]) == 0:
+        return float(integral(vals))
+    return np.array([integral(row) for row in vals])
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  tol: float = 1e-10, initial_panels: int = 4) -> float:
-    """Refine by doubling the panel count until successive results differ < tol."""
+                  tol: float = 1e-10, initial_panels: int = 4) -> float | np.ndarray:
+    """Refine by doubling the panel count until successive results differ < tol.
+
+    An f that returns a stack of k rows (see panel_quad) integrates them on
+    shared nodes, so whatever the rows have in common is computed once per
+    node.  Each row stops at the first doubling where it settles and keeps
+    that value, so entry i of the returned array equals the one-row call on
+    row i bit for bit; a row that never settles raises.  An empty interval
+    gives 0.0 whatever f returns.
+    """
     if b <= a:
         return 0.0
     panels = initial_panels
     prev = panel_quad(f, a, b, panels)
-    while panels < _MAX_PANELS:
-        panels *= 2
-        cur = panel_quad(f, a, b, panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
+    if np.ndim(prev) == 0:  # one row: no per-row bookkeeping at each doubling
+        while panels < _MAX_PANELS:
+            panels *= 2
+            cur = panel_quad(f, a, b, panels)
+            if abs(cur - prev) < tol:
+                return cur
+            prev = cur
+    else:
+        out = np.empty_like(prev)
+        open_rows = np.ones(prev.shape, dtype=bool)
+        while panels < _MAX_PANELS:
+            panels *= 2
+            cur = panel_quad(f, a, b, panels)
+            settled = open_rows & (np.abs(cur - prev) < tol)
+            out[settled] = cur[settled]
+            open_rows &= ~settled
+            if not open_rows.any():
+                return out
+            prev = cur
     raise DecayViolationError(
         f"quadrature on [{a}, {b}] did not stabilize below {tol} "
         f"with {_MAX_PANELS} panels")

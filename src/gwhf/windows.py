@@ -303,17 +303,24 @@ def window_norm(g: Window) -> float:
 def decay_tails(g: Window) -> tuple[float, float]:
     """Quadrature tails of t^2 |g|^2 and |g'|^2 beyond the support radius."""
     a, b = g.support_radius, g.support_radius + 8.0
-    t2 = adaptive_quad(lambda t: t * t * (np.abs(g.rule(t)) ** 2 + np.abs(g.rule(-t)) ** 2), a, b, tol=1e-14)
-    d2 = adaptive_quad(lambda t: np.abs(g.derivative(t)) ** 2 + np.abs(g.derivative(-t)) ** 2, a, b, tol=1e-14)
-    return t2, d2
+
+    def rows(t):
+        return (t * t * (np.abs(g.rule(t)) ** 2 + np.abs(g.rule(-t)) ** 2),
+                np.abs(g.derivative(t)) ** 2 + np.abs(g.derivative(-t)) ** 2)
+
+    t2, d2 = adaptive_quad(rows, a, b, tol=1e-14)
+    return float(t2), float(d2)
 
 
 def uncertainty_constants(g: Window) -> UncertaintyConstants:
     """The five moment quadratures of a window, each to 1e-9 absolute.
 
-    Analytic windows use doubling Gauss-Legendre panels on [-T, T]; sampled
-    windows use trapezoid sums on their own grid with the spectral
-    derivative (exponentially accurate for smooth decaying samples).
+    Analytic windows use one doubling Gauss-Legendre quadrature on [-T, T]
+    whose six rows (c1, c2, c3, both parts of int g conj(g'), and c5) share
+    their nodes, so g and g' are sampled once per node and each row still
+    stops at its own doubling.  Sampled windows use trapezoid sums on their
+    own grid with the spectral derivative (exponentially accurate for smooth
+    decaying samples).
     """
     grid = getattr(g, "_grid", None)
     if grid is not None:
@@ -326,18 +333,16 @@ def uncertainty_constants(g: Window) -> UncertaintyConstants:
         cross = complex(np.sum(gg) * dt)
         c5 = float(np.sum(t * gg).imag * dt)
     else:
-        t0, t1 = -g.support_radius, g.support_radius
+        def rows(t):
+            val, der = g.rule(t), g.derivative(t)
+            dens = np.abs(val) ** 2
+            gg = val * np.conj(der)
+            return (t * dens, t * t * dens, np.abs(der) ** 2,
+                    gg.real, gg.imag, (t * val * np.conj(der)).imag)
 
-        def dens(t):
-            return np.abs(g.rule(t)) ** 2
-
-        c1 = adaptive_quad(lambda t: t * dens(t), t0, t1)
-        c2 = adaptive_quad(lambda t: t * t * dens(t), t0, t1)
-        c3 = adaptive_quad(lambda t: np.abs(g.derivative(t)) ** 2, t0, t1)
-        cross_re = adaptive_quad(lambda t: (g.rule(t) * np.conj(g.derivative(t))).real, t0, t1)
-        cross_im = adaptive_quad(lambda t: (g.rule(t) * np.conj(g.derivative(t))).imag, t0, t1)
+        c1, c2, c3, cross_re, cross_im, c5 = (
+            float(v) for v in adaptive_quad(rows, -g.support_radius, g.support_radius))
         cross = complex(cross_re, cross_im)
-        c5 = adaptive_quad(lambda t: (t * g.rule(t) * np.conj(g.derivative(t))).imag, t0, t1)
     if abs(cross.real) > 1e-7:
         raise InvalidWindowError(
             f"int g conj(g') has real part {cross.real:.3g}; window decays too slowly")
@@ -395,17 +400,12 @@ class AmbiguityKernel:
         if hi <= lo:
             return 0.0j
 
-        def integ_re(t):
+        def rows(t):
             vals = g.rule(t) * np.conj(g.rule(t - u)) * np.exp(-2j * math.pi * t * v)
-            return vals.real
-
-        def integ_im(t):
-            vals = g.rule(t) * np.conj(g.rule(t - u)) * np.exp(-2j * math.pi * t * v)
-            return vals.imag
+            return vals.real, vals.imag
 
         npanels = max(8, int(4 * abs(v) * (hi - lo)) + 8)
-        amb = complex(adaptive_quad(integ_re, lo, hi, tol=1e-11, initial_panels=npanels),
-                      adaptive_quad(integ_im, lo, hi, tol=1e-11, initial_panels=npanels))
+        amb = complex(*adaptive_quad(rows, lo, hi, tol=1e-11, initial_panels=npanels))
         return complex(np.exp(-1j * x * y)) * amb
 
     def grid(self, zs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -433,6 +434,53 @@ def test_help_smoke(capsys):
             cli.main([sub, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+_SHARED_PARSER_CALLS = [
+    ["simulate", "--window", "hermite:0", "--domain", "0,2,0,2", "--spacing", "0.25"],
+    ["intensity", "--window", "hermite:1"],
+    ["variance-asymptote", "--kernel", "laguerre:1"],
+    ["verify", "tau2-oracle", "--kernel", "gef"],
+    ["intensity", "--kernel", "laguerre-avg:3"],
+]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in _SHARED_PARSER_CALLS[1:]:
+            assert run_cli(capsys, *argv)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_shared_parser_leaks_no_values_between_calls(tmp_path, capsys, monkeypatch):
+    # each call alone, on a parser of its own, then all back to back on
+    # one parser; simulate writes to its default --out, which no later
+    # call may inherit
+    def outputs(cwd, fresh):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        got = []
+        for argv in _SHARED_PARSER_CALLS:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+            got.append(run_cli(capsys, *argv))
+        return got, sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*"))
+
+    alone = outputs(tmp_path / "alone", fresh=True)
+    shared = outputs(tmp_path / "shared", fresh=False)
+    assert shared == alone
+    assert alone[1] == ["out", "out/field.gwhf", "out/field.json"]
+    assert [code for code, _, _ in alone[0]] == [0] * len(_SHARED_PARSER_CALLS)
 
 
 def test_variance_asymptote_rejects_bare_jet(capsys):

@@ -160,6 +160,31 @@ def test_rho1_paths_agree_for_builtins(builtin_kernels):
             K.rho1_radial(kern), abs=1e-12)
 
 
+def _builtin_coeffs(name):
+    family, _, q = name.partition(":")
+    if family == "gef":
+        return [1.0]
+    if family == "laguerre":
+        return K._laguerre_coeffs(int(q))
+    return sum(np.pad(K._laguerre_coeffs(k), (0, int(q) - 1 - k))
+               for k in range(int(q))) / int(q)
+
+
+@pytest.mark.parametrize("name", list(K.BUILTIN_KERNELS()))
+def test_builtin_profiles_equal_polynomial_evaluation(builtin_kernels, name):
+    # the profiles once called numpy Polynomial objects; polyval on the
+    # coefficient arrays must give the same bits
+    c = np.polynomial.Polynomial(np.asarray(_builtin_coeffs(name), dtype=float))
+    c1, c2 = c.deriv(), c.deriv(2)
+    kern = builtin_kernels[name]
+    s = np.array([0.0, 1e-3, 0.5, 5.0, 50.0, 700.0])
+    e = np.exp(-s / 2.0)
+    want = (c(s) * e, (c1(s) - 0.5 * c(s)) * e, (c2(s) - c1(s) + 0.25 * c(s)) * e)
+    for rule, ref in zip((kern.p, kern.dp, kern.ddp), want):
+        assert rule(s).tobytes() == ref.tobytes()
+        assert [rule(v) for v in s.tolist()] == ref.tolist()
+
+
 def test_rho1_charged_universal():
     assert K.rho1_charged() == pytest.approx(1 / PI, abs=0)
     assert K.rho1_charged() == pytest.approx(K.rho1_from_delta(0.0), abs=1e-15)

@@ -317,3 +317,78 @@ def test_window_from_spec(tmp_path, hermites):
         with pytest.raises(InvalidWindowError) as exc:
             W.window_from_spec(bad)
         assert repr(bad) in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# Shared-node quadratures against their per-integral references
+# ---------------------------------------------------------------------------
+
+def _uncertainty_constants_reference(g):
+    """W.uncertainty_constants on an analytic window as it was before its
+    integrals shared their nodes: six one-row quadratures, each sampling
+    the window and its derivative by itself.  The reference for the
+    analytic branch of W.uncertainty_constants."""
+    t0, t1 = -g.support_radius, g.support_radius
+
+    def dens(t):
+        return np.abs(g.rule(t)) ** 2
+
+    c1 = adaptive_quad(lambda t: t * dens(t), t0, t1)
+    c2 = adaptive_quad(lambda t: t * t * dens(t), t0, t1)
+    c3 = adaptive_quad(lambda t: np.abs(g.derivative(t)) ** 2, t0, t1)
+    cross_re = adaptive_quad(lambda t: (g.rule(t) * np.conj(g.derivative(t))).real, t0, t1)
+    cross_im = adaptive_quad(lambda t: (g.rule(t) * np.conj(g.derivative(t))).imag, t0, t1)
+    c5 = adaptive_quad(lambda t: (t * g.rule(t) * np.conj(g.derivative(t))).imag, t0, t1)
+    assert abs(cross_re) <= 1e-7
+    return W.UncertaintyConstants(c1=c1, c2=c2, c3=c3, c4=cross_im, c5=c5)
+
+
+def _decay_tails_reference(g):
+    a, b = g.support_radius, g.support_radius + 8.0
+    t2 = adaptive_quad(lambda t: t * t * (np.abs(g.rule(t)) ** 2 + np.abs(g.rule(-t)) ** 2),
+                       a, b, tol=1e-14)
+    d2 = adaptive_quad(lambda t: np.abs(g.derivative(t)) ** 2 + np.abs(g.derivative(-t)) ** 2,
+                       a, b, tol=1e-14)
+    return t2, d2
+
+
+def _ambiguity_reference(g, z):
+    x, y = z.real, z.imag
+    u, v = x / math.sqrt(PI), -y / math.sqrt(PI)
+    lo = max(-g.support_radius, u - g.support_radius)
+    hi = min(g.support_radius, u + g.support_radius)
+
+    def vals(t):
+        return g.rule(t) * np.conj(g.rule(t - u)) * np.exp(-2j * PI * t * v)
+
+    npanels = max(8, int(4 * abs(v) * (hi - lo)) + 8)
+    amb = complex(adaptive_quad(lambda t: vals(t).real, lo, hi, tol=1e-11, initial_panels=npanels),
+                  adaptive_quad(lambda t: vals(t).imag, lo, hi, tol=1e-11, initial_panels=npanels))
+    return complex(np.exp(-1j * x * y)) * amb
+
+
+_REFERENCE_WINDOWS = {
+    **{f"hermite:{r}": (lambda r=r: W.hermite(r)) for r in range(7)},
+    **{f"mixture-{n}-{seed}": (lambda n=n, seed=seed: _seeded_mixture(n, seed))
+       for n, seed in ((2, 21), (5, 22), (8, 23), (13, 24))},
+    "squeezed": lambda: W.generalized_gaussian(0.45, 0.7),
+    "squeezed-shifted-chirped": lambda: W.generalized_gaussian(1.8, -0.4, 0.6, -0.5, 0.35),
+    "chirped": lambda: W.generalized_gaussian(1.0, 0.0, 0.25, 0.0, 0.3),
+    "modulated-mixture": lambda: W.modulate(_seeded_mixture(4, 25), -0.8, 0.3, -0.6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_WINDOWS))
+def test_uncertainty_constants_equal_the_six_call_reference(name):
+    g = _REFERENCE_WINDOWS[name]()
+    assert W.uncertainty_constants(g) == _uncertainty_constants_reference(g)
+
+
+@pytest.mark.parametrize("name", ["hermite:0", "hermite:3", "mixture-5-22", "chirped",
+                                  "modulated-mixture"])
+def test_decay_tails_and_ambiguity_equal_their_references(name):
+    g = _REFERENCE_WINDOWS[name]()
+    assert W.decay_tails(g) == _decay_tails_reference(g)
+    amb = W.AmbiguityKernel(window=g)
+    for z in (0.0j, 0.7 + 0.0j, 0.4 + 0.9j, -1.5 - 0.6j, 2.2 + 1.4j):
+        assert amb.evaluate(z) == _ambiguity_reference(g, z), z
