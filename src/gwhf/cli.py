@@ -29,7 +29,7 @@ from .kernels import (OMEGA_CONVENTIONS, RadialKernel, delta_h, i_prime,
                       wick_oracle_E)
 from .mc import McConfig, McReport, _disk_fits, estimate_charge_intensity, \
     estimate_charge_variance, estimate_intensity
-from .simulate import FieldSource, _check_domain, load_grid, save_grid
+from .simulate import _SOURCE_NAMES, FieldSource, _check_domain, load_grid, save_grid
 from .windows import (invariance_check, jet_from_constants,
                       rho1_stft_from_constants, uncertainty_constants,
                       window_from_spec)
@@ -51,35 +51,20 @@ def _parse_domain(text: str) -> tuple[float, float, float, float]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-# the field sources named by --simulator or --kernel, besides stft (which
-# needs --window)
-_SOURCE_NAMES = "series | gef-series | polyentire:q:kind | poisson"
-
-
-def _source_from_args(args) -> dict:
-    """The field source named by simulate --simulator/--window or by
-    verify --window or --kernel, as a FieldSource/McConfig source dict; a
-    --window together with another source is refused."""
+def _source_from_args(args) -> dict | str:
+    """The source spec of simulate --simulator/--window or of verify --window/--kernel,
+    unparsed but for a --window's record; a --window with another source is refused."""
     flag, name = (("--simulator", args.simulator) if hasattr(args, "simulator")
                   else ("--kernel", args.kernel))
     if args.window:
         if name not in (None, "stft"):
             raise GwhfError(f"--window {args.window} is for the stft simulator; "
                             f"{flag} {name} names another field source")
-        name = "stft"
-    if name == "stft":
-        if not args.window:
-            raise GwhfError("the stft simulator needs --window")
         return {"family": "window", "window": args.window}
-    if name in ("series", "gef-series"):
-        return {"family": "series-gef"}
-    if name == "poisson":
-        return {"family": "poisson", "density": 1.0 / math.pi}
-    if name and name.startswith("polyentire:"):
-        q, _, kind = name[len("polyentire:"):].partition(":")
-        return {"family": "polyentire", "q": int(q) if q.isdigit() else q, "kind": kind}
-    raise GwhfError(f"unsupported field source {name!r}; a source is a --window, "
-                    f"or one of {_SOURCE_NAMES}")
+    if name in (None, "stft"):
+        raise GwhfError(f"no field source: give --window, or {flag} with @file.json "
+                        f"or one of {_SOURCE_NAMES}")
+    return name
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -166,13 +151,14 @@ def _cmd_variance_asymptote(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _source_from_args(args)
-    if spec["family"] == "window":
+    if args.window:
         spec["plane"] = args.plane or "stft"
-    elif args.plane == "stft":
-        raise PlaneError(f"the {args.simulator} simulator draws gwhf-plane grids only; "
-                         "--plane stft needs a --window")
+    source = FieldSource(spec, args.domain, args.spacing, args.dt)
+    if args.plane not in (None, source.plane):
+        raise PlaneError(f"the {args.simulator} simulator draws {source.plane}-plane grids "
+                         f"only; --plane {args.plane} needs a --window")
     os.makedirs(args.out, exist_ok=True)
-    grid = FieldSource(spec, args.domain, args.spacing, args.dt).realize(args.seed)
+    grid = source.realize(args.seed)
     path = os.path.join(args.out, "field.gwhf")
     save_grid(grid, path)
     meta = {"path": path, "plane": grid.plane, "nx": grid.nx, "ny": grid.ny,
@@ -387,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--window", help="window spec for the stft simulator")
     p.add_argument("--simulator", default="stft",
-                   help="stft | series | polyentire:q:kind")
+                   help="stft (needs --window), or a field source as verify --kernel takes")
     p.add_argument("--plane", default=None, choices=["stft", "gwhf"],
                    help="output plane, in which --domain and --spacing are read "
                         "(default: stft for a --window, gwhf otherwise)")
@@ -406,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "invariance", "tau2-oracle"])
     common(p)
     p.add_argument("--window", help="window spec (stft-plane suites)")
-    p.add_argument("--kernel", help=f"field source of the Monte Carlo suites: {_SOURCE_NAMES}; "
+    p.add_argument("--kernel", help=f"Monte Carlo field source: {_SOURCE_NAMES} | @source.json; "
                                     "tau2-oracle takes a radial kernel spec (default gef)")
     p.add_argument("-n", type=int, default=200, help="number of realizations/draws")
     p.add_argument("--radii", help="disk radii for charge-variance (default: 1, 2, ... that fit)")

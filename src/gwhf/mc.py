@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, GwhfError, ParameterError
 from .kernels import DEFAULT_CONVENTION, _check_convention
-from .simulate import FieldSource, SeriesPlan, _check_domain, stream
-from .windows import Window, window_from_spec
+from .simulate import FieldSource, SeriesPlan, _check_domain, source_from_spec, stream
+from .windows import Window
 from .zeros import circle_charges, detect_zeros
 
 __all__ = ["McConfig", "McItem", "McReport",
@@ -39,12 +39,11 @@ __all__ = ["McConfig", "McItem", "McReport",
 class McConfig:
     """One verification run: a field source plus sampling parameters.
 
-    source families: those of simulate.FieldSource, plus
-      {"family": "poisson", "density": float}   (control point process)
-    A window given as a spec (JSON record or text) is built here, so the
-    report config names it by its label whichever form it came in.
+    source is any spec that simulate.source_from_spec takes, the poisson
+    control included, and is kept as its checked record, so the report
+    config names a window by its label whichever form it came in.
     """
-    source: dict
+    source: dict | str
     domain: tuple[float, float, float, float]
     spacing: float
     n_realizations: int
@@ -66,9 +65,7 @@ class McConfig:
         if self.threads < 1:
             raise ParameterError(f"threads = {self.threads}: need at least 1 worker thread")
         _check_convention(self.convention)
-        win = self.source.get("window")
-        if win is not None and not isinstance(win, Window):
-            object.__setattr__(self, "source", dict(self.source, window=window_from_spec(win)))
+        object.__setattr__(self, "source", source_from_spec(self.source))
 
     def as_dict(self) -> dict:
         source = {k: (v.label if isinstance(v, Window) else v)
@@ -149,8 +146,6 @@ class _PoissonControl:
 
     def __init__(self, cfg: McConfig):
         self.rate = float(cfg.source.get("density", 1.0 / math.pi))
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ParameterError(f"poisson density {self.rate} must be finite and positive")
         self.interior = _check_domain(cfg.domain)
         self.notes = ["poisson control: uniform points, i.i.d. +-1 charges"]
 
@@ -169,14 +164,10 @@ class _PoissonControl:
 def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
     """The field source of cfg's geometry, the cached one when the last call
     had the same geometry.  Threads racing on the cache at worst build twice."""
-    if cfg.source.get("family") == "poisson":
+    if cfg.source["family"] == "poisson":
         return _PoissonControl(cfg)
-    spec = tuple(sorted(cfg.source.items()))
-    try:
-        hash(spec)
-    except TypeError:  # no valid spec holds an unhashable value: FieldSource names it
-        return FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt, cfg.margin)
-    return _field_source(spec, tuple(cfg.domain), cfg.spacing, cfg.dt, cfg.margin)
+    return _field_source(tuple(sorted(cfg.source.items())), tuple(cfg.domain),
+                         cfg.spacing, cfg.dt, cfg.margin)
 
 
 # a Window in the spec is a key by its fields, whose rules compare by

@@ -1,8 +1,8 @@
 """Field realizations on rectangular grids.
 
-FieldSource turns a source spec into plans, an output plane, an interior
-and theory values; it is the one way to realize a field, for the CLI, the
-Monte Carlo harness and one-shot callers alike.
+FieldSource turns a source spec, checked by source_from_spec, into plans,
+an output plane, an interior and theory values; it is the one way to
+realize a field, for the CLI, the Monte Carlo harness and callers alike.
 Two independent simulators.  StftPlan pairs discretized complex white
 noise with translated/modulated copies of any window, columnwise by FFT
 over the noise record.  Each column sees only the window's time band of
@@ -40,13 +40,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (AliasBandError, ContainerError, DomainError,
                      InvalidKernelError, InvalidWindowError, ParameterError,
                      PlaneError)
-from .kernels import (DEFAULT_CONVENTION, gef_kernel, laguerre_avg_kernel,
+from .kernels import (DEFAULT_CONVENTION, build_from_spec, gef_kernel, laguerre_avg_kernel,
                       laguerre_kernel, rho1_radial, variance_asymptote)
 from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
     "FieldGrid", "stream", "complex_normals",
-    "StftPlan", "SeriesPlan", "FieldSource",
+    "StftPlan", "SeriesPlan", "FieldSource", "source_from_spec",
     "series_terms_required",
     "save_grid", "load_grid",
 ]
@@ -617,18 +617,78 @@ class SeriesPlan:
 
 
 # ---------------------------------------------------------------------------
-# Field sources: spec -> plans, plane, interior and theory values
+# Field sources: spec -> checked record -> plans, plane, interior and theory values
 # ---------------------------------------------------------------------------
+
+# the keys a record of each source family may hold
+_SOURCE_KEYS = {"window": ("family", "window", "plane"), "series-gef": ("family", "n_terms"),
+                "polyentire": ("family", "q", "kind"), "poisson": ("family", "density")}
+_SOURCE_NAMES = "series | gef-series | polyentire:q:kind | poisson"
+
+
+def _is_number(value, types=(int, float, np.integer, np.floating)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _source_record(name: str, args: str) -> dict:
+    if name in ("series", "gef-series") and not args:
+        return {"family": "series-gef"}
+    if name == "poisson" and not args:
+        return {"family": "poisson", "density": 1.0 / math.pi}
+    if name == "polyentire":
+        q, _, kind = args.partition(":")
+        return {"family": name, "q": int(q) if q.isdigit() else q, "kind": kind}
+    raise InvalidKernelError(f"unknown source {name!r}, expected one of {_SOURCE_NAMES}")
+
+
+def _check_source(spec: dict) -> dict:
+    family = spec.get("family")
+    keys = _SOURCE_KEYS.get(family) if isinstance(family, str) else None
+    if keys is None:
+        raise InvalidKernelError(f"unknown source family {family!r}")
+    for key in spec:
+        if key not in keys:
+            raise InvalidKernelError(f"unknown key {key!r} = {spec[key]!r} in a {family} "
+                                     f"source, which takes {', '.join(keys)}")
+    if family == "window":
+        if spec.get("plane", "stft") not in ("stft", "gwhf"):
+            raise PlaneError(f"unknown plane {spec['plane']!r}")
+        if not isinstance(spec["window"], Window):
+            spec = dict(spec, window=window_from_spec(spec["window"]))
+    elif family == "series-gef":
+        n_terms = spec.get("n_terms")
+        if not (n_terms is None or _is_number(n_terms, (int, np.integer))):
+            raise ParameterError(f"n_terms = {n_terms!r} must be an integer or None")
+    elif family == "polyentire":
+        q, kind = spec.get("q"), spec.get("kind", "pure")
+        if not (_is_number(q, (int, np.integer)) and 1 <= q <= 8 and kind in ("pure", "full")):
+            raise InvalidKernelError(f"polyentire needs q in [1, 8] and kind "
+                                     f"'pure' or 'full', got q={q!r}, kind={kind!r}")
+    else:
+        density = spec.get("density", 1.0 / math.pi)
+        if not (_is_number(density) and math.isfinite(density) and density > 0):
+            raise ParameterError(f"poisson density {density!r} must be finite and positive")
+    return spec
+
+
+def source_from_spec(spec: dict | str) -> dict:
+    """The checked record of a field source given as the record, as
+    "@file.json" or as the text series (or gef-series), polyentire:q:kind
+    or poisson.  Records, defaults in brackets:
+      {"family": "window", "window": <Window | window spec>, "plane": "stft"|"gwhf" [stft]}
+      {"family": "series-gef", "n_terms": int | None [None: the truncation rule]}
+      {"family": "polyentire", "q": 1..8, "kind": "pure" (h_{q-1}) | "full" (h_0..h_{q-1}) [pure]}
+      {"family": "poisson", "density": float [1/pi]}   (control points, no field)
+    The record keeps the keys given; a window spec is built into a Window,
+    and a Window given comes back as itself."""
+    return build_from_spec(spec, "source", InvalidKernelError, _source_record, _check_source)
+
 
 class FieldSource:
     """One field family on one grid, built once and realized many times.
 
-    Spec families:
-      {"family": "window", "window": <Window | window spec>, "plane": "stft"|"gwhf"}
-      {"family": "series-gef", "n_terms": int | None}
-      {"family": "polyentire", "q": 1..8, "kind": "pure"|"full"}
-        (pure: the window h_{q-1}; full: h_0..h_{q-1}, a normalized sum)
-
+    spec is any source spec that source_from_spec takes, except the poisson
+    control, which has no field.
     domain, spacing, margin and the theory values (kernel, None with a note
     for a window without one; density(convention); charge_density;
     variance_asymptote) refer to the output plane; each theory value is
@@ -643,12 +703,11 @@ class FieldSource:
     its FFT frames from the one pool of the source's StftPlan.
     """
 
-    def __init__(self, spec: dict, domain: tuple[float, float, float, float],
+    def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
                  spacing: float, dt: float | None = None, margin: float | None = None):
-        family = spec.get("family")
+        spec = source_from_spec(spec)
+        family = spec["family"]
         self.plane = spec.get("plane", "stft") if family == "window" else "gwhf"
-        if self.plane not in ("stft", "gwhf"):
-            raise PlaneError(f"unknown plane {self.plane!r}")
         self.charge_density = 1.0 / math.pi if self.plane == "gwhf" else 1.0
         self.window, self.notes, self._densities = None, [], {}
         if family == "series-gef":
@@ -657,8 +716,7 @@ class FieldSource:
             self.interior = self.plan.requested
             return
         if family == "window":
-            win = spec.get("window")
-            self.window = win if isinstance(win, Window) else window_from_spec(win)
+            self.window = spec["window"]
             windows = [self.window]
             self.kernel = (laguerre_kernel(self.window.order)
                            if self.window.kind == "hermite" else None)
@@ -666,16 +724,11 @@ class FieldSource:
                 self.notes.append("no radial kernel for this window; "
                                   "variance theory unavailable")
         elif family == "polyentire":
-            q, kind = spec.get("q"), spec.get("kind", "pure")
-            if not (isinstance(q, (int, np.integer)) and 1 <= q <= 8
-                    and kind in ("pure", "full")):
-                raise InvalidKernelError(f"polyentire needs q in [1, 8] and kind "
-                                         f"'pure' or 'full', got q={q!r}, kind={kind!r}")
-            pure = kind == "pure"
+            q, pure = spec["q"], spec.get("kind", "pure") == "pure"
             windows = [hermite(q - 1)] if pure else [hermite(k) for k in range(q)]
             self.kernel = laguerre_kernel(q - 1) if pure else laguerre_avg_kernel(q)
         else:
-            raise InvalidKernelError(f"unknown source family {family!r}")
+            raise InvalidKernelError(f"a {family} source is a point process with no field")
         dt = 1.0 / 64.0 if dt is None else dt
         self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
         self.interior = self.plan.interior

@@ -299,6 +299,8 @@ def test_verify_exit_code_gates(capsys):
     (["verify", "invariance", "--window", "hermite:1", "-n", "0"], "-n 0"),
     (["verify", "invariance", "--window", "hermite:1", "-n", "-3"], "-n -3"),
     (["verify", "intensity", "--kernel", "gef", "-n", "2"], "gef-series"),
+    (["verify", "intensity", "-n", "2"],
+     "no field source: give --window, or --kernel with @file.json or one of series | "),
     (["simulate", "--simulator", "series", "--plane", "stft"], "series simulator"),
     (["simulate", "--simulator", "polyentire:2:pure", "--plane", "stft"],
      "polyentire:2:pure simulator"),
@@ -352,6 +354,7 @@ def test_verify_exit_code_gates(capsys):
         "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
         "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
         "invariance-no-draws", "invariance-negative-draws", "verify-kernel-gef",
+        "verify-without-source",
         "series-stft-plane", "polyentire-stft-plane", "series-with-window",
         "gef-series-with-window", "polyentire-with-window", "series-infinite-spacing",
         "verify-window-and-kernel", "series-grid-too-large", "stft-grid-too-large",
@@ -545,6 +548,31 @@ def test_simulate_series_and_polyentire_cli(tmp_path, capsys):
                            "--plane", "gwhf", "--domain", "0,4,0,4",
                            "--seed", "5", "--out", out_dir)
     assert code == 0 and json.loads(out)["plane"] == "gwhf"
+
+
+def test_source_records_from_json_files(tmp_path, capsys):
+    # --kernel and --simulator take a source record from @file.json: the same
+    # report and the same container as the text form
+    path = tmp_path / "src.json"
+    path.write_text(json.dumps({"family": "polyentire", "q": 2, "kind": "full"}))
+    outs = []
+    for source in ("polyentire:2:full", f"@{path}"):
+        out_dir = tmp_path / f"run{len(outs)}"
+        code, _, _ = run_cli(capsys, "verify", "charge", "--kernel", source, "-n", "3",
+                             "--domain=-2,2,-2,2", "--spacing", "0.125", "--out", str(out_dir))
+        assert code != 2
+        outs.append((out_dir / "charge.json").read_bytes())
+        code, _, _ = run_cli(capsys, "simulate", "--simulator", source, "--domain=-2,2,-2,2",
+                             "--spacing", "0.125", "--out", str(out_dir))
+        assert code == 0
+        outs.append((out_dir / "field.gwhf").read_bytes())
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    # a window record read from a file keeps its own plane; --plane may not change it
+    path.write_text(json.dumps({"family": "window", "window": "hermite:1", "plane": "gwhf"}))
+    code, _, err = run_cli(capsys, "simulate", "--simulator", f"@{path}", "--plane", "stft",
+                           "--out", str(tmp_path / "sim"))
+    assert code == 2
+    assert "draws gwhf-plane grids only; --plane stft needs a --window" in err
 
 
 def test_simulate_window_in_the_gwhf_plane_reads_the_domain_there(tmp_path, capsys):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gwhf import mc, simulate, windows
-from gwhf.errors import DomainError, InvalidKernelError, ParameterError, ResolutionError
+from gwhf.errors import (DomainError, InvalidKernelError, ParameterError, PlaneError,
+                         ResolutionError)
 from gwhf.simulate import FieldSource, SeriesPlan, stream
 
 PI = math.pi
@@ -84,7 +85,7 @@ def test_polyentire_report_independent_of_threads():
     assert len(texts) == 1
 
 
-def test_window_source_forms_give_identical_reports():
+def test_window_source_forms_give_identical_reports(tmp_path):
     from gwhf.windows import hermite
     reports = [mc.estimate_intensity(_cfg(
         source={"family": "window", "window": win}, n_realizations=3)
@@ -92,6 +93,84 @@ def test_window_source_forms_give_identical_reports():
         for win in (hermite(1), {"family": "hermite", "r": 1}, "hermite:1")]
     assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["config"]["source"]["window"] == "hermite:1"
+    # every family: the record, its text form, the record from @file.json
+    # and, for a window, a Window object give one report and one grid
+    win = hermite(1)
+    for record, forms in [
+            ({"family": "window", "window": {"family": "hermite", "r": 1}},
+             [{"family": "window", "window": "hermite:1"}, {"family": "window", "window": win}]),
+            ({"family": "series-gef"}, ["series", "gef-series"]),
+            ({"family": "polyentire", "q": 2, "kind": "full"}, ["polyentire:2:full"]),
+            ({"family": "poisson", "density": 1 / PI}, ["poisson"])]:
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(record))
+        forms = [record, f"@{path}", *forms]
+        reports = {mc.estimate_intensity(_cfg(source=form, domain=(-2.0, 2.0, -2.0, 2.0),
+                                              spacing=0.1, n_realizations=3)
+                                         ).to_json(include_elapsed=False) for form in forms}
+        assert len(reports) == 1, record
+        if record["family"] == "poisson":
+            with pytest.raises(InvalidKernelError, match="a poisson source is a point process"):
+                FieldSource(record, (-2.0, 2.0, -2.0, 2.0), 0.1)
+            continue
+        grids = [FieldSource(form, (-2.0, 2.0, -2.0, 2.0), 0.1).realize(7).values
+                 for form in forms]
+        assert all(np.array_equal(grids[0], g) for g in grids[1:]), record
+    # the same Window object comes back as itself and keys one cached source
+    mc._field_source.cache_clear()
+    cfg = _cfg(source={"family": "window", "window": win}, domain=(0.0, 3.0, 0.0, 3.0),
+               spacing=1 / 8, n_realizations=2)
+    assert cfg.source["window"] is win
+    for _ in range(3):
+        mc.estimate_intensity(dataclasses.replace(cfg, source={"family": "window", "window": win}))
+    info = mc._field_source.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+_MALFORMED_SOURCES = [
+    ({"family": "poisson", "density": "abc"}, ParameterError, "poisson density 'abc'"),
+    ({"family": "poisson", "density": None}, ParameterError, "poisson density None"),
+    ({"family": "poisson", "density": True}, ParameterError, "poisson density True"),
+    ({"family": "series-gef", "n_terms": "400"}, ParameterError, "n_terms = '400'"),
+    ({"family": "series-gef", "n_terms": 400.0}, ParameterError, "n_terms = 400.0"),
+    ({"family": "polyentire", "q": True, "kind": "full"}, InvalidKernelError, "got q=True"),
+    ({"family": "polyentire", "q": [2], "kind": "full"}, InvalidKernelError, r"got q=\[2\]"),
+    ({"family": "window", "window": "hermite:1", "bogus": 1}, InvalidKernelError,
+     "unknown key 'bogus' = 1 in a window source, which takes family, window, plane"),
+    ({"family": "window", "window": "hermite:1", "plan": "gwhf"}, InvalidKernelError,
+     "unknown key 'plan' = 'gwhf'"),
+    ({"family": "window", "window": "hermite:1", "plane": "xy"}, PlaneError,
+     "unknown plane 'xy'"),
+    ({"family": "window"}, InvalidKernelError, "missing field 'window'"),
+    ({"family": "series-gef", "q": 2}, InvalidKernelError,
+     "unknown key 'q' = 2 in a series-gef source, which takes family, n_terms"),
+    ({"family": "polyentire", "q": 2, "kind": "full", "n_terms": 9}, InvalidKernelError,
+     "unknown key 'n_terms' = 9 in a polyentire source, which takes family, q, kind"),
+    ({"family": "poisson", "plane": "gwhf"}, InvalidKernelError,
+     "unknown key 'plane' = 'gwhf' in a poisson source, which takes family, density"),
+    ({"family": ["window"]}, InvalidKernelError, r"unknown source family \['window'\]"),
+    ("series-gef", InvalidKernelError, "unknown source 'series-gef', expected one of series | gef-series"),
+    ("series:400", InvalidKernelError, "unknown source 'series'"),
+]
+
+
+@pytest.mark.parametrize("spec, error, names", _MALFORMED_SOURCES,
+                         ids=["density-text", "density-none", "density-bool", "n-terms-text",
+                              "n-terms-float", "q-bool", "q-list", "window-unknown-key",
+                              "window-plane-mistyped", "window-bad-plane", "window-missing",
+                              "series-unknown-key", "polyentire-unknown-key",
+                              "poisson-unknown-key", "family-list", "family-as-text",
+                              "series-with-args"])
+def test_malformed_source_specs_are_refused_by_name(spec, error, names):
+    # the parser, McConfig and FieldSource refuse a spec alike, with the
+    # class and message of the parser
+    with pytest.raises(error, match=names):
+        simulate.source_from_spec(spec)
+    with pytest.raises(error, match=names):
+        _cfg(source=spec)
+    if not (isinstance(spec, dict) and spec["family"] == "poisson"):
+        with pytest.raises(error, match=names):
+            FieldSource(spec, (0.0, 2.0, 0.0, 2.0), 0.125)
 
 
 def test_report_serialization_schema():
