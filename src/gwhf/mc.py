@@ -7,8 +7,8 @@ draws from a counter-based stream keyed by (seed, realization, component),
 so reports are deterministic and independent of the thread count; the
 per-realization statistics are stored and reduced in fixed order.
 
-The field source of the last geometry (source spec, domain, spacing, dt,
-margin) is kept in a single-entry cache, so repeated calls on one geometry
+The field source of the last geometry (source spec, domain, spacing, dt)
+is kept in a single-entry cache, so repeated calls on one geometry
 build no plan and compute no theory value again.  The Poisson control is
 built afresh each call.
 """
@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError, GwhfError, ParameterError
 from .kernels import DEFAULT_CONVENTION, _check_convention
-from .simulate import FieldSource, SeriesPlan, _check_domain, source_from_spec, stream
+from .simulate import (FieldSource, SeriesPlan, _check_domain, _is_number, source_from_spec,
+                       stream)
 from .windows import Window
 from .zeros import circle_charges, detect_zeros
 
@@ -50,11 +51,14 @@ class McConfig:
     seed: int
     dt: float | None = None
     radii: tuple[float, ...] = ()
-    margin: float | None = None
     threads: int = 1
     convention: str = DEFAULT_CONVENTION
 
     def __post_init__(self):
+        for name in ("n_realizations", "seed", "threads"):
+            value = getattr(self, name)
+            if not _is_number(value, (int, np.integer)):
+                raise ParameterError(f"{name} = {value!r} must be an integer")
         if self.n_realizations < 2:
             raise ParameterError(f"n_realizations = {self.n_realizations}: "
                                  "need at least 2 realizations")
@@ -78,7 +82,6 @@ class McConfig:
             "n_realizations": self.n_realizations,
             "seed": self.seed,
             "radii": list(self.radii),
-            "margin": self.margin,
             "convention": self.convention,
         }
 
@@ -142,7 +145,7 @@ class McReport:
 class _PoissonControl:
     """Uniform points with i.i.d. +-1 charges: the one source with no grid."""
 
-    kernel, charge_density, plan = None, 0.0, None
+    charge_density, plan = 0.0, None
 
     def __init__(self, cfg: McConfig):
         self.rate = float(cfg.source.get("density", 1.0 / math.pi))
@@ -167,15 +170,14 @@ def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
     if cfg.source["family"] == "poisson":
         return _PoissonControl(cfg)
     return _field_source(tuple(sorted(cfg.source.items())), tuple(cfg.domain),
-                         cfg.spacing, cfg.dt, cfg.margin)
+                         cfg.spacing, cfg.dt)
 
 
 # a Window in the spec is a key by its fields, whose rules compare by
 # identity, so two windows built apart get two sources
 @lru_cache(maxsize=1)
-def _field_source(spec: tuple, domain: tuple, spacing: float, dt: float | None,
-                  margin: float | None) -> FieldSource:
-    return FieldSource(dict(spec), domain, spacing, dt, margin)
+def _field_source(spec: tuple, domain: tuple, spacing: float, dt: float | None) -> FieldSource:
+    return FieldSource(dict(spec), domain, spacing, dt)
 
 
 # most realizations one worker simulates together; reports do not depend on it
@@ -339,16 +341,11 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
         notes.append("fit-slope left out: zero standard error at R="
                      + ", ".join(f"{R:g}" for R in flat))
     elif len(upper) >= 2:
-        rr = np.array([radii[k] for k in upper])
-        vv = np.array([variances[k] for k in upper])
-        ww = np.array([1.0 / ses[k] ** 2 for k in upper])
-        wmat = np.diag(ww)
-        a_mat = np.vstack([np.ones_like(rr), rr]).T
-        coef, *_ = np.linalg.lstsq(wmat @ a_mat, wmat @ vv, rcond=None)
-        slope = float(coef[1])
-        gram = np.linalg.inv(a_mat.T @ (ww[:, None] * a_mat))
-        slope_se = math.sqrt(max(gram[1, 1], 0.0))
-        items.append(McItem(label="fit-slope", empirical=slope, se=slope_se,
-                            theory=theory_var[-1]))
+        # weights 1/se make polyfit minimize sum ((Var - a - b R) / se)^2,
+        # whose unscaled covariance is inv(A^T diag(1/se^2) A)
+        coef, cov = np.polyfit([radii[k] for k in upper], [variances[k] for k in upper], 1,
+                               w=[1.0 / ses[k] for k in upper], cov="unscaled")
+        items.append(McItem(label="fit-slope", empirical=float(coef[0]),
+                            se=math.sqrt(max(cov[0, 0], 0.0)), theory=theory_var[-1]))
     return McReport(quantity="charge_variance", items=items, config=cfg.as_dict(),
                     elapsed_s=time.time() - t0, notes=notes)

@@ -89,17 +89,17 @@ class FieldGrid:
     """Complex field samples on a rectangular lattice.
 
     values[j, i] sits at origin + (i + 1j*j) * spacing, both finite.
-    `margin` is the boundary band excluded from statistics; `meta["interior"]`
-    records the requested statistics region, a finite rectangle (the
-    simulators pad it by 4 cells by default, the stencils the detector reads
-    for zeros inside it).
+    `interior` is the statistics region (x0, x1, y0, y1), a finite
+    rectangle, or None for the whole extent; the simulators record the
+    domain they were given and pad it by 4 cells by default, the stencils
+    the detector reads for zeros inside it.
     """
     values: np.ndarray
     origin: complex
     spacing: float
     plane: str
     seed: int
-    margin: float = 0.0
+    interior: tuple[float, float, float, float] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -113,8 +113,8 @@ class FieldGrid:
             raise ParameterError(f"grid spacing {self.spacing} must be positive and finite")
         if self.plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {self.plane!r}")
-        if self.meta.get("interior") is not None:
-            _check_domain(self.meta["interior"])
+        if self.interior is not None:
+            object.__setattr__(self, "interior", _check_domain(self.interior))
         object.__setattr__(self, "values", v)
 
     @property
@@ -137,15 +137,6 @@ class FieldGrid:
     def extent(self) -> tuple[float, float, float, float]:
         return (self.origin.real, self.origin.real + self.spacing * (self.nx - 1),
                 self.origin.imag, self.origin.imag + self.spacing * (self.ny - 1))
-
-    @property
-    def interior(self) -> tuple[float, float, float, float]:
-        inner = self.meta.get("interior")
-        if inner is not None:
-            return tuple(inner)
-        x0, x1, y0, y1 = self.extent
-        m = self.margin
-        return (x0 + m, x1 - m, y0 + m, y1 - m)
 
 
 def _check_domain(domain) -> tuple[float, float, float, float]:
@@ -423,21 +414,20 @@ class StftPlan:
         # not built on the kept rows alone: freeing the larger anchored table
         # lifts glibc's mmap threshold, keeping each grid's arrays on the heap
         phase = _outer_phase(jlo * s, s, ny, col_rate)[rows] * math.sqrt(dt / len(windows))
-        self._meta = {"interior": box, "window": windows[0].label, "dt": self.dt,
+        self._meta = {"window": windows[0].label, "dt": self.dt,
                       "requested_spacing_rounded_to": s}
         if len(windows) > 1:
             self._meta["components"] = len(windows)
         if plane == "stft":
             self._rows, self._phase = freq_rows, phase
             self._lattice = {"origin": complex(self.x0, self.y0), "spacing": s,
-                             "plane": plane, "margin": self.margin}
+                             "plane": plane}
         else:  # rows flipped so y increases in the invariant plane
             self._rows, self._phase = freq_rows[::-1], phase[::-1].copy()
             self._meta["mapped_from"] = "stft"
             y1 = self.y0 + s * (self.ny - 1)
             self._lattice = {"origin": complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
-                             "spacing": _SQRT_PI * s, "plane": plane,
-                             "margin": _SQRT_PI * self.margin}
+                             "spacing": _SQRT_PI * s, "plane": plane}
 
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
                 seed_label: int = 0) -> FieldGrid:
@@ -468,7 +458,8 @@ class StftPlan:
         np.fft.fft(frame, axis=1, out=frame)
         vals = frame[:, self._rows].T * self._phase
         self._frames.append(frame)
-        return FieldGrid(values=vals, seed=seed_label, meta=dict(self._meta), **self._lattice)
+        return FieldGrid(values=vals, seed=seed_label, interior=self.interior,
+                         meta=dict(self._meta), **self._lattice)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -517,17 +508,15 @@ class SeriesPlan:
     it and exp(-rho^2/2) stay normal float64 numbers.  On a circle about
     the origin the field is a trigonometric polynomial in the angle, so
     circle_values gives it at equispaced angles by one inverse FFT per
-    circle, with no basis.
+    circle, with no basis.  The grid is the domain, the plan's `interior`,
+    padded by _PAD_CELLS cells on each side.
     """
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
-                 n_terms: int | None = None, margin: float | None = None):
-        x0, x1, y0, y1 = _check_domain(domain)
+                 n_terms: int | None = None):
+        self.interior = x0, x1, y0, y1 = _check_domain(domain)
         _check_spacing(spacing)
-        if margin is None:
-            margin = _PAD_CELLS * spacing
-        self.margin = float(margin)
-        self.requested = (x0, x1, y0, y1)
+        margin = _PAD_CELLS * spacing
         self.spacing = float(spacing)
         where = _geometry(spacing, domain, margin)
         xlo, ylo = x0 - margin, y0 - margin
@@ -543,8 +532,8 @@ class SeriesPlan:
         r_max = float(np.max(np.abs(self.z)))
         if r_max > _MAX_RADIUS:
             raise ParameterError(f"grid radius {r_max:.2f} exceeds the series limit "
-                                 f"{_MAX_RADIUS:.2f} (domain {self.requested}, margin "
-                                 f"{self.margin:.4g}): beyond it float64 over- or underflows")
+                                 f"{_MAX_RADIUS:.2f} (domain {self.interior}, margin "
+                                 f"{margin:.4g}): beyond it float64 over- or underflows")
         needed = series_terms_required(r_max)
         if n_terms is None:
             n_terms = needed
@@ -605,11 +594,10 @@ class SeriesPlan:
     def realize_batch(self, rngs: Iterable[np.random.Generator],
                       seed_label: int = 0) -> list[FieldGrid]:
         """One grid per generator: its coefficients evaluated on the grid."""
-        meta = {"interior": self.requested, "simulator": "series",
-                "n_terms": self.n_terms}
+        meta = {"simulator": "series", "n_terms": self.n_terms}
         return [FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
                           spacing=self.spacing, plane="gwhf", seed=seed_label,
-                          margin=self.margin, meta=dict(meta))
+                          interior=self.interior, meta=dict(meta))
                 for v in self.evaluate(self.coefficients(rngs), self.z)]
 
     def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
@@ -689,22 +677,22 @@ class FieldSource:
 
     spec is any source spec that source_from_spec takes, except the poisson
     control, which has no field.
-    domain, spacing, margin and the theory values (kernel, None with a note
+    domain, spacing and the theory values (kernel, None with a note
     for a window without one; density(convention); charge_density;
     variance_asymptote) refer to the output plane; each theory value is
     computed once per source, density once per convention.  A window or
     polyentire source holds one StftPlan over all its windows (their bands
     summed before the FFT), which reads the geometry in the source's plane;
-    a series source holds one SeriesPlan.  Without a margin both
-    plans pad the domain by 4 cells; the StftPlan keeps the lattice and
-    noise record of its anchor margin, so no sample depends on the pad.
-    The source's interior, and that of each of its grids, is the domain
-    given, bit for bit.  Every realize_batch call, from any thread, draws
+    a series source holds one SeriesPlan.  Both plans pad the domain by 4
+    cells; the StftPlan keeps the lattice and noise record of its anchor
+    margin, so no sample depends on the pad.  The source's interior, that
+    of its plan and that of each of its grids, is the domain given, bit for
+    bit.  Every realize_batch call, from any thread, draws
     its FFT frames from the one pool of the source's StftPlan.
     """
 
     def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
-                 spacing: float, dt: float | None = None, margin: float | None = None):
+                 spacing: float, dt: float | None = None):
         spec = source_from_spec(spec)
         family = spec["family"]
         self.plane = spec.get("plane", "stft") if family == "window" else "gwhf"
@@ -712,8 +700,8 @@ class FieldSource:
         self.window, self.notes, self._densities = None, [], {}
         if family == "series-gef":
             self.kernel = gef_kernel()
-            self.plan = SeriesPlan(domain, spacing, spec.get("n_terms"), margin)
-            self.interior = self.plan.requested
+            self.plan = SeriesPlan(domain, spacing, spec.get("n_terms"))
+            self.interior = self.plan.interior
             return
         if family == "window":
             self.window = spec["window"]
@@ -730,7 +718,7 @@ class FieldSource:
         else:
             raise InvalidKernelError(f"a {family} source is a point process with no field")
         dt = 1.0 / 64.0 if dt is None else dt
-        self.plan = StftPlan(windows, domain, spacing, dt, margin, self.plane)
+        self.plan = StftPlan(windows, domain, spacing, dt, plane=self.plane)
         self.interior = self.plan.interior
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
@@ -783,7 +771,7 @@ def save_grid(grid: FieldGrid, path: str) -> None:
         "nx": grid.nx,
         "ny": grid.ny,
         "seed": int(grid.seed),
-        "margin": grid.margin,
+        "interior": grid.interior,
         "meta": _jsonable(grid.meta),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -797,8 +785,10 @@ def save_grid(grid: FieldGrid, path: str) -> None:
 
 def load_grid(path: str) -> FieldGrid:
     """Read a container written by save_grid.  A file that is not one, has
-    a header key missing, whose payload is not exactly nx*ny*8 bytes, or
-    that holds a non-finite sample raises ContainerError."""
+    a header key missing (`interior`, null for the whole extent, among
+    them), whose payload is not exactly nx*ny*8 bytes, that holds a
+    non-finite sample or whose geometry FieldGrid refuses raises
+    ContainerError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -815,13 +805,11 @@ def load_grid(path: str) -> FieldGrid:
         vals = np.frombuffer(payload, dtype="<c8").reshape(ny, nx).astype(complex)
         if not np.isfinite(vals).all():
             raise ValueError(f"{np.count_nonzero(~np.isfinite(vals))} non-finite samples")
-        meta = dict(header.get("meta", {}))
-        if isinstance(meta.get("interior"), list):
-            meta["interior"] = tuple(meta["interior"])
+        interior = header["interior"]
         return FieldGrid(values=vals, origin=complex(*header["origin"]),
-                         spacing=header["spacing"], plane=header["plane"],
-                         seed=header["seed"], margin=header.get("margin", 0.0),
-                         meta=meta)
+                         spacing=header["spacing"], plane=header["plane"], seed=header["seed"],
+                         interior=tuple(interior) if isinstance(interior, list) else interior,
+                         meta=dict(header.get("meta", {})))
     except (KeyError, OSError, TypeError, ValueError, struct.error) as exc:
         raise ContainerError(f"{path} is not a valid grid container: "
                              f"{type(exc).__name__}: {exc}") from exc

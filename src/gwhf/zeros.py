@@ -408,7 +408,8 @@ def _flagged_cells(grid: FieldGrid) -> _Cells:
     """The _Cells of one grid.  A cell with |winding| >= 2 raises
     ResolutionError."""
     raw = _plaquette_windings(grid)
-    x0, x1, y0, y1 = grid.interior
+    box = grid.extent if grid.interior is None else grid.interior
+    x0, x1, y0, y1 = box
     # refinement never moves a candidate outside its own cell, so cells
     # beyond a two-cell pad of the interior cannot contribute; the stencils
     # of those within it reach four cells past the interior, the pad both
@@ -430,7 +431,7 @@ def _flagged_cells(grid: FieldGrid) -> _Cells:
             f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
             f"winding {w[k]}; halve the grid spacing")
     orient = _plane_orientation(grid)
-    return _Cells(raw.astype(np.int16), grid.origin, h, orient, grid.interior,
+    return _Cells(raw.astype(np.int16), grid.origin, h, orient, box,
                   i, j, orient * w, _stencils(grid, i, j))
 
 
@@ -447,8 +448,8 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     caught by the ring check of the merge instead).  Zeros claimed by
     two adjacent cells (knife-edge positions) are merged by a ring
     adjudication.  Zeros are kept when their refined position lies in
-    grid.interior (position-based, so seams do not double count); a grid
-    with margin 0 and no recorded interior keeps its whole extent.
+    grid.interior (position-based, so seams do not double count), or
+    anywhere in its extent when the interior is None.
 
     Newton, the bilinear fallback and the Jacobian sign run once over the
     flagged cells of all grids; the merge, the degenerate rule and the

@@ -1,6 +1,6 @@
 """The benchmark's workloads against the package: every workload's set-up
-and one `stft-h1`, one `gef-hyperuniform` and one `poly3-full-2t` unit
-under the benchmark's winding/sign check, and one `stft-h1` unit under the
+and one `stft-h1`, one `gef-hyperuniform`, one `poly3-full-2t` and one
+`closed-form` unit under the benchmark's checks, and one `stft-h1` unit under the
 benchmark's tracer, so a name or signature the benchmark calls that stops
 working fails here first."""
 import importlib.util
@@ -60,6 +60,19 @@ def test_bench_poly3_full_2t_unit_passes_its_checks(monkeypatch):
     assert unit.output is not None and (unit.ops, unit.failed) == (poly.chunk, 0)
     checks = poly.checks([unit.output], sign)
     assert all(ok for _, ok in checks), checks
+
+
+def test_bench_closed_form_unit_passes_its_checks(monkeypatch):
+    # its ops read keys of the CLI's JSON output and call kernels directly:
+    # none may raise, and every value must pass its op's check
+    wl = _workloads(monkeypatch)
+    closed = wl.WORKLOADS["closed-form"]
+    closed.setup(1)
+    with wl.SignCheck() as sign:
+        unit = closed.run_unit(1, 1, sign)
+    assert (unit.ops, unit.failed) == (len(closed.ops), 0)
+    checks = closed.checks([unit.output], sign)
+    assert checks and all(ok for _, ok in checks), checks
 
 
 def test_bench_traced_stft_unit_matches_untraced_and_restores(monkeypatch):

@@ -394,15 +394,23 @@ def test_zeros_refuses_damaged_grid(tmp_path, capsys):
         assert err.startswith("error:") and str(path) in err
 
 
-@pytest.mark.parametrize("key, value, names", [
-    ("spacing", math.inf, "spacing inf"),
-    ("origin", [math.nan, 0.0], "origin (nan"),
-    ("interior", [math.nan, 2, 0, 2], "domain (nan, 2, 0, 2)"),
-    ("interior", [2, 0, 0, 2], "domain (2, 0, 0, 2)"),
-    ("interior", "abc", "domain 'abc'"),
+def _pre_interior_layout(header):
+    # containers written before the interior was a header key hold it in
+    # meta, beside a margin
+    header["meta"]["interior"] = header.pop("interior")
+    header["margin"] = 0.0
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda header: header.update(spacing=math.inf), "spacing inf"),
+    (lambda header: header.update(origin=[math.nan, 0.0]), "origin (nan"),
+    (lambda header: header.update(interior=[math.nan, 2, 0, 2]), "domain (nan, 2, 0, 2)"),
+    (lambda header: header.update(interior=[2, 0, 0, 2]), "domain (2, 0, 0, 2)"),
+    (lambda header: header.update(interior="abc"), "domain 'abc'"),
+    (_pre_interior_layout, "KeyError: 'interior'"),
 ], ids=["infinite-spacing", "nan-origin", "nan-interior", "empty-interior",
-        "interior-not-numbers"])
-def test_zeros_refuses_non_finite_geometry(tmp_path, capsys, key, value, names):
+        "interior-not-numbers", "no-interior-key"])
+def test_zeros_refuses_non_finite_geometry(tmp_path, capsys, edit, names):
     out_dir = str(tmp_path / "run")
     run_cli(capsys, "simulate", "--window", "hermite:1", "--domain", "0,2,0,2",
             "--out", out_dir)
@@ -411,7 +419,7 @@ def test_zeros_refuses_non_finite_geometry(tmp_path, capsys, key, value, names):
     start = blob.index(b"\n") + 1
     hlen = int.from_bytes(blob[start:start + 8], "little")
     header = json.loads(blob[start + 8:start + 8 + hlen])
-    (header["meta"] if key == "interior" else header)[key] = value
+    edit(header)
     edited = json.dumps(header).encode()
     path = tmp_path / "edited.gwhf"
     path.write_bytes(blob[:start] + len(edited).to_bytes(8, "little") + edited
@@ -584,5 +592,5 @@ def test_simulate_window_in_the_gwhf_plane_reads_the_domain_there(tmp_path, caps
     grid = FieldSource({"family": "window", "window": "hermite:1", "plane": "gwhf"},
                        (-3, 3, -3, 3), 1 / 16, 1 / 64).realize(5)
     assert np.array_equal(saved.values, grid.values.astype(np.complex64))
-    assert (saved.plane, saved.origin, saved.spacing, saved.margin, saved.meta) == \
-        (grid.plane, grid.origin, grid.spacing, grid.margin, grid.meta)
+    assert (saved.plane, saved.origin, saved.spacing, saved.interior, saved.meta) == \
+        (grid.plane, grid.origin, grid.spacing, grid.interior, grid.meta)

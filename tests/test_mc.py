@@ -230,6 +230,10 @@ def test_config_validation():
         _cfg(convention="regresion")
     with pytest.raises(ParameterError, match="threads = 0"):
         _cfg(threads=0)
+    for name, value in (("n_realizations", 2.5), ("threads", 1.5), ("seed", 1.5),
+                        ("n_realizations", True), ("seed", False), ("threads", "2")):
+        with pytest.raises(ParameterError, match=f"^{name} = {value!r} must be an integer$"):
+            _cfg(**{name: value})
     with pytest.raises(ValueError):
         mc.estimate_charge_variance(_cfg())  # no radii
     with pytest.raises(DomainError):
@@ -285,7 +289,9 @@ def test_circle_errors_name_seed_and_realization(monkeypatch, threads):
 
 def test_poisson_reports_pinned():
     # positions and charges drawn per realization as before they were kept
-    # as arrays: the reports of all three estimators keep their bytes
+    # as arrays: the reports of all three estimators keep their bytes.  Last
+    # re-pinned when the config lost its "margin" key and the fit-slope row
+    # became the inverse-variance fit; every R= row kept its bytes
     cfg = mc.McConfig(source={"family": "poisson", "density": 1 / PI},
                       domain=(-6.5, 6.5, -6.5, 6.5), spacing=0.08, n_realizations=50,
                       seed=78, radii=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
@@ -294,7 +300,27 @@ def test_poisson_reports_pinned():
                      mc.estimate_charge_variance):
         digest.update(estimate(cfg).to_json(include_elapsed=False).encode())
     assert digest.hexdigest() == \
-        "fc8e91c201f1b9c2d93a60ce65bb15f84cbc1fc8bc98bcfbd5dfc8c8b1f22333"
+        "86bbdd2ce8fce09326344effee8534f88ac2b8edcb18ff3ee1799b8af87ae8c6"
+
+
+def test_fit_slope_is_the_inverse_variance_fit_of_the_radius_rows():
+    # the R= rows give Var(R) = R empirical and its standard error R se; the
+    # fit over the upper half of the radii minimizes sum ((Var - a - b R)/se)^2,
+    # whose normal equations are (A^T W A) (a, b) = A^T W Var with W = 1/se^2
+    cfg = mc.McConfig(source={"family": "poisson", "density": 1 / PI},
+                      domain=(-6.5, 6.5, -6.5, 6.5), spacing=0.08, n_realizations=50,
+                      seed=78, radii=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    *rows, fit = mc.estimate_charge_variance(cfg).items
+    assert fit.label == "fit-slope" and len(rows) == 6
+    upper = rows[3:]
+    radii = np.array([float(it.label[2:]) for it in upper])
+    var = radii * [it.empirical for it in upper]
+    weight = 1.0 / (radii * [it.se for it in upper]) ** 2
+    design = np.vstack([np.ones_like(radii), radii]).T
+    gram = design.T @ (weight[:, None] * design)
+    coef = np.linalg.solve(gram, design.T @ (weight * var))
+    assert fit.empirical == pytest.approx(coef[1], rel=1e-9)
+    assert fit.se == pytest.approx(math.sqrt(np.linalg.inv(gram)[1, 1]), rel=1e-9)
 
 
 def test_series_reports_independent_of_threads_and_blocks():

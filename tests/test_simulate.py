@@ -51,10 +51,10 @@ def test_stft_field_metadata(hermites):
     h = g.spacing
     assert g.plane == "stft"
     assert h == pytest.approx(1 / 16, abs=1e-12)
-    assert g.meta["interior"] == (0, 4, 0, 4)
+    assert g.interior == (0, 4, 0, 4)
     # the grid is the interior plus a 4-cell pad, on the lattice of the
     # anchored plan
-    assert g.margin == 4 * h
+    assert src.plan.margin == 4 * h
     x0, x1, y0, y1 = g.extent
     for lo, hi in ((x0, x1), (y0, y1)):
         assert 0 - 4 * h - 1e-9 <= lo < 0 - 3 * h and 4 + 3 * h < hi <= 4 + 4 * h + 1e-9
@@ -388,8 +388,8 @@ def test_gwhf_plane_plan_matches_mapped_grid(hermites):
     assert (got.plane, got.seed, got.values.shape) == ("gwhf", 33, stft.values.shape)
     assert got.origin == pytest.approx(math.sqrt(PI) * complex(stft.xs[0], -stft.ys[-1]))
     assert got.spacing == pytest.approx(math.sqrt(PI) * stft.spacing)
-    assert got.margin == pytest.approx(math.sqrt(PI) * stft.margin)
-    assert got.meta == dict(stft.meta, interior=box, mapped_from="stft")
+    assert (stft.interior, got.interior) == ((0, 3, -1, 2), box)
+    assert got.meta == dict(stft.meta, mapped_from="stft")
 
 
 def test_direct_gwhf_plane_plan_keeps_the_domain_given(hermites):
@@ -578,15 +578,16 @@ def test_series_circle_values_match_evaluator():
         assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1)), radius
 
 
-@pytest.mark.parametrize("domain, spacing, margin, bound", [
-    ((-6.5, 6.5, -6.5, 6.5), 0.08, None, 3e-14),
-    ((-26.0, 26.0, -26.0, 26.0), 1.0, 0.0, 1e-12),
+@pytest.mark.parametrize("domain, spacing, bound", [
+    ((-6.5, 6.5, -6.5, 6.5), 0.08, 3e-14),
+    ((-22.0, 22.0, -22.0, 22.0), 1.0, 1e-12),
 ], ids=["criterion-6", "near-radius-limit"])
-def test_series_matches_extended_precision_sum(domain, spacing, margin, bound):
+def test_series_matches_extended_precision_sum(domain, spacing, bound):
     # a term-by-term sum in np.longdouble at ~400 sampled points plus the
-    # corners, the origin and the largest |z|; near the radius limit the
-    # scale rho^n/sqrt(n!) reaches 4e292
-    plan = S.SeriesPlan(domain, spacing, margin=margin)
+    # corners, the origin and the largest |z|; near the radius limit (the
+    # grid spans -26..26 with its 4-cell pad) the scale rho^n/sqrt(n!)
+    # reaches 4e292
+    plan = S.SeriesPlan(domain, spacing)
     n = np.arange(1, plan.n_terms, dtype=np.longdouble)
     scale = np.cumprod(np.r_[np.longdouble(1), np.longdouble(plan.rho) / np.sqrt(n)])
     # exp(n log rho - lgamma(n+1)/2) would be off by 2e-13 at 351 terms
@@ -640,7 +641,7 @@ def test_grid_container_roundtrip(tmp_path, hermites):
     assert back.plane == g.plane
     assert back.spacing == pytest.approx(g.spacing)
     assert back.origin == pytest.approx(g.origin)
-    assert back.meta["interior"] == g.meta["interior"]
+    assert back.interior == g.interior == (0, 2, 0, 2)
     # payload is complex64: float32-level agreement
     assert np.allclose(back.values, g.values, atol=2e-6)
 
@@ -652,24 +653,23 @@ _extent = st.floats(min_value=1e-3, max_value=1e6)
 
 @given(ny=st.integers(16, 20), nx=st.integers(16, 20), plane=st.sampled_from(["stft", "gwhf"]),
        origin=st.tuples(_finite, _finite), spacing=st.floats(1e-6, 1e3),
-       seed=st.integers(0, 2 ** 63 - 1), margin=st.floats(0.0, 1e3),
-       interior=st.tuples(_finite, _extent, _finite, _extent).map(
+       seed=st.integers(0, 2 ** 63 - 1),
+       interior=st.none() | st.tuples(_finite, _extent, _finite, _extent).map(
            lambda b: (b[0], b[0] + b[1], b[2], b[2] + b[3])),
        label=st.text(max_size=12), sample_seed=st.integers(0, 2 ** 32 - 1),
        cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
 def test_grid_container_roundtrip_property(tmp_path_factory, ny, nx, plane, origin, spacing,
-                                           seed, margin, interior, label, sample_seed, cuts):
+                                           seed, interior, label, sample_seed, cuts):
     rng = np.random.default_rng(sample_seed)
     values = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
     grid = S.FieldGrid(values=values, origin=complex(*origin), spacing=spacing, plane=plane,
-                       seed=seed, margin=margin, meta={"interior": interior, "label": label})
+                       seed=seed, interior=interior, meta={"label": label})
     path = tmp_path_factory.mktemp("container") / "field.gwhf"
     S.save_grid(grid, str(path))
     back = S.load_grid(str(path))
-    assert (back.plane, back.origin, back.spacing, back.seed, back.margin) == \
-        (plane, complex(*origin), spacing, seed, margin)
-    assert back.meta == {"interior": interior, "label": label}
-    assert isinstance(back.meta["interior"], tuple)
+    assert (back.plane, back.origin, back.spacing, back.seed, back.interior, back.meta) == \
+        (plane, complex(*origin), spacing, seed, interior, {"label": label})
+    assert interior is None or isinstance(back.interior, tuple)
     assert np.array_equal(back.values, values.astype(np.complex64))
     blob = path.read_bytes()
     for cut in cuts:

@@ -93,7 +93,7 @@ def test_weight_transform_preserves_charges():
     unweighted = S.FieldGrid(values=grid.values * np.exp(0.5 * np.abs(zz) ** 2),
                              origin=grid.origin, spacing=grid.spacing,
                              plane=grid.plane, seed=grid.seed,
-                             margin=grid.margin, meta=grid.meta)
+                             interior=grid.interior, meta=grid.meta)
     za = Z.detect_zeros(grid)
     zb = list(Z.detect_zeros(unweighted))
     assert len(za) == len(zb)
@@ -149,7 +149,7 @@ def test_newton_rejected_zero_sign_matches_winding(source, seed, r, near, margin
     if margin0:  # the zero lies in the anchored plan's grid, beyond the default pad
         plan = anchored_plan(src.plan)
         grid = plan.realize([S.stream(seed, r, k) for k in range(len(plan.windows))], seed)
-        grid = dataclasses.replace(grid, margin=0.0, meta={})
+        grid = dataclasses.replace(grid, interior=None)
     z = min(Z.detect_zeros(grid), key=lambda z: abs(z.position - near))
     assert abs(z.position - near) < 1e-3
     assert not z.degenerate and not z.refined
@@ -176,15 +176,15 @@ def test_edge_zero_without_refinement_or_interior_cut(plane, edge):
     # the corner cell (0, 0)), whose 4x4 stencil reaches past the grid: the
     # missing row or column is extrapolated linearly, so Newton refines the
     # edge zero and its sign comes from the same bicubic surface as inside.
-    # The margin cuts the edge zero; a margin-0 copy of the same samples
-    # keeps the whole extent.  The stft plane's carrier is demodulated, which
-    # costs interpolation accuracy on this unmodulated field.
+    # An interior 0.1 inside the extent cuts the edge zero; the same samples
+    # with no interior keep the whole extent.  The stft plane's carrier is
+    # demodulated, which costs interpolation accuracy on this unmodulated field.
     inner = -0.31 + 0.22j
     orient = 1 if plane == "gwhf" else -1  # the charge of a holomorphic zero
-    grid = dataclasses.replace(
-        synthetic_grid(lambda z: (z - inner) * np.conj(z - edge), plane=plane), margin=0.1)
-    whole = dataclasses.replace(grid, margin=0.0)
-    x0, x1, y0, y1 = grid.interior
+    whole = synthetic_grid(lambda z: (z - inner) * np.conj(z - edge), plane=plane)
+    x0, x1, y0, y1 = whole.extent
+    x0, x1, y0, y1 = box = (x0 + 0.1, x1 - 0.1, y0 + 0.1, y1 - 0.1)
+    grid = dataclasses.replace(whole, interior=box)
     assert not (x0 <= edge.real <= x1 and y0 <= edge.imag <= y1)
     cell = (edge - grid.origin) / grid.spacing
     assert cell.real // 1 in (0, grid.nx - 2) or cell.imag // 1 in (0, grid.ny - 2)
