@@ -5,12 +5,15 @@ with *gauged* parallel transport.  Both coordinate planes carry a
 deterministic oscillatory carrier (the covariance of neighboring samples
 has phase Im(dz conj(z)) on the invariant plane and -2 pi x dy on the
 spectrogram plane), so raw principal-branch increments alias once
-spacing * |position| approaches pi.  Each edge increment is therefore
-demodulated by the carrier advance along the edge; the carrier phases do
-not telescope around a plaquette, and the closed-loop defect (+-2 pi times
-the charge density times the cell area) is added back before rounding.
-That defect is exactly the term responsible for the universal mean charge
-density.
+spacing * |position| approaches pi.  Each edge's phase step, taken from
+one phase per sample, is therefore demodulated by the carrier advance
+along the edge and rounded to its integer wrap count, the number of whole
+turns the principal branch removes.  The carrier advances do not telescope
+around a plaquette (their loop sum, +-2 pi times the charge density times
+the cell area, is exactly the term responsible for the universal mean
+charge density), but the raw phase steps do, so a plaquette's winding is
+exactly minus the loop sum of its edges' wrap counts: an integer sum, with
+no defect to add back and nothing left to round.
 
 The loop orientation is tied to the grid's plane so that the winding *is*
 the charge: invariant-plane ("gwhf") grids use the counterclockwise loop
@@ -41,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContainerError, GwhfError, ResolutionError
+from .errors import ContainerError, DomainError, GwhfError, ResolutionError
 from .simulate import FieldGrid
 
 __all__ = [
@@ -117,11 +120,6 @@ def _edge_gauge(plane: str, pa, pb):
     return -_TWO_PI * 0.5 * (pa.real + pb.real) * (pb.imag - pa.imag)
 
 
-def _loop_defect(plane: str, spacing: float) -> float:
-    # sum of edge gauges around one counterclockwise plaquette
-    return (2.0 if plane == "gwhf" else -_TWO_PI) * spacing * spacing
-
-
 def _plane_points(grid: FieldGrid, i, j, xi, eta):
     """Plane position of the local point (xi, eta) of cell (i, j)."""
     return (grid.origin.real + (i + xi) * grid.spacing
@@ -129,27 +127,40 @@ def _plane_points(grid: FieldGrid, i, j, xi, eta):
 
 
 def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
-    """Integer winding of every plaquette, counterclockwise gauged loop.
+    """Integer winding of every plaquette, counterclockwise gauged loop, as
+    int16.
 
-    Each lattice edge's gauged increment is computed once.  The carrier
-    advance along an edge depends on one coordinate only, so the edge
-    products are demodulated by broadcasting a per-row or per-column phase
-    vector.  A plaquette adds its bottom and right edges and subtracts its
-    top and left ones, so the windings of any block of plaquettes sum to
-    the gauged circulation around the block's boundary.
+    The phase is taken once per sample, in turns.  Each lattice edge's
+    demodulated step (its phase difference less the carrier advance, which
+    depends on one coordinate only and so is a per-row or per-column
+    vector) has a wrap count k, its nearest integer.  Around a plaquette
+    the phase differences telescope, so the loop sum of the principal-branch
+    increments (step minus k) is minus the carrier's loop advance minus the
+    loop sum of the k.  The winding, that loop sum with the carrier's
+    advance added back, is therefore exactly minus the loop sum of the k:
+    k_left + k_top - k_bottom - k_right.  The windings of any block of cells
+    sum exactly to the wrap counts of its boundary.  A sample that is
+    exactly 0 reads as phase 0, so a zero on a lattice point flags one of
+    the cells around it.  The k reach spacing * max|position| turns, so
+    they are summed in float and the winding, at most 2 + spacing^2 in
+    magnitude, is cast once.
     """
-    v, h = grid.values, grid.spacing
-    horiz = v[:, 1:] * np.conj(v[:, :-1])
-    vert = v[1:, :] * np.conj(v[:-1, :])
+    h = grid.spacing
+    turns = np.angle(grid.values)
+    turns /= _TWO_PI
+    horiz = turns[:, 1:] - turns[:, :-1]
+    vert = turns[1:] - turns[:-1]
     if grid.plane == "gwhf":
-        horiz *= np.exp(1j * h * grid.ys)[:, None]  # gauge -h y
-        vert *= np.exp(-1j * h * grid.xs)  # gauge h x
+        horiz += (h / _TWO_PI) * grid.ys[:, None]  # gauge -h y
+        vert -= (h / _TWO_PI) * grid.xs  # gauge h x
     else:
-        vert *= np.exp(2j * math.pi * h * grid.xs)  # gauge -2 pi h x; horizontal 0
-    horiz, vert = np.angle(horiz), np.angle(vert)
-    tot = horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1]
-    tot += _loop_defect(grid.plane, grid.spacing)
-    return np.rint(tot / _TWO_PI).astype(int)
+        vert += h * grid.xs  # gauge -2 pi h x; horizontal 0
+    np.rint(horiz, out=horiz)
+    np.rint(vert, out=vert)
+    wind = np.subtract(vert[:, :-1], vert[:, 1:], out=turns[:-1, :-1])
+    wind += horiz[1:]
+    wind -= horiz[:-1]
+    return wind.astype(np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +417,36 @@ class _Cells(NamedTuple):
 
 def _flagged_cells(grid: FieldGrid) -> _Cells:
     """The _Cells of one grid.  A cell with |winding| >= 2 raises
-    ResolutionError."""
-    raw = _plaquette_windings(grid)
+    ResolutionError, and an interior that does not meet the grid's extent
+    raises DomainError."""
     box = grid.extent if grid.interior is None else grid.interior
     x0, x1, y0, y1 = box
+    ex0, ex1, ey0, ey1 = grid.extent
+    if x0 > ex1 or x1 < ex0 or y0 > ey1 or y1 < ey0:
+        box_s, extent_s = (", ".join(f"{v:.6g}" for v in b) for b in (box, grid.extent))
+        raise DomainError(f"interior ({box_s}) does not meet the grid, "
+                          f"whose extent is ({extent_s})")
     # refinement never moves a candidate outside its own cell, so cells
     # beyond a two-cell pad of the interior cannot contribute; the stencils
     # of those within it reach four cells past the interior, the pad both
-    # simulators leave by default
+    # simulators leave by default.  Each bound is monotone in the cell
+    # index, so the kept cells are one block of columns and rows, and one
+    # that is not empty when the interior meets the extent.
     h = grid.spacing
-    i_arr = np.arange(raw.shape[1])
-    j_arr = np.arange(raw.shape[0])
-    keep_i = ((grid.origin.real + (i_arr + 1) * h >= x0 - 2 * h)
-              & (grid.origin.real + i_arr * h <= x1 + 2 * h))
-    keep_j = ((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
-              & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
-    flagged = raw * (keep_j[:, None] & keep_i[None, :])
-    j, i = np.nonzero(flagged)
-    w = flagged[j, i]
+    i_arr = np.arange(grid.nx - 1)
+    j_arr = np.arange(grid.ny - 1)
+    keep_i = np.flatnonzero((grid.origin.real + (i_arr + 1) * h >= x0 - 2 * h)
+                            & (grid.origin.real + i_arr * h <= x1 + 2 * h))
+    keep_j = np.flatnonzero((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
+                            & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
+    raw = _plaquette_windings(grid)
+    # one flat search of a boolean block: numpy finds nonzero entries of a
+    # 1-d boolean array an order of magnitude faster than of a 2-d one
+    flagged = raw[keep_j[0]:keep_j[-1] + 1, keep_i[0]:keep_i[-1] + 1] != 0
+    j, i = np.divmod(np.flatnonzero(flagged), flagged.shape[1])
+    i += keep_i[0]
+    j += keep_j[0]
+    w = raw[j, i].astype(int)
     multiple = np.flatnonzero(np.abs(w) >= 2)
     if multiple.size:
         k = multiple[0]
@@ -431,7 +454,7 @@ def _flagged_cells(grid: FieldGrid) -> _Cells:
             f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
             f"winding {w[k]}; halve the grid spacing")
     orient = _plane_orientation(grid)
-    return _Cells(raw.astype(np.int16), grid.origin, h, orient, box,
+    return _Cells(raw, grid.origin, h, orient, box,
                   i, j, orient * w, _stencils(grid, i, j))
 
 

@@ -411,6 +411,15 @@ def _pre_interior_layout(header):
 ], ids=["infinite-spacing", "nan-origin", "nan-interior", "empty-interior",
         "interior-not-numbers", "no-interior-key"])
 def test_zeros_refuses_non_finite_geometry(tmp_path, capsys, edit, names):
+    path = _edited_container(tmp_path, capsys, edit)
+    code, _, err = run_cli(capsys, "zeros", "--grid", str(path),
+                           "--out", str(tmp_path / "z.csv"))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err and names in err
+
+
+def _edited_container(tmp_path, capsys, edit):
+    """A hermite:1 container of (0, 2)^2 whose JSON header edit() changed."""
     out_dir = str(tmp_path / "run")
     run_cli(capsys, "simulate", "--window", "hermite:1", "--domain", "0,2,0,2",
             "--out", out_dir)
@@ -424,10 +433,19 @@ def test_zeros_refuses_non_finite_geometry(tmp_path, capsys, edit, names):
     path = tmp_path / "edited.gwhf"
     path.write_bytes(blob[:start] + len(edited).to_bytes(8, "little") + edited
                      + blob[start + 8 + hlen:])
-    code, _, err = run_cli(capsys, "zeros", "--grid", str(path),
-                           "--out", str(tmp_path / "z.csv"))
-    assert code == 2
-    assert err.startswith("error:") and str(path) in err and names in err
+    return path
+
+
+def test_zeros_refuses_an_interior_the_grid_does_not_meet(tmp_path, capsys):
+    # a well-formed container whose interior lies far beyond its samples:
+    # an error, not an empty CSV
+    path = _edited_container(tmp_path, capsys,
+                             lambda header: header.update(interior=[100, 101, 100, 101]))
+    csv = tmp_path / "z.csv"
+    code, _, err = run_cli(capsys, "zeros", "--grid", str(path), "--out", str(csv))
+    assert code == 2 and not csv.exists()
+    assert err.startswith("error: interior (100, 101, 100, 101) does not meet the grid, "
+                          "whose extent is (-0.2075, ")
 
 
 @pytest.mark.parametrize("name", ["kernels", "windows", "simulate", "zeros", "mc",

@@ -303,6 +303,24 @@ def test_poisson_reports_pinned():
         "86bbdd2ce8fce09326344effee8534f88ac2b8edcb18ff3ee1799b8af87ae8c6"
 
 
+@pytest.mark.parametrize("source, domain, spacing, pinned", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16,
+     "f0621999007bd0084409cf1af11f0af71e764aa2bed40af05e470ad8302a2308"),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08,
+     "e255289e26f92e5968b4acbf994fb42d48c6e56bb4aab71f006e675425bad804"),
+], ids=["stft-h1", "poly3-full"])
+def test_detector_reports_pinned(source, domain, spacing, pinned):
+    # the reports count the zeros the detector keeps in the interior, so any
+    # change of the detector that gains, loses or moves a zero across the
+    # interior's edge changes their bytes; last bits of positions do not
+    cfg = mc.McConfig(source=source, domain=domain, spacing=spacing, dt=1 / 64,
+                      n_realizations=16, seed=2718)
+    digest = hashlib.sha256()
+    for estimate in (mc.estimate_intensity, mc.estimate_charge_intensity):
+        digest.update(estimate(cfg).to_json(include_elapsed=False).encode())
+    assert digest.hexdigest() == pinned
+
+
 def test_fit_slope_is_the_inverse_variance_fit_of_the_radius_rows():
     # the R= rows give Var(R) = R empirical and its standard error R se; the
     # fit over the upper half of the radii minimizes sum ((Var - a - b R)/se)^2,

@@ -11,7 +11,7 @@ from conftest import anchored_plan, synthetic_grid
 from gwhf import simulate as S
 from gwhf import windows as W
 from gwhf import zeros as Z
-from gwhf.errors import ContainerError, ParameterError, ResolutionError
+from gwhf.errors import ContainerError, DomainError, ParameterError, ResolutionError
 
 PI = math.pi
 
@@ -32,6 +32,20 @@ def test_simple_zero_negative():
     grid = synthetic_grid(np.conj)
     (z,) = Z.detect_zeros(grid)
     assert z.charge == z.winding == z.jacobian_sign == -1
+
+
+@pytest.mark.parametrize("plane", ["gwhf", "stft"])
+def test_zeros_on_lattice_points(plane):
+    # samples exactly 0 at 0 and 0.5, both lattice points: each reads as
+    # phase 0, so its edges keep their gauged steps and each zero flags one
+    # cell.  Edge products through a vanishing sample lost both zeros.
+    orient = 1 if plane == "gwhf" else -1
+    grid = synthetic_grid(lambda z: (z - 0.5) * np.conj(z), plane=plane, offset=0j)
+    assert np.count_nonzero(grid.values == 0) == 2
+    zs = Z.detect_zeros(grid)
+    assert len(zs) == 2 and np.abs(zs.position - [0, 0.5]).max() < 1e-9
+    assert zs.charge.tolist() == zs.jacobian_sign.tolist() == [-orient, orient]
+    assert zs.refined.all() and not zs.degenerate.any()
 
 
 def test_refine_recovers_analytic_root():
@@ -201,6 +215,29 @@ def test_edge_zero_without_refinement_or_interior_cut(plane, edge):
         assert abs(offset.real % 1 - 0.5) < 1e-9 and abs(offset.imag % 1 - 0.5) < 1e-9
         assert abs(z.position - root) < grid.spacing
         assert z.charge == z.jacobian_sign == charge and not z.refined
+
+
+def test_interior_the_grid_does_not_meet_raises():
+    # the default hermite:1 grid of (0, 8)^2 spans about (-0.2, 8.2)^2; the
+    # last box lies within the two-cell pad of cells kept around an interior
+    grid = S.FieldSource({"family": "window", "window": "hermite:1"},
+                         (0, 8, 0, 8), 1 / 16, 1 / 64).realize(7)
+    for box in ((100, 101, 100, 101), (0, 8, 100, 101), (-9, -8.5, 0, 8), (8.25, 9, 0, 8)):
+        with pytest.raises(DomainError, match=r"^interior \({}, {}, {}, {}\) does not meet "
+                           r"the grid, whose extent is \(-0\.2075, ".format(*box)):
+            Z.detect_zeros(dataclasses.replace(grid, interior=box))
+
+
+def test_interior_holding_the_whole_extent_keeps_every_zero():
+    grid = S.FieldSource({"family": "window", "window": "hermite:1"},
+                         (0, 8, 0, 8), 1 / 16, 1 / 64).realize(7)
+    x0, x1, y0, y1 = grid.extent
+    whole = Z.detect_zeros(dataclasses.replace(grid, interior=None))
+    wide = Z.detect_zeros(dataclasses.replace(grid, interior=(x0 - 5, x1 + 5, y0 - 5, y1 + 5)))
+    assert len(whole) > 100
+    for name in _FIELDS:
+        got, want = getattr(wide, name), getattr(whole, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def _bilinear_cell_zero(a, b, c, d):
@@ -456,17 +493,22 @@ def _full_grid_windings(grid):
 
 @pytest.mark.parametrize("spec, domain, spacing", [
     ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1"}, (0, 2100, 0, 1), 1 / 16),
     ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-5, 5, -5, 5), 0.08),
     ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
     ({"family": "series-gef"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
-], ids=["stft-window", "gwhf-window", "polyentire-full", "series"])
+], ids=["stft-window", "stft-window-long", "gwhf-window", "polyentire-full", "series"])
 def test_windings_match_full_grid_gauge(spec, domain, spacing):
+    # the long grid's vertical edges wrap by up to spacing * max x = 131
+    # turns, more than an int8 holds
     source = S.FieldSource(spec, domain, spacing, 1 / 64)
     for r in range(3):
         grid = source.realize(61, r)
         windings = Z._plaquette_windings(grid)
         assert np.count_nonzero(windings) > 50
         assert np.array_equal(windings, _full_grid_windings(grid))
+    if domain[1] > 1000:
+        assert grid.spacing * grid.xs.max() > 128
 
 
 @pytest.fixture(scope="module", params=["stft", "gwhf"])
@@ -488,7 +530,9 @@ def _boundary_winding(grid, i0, j0, w, h):
     vals = grid.values[j, i]
     inc = np.angle(vals[1:] * np.conj(vals[:-1])
                    * np.exp(-1j * Z._edge_gauge(grid.plane, pos[:-1], pos[1:])))
-    total = inc.sum() + Z._loop_defect(grid.plane, grid.spacing) * w * h
+    # the carrier's advance around one counterclockwise plaquette, per cell
+    defect = (2.0 if grid.plane == "gwhf" else -2 * PI) * grid.spacing ** 2
+    total = inc.sum() + defect * w * h
     return int(np.rint(total / (2 * PI)))
 
 
