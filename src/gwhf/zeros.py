@@ -23,12 +23,14 @@ the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
 One call detects one grid or a block of them, all on arrays.  Each grid
-in turn gives its windings and the stencils of its flagged cells, border
-cells too (their stencils extrapolated past the grid), and is dropped.
-Then all flagged cells of the block are refined at once, by Newton on
-bicubic stencils and the cells Newton rejects by one bilinear solve; the
-merge of duplicates, the degenerate rule and the cut to grid.interior act
-within each grid.  Each zero's position and its Jacobian sign come from
+in turn gives its windings and the raw 4x4 samples around its flagged
+cells, and is dropped; the rest needs no grid's samples and runs once per
+block.  The flagged cells of all grids take their demodulated stencils in
+one pass, each from its own grid's origin, spacing, plane and size (a
+border cell's stencil is extrapolated past its grid), and are refined at
+once, by Newton on bicubic stencils and the cells Newton rejects by one
+bilinear solve; the merge of duplicates, the degenerate rule and the cut
+to grid.interior act within each grid.  Each zero's position and its Jacobian sign come from
 one interpolant of one demodulated stencil, so the sign is read at that
 interpolant's own root.  The sign is computed from the differential,
 independently of the winding; simple zeros must agree (tested, not
@@ -38,6 +40,7 @@ alone.  circle_charges needs no grid.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -98,10 +101,11 @@ class ZeroSet:
         return len(self.position)
 
     def __iter__(self) -> Iterator[ChargedZero]:
-        for p, c, r, s, d in zip(self.position.tolist(), self.charge.tolist(),
-                                 self.refined.tolist(), self.jacobian_sign.tolist(),
-                                 self.degenerate.tolist()):
-            yield ChargedZero(p, c, r, s, d)
+        # tuple.__new__ makes each named tuple from its row at C speed,
+        # without a Python-level ChargedZero.__new__ call per zero
+        return map(tuple.__new__, itertools.repeat(ChargedZero),
+                   zip(self.position.tolist(), self.charge.tolist(), self.refined.tolist(),
+                       self.jacobian_sign.tolist(), self.degenerate.tolist()))
 
 
 def _plane_orientation(grid: FieldGrid) -> int:
@@ -120,10 +124,10 @@ def _edge_gauge(plane: str, pa, pb):
     return -_TWO_PI * 0.5 * (pa.real + pb.real) * (pb.imag - pa.imag)
 
 
-def _plane_points(grid: FieldGrid, i, j, xi, eta):
-    """Plane position of the local point (xi, eta) of cell (i, j)."""
-    return (grid.origin.real + (i + xi) * grid.spacing
-            + 1j * (grid.origin.imag + (j + eta) * grid.spacing))
+def _plane_points(origin, h, i, j, xi, eta):
+    """Plane position of the local point (xi, eta) of cell (i, j) of a grid
+    of this origin and spacing h (scalars, or one per cell)."""
+    return origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
 
 
 def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
@@ -187,36 +191,59 @@ def _bicubic(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray):
     """Value, d/dxi and d/deta of the Catmull-Rom surface through each
     (4, 4) stencil (rows along eta, columns along xi, local cell [0,1]^2)
     at its own point (xi[m], eta[m]); coef is (4, M, 4), the stencils'
-    _coefficients along xi stacked, one cubic per stencil row."""
-    rows = _coefficients(_cubic(coef, xi[:, None]))
-    drows = _coefficients(_cubic_d(coef, xi[:, None]))
-    return _cubic(rows, eta), _cubic(drows, eta), _cubic_d(rows, eta)
+    _coefficients along xi stacked, one cubic per stencil row.  The value
+    and d/dxi rows take their _coefficients along eta in one pass."""
+    u = xi[:, None]
+    rows = _coefficients(np.stack([_cubic(coef, u), _cubic_d(coef, u)]))
+    f, fx = _cubic(rows, eta)
+    return f, fx, _cubic_d([a[0] for a in rows], eta)
 
 
-def _stencils(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(M, 4, 4) sample stencils around cells (i, j), the carrier relative
-    to each cell center removed when it matters.
+def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: np.ndarray,
+              h: np.ndarray, orient: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """(M, 4, 4) stencils of cells (i, j) of any grids from their raw 4x4
+    samples (_flagged_cells'), the carrier relative to each cell center
+    removed when it matters.  origin, spacing h, plane orientation (+1 on
+    the gwhf plane) and the (rows, columns) of cells are those of each
+    cell's grid.  Every step is element-wise, so a cell gets the same bits
+    in any block.
 
     The demodulation factor is unimodular (zero set unchanged), but it
     perturbs the interpolation error, so a raw stencil is kept whenever
-    the carrier varies by less than 0.05 rad across it.  A border cell's
-    stencil row or column beyond the grid is extrapolated linearly from
-    the two inside it (2 inner - next), so every cell has a stencil.
+    the carrier varies by less than 0.05 rad across its sample positions
+    (clipped to the grid).  A border cell's stencil row or column beyond
+    the grid is then extrapolated linearly from the two inside it
+    (2 inner - next), so every cell has a stencil.
     """
-    k = np.arange(-1, 3)
-    rows = np.clip(j[:, None] + k, 0, grid.ny - 1)[:, :, None]
-    cols = np.clip(i[:, None] + k, 0, grid.nx - 1)[:, None, :]
-    h = grid.spacing
-    pos = (grid.origin.real + h * cols) + 1j * (grid.origin.imag + h * rows)
-    gauge = _edge_gauge(grid.plane, _plane_points(grid, i, j, 0.5, 0.5)[:, None, None], pos)
-    raw = grid.values[rows, cols]
-    keep = np.max(np.abs(gauge), axis=(1, 2)) < 0.05
-    st = np.where(keep[:, None, None], raw, raw * np.exp(-1j * gauge))
-    for t, c, n in ((st, j, grid.ny), (st.swapaxes(1, 2), i, grid.nx)):  # rows, then columns
-        lo, hi = c == 0, c == n - 2
+    rows, cols = _stencil_indices(i, j, shape[:, 0], shape[:, 1])
+    origin, h = origin[:, None, None], h[:, None, None]
+    pos = (origin.real + h * cols) + 1j * (origin.imag + h * rows)
+    center = _plane_points(origin, h, i[:, None, None], j[:, None, None], 0.5, 0.5)
+    gauge = np.empty(pos.shape)
+    for plane, on in (("gwhf", orient > 0), ("stft", orient < 0)):  # mostly one plane
+        if on.all():
+            gauge = _edge_gauge(plane, center, pos)
+        elif on.any():
+            gauge[on] = _edge_gauge(plane, center[on], pos[on])
+    keep = (np.abs(gauge) < 0.05).all(axis=(1, 2))
+    # np.multiply, not *: numpy reuses the buffer of a large temporary right
+    # operand, and the swapped complex product differs in its last bit
+    st = np.where(keep[:, None, None], samples, np.multiply(samples, np.exp(-1j * gauge)))
+    for t, c, last in ((st, j, shape[:, 0] - 1), (st.swapaxes(1, 2), i, shape[:, 1] - 1)):
+        lo, hi = c == 0, c == last  # rows, then columns
         t[lo, 0] = 2.0 * t[lo, 1] - t[lo, 2]
         t[hi, 3] = 2.0 * t[hi, 2] - t[hi, 1]
     return st
+
+
+def _stencil_indices(i, j, last_row, last_col):
+    """(M, 4, 1) sample rows and (M, 1, 4) sample columns of the stencils of
+    cells (i, j), clipped to the grid, whose last sample row and column are
+    its numbers of rows and columns of cells (for all cells, or one each)."""
+    k = np.arange(-1, 3)
+    rows = np.minimum(np.maximum(j[:, None] + k, 0), np.reshape(last_row, (-1, 1)))
+    cols = np.minimum(np.maximum(i[:, None] + k, 0), np.reshape(last_col, (-1, 1)))
+    return rows[:, :, None], cols[:, None, :]
 
 
 def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -273,30 +300,42 @@ def _newton(stencils: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndar
     (one converged outside it stays there, so it can never become the
     zero), at a singular Jacobian, or when an iterate leaves
     [-0.75, 1.75]^2; the loop ends early once every stencil has stopped.
+
+    The loop steps a working set, the live stencils' coefficients, points,
+    thresholds and best iterates, which it compacts only on a step where
+    some stencil stops, after writing its best iterates to the result.
+    Every live stencil's step is computed, under errstate (a singular one
+    divides by zero), and read only for those that go on.
     """
     m = len(stencils)
     rms = np.sqrt(np.mean(np.abs(stencils.reshape(m, 16)) ** 2, axis=1))
-    xi, eta = np.full(m, 0.5), np.full(m, 0.5)
+    out_xi, out_eta = np.full(m, np.nan), np.full(m, np.nan)
+    live, x, y = np.arange(m), np.full(m, 0.5), np.full(m, 0.5)
+    near_f, root_f = 1e-3 * rms, 1e-12 * rms
     best_xi, best_eta, best_f = np.full(m, np.nan), np.full(m, np.nan), np.full(m, np.inf)
-    live = np.arange(m)
-    for _ in range(20):
-        if not live.size:
-            break
-        x, y = xi[live], eta[live]
-        f, fx, fy = _bicubic(coef[:, live], x, y)
-        af = np.abs(f)
-        near = ((af < 1e-3 * rms[live]) & (-_BAND <= x) & (x <= 1 + _BAND)
-                & (-_BAND <= y) & (y <= 1 + _BAND))
-        up = near & (af < best_f[live])
-        best_xi[live[up]], best_eta[live[up]], best_f[live[up]] = x[up], y[up], af[up]
-        det = fx.real * fy.imag - fx.imag * fy.real
-        go = ~(af < 1e-12 * rms[live]) & (det != 0.0)
-        live, f, fx, fy, det = live[go], f[go], fx[go], fy[go], det[go]
-        xi[live] -= (f.real * fy.imag - f.imag * fy.real) / det
-        eta[live] -= (fx.real * f.imag - fx.imag * f.real) / det
-        x, y = xi[live], eta[live]
-        live = live[(-0.75 <= x) & (x <= 1.75) & (-0.75 <= y) & (y <= 1.75)]
-    return best_xi, best_eta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(20):
+            if not live.size:
+                break
+            f, fx, fy = _bicubic(coef, x, y)
+            af = np.abs(f)
+            up = ((af < near_f) & (-_BAND <= x) & (x <= 1 + _BAND)
+                  & (-_BAND <= y) & (y <= 1 + _BAND) & (af < best_f))
+            np.copyto(best_xi, x, where=up)
+            np.copyto(best_eta, y, where=up)
+            np.copyto(best_f, af, where=up)
+            det = fx.real * fy.imag - fx.imag * fy.real
+            x = x - (f.real * fy.imag - f.imag * fy.real) / det
+            y = y - (fx.real * f.imag - fx.imag * f.real) / det
+            go = (~(af < root_f) & (det != 0.0)
+                  & (-0.75 <= x) & (x <= 1.75) & (-0.75 <= y) & (y <= 1.75))
+            if not go.all():
+                out_xi[live], out_eta[live] = best_xi, best_eta
+                coef = coef.compress(go, axis=1)  # faster than coef[:, go]
+                live, x, y, near_f, root_f, best_xi, best_eta, best_f = (
+                    a[go] for a in (live, x, y, near_f, root_f, best_xi, best_eta, best_f))
+    out_xi[live], out_eta[live] = best_xi, best_eta
+    return out_xi, out_eta
 
 
 def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
@@ -325,7 +364,7 @@ def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
     xi[~ok], eta[~ok] = _bilinear_zeros(a, b, c, d)
     fx[~ok] = b - a + (a - b + c - d) * eta[~ok]
     fy[~ok] = d - a + (a - b + c - d) * xi[~ok]
-    jac = -orient * (fx * np.conj(fy)).imag
+    jac = -orient * np.multiply(fx, np.conj(fy)).imag  # as in _stencils
     scale = np.maximum(np.maximum(np.abs(fx), np.abs(fy)), 1e-300)
     flat = np.abs(jac) < 1e-12 * scale * scale
     sign = np.where(flat, 0, np.where(jac > 0, 1, -1))
@@ -350,13 +389,12 @@ def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.
     key = (realization * (i.max(initial=0) + 2) + i) * width + j + 1
     order = np.argsort(key)
     keys = key[order]
-    found = []
-    for di, dj in ((1, -1), (1, 0), (1, 1), (0, 1)):
-        target = key + di * width + dj
-        at = np.searchsorted(keys, target).clip(max=len(keys) - 1)
-        hit = np.flatnonzero(keys[at] == target)
-        found.append(np.column_stack([hit, order[at[hit]]]))
-    pairs = np.sort(np.concatenate(found), axis=1)
+    # the forward neighbours (di, dj) = (1, -1), (1, 0), (1, 1), (0, 1) of
+    # every cell, searched at once, neighbour by neighbour
+    target = (key + np.array([width - 1, width, width + 1, 1])[:, None]).ravel()
+    at = np.searchsorted(keys, target).clip(max=len(keys) - 1)
+    hit = np.flatnonzero(keys[at] == target)
+    pairs = np.sort(np.column_stack([hit % len(key), order[at[hit]]]), axis=1)
     return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h[pairs[:, 0]]]
 
 
@@ -369,6 +407,8 @@ def _dedup(cells: list[_Cells], realization: np.ndarray, pos: np.ndarray,
     visited in realization order, so a ResolutionError carries the first
     realization that raises."""
     keep = np.ones(len(pos), dtype=bool)
+    if not len(pairs):
+        return keep
     label = np.arange(len(pos))
     while True:  # each cluster takes its smallest member as label
         low = label.copy()
@@ -401,9 +441,10 @@ def _dedup(cells: list[_Cells], realization: np.ndarray, pos: np.ndarray,
 
 class _Cells(NamedTuple):
     """What the block steps need of one grid once the grid is dropped: its
-    raw windings (kept for the merge, as small integers), origin, spacing,
-    plane orientation and interior, and the cells (i, j), plane-oriented
-    windings and stencils of its flagged cells."""
+    raw windings (kept for the merge, as small integers, one per cell),
+    origin, spacing, plane orientation and interior, and the cells (i, j),
+    plane-oriented windings and raw 4x4 samples of its flagged cells, which
+    _stencils demodulates for the whole block."""
     raw: np.ndarray
     origin: complex
     spacing: float
@@ -412,7 +453,7 @@ class _Cells(NamedTuple):
     i: np.ndarray
     j: np.ndarray
     wind: np.ndarray
-    stencils: np.ndarray
+    samples: np.ndarray
 
 
 def _flagged_cells(grid: FieldGrid) -> _Cells:
@@ -451,11 +492,11 @@ def _flagged_cells(grid: FieldGrid) -> _Cells:
     if multiple.size:
         k = multiple[0]
         raise ResolutionError(
-            f"plaquette near {_plane_points(grid, i[k], j[k], 0.5, 0.5):.4g} holds "
-            f"winding {w[k]}; halve the grid spacing")
+            f"plaquette near {_plane_points(grid.origin, h, i[k], j[k], 0.5, 0.5):.4g} "
+            f"holds winding {w[k]}; halve the grid spacing")
     orient = _plane_orientation(grid)
-    return _Cells(raw, grid.origin, h, orient, box,
-                  i, j, orient * w, _stencils(grid, i, j))
+    rows, cols = _stencil_indices(i, j, *raw.shape)
+    return _Cells(raw, grid.origin, h, orient, box, i, j, orient * w, grid.values[rows, cols])
 
 
 def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) -> ZeroSet:
@@ -474,14 +515,15 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     grid.interior (position-based, so seams do not double count), or
     anywhere in its extent when the interior is None.
 
-    Newton, the bilinear fallback and the Jacobian sign run once over the
-    flagged cells of all grids; the merge, the degenerate rule and the
-    interior cut act within each grid.  Each zero's `realization` is its
-    grid's position in the sequence, and the set is ordered by
-    (realization, imag, real); every field of a grid's zeros is the same
-    whichever sequence the grid is detected in.  A GwhfError raised for a
-    grid, or by the sequence while producing it, is raised for the first
-    grid that fails, with that grid's position as its `realization`.
+    The stencils, Newton, the bilinear fallback and the Jacobian sign run
+    once over the flagged cells of all grids; the merge, the degenerate
+    rule and the interior cut act within each grid.  Each zero's
+    `realization` is its grid's position in the sequence, and the set is
+    ordered by (realization, imag, real); every field of a grid's zeros is
+    the same whichever sequence the grid is detected in.  A GwhfError
+    raised for a grid, or by the sequence while producing it, is raised for
+    the first grid that fails, with that grid's position as its
+    `realization`.
     """
     cells, failure = [], None
     try:
@@ -495,15 +537,17 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     def joined(name, empty):  # the flagged cells of all grids, in grid order
         return np.concatenate([empty] + [getattr(c, name) for c in cells])
 
-    def per_cell(name):  # a value of each grid, repeated for each of its cells
-        return np.repeat(np.array([getattr(c, name) for c in cells]), counts, axis=0)
+    def per_cell(values):  # a value of each grid, repeated for each of its cells
+        return np.repeat(np.array(values), counts, axis=0)
 
     realization = np.repeat(np.arange(len(cells)), counts)
     i, j, wind = (joined(name, np.empty(0, int)) for name in ("i", "j", "wind"))
-    origin, h = per_cell("origin"), per_cell("spacing")
-    xi, eta, ok, sign, flat = _refine(joined("stencils", np.empty((0, 4, 4), complex)),
-                                      refine, per_cell("orient"))
-    pos = origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
+    origin, h = per_cell([c.origin for c in cells]), per_cell([c.spacing for c in cells])
+    orient = per_cell([c.orient for c in cells])
+    st = _stencils(joined("samples", np.empty((0, 4, 4), complex)), i, j, origin, h, orient,
+                   per_cell([c.raw.shape for c in cells]).reshape(-1, 2))
+    xi, eta, ok, sign, flat = _refine(st, refine, orient)
+    pos = _plane_points(origin, h, i, j, xi, eta)
     pairs = _close_pairs(pos, realization, i, j, h)
     near = np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.35 * h[pairs[:, 0]]
     keep = _dedup(cells, realization, pos, wind, pairs[near])
@@ -516,7 +560,7 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     # charge total)
     degenerate = flat.copy()
     degenerate[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]].ravel()] = True
-    x0, x1, y0, y1 = per_cell("interior").reshape(-1, 4).T
+    x0, x1, y0, y1 = per_cell([c.interior for c in cells]).reshape(-1, 4).T
     inside = keep & (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
     order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside],
                                                realization[inside]))]
@@ -592,9 +636,7 @@ def zeros_to_csv(zeros: ZeroSet, path: str) -> None:
                              "write each realization's zeros on its own")
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for p, c, r, s, d in zip(zeros.position.tolist(), zeros.charge.tolist(),
-                                 zeros.refined.tolist(), zeros.jacobian_sign.tolist(),
-                                 zeros.degenerate.tolist()):
+        for p, c, r, s, d in zeros:
             fh.write(f"{p.real:.9g},{p.imag:.9g},{c},{c},{int(r)},{s},{int(d)}\n")
 
 

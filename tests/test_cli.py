@@ -250,6 +250,25 @@ def test_verify_tau2_and_invariance(tmp_path, capsys):
             assert (out_dir / "invariance.json").read_text() == out2
 
 
+def test_verify_invariance_evaluates_the_unmodulated_window_once(monkeypatch, capsys):
+    # one rho1_stft of the window itself, then one per draw; the report is
+    # the one every draw evaluating both gave
+    calls = []
+    rho1_stft = cli.rho1_stft
+
+    def counted(*args):
+        calls.append(1)
+        return rho1_stft(*args)
+
+    monkeypatch.setattr(cli, "rho1_stft", counted)
+    code, out, _ = run_cli(capsys, "verify", "invariance", "--window",
+                           "hermite-mixture:1;0.3+0.5j;-0.2j", "-n", "10", "--seed", "3")
+    assert code == 0 and len(calls) == 11
+    assert out == ('{\n  "draws": 10,\n  "max_deviation": 3.552713678800501e-15,\n'
+                   '  "tolerance": 1e-07,\n'
+                   '  "window": "hermite-mixture:1.0+0.0j;0.3+0.5j;0.0-0.2j"\n}\n')
+
+
 def test_verify_exit_code_gates(capsys):
     # alternate convention must fail invariance for a chirped complex window
     code, out, _ = run_cli(capsys, "verify", "invariance", "--window",

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gwhf import mc, simulate, windows
+from gwhf import mc, simulate, windows, zeros
 from gwhf.errors import (DomainError, InvalidKernelError, ParameterError, PlaneError,
                          ResolutionError)
 from gwhf.simulate import FieldSource, SeriesPlan, stream
@@ -393,6 +393,23 @@ def test_detector_called_once_per_block(monkeypatch, n, threads):
     mc.estimate_intensity(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=n,
                                threads=threads))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
+def test_stencil_pass_runs_once_per_block(monkeypatch, n, threads):
+    # the stencils of all flagged cells of a block are made in one call,
+    # however many grids the block holds
+    calls = []
+    stencils = zeros._stencils
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return stencils(*args)
+
+    monkeypatch.setattr(zeros, "_stencils", counted)
+    mc.estimate_intensity(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=n,
+                               threads=threads))
+    assert len(calls) == 2 and min(calls) > 0
 
 
 @pytest.mark.parametrize("domain, spacing, center, fft", [

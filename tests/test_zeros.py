@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -387,18 +388,37 @@ def _outside_root_stencil():
     return ((u[None, :] + 0.16) + 1j * (u[:, None] - 0.5))[None]
 
 
+def _block_stencils(monkeypatch, grids):
+    """The demodulated stencils detect_zeros refines for one block of grids."""
+    seen = []
+    refine = Z._refine
+
+    def recorded(st, *args):
+        seen.append(st.copy())
+        return refine(st, *args)
+
+    monkeypatch.setattr(Z, "_refine", recorded)
+    Z.detect_zeros(grids)
+    monkeypatch.undo()
+    (st,) = seen
+    return st
+
+
 @pytest.mark.parametrize("spec, domain, spacing", [
     _STFT_H1[0:3],
     ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-6, 6, -6, 6), 0.1),
     _POLY3[0:3],
 ], ids=["stft-h1", "gwhf-h1", "poly3-full"])
-def test_newton_matches_reference_loop_bit_for_bit(spec, domain, spacing):
+def test_newton_matches_reference_loop_bit_for_bit(monkeypatch, spec, domain, spacing):
+    # the stencils of a block of 16 grids, then one whose only root lies
+    # outside the band and a constant one, whose Jacobian is 0 at the centre:
+    # its Newton step divides by zero, which must neither warn nor be read
     grids = S.FieldSource(spec, domain, spacing, 1 / 64).realize_batch(44, range(16))
-    st = np.concatenate([Z._flagged_cells(g).stencils for g in grids]
-                        + [_outside_root_stencil()])
+    st = np.concatenate([_block_stencils(monkeypatch, grids), _outside_root_stencil(),
+                         np.full((1, 4, 4), 0.3 - 0.2j)])
     xi, eta = Z._newton(st, np.stack(Z._coefficients(st)))
     ref_xi, ref_eta = _newton_reference(st)
-    assert len(st) > 500 and np.isnan(xi[:-1]).any() and np.isnan(xi[-1])
+    assert len(st) > 500 and np.isnan(xi[:-2]).any() and np.isnan(xi[-2:]).all()
     assert np.array_equal(xi, ref_xi, equal_nan=True)
     assert np.array_equal(eta, ref_eta, equal_nan=True)
 
@@ -592,6 +612,74 @@ def test_block_detection_equals_one_grid_at_a_time(spec, domain, spacing, refine
                     got, want = getattr(block, name)[mine], getattr(alone[lo + b], name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), \
                         (size, lo + b, name)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_mixed_block_equals_one_grid_at_a_time(refine):
+    # grids of both planes, of four spacings, origins and sizes in one block,
+    # the last with a zero in a border cell: each cell's stencil pass reads
+    # its own grid's geometry
+    edge = 0.99 - 0.4j
+    grids = [
+        S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 1 / 16,
+                      1 / 64).realize(63),
+        S.FieldSource({"family": "window", "window": "hermite:1", "plane": "gwhf"},
+                      (-5, 5, -5, 5), 0.08, 1 / 64).realize(63),
+        S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(63),
+        synthetic_grid(lambda z: (z + 0.31 - 0.22j) * np.conj(z - edge), plane="stft"),
+    ]
+    alone = [Z.detect_zeros(g, refine=refine) for g in grids]
+    assert all(len(zs) for zs in alone) and len({g.values.shape for g in grids}) == 4
+    assert np.abs(alone[3].position - edge).min() < 3e-3 or not refine
+    block = Z.detect_zeros(grids, refine=refine)
+    assert block.realization.tolist() == sum(([r] * len(zs) for r, zs in enumerate(alone)), [])
+    for name in _FIELDS:
+        want = np.concatenate([getattr(zs, name) for zs in alone])
+        got = getattr(block, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("spec, domain, spacing, pinned", [
+    (*_STFT_H1, "f58c8e0a7b9956ab94b01248aea524fac0fe713143b5f215903dca2cb94f6b11"),
+    (*_POLY3, "c74faf3ab60cd3cdff52ce6621d1177ad7c2b68d4b90923de10cc30dd053b164"),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-5, 5, -5, 5), 0.08,
+     "2dd383debd04b38ad880a5b5270c59f439553747b48062cc0ed0a4d058b451c8"),
+    ({"family": "series-gef"}, (-6.5, 6.5, -6.5, 6.5), 0.08,
+     "f520d412779bdf7057c8cddb92cdd7ee3ea5d0e650d0906d521418e36399d253"),
+], ids=["stft-h1", "poly3-full", "gwhf-window", "series"])
+def test_detector_bytes_pinned(spec, domain, spacing, pinned):
+    # every bit of every field of 16 realizations' zeros, dtypes included:
+    # a change of the detector that moves a position in its last bit, or
+    # changes no count, changes the digest.  One call of 16 stft-plane grids
+    # holds over 1,024 flagged cells, more than numpy needs to start reusing
+    # the buffers of temporaries; the digests were taken one stencil pass
+    # per grid, below that size
+    grids = S.FieldSource(spec, domain, spacing, 1 / 64).realize_batch(2718, range(16))
+    zs = Z.detect_zeros(grids)
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(zs):
+        column = getattr(zs, f.name)
+        digest.update(f"{f.name} {column.dtype.str} ".encode() + column.tobytes())
+    assert digest.hexdigest() == pinned
+
+
+def test_iterating_a_zero_set_gives_charged_zeros():
+    # an empty set, one grid and a block of three: each zero is the
+    # ChargedZero built field by field from its row
+    grids = list(S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1)
+                 .realize_batch(5, range(3)))
+    sets = [Z.detect_zeros(grids[:0]), Z.detect_zeros(grids[0]), Z.detect_zeros(grids)]
+    assert len(sets[0]) == 0 and 10 < len(sets[1]) < len(sets[2])
+    for zs in sets:
+        got = list(zs)
+        assert len(got) == len(zs)
+        for k, z in enumerate(got):
+            want = Z.ChargedZero(position=complex(zs.position[k]), charge=int(zs.charge[k]),
+                                 refined=bool(zs.refined[k]),
+                                 jacobian_sign=int(zs.jacobian_sign[k]),
+                                 degenerate=bool(zs.degenerate[k]))
+            assert type(z) is Z.ChargedZero and z == want and z.winding == z.charge
+            assert [type(v) for v in z] == [complex, int, bool, int, bool]
 
 
 def test_block_error_names_the_first_grid_that_fails():
