@@ -62,6 +62,8 @@ class McConfig:
         if self.n_realizations < 2:
             raise ParameterError(f"n_realizations = {self.n_realizations}: "
                                  "need at least 2 realizations")
+        if not all(_is_number(r) for r in self.radii):
+            raise ParameterError(f"radii {list(self.radii)} must be numbers")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ParameterError(f"radii {list(self.radii)} must be strictly increasing")
         if not all(r > 0 for r in self.radii):

@@ -152,9 +152,9 @@ def _check_domain(domain) -> tuple[float, float, float, float]:
 
 
 def _check_spacing(spacing: float) -> None:
-    """ParameterError unless the grid spacing is positive and finite."""
-    if not 0 < spacing < math.inf:
-        raise ParameterError(f"spacing {spacing} must be positive and finite")
+    """ParameterError unless the grid spacing is a positive finite number."""
+    if not (_is_number(spacing) and 0 < spacing < math.inf):
+        raise ParameterError(f"spacing {spacing!r} must be positive and finite")
 
 
 def _check_grid_size(nx: int, ny: int, spacing: float, domain, margin: float) -> None:
@@ -317,8 +317,8 @@ class StftPlan:
             raise PlaneError(f"unknown plane {plane!r}")
         box = _check_domain(domain)
         _check_spacing(spacing)
-        if not dt > 0:
-            raise ParameterError(f"dt {dt} must be positive")
+        if not (_is_number(dt) and dt > 0):
+            raise ParameterError(f"dt {dt!r} must be positive")
         freq = max(w.freq_radius for w in windows)
         T = max(w.support_radius for w in windows)
         if dt > 1.0 / (8.0 * freq):

@@ -22,21 +22,21 @@ and the charge is the orientation sign of F as a planar map; spectrogram
 the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
-One call detects one grid or a block of them, all on arrays.  Each grid
-in turn gives its windings and the raw 4x4 samples around its flagged
-cells, and is dropped; the rest needs no grid's samples and runs once per
-block.  The flagged cells of all grids take their demodulated stencils in
-one pass, each from its own grid's origin, spacing, plane and size (a
-border cell's stencil is extrapolated past its grid), and are refined at
+One call detects one grid or a block of grids on one lattice (origin,
+spacing, plane, size and interior), all on arrays.  Each grid in turn
+gives its windings and the raw 4x4 samples around its flagged cells, and
+is dropped; the rest needs no grid's samples and runs once per block.  The
+flagged cells of all grids take their demodulated stencils in one pass (a
+border cell's stencil is extrapolated past the grid), and are refined at
 once, by Newton on bicubic stencils and the cells Newton rejects by one
-bilinear solve; the merge of duplicates, the degenerate rule and the cut
-to grid.interior act within each grid.  Each zero's position and its Jacobian sign come from
-one interpolant of one demodulated stencil, so the sign is read at that
-interpolant's own root.  The sign is computed from the differential,
-independently of the winding; simple zeros must agree (tested, not
-assumed).  The zeros of a block are one ZeroSet of parallel arrays with a
-realization column, each grid's zeros the same as when it is detected
-alone.  circle_charges needs no grid.
+bilinear solve; the merge of duplicates and the degenerate rule act within
+each grid, the cut to grid.interior on all at once.  Each zero's position
+and its Jacobian sign come from one interpolant of one demodulated
+stencil, so the sign is read at that interpolant's own root.  The sign is
+computed from the differential, independently of the winding; simple
+zeros must agree (tested, not assumed).  The zeros of a block are one
+ZeroSet of parallel arrays with a realization column, each grid's zeros
+the same as when it is detected alone.  circle_charges needs no grid.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContainerError, DomainError, GwhfError, ResolutionError
+from .errors import ContainerError, DomainError, GwhfError, ParameterError, ResolutionError
 from .simulate import FieldGrid
 
 __all__ = [
@@ -108,10 +108,6 @@ class ZeroSet:
                        self.jacobian_sign.tolist(), self.degenerate.tolist()))
 
 
-def _plane_orientation(grid: FieldGrid) -> int:
-    return 1 if grid.plane == "gwhf" else -1
-
-
 def _edge_gauge(plane: str, pa, pb):
     """Deterministic carrier phase advance along the edge pa -> pb.
 
@@ -126,7 +122,7 @@ def _edge_gauge(plane: str, pa, pb):
 
 def _plane_points(origin, h, i, j, xi, eta):
     """Plane position of the local point (xi, eta) of cell (i, j) of a grid
-    of this origin and spacing h (scalars, or one per cell)."""
+    of this origin and spacing h."""
     return origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
 
 
@@ -199,14 +195,13 @@ def _bicubic(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray):
     return f, fx, _cubic_d([a[0] for a in rows], eta)
 
 
-def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: np.ndarray,
-              h: np.ndarray, orient: np.ndarray, shape: np.ndarray) -> np.ndarray:
-    """(M, 4, 4) stencils of cells (i, j) of any grids from their raw 4x4
-    samples (_flagged_cells'), the carrier relative to each cell center
-    removed when it matters.  origin, spacing h, plane orientation (+1 on
-    the gwhf plane) and the (rows, columns) of cells are those of each
-    cell's grid.  Every step is element-wise, so a cell gets the same bits
-    in any block.
+def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: complex, h: float,
+              plane: str, shape: tuple[int, int]) -> np.ndarray:
+    """(M, 4, 4) stencils of cells (i, j) of grids of one lattice, of this
+    origin, spacing h, plane and (rows, columns) of cells, from their raw
+    4x4 samples (_flagged_cells'), the carrier relative to each cell center
+    removed when it matters.  Every step is element-wise, so a cell gets the
+    same bits in any block.
 
     The demodulation factor is unimodular (zero set unchanged), but it
     perturbs the interpolation error, so a raw stencil is kept whenever
@@ -215,21 +210,15 @@ def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: np.ndar
     the grid is then extrapolated linearly from the two inside it
     (2 inner - next), so every cell has a stencil.
     """
-    rows, cols = _stencil_indices(i, j, shape[:, 0], shape[:, 1])
-    origin, h = origin[:, None, None], h[:, None, None]
+    rows, cols = _stencil_indices(i, j, *shape)
     pos = (origin.real + h * cols) + 1j * (origin.imag + h * rows)
     center = _plane_points(origin, h, i[:, None, None], j[:, None, None], 0.5, 0.5)
-    gauge = np.empty(pos.shape)
-    for plane, on in (("gwhf", orient > 0), ("stft", orient < 0)):  # mostly one plane
-        if on.all():
-            gauge = _edge_gauge(plane, center, pos)
-        elif on.any():
-            gauge[on] = _edge_gauge(plane, center[on], pos[on])
+    gauge = _edge_gauge(plane, center, pos)
     keep = (np.abs(gauge) < 0.05).all(axis=(1, 2))
     # np.multiply, not *: numpy reuses the buffer of a large temporary right
     # operand, and the swapped complex product differs in its last bit
     st = np.where(keep[:, None, None], samples, np.multiply(samples, np.exp(-1j * gauge)))
-    for t, c, last in ((st, j, shape[:, 0] - 1), (st.swapaxes(1, 2), i, shape[:, 1] - 1)):
+    for t, c, last in ((st, j, shape[0] - 1), (st.swapaxes(1, 2), i, shape[1] - 1)):
         lo, hi = c == 0, c == last  # rows, then columns
         t[lo, 0] = 2.0 * t[lo, 1] - t[lo, 2]
         t[hi, 3] = 2.0 * t[hi, 2] - t[hi, 1]
@@ -239,10 +228,10 @@ def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: np.ndar
 def _stencil_indices(i, j, last_row, last_col):
     """(M, 4, 1) sample rows and (M, 1, 4) sample columns of the stencils of
     cells (i, j), clipped to the grid, whose last sample row and column are
-    its numbers of rows and columns of cells (for all cells, or one each)."""
+    its numbers of rows and columns of cells."""
     k = np.arange(-1, 3)
-    rows = np.minimum(np.maximum(j[:, None] + k, 0), np.reshape(last_row, (-1, 1)))
-    cols = np.minimum(np.maximum(i[:, None] + k, 0), np.reshape(last_col, (-1, 1)))
+    rows = np.clip(j[:, None] + k, 0, last_row)
+    cols = np.clip(i[:, None] + k, 0, last_col)
     return rows[:, :, None], cols[:, None, :]
 
 
@@ -338,11 +327,11 @@ def _newton(stencils: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out_xi, out_eta
 
 
-def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
+def _refine(st: np.ndarray, newton: bool, orient: int):
     """Local position (xi, eta), refined flag, Jacobian sign and degenerate
     flag of the zero of each flagged cell, all read from one interpolant of
     the cell's demodulated stencil st[m]; orient is the plane orientation of
-    each cell's grid.
+    the cells' lattice, +1 on the gwhf plane.
 
     Newton zeros take their gradient from the bicubic surface at their own
     root.  Cells Newton rejects take the root of the bilinear interpolant of
@@ -372,10 +361,10 @@ def _refine(st: np.ndarray, newton: bool, orient: np.ndarray):
 
 
 def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 h: np.ndarray) -> np.ndarray:
+                 h: float) -> np.ndarray:
     """(K, 2) index pairs a < b of one realization with
-    |pos[a] - pos[b]| < 0.75 h[a], h being each candidate's grid spacing:
-    every pair that either close-pair rule can use, from the cell lattice.
+    |pos[a] - pos[b]| < 0.75 h, h being the grids' spacing: every pair that
+    either close-pair rule can use, from the cell lattice.
 
     Candidate m is the one root of flagged cell (i[m], j[m]) of its
     realization, and lies within _BAND cells of that cell.  Two candidates
@@ -395,17 +384,19 @@ def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.
     at = np.searchsorted(keys, target).clip(max=len(keys) - 1)
     hit = np.flatnonzero(keys[at] == target)
     pairs = np.sort(np.column_stack([hit % len(key), order[at[hit]]]), axis=1)
-    return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h[pairs[:, 0]]]
+    return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h]
 
 
-def _dedup(cells: list[_Cells], realization: np.ndarray, pos: np.ndarray,
-           wind: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _dedup(raws: list[np.ndarray], origin: complex, h: float, orient: int,
+           realization: np.ndarray, pos: np.ndarray, wind: np.ndarray,
+           pairs: np.ndarray) -> np.ndarray:
     """Keep-mask over candidates that merges those closer than 0.35 spacing
     (knife-edge zeros claimed by both adjacent cells): the net raw winding
-    of the 2x2 block of cells around each cluster decides the surviving
-    winding(s).  pairs are the close pairs of _close_pairs; clusters are
-    visited in realization order, so a ResolutionError carries the first
-    realization that raises."""
+    of the 2x2 block of cells around each cluster, read from its grid's raw
+    windings raws[r] on the lattice of this origin, spacing h and plane
+    orientation, decides the surviving winding(s).  pairs are the close
+    pairs of _close_pairs; clusters are visited in realization order, so a
+    ResolutionError carries the first realization that raises."""
     keep = np.ones(len(pos), dtype=bool)
     if not len(pairs):
         return keep
@@ -418,7 +409,7 @@ def _dedup(cells: list[_Cells], realization: np.ndarray, pos: np.ndarray,
         label = low
     for root in np.unique(label[pairs[:, 0]]):
         r = int(realization[root])
-        raw, origin, h, orient = cells[r][:4]
+        raw = raws[r]
         members = np.flatnonzero(label == root)
         center = np.mean(pos[members])
         i0 = int(round((center.real - origin.real) / h)) - 1
@@ -439,27 +430,11 @@ def _dedup(cells: list[_Cells], realization: np.ndarray, pos: np.ndarray,
     return keep
 
 
-class _Cells(NamedTuple):
-    """What the block steps need of one grid once the grid is dropped: its
-    raw windings (kept for the merge, as small integers, one per cell),
-    origin, spacing, plane orientation and interior, and the cells (i, j),
-    plane-oriented windings and raw 4x4 samples of its flagged cells, which
-    _stencils demodulates for the whole block."""
-    raw: np.ndarray
-    origin: complex
-    spacing: float
-    orient: int
-    interior: tuple[float, float, float, float]
-    i: np.ndarray
-    j: np.ndarray
-    wind: np.ndarray
-    samples: np.ndarray
-
-
-def _flagged_cells(grid: FieldGrid) -> _Cells:
-    """The _Cells of one grid.  A cell with |winding| >= 2 raises
-    ResolutionError, and an interior that does not meet the grid's extent
-    raises DomainError."""
+def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], slice, slice]:
+    """The statistics box of the grid's lattice (its interior, or its extent
+    when that is None) and the rows and columns of the cells that can hold a
+    zero in it.  An interior that does not meet the extent raises
+    DomainError."""
     box = grid.extent if grid.interior is None else grid.interior
     x0, x1, y0, y1 = box
     ex0, ex1, ey0, ey1 = grid.extent
@@ -480,29 +455,37 @@ def _flagged_cells(grid: FieldGrid) -> _Cells:
                             & (grid.origin.real + i_arr * h <= x1 + 2 * h))
     keep_j = np.flatnonzero((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
                             & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
+    return box, slice(keep_j[0], keep_j[-1] + 1), slice(keep_i[0], keep_i[-1] + 1)
+
+
+def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarray, ...]:
+    """The raw windings of one grid (kept for the merge, as small integers,
+    one per cell) and the cells (i, j), raw windings and raw 4x4 samples of
+    its flagged cells among the rows and columns of cells given.  A cell
+    with |winding| >= 2 raises ResolutionError."""
     raw = _plaquette_windings(grid)
     # one flat search of a boolean block: numpy finds nonzero entries of a
     # 1-d boolean array an order of magnitude faster than of a 2-d one
-    flagged = raw[keep_j[0]:keep_j[-1] + 1, keep_i[0]:keep_i[-1] + 1] != 0
+    flagged = raw[rows, cols] != 0
     j, i = np.divmod(np.flatnonzero(flagged), flagged.shape[1])
-    i += keep_i[0]
-    j += keep_j[0]
+    i += cols.start
+    j += rows.start
     w = raw[j, i].astype(int)
     multiple = np.flatnonzero(np.abs(w) >= 2)
     if multiple.size:
         k = multiple[0]
-        raise ResolutionError(
-            f"plaquette near {_plane_points(grid.origin, h, i[k], j[k], 0.5, 0.5):.4g} "
-            f"holds winding {w[k]}; halve the grid spacing")
-    orient = _plane_orientation(grid)
-    rows, cols = _stencil_indices(i, j, *raw.shape)
-    return _Cells(raw, grid.origin, h, orient, box, i, j, orient * w, grid.values[rows, cols])
+        center = _plane_points(grid.origin, grid.spacing, i[k], j[k], 0.5, 0.5)
+        raise ResolutionError(f"plaquette near {center:.4g} holds winding {w[k]}; "
+                              "halve the grid spacing")
+    sample_rows, sample_cols = _stencil_indices(i, j, *raw.shape)
+    return raw, i, j, w, grid.values[sample_rows, sample_cols]
 
 
 def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) -> ZeroSet:
-    """All charged zeros of one grid, or of each grid of a sequence (read
-    one at a time: no grid is held once its cells are gathered),
-    attributed by refined position.  A single grid is a sequence of one.
+    """All charged zeros of one grid, or of each grid of a sequence on one
+    lattice (read one at a time: no grid is held once its cells are
+    gathered), attributed by refined position.  A single grid is a sequence
+    of one.
 
     Each plaquette's gauged phase circulation is summed along the
     plane-oriented loop; one unit of winding flags one zero.  A cell with
@@ -515,9 +498,11 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     grid.interior (position-based, so seams do not double count), or
     anywhere in its extent when the interior is None.
 
-    The stencils, Newton, the bilinear fallback and the Jacobian sign run
-    once over the flagged cells of all grids; the merge, the degenerate
-    rule and the interior cut act within each grid.  Each zero's
+    Every grid shares the first grid's origin, spacing, plane, sample shape
+    and interior; a grid on another lattice raises ParameterError.  The
+    stencils, Newton, the bilinear fallback, the Jacobian sign and the
+    interior cut run once over the flagged cells of all grids; the merge
+    and the degenerate rule act within each grid.  Each zero's
     `realization` is its grid's position in the sequence, and the set is
     ordered by (realization, imag, real); every field of a grid's zeros is
     the same whichever sequence the grid is detected in.  A GwhfError
@@ -525,32 +510,38 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     the first grid that fails, with that grid's position as its
     `realization`.
     """
-    cells, failure = [], None
+    lattice, raws, cells, failure = None, [], [], None
     try:
         for grid in [grids] if isinstance(grids, FieldGrid) else grids:
-            cells.append(_flagged_cells(grid))
+            key = grid.origin, grid.spacing, grid.plane, grid.values.shape, grid.interior
+            if lattice is None:
+                lattice, (box, rows, cols) = key, _kept_cells(grid)
+            elif key != lattice:
+                names = ("origin", "spacing", "plane", "sample shape", "interior")
+                raise ParameterError(f"grid {len(raws)} is not on the lattice of grid 0: "
+                                     + "; ".join(f"{n} {b!r}, not {a!r}" for n, a, b
+                                                 in zip(names, lattice, key) if a != b))
+            raw, *flagged = _flagged_cells(grid, rows, cols)
+            raws.append(raw)
+            cells.append(flagged)
             del grid  # hold no grid past its gather
     except GwhfError as exc:
-        exc.realization, failure = len(cells), exc
-    counts = [len(c.i) for c in cells]
-
-    def joined(name, empty):  # the flagged cells of all grids, in grid order
-        return np.concatenate([empty] + [getattr(c, name) for c in cells])
-
-    def per_cell(values):  # a value of each grid, repeated for each of its cells
-        return np.repeat(np.array(values), counts, axis=0)
-
-    realization = np.repeat(np.arange(len(cells)), counts)
-    i, j, wind = (joined(name, np.empty(0, int)) for name in ("i", "j", "wind"))
-    origin, h = per_cell([c.origin for c in cells]), per_cell([c.spacing for c in cells])
-    orient = per_cell([c.orient for c in cells])
-    st = _stencils(joined("samples", np.empty((0, 4, 4), complex)), i, j, origin, h, orient,
-                   per_cell([c.raw.shape for c in cells]).reshape(-1, 2))
+        exc.realization, failure = len(raws), exc
+    if not raws:
+        if failure is not None:
+            raise failure
+        return ZeroSet(*(np.empty(0, t) for t in (complex, int, bool, int, bool, int)))
+    origin, h, plane = lattice[:3]
+    orient = 1 if plane == "gwhf" else -1
+    realization = np.repeat(np.arange(len(cells)), [len(c[0]) for c in cells])
+    i, j, w, samples = (np.concatenate(column) for column in zip(*cells))
+    wind = orient * w
+    st = _stencils(samples, i, j, origin, h, plane, raws[0].shape)
     xi, eta, ok, sign, flat = _refine(st, refine, orient)
     pos = _plane_points(origin, h, i, j, xi, eta)
     pairs = _close_pairs(pos, realization, i, j, h)
-    near = np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.35 * h[pairs[:, 0]]
-    keep = _dedup(cells, realization, pos, wind, pairs[near])
+    near = np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.35 * h
+    keep = _dedup(raws, origin, h, orient, realization, pos, wind, pairs[near])
     if failure is not None:
         raise failure
     # zeros with a partner closer than three quarters of a cell are below
@@ -560,7 +551,7 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     # charge total)
     degenerate = flat.copy()
     degenerate[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]].ravel()] = True
-    x0, x1, y0, y1 = per_cell([c.interior for c in cells]).reshape(-1, 4).T
+    x0, x1, y0, y1 = box
     inside = keep & (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
     order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside],
                                                realization[inside]))]

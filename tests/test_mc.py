@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -226,6 +227,12 @@ def test_config_validation():
         _cfg(radii=(3.0, 1.0))
     with pytest.raises(ParameterError, match=r"radii \[1.0, 1.0\] must be strictly increasing"):
         _cfg(radii=(1.0, 1.0))
+    for radii in (("a",), (1.0, True)):
+        with pytest.raises(ParameterError, match=re.escape(f"radii {list(radii)} must be numbers")):
+            _cfg(radii=radii)
+    for spacing in ("x", True):
+        with pytest.raises(ParameterError, match=f"spacing {spacing!r} must be positive"):
+            mc.estimate_intensity(_cfg(spacing=spacing))
     with pytest.raises(ParameterError, match="regresion"):
         _cfg(convention="regresion")
     with pytest.raises(ParameterError, match="threads = 0"):

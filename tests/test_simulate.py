@@ -370,6 +370,10 @@ def test_realize_and_stream_reject_bad_inputs_with_parameter_error(hermites):
         plan.realize([S.stream(35, 0, k) for k in range(3)])
     with pytest.raises(ParameterError, match="seed -1"):
         S.stream(-1)
+    for spacing, dt, refused in (("x", 1 / 64, "spacing 'x'"), (True, 1 / 64, "spacing True"),
+                                 (1 / 16, "x", "dt 'x'"), (1 / 16, True, "dt True")):
+        with pytest.raises(ParameterError, match=refused):
+            S.StftPlan(hermites[0], (0, 2, 0, 2), spacing, dt)
 
 
 def test_gwhf_plane_plan_matches_mapped_grid(hermites):
@@ -493,9 +497,9 @@ def test_series_field_deterministic_and_rule():
         S.FieldSource({"family": "series-gef", "n_terms": 20}, (-3, 3, -3, 3), 0.1).realize(4)
 
 
-@pytest.mark.parametrize("spacing", [math.inf, 0.0, -0.5, math.nan])
+@pytest.mark.parametrize("spacing", [math.inf, 0.0, -0.5, math.nan, "x", True])
 def test_series_plan_refuses_spacing_not_positive_and_finite(spacing):
-    with pytest.raises(ParameterError, match=f"spacing {spacing} must be positive and finite"):
+    with pytest.raises(ParameterError, match=f"spacing {spacing!r} must be positive and finite"):
         S.SeriesPlan((0, 4, 0, 4), spacing)
 
 

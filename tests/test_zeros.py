@@ -441,30 +441,32 @@ def test_newton_stops_at_a_root_outside_the_band(monkeypatch):
 def _all_close_pairs(pos, realization, h):
     """The pairs _close_pairs must give, from every pair of candidates."""
     a, b = np.triu_indices(len(pos), 1)
-    close = (realization[a] == realization[b]) & (np.abs(pos[a] - pos[b]) < 0.75 * h[a])
+    close = (realization[a] == realization[b]) & (np.abs(pos[a] - pos[b]) < 0.75 * h)
     return np.column_stack([a[close], b[close]])
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_close_pairs_match_all_pairs(seed):
-    # realizations of different sizes, spacings and origins, two of them on
-    # one geometry; one candidate in each of most cells, anywhere in the band
-    # Newton accepts around its cell, the band's edges included; candidates
-    # in random order
+    # four realizations on one lattice, its size, spacing and origin drawn;
+    # one candidate in each of most cells, anywhere in the band Newton
+    # accepts around its cell, the band's edges included; candidates in
+    # random order
     rng = np.random.default_rng(seed)
     band = Z._BAND
+    nx, ny = rng.integers(4, 10, size=2)
+    h = rng.choice([0.1, 0.25, 1 / 16])
+    origin = complex(*rng.uniform(-2.0, 2.0, size=2))
     parts = []
-    for r, (nx, ny, origin, h) in enumerate([(7, 5, -1.3 + 0.4j, 0.1), (4, 9, 2.0 - 1.0j, 0.25),
-                                             (6, 6, 0j, 1 / 16), (6, 6, 0j, 1 / 16)]):
+    for r in range(4):
         j, i = np.divmod(np.flatnonzero(rng.uniform(size=nx * ny) < 0.6), nx)
         xi, eta = rng.uniform(-band, 1 + band, size=(2, len(i)))
         edge = rng.uniform(size=(2, len(i))) < 0.2
         xi[edge[0]], eta[edge[1]] = (rng.choice([-band, 1 + band], size=k) for k in edge.sum(1))
         pos = origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
-        parts.append((np.full(len(i), r), i, j, np.full(len(i), h), pos))
+        parts.append((np.full(len(i), r), i, j, pos))
     columns = [np.concatenate(col) for col in zip(*parts)]
     shuffle = rng.permutation(len(columns[0]))
-    realization, i, j, h, pos = (col[shuffle] for col in columns)
+    realization, i, j, pos = (col[shuffle] for col in columns)
     ref = _all_close_pairs(pos, realization, h)
     got = Z._close_pairs(pos, realization, i, j, h)
     assert len(ref) > 10
@@ -614,29 +616,47 @@ def test_block_detection_equals_one_grid_at_a_time(spec, domain, spacing, refine
                         (size, lo + b, name)
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_mixed_block_equals_one_grid_at_a_time(refine):
-    # grids of both planes, of four spacings, origins and sizes in one block,
-    # the last with a zero in a border cell: each cell's stencil pass reads
-    # its own grid's geometry
+@pytest.mark.parametrize("refine, pinned", [
+    (True, "6eb36c4d8553c304fc793c3b8262d3d0f0aa6862420e4c644ea318968ea01b38"),
+    (False, "671bb5c921f6defb671208e89e036a3437ade143cbba0203c0dbb3b66a78370b"),
+], ids=["refine", "no-refine"])
+def test_block_refuses_a_grid_on_another_lattice(refine, pinned):
+    # grid k of a block differs from grid 0 in one of plane, spacing,
+    # origin, size and interior, or in all (grids of other sources, the
+    # last with a zero in a border cell): the block is refused with k as
+    # the realization.  Detected alone, each grid gives the zeros it gave
+    # when one block could mix lattices, every bit of every field pinned
     edge = 0.99 - 0.4j
+    g = S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 1 / 16,
+                      1 / 64).realize(63)
     grids = [
-        S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 1 / 16,
-                      1 / 64).realize(63),
+        g,
+        dataclasses.replace(g, plane="gwhf"),
+        dataclasses.replace(g, spacing=g.spacing * 1.25),
+        dataclasses.replace(g, origin=g.origin + 0.25j),
+        dataclasses.replace(g, values=g.values[:, :-3]),
+        dataclasses.replace(g, interior=(1.0, 3.0, 1.0, 3.0)),
         S.FieldSource({"family": "window", "window": "hermite:1", "plane": "gwhf"},
                       (-5, 5, -5, 5), 0.08, 1 / 64).realize(63),
         S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(63),
         synthetic_grid(lambda z: (z + 0.31 - 0.22j) * np.conj(z - edge), plane="stft"),
     ]
-    alone = [Z.detect_zeros(g, refine=refine) for g in grids]
-    assert all(len(zs) for zs in alone) and len({g.values.shape for g in grids}) == 4
-    assert np.abs(alone[3].position - edge).min() < 3e-3 or not refine
-    block = Z.detect_zeros(grids, refine=refine)
-    assert block.realization.tolist() == sum(([r] * len(zs) for r, zs in enumerate(alone)), [])
-    for name in _FIELDS:
-        want = np.concatenate([getattr(zs, name) for zs in alone])
-        got = getattr(block, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    named = ["plane", "spacing", "origin", "sample shape", "interior"] + ["spacing"] * 3
+    for k, (other, name) in enumerate(zip(grids[1:], named), start=1):
+        with pytest.raises(ParameterError,
+                           match=rf"^grid {k} is not on the lattice of grid 0: (.*; )?{name} "
+                           ) as info:
+            Z.detect_zeros([g] * k + [other, g], refine=refine)
+        assert info.value.realization == k
+    alone = [Z.detect_zeros(grid, refine=refine) for grid in grids]
+    assert all(len(zs) for zs in alone)
+    assert np.abs(alone[-1].position - edge).min() < 3e-3 or not refine
+    digest = hashlib.sha256()
+    for zs in alone:
+        for f in dataclasses.fields(zs):
+            column = getattr(zs, f.name)
+            digest.update(f"{f.name} {column.dtype.str} ".encode() + column.tobytes())
+    assert digest.hexdigest() == pinned
 
 
 @pytest.mark.parametrize("spec, domain, spacing, pinned", [
@@ -686,7 +706,7 @@ def test_block_error_names_the_first_grid_that_fails():
     # a grid the sequence fails to make, and a double zero the merge
     # refuses: the error raised is that of the earliest failing grid, whose
     # position it carries; grids after it are never read
-    good, double = synthetic_grid(lambda z: z), synthetic_grid(lambda z: z * z, n=21)
+    good, double = (synthetic_grid(f, n=21) for f in (lambda z: z, lambda z: z * z))
 
     def grids(*kinds):
         for kind in kinds:
