@@ -1,8 +1,11 @@
 """Monte Carlo verification harness.
 
-Runs batches of field realizations, extracts charged zeros, and compares
-empirical statistics (zero density, signed charge density, charge variance
-in growing disks) against the closed-form predictions.  Every realization
+Runs batches of field realizations and compares empirical statistics
+against the closed-form predictions: the zero density from the charged
+zeros the detector extracts, the signed charge density from the net charge
+of the lattice rectangle in the interior, read from the field on its four
+edges alone by the argument principle (no grid, no detector), and the
+charge variance in growing disks.  Every realization
 draws from a counter-based stream keyed by (seed, realization, component),
 so reports are deterministic and independent of the thread count; the
 per-realization statistics are stored and reduced in fixed order.
@@ -29,7 +32,7 @@ from .kernels import DEFAULT_CONVENTION, _check_convention
 from .simulate import (FieldSource, SeriesPlan, _check_domain, _is_number, source_from_spec,
                        stream)
 from .windows import Window
-from .zeros import circle_charges, detect_zeros
+from .zeros import circle_charges, detect_zeros, rectangle_charges
 
 __all__ = ["McConfig", "McItem", "McReport",
            "estimate_intensity", "estimate_charge_intensity",
@@ -241,32 +244,62 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _per_area(cfg: McConfig, quantity: str, stat, theory_of) -> McReport:
-    """Mean of stat(zeros) per realization per unit area, against theory_of(source)."""
-    t0 = time.time()
-    source = _source(cfg)
-    theory = theory_of(source)
-    x0, x1, y0, y1 = source.interior
-    area = (x1 - x0) * (y1 - y0)
-    values = np.array(_map_realizations(
-        cfg, lambda rs: (stat(*pc) for pc in _block_points(source, cfg, rs))), dtype=float)
+def _per_area(cfg: McConfig, quantity: str, t0: float, values: list, area: float,
+              theory: float, notes: list[str]) -> McReport:
+    """The report of the mean of values, one per realization, per unit area,
+    against theory."""
+    values = np.array(values, dtype=float)
     mean = float(np.mean(values)) / area
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) / area
     item = McItem(label=quantity, empirical=mean, se=se, theory=theory)
     return McReport(quantity=quantity, items=[item], config=cfg.as_dict(),
-                    elapsed_s=time.time() - t0, notes=list(source.notes))
+                    elapsed_s=time.time() - t0, notes=notes)
+
+
+def _area(box: tuple[float, float, float, float]) -> float:
+    x0, x1, y0, y1 = box
+    return (x1 - x0) * (y1 - y0)
 
 
 def estimate_intensity(cfg: McConfig) -> McReport:
     """Mean interior zero count per unit area, against the closed formula."""
-    return _per_area(cfg, "density", lambda pos, chg: chg.size,
-                     lambda source: source.density(cfg.convention))
+    t0 = time.time()
+    source = _source(cfg)
+    theory = source.density(cfg.convention)
+    counts = _map_realizations(
+        cfg, lambda rs: (chg.size for _, chg in _block_points(source, cfg, rs)))
+    return _per_area(cfg, "density", t0, counts, _area(source.interior), theory,
+                     list(source.notes))
 
 
 def estimate_charge_intensity(cfg: McConfig) -> McReport:
-    """Mean signed charge per unit area; theory is kernel-independent."""
-    return _per_area(cfg, "charge_density", lambda pos, chg: int(chg.sum()),
-                     lambda source: source.charge_density)
+    """Mean signed charge per unit area; theory is kernel-independent.
+
+    A field source counts the net charge of its lattice rectangle, the grid
+    points of its lattice in the interior, and divides by that rectangle's
+    area.  The charge is read from the field on the rectangle's four edges
+    alone (FieldSource.edges_batch), by the argument principle
+    (zeros.rectangle_charges): no grid, no detector.  It equals the sum of
+    the plaquette windings of the rectangle's cells, the charge detect_zeros
+    would attribute to them.  A note names the rectangle.  The Poisson
+    control sums the charges of its points in the interior.
+    """
+    t0 = time.time()
+    source = _source(cfg)
+    if isinstance(source, _PoissonControl):
+        charges = _map_realizations(
+            cfg, lambda rs: (int(chg.sum()) for _, chg in _block_points(source, cfg, rs)))
+        return _per_area(cfg, "charge_density", t0, charges, _area(source.interior),
+                         source.charge_density, list(source.notes))
+    rect = source.plan.rectangle
+    charges = _map_realizations(
+        cfg, lambda rs: rectangle_charges(rect, *source.edges_batch(cfg.seed, rs)))
+    box = ", ".join(f"{v:.6g}" for v in rect.box)
+    note = (f"net charge of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
+            f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
+            f"{rect.area:.6g}, counted from its four edges")
+    return _per_area(cfg, "charge_density", t0, charges, rect.area, source.charge_density,
+                     [*source.notes, note])
 
 
 def _variance_se(samples: np.ndarray) -> float:

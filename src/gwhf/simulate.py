@@ -45,7 +45,7 @@ from .kernels import (DEFAULT_CONVENTION, build_from_spec, gef_kernel, laguerre_
 from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
-    "FieldGrid", "stream", "complex_normals",
+    "FieldGrid", "LatticeRectangle", "stream", "complex_normals",
     "StftPlan", "SeriesPlan", "FieldSource", "source_from_spec",
     "series_terms_required",
     "save_grid", "load_grid",
@@ -107,10 +107,10 @@ class FieldGrid:
         if v.ndim != 2 or min(v.shape) < _MIN_POINTS:
             raise ParameterError(f"values must be a 2-d complex array, at least "
                                  f"{_MIN_POINTS} x {_MIN_POINTS}, got shape {v.shape}")
-        if not cmath.isfinite(self.origin):
-            raise ParameterError(f"grid origin {self.origin} must be finite")
-        if not 0 < self.spacing < math.inf:
-            raise ParameterError(f"grid spacing {self.spacing} must be positive and finite")
+        if not (_is_number(self.origin, (int, float, complex, np.number))
+                and cmath.isfinite(self.origin)):
+            raise ParameterError(f"grid origin {self.origin!r} must be a finite number")
+        _check_spacing(self.spacing)
         if self.plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {self.plane!r}")
         if self.interior is not None:
@@ -137,6 +137,51 @@ class FieldGrid:
     def extent(self) -> tuple[float, float, float, float]:
         return (self.origin.real, self.origin.real + self.spacing * (self.nx - 1),
                 self.origin.imag, self.origin.imag + self.spacing * (self.ny - 1))
+
+
+@dataclass(frozen=True)
+class LatticeRectangle:
+    """The grid points origin + (i + 1j*j) * spacing of a lattice in `plane`
+    that lie in a box: columns i0..i1 and rows j0..j1, at least two of each.
+    Its cells are those of a grid on the lattice whose corners it holds."""
+    origin: complex
+    spacing: float
+    plane: str
+    i0: int
+    i1: int
+    j0: int
+    j1: int
+
+    @classmethod
+    def of(cls, origin: complex, spacing: float, plane: str, shape: tuple[int, int],
+           box: tuple[float, float, float, float]) -> LatticeRectangle:
+        """The rectangle of a grid of (rows, columns) `shape` on this lattice
+        in box = (x0, x1, y0, y1), each point's coordinates as FieldGrid.xs
+        and ys give them.  DomainError when the box holds fewer than two
+        points along an axis."""
+        x0, x1, y0, y1 = box
+        xs = origin.real + spacing * np.arange(shape[1])
+        ys = origin.imag + spacing * np.arange(shape[0])
+        cols = np.flatnonzero((x0 <= xs) & (xs <= x1))
+        rows = np.flatnonzero((y0 <= ys) & (ys <= y1))
+        if len(cols) < 2 or len(rows) < 2:
+            box_s = ", ".join(f"{v:.6g}" for v in box)
+            raise DomainError(f"interior ({box_s}) holds {len(cols)} x {len(rows)} lattice "
+                              f"points at spacing {spacing:.6g}; a net charge needs a "
+                              "rectangle of at least 2 x 2")
+        return cls(origin, spacing, plane, int(cols[0]), int(cols[-1]),
+                   int(rows[0]), int(rows[-1]))
+
+    @property
+    def box(self) -> tuple[float, float, float, float]:
+        """(x0, x1, y0, y1) of the corner points."""
+        o, h = self.origin, self.spacing
+        return (o.real + h * self.i0, o.real + h * self.i1,
+                o.imag + h * self.j0, o.imag + h * self.j1)
+
+    @property
+    def area(self) -> float:
+        return (self.i1 - self.i0) * (self.j1 - self.j0) * self.spacing ** 2
 
 
 def _check_domain(domain) -> tuple[float, float, float, float]:
@@ -297,6 +342,11 @@ class StftPlan:
     returns it after the row gather: a fresh frame per grid faults its pages
     in again once the allocator has trimmed a freed one.
 
+    `rectangle` is the lattice's grid points in the interior, and edges
+    gives one realization's samples on its four edges with no grid made:
+    the two edge columns as realize makes them, the two edge rows from the
+    inner columns' bands at the rows' two frequency bins.
+
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  The phase table is
     built on the anchored rows, whose split into coarse and fine factors
@@ -429,25 +479,26 @@ class StftPlan:
             self._lattice = {"origin": complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
                              "spacing": _SQRT_PI * s, "plane": plane}
 
-    def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                seed_label: int = 0) -> FieldGrid:
-        """One grid; `rng` holds one generator per window (a single-window
-        plan also takes a bare generator), each drawing K noise samples."""
+    def _records(self, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+        """(q, n_rec) band-limited noise records at step D dt, one per window;
+        `rng` holds one generator per window (a single-window plan also takes
+        a bare generator), each drawing K noise samples."""
         rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         if len(rngs) != len(self.windows):
             raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
-        N, W = self.frame_shape[1], self.W
         records = np.stack([complex_normals(gen, self.K) for gen in rngs])
         spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
-        records = np.fft.ifft(spec[:, self._keep], axis=1)
-        try:
-            frame = self._frames.pop()
-        except IndexError:  # every frame is in use, or none was made yet
-            frame = np.empty(self.frame_shape, dtype=complex)
+        return np.fft.ifft(spec[:, self._keep], axis=1)
+
+    def _fold(self, records: np.ndarray, frame: np.ndarray, cols) -> np.ndarray:
+        """frame (one row per column of `cols`, a slice or indices of the
+        grid's columns) filled with the columns' summed window bands, each
+        folded onto the FFT period."""
+        N, W = self.frame_shape[1], self.W
         frame[:, W:] = 0
         for k, (record, factors) in enumerate(zip(records, self.window_factors)):
-            band = sliding_window_view(record, W)[self.starts]
-            band *= factors
+            band = sliding_window_view(record, W)[self.starts[cols]]
+            band *= factors[cols]
             # a band longer than the frame folds onto the FFT period
             for f0 in range(0, W, N):
                 part = band[:, f0:f0 + N]
@@ -455,11 +506,61 @@ class StftPlan:
                     frame[:, :part.shape[1]] = part
                 else:
                     frame[:, :part.shape[1]] += part
-        np.fft.fft(frame, axis=1, out=frame)
+        return frame
+
+    def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
+                seed_label: int = 0) -> FieldGrid:
+        """One grid; `rng` holds one generator per window (a single-window
+        plan also takes a bare generator), each drawing K noise samples."""
+        records = self._records(rng)
+        try:
+            frame = self._frames.pop()
+        except IndexError:  # every frame is in use, or none was made yet
+            frame = np.empty(self.frame_shape, dtype=complex)
+        np.fft.fft(self._fold(records, frame, slice(None)), axis=1, out=frame)
         vals = frame[:, self._rows].T * self._phase
         self._frames.append(frame)
         return FieldGrid(values=vals, seed=seed_label, interior=self.interior,
                          meta=dict(self._meta), **self._lattice)
+
+    @cached_property
+    def rectangle(self) -> LatticeRectangle:
+        """The grid points of the plan's lattice that lie in its interior."""
+        return LatticeRectangle.of(shape=(self.ny, self.nx), box=self.interior, **self._lattice)
+
+    @cached_property
+    def _row_bins(self) -> np.ndarray:
+        """(W, 2) factors exp(-2 pi i (b (w mod N) mod N) / N), w < W, of the
+        frame bins b of the rectangle's edge rows j0 and j1: a band times
+        them is its folded frame row's DFT at those bins.  The product is
+        reduced mod N exactly before the exponential."""
+        rect, N = self.rectangle, self.frame_shape[1]
+        bins = self._rows[[rect.j0, rect.j1]]
+        return np.exp(-2j * math.pi * (np.outer(np.arange(self.W) % N, bins) % N) / N)
+
+    def edges(self, rng: np.random.Generator | Sequence[np.random.Generator]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The samples realize(rng) gives on the four edges of `rectangle`:
+        its bottom and top rows j0 and j1 (columns i0..i1) and its left and
+        right columns i0 and i1 (rows j0..j1), with no grid made.  The two
+        columns are made as realize makes them, from a two-row frame, and
+        have the grid's bits.  Each inner column's summed bands, contracted
+        against _row_bins, give the rows' inner samples, equal to the grid's
+        to rounding; the rows' corners are the columns'."""
+        rect = self.rectangle
+        records = self._records(rng)
+        frame = self._fold(records, np.empty((2, self.frame_shape[1]), dtype=complex),
+                           [rect.i0, rect.i1])
+        np.fft.fft(frame, axis=1, out=frame)
+        rows = slice(rect.j0, rect.j1 + 1)
+        left, right = frame[:, self._rows[rows]] * self._phase[rows, [rect.i0, rect.i1]].T
+        inner, sums = slice(rect.i0 + 1, rect.i1), 0.0
+        for record, factors in zip(records, self.window_factors):
+            band = sliding_window_view(record, self.W)[self.starts[inner]]
+            band *= factors[inner]
+            sums = sums + band @ self._row_bins
+        bottom, top = sums.T * self._phase[[rect.j0, rect.j1], inner]
+        return (np.r_[left[0], bottom, right[0]], np.r_[left[-1], top, right[-1]], left, right)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -508,8 +609,9 @@ class SeriesPlan:
     it and exp(-rho^2/2) stay normal float64 numbers.  On a circle about
     the origin the field is a trigonometric polynomial in the angle, so
     circle_values gives it at equispaced angles by one inverse FFT per
-    circle, with no basis.  The grid is the domain, the plan's `interior`,
-    padded by _PAD_CELLS cells on each side.
+    circle, with no basis, and edges gives it on the four edges of
+    `rectangle`, the grid points in the interior.  The grid is the domain,
+    the plan's `interior`, padded by _PAD_CELLS cells on each side.
     """
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
@@ -590,6 +692,23 @@ class SeriesPlan:
             folded = folded.reshape(len(coeffs), -1, m).sum(axis=1)
             out.append(np.fft.ifft(folded, axis=1, norm="forward") * math.exp(-0.5 * radius ** 2))
         return np.concatenate(out, axis=1)
+
+    @cached_property
+    def rectangle(self) -> LatticeRectangle:
+        """The grid points of the plan's lattice that lie in its interior."""
+        return LatticeRectangle.of(self.origin, self.spacing, "gwhf", self.z.shape,
+                                   self.interior)
+
+    def edges(self, coeffs: np.ndarray) -> list[np.ndarray]:
+        """The (B, n) values on the bottom and top rows (columns i0..i1) and
+        the left and right columns (rows j0..j1) of `rectangle` of the B
+        fields whose scaled coefficients are the rows of coeffs, from
+        evaluate at those grid points, no grid made."""
+        r = self.rectangle
+        rows, cols = slice(r.j0, r.j1 + 1), slice(r.i0, r.i1 + 1)
+        points = [self.z[r.j0, cols], self.z[r.j1, cols], self.z[rows, r.i0], self.z[rows, r.i1]]
+        values = self.evaluate(coeffs, np.concatenate(points))
+        return np.split(values, np.cumsum([len(p) for p in points[:3]]), axis=1)
 
     def realize_batch(self, rngs: Iterable[np.random.Generator],
                       seed_label: int = 0) -> list[FieldGrid]:
@@ -688,7 +807,9 @@ class FieldSource:
     margin, so no sample depends on the pad.  The source's interior, that
     of its plan and that of each of its grids, is the domain given, bit for
     bit.  Every realize_batch call, from any thread, draws
-    its FFT frames from the one pool of the source's StftPlan.
+    its FFT frames from the one pool of the source's StftPlan.  edges_batch
+    draws the same realizations on the edges of the plan's `rectangle`
+    only.
     """
 
     def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
@@ -751,6 +872,17 @@ class FieldSource:
             return iter(plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
         return (plan.realize([stream(seed, r, k) for k in range(len(plan.windows))], seed)
                 for r in rs)
+
+    def edges_batch(self, seed: int, rs: Iterable[int]) -> list[np.ndarray]:
+        """Realizations rs, in order, on the four edges of the plan's
+        `rectangle`: (len(rs), n) samples of its bottom and top rows and its
+        left and right columns, drawn as realize_batch draws, no grid made."""
+        plan = self.plan
+        if isinstance(plan, SeriesPlan):
+            return plan.edges(plan.coefficients([stream(seed, r, 0) for r in rs]))
+        q = len(plan.windows)
+        per_r = [plan.edges([stream(seed, r, k) for k in range(q)]) for r in rs]
+        return [np.stack(edge) for edge in zip(*per_r)]
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""

@@ -36,7 +36,9 @@ stencil, so the sign is read at that interpolant's own root.  The sign is
 computed from the differential, independently of the winding; simple
 zeros must agree (tested, not assumed).  The zeros of a block are one
 ZeroSet of parallel arrays with a realization column, each grid's zeros
-the same as when it is detected alone.  circle_charges needs no grid.
+the same as when it is detected alone.  circle_charges and
+rectangle_charges need no grid: the latter counts a lattice rectangle's
+net charge from its edges' wrap counts, by the rule the plaquettes use.
 """
 from __future__ import annotations
 
@@ -48,11 +50,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContainerError, DomainError, GwhfError, ParameterError, ResolutionError
-from .simulate import FieldGrid
+from .simulate import FieldGrid, LatticeRectangle
 
 __all__ = [
     "ChargedZero", "ZeroSet",
-    "detect_zeros", "circle_charges",
+    "detect_zeros", "rectangle_charges", "circle_charges",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -126,41 +128,70 @@ def _plane_points(origin, h, i, j, xi, eta):
     return origin.real + (i + xi) * h + 1j * (origin.imag + (j + eta) * h)
 
 
+def _wrap_counts(step: np.ndarray, plane: str, h: float, at, vertical: bool) -> np.ndarray:
+    """Wrap counts of lattice edges of spacing h in `plane`, in place: step
+    holds each edge's phase difference in turns, along +x on rows at y =
+    at, or with `vertical` along +y on columns at x = at (at broadcast
+    against step).  The carrier advance along each edge, which depends on
+    that one coordinate only, is removed and the demodulated step rounded
+    to its nearest integer."""
+    if plane == "gwhf" and vertical:
+        step -= (h / _TWO_PI) * at  # gauge h x
+    elif plane == "gwhf":
+        step += (h / _TWO_PI) * at  # gauge -h y
+    elif vertical:
+        step += h * at  # gauge -2 pi h x; horizontal edges have none
+    return np.rint(step, out=step)
+
+
 def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
     """Integer winding of every plaquette, counterclockwise gauged loop, as
     int16.
 
     The phase is taken once per sample, in turns.  Each lattice edge's
-    demodulated step (its phase difference less the carrier advance, which
-    depends on one coordinate only and so is a per-row or per-column
-    vector) has a wrap count k, its nearest integer.  Around a plaquette
+    demodulated step (its phase difference less the carrier advance) has a
+    wrap count k, its nearest integer (_wrap_counts).  Around a plaquette
     the phase differences telescope, so the loop sum of the principal-branch
     increments (step minus k) is minus the carrier's loop advance minus the
     loop sum of the k.  The winding, that loop sum with the carrier's
     advance added back, is therefore exactly minus the loop sum of the k:
     k_left + k_top - k_bottom - k_right.  The windings of any block of cells
-    sum exactly to the wrap counts of its boundary.  A sample that is
-    exactly 0 reads as phase 0, so a zero on a lattice point flags one of
-    the cells around it.  The k reach spacing * max|position| turns, so
-    they are summed in float and the winding, at most 2 + spacing^2 in
-    magnitude, is cast once.
+    sum exactly to the wrap counts of its boundary (rectangle_charges).  A
+    sample that is exactly 0 reads as phase 0, so a zero on a lattice point
+    flags one of the cells around it.  The k reach spacing * max|position|
+    turns, so they are summed in float and the winding, at most
+    2 + spacing^2 in magnitude, is cast once.
     """
     h = grid.spacing
     turns = np.angle(grid.values)
     turns /= _TWO_PI
-    horiz = turns[:, 1:] - turns[:, :-1]
-    vert = turns[1:] - turns[:-1]
-    if grid.plane == "gwhf":
-        horiz += (h / _TWO_PI) * grid.ys[:, None]  # gauge -h y
-        vert -= (h / _TWO_PI) * grid.xs  # gauge h x
-    else:
-        vert += h * grid.xs  # gauge -2 pi h x; horizontal 0
-    np.rint(horiz, out=horiz)
-    np.rint(vert, out=vert)
+    horiz = _wrap_counts(turns[:, 1:] - turns[:, :-1], grid.plane, h, grid.ys[:, None], False)
+    vert = _wrap_counts(turns[1:] - turns[:-1], grid.plane, h, grid.xs, True)
     wind = np.subtract(vert[:, :-1], vert[:, 1:], out=turns[:-1, :-1])
     wind += horiz[1:]
     wind -= horiz[:-1]
     return wind.astype(np.int16)
+
+
+def rectangle_charges(rect: LatticeRectangle, bottom: np.ndarray, top: np.ndarray,
+                      left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Net charge inside the lattice rectangle rect of each field, from its
+    samples on the rectangle's edges alone, by the argument principle: the
+    rows of bottom and top are the fields on rows j0 and j1 (columns
+    i0..i1), those of left and right on columns i0 and i1 (rows j0..j1).
+    Minus the loop sum of the edges' wrap counts (_wrap_counts), k_left +
+    k_top - k_bottom - k_right, is the sum of the plaquette windings of the
+    rectangle's cells over the same samples, exactly; times the plane
+    orientation it is the charge, as detect_zeros counts it."""
+    h, plane = rect.spacing, rect.plane
+    x0, x1, y0, y1 = rect.box
+    net = 0.0
+    for edge, at, vertical, sign in ((bottom, y0, False, -1), (top, y1, False, 1),
+                                     (left, x0, True, 1), (right, x1, True, -1)):
+        turns = np.angle(edge)
+        turns /= _TWO_PI
+        net = net + sign * _wrap_counts(np.diff(turns, axis=-1), plane, h, at, vertical).sum(-1)
+    return (1 if plane == "gwhf" else -1) * net.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

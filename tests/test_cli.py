@@ -362,6 +362,8 @@ def test_verify_exit_code_gates(capsys):
      "coefficients must be finite, got hermite-mixture:1.0+0.0j;nan+0.0j"),
     (["intensity", "--window", "hermite-mixture:1;inf"],
      "coefficients must be finite, got hermite-mixture:1.0+0.0j;inf+0.0j"),
+    (["verify", "charge", "--window", "hermite:0", "--domain=0,0.05,0,4", "-n", "2"],
+     "interior (0, 0.05, 0, 4) holds 1 x 65 lattice points at spacing 0.0625"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -380,7 +382,8 @@ def test_verify_exit_code_gates(capsys):
         "stft-record-too-long", "stft-frame-overflow", "stft-record-overflow",
         "stft-frame-underflow", "series-grid-overflow", "verify-domain-overflow",
         "gwhf-plane-grid-too-large", "gaussian-nan-sigma", "gaussian-nan-phase",
-        "mixture-nan-coefficient", "mixture-inf-coefficient"])
+        "mixture-nan-coefficient", "mixture-inf-coefficient",
+        "charge-interior-without-rectangle"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

@@ -310,22 +310,76 @@ def test_poisson_reports_pinned():
         "86bbdd2ce8fce09326344effee8534f88ac2b8edcb18ff3ee1799b8af87ae8c6"
 
 
+_PINNED = [({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16),
+           ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08)]
+
+
 @pytest.mark.parametrize("source, domain, spacing, pinned", [
-    ({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16,
-     "f0621999007bd0084409cf1af11f0af71e764aa2bed40af05e470ad8302a2308"),
-    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08,
-     "e255289e26f92e5968b4acbf994fb42d48c6e56bb4aab71f006e675425bad804"),
+    (*_PINNED[0], "f578d61174ed5c3b45c1ea284f8290ef7580c986678011cf39383c53ae7ce793"),
+    (*_PINNED[1], "ab87272112c2b86ac6c7f187bcffca3fa6027cef8777f4b8827dcc2de574922a"),
 ], ids=["stft-h1", "poly3-full"])
 def test_detector_reports_pinned(source, domain, spacing, pinned):
-    # the reports count the zeros the detector keeps in the interior, so any
-    # change of the detector that gains, loses or moves a zero across the
-    # interior's edge changes their bytes; last bits of positions do not
+    # the intensity reports count the zeros the detector keeps in the
+    # interior, so any change of the detector that gains, loses or moves a
+    # zero across the interior's edge changes their bytes; last bits of
+    # positions do not
     cfg = mc.McConfig(source=source, domain=domain, spacing=spacing, dt=1 / 64,
                       n_realizations=16, seed=2718)
-    digest = hashlib.sha256()
-    for estimate in (mc.estimate_intensity, mc.estimate_charge_intensity):
-        digest.update(estimate(cfg).to_json(include_elapsed=False).encode())
-    assert digest.hexdigest() == pinned
+    text = mc.estimate_intensity(cfg).to_json(include_elapsed=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("source, domain, spacing, pinned", [
+    (*_PINNED[0], "977c62262714a8a90410ca57b261bee14c87b078181c6887a84ad08a0265be99"),
+    (*_PINNED[1], "1c1bef101c9be0193e44446973349fb7083fabfc79d817869a6747380ba7ce2f"),
+], ids=["stft-h1", "poly3-full"])
+def test_charge_reports_pinned(source, domain, spacing, pinned):
+    # the charge reports count the net charge of the lattice rectangle from
+    # its four edges: a change of the edge samples that moves a wrap count,
+    # or of the rectangle, changes their bytes
+    cfg = mc.McConfig(source=source, domain=domain, spacing=spacing, dt=1 / 64,
+                      n_realizations=16, seed=2718)
+    text = mc.estimate_charge_intensity(cfg).to_json(include_elapsed=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+    ({"family": "series-gef"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "polyentire", "series"])
+def test_charge_intensity_runs_no_detector(monkeypatch, source, domain, spacing):
+    # the charge of the lattice rectangle comes from its edges: no grid is
+    # detected, and the report's mean is the rectangle charges' over its area
+    calls = []
+    monkeypatch.setattr(mc, "detect_zeros", lambda *a, **kw: calls.append(a))
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=12, seed=8,
+               threads=2)
+    rep = mc.estimate_charge_intensity(cfg)
+    assert calls == []
+    fs = FieldSource(source, domain, spacing, 1 / 64)
+    rect = fs.plan.rectangle
+    charges = zeros.rectangle_charges(rect, *fs.edges_batch(8, range(12)))
+    assert rep.items[0].empirical == float(np.mean(charges.astype(float))) / rect.area
+    box = ", ".join(f"{v:.6g}" for v in rect.box)
+    assert rep.notes[-1] == (
+        f"net charge of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
+        f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
+        f"{rect.area:.6g}, counted from its four edges")
+
+
+@pytest.mark.parametrize("source", [{"family": "window", "window": "hermite:0"},
+                                    {"family": "polyentire", "q": 2, "kind": "pure"}],
+                         ids=["window", "polyentire"])
+def test_charge_intensity_refuses_an_interior_without_a_rectangle(source):
+    # an interior narrower than one spacing holds at most one lattice point
+    # across: the rectangle has no area (a series grid of 16 points has an
+    # interior of at least 7 cells); the gwhf-plane lattice's spacing is the
+    # one the plan rounds to
+    cfg = _cfg(source=source, domain=(0.0, 0.05, 0.0, 4.0), spacing=0.1)
+    with pytest.raises(DomainError, match=r"^interior \(0, 0\.05, 0, 4\) holds [01] x \d+ "
+                                          r"lattice points at spacing (0\.1|0\.0984697); "):
+        mc.estimate_charge_intensity(cfg)
 
 
 def test_fit_slope_is_the_inverse_variance_fit_of_the_radius_rows():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -501,6 +502,17 @@ def test_series_field_deterministic_and_rule():
 def test_series_plan_refuses_spacing_not_positive_and_finite(spacing):
     with pytest.raises(ParameterError, match=f"spacing {spacing!r} must be positive and finite"):
         S.SeriesPlan((0, 4, 0, 4), spacing)
+
+
+@pytest.mark.parametrize("geometry, refused", [
+    (dict(spacing="x"), "spacing 'x' must be positive and finite"),
+    (dict(spacing=True), "spacing True must be positive and finite"),
+    (dict(origin="x"), "grid origin 'x' must be a finite number"),
+], ids=["spacing-not-a-number", "spacing-bool", "origin-not-a-number"])
+def test_field_grid_refuses_geometry_that_is_not_a_number(geometry, refused):
+    kw = dict(values=np.ones((20, 20), complex), origin=0j, spacing=0.1, plane="gwhf", seed=0)
+    with pytest.raises(ParameterError, match=f"^{re.escape(refused)}$"):
+        S.FieldGrid(**{**kw, **geometry})
 
 
 def test_series_empirical_covariance():

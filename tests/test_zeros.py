@@ -573,6 +573,55 @@ def test_block_windings_match_boundary_circulation(realization, data):
     assert windings[j0:j0 + h, i0:i0 + w].sum() == _boundary_winding(grid, i0, j0, w, h)
 
 
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-5, 5, -5, 5), 0.08),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+    ({"family": "series-gef"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+], ids=["stft-window", "gwhf-window", "polyentire-full", "series"])
+def test_rectangle_charges_equal_the_grids_block_windings(spec, domain, spacing):
+    # 100 realizations drawn on the lattice rectangle's edges alone: the net
+    # charge equals, as an integer, the plane-oriented sum of the plaquette
+    # windings of the rectangle's cells on the full grid; the stft simulator's
+    # edge columns are the grid's bits, its edge rows the grid's to rounding
+    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    rect = source.plan.rectangle
+    orient = 1 if rect.plane == "gwhf" else -1
+    rows, cols = slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1)
+    for lo in range(0, 100, 10):
+        rs = range(lo, lo + 10)
+        edges = source.edges_batch(2024, rs)
+        charges = Z.rectangle_charges(rect, *edges)
+        assert charges.dtype == np.int64
+        for k, grid in enumerate(source.realize_batch(2024, rs)):
+            raw = Z._plaquette_windings(grid)[rect.j0:rect.j1, rect.i0:rect.i1]
+            assert charges[k] == orient * int(raw.sum())
+            v = grid.values
+            wants = (v[rect.j0, cols], v[rect.j1, cols], v[rows, rect.i0], v[rows, rect.i1])
+            for n, (edge, want) in enumerate(zip(edges, wants)):
+                if n >= 2 and spec["family"] != "series-gef":  # columns
+                    assert edge[k].tobytes() == want.tobytes()
+                else:
+                    assert np.abs(edge[k] - want).max() <= 1e-13 * np.abs(v).max()
+
+
+def test_rectangle_is_the_lattice_points_in_the_interior():
+    # the rectangle's corners are the first and last grid points inside the
+    # interior along each axis, and its area is that of its cells
+    for spec, domain, spacing in [({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8),
+                                   1 / 16), ({"family": "series-gef"}, (-3, 3, -3, 3), 0.1)]:
+        source = S.FieldSource(spec, domain, spacing, 1 / 64)
+        rect, grid = source.plan.rectangle, source.realize(1)
+        inside_x = np.flatnonzero((domain[0] <= grid.xs) & (grid.xs <= domain[1]))
+        inside_y = np.flatnonzero((domain[2] <= grid.ys) & (grid.ys <= domain[3]))
+        assert (rect.i0, rect.i1, rect.j0, rect.j1) == \
+            (inside_x[0], inside_x[-1], inside_y[0], inside_y[-1])
+        assert rect.box == (grid.xs[rect.i0], grid.xs[rect.i1], grid.ys[rect.j0],
+                            grid.ys[rect.j1])
+        assert rect.area == pytest.approx((rect.box[1] - rect.box[0])
+                                          * (rect.box[3] - rect.box[2]), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Blocks of grids
 # ---------------------------------------------------------------------------
