@@ -1,11 +1,13 @@
 """Monte Carlo verification harness.
 
 Runs batches of field realizations and compares empirical statistics
-against the closed-form predictions: the zero density from the charged
-zeros the detector extracts, the signed charge density from the net charge
-of the lattice rectangle in the interior, read from the field on its four
-edges alone by the argument principle (no grid, no detector), and the
-charge variance in growing disks.  Every realization
+against the closed-form predictions: the zero density from the number of
+flagged cells of the lattice rectangle in the interior, the cells whose
+plaquette winding is nonzero (no detector: an opposite-signed pair inside
+one cell cancels), the signed charge density from the net charge of that
+rectangle, read from the field on its four edges alone by the argument
+principle (no grid, no detector), and the charge variance in growing
+disks.  Every realization
 draws from a counter-based stream keyed by (seed, realization, component),
 so reports are deterministic and independent of the thread count; the
 per-realization statistics are stored and reduced in fixed order.
@@ -29,10 +31,10 @@ import numpy as np
 
 from .errors import DomainError, GwhfError, ParameterError
 from .kernels import DEFAULT_CONVENTION, _check_convention
-from .simulate import (FieldSource, SeriesPlan, _check_domain, _is_number, source_from_spec,
-                       stream)
+from .simulate import (FieldSource, LatticeRectangle, SeriesPlan, _check_domain, _is_number,
+                       source_from_spec, stream)
 from .windows import Window
-from .zeros import circle_charges, detect_zeros, rectangle_charges
+from .zeros import circle_charges, detect_zeros, rectangle_charges, rectangle_zero_count
 
 __all__ = ["McConfig", "McItem", "McReport",
            "estimate_intensity", "estimate_charge_intensity",
@@ -261,15 +263,42 @@ def _area(box: tuple[float, float, float, float]) -> float:
     return (x1 - x0) * (y1 - y0)
 
 
+def _rectangle_note(what: str, rect: LatticeRectangle, how: str) -> str:
+    """The note naming the lattice rectangle an estimate counted `what` of."""
+    box = ", ".join(f"{v:.6g}" for v in rect.box)
+    return (f"{what} of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
+            f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
+            f"{rect.area:.6g}, counted from {how}")
+
+
 def estimate_intensity(cfg: McConfig) -> McReport:
-    """Mean interior zero count per unit area, against the closed formula."""
+    """Mean zero count per unit area, against the closed formula.
+
+    A field source counts the flagged cells of its lattice rectangle, the
+    grid points of its lattice in the interior: the cells whose plaquette
+    winding is nonzero (zeros.rectangle_zero_count), and divides by that
+    rectangle's area.  Each simple zero adds one unit of winding to the one
+    cell that holds it, so the count is unbiased; it needs the windings
+    alone, no refinement, merge, degenerate rule or position cut.  An
+    opposite-signed pair inside one cell cancels and is not counted, and a
+    cell with |winding| >= 2 raises ResolutionError.  A note names the
+    rectangle.  The Poisson control counts its points in the interior.
+    """
     t0 = time.time()
     source = _source(cfg)
     theory = source.density(cfg.convention)
+    if isinstance(source, _PoissonControl):
+        counts = _map_realizations(
+            cfg, lambda rs: (chg.size for _, chg in _block_points(source, cfg, rs)))
+        return _per_area(cfg, "density", t0, counts, _area(source.interior), theory,
+                         list(source.notes))
+    rect = source.plan.rectangle
     counts = _map_realizations(
-        cfg, lambda rs: (chg.size for _, chg in _block_points(source, cfg, rs)))
-    return _per_area(cfg, "density", t0, counts, _area(source.interior), theory,
-                     list(source.notes))
+        cfg, lambda rs: (rectangle_zero_count(rect, grid)
+                         for grid in source.realize_batch(cfg.seed, rs)))
+    return _per_area(cfg, "density", t0, counts, rect.area, theory,
+                     [*source.notes, _rectangle_note("flagged cells", rect,
+                                                     "its plaquette windings")])
 
 
 def estimate_charge_intensity(cfg: McConfig) -> McReport:
@@ -294,12 +323,8 @@ def estimate_charge_intensity(cfg: McConfig) -> McReport:
     rect = source.plan.rectangle
     charges = _map_realizations(
         cfg, lambda rs: rectangle_charges(rect, *source.edges_batch(cfg.seed, rs)))
-    box = ", ".join(f"{v:.6g}" for v in rect.box)
-    note = (f"net charge of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
-            f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
-            f"{rect.area:.6g}, counted from its four edges")
     return _per_area(cfg, "charge_density", t0, charges, rect.area, source.charge_density,
-                     [*source.notes, note])
+                     [*source.notes, _rectangle_note("net charge", rect, "its four edges")])
 
 
 def _variance_se(samples: np.ndarray) -> float:

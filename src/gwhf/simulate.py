@@ -154,21 +154,21 @@ class LatticeRectangle:
 
     @classmethod
     def of(cls, origin: complex, spacing: float, plane: str, shape: tuple[int, int],
-           box: tuple[float, float, float, float]) -> LatticeRectangle:
+           box: tuple[float, float, float, float], where: str) -> LatticeRectangle:
         """The rectangle of a grid of (rows, columns) `shape` on this lattice
         in box = (x0, x1, y0, y1), each point's coordinates as FieldGrid.xs
-        and ys give them.  DomainError when the box holds fewer than two
-        points along an axis."""
+        and ys give them.  DomainError, naming the geometry `where` as the
+        caller gave it (_geometry), when the box holds fewer than two points
+        along an axis."""
         x0, x1, y0, y1 = box
         xs = origin.real + spacing * np.arange(shape[1])
         ys = origin.imag + spacing * np.arange(shape[0])
         cols = np.flatnonzero((x0 <= xs) & (xs <= x1))
         rows = np.flatnonzero((y0 <= ys) & (ys <= y1))
         if len(cols) < 2 or len(rows) < 2:
-            box_s = ", ".join(f"{v:.6g}" for v in box)
-            raise DomainError(f"interior ({box_s}) holds {len(cols)} x {len(rows)} lattice "
-                              f"points at spacing {spacing:.6g}; a net charge needs a "
-                              "rectangle of at least 2 x 2")
+            raise DomainError(f"the lattice of {where} has {len(cols)} x {len(rows)} points "
+                              "in the domain; a zero or charge count needs a rectangle of "
+                              "at least 2 x 2")
         return cls(origin, spacing, plane, int(cols[0]), int(cols[-1]),
                    int(rows[0]), int(rows[-1]))
 
@@ -385,6 +385,7 @@ class StftPlan:
         self.dt = float(dt)
         self.requested = (x0, x1, y0, y1)
         self.interior = box
+        self._where = where
 
         xlo, xhi = x0 - anchor, x1 + anchor
         t0 = xlo - T
@@ -526,7 +527,8 @@ class StftPlan:
     @cached_property
     def rectangle(self) -> LatticeRectangle:
         """The grid points of the plan's lattice that lie in its interior."""
-        return LatticeRectangle.of(shape=(self.ny, self.nx), box=self.interior, **self._lattice)
+        return LatticeRectangle.of(shape=(self.ny, self.nx), box=self.interior,
+                                   where=self._where, **self._lattice)
 
     @cached_property
     def _row_bins(self) -> np.ndarray:
@@ -620,7 +622,7 @@ class SeriesPlan:
         _check_spacing(spacing)
         margin = _PAD_CELLS * spacing
         self.spacing = float(spacing)
-        where = _geometry(spacing, domain, margin)
+        self._where = where = _geometry(spacing, domain, margin)
         xlo, ylo = x0 - margin, y0 - margin
         nx = int(math.floor(_ratio(x1 + margin - xlo, spacing, "a grid width", where) + 1e-9)) + 1
         ny = int(math.floor(_ratio(y1 + margin - ylo, spacing, "a grid height", where)
@@ -697,7 +699,7 @@ class SeriesPlan:
     def rectangle(self) -> LatticeRectangle:
         """The grid points of the plan's lattice that lie in its interior."""
         return LatticeRectangle.of(self.origin, self.spacing, "gwhf", self.z.shape,
-                                   self.interior)
+                                   self.interior, self._where)
 
     def edges(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """The (B, n) values on the bottom and top rows (columns i0..i1) and

@@ -39,6 +39,8 @@ ZeroSet of parallel arrays with a realization column, each grid's zeros
 the same as when it is detected alone.  circle_charges and
 rectangle_charges need no grid: the latter counts a lattice rectangle's
 net charge from its edges' wrap counts, by the rule the plaquettes use.
+rectangle_zero_count counts a rectangle's flagged cells from the
+plaquette windings alone.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .simulate import FieldGrid, LatticeRectangle
 
 __all__ = [
     "ChargedZero", "ZeroSet",
-    "detect_zeros", "rectangle_charges", "circle_charges",
+    "detect_zeros", "rectangle_charges", "rectangle_zero_count", "circle_charges",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -489,12 +491,11 @@ def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], sli
     return box, slice(keep_j[0], keep_j[-1] + 1), slice(keep_i[0], keep_i[-1] + 1)
 
 
-def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarray, ...]:
-    """The raw windings of one grid (kept for the merge, as small integers,
-    one per cell) and the cells (i, j), raw windings and raw 4x4 samples of
-    its flagged cells among the rows and columns of cells given.  A cell
-    with |winding| >= 2 raises ResolutionError."""
-    raw = _plaquette_windings(grid)
+def _flagged(grid: FieldGrid, raw: np.ndarray, rows: slice, cols: slice
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells (i, j) and windings of the flagged cells among the rows and
+    columns of cells given, raw being the grid's plaquette windings.  A cell
+    with |winding| >= 2 raises ResolutionError naming its centre."""
     # one flat search of a boolean block: numpy finds nonzero entries of a
     # 1-d boolean array an order of magnitude faster than of a 2-d one
     flagged = raw[rows, cols] != 0
@@ -508,6 +509,25 @@ def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarra
         center = _plane_points(grid.origin, grid.spacing, i[k], j[k], 0.5, 0.5)
         raise ResolutionError(f"plaquette near {center:.4g} holds winding {w[k]}; "
                               "halve the grid spacing")
+    return i, j, w
+
+
+def rectangle_zero_count(rect: LatticeRectangle, grid: FieldGrid) -> int:
+    """Number of cells of the lattice rectangle rect, on grid's lattice,
+    whose plaquette winding is nonzero: one per simple zero of the field in
+    the rectangle, as detect_zeros flags them, with no refinement, merge or
+    degenerate rule.  Two zeros of opposite charge in one cell cancel and
+    are not counted.  A cell with |winding| >= 2 raises ResolutionError."""
+    rows, cols = slice(rect.j0, rect.j1), slice(rect.i0, rect.i1)
+    return len(_flagged(grid, _plaquette_windings(grid), rows, cols)[0])
+
+
+def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarray, ...]:
+    """The raw windings of one grid (kept for the merge, as small integers,
+    one per cell) and the cells (i, j), raw windings and raw 4x4 samples of
+    its flagged cells among the rows and columns of cells given (_flagged)."""
+    raw = _plaquette_windings(grid)
+    i, j, w = _flagged(grid, raw, rows, cols)
     sample_rows, sample_cols = _stencil_indices(i, j, *raw.shape)
     return raw, i, j, w, grid.values[sample_rows, sample_cols]
 

@@ -363,7 +363,20 @@ def test_verify_exit_code_gates(capsys):
     (["intensity", "--window", "hermite-mixture:1;inf"],
      "coefficients must be finite, got hermite-mixture:1.0+0.0j;inf+0.0j"),
     (["verify", "charge", "--window", "hermite:0", "--domain=0,0.05,0,4", "-n", "2"],
-     "interior (0, 0.05, 0, 4) holds 1 x 65 lattice points at spacing 0.0625"),
+     "the lattice of domain (0, 0.05, 0, 4) at spacing 0.0625 and dt 0.015625 with margin "
+     "6.52 has 1 x 65 points in the domain; a zero or charge count needs a rectangle of "
+     "at least 2 x 2"),
+    # the gwhf-plane lattice's spacing rounds 0.1 down; the refusal names 0.1
+    (["verify", "charge", "--kernel", "polyentire:2:pure", "--domain=0,0.05,0,4",
+      "--spacing", "0.1", "-n", "2"],
+     "the lattice of domain (0, 0.05, 0, 4) at spacing 0.1 and dt 0.015625 with margin 12 "
+     "has 1 x 40 points in the domain; a zero or charge count needs a rectangle of at "
+     "least 2 x 2"),
+    (["verify", "intensity", "--kernel", "polyentire:2:pure", "--domain=0,0.05,0,4",
+      "--spacing", "0.1", "-n", "2"],
+     "the lattice of domain (0, 0.05, 0, 4) at spacing 0.1 and dt 0.015625 with margin 12 "
+     "has 1 x 40 points in the domain; a zero or charge count needs a rectangle of at "
+     "least 2 x 2"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -383,7 +396,8 @@ def test_verify_exit_code_gates(capsys):
         "stft-frame-underflow", "series-grid-overflow", "verify-domain-overflow",
         "gwhf-plane-grid-too-large", "gaussian-nan-sigma", "gaussian-nan-phase",
         "mixture-nan-coefficient", "mixture-inf-coefficient",
-        "charge-interior-without-rectangle"])
+        "charge-interior-without-rectangle", "gwhf-charge-interior-without-rectangle",
+        "gwhf-intensity-interior-without-rectangle"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

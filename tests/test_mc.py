@@ -315,14 +315,13 @@ _PINNED = [({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1
 
 
 @pytest.mark.parametrize("source, domain, spacing, pinned", [
-    (*_PINNED[0], "f578d61174ed5c3b45c1ea284f8290ef7580c986678011cf39383c53ae7ce793"),
-    (*_PINNED[1], "ab87272112c2b86ac6c7f187bcffca3fa6027cef8777f4b8827dcc2de574922a"),
+    (*_PINNED[0], "bcab2e5bd8c7cedecc0c6d738f8821c82069ff4e20f8585833402283c61a7337"),
+    (*_PINNED[1], "a8f64c6fd579b1e5c9d102a9447befc9439f7ec318ad7f53b0fe4ff5b786cabd"),
 ], ids=["stft-h1", "poly3-full"])
-def test_detector_reports_pinned(source, domain, spacing, pinned):
-    # the intensity reports count the zeros the detector keeps in the
-    # interior, so any change of the detector that gains, loses or moves a
-    # zero across the interior's edge changes their bytes; last bits of
-    # positions do not
+def test_intensity_reports_pinned(source, domain, spacing, pinned):
+    # the intensity reports count the flagged cells of the lattice rectangle:
+    # a change of the plaquette windings that flags or clears a cell there,
+    # or of the rectangle, changes their bytes
     cfg = mc.McConfig(source=source, domain=domain, spacing=spacing, dt=1 / 64,
                       n_realizations=16, seed=2718)
     text = mc.estimate_intensity(cfg).to_json(include_elapsed=False)
@@ -368,18 +367,69 @@ def test_charge_intensity_runs_no_detector(monkeypatch, source, domain, spacing)
         f"{rect.area:.6g}, counted from its four edges")
 
 
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+    ({"family": "series-gef"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "polyentire", "series"])
+def test_intensity_runs_no_detector(monkeypatch, source, domain, spacing):
+    # the zero count of the lattice rectangle comes from the plaquette
+    # windings of each grid: no grid is detected, and each realization's
+    # count is the number of the rectangle's cells with nonzero winding
+    calls, counts = [], []
+    run = mc._map_realizations
+
+    def kept(cfg, values_of):
+        counts.extend(run(cfg, values_of))
+        return counts
+
+    monkeypatch.setattr(mc, "detect_zeros", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(mc, "_map_realizations", kept)
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=12, seed=8,
+               threads=2)
+    rep = mc.estimate_intensity(cfg)
+    assert calls == []
+    fs = FieldSource(source, domain, spacing, 1 / 64)
+    rect = fs.plan.rectangle
+    cells = (slice(rect.j0, rect.j1), slice(rect.i0, rect.i1))
+    assert counts == [np.count_nonzero(zeros._plaquette_windings(fs.realize(8, r))[cells])
+                      for r in range(12)]
+    assert rep.items[0].empirical == float(np.mean(np.array(counts, dtype=float))) / rect.area
+    box = ", ".join(f"{v:.6g}" for v in rect.box)
+    assert rep.notes[-1] == (
+        f"flagged cells of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
+        f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
+        f"{rect.area:.6g}, counted from its plaquette windings")
+
+
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+], ids=["stft-h1", "poly3-full"])
+def test_flagged_cell_intensity_matches_theory(source, domain, spacing):
+    # the flagged-cell count is unbiased: 1,000 realizations on one seed
+    # hold the closed-form density within |z| <= 4
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=1000,
+               seed=2026, threads=2)
+    item = mc.estimate_intensity(cfg).items[0]
+    assert item.theory == FieldSource(source, domain, spacing, 1 / 64).density()
+    assert abs(item.z) <= 4.0
+
+
 @pytest.mark.parametrize("source", [{"family": "window", "window": "hermite:0"},
                                     {"family": "polyentire", "q": 2, "kind": "pure"}],
                          ids=["window", "polyentire"])
 def test_charge_intensity_refuses_an_interior_without_a_rectangle(source):
     # an interior narrower than one spacing holds at most one lattice point
     # across: the rectangle has no area (a series grid of 16 points has an
-    # interior of at least 7 cells); the gwhf-plane lattice's spacing is the
-    # one the plan rounds to
+    # interior of at least 7 cells), for the zero count as for the charge;
+    # the refusal names the spacing given, not the one the plan rounds to
     cfg = _cfg(source=source, domain=(0.0, 0.05, 0.0, 4.0), spacing=0.1)
-    with pytest.raises(DomainError, match=r"^interior \(0, 0\.05, 0, 4\) holds [01] x \d+ "
-                                          r"lattice points at spacing (0\.1|0\.0984697); "):
-        mc.estimate_charge_intensity(cfg)
+    for estimate in (mc.estimate_charge_intensity, mc.estimate_intensity):
+        with pytest.raises(DomainError, match=r"^the lattice of domain \(0, 0\.05, 0, 4\) at "
+                                              r"spacing 0\.1 and dt 0\.015625 with margin "
+                                              r"[\d.]+ has [01] x \d+ points in the domain; "):
+            estimate(cfg)
 
 
 def test_fit_slope_is_the_inverse_variance_fit_of_the_radius_rows():
@@ -415,15 +465,16 @@ def test_series_reports_independent_of_threads_and_blocks():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_errors_name_seed_and_realization(monkeypatch, threads):
-    # realization 3's field becomes exp(-|z|^2/2) (z - a)(z - b), a and b
-    # 0.1 cells apart across a cell edge: the merge raises, after Newton ran
-    # over the whole block.  Realization 3 is the fourth of one block at one
-    # thread and the second of the block 2, 3 at two.
-    cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
-               n_realizations=4, seed=21, threads=threads)
+    # realization 3's field becomes exp(-|z|^2/2) (z - a)^2, a the centre of
+    # the rectangle's cell about the origin, where every edge's carrier
+    # advance is h^2/2: its plaquette holds winding 2, and the zero count
+    # refuses it.  Realization 3 is the fourth of one block at one thread
+    # and the second of the block 2, 3 at two.
+    cfg = _cfg(source={"family": "series-gef"}, domain=(-3.05, 3.05, -3.05, 3.05),
+               spacing=0.1, n_realizations=4, seed=21, threads=threads)
     plan = FieldSource(cfg.source, cfg.domain, cfg.spacing).plan
-    edge = plan.origin + plan.spacing * (40 + 30.5j)
-    a, b = edge - 0.005, edge + 0.005
+    a = plan.origin + plan.spacing * (34.5 + 34.5j)
+    assert abs(a) < 1e-12
     draw = SeriesPlan.coefficients
     bad = draw(plan, [stream(21, 3, 0)])[0]
 
@@ -431,18 +482,19 @@ def test_errors_name_seed_and_realization(monkeypatch, threads):
         coeffs = draw(self, rngs)
         hit = (coeffs == bad).all(axis=1)
         coeffs[hit] = 0.0
-        coeffs[hit, :3] = [a * b, -(a + b) * self.rho, self.rho ** 2]
+        coeffs[hit, :3] = [a * a, -2.0 * a * self.rho, self.rho ** 2]
         return coeffs
 
     monkeypatch.setattr(SeriesPlan, "coefficients", doubled)
     with pytest.raises(ResolutionError,
-                       match=r"^seed 21 realization 3: net winding 2 concentrated near "):
+                       match=r"^seed 21 realization 3: plaquette near \S+ holds winding 2; "):
         mc.estimate_intensity(cfg)
 
 
 @pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
 def test_detector_called_once_per_block(monkeypatch, n, threads):
-    # blocks of 8, 8 at one thread and of 4, 4 at two: one detector call each
+    # a window source's disk charges come from its detected zeros: blocks of
+    # 8, 8 at one thread and of 4, 4 at two, one detector call each
     calls = []
     detect = mc.detect_zeros
 
@@ -451,15 +503,15 @@ def test_detector_called_once_per_block(monkeypatch, n, threads):
         return detect(grids, *args, **kwargs)
 
     monkeypatch.setattr(mc, "detect_zeros", counted)
-    mc.estimate_intensity(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=n,
-                               threads=threads))
+    mc.estimate_charge_variance(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8,
+                                     n_realizations=n, radii=(0.5, 1.0), threads=threads))
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
 def test_stencil_pass_runs_once_per_block(monkeypatch, n, threads):
     # the stencils of all flagged cells of a block are made in one call,
-    # however many grids the block holds
+    # however many grids the block holds (the disk charges of a window source)
     calls = []
     stencils = zeros._stencils
 
@@ -468,8 +520,8 @@ def test_stencil_pass_runs_once_per_block(monkeypatch, n, threads):
         return stencils(*args)
 
     monkeypatch.setattr(zeros, "_stencils", counted)
-    mc.estimate_intensity(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=n,
-                               threads=threads))
+    mc.estimate_charge_variance(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8,
+                                     n_realizations=n, radii=(0.5, 1.0), threads=threads))
     assert len(calls) == 2 and min(calls) > 0
 
 

@@ -64,6 +64,36 @@ def test_double_zero_raises_resolution_error():
         Z.detect_zeros(grid)
 
 
+def _whole_grid_rectangle(grid):
+    return S.LatticeRectangle.of(grid.origin, grid.spacing, grid.plane, grid.values.shape,
+                                 grid.extent, "the test grid")
+
+
+def test_rectangle_zero_count_refuses_a_winding_two_cell_as_the_detector_does():
+    # z^2 with its double zero at the centre of a cell about the origin, where
+    # every edge's carrier advance is h^2/2: the plaquette holds winding 2,
+    # and the count and the detector raise the one message
+    grid = synthetic_grid(lambda z: z * z, half=1.0, n=21, offset=0.05 + 0.05j)
+    with pytest.raises(ResolutionError, match=r"^plaquette near \S+ holds winding 2; ") as count:
+        Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid)
+    with pytest.raises(ResolutionError) as detect:
+        Z.detect_zeros(grid)
+    assert str(count.value) == str(detect.value)
+
+
+def test_rectangle_zero_count_counts_flagged_cells():
+    # three separated simple zeros flag three cells; a zero and an
+    # anti-zero inside one cell cancel in its winding and are not counted
+    roots = [0.31 + 0.22j, -0.43 - 0.37j, 0.12 - 0.41j]
+    grid = synthetic_grid(lambda z: (z - roots[0]) * (z - roots[1]) * np.conj(z - roots[2]),
+                          half=1.0, n=161)
+    assert Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid) == 3
+    a = grid.origin + grid.spacing * (80.3 + 80.4j)
+    pair = synthetic_grid(lambda z: (z - a) * np.conj(z - a - 0.004), half=1.0, n=161)
+    assert Z.rectangle_zero_count(_whole_grid_rectangle(pair), pair) == 0
+    assert not Z._plaquette_windings(pair).any()
+
+
 def test_multiple_separated_roots_with_charges():
     roots = [0.31 + 0.22j, -0.43 - 0.37j, 0.12 - 0.41j]
 
