@@ -61,8 +61,12 @@ _MIN_POINTS = 16
 _PAD_CELLS = 4
 # the most elements of any one array a plan or a realization allocates (the
 # grid, the anchored phase table, the noise record, the decimation transform,
-# the FFT frame): 256 MiB of complex samples
+# the FFT frame, the edge-row operator): 256 MiB of complex samples
 _MAX_ELEMENTS = 2 ** 24
+# inner columns per tile of an StftPlan's row operator, and realizations per
+# product with it: whether OpenBLAS threads a product, which changes its
+# rounding, depends on its size, so every product has as many rows
+_TILE, _GEMM_ROWS = 16, 4
 
 
 def stream(seed: int, realization: int = 0, component: int = 0) -> np.random.Generator:
@@ -343,9 +347,11 @@ class StftPlan:
     in again once the allocator has trimmed a freed one.
 
     `rectangle` is the lattice's grid points in the interior, and edges
-    gives one realization's samples on its four edges with no grid made:
-    the two edge columns as realize makes them, the two edge rows from the
-    inner columns' bands at the rows' two frequency bins.
+    gives a block of realizations' samples on its four edges, no grid made:
+    the records in one pass, the edge columns as realize makes them, and
+    the edge rows by one stacked product with the banded _row_operator,
+    built once per plan, whose tiles of _TILE inner columns each hold the
+    record span their bands cover, all windows stacked.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  The phase table is
@@ -480,40 +486,43 @@ class StftPlan:
             self._lattice = {"origin": complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
                              "spacing": _SQRT_PI * s, "plane": plane}
 
-    def _records(self, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
-        """(q, n_rec) band-limited noise records at step D dt, one per window;
-        `rng` holds one generator per window (a single-window plan also takes
-        a bare generator), each drawing K noise samples."""
-        rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-        if len(rngs) != len(self.windows):
-            raise ParameterError(f"{len(rngs)} generators for {len(self.windows)} windows")
-        records = np.stack([complex_normals(gen, self.K) for gen in rngs])
+    def _records(self, rngs: Sequence[Sequence[np.random.Generator]]) -> np.ndarray:
+        """(B, q, n_rec) band-limited noise records at step D dt: row b holds
+        one per window, each drawing K noise samples from its generator in
+        rngs[b].  One FFT pair runs over all B q records."""
+        q = len(self.windows)
+        for gens in rngs:
+            if len(gens) != q:
+                raise ParameterError(f"{len(gens)} generators for {q} windows")
+        records = np.array([complex_normals(gen, self.K) for gens in rngs for gen in gens],
+                           dtype=complex).reshape(len(rngs) * q, self.K)
         spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
-        return np.fft.ifft(spec[:, self._keep], axis=1)
+        return np.fft.ifft(spec[:, self._keep], axis=1).reshape(len(rngs), q, len(self._keep))
 
     def _fold(self, records: np.ndarray, frame: np.ndarray, cols) -> np.ndarray:
-        """frame (one row per column of `cols`, a slice or indices of the
-        grid's columns) filled with the columns' summed window bands, each
-        folded onto the FFT period."""
+        """frame (..., one row per column of `cols`, a slice or indices of
+        the grid's columns) filled with the columns' summed window bands of
+        records (..., q, n_rec), each folded onto the FFT period."""
         N, W = self.frame_shape[1], self.W
-        frame[:, W:] = 0
-        for k, (record, factors) in enumerate(zip(records, self.window_factors)):
-            band = sliding_window_view(record, W)[self.starts[cols]]
+        frame[..., W:] = 0
+        bands = sliding_window_view(records, W, axis=-1)
+        for k, factors in enumerate(self.window_factors):
+            band = bands[..., k, self.starts[cols], :]
             band *= factors[cols]
             # a band longer than the frame folds onto the FFT period
             for f0 in range(0, W, N):
-                part = band[:, f0:f0 + N]
+                part = band[..., f0:f0 + N]
                 if k == f0 == 0:
-                    frame[:, :part.shape[1]] = part
+                    frame[..., :part.shape[-1]] = part
                 else:
-                    frame[:, :part.shape[1]] += part
+                    frame[..., :part.shape[-1]] += part
         return frame
 
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
                 seed_label: int = 0) -> FieldGrid:
         """One grid; `rng` holds one generator per window (a single-window
         plan also takes a bare generator), each drawing K noise samples."""
-        records = self._records(rng)
+        records = self._records([[rng] if isinstance(rng, np.random.Generator) else rng])[0]
         try:
             frame = self._frames.pop()
         except IndexError:  # every frame is in use, or none was made yet
@@ -531,38 +540,65 @@ class StftPlan:
                                    where=self._where, **self._lattice)
 
     @cached_property
-    def _row_bins(self) -> np.ndarray:
-        """(W, 2) factors exp(-2 pi i (b (w mod N) mod N) / N), w < W, of the
-        frame bins b of the rectangle's edge rows j0 and j1: a band times
-        them is its folded frame row's DFT at those bins.  The product is
-        reduced mod N exactly before the exponential."""
-        rect, N = self.rectangle, self.frame_shape[1]
+    def _row_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, op), the banded operator from the records to the
+        rectangle's edge rows j0 and j1 at its inner columns.  Tile t of
+        _TILE inner columns reads each record's `span` samples from first[t],
+        which hold its columns' bands; op[t], (q span, 2 _TILE), is window
+        factor times exp(-2 pi i (b (w mod N) mod N) / N) at the rows' frame
+        bins b (the product reduced mod N exactly) times the output phase.
+        Its size is checked before it is made."""
+        rect, N, W = self.rectangle, self.frame_shape[1], self.W
+        inner = np.arange(rect.i0 + 1, rect.i1)
+        tile, pos = np.divmod(np.arange(len(inner)), _TILE)
+        starts, lo = self.starts[inner], np.arange(0, len(inner), _TILE)
+        # the starts rise with the column, so a tile's last band ends last
+        span = W + int(np.max(np.maximum.reduceat(starts, lo) - starts[lo], initial=0))
+        q, tiles = len(self.windows), len(lo)
+        _check_elements({"row operator": tiles * q * span * 2 * _TILE}, self._where)
+        # a tile near the record's end starts early enough to keep its span in it
+        first = np.minimum(starts[lo], len(self._keep) - span)
         bins = self._rows[[rect.j0, rect.j1]]
-        return np.exp(-2j * math.pi * (np.outer(np.arange(self.W) % N, bins) % N) / N)
+        shift = np.exp(-2j * math.pi * (np.outer(np.arange(W) % N, bins) % N) / N)  # (W, 2)
+        phase = self._phase[[rect.j0, rect.j1]][:, inner].T
+        at = (starts - first[tile])[:, None] + np.arange(W)
+        op = np.zeros((tiles, q, span, _TILE, 2), dtype=complex)
+        for k, factors in enumerate(self.window_factors):
+            op[tile[:, None], k, at, pos[:, None]] = (factors[inner][:, :, None] * shift
+                                                      * phase[:, None, :])
+        return first, op.reshape(tiles, q * span, 2 * _TILE)
 
-    def edges(self, rng: np.random.Generator | Sequence[np.random.Generator]
+    def edges(self, rngs: Sequence[Sequence[np.random.Generator]]
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The samples realize(rng) gives on the four edges of `rectangle`:
-        its bottom and top rows j0 and j1 (columns i0..i1) and its left and
-        right columns i0 and i1 (rows j0..j1), with no grid made.  The two
-        columns are made as realize makes them, from a two-row frame, and
-        have the grid's bits.  Each inner column's summed bands, contracted
-        against _row_bins, give the rows' inner samples, equal to the grid's
-        to rounding; the rows' corners are the columns'."""
-        rect = self.rectangle
-        records = self._records(rng)
-        frame = self._fold(records, np.empty((2, self.frame_shape[1]), dtype=complex),
+        """The (B, n) samples realize gives, for the B realizations whose
+        generators (one per window) are rngs[b], on the four edges of
+        `rectangle`: its bottom and top rows j0 and j1 (columns i0..i1) and
+        its left and right columns i0 and i1 (rows j0..j1), no grid made.
+        The columns come from one (B, 2, N) frame as realize makes them,
+        with the grid's bits.  The rows' inner samples are one stacked
+        product of the records, in _GEMM_ROWS realizations (the block padded
+        with zero records), with _row_operator: the grid's to rounding, and
+        the same bits in any block.  The rows' corners are the columns'."""
+        rect, count = self.rectangle, len(rngs)
+        records = self._records(rngs)
+        frame = self._fold(records, np.empty((count, 2, self.frame_shape[1]), dtype=complex),
                            [rect.i0, rect.i1])
-        np.fft.fft(frame, axis=1, out=frame)
+        np.fft.fft(frame, axis=-1, out=frame)
         rows = slice(rect.j0, rect.j1 + 1)
-        left, right = frame[:, self._rows[rows]] * self._phase[rows, [rect.i0, rect.i1]].T
-        inner, sums = slice(rect.i0 + 1, rect.i1), 0.0
-        for record, factors in zip(records, self.window_factors):
-            band = sliding_window_view(record, self.W)[self.starts[inner]]
-            band *= factors[inner]
-            sums = sums + band @ self._row_bins
-        bottom, top = sums.T * self._phase[[rect.j0, rect.j1], inner]
-        return (np.r_[left[0], bottom, right[0]], np.r_[left[-1], top, right[-1]], left, right)
+        left, right = np.moveaxis(
+            frame[..., self._rows[rows]] * self._phase[rows, [rect.i0, rect.i1]].T, 1, 0)
+        first, op = self._row_operator
+        records = np.concatenate([records, np.zeros((-count % _GEMM_ROWS, *records.shape[1:]))])
+        (tiles, depth, _), padded = op.shape, len(records)
+        # (tiles, padded, q, span): each tile's span of every record
+        cut = sliding_window_view(records, depth // len(self.windows), axis=-1
+                                  ).transpose(2, 0, 1, 3)[first]
+        prods = np.matmul(cut.reshape(tiles, padded // _GEMM_ROWS, _GEMM_ROWS, depth),
+                          op[:, None])
+        bottom, top = prods.reshape(tiles, padded, _TILE, 2)[:, :count].transpose(
+            3, 1, 0, 2).reshape(2, count, tiles * _TILE)[:, :, :rect.i1 - rect.i0 - 1]
+        return (np.concatenate([left[:, :1], bottom, right[:, :1]], axis=1),
+                np.concatenate([left[:, -1:], top, right[:, -1:]], axis=1), left, right)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -652,7 +688,8 @@ class SeriesPlan:
 
     def coefficients(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
         """(B, n_terms) scaled coefficients xi_n c_n, one row per generator."""
-        return np.stack([complex_normals(rng, self.n_terms) for rng in rngs]) * self.scale
+        return np.array([complex_normals(rng, self.n_terms) for rng in rngs],
+                        dtype=complex).reshape(-1, self.n_terms) * self.scale
 
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(B, z.size) values at points z within the grid radius of the B
@@ -811,7 +848,7 @@ class FieldSource:
     bit.  Every realize_batch call, from any thread, draws
     its FFT frames from the one pool of the source's StftPlan.  edges_batch
     draws the same realizations on the edges of the plan's `rectangle`
-    only.
+    only, a block in one plan call.
     """
 
     def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
@@ -878,13 +915,13 @@ class FieldSource:
     def edges_batch(self, seed: int, rs: Iterable[int]) -> list[np.ndarray]:
         """Realizations rs, in order, on the four edges of the plan's
         `rectangle`: (len(rs), n) samples of its bottom and top rows and its
-        left and right columns, drawn as realize_batch draws, no grid made."""
+        left and right columns, drawn as realize_batch draws, by one plan
+        call and no grid made; no realizations give four (0, n) arrays."""
         plan = self.plan
         if isinstance(plan, SeriesPlan):
             return plan.edges(plan.coefficients([stream(seed, r, 0) for r in rs]))
-        q = len(plan.windows)
-        per_r = [plan.edges([stream(seed, r, k) for k in range(q)]) for r in rs]
-        return [np.stack(edge) for edge in zip(*per_r)]
+        return list(plan.edges([[stream(seed, r, k) for k in range(len(plan.windows))]
+                                for r in rs]))
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""

@@ -463,6 +463,21 @@ def test_series_reports_independent_of_threads_and_blocks():
     assert len(texts) == 1
 
 
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "polyentire"])
+def test_stft_charge_reports_independent_of_threads_and_blocks(source, domain, spacing):
+    # 9 realizations: blocks of 8 and 1 at one thread, 5 and 4 at two, and
+    # 3, 3, 3 at three; the edges of each block are drawn in one plan call
+    texts = set()
+    for threads in (1, 2, 3):
+        cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=9, seed=6,
+                   threads=threads)
+        texts.add(mc.estimate_charge_intensity(cfg).to_json(include_elapsed=False))
+    assert len(texts) == 1
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_errors_name_seed_and_realization(monkeypatch, threads):
     # realization 3's field becomes exp(-|z|^2/2) (z - a)^2, a the centre of
@@ -506,6 +521,27 @@ def test_detector_called_once_per_block(monkeypatch, n, threads):
     mc.estimate_charge_variance(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8,
                                      n_realizations=n, radii=(0.5, 1.0), threads=threads))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "polyentire"])
+def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, threads):
+    # the charge intensity draws all noise records of a block in one pass:
+    # blocks of 8, 8 at one thread and of 4, 4 at two
+    calls = []
+    records = simulate.StftPlan._records
+
+    def counted(self, rngs):
+        calls.append(len(rngs))
+        return records(self, rngs)
+
+    monkeypatch.setattr(simulate.StftPlan, "_records", counted)
+    mc.estimate_charge_intensity(_cfg(source=source, domain=domain, spacing=spacing,
+                                      n_realizations=n, threads=threads))
+    assert sorted(calls) == [n // 2, n // 2]
 
 
 @pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])

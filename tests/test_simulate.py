@@ -561,6 +561,81 @@ def test_window_source_batch_matches_realize(hermites):
         assert grid.plane == "gwhf" and grid.meta["components"] == 2
 
 
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+], ids=["window", "polyentire"])
+def test_stft_edges_independent_of_the_block(spec, domain, spacing):
+    # a realization's four edges have the same bytes in a block of 1, 2, 3
+    # or 8, at either end of it; at the polyentire geometry a product of 8
+    # rows with the row operator is large enough for a threaded BLAS to
+    # split, and round differently, so every product has _GEMM_ROWS rows
+    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    whole = source.edges_batch(17, range(8))
+    for size in (1, 2, 3, 8):
+        for start in (0, 8 - size):
+            edges = source.edges_batch(17, range(start, start + size))
+            for edge, want in zip(edges, whole):
+                assert edge.shape == (size, want.shape[1])
+                assert edge.tobytes() == want[start:start + size].tobytes(), (size, start)
+
+
+def test_threads_build_one_row_operator_and_agree(hermites):
+    # three threads on two cores draw edges from one fresh plan, whose row
+    # operator the first blocks build concurrently, switching often
+    plan = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
+    twin = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
+
+    def block(plan, lo):
+        return plan.edges([[S.stream(41, r, k) for k in range(2)] for r in range(lo, lo + 3)])
+
+    serial = [block(twin, lo) for lo in range(0, 36, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(lambda lo: block(plan, lo), range(0, 36, 3), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded) == 12
+    for got, want in zip(threaded, serial):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("spec", [{"family": "window", "window": "hermite:1"},
+                                  {"family": "polyentire", "q": 2, "kind": "full"},
+                                  {"family": "series-gef"}],
+                         ids=["window", "polyentire", "series"])
+def test_no_realizations_give_empty_edges_and_no_grids(spec):
+    source = S.FieldSource(spec, (-3.0, 3.0, -3.0, 3.0), 0.1, 1 / 64)
+    rect = source.plan.rectangle
+    edges = source.edges_batch(5, [])
+    sides = (rect.i1 - rect.i0 + 1,) * 2 + (rect.j1 - rect.j0 + 1,) * 2
+    assert [edge.shape for edge in edges] == [(0, n) for n in sides]
+    charges = Z.rectangle_charges(rect, *edges)
+    assert charges.dtype == np.int64 and charges.shape == (0,)
+    assert list(source.realize_batch(5, [])) == []
+
+
+def test_row_operator_refuses_a_geometry_beyond_the_element_cap(monkeypatch):
+    # the operator is counted before it is made: under a lowered cap the
+    # plan's own arrays are already built, and its 130,944-element operator
+    # (11 tiles of 3 x 124 record samples by 2 x 16 columns) is refused,
+    # naming the geometry as given in the gwhf plane
+    source = S.FieldSource({"family": "polyentire", "q": 3, "kind": "full"},
+                           (-6.5, 6.5, -6.5, 6.5), 0.08, 1 / 64)
+    monkeypatch.setattr(S, "_MAX_ELEMENTS", 100_000)
+    with pytest.raises(ParameterError, match=r"^domain \(-6\.5, 6\.5, -6\.5, 6\.5\) at spacing "
+                                             r"0\.08 and dt 0\.015625 with margin [\d.]+ needs a "
+                                             r"row operator of 130944 elements, more than the "
+                                             r"100000 any one array may hold$"):
+        source.edges_batch(3, range(2))
+    assert "_row_operator" not in vars(source.plan)
+    monkeypatch.setattr(S, "_MAX_ELEMENTS", 130_944)
+    first, op = source.plan._row_operator
+    assert op.shape == (11, 3 * 124, 2 * S._TILE) and len(first) == 11
+
+
 @pytest.mark.parametrize("n_terms", [None, 512, 513], ids=["rule-351", "512", "513"])
 def test_series_matches_per_term_sum(n_terms):
     # the criterion-6 geometry: |z| reaches 9.6 at the corners, 351 terms by
