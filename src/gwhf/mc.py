@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -36,9 +37,14 @@ from .simulate import (FieldSource, LatticeRectangle, SeriesPlan, _check_domain,
 from .windows import Window
 from .zeros import circle_charges, detect_zeros, rectangle_charges, rectangle_zero_count
 
-__all__ = ["McConfig", "McItem", "McReport",
+__all__ = ["McConfig", "McItem", "McReport", "MAX_THREADS",
            "estimate_intensity", "estimate_charge_intensity",
            "estimate_charge_variance"]
+
+
+# most threads one call may ask for: the workers of a thread count are kept
+# for the process, so every count ever asked for keeps its threads alive
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,8 @@ class McConfig:
             raise ParameterError(f"radii {list(self.radii)} must be positive")
         if self.threads < 1:
             raise ParameterError(f"threads = {self.threads}: need at least 1 worker thread")
+        if self.threads > MAX_THREADS:
+            raise ParameterError(f"threads = {self.threads}: at most {MAX_THREADS} worker threads")
         _check_convention(self.convention)
         object.__setattr__(self, "source", source_from_spec(self.source))
 
@@ -213,22 +221,57 @@ def _disk_fits(box: tuple[float, float, float, float], radius: float) -> bool:
     return x0 <= cx - radius and cx + radius <= x1 and y0 <= cy - radius and cy + radius <= y1
 
 
+# the kept workers of each thread count: threads = N runs on the caller and
+# N - 1 of them, started at the first call that needs them
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _workers(threads: int) -> ThreadPoolExecutor:
+    with _pools_lock:
+        if threads not in _pools:
+            _pools[threads] = ThreadPoolExecutor(max_workers=threads - 1,
+                                                 thread_name_prefix=f"gwhf-mc{threads}")
+        return _pools[threads]
+
+
+def _here(fn, arg) -> Future:
+    """A finished future holding fn(arg), or what it raised."""
+    done = Future()
+    try:
+        done.set_result(fn(arg))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
 def _map_realizations(cfg: McConfig, values_of) -> list:
     """The values of all realizations in order whatever the thread count,
     values_of(rs) iterating over those of a contiguous block rs of at most
     _BLOCK, fewer when that would leave a thread without a block.  A
     GwhfError is re-raised as its own class, naming the seed and the
     realization: the one its `realization` names, as detect_zeros sets it
-    for a block, else the one whose value was due."""
+    for a block, else the one whose value was due.
+
+    At threads = N > 1 the blocks after the first are queued on the N - 1
+    kept workers of N (_workers), and the calling thread runs the first
+    block, then, in order, every block no worker has started.  Once a block
+    fails, the call's queued blocks are cancelled and its running ones
+    waited for, and the first failure in block order is raised: no block
+    outlives the call."""
     n = cfg.n_realizations
     size = min(_BLOCK, -(-n // cfg.threads))
+    failed = threading.Event()
 
     def block(lo: int) -> list:
         rs, out = range(lo, min(lo + size, n)), []
         try:
             for value in values_of(rs):
                 out.append(value)
-        except GwhfError as exc:
+        except BaseException as exc:
+            failed.set()
+            if not isinstance(exc, GwhfError):
+                raise
             r = rs[len(out) if exc.realization is None else exc.realization]
             raise type(exc)(f"seed {cfg.seed} realization {r}: {exc}") from exc
         return out
@@ -237,8 +280,20 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
     if cfg.threads == 1:
         blocks = [block(lo) for lo in starts]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            blocks = list(pool.map(block, starts))
+        futures = [_workers(cfg.threads).submit(block, lo) for lo in starts[1:]]
+        try:
+            futures.insert(0, _here(block, starts[0]))
+            for k in range(1, len(starts)):
+                if failed.is_set():
+                    break
+                if futures[k].cancel():
+                    futures[k] = _here(block, starts[k])
+        finally:
+            # a block still queued lies after the first failure in block order
+            for f in futures:
+                f.cancel()
+            wait(futures)
+        blocks = [f.result() for f in futures]
     return [v for b in blocks for v in b]
 
 

@@ -77,15 +77,25 @@ def stream(seed: int, realization: int = 0, component: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(ss))
 
 
-def complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """i.i.d. standard circularly symmetric complex Gaussians (unit variance).
+def complex_normals(rng: np.random.Generator | Sequence[np.random.Generator],
+                    n: int) -> np.ndarray:
+    """i.i.d. standard circularly symmetric complex Gaussians (unit variance):
+    n of them from one generator, or a (len(rng), n) array, row b drawn
+    from rng[b] as it would be alone, every row from one buffer.
 
     At pairing time each sample stands for the noise integrated over one
     dt cell, and the sqrt(dt) factor is applied inside the pairing sum, so
     E|V|^2 = ||g||^2 holds exactly in the dt -> 0 limit.
     """
-    z = rng.standard_normal(2 * n)
-    return (z[:n] + 1j * z[n:]) * math.sqrt(0.5)
+    one = isinstance(rng, np.random.Generator)
+    gens = (rng,) if one else rng
+    z = np.empty((len(gens), 2 * n))
+    for row, gen in zip(z, gens):
+        gen.standard_normal(out=row)
+    out = np.empty((len(gens), n), dtype=complex)
+    np.multiply(z[:, :n], math.sqrt(0.5), out=out.real)
+    np.multiply(z[:, n:], math.sqrt(0.5), out=out.imag)
+    return out[0] if one else out
 
 
 @dataclass(frozen=True)
@@ -322,8 +332,9 @@ class StftPlan:
     samples (M 7-smooth, long enough for every band) and transformed; the
     M bins centred on yc are kept, and one inverse FFT of length M gives
     the band-limited record at every D-th sample, already scaled by D.  At
-    D = 1 every bin is kept, and the same two transforms return the padded
-    record to rounding.  The dropped bins lie at least 1/(2 D dt) - hy >= F
+    D = 1 every bin would be kept and the two transforms would return the
+    padded record to rounding, so the record is only zero-padded, with no
+    transform.  The dropped bins lie at least 1/(2 D dt) - hy >= F
     from every row, and the same inequality keeps the D-fold sum of the
     decimated pairing free of aliasing, so the grid is unchanged up to the
     windows' 1e-12 tails.
@@ -489,15 +500,20 @@ class StftPlan:
     def _records(self, rngs: Sequence[Sequence[np.random.Generator]]) -> np.ndarray:
         """(B, q, n_rec) band-limited noise records at step D dt: row b holds
         one per window, each drawing K noise samples from its generator in
-        rngs[b].  One FFT pair runs over all B q records."""
+        rngs[b], all B q drawn by one complex_normals call.  One FFT pair
+        runs over all B q records, none at D = 1."""
         q = len(self.windows)
         for gens in rngs:
             if len(gens) != q:
                 raise ParameterError(f"{len(gens)} generators for {q} windows")
-        records = np.array([complex_normals(gen, self.K) for gens in rngs for gen in gens],
-                           dtype=complex).reshape(len(rngs) * q, self.K)
-        spec = np.fft.fft(records, n=self.D * len(self._keep), axis=1)
-        return np.fft.ifft(spec[:, self._keep], axis=1).reshape(len(rngs), q, len(self._keep))
+        records = complex_normals([gen for gens in rngs for gen in gens], self.K)
+        n_rec = len(self._keep)
+        if self.D == 1:  # every bin is kept: the FFT pair would return the padded record
+            records = np.pad(records, ((0, 0), (0, n_rec - self.K)))
+        else:
+            spec = np.fft.fft(records, n=self.D * n_rec, axis=1)
+            records = np.fft.ifft(spec[:, self._keep], axis=1)
+        return records.reshape(len(rngs), q, n_rec)
 
     def _fold(self, records: np.ndarray, frame: np.ndarray, cols) -> np.ndarray:
         """frame (..., one row per column of `cols`, a slice or indices of
@@ -688,8 +704,7 @@ class SeriesPlan:
 
     def coefficients(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
         """(B, n_terms) scaled coefficients xi_n c_n, one row per generator."""
-        return np.array([complex_normals(rng, self.n_terms) for rng in rngs],
-                        dtype=complex).reshape(-1, self.n_terms) * self.scale
+        return complex_normals(list(rngs), self.n_terms) * self.scale
 
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(B, z.size) values at points z within the grid radius of the B

@@ -377,6 +377,9 @@ def test_verify_exit_code_gates(capsys):
      "the lattice of domain (0, 0.05, 0, 4) at spacing 0.1 and dt 0.015625 with margin 12 "
      "has 1 x 40 points in the domain; a zero or charge count needs a rectangle of at "
      "least 2 x 2"),
+    # refused by the config, before any worker thread is started
+    (["verify", "charge", "--window", "hermite:1", "-n", "2", "--threads", "100000"],
+     "threads = 100000: at most 64 worker threads"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -397,7 +400,7 @@ def test_verify_exit_code_gates(capsys):
         "gwhf-plane-grid-too-large", "gaussian-nan-sigma", "gaussian-nan-phase",
         "mixture-nan-coefficient", "mixture-inf-coefficient",
         "charge-interior-without-rectangle", "gwhf-charge-interior-without-rectangle",
-        "gwhf-intensity-interior-without-rectangle"])
+        "gwhf-intensity-interior-without-rectangle", "threads-above-the-ceiling"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]

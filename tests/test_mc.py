@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -237,6 +241,14 @@ def test_config_validation():
         _cfg(convention="regresion")
     with pytest.raises(ParameterError, match="threads = 0"):
         _cfg(threads=0)
+    # a refused thread count starts no thread; the ceiling itself is a config
+    alive = threading.active_count()
+    for threads in (mc.MAX_THREADS + 1, 100000):
+        with pytest.raises(ParameterError, match=f"^threads = {threads}: at most "
+                                                 f"{mc.MAX_THREADS} worker threads$"):
+            _cfg(threads=threads)
+    assert mc.MAX_THREADS == 64 and _cfg(threads=64).threads == 64
+    assert threading.active_count() == alive
     for name, value in (("n_realizations", 2.5), ("threads", 1.5), ("seed", 1.5),
                         ("n_realizations", True), ("seed", False), ("threads", "2")):
         with pytest.raises(ParameterError, match=f"^{name} = {value!r} must be an integer$"):
@@ -664,3 +676,120 @@ def test_charge_variance_leaves_out_fit_over_a_radius_that_never_varied():
     assert [it.label for it in rep.items] == ["R=0.05", "R=0.1", "R=0.2"]
     assert rep.items[1].se == 0.0
     assert rep.notes[-1] == "fit-slope left out: zero standard error at R=0.1"
+
+
+def test_a_failed_call_waits_for_its_running_blocks():
+    # three blocks of one realization: block 1 raises while block 2 sleeps;
+    # the call raises only once block 2 has finished, naming seed and
+    # realization as before
+    cfg = _cfg(n_realizations=3, seed=21, threads=3)
+    sleeping, finished = threading.Event(), []
+
+    def values_of(rs):
+        for r in rs:
+            if r == 1:
+                assert sleeping.wait(timeout=60)
+                raise ResolutionError("refused")
+            if r == 2:
+                sleeping.set()
+                time.sleep(0.3)
+                finished.append(r)
+            yield r
+
+    with pytest.raises(ResolutionError, match=r"^seed 21 realization 1: refused$"):
+        mc._map_realizations(cfg, values_of)
+    assert finished == [2]
+
+
+def test_a_failed_call_runs_no_queued_block():
+    # blocks 0, 8 and 16 of eight at two threads: the caller's block fails
+    # while the one worker sleeps in block 8, so block 16 is still queued,
+    # and it never runs
+    cfg = _cfg(n_realizations=24, seed=21, threads=2)
+    sleeping, ran = threading.Event(), []
+
+    def values_of(rs):
+        ran.append(rs.start)
+        if rs.start == 0:
+            assert sleeping.wait(timeout=60)
+            raise ResolutionError("refused")
+        sleeping.set()
+        time.sleep(0.3)
+        return list(rs)
+
+    with pytest.raises(ResolutionError, match=r"^seed 21 realization 0: refused$"):
+        mc._map_realizations(cfg, values_of)
+    assert sorted(ran) == [0, 8]
+
+
+def test_a_failed_call_raises_the_first_failure_in_block_order():
+    # block 2 fails at once, block 1 only after a sleep: block 1's failure
+    # is the one raised, as at one thread
+    for threads in (1, 3):
+        cfg = _cfg(n_realizations=3, seed=21, threads=threads)
+
+        def values_of(rs):
+            for r in rs:
+                if r == 1:
+                    time.sleep(0.2)
+                if r > 0:
+                    raise ResolutionError(f"refused {r}")
+                yield r
+
+        with pytest.raises(ResolutionError, match=r"^seed 21 realization 1: refused 1$"):
+            mc._map_realizations(cfg, values_of)
+
+
+def test_threaded_calls_reuse_their_workers():
+    # the caller's block waits until block 1 has run elsewhere, so each of
+    # the two calls at two threads runs a block on a worker: the same one
+    cfg = _cfg(n_realizations=8, threads=2)
+    caller, workers = threading.get_ident(), []
+    for _ in range(2):
+        ran = threading.Event()
+
+        def values_of(rs):
+            if rs.start == 0:
+                assert ran.wait(timeout=60)
+            else:
+                workers.append(threading.get_ident())
+                ran.set()
+            return list(rs)
+
+        assert mc._map_realizations(cfg, values_of) == list(range(8))
+    assert len(workers) == 2 and len(set(workers)) == 1 and caller not in workers
+
+
+def test_workers_start_at_the_first_threaded_call_and_are_kept():
+    # a fresh interpreter: importing gwhf and a one-thread estimate start no
+    # thread; calls at two and three threads keep 1 + 2 workers in all
+    script = """
+import threading
+alive = [threading.active_count()]
+import gwhf
+from gwhf import mc
+alive.append(threading.active_count())
+
+def cfg(threads):
+    return mc.McConfig(source={"family": "window", "window": "hermite:1"},
+                       domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, dt=1 / 64,
+                       n_realizations=8, seed=1, threads=threads)
+
+reports = {mc.estimate_charge_intensity(cfg(1)).to_json(include_elapsed=False)}
+alive.append(threading.active_count())
+for threads in (2, 3, 2, 3):
+    reports.add(mc.estimate_charge_intensity(cfg(threads)).to_json(include_elapsed=False))
+alive.append(threading.active_count())
+print(alive, len(reports))
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    alive, reports = done.stdout.split("] ")
+    before, imported, serial, threaded = json.loads(alive + "]")
+    assert imported == serial == before
+    assert before < threaded <= before + 1 + 2
+    assert reports.strip() == "1"

@@ -28,6 +28,19 @@ def test_stream_independence_and_determinism():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_complex_normals_rows_are_the_one_generator_draws(count):
+    # row b of the block draw is what its generator alone gives, and what
+    # it gave as (z[:n] + i z[n:]) / sqrt(2) of its 2n standard normals
+    rows = S.complex_normals([S.stream(5, r, 1) for r in range(count)], 64)
+    assert rows.shape == (count, 64)
+    for r in range(count):
+        z = S.stream(5, r, 1).standard_normal(128)
+        assert np.array_equal(rows[r], S.complex_normals(S.stream(5, r, 1), 64))
+        assert np.array_equal(rows[r], (z[:64] + 1j * z[64:]) * math.sqrt(0.5))
+    assert S.complex_normals([], 64).shape == (0, 64)
+
+
 def test_complex_normals_moments():
     z = S.complex_normals(S.stream(1), 200_000)
     assert abs(z.mean()) < 0.01
@@ -288,6 +301,28 @@ def test_monte_carlo_geometries_realize_at_quarter_rate(spec, domain, spacing):
     plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
     assert plan.D == _largest_fitting_divisor(plan) == 4
     assert plan.frame_shape == (plan.nx, plan.n_fft // 4)
+
+
+def test_full_rate_records_are_the_padded_draws(hermites, monkeypatch):
+    # at D = 1 every bin is kept, so a record is its zero-padded draw with no
+    # transform, and the grid is the one the FFT pair gives to rounding
+    plan = S.StftPlan(hermites[1], (0, 4, 0, 26), 1 / 16, 1 / 64)
+    n_rec = len(plan._keep)
+    assert plan.D == 1 and np.array_equal(plan._keep, np.arange(n_rec))
+    draws = S.complex_normals([S.stream(38, r) for r in range(3)], plan.K)
+    padded = np.zeros((3, 1, n_rec), dtype=complex)
+    padded[:, 0, :plan.K] = draws
+    assert np.array_equal(plan._records([[S.stream(38, r)] for r in range(3)]), padded)
+    got = plan.realize(S.stream(38, 1)).values
+
+    def transformed(rngs):
+        draws = S.complex_normals([gen for gens in rngs for gen in gens], plan.K)
+        spec = np.fft.fft(draws, n=n_rec, axis=1)
+        return np.fft.ifft(spec[:, plan._keep], axis=1).reshape(len(rngs), 1, n_rec)
+
+    monkeypatch.setattr(plan, "_records", transformed)
+    ref = plan.realize(S.stream(38, 1)).values
+    assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def test_plan_refuses_a_frame_beyond_the_element_cap(hermites):
