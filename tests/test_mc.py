@@ -322,6 +322,21 @@ def test_poisson_reports_pinned():
         "86bbdd2ce8fce09326344effee8534f88ac2b8edcb18ff3ee1799b8af87ae8c6"
 
 
+@pytest.mark.parametrize("domain, spacing, radii, n, pinned", [
+    ((-6.5, 6.5, -6.5, 6.5), 0.08, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 64,
+     "f0bd48cfab7ae5267dc90ac49b8088800ca19b37663f7170126f75b7e935c9d8"),
+    ((0.0, 8.0, 0.0, 8.0), 1 / 16, (1.0, 2.0, 3.0), 48,
+     "2b59431444bc4b465a5989d4caa80d62df6543e32e89c1f05fdfecbfe8d64fc4"),
+], ids=["origin", "off-centre"])
+def test_series_charge_variance_reports_pinned(domain, spacing, radii, n, pinned):
+    # the circles about the origin start from the FFT circle values, those
+    # off-centre from the evaluator; both reports keep their bytes
+    cfg = mc.McConfig(source={"family": "series-gef"}, domain=domain, spacing=spacing,
+                      n_realizations=n, seed=78, radii=radii)
+    text = mc.estimate_charge_variance(cfg).to_json(include_elapsed=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
+
+
 _PINNED = [({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16),
            ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08)]
 
