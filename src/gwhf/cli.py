@@ -279,18 +279,21 @@ def _cmd_verify(args) -> int:
                                      "about its centre; give radii with --radii")
         report = estimate_charge_variance(_mc_config(args, radii))
         _write_report(report, args.out, "charge_variance")
-        per_r = {it.label: it for it in report.items if it.label.startswith("R=")}
-        top = per_r[f"R={radii[-1]:g}"]
-        mid = per_r[f"R={radii[len(radii) // 2]:g}"]
+        top, mid = report.items[len(radii) - 1], report.items[(len(radii) - 1) // 2]
+        r_top, r_mid = radii[-1], radii[(len(radii) - 1) // 2]
         band_ok = abs(top.empirical - top.theory) <= 0.2 * top.theory
+        # Var(R_top) / Var(R_mid) grows like the perimeter ratio for a
+        # hyperuniform process and like the area ratio for a Poisson one;
+        # the limit is their geometric mean
+        limit = (r_top / r_mid) ** 1.5
         if mid.empirical > 0:
-            ratio = (top.empirical * radii[-1]) / (mid.empirical * radii[len(radii) // 2])
-            ratio_ok, growth = ratio <= 2.4, f"{ratio:.2f}"
+            ratio = (top.empirical * r_top) / (mid.empirical * r_mid)
+            ratio_ok, growth = ratio <= limit, f"{ratio:.2f}"
         else:  # no growth to measure from a charge that never varied
             ratio_ok, growth = False, f"undefined (zero variance at {mid.label})"
-        sys.stderr.write(f"[gwhf] Var/R band at R={radii[-1]:g}: "
+        sys.stderr.write(f"[gwhf] Var/R band at R={r_top:g}: "
                          f"{'ok' if band_ok else 'FAIL'}; growth ratio {growth} "
-                         f"{'ok' if ratio_ok else 'FAIL'}\n")
+                         f"(limit {limit:.2f}) {'ok' if ratio_ok else 'FAIL'}\n")
         return 0 if (band_ok and ratio_ok) else 1
     if args.suite == "invariance":
         g = window_from_spec(args.window or "hermite:0")

@@ -79,6 +79,12 @@ class McConfig:
             raise ParameterError(f"radii {list(self.radii)} must be strictly increasing")
         if not all(r > 0 for r in self.radii):
             raise ParameterError(f"radii {list(self.radii)} must be positive")
+        # a report row is labelled R=<radius:g>; rounding to its 6 digits is
+        # monotone, so two radii with one label are neighbours
+        for a, b in zip(self.radii, self.radii[1:]):
+            if f"{a:g}" == f"{b:g}":
+                raise ParameterError(f"radii {a!r} and {b!r} would both label their report "
+                                     f"rows R={a:g}: radii must differ in 6 significant digits")
         if self.threads < 1:
             raise ParameterError(f"threads = {self.threads}: need at least 1 worker thread")
         if self.threads > MAX_THREADS:
@@ -382,14 +388,16 @@ def estimate_charge_intensity(cfg: McConfig) -> McReport:
                      [*source.notes, _rectangle_note("net charge", rect, "its four edges")])
 
 
-def _variance_se(samples: np.ndarray) -> float:
-    # sampling error of the unbiased variance from the fourth moment
-    n = len(samples)
-    m = samples - samples.mean()
-    m4 = float(np.mean(m ** 4))
-    s2 = float(np.var(samples, ddof=1))
+def _variance_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased variance of each row of samples and its sampling error from
+    the fourth moment, one reduction each over the contiguous rows: each
+    row's values are those np.var and np.mean give for it alone."""
+    n = samples.shape[1]
+    m = samples - samples.mean(axis=1, keepdims=True)
+    m4 = np.mean(m ** 4, axis=1)
+    s2 = np.var(samples, axis=1, ddof=1)
     var_of_var = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
-    return math.sqrt(max(var_of_var, 0.0))
+    return s2, np.sqrt(np.maximum(var_of_var, 0.0))
 
 
 def estimate_charge_variance(cfg: McConfig) -> McReport:
@@ -419,6 +427,7 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
         notes.append("fewer than 100 realizations: variance standard errors are wide")
 
     radii = list(cfg.radii)
+    column = np.array(radii)[:, None]
     if isinstance(source, _PoissonControl):
         # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
         theory_var = [source.rate * math.pi * R for R in radii]
@@ -432,21 +441,14 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
             start = None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts))
             return circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii,
                                   cfg.spacing, start)
-        dists = ((np.abs(pos - center), chg) for pos, chg in _block_points(source, cfg, rs))
-        return ([int(chg[dist <= R].sum()) for R in radii] for dist, chg in dists)
+        return (np.where(np.abs(pos - center) <= column, chg, 0).sum(axis=1)
+                for pos, chg in _block_points(source, cfg, rs))
 
     charges = np.array(_map_realizations(cfg, disk_charges), dtype=float)
 
-    items = []
-    variances = []
-    ses = []
-    for k, R in enumerate(radii):
-        v = float(np.var(charges[:, k], ddof=1))
-        se = _variance_se(charges[:, k])
-        variances.append(v)
-        ses.append(se)
-        items.append(McItem(label=f"R={R:g}", empirical=v / R, se=se / R,
-                            theory=theory_var[k]))
+    variances, ses = (a.tolist() for a in _variance_and_se(np.ascontiguousarray(charges.T)))
+    items = [McItem(label=f"R={R:g}", empirical=v / R, se=se / R, theory=theory)
+             for R, v, se, theory in zip(radii, variances, ses, theory_var)]
 
     # weighted straight-line fit Var ~ a + b R over the upper half of the
     # radii; a radius whose charge never varied has no weight to give it

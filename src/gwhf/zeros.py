@@ -44,6 +44,7 @@ plaquette windings alone.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContainerError, DomainError, GwhfError, ParameterError, ResolutionError
-from .simulate import FieldGrid, LatticeRectangle
+from .simulate import FieldGrid, LatticeRectangle, _fft_frame
 
 __all__ = [
     "ChargedZero", "ZeroSet",
@@ -611,46 +612,86 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
                    realization=realization[order])
 
 
+@functools.lru_cache(maxsize=8)
+def _circle_layout(radii: tuple[float, ...], spacing: float) -> tuple[np.ndarray, ...]:
+    """Point counts, first points, circle and angle of each point, offsets
+    from the centre and next point of each point of the circles of these
+    radii at this spacing, all read-only (they are shared by every call)."""
+    r = np.array(radii)
+    counts = np.array([_fft_frame(max(16, math.ceil(_TWO_PI * R / spacing))) for R in radii],
+                      dtype=int)
+    first = np.cumsum(counts) - counts
+    ring = np.repeat(np.arange(len(r)), counts)  # circle of each point
+    j = np.arange(ring.size) - first[ring]
+    theta = _TWO_PI * j / counts[ring]
+    layout = (counts, first, ring, theta, r[ring] * np.exp(1j * theta),
+              first[ring] + (j + 1) % counts[ring])
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _turns(v: np.ndarray) -> np.ndarray:
+    """Phase of v in turns; a sample that is exactly 0 reads as NaN, so an
+    arc with a vanishing end is never settled."""
+    turns = np.angle(v)
+    turns /= _TWO_PI
+    turns[v == 0] = np.nan
+    return turns
+
+
+def _wrap_and_coarse(step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wrap counts of arcs whose phase steps, in turns, are `step` (in
+    place), and which arcs are coarse: an increment over 1 rad, or a NaN
+    step from a vanishing end."""
+    wrap = np.rint(step)
+    step -= wrap
+    return wrap, ~(np.abs(step) <= 1.0 / _TWO_PI)
+
+
 def circle_charges(field: Callable[[np.ndarray], np.ndarray], center: complex,
                    radii: Sequence[float], spacing: float,
                    start: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
                    ) -> Iterator[np.ndarray]:
     """Charge inside each circle |z - center| = R of each field (the rows of
     field(z)), row by row: its phase winding, by the argument principle.
-    Circle k starts from counts[k] = ceil(2 pi R_k / spacing) points, at
-    least 16, equispaced from angle 0; start(radii, counts), when given,
-    gives the rows' values there, circle after circle, in place of field
-    (SeriesPlan.circle_values does on circles about the origin).  Arcs
-    with a phase step over 1 rad or a vanishing end are halved, their
-    midpoints from field, all in one call a round.  A row with an arc
-    unsettled after 40 halvings (its field vanishes on or next to the
-    circle) raises ResolutionError naming R."""
+    Circle k starts from counts[k] points equispaced from angle 0, the
+    smallest 7-smooth count (2^a 3^b 5^c 7^d, a fast FFT length) at or
+    above ceil(2 pi R_k / spacing) and 16; start(radii, counts), when
+    given, gives the rows' values there, circle after circle, in place of
+    field (SeriesPlan.circle_values does on circles about the origin).
+    Each value's phase is taken once, in turns, and each arc's step, the
+    next point's turns less its own, has a wrap count, its nearest integer.
+    The steps telescope around the circle, so the winding, the sum of the
+    arcs' principal-branch increments (step less wrap count), is exactly
+    minus the sum of the arcs' wrap counts.  An arc whose increment is over
+    1 rad or with a vanishing end is coarse: its wrap count is left out and
+    it is halved, the two halves' counts taking its place, their midpoints
+    from field, all in one call a round.  A row with an arc unsettled after
+    40 halvings (its field vanishes on or next to the circle) raises
+    ResolutionError naming R."""
+    counts, first, ring, theta, offsets, nxt = _circle_layout(
+        tuple(float(R) for R in radii), float(spacing))
     radii = np.asarray(radii, dtype=float)
-    counts = np.maximum(16, np.ceil(_TWO_PI * radii / spacing).astype(int))
-    ring = np.repeat(np.arange(len(radii)), counts)  # circle of each point
-    j = np.arange(ring.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    nxt = np.arange(ring.size) - j + (j + 1) % counts[ring]
-    theta = _TWO_PI * j / counts[ring]
-    v = (field(center + radii[ring] * np.exp(1j * theta)) if start is None
-         else start(radii, counts))
-    # arcs (field row, circle, start angle, end values): every one at first
-    b, p = np.indices(v.shape).reshape(2, -1)
-    k, ta, va, vb = ring[p], theta[p], v[b, p], v[b, nxt[p]]
-    total = np.zeros(len(v) * len(radii))
-    for halvings in range(41):
-        if halvings:
-            tm = ta + _TWO_PI / counts[k] / 2.0 ** halvings
-            vm = field(center + radii[k] * np.exp(1j * tm))[b, np.arange(b.size)]
-            b, k, ta, va, vb = (np.concatenate(pair) for pair in
-                                ((b, b), (k, k), (ta, tm), (va, vm), (vm, vb)))
-        prod = vb * np.conj(va)
-        step = np.angle(prod)
-        coarse = ~(np.abs(step) <= 1.0) | (prod == 0)
-        total += np.bincount((b * len(radii) + k)[~coarse], step[~coarse], total.size)
-        b, k, ta, va, vb = (x[coarse] for x in (b, k, ta, va, vb))
+    v = field(center + offsets) if start is None else start(radii, counts)
+    turns = _turns(v)
+    wrap, coarse = _wrap_and_coarse(turns[:, nxt] - turns)
+    wrap[coarse] = 0.0
+    total = np.add.reduceat(wrap, first, axis=1)
+    # coarse arcs (field row, circle, start angle, turns at both ends)
+    b, p = np.nonzero(coarse)
+    k, ta, tu_a, tu_b = ring[p], theta[p], turns[b, p], turns[b, nxt[p]]
+    for halvings in range(1, 41):
         if not b.size:
             break
-    for row, charges in enumerate(np.rint(total.reshape(len(v), -1) / _TWO_PI).astype(int)):
+        tm = ta + _TWO_PI / counts[k] / 2.0 ** halvings
+        tu_m = _turns(field(center + radii[k] * np.exp(1j * tm))[b, np.arange(b.size)])
+        b, k, ta, tu_a, tu_b = (np.concatenate(pair) for pair in
+                                ((b, b), (k, k), (ta, tm), (tu_a, tu_m), (tu_m, tu_b)))
+        wrap, coarse = _wrap_and_coarse(tu_b - tu_a)
+        np.add.at(total, (b[~coarse], k[~coarse]), wrap[~coarse])
+        b, k, ta, tu_a, tu_b = (x[coarse] for x in (b, k, ta, tu_a, tu_b))
+    for row, charges in enumerate((-total).astype(int)):
         if row in b:
             raise ResolutionError(f"phase on the circle of radius {radii[k[b == row][0]]:g} "
                                   f"about {center:.4g} not settled after 40 halvings")

@@ -304,6 +304,8 @@ def test_verify_exit_code_gates(capsys):
     (["verify", "charge-variance", "--kernel", "series", "--domain=-3,3,-3,3",
       "--spacing", "0.1", "--radii", "1,1", "-n", "50", "--seed", "1"],
      "radii [1.0, 1.0] must be strictly increasing"),
+    (["verify", "charge-variance", "--kernel", "poisson", "--radii", "1.0000001,1.0000002",
+      "-n", "2"], "radii 1.0000001 and 1.0000002 would both label their report rows R=1"),
     (["verify", "charge-variance", "--kernel", "gef-series", "--domain", "0,1.5,0,1.5"],
      "fits domain (0.0, 1.5, 0.0, 1.5) about its centre; give radii with --radii"),
     (["plot"], "row 2 'nan,0.5,1,1,1,1,0'"),
@@ -387,7 +389,7 @@ def test_verify_exit_code_gates(capsys):
         "series-radius-beyond-limit",
         "one-realization", "simulate-negative-seed", "verify-negative-seed",
         "invariance-negative-seed", "radii-not-numbers", "radius-zero", "radius-repeated",
-        "no-default-radius-fits",
+        "radii-one-label", "no-default-radius-fits",
         "plot-nan-position", "stft-infinite-domain", "series-infinite-domain",
         "gwhf-infinite-domain", "poisson-empty-domain", "poisson-nan-domain",
         "invariance-no-draws", "invariance-negative-draws", "verify-kernel-gef",
@@ -575,15 +577,35 @@ def test_verify_charge_and_variance_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("radii, n", [("1,2", "2"), ("0.05,0.1", "3")])
 def test_verify_charge_variance_fails_on_a_radius_that_never_varied(capsys, radii, n):
-    # every realization has the same charge in the middle disk: there is no
-    # growth ratio to take, so the run fails instead of dividing by zero
+    # every realization has the same charge in the middle disk, here the
+    # first of two: there is no growth ratio to take, so the run fails
+    # instead of dividing by zero
     code, out, err = run_cli(capsys, "verify", "charge-variance", "--kernel", "series",
                              "--domain=-3,3,-3,3", "--spacing", "0.1", "--radii", radii,
                              "-n", n, "--seed", "1")
     assert code == 1
-    mid = radii.split(",")[1]
-    assert f"growth ratio undefined (zero variance at R={mid}) FAIL" in err
-    assert json.loads(out)["items"][-1]["label"] == f"R={mid}"
+    mid, top = radii.split(",")
+    assert f"growth ratio undefined (zero variance at R={mid}) (limit 2.83) FAIL" in err
+    items = json.loads(out)["items"]
+    assert [it["label"] for it in items] == [f"R={mid}", f"R={top}"]
+    assert items[0]["empirical"] == 0.0
+
+
+@pytest.mark.parametrize("kernel, code", [("poisson", 1), ("gef-series", None),
+                                          ("polyentire:2:pure", None)])
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_verify_charge_variance_growth_fails_an_area_law(capsys, kernel, code, seed):
+    # the default radii 1 .. 4 compare Var(4) with Var(2) against (4/2)^1.5:
+    # a Poisson control's variance grows like the area (ratio 4) and fails,
+    # a hyperuniform one's like the perimeter (ratio 2) and passes
+    got, _, err = run_cli(capsys, "verify", "charge-variance", "--kernel", kernel,
+                          "-n", "200", "--seed", seed)
+    growth = re.search(r"growth ratio ([\d.]+) \(limit 2\.83\) (ok|FAIL)$", err.strip())
+    assert growth, err
+    if code is not None:
+        assert got == code and growth[2] == "FAIL" and float(growth[1]) > 2.83
+    else:
+        assert growth[2] == "ok" and float(growth[1]) <= 2.83
 
 
 @pytest.mark.parametrize("kernel", ["gef-series", "polyentire:2:pure"])

@@ -231,6 +231,10 @@ def test_config_validation():
         _cfg(radii=(3.0, 1.0))
     with pytest.raises(ParameterError, match=r"radii \[1.0, 1.0\] must be strictly increasing"):
         _cfg(radii=(1.0, 1.0))
+    # two report rows labelled R=1
+    with pytest.raises(ParameterError, match=r"^radii 1\.0000001 and 1\.0000002 would both "
+                                             r"label their report rows R=1: "):
+        _cfg(radii=(0.5, 1.0000001, 1.0000002))
     for radii in (("a",), (1.0, True)):
         with pytest.raises(ParameterError, match=re.escape(f"radii {list(radii)} must be numbers")):
             _cfg(radii=radii)
@@ -477,6 +481,31 @@ def test_fit_slope_is_the_inverse_variance_fit_of_the_radius_rows():
     coef = np.linalg.solve(gram, design.T @ (weight * var))
     assert fit.empirical == pytest.approx(coef[1], rel=1e-9)
     assert fit.se == pytest.approx(math.sqrt(np.linalg.inv(gram)[1, 1]), rel=1e-9)
+
+
+def _variance_se_reference(samples):
+    """mc's per-radius sampling error of the unbiased variance as it was
+    before all radii were reduced at once: one column at a time, from the
+    fourth moment.  The reference for mc._variance_and_se."""
+    n = len(samples)
+    m = samples - samples.mean()
+    m4 = float(np.mean(m ** 4))
+    s2 = float(np.var(samples, ddof=1))
+    var_of_var = (m4 - (n - 3) / (n - 1) * s2 * s2) / n
+    return math.sqrt(max(var_of_var, 0.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 1000])
+def test_variance_and_se_equal_the_per_column_values(n):
+    # n around the block boundaries of numpy's pairwise sum (8 and 128):
+    # the reduction over the contiguous (radii, n) rows gives each column's
+    # np.var and fourth-moment error bit for bit, on integer charges and
+    # on reals
+    rng = np.random.default_rng(n)
+    for charges in (rng.integers(-9, 10, size=(n, 6)).astype(float), rng.normal(size=(n, 6))):
+        var, se = mc._variance_and_se(np.ascontiguousarray(charges.T))
+        assert var.tolist() == [float(np.var(c, ddof=1)) for c in charges.T]
+        assert se.tolist() == [_variance_se_reference(c) for c in charges.T]
 
 
 def test_series_reports_independent_of_threads_and_blocks():

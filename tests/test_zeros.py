@@ -830,6 +830,86 @@ def test_circle_charges_refuse_a_zero_on_the_circle(root):
         next(rows)
 
 
+def _circle_charges_reference(field, center, radii, spacing, start=None):
+    """Z.circle_charges as it was before it counted wrap counts on 7-smooth
+    circles: ceil(2 pi R / spacing) points, at least 16, and per arc the
+    angle of the product of its end values, summed in float per circle
+    and rounded.  The reference for Z.circle_charges."""
+    radii = np.asarray(radii, dtype=float)
+    counts = np.maximum(16, np.ceil(2 * math.pi * radii / spacing).astype(int))
+    ring = np.repeat(np.arange(len(radii)), counts)
+    j = np.arange(ring.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    nxt = np.arange(ring.size) - j + (j + 1) % counts[ring]
+    theta = 2 * math.pi * j / counts[ring]
+    v = (field(center + radii[ring] * np.exp(1j * theta)) if start is None
+         else start(radii, counts))
+    b, p = np.indices(v.shape).reshape(2, -1)
+    k, ta, va, vb = ring[p], theta[p], v[b, p], v[b, nxt[p]]
+    total = np.zeros(len(v) * len(radii))
+    for halvings in range(41):
+        if halvings:
+            tm = ta + 2 * math.pi / counts[k] / 2.0 ** halvings
+            vm = field(center + radii[k] * np.exp(1j * tm))[b, np.arange(b.size)]
+            b, k, ta, va, vb = (np.concatenate(pair) for pair in
+                                ((b, b), (k, k), (ta, tm), (va, vm), (vm, vb)))
+        prod = vb * np.conj(va)
+        step = np.angle(prod)
+        coarse = ~(np.abs(step) <= 1.0) | (prod == 0)
+        total += np.bincount((b * len(radii) + k)[~coarse], step[~coarse], total.size)
+        b, k, ta, va, vb = (x[coarse] for x in (b, k, ta, va, vb))
+        if not b.size:
+            break
+    assert not b.size
+    return np.rint(total.reshape(len(v), -1) / (2 * math.pi)).astype(int)
+
+
+@pytest.mark.parametrize("domain, spacing, center, radii, n", [
+    ((-6.5, 6.5, -6.5, 6.5), 0.08, 0j, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 2000),  # criterion 6
+    ((0.0, 8.0, 0.0, 8.0), 1 / 16, 4 + 4j, (1.0, 2.0, 3.0, 4.0), 400),  # away from the origin
+], ids=["origin-fft", "off-centre"])
+def test_circle_charges_match_the_per_arc_reference(domain, spacing, center, radii, n):
+    # the wrap counts on 7-smooth circles give the charges of the per-arc
+    # products on the old circles, realization by realization; about the
+    # origin both start from the FFT circle values
+    plan = S.SeriesPlan(domain, spacing)
+    for lo in range(0, n, 8):
+        coeffs = plan.coefficients([S.stream(77, r, 0) for r in range(lo, lo + 8)])
+        args = (lambda z: plan.evaluate(coeffs, z), center, radii, spacing,
+                None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts)))
+        assert np.array_equal(np.array(list(Z.circle_charges(*args))),
+                              _circle_charges_reference(*args)), lo
+
+
+def _is_7_smooth(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("spacing", [0.08, 1 / 16, 0.1, 0.5, 3.0])
+def test_circle_counts_are_the_least_7_smooth_at_the_floor(spacing):
+    # every circle takes the smallest 7-smooth count at or above
+    # max(16, ceil(2 pi R / spacing)): a fast FFT length, never coarser
+    radii = (0.01, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.3)
+    seen = []
+
+    def start(rr, counts):
+        seen.append(counts)
+        z = np.concatenate([r * np.exp(2j * PI * np.arange(m) / m) for r, m in zip(rr, counts)])
+        return np.stack([z, np.conj(z)])
+
+    charges = np.array(list(Z.circle_charges(lambda z: np.stack([z, np.conj(z)]), 0j, radii,
+                                             spacing, start)))
+    assert charges.tolist() == [[1] * len(radii), [-1] * len(radii)]
+    counts, = seen
+    assert not counts.flags.writeable
+    floor = np.maximum(16, np.ceil(2 * PI * np.array(radii) / spacing)).astype(int)
+    for low, m in zip(floor.tolist(), counts.tolist()):
+        assert m >= low and _is_7_smooth(m)
+        assert not any(_is_7_smooth(c) for c in range(low, m))
+
+
 def _exact_root(coeffs, rho, z0):
     """Newton on the series polynomial sum_n coeffs[n] (z/rho)^n from z0."""
     poly = np.polynomial.Polynomial(coeffs)
