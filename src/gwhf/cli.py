@@ -279,8 +279,9 @@ def _cmd_verify(args) -> int:
                                      "about its centre; give radii with --radii")
         report = estimate_charge_variance(_mc_config(args, radii))
         _write_report(report, args.out, "charge_variance")
-        top, mid = report.items[len(radii) - 1], report.items[(len(radii) - 1) // 2]
-        r_top, r_mid = radii[-1], radii[(len(radii) - 1) // 2]
+        k_mid = (len(radii) - 1) // 2  # the lower middle radius, the first of two
+        top, mid = report.items[len(radii) - 1], report.items[k_mid]
+        r_top, r_mid = radii[-1], radii[k_mid]
         band_ok = abs(top.empirical - top.theory) <= 0.2 * top.theory
         # Var(R_top) / Var(R_mid) grows like the perimeter ratio for a
         # hyperuniform process and like the area ratio for a Poisson one;

@@ -47,6 +47,11 @@ __all__ = ["McConfig", "McItem", "McReport", "MAX_THREADS",
 MAX_THREADS = 64
 
 
+def _radius_label(radius: float) -> str:
+    """The label of a radius's charge-variance report row."""
+    return f"R={radius:g}"
+
+
 @dataclass(frozen=True)
 class McConfig:
     """One verification run: a field source plus sampling parameters.
@@ -79,12 +84,12 @@ class McConfig:
             raise ParameterError(f"radii {list(self.radii)} must be strictly increasing")
         if not all(r > 0 for r in self.radii):
             raise ParameterError(f"radii {list(self.radii)} must be positive")
-        # a report row is labelled R=<radius:g>; rounding to its 6 digits is
-        # monotone, so two radii with one label are neighbours
+        # rounding to 6 digits is monotone, so radii sharing a label are neighbours
         for a, b in zip(self.radii, self.radii[1:]):
-            if f"{a:g}" == f"{b:g}":
+            if _radius_label(a) == _radius_label(b):
                 raise ParameterError(f"radii {a!r} and {b!r} would both label their report "
-                                     f"rows R={a:g}: radii must differ in 6 significant digits")
+                                     f"rows {_radius_label(a)}: radii must differ in 6 "
+                                     "significant digits")
         if self.threads < 1:
             raise ParameterError(f"threads = {self.threads}: need at least 1 worker thread")
         if self.threads > MAX_THREADS:
@@ -406,13 +411,18 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     One concentric disk per realization per radius (overlapping-disk
     averaging would correlate samples and bias the standard errors); a
     series source takes each disk's charge as its field's winding on the
-    circle, with no grid; when the disks are centred on the origin the
-    circles' starting values come from SeriesPlan.circle_values, one
-    inverse FFT per circle, and only arc midpoints from the evaluator.  The
-    report also carries a weighted linear fit of Var against R over the
-    upper half of the radii, unless one of them has a zero standard error,
-    which a note then names.  Theory per radius is
-    the large-R limit of Var/R from quadrature of the kernel profile.
+    circle, with no grid (zeros.circle_charges); when the disks are
+    centred on the origin the circles' starting values come from
+    SeriesPlan.circle_values, one inverse FFT per circle on a 7-smooth
+    length, and only arc midpoints from the evaluator.  Other sources
+    count each realization's zeros in all disks with one broadcast
+    comparison.  The variance of every radius and its fourth-moment
+    standard error come from one reduction each over the contiguous
+    (radii, realizations) array, equal bit for bit to those of each column
+    alone.  The report also carries a weighted linear fit of Var against R
+    over the upper half of the radii, unless one of them has a zero
+    standard error, which a note then names.  Theory per radius is the
+    large-R limit of Var/R from quadrature of the kernel profile.
     """
     t0 = time.time()
     if not cfg.radii:
@@ -447,7 +457,7 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     charges = np.array(_map_realizations(cfg, disk_charges), dtype=float)
 
     variances, ses = (a.tolist() for a in _variance_and_se(np.ascontiguousarray(charges.T)))
-    items = [McItem(label=f"R={R:g}", empirical=v / R, se=se / R, theory=theory)
+    items = [McItem(label=_radius_label(R), empirical=v / R, se=se / R, theory=theory)
              for R, v, se, theory in zip(radii, variances, ses, theory_var)]
 
     # weighted straight-line fit Var ~ a + b R over the upper half of the
