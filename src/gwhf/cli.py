@@ -287,7 +287,9 @@ def _cmd_verify(args) -> int:
         # hyperuniform process and like the area ratio for a Poisson one;
         # the limit is their geometric mean
         limit = (r_top / r_mid) ** 1.5
-        if mid.empirical > 0:
+        if len(radii) == 1:  # a radius compared with itself measures no growth
+            ratio_ok, growth = False, "undefined (one radius)"
+        elif mid.empirical > 0:
             ratio = (top.empirical * r_top) / (mid.empirical * r_mid)
             ratio_ok, growth = ratio <= limit, f"{ratio:.2f}"
         else:  # no growth to measure from a charge that never varied

@@ -345,10 +345,14 @@ def estimate_intensity(cfg: McConfig) -> McReport:
     winding is nonzero (zeros.rectangle_zero_count), and divides by that
     rectangle's area.  Each simple zero adds one unit of winding to the one
     cell that holds it, so the count is unbiased; it needs the windings
-    alone, no refinement, merge, degenerate rule or position cut.  An
-    opposite-signed pair inside one cell cancels and is not counted, and a
-    cell with |winding| >= 2 raises ResolutionError.  A note names the
-    rectangle.  The Poisson control counts its points in the interior.
+    alone, no refinement, merge, degenerate rule or position cut.  Only the
+    rectangle's samples are made and wound (FieldSource.rectangle_batch):
+    a window or polyentire source draws a block's records in one pass and
+    makes no padded grid, one realization counted before the next is made.
+    An opposite-signed pair inside one cell cancels and is not counted, and
+    a cell with |winding| >= 2 raises ResolutionError naming the seed and
+    the realization.  A note names the rectangle.  The Poisson control
+    counts its points in the interior.
     """
     t0 = time.time()
     source = _source(cfg)
@@ -360,8 +364,8 @@ def estimate_intensity(cfg: McConfig) -> McReport:
                          list(source.notes))
     rect = source.plan.rectangle
     counts = _map_realizations(
-        cfg, lambda rs: (rectangle_zero_count(rect, grid)
-                         for grid in source.realize_batch(cfg.seed, rs)))
+        cfg, lambda rs: (rectangle_zero_count(rect, samples)
+                         for samples in source.rectangle_batch(cfg.seed, rs)))
     return _per_area(cfg, "density", t0, counts, rect.area, theory,
                      [*source.notes, _rectangle_note("flagged cells", rect,
                                                      "its plaquette windings")])

@@ -355,14 +355,19 @@ class StftPlan:
     exp(-2 pi i y_j tau_i) sqrt(dt/q).  realize takes its frame from the
     plan's pool, making one only when every pooled frame is in use, and
     returns it after the row gather: a fresh frame per grid faults its pages
-    in again once the allocator has trimmed a freed one.
+    in again once the allocator has trimmed a freed one.  The pool serves
+    realize alone.
 
-    `rectangle` is the lattice's grid points in the interior, and edges
-    gives a block of realizations' samples on its four edges, no grid made:
-    the records in one pass, the edge columns as realize makes them, and
-    the edge rows by one stacked product with the banded _row_operator,
-    built once per plan, whose tiles of _TILE inner columns each hold the
-    record span their bands cover, all windows stacked.
+    `rectangle` is the lattice's grid points in the interior; neither
+    method below makes a grid.  rectangle_samples gives a block of
+    realizations' samples on it, one realization at a time, by the fold,
+    FFT and row gather of realize (_samples) restricted to its columns and
+    rows, from the block's records drawn in one pass, in one frame of the
+    call.  edges gives a block's samples on its four edges: the records in
+    one pass, the edge columns as realize makes them, and the edge rows by
+    one stacked product with the banded _row_operator, built once per plan,
+    whose tiles of _TILE inner columns each hold the record span their
+    bands cover, all windows stacked.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  The phase table is
@@ -515,15 +520,23 @@ class StftPlan:
             records = np.fft.ifft(spec[:, self._keep], axis=1)
         return records.reshape(len(rngs), q, n_rec)
 
-    def _fold(self, records: np.ndarray, frame: np.ndarray, cols) -> np.ndarray:
+    def _bands(self, records: np.ndarray) -> np.ndarray:
+        """The view (..., q, n_rec - W + 1, W) of records (..., q, n_rec)
+        whose [..., k, s] is window k's record from sample s on: the bands
+        _fold reads, made once per block."""
+        return sliding_window_view(records, self.W, axis=-1)
+
+    def _fold(self, bands: np.ndarray, frame: np.ndarray, cols) -> np.ndarray:
         """frame (..., one row per column of `cols`, a slice or indices of
-        the grid's columns) filled with the columns' summed window bands of
-        records (..., q, n_rec), each folded onto the FFT period."""
+        the grid's columns) filled with the columns' summed window bands,
+        read from bands (_bands), each folded onto the FFT period."""
         N, W = self.frame_shape[1], self.W
         frame[..., W:] = 0
-        bands = sliding_window_view(records, W, axis=-1)
         for k, factors in enumerate(self.window_factors):
             band = bands[..., k, self.starts[cols], :]
+            if k == 0 and W <= N:  # the first band is made in the frame's head, not copied
+                np.multiply(band, factors[cols], out=frame[..., :W])
+                continue
             band *= factors[cols]
             # a band longer than the frame folds onto the FFT period
             for f0 in range(0, W, N):
@@ -534,6 +547,17 @@ class StftPlan:
                     frame[..., :part.shape[-1]] += part
         return frame
 
+    def _samples(self, bands: np.ndarray, frame: np.ndarray, rows: slice,
+                 cols: slice) -> np.ndarray:
+        """The grid's samples at rows x cols of the realization whose bands
+        (_bands of its (q, n_rec) records) are given: its columns' bands
+        folded into frame, one row per column of `cols`, one FFT over the
+        frame, the rows gathered and the output phase applied.  Each sample
+        depends on its own column's band alone, so any block of the grid has
+        the grid's bits."""
+        np.fft.fft(self._fold(bands, frame, cols), axis=1, out=frame)
+        return frame[:, self._rows[rows]].T * self._phase[rows, cols]
+
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
                 seed_label: int = 0) -> FieldGrid:
         """One grid; `rng` holds one generator per window (a single-window
@@ -543,8 +567,7 @@ class StftPlan:
             frame = self._frames.pop()
         except IndexError:  # every frame is in use, or none was made yet
             frame = np.empty(self.frame_shape, dtype=complex)
-        np.fft.fft(self._fold(records, frame, slice(None)), axis=1, out=frame)
-        vals = frame[:, self._rows].T * self._phase
+        vals = self._samples(self._bands(records), frame, slice(None), slice(None))
         self._frames.append(frame)
         return FieldGrid(values=vals, seed=seed_label, interior=self.interior,
                          meta=dict(self._meta), **self._lattice)
@@ -554,6 +577,20 @@ class StftPlan:
         """The grid points of the plan's lattice that lie in its interior."""
         return LatticeRectangle.of(shape=(self.ny, self.nx), box=self.interior,
                                    where=self._where, **self._lattice)
+
+    def rectangle_samples(self, rngs: Sequence[Sequence[np.random.Generator]]
+                          ) -> Iterator[np.ndarray]:
+        """The samples realize gives on `rectangle`, rows j0..j1 by columns
+        i0..i1, of the B realizations whose generators (one per window) are
+        rngs[b], one realization at a time and no grid made, with the grid's
+        bits: the records of all B in one pass, then per realization only
+        the rectangle's columns folded into one frame of this call, reused
+        for each, and only its rows gathered."""
+        rect = self.rectangle
+        rows, cols = slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1)
+        frame = np.empty((rect.i1 - rect.i0 + 1, self.frame_shape[1]), dtype=complex)
+        for bands in self._bands(self._records(rngs)):
+            yield self._samples(bands, frame, rows, cols)
 
     @cached_property
     def _row_operator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -597,7 +634,8 @@ class StftPlan:
         the same bits in any block.  The rows' corners are the columns'."""
         rect, count = self.rectangle, len(rngs)
         records = self._records(rngs)
-        frame = self._fold(records, np.empty((count, 2, self.frame_shape[1]), dtype=complex),
+        frame = self._fold(self._bands(records),
+                           np.empty((count, 2, self.frame_shape[1]), dtype=complex),
                            [rect.i0, rect.i1])
         np.fft.fft(frame, axis=-1, out=frame)
         rows = slice(rect.j0, rect.j1 + 1)
@@ -861,9 +899,10 @@ class FieldSource:
     margin, so no sample depends on the pad.  The source's interior, that
     of its plan and that of each of its grids, is the domain given, bit for
     bit.  Every realize_batch call, from any thread, draws
-    its FFT frames from the one pool of the source's StftPlan.  edges_batch
-    draws the same realizations on the edges of the plan's `rectangle`
-    only, a block in one plan call.
+    its FFT frames from the one pool of the source's StftPlan.
+    rectangle_batch draws the same realizations on the plan's `rectangle`
+    only, and edges_batch on its edges only, a block in one plan call,
+    the same way for every family.
     """
 
     def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
@@ -926,6 +965,21 @@ class FieldSource:
             return iter(plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
         return (plan.realize([stream(seed, r, k) for k in range(len(plan.windows))], seed)
                 for r in rs)
+
+    def rectangle_batch(self, seed: int, rs: Iterable[int]) -> Iterator[np.ndarray]:
+        """Realizations rs, in order, on the plan's `rectangle`: each one's
+        samples at rows j0..j1 and columns i0..i1, the bits realize_batch
+        gives there, one at a time.  A window or polyentire source draws
+        the block's records in one pass and makes no grid
+        (StftPlan.rectangle_samples); a series source cuts the block from
+        realize_batch's grids."""
+        plan = self.plan
+        if isinstance(plan, SeriesPlan):
+            r = plan.rectangle
+            return (grid.values[r.j0:r.j1 + 1, r.i0:r.i1 + 1]
+                    for grid in self.realize_batch(seed, rs))
+        return plan.rectangle_samples([[stream(seed, r, k) for k in range(len(plan.windows))]
+                                       for r in rs])
 
     def edges_batch(self, seed: int, rs: Iterable[int]) -> list[np.ndarray]:
         """Realizations rs, in order, on the four edges of the plan's

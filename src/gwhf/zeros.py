@@ -40,7 +40,7 @@ the same as when it is detected alone.  circle_charges and
 rectangle_charges need no grid: the latter counts a lattice rectangle's
 net charge from its edges' wrap counts, by the rule the plaquettes use.
 rectangle_zero_count counts a rectangle's flagged cells from the
-plaquette windings alone.
+plaquette windings of its own samples alone, by the rule of a grid's.
 """
 from __future__ import annotations
 
@@ -147,9 +147,11 @@ def _wrap_counts(step: np.ndarray, plane: str, h: float, at, vertical: bool) -> 
     return np.rint(step, out=step)
 
 
-def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
-    """Integer winding of every plaquette, counterclockwise gauged loop, as
-    int16.
+def _windings(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, plane: str,
+              h: float) -> np.ndarray:
+    """Integer winding of every plaquette of the samples values[j, i] at
+    (xs[i], ys[j]) on a lattice of spacing h in `plane`, counterclockwise
+    gauged loop, as int16.
 
     The phase is taken once per sample, in turns.  Each lattice edge's
     demodulated step (its phase difference less the carrier advance) has a
@@ -165,15 +167,19 @@ def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
     turns, so they are summed in float and the winding, at most
     2 + spacing^2 in magnitude, is cast once.
     """
-    h = grid.spacing
-    turns = np.angle(grid.values)
+    turns = np.angle(values)
     turns /= _TWO_PI
-    horiz = _wrap_counts(turns[:, 1:] - turns[:, :-1], grid.plane, h, grid.ys[:, None], False)
-    vert = _wrap_counts(turns[1:] - turns[:-1], grid.plane, h, grid.xs, True)
+    horiz = _wrap_counts(turns[:, 1:] - turns[:, :-1], plane, h, ys[:, None], False)
+    vert = _wrap_counts(turns[1:] - turns[:-1], plane, h, xs, True)
     wind = np.subtract(vert[:, :-1], vert[:, 1:], out=turns[:-1, :-1])
     wind += horiz[1:]
     wind -= horiz[:-1]
     return wind.astype(np.int16)
+
+
+def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
+    """The windings (_windings) of every plaquette of the grid."""
+    return _windings(grid.values, grid.xs, grid.ys, grid.plane, grid.spacing)
 
 
 def rectangle_charges(rect: LatticeRectangle, bottom: np.ndarray, top: np.ndarray,
@@ -492,35 +498,46 @@ def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], sli
     return box, slice(keep_j[0], keep_j[-1] + 1), slice(keep_i[0], keep_i[-1] + 1)
 
 
-def _flagged(grid: FieldGrid, raw: np.ndarray, rows: slice, cols: slice
+def _flagged(block: np.ndarray, origin: complex, h: float, i0: int, j0: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells (i, j) and windings of the flagged cells among the rows and
-    columns of cells given, raw being the grid's plaquette windings.  A cell
-    with |winding| >= 2 raises ResolutionError naming its centre."""
+    """Cells (i, j) and windings of the flagged cells of block, the windings
+    of the cells from (i0, j0) on of the lattice of this origin and spacing
+    h.  A cell with |winding| >= 2 raises ResolutionError naming its
+    centre."""
     # one flat search of a boolean block: numpy finds nonzero entries of a
     # 1-d boolean array an order of magnitude faster than of a 2-d one
-    flagged = raw[rows, cols] != 0
+    flagged = block != 0
     j, i = np.divmod(np.flatnonzero(flagged), flagged.shape[1])
-    i += cols.start
-    j += rows.start
-    w = raw[j, i].astype(int)
+    w = block[j, i].astype(int)
+    i += i0
+    j += j0
     multiple = np.flatnonzero(np.abs(w) >= 2)
     if multiple.size:
         k = multiple[0]
-        center = _plane_points(grid.origin, grid.spacing, i[k], j[k], 0.5, 0.5)
+        center = _plane_points(origin, h, i[k], j[k], 0.5, 0.5)
         raise ResolutionError(f"plaquette near {center:.4g} holds winding {w[k]}; "
                               "halve the grid spacing")
     return i, j, w
 
 
-def rectangle_zero_count(rect: LatticeRectangle, grid: FieldGrid) -> int:
-    """Number of cells of the lattice rectangle rect, on grid's lattice,
-    whose plaquette winding is nonzero: one per simple zero of the field in
-    the rectangle, as detect_zeros flags them, with no refinement, merge or
-    degenerate rule.  Two zeros of opposite charge in one cell cancel and
-    are not counted.  A cell with |winding| >= 2 raises ResolutionError."""
-    rows, cols = slice(rect.j0, rect.j1), slice(rect.i0, rect.i1)
-    return len(_flagged(grid, _plaquette_windings(grid), rows, cols)[0])
+def rectangle_zero_count(rect: LatticeRectangle, samples: FieldGrid | np.ndarray) -> int:
+    """Number of cells of the lattice rectangle rect whose plaquette winding
+    is nonzero: one per simple zero of the field in the rectangle, as
+    detect_zeros flags them, with no refinement, merge or degenerate rule.
+    samples is a grid on rect's lattice or the rectangle's own samples, rows
+    j0..j1 by columns i0..i1 (FieldSource.rectangle_batch); only those are
+    wound, by the rule of the grid's plaquettes (_windings).  Two zeros of
+    opposite charge in one cell cancel and are not counted.  A cell with
+    |winding| >= 2 raises ResolutionError, as _flagged names it."""
+    if isinstance(samples, FieldGrid):
+        samples = samples.values[rect.j0:rect.j1 + 1, rect.i0:rect.i1 + 1]
+    o, h = rect.origin, rect.spacing
+    xs = o.real + h * np.arange(rect.i0, rect.i1 + 1)
+    ys = o.imag + h * np.arange(rect.j0, rect.j1 + 1)
+    wind = _windings(samples, xs, ys, rect.plane, h)
+    if np.abs(wind).max() >= 2:  # the count needs no cell list, the refusal its first cell
+        _flagged(wind, o, h, rect.i0, rect.j0)
+    return int(np.count_nonzero(wind))
 
 
 def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarray, ...]:
@@ -528,7 +545,7 @@ def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarra
     one per cell) and the cells (i, j), raw windings and raw 4x4 samples of
     its flagged cells among the rows and columns of cells given (_flagged)."""
     raw = _plaquette_windings(grid)
-    i, j, w = _flagged(grid, raw, rows, cols)
+    i, j, w = _flagged(raw[rows, cols], grid.origin, grid.spacing, cols.start, rows.start)
     sample_rows, sample_cols = _stencil_indices(i, j, *raw.shape)
     return raw, i, j, w, grid.values[sample_rows, sample_cols]
 

@@ -93,5 +93,8 @@ def test_bench_traced_stft_unit_matches_untraced_and_restores(monkeypatch):
     assert traced.output is not None and (traced.ops, traced.failed) == (stft.chunk, 0)
     assert stft.digest([traced.output]) == stft.digest([plain.output])
     layers = tracing.layer_metrics(tracer, traced.ops, stft.threads)
-    assert layers["simulate.stft.realize_calls"] > 0
+    # the zero count reads the lattice rectangle's samples, made with no
+    # grid: StftPlan.realize, the one STFT method the tracer wraps, is never
+    # called, and a count that routes through it again shows here
+    assert layers["simulate.stft.realize_calls"] == 0
     assert mc.detect_zeros is detect and simulate.StftPlan.realize is realize

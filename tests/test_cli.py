@@ -591,6 +591,17 @@ def test_verify_charge_variance_fails_on_a_radius_that_never_varied(capsys, radi
     assert items[0]["empirical"] == 0.0
 
 
+@pytest.mark.parametrize("kernel", ["poisson", "gef-series"])
+def test_verify_charge_variance_fails_with_one_radius(capsys, kernel):
+    # one radius would be compared with itself, a ratio of 1 against the
+    # limit 1: no growth is measured, so the run fails whatever the band says
+    code, out, err = run_cli(capsys, "verify", "charge-variance", "--kernel", kernel,
+                             "--radii", "3", "-n", "100", "--seed", "1")
+    assert code == 1
+    assert err.strip().endswith("growth ratio undefined (one radius) (limit 1.00) FAIL"), err
+    assert [it["label"] for it in json.loads(out)["items"]] == ["R=3"]
+
+
 @pytest.mark.parametrize("kernel, code", [("poisson", 1), ("gef-series", None),
                                           ("polyentire:2:pure", None)])
 @pytest.mark.parametrize("seed", ["1", "2", "3"])

@@ -534,6 +534,59 @@ def test_stft_charge_reports_independent_of_threads_and_blocks(source, domain, s
     assert len(texts) == 1
 
 
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "polyentire"])
+def test_stft_intensity_reports_independent_of_threads_and_blocks(source, domain, spacing):
+    # 9 realizations: blocks of 8 and 1 at one thread, 5 and 4 at two, and
+    # 3, 3, 3 at three; the rectangle samples of each block come from one
+    # records pass
+    texts = set()
+    for threads in (1, 2, 3):
+        cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=9, seed=6,
+                   threads=threads)
+        texts.add(mc.estimate_intensity(cfg).to_json(include_elapsed=False))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "polyentire"])
+def test_stft_intensity_makes_no_grid(monkeypatch, source, domain, spacing):
+    # the zero count reads the lattice rectangle's samples alone: no grid is
+    # realized, and none is wrapped in a FieldGrid
+    calls = []
+    monkeypatch.setattr(simulate.StftPlan, "realize", lambda *a, **kw: calls.append("realize"))
+    monkeypatch.setattr(simulate, "FieldGrid", lambda *a, **kw: calls.append("FieldGrid"))
+    rep = mc.estimate_intensity(_cfg(source=source, domain=domain, spacing=spacing,
+                                     n_realizations=10, seed=8, threads=2))
+    assert calls == [] and rep.items[0].empirical > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_intensity_errors_name_seed_and_realization(monkeypatch, threads):
+    # realization 3's rectangle windings gain a cell of winding 2, which the
+    # zero count refuses; realization 3 is the fourth of the block 0 .. 4
+    # at one thread and the first of the block 3, 4 at two
+    cfg = _cfg(source={"family": "window", "window": "hermite:1"}, domain=(0.0, 4.0, 0.0, 4.0),
+               n_realizations=5, seed=21, threads=threads)
+    bad = next(FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt).rectangle_batch(21, [3]))
+    windings = zeros._windings
+
+    def doubled(values, *args):
+        w = windings(values, *args)
+        if values.tobytes() == bad.tobytes():
+            w[5, 7] = 2
+        return w
+
+    monkeypatch.setattr(zeros, "_windings", doubled)
+    with pytest.raises(ResolutionError,
+                       match=r"^seed 21 realization 3: plaquette near \S+ holds winding 2; "):
+        mc.estimate_intensity(cfg)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_errors_name_seed_and_realization(monkeypatch, threads):
     # realization 3's field becomes exp(-|z|^2/2) (z - a)^2, a the centre of
@@ -585,8 +638,8 @@ def test_detector_called_once_per_block(monkeypatch, n, threads):
     ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
 ], ids=["window", "polyentire"])
 def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, threads):
-    # the charge intensity draws all noise records of a block in one pass:
-    # blocks of 8, 8 at one thread and of 4, 4 at two
+    # the charge and the zero intensity each draw all noise records of a
+    # block in one pass: blocks of 8, 8 at one thread and of 4, 4 at two
     calls = []
     records = simulate.StftPlan._records
 
@@ -595,9 +648,11 @@ def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, t
         return records(self, rngs)
 
     monkeypatch.setattr(simulate.StftPlan, "_records", counted)
-    mc.estimate_charge_intensity(_cfg(source=source, domain=domain, spacing=spacing,
-                                      n_realizations=n, threads=threads))
-    assert sorted(calls) == [n // 2, n // 2]
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=n, threads=threads)
+    for estimate in (mc.estimate_charge_intensity, mc.estimate_intensity):
+        calls.clear()
+        estimate(cfg)
+        assert sorted(calls) == [n // 2, n // 2], estimate.__name__
 
 
 @pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])

@@ -615,6 +615,32 @@ def test_stft_edges_independent_of_the_block(spec, domain, spacing):
                 assert edge.tobytes() == want[start:start + size].tobytes(), (size, start)
 
 
+@pytest.mark.parametrize("spec, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
+    ({"family": "series-gef"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["stft-window", "gwhf-window", "polyentire", "series"])
+def test_rectangle_samples_are_the_grids_block(spec, domain, spacing):
+    # a realization's samples on the lattice rectangle, drawn in a block of
+    # 1, 3 or 8 at either end of it, have the bytes of its grid's block
+    # there; the stft simulator makes them with no grid and leaves the
+    # frame pool of realize alone
+    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    r = source.plan.rectangle
+    rows, cols = slice(r.j0, r.j1 + 1), slice(r.i0, r.i1 + 1)
+    want = [source.realize(23, k).values[rows, cols] for k in range(8)]
+    pool = [id(frame) for frame in getattr(source.plan, "_frames", [])]
+    for size in (1, 3, 8):
+        for start in (0, 8 - size):
+            got = list(source.rectangle_batch(23, range(start, start + size)))
+            assert len(got) == size
+            for k, samples in enumerate(got, start):
+                assert samples.shape == want[k].shape
+                assert samples.tobytes() == want[k].tobytes(), (size, start, k)
+    assert [id(frame) for frame in getattr(source.plan, "_frames", [])] == pool
+
+
 def test_threads_build_one_row_operator_and_agree(hermites):
     # three threads on two cores draw edges from one fresh plan, whose row
     # operator the first blocks build concurrently, switching often
