@@ -1,16 +1,19 @@
 """Monte Carlo verification harness.
 
 Runs batches of field realizations and compares empirical statistics
-against the closed-form predictions: the zero density from the number of
-flagged cells of the lattice rectangle in the interior, the cells whose
-plaquette winding is nonzero (no detector: an opposite-signed pair inside
-one cell cancels), the signed charge density from the net charge of that
-rectangle, read from the field on its four edges alone by the argument
-principle (no grid, no detector), and the charge variance in growing
-disks.  Every realization
-draws from a counter-based stream keyed by (seed, realization, component),
-so reports are deterministic and independent of the thread count; the
-per-realization statistics are stored and reduced in fixed order.
+against the closed-form predictions: the zero density, the signed charge
+density and the charge variance in growing disks.  Every source answers
+the estimators through one interface, its class picked by its family
+once, where _source builds it: its area and notes_for(quantity); its
+theory values density(convention), charge_density and
+variance_theory(radii); and, one value per realization of a block rs,
+zero_counts(seed, rs), net_charges(seed, rs) and disk_charges(seed, rs,
+center, radii).  An estimator maps one of these over the realizations
+(_map_realizations), reduces the values once and reports.  Every
+realization draws from a counter-based stream keyed by (seed,
+realization, component), so reports are deterministic and independent of
+the thread count; the per-realization statistics are stored and reduced
+in fixed order.
 
 The field source of the last geometry (source spec, domain, spacing, dt)
 is kept in a single-entry cache, so repeated calls on one geometry
@@ -26,13 +29,13 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DomainError, GwhfError, ParameterError
 from .kernels import DEFAULT_CONVENTION, _check_convention
-from .simulate import (FieldSource, LatticeRectangle, SeriesPlan, _check_domain, _is_number,
+from .simulate import (_MAX_ELEMENTS, FieldSource, _check_domain, _check_spacing, _is_number,
                        source_from_spec, stream)
 from .windows import Window
 from .zeros import circle_charges, detect_zeros, rectangle_charges, rectangle_zero_count
@@ -75,6 +78,9 @@ class McConfig:
             value = getattr(self, name)
             if not _is_number(value, (int, np.integer)):
                 raise ParameterError(f"{name} = {value!r} must be an integer")
+        if self.seed < 0:
+            raise ParameterError(f"seed {self.seed} must be a non-negative integer")
+        _check_spacing(self.spacing)
         if self.n_realizations < 2:
             raise ParameterError(f"n_realizations = {self.n_realizations}: "
                                  "need at least 2 realizations")
@@ -168,31 +174,129 @@ class McReport:
 # Sources
 # ---------------------------------------------------------------------------
 
-class _PoissonControl:
-    """Uniform points with i.i.d. +-1 charges: the one source with no grid."""
+def _in_disks(points: Iterable[tuple[np.ndarray, np.ndarray]], center: complex,
+              radii: list[float]) -> Iterator[np.ndarray]:
+    """The charge in each disk about center of each realization's points
+    (positions, charges), by one broadcast comparison."""
+    column = np.array(radii)[:, None]
+    return (np.where(np.abs(pos - center) <= column, chg, 0).sum(axis=1) for pos, chg in points)
 
-    charge_density, plan = 0.0, None
+
+class _PoissonControl:
+    """Uniform points with i.i.d. +-1 charges in the interior, counted there:
+    the source with no field.  A density whose expected count exceeds the
+    elements any one array may hold is refused."""
+
+    charge_density = 0.0
 
     def __init__(self, cfg: McConfig):
         self.rate = float(cfg.source.get("density", 1.0 / math.pi))
-        self.interior = _check_domain(cfg.domain)
-        self.notes = ["poisson control: uniform points, i.i.d. +-1 charges"]
+        self.interior = x0, x1, y0, y1 = _check_domain(cfg.domain)
+        self.area = (x1 - x0) * (y1 - y0)
+        if not self.rate * self.area <= _MAX_ELEMENTS:
+            box = ", ".join(f"{v:.6g}" for v in self.interior)
+            raise ParameterError(f"poisson density {self.rate:.6g} on domain ({box}) expects "
+                                 f"{self.rate * self.area:.6g} points a realization, more than "
+                                 f"the {_MAX_ELEMENTS} elements any one array may hold")
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         return self.rate
 
-    def points(self, seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = stream(seed, r, 0)
+    def variance_theory(self, radii: list[float]) -> list[float]:
+        # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
+        return [self.rate * math.pi * R for R in radii]
+
+    def notes_for(self, quantity: str) -> list[str]:
+        return ["poisson control: uniform points, i.i.d. +-1 charges"]
+
+    def _points(self, seed: int, rs: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         x0, x1, y0, y1 = self.interior
-        n = int(rng.poisson(self.rate * ((x1 - x0) * (y1 - y0))))
-        xy = rng.uniform(size=(n, 2))
-        pos = (x0 + (x1 - x0) * xy[:, 0]) + 1j * (y0 + (y1 - y0) * xy[:, 1])
-        return pos, np.where(rng.uniform(size=n) < 0.5, 1, -1)
+        for r in rs:
+            rng = stream(seed, r, 0)
+            n = int(rng.poisson(self.rate * self.area))
+            xy = rng.uniform(size=(n, 2))
+            pos = (x0 + (x1 - x0) * xy[:, 0]) + 1j * (y0 + (y1 - y0) * xy[:, 1])
+            yield pos, np.where(rng.uniform(size=n) < 0.5, 1, -1)
+
+    def zero_counts(self, seed: int, rs: range) -> Iterator[int]:
+        return (chg.size for _, chg in self._points(seed, rs))
+
+    def net_charges(self, seed: int, rs: range) -> Iterator[int]:
+        return (int(chg.sum()) for _, chg in self._points(seed, rs))
+
+    def disk_charges(self, seed: int, rs: range, center: complex, radii: list[float]):
+        return _in_disks(self._points(seed, rs), center, radii)
 
 
-def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
-    """The field source of cfg's geometry, the cached one when the last call
-    had the same geometry.  Threads racing on the cache at worst build twice."""
+# what a field source's count of each report counts on its lattice rectangle,
+# and from what
+_COUNTED = {"density": ("flagged cells", "its plaquette windings"),
+            "charge_density": ("net charge", "its four edges")}
+
+
+class _Field(FieldSource):
+    """A field source.  It counts on its plan's lattice rectangle, the grid
+    points of its lattice in the interior, per unit of its area, from the
+    rectangle's samples alone: its zero count is the number of cells whose
+    plaquette winding is nonzero (zeros.rectangle_zero_count), one per
+    simple zero, so unbiased (an opposite-signed pair in one cell cancels),
+    and its net charge is read from the four edges by the argument
+    principle (zeros.rectangle_charges).  Its disk charges are its detected
+    zeros'."""
+
+    @property
+    def area(self) -> float:
+        return self.plan.rectangle.area
+
+    def variance_theory(self, radii: list[float]) -> list[float]:
+        return [self.variance_asymptote] * len(radii)
+
+    def notes_for(self, quantity: str) -> list[str]:
+        if quantity not in _COUNTED:
+            return list(self.notes)
+        (what, how), rect = _COUNTED[quantity], self.plan.rectangle
+        box = ", ".join(f"{v:.6g}" for v in rect.box)
+        return [*self.notes,
+                f"{what} of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
+                f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
+                f"{rect.area:.6g}, counted from {how}"]
+
+    def zero_counts(self, seed: int, rs: range) -> Iterator[int]:
+        rect = self.plan.rectangle
+        return (rectangle_zero_count(rect, samples) for samples in self.rectangle_batch(seed, rs))
+
+    def net_charges(self, seed: int, rs: range) -> np.ndarray:
+        return rectangle_charges(self.plan.rectangle, *self.edges_batch(seed, rs))
+
+    def disk_charges(self, seed: int, rs: range, center: complex, radii: list[float]):
+        # one detector call a block, which drops each grid once its flagged
+        # cells are gathered; the zero set is split by realization
+        zs = detect_zeros(self.realize_batch(seed, rs))
+        live = ~zs.degenerate
+        cuts = np.searchsorted(zs.realization[live], np.arange(1, len(rs)))
+        return _in_disks(zip(np.split(zs.position[live], cuts), np.split(zs.charge[live], cuts)),
+                         center, radii)
+
+
+class _SeriesField(_Field):
+    """A series source, whose disk charge is its field's winding on the
+    circle (circle_charges), with no grid.  About the origin the circles'
+    starting values come from SeriesPlan.circle_values, one inverse FFT
+    per circle, and only arc midpoints from the evaluator."""
+
+    def disk_charges(self, seed: int, rs: range, center: complex, radii: list[float]):
+        plan = self.plan
+        coeffs = plan.draw(seed, rs)
+        start = None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts))
+        return circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii, plan.spacing,
+                              start)
+
+
+def _source(cfg: McConfig) -> _Field | _PoissonControl:
+    """The source of cfg, its class picked by its family: the Poisson
+    control built afresh, a field source the cached one when the last call
+    had the same geometry.  Threads racing on the cache at worst build
+    twice."""
     if cfg.source["family"] == "poisson":
         return _PoissonControl(cfg)
     return _field_source(tuple(sorted(cfg.source.items())), tuple(cfg.domain),
@@ -202,26 +306,13 @@ def _source(cfg: McConfig) -> FieldSource | _PoissonControl:
 # a Window in the spec is a key by its fields, whose rules compare by
 # identity, so two windows built apart get two sources
 @lru_cache(maxsize=1)
-def _field_source(spec: tuple, domain: tuple, spacing: float, dt: float | None) -> FieldSource:
-    return FieldSource(dict(spec), domain, spacing, dt)
+def _field_source(spec: tuple, domain: tuple, spacing: float, dt: float | None) -> _Field:
+    kind = _SeriesField if dict(spec)["family"] == "series-gef" else _Field
+    return kind(dict(spec), domain, spacing, dt)
 
 
 # most realizations one worker simulates together; reports do not depend on it
 _BLOCK = 8
-
-
-def _block_points(source: FieldSource | _PoissonControl, cfg: McConfig,
-                  rs: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Positions and charges of the non-degenerate zeros of each realization
-    in rs, in order.  The grids of rs are detected in one call, which drops
-    each grid once its flagged cells are gathered, and its zero set is
-    split by realization."""
-    if isinstance(source, _PoissonControl):
-        return (source.points(cfg.seed, r) for r in rs)
-    zs = detect_zeros(source.realize_batch(cfg.seed, rs))
-    live = ~zs.degenerate
-    cuts = np.searchsorted(zs.realization[live], np.arange(1, len(rs)))
-    return zip(np.split(zs.position[live], cuts), np.split(zs.charge[live], cuts))
 
 
 def _disk_fits(box: tuple[float, float, float, float], radius: float) -> bool:
@@ -312,11 +403,13 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _per_area(cfg: McConfig, quantity: str, t0: float, values: list, area: float,
-              theory: float, notes: list[str]) -> McReport:
-    """The report of the mean of values, one per realization, per unit area,
-    against theory."""
-    values = np.array(values, dtype=float)
+def _per_area(cfg: McConfig, quantity: str, t0: float, source, theory: float,
+              values_of) -> McReport:
+    """The report of the mean of source's values_of(seed, rs) per unit of
+    its area, against theory.  The area and notes are read before any block
+    runs, so a source that cannot give them names no realization."""
+    area, notes = source.area, source.notes_for(quantity)
+    values = np.array(_map_realizations(cfg, lambda rs: values_of(cfg.seed, rs)), dtype=float)
     mean = float(np.mean(values)) / area
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) / area
     item = McItem(label=quantity, empirical=mean, se=se, theory=theory)
@@ -324,77 +417,21 @@ def _per_area(cfg: McConfig, quantity: str, t0: float, values: list, area: float
                     elapsed_s=time.time() - t0, notes=notes)
 
 
-def _area(box: tuple[float, float, float, float]) -> float:
-    x0, x1, y0, y1 = box
-    return (x1 - x0) * (y1 - y0)
-
-
-def _rectangle_note(what: str, rect: LatticeRectangle, how: str) -> str:
-    """The note naming the lattice rectangle an estimate counted `what` of."""
-    box = ", ".join(f"{v:.6g}" for v in rect.box)
-    return (f"{what} of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
-            f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
-            f"{rect.area:.6g}, counted from {how}")
-
-
 def estimate_intensity(cfg: McConfig) -> McReport:
-    """Mean zero count per unit area, against the closed formula.
-
-    A field source counts the flagged cells of its lattice rectangle, the
-    grid points of its lattice in the interior: the cells whose plaquette
-    winding is nonzero (zeros.rectangle_zero_count), and divides by that
-    rectangle's area.  Each simple zero adds one unit of winding to the one
-    cell that holds it, so the count is unbiased; it needs the windings
-    alone, no refinement, merge, degenerate rule or position cut.  Only the
-    rectangle's samples are made and wound (FieldSource.rectangle_batch):
-    a window or polyentire source draws a block's records in one pass and
-    makes no padded grid, one realization counted before the next is made.
-    An opposite-signed pair inside one cell cancels and is not counted, and
-    a cell with |winding| >= 2 raises ResolutionError naming the seed and
-    the realization.  A note names the rectangle.  The Poisson control
-    counts its points in the interior.
-    """
-    t0 = time.time()
-    source = _source(cfg)
-    theory = source.density(cfg.convention)
-    if isinstance(source, _PoissonControl):
-        counts = _map_realizations(
-            cfg, lambda rs: (chg.size for _, chg in _block_points(source, cfg, rs)))
-        return _per_area(cfg, "density", t0, counts, _area(source.interior), theory,
-                         list(source.notes))
-    rect = source.plan.rectangle
-    counts = _map_realizations(
-        cfg, lambda rs: (rectangle_zero_count(rect, samples)
-                         for samples in source.rectangle_batch(cfg.seed, rs)))
-    return _per_area(cfg, "density", t0, counts, rect.area, theory,
-                     [*source.notes, _rectangle_note("flagged cells", rect,
-                                                     "its plaquette windings")])
+    """Mean zero count per unit area (the source's zero_counts over its
+    area), against the closed formula.  A cell with |winding| >= 2 raises
+    ResolutionError naming the seed and the realization."""
+    t0, source = time.time(), _source(cfg)
+    return _per_area(cfg, "density", t0, source, source.density(cfg.convention),
+                     source.zero_counts)
 
 
 def estimate_charge_intensity(cfg: McConfig) -> McReport:
-    """Mean signed charge per unit area; theory is kernel-independent.
-
-    A field source counts the net charge of its lattice rectangle, the grid
-    points of its lattice in the interior, and divides by that rectangle's
-    area.  The charge is read from the field on the rectangle's four edges
-    alone (FieldSource.edges_batch), by the argument principle
-    (zeros.rectangle_charges): no grid, no detector.  It equals the sum of
-    the plaquette windings of the rectangle's cells, the charge detect_zeros
-    would attribute to them.  A note names the rectangle.  The Poisson
-    control sums the charges of its points in the interior.
-    """
-    t0 = time.time()
-    source = _source(cfg)
-    if isinstance(source, _PoissonControl):
-        charges = _map_realizations(
-            cfg, lambda rs: (int(chg.sum()) for _, chg in _block_points(source, cfg, rs)))
-        return _per_area(cfg, "charge_density", t0, charges, _area(source.interior),
-                         source.charge_density, list(source.notes))
-    rect = source.plan.rectangle
-    charges = _map_realizations(
-        cfg, lambda rs: rectangle_charges(rect, *source.edges_batch(cfg.seed, rs)))
-    return _per_area(cfg, "charge_density", t0, charges, rect.area, source.charge_density,
-                     [*source.notes, _rectangle_note("net charge", rect, "its four edges")])
+    """Mean signed charge per unit area (the source's net_charges over its
+    area); theory is kernel-independent."""
+    t0, source = time.time(), _source(cfg)
+    return _per_area(cfg, "charge_density", t0, source, source.charge_density,
+                     source.net_charges)
 
 
 def _variance_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,27 +449,20 @@ def _variance_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def estimate_charge_variance(cfg: McConfig) -> McReport:
     """Across-realization variance of disk charge, per radius, as Var/R.
 
-    One concentric disk per realization per radius (overlapping-disk
-    averaging would correlate samples and bias the standard errors); a
-    series source takes each disk's charge as its field's winding on the
-    circle, with no grid (zeros.circle_charges); when the disks are
-    centred on the origin the circles' starting values come from
-    SeriesPlan.circle_values, one inverse FFT per circle on a 7-smooth
-    length, and only arc midpoints from the evaluator.  Other sources
-    count each realization's zeros in all disks with one broadcast
-    comparison.  The variance of every radius and its fourth-moment
-    standard error come from one reduction each over the contiguous
-    (radii, realizations) array, equal bit for bit to those of each column
-    alone.  The report also carries a weighted linear fit of Var against R
-    over the upper half of the radii, unless one of them has a zero
-    standard error, which a note then names.  Theory per radius is the
-    large-R limit of Var/R from quadrature of the kernel profile.
+    One concentric disk per realization per radius about the interior's
+    centre (overlapping disks would correlate samples and bias the standard
+    errors), its charge the source's disk_charges.  The variances and their
+    fourth-moment standard errors come from one reduction over the
+    contiguous (radii, realizations) array, bit for bit those of each
+    column alone.  A weighted linear fit of Var against R over the upper
+    half of the radii is added, unless one of them has a zero standard
+    error, which a note then names.
     """
     t0 = time.time()
     if not cfg.radii:
         raise ParameterError("charge variance needs a radii list (radii is empty)")
     source = _source(cfg)
-    notes = list(source.notes)
+    notes = source.notes_for("charge_variance")
     x0, x1, y0, y1 = source.interior
     center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
     if not _disk_fits(source.interior, max(cfg.radii)):
@@ -441,24 +471,9 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
         notes.append("fewer than 100 realizations: variance standard errors are wide")
 
     radii = list(cfg.radii)
-    column = np.array(radii)[:, None]
-    if isinstance(source, _PoissonControl):
-        # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
-        theory_var = [source.rate * math.pi * R for R in radii]
-    else:
-        theory_var = [source.variance_asymptote] * len(radii)
-
-    def disk_charges(rs: range) -> Iterator:
-        plan = source.plan
-        if isinstance(plan, SeriesPlan):
-            coeffs = plan.coefficients([stream(cfg.seed, r, 0) for r in rs])
-            start = None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts))
-            return circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii,
-                                  cfg.spacing, start)
-        return (np.where(np.abs(pos - center) <= column, chg, 0).sum(axis=1)
-                for pos, chg in _block_points(source, cfg, rs))
-
-    charges = np.array(_map_realizations(cfg, disk_charges), dtype=float)
+    theory_var = source.variance_theory(radii)
+    charges = np.array(_map_realizations(
+        cfg, lambda rs: source.disk_charges(cfg.seed, rs, center, radii)), dtype=float)
 
     variances, ses = (a.tolist() for a in _variance_and_se(np.ascontiguousarray(charges.T)))
     items = [McItem(label=_radius_label(R), empirical=v / R, se=se / R, theory=theory)

@@ -1,18 +1,17 @@
 """Field realizations on rectangular grids.
 
-FieldSource turns a source spec, checked by source_from_spec, into plans,
-an output plane, an interior and theory values; it is the one way to
+FieldSource turns a source spec, checked by source_from_spec, into a
+plan, an output plane, an interior and theory values; it is the one way to
 realize a field, for the CLI, the Monte Carlo harness and callers alike.
-Two independent simulators.  StftPlan pairs discretized complex white
-noise with translated/modulated copies of any window, columnwise by FFT
-over the noise record.  Each column sees only the window's time band of
-the record, and, by time-frequency symmetry, the grid's rows see only the
-noise frequencies within one window bandwidth of them: the record is cut
-to that band by one FFT and used at every D-th sample, the largest
-decimation the band allows.  SeriesPlan sums a truncated random entire
-series with Gaussian weight, a cross-check for the flat kernel, for a
-whole batch of realizations at once as one matrix product per chunk of
-the grid.
+Two independent simulators, whose plans share one block interface: a
+block of realizations is drawn once, then read as grids, as samples on
+the lattice rectangle in the interior, or on that rectangle's edges.
+StftPlan pairs discretized complex white noise with translated/modulated
+copies of any window, columnwise by FFT over the noise record, each
+column reading only the window's time band of a record cut by one FFT to
+the rows' frequency band and used at every D-th sample.  SeriesPlan sums
+a truncated random entire series with Gaussian weight, a cross-check for
+the flat kernel, as one matrix product per chunk of the grid.
 
 Coordinate conventions: grids in the "stft" plane sample the spectrogram
 coordinates (x = time shift, y = frequency); grids in the "gwhf" plane
@@ -352,22 +351,19 @@ class StftPlan:
     the FFT period); then one FFT over the whole frame, a row gather and the
     (ny, nx) output phase make the grid.  Band i starts at
     tau_i = t0 + D k_i dt, so the output phase, built once per plan, is
-    exp(-2 pi i y_j tau_i) sqrt(dt/q).  realize takes its frame from the
-    plan's pool, making one only when every pooled frame is in use, and
+    exp(-2 pi i y_j tau_i) sqrt(dt/q).  grids takes each grid's frame from
+    the plan's pool, making one only when every pooled frame is in use, and
     returns it after the row gather: a fresh frame per grid faults its pages
-    in again once the allocator has trimmed a freed one.  The pool serves
-    realize alone.
+    in again once the allocator has trimmed a freed one.
 
-    `rectangle` is the lattice's grid points in the interior; neither
-    method below makes a grid.  rectangle_samples gives a block of
-    realizations' samples on it, one realization at a time, by the fold,
-    FFT and row gather of realize (_samples) restricted to its columns and
-    rows, from the block's records drawn in one pass, in one frame of the
-    call.  edges gives a block's samples on its four edges: the records in
-    one pass, the edge columns as realize makes them, and the edge rows by
-    one stacked product with the banded _row_operator, built once per plan,
-    whose tiles of _TILE inner columns each hold the record span their
-    bands cover, all windows stacked.
+    A block of realizations is drawn once (draw, its records in one pass)
+    and read by the block methods SeriesPlan also has: grids,
+    rectangle_samples on `rectangle`, the lattice's grid points in the
+    interior, and edges on its four edges.  The latter two make no grid:
+    _samples restricted to the rectangle's columns and rows, and the edge
+    rows by one stacked product with the banded _row_operator, built once
+    per plan, whose tiles of _TILE inner columns each hold the record span
+    their bands cover, all windows stacked.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  The phase table is
@@ -558,19 +554,31 @@ class StftPlan:
         np.fft.fft(self._fold(bands, frame, cols), axis=1, out=frame)
         return frame[:, self._rows[rows]].T * self._phase[rows, cols]
 
+    def draw(self, seed: int, rs: Iterable[int]) -> np.ndarray:
+        """The block of realizations rs that every block method takes: their
+        (len(rs), q, n_rec) records (_records), component k of realization
+        r drawn from stream(seed, r, k)."""
+        q = len(self.windows)
+        return self._records([[stream(seed, r, k) for k in range(q)] for r in rs])
+
+    def grids(self, records: np.ndarray, seed_label: int = 0) -> Iterator[FieldGrid]:
+        """The grids of a drawn block, one at a time."""
+        for bands in self._bands(records):
+            try:
+                frame = self._frames.pop()
+            except IndexError:  # every frame is in use, or none was made yet
+                frame = np.empty(self.frame_shape, dtype=complex)
+            vals = self._samples(bands, frame, slice(None), slice(None))
+            self._frames.append(frame)
+            yield FieldGrid(values=vals, seed=seed_label, interior=self.interior,
+                            meta=dict(self._meta), **self._lattice)
+
     def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
                 seed_label: int = 0) -> FieldGrid:
         """One grid; `rng` holds one generator per window (a single-window
         plan also takes a bare generator), each drawing K noise samples."""
-        records = self._records([[rng] if isinstance(rng, np.random.Generator) else rng])[0]
-        try:
-            frame = self._frames.pop()
-        except IndexError:  # every frame is in use, or none was made yet
-            frame = np.empty(self.frame_shape, dtype=complex)
-        vals = self._samples(self._bands(records), frame, slice(None), slice(None))
-        self._frames.append(frame)
-        return FieldGrid(values=vals, seed=seed_label, interior=self.interior,
-                         meta=dict(self._meta), **self._lattice)
+        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+        return next(self.grids(self._records([rngs]), seed_label))
 
     @cached_property
     def rectangle(self) -> LatticeRectangle:
@@ -578,18 +586,14 @@ class StftPlan:
         return LatticeRectangle.of(shape=(self.ny, self.nx), box=self.interior,
                                    where=self._where, **self._lattice)
 
-    def rectangle_samples(self, rngs: Sequence[Sequence[np.random.Generator]]
-                          ) -> Iterator[np.ndarray]:
-        """The samples realize gives on `rectangle`, rows j0..j1 by columns
-        i0..i1, of the B realizations whose generators (one per window) are
-        rngs[b], one realization at a time and no grid made, with the grid's
-        bits: the records of all B in one pass, then per realization only
-        the rectangle's columns folded into one frame of this call, reused
-        for each, and only its rows gathered."""
+    def rectangle_samples(self, records: np.ndarray) -> Iterator[np.ndarray]:
+        """The samples of a drawn block's grids on `rectangle`, rows j0..j1
+        by columns i0..i1, one realization at a time: only its columns
+        folded, into one frame of this call, and only its rows gathered."""
         rect = self.rectangle
         rows, cols = slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1)
         frame = np.empty((rect.i1 - rect.i0 + 1, self.frame_shape[1]), dtype=complex)
-        for bands in self._bands(self._records(rngs)):
+        for bands in self._bands(records):
             yield self._samples(bands, frame, rows, cols)
 
     @cached_property
@@ -621,19 +625,16 @@ class StftPlan:
                                                       * phase[:, None, :])
         return first, op.reshape(tiles, q * span, 2 * _TILE)
 
-    def edges(self, rngs: Sequence[Sequence[np.random.Generator]]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The (B, n) samples realize gives, for the B realizations whose
-        generators (one per window) are rngs[b], on the four edges of
-        `rectangle`: its bottom and top rows j0 and j1 (columns i0..i1) and
-        its left and right columns i0 and i1 (rows j0..j1), no grid made.
-        The columns come from one (B, 2, N) frame as realize makes them,
+    def edges(self, records: np.ndarray) -> list[np.ndarray]:
+        """The (B, n) samples the grids of a drawn block of B have on the
+        four edges of `rectangle`: its bottom and top rows j0 and j1
+        (columns i0..i1) and its left and right columns i0 and i1 (rows
+        j0..j1), no grid made.  The columns come from one (B, 2, N) frame
         with the grid's bits.  The rows' inner samples are one stacked
         product of the records, in _GEMM_ROWS realizations (the block padded
         with zero records), with _row_operator: the grid's to rounding, and
         the same bits in any block.  The rows' corners are the columns'."""
-        rect, count = self.rectangle, len(rngs)
-        records = self._records(rngs)
+        rect, count = self.rectangle, len(records)
         frame = self._fold(self._bands(records),
                            np.empty((count, 2, self.frame_shape[1]), dtype=complex),
                            [rect.i0, rect.i1])
@@ -651,8 +652,8 @@ class StftPlan:
                           op[:, None])
         bottom, top = prods.reshape(tiles, padded, _TILE, 2)[:, :count].transpose(
             3, 1, 0, 2).reshape(2, count, tiles * _TILE)[:, :, :rect.i1 - rect.i0 - 1]
-        return (np.concatenate([left[:, :1], bottom, right[:, :1]], axis=1),
-                np.concatenate([left[:, -1:], top, right[:, -1:]], axis=1), left, right)
+        return [np.concatenate([left[:, :1], bottom, right[:, :1]], axis=1),
+                np.concatenate([left[:, -1:], top, right[:, -1:]], axis=1), left, right]
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -701,9 +702,10 @@ class SeriesPlan:
     it and exp(-rho^2/2) stay normal float64 numbers.  On a circle about
     the origin the field is a trigonometric polynomial in the angle, so
     circle_values gives it at equispaced angles by one inverse FFT per
-    circle, with no basis, and edges gives it on the four edges of
-    `rectangle`, the grid points in the interior.  The grid is the domain,
-    the plan's `interior`, padded by _PAD_CELLS cells on each side.
+    circle, with no basis.  A drawn block (draw: its coefficients) is read
+    by the block methods StftPlan has: grids, rectangle_samples and edges,
+    on `rectangle`, the grid points in the interior.  The grid is the
+    domain, the plan's `interior`, padded by _PAD_CELLS cells on each side.
     """
 
     def __init__(self, domain: tuple[float, float, float, float], spacing: float,
@@ -743,6 +745,11 @@ class SeriesPlan:
     def coefficients(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
         """(B, n_terms) scaled coefficients xi_n c_n, one row per generator."""
         return complex_normals(list(rngs), self.n_terms) * self.scale
+
+    def draw(self, seed: int, rs: Iterable[int]) -> np.ndarray:
+        """The block of realizations rs that every block method takes: their
+        scaled coefficients, realization r's drawn from stream(seed, r, 0)."""
+        return self.coefficients([stream(seed, r, 0) for r in rs])
 
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(B, z.size) values at points z within the grid radius of the B
@@ -792,27 +799,32 @@ class SeriesPlan:
                                    self.interior, self._where)
 
     def edges(self, coeffs: np.ndarray) -> list[np.ndarray]:
-        """The (B, n) values on the bottom and top rows (columns i0..i1) and
-        the left and right columns (rows j0..j1) of `rectangle` of the B
-        fields whose scaled coefficients are the rows of coeffs, from
-        evaluate at those grid points, no grid made."""
+        """The (B, n) values of a drawn block of B on the bottom and top rows
+        (columns i0..i1) and the left and right columns (rows j0..j1) of
+        `rectangle`, evaluated at those grid points alone."""
         r = self.rectangle
         rows, cols = slice(r.j0, r.j1 + 1), slice(r.i0, r.i1 + 1)
         points = [self.z[r.j0, cols], self.z[r.j1, cols], self.z[rows, r.i0], self.z[rows, r.i1]]
         values = self.evaluate(coeffs, np.concatenate(points))
         return np.split(values, np.cumsum([len(p) for p in points[:3]]), axis=1)
 
-    def realize_batch(self, rngs: Iterable[np.random.Generator],
-                      seed_label: int = 0) -> list[FieldGrid]:
-        """One grid per generator: its coefficients evaluated on the grid."""
+    def grids(self, coeffs: np.ndarray, seed_label: int = 0) -> Iterator[FieldGrid]:
+        """The grids of a drawn block, one per row of coeffs, all evaluated
+        at once."""
         meta = {"simulator": "series", "n_terms": self.n_terms}
-        return [FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
+        return (FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
                           spacing=self.spacing, plane="gwhf", seed=seed_label,
                           interior=self.interior, meta=dict(meta))
-                for v in self.evaluate(self.coefficients(rngs), self.z)]
+                for v in self.evaluate(coeffs, self.z))
+
+    def rectangle_samples(self, coeffs: np.ndarray) -> Iterator[np.ndarray]:
+        """The samples of a drawn block's grids on `rectangle`, rows j0..j1
+        by columns i0..i1, cut from the grids."""
+        r = self.rectangle
+        return (grid.values[r.j0:r.j1 + 1, r.i0:r.i1 + 1] for grid in self.grids(coeffs))
 
     def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
-        return self.realize_batch([rng], seed_label)[0]
+        return next(self.grids(self.coefficients([rng]), seed_label))
 
 
 # ---------------------------------------------------------------------------
@@ -887,22 +899,16 @@ class FieldSource:
     """One field family on one grid, built once and realized many times.
 
     spec is any source spec that source_from_spec takes, except the poisson
-    control, which has no field.
-    domain, spacing and the theory values (kernel, None with a note
-    for a window without one; density(convention); charge_density;
-    variance_asymptote) refer to the output plane; each theory value is
-    computed once per source, density once per convention.  A window or
-    polyentire source holds one StftPlan over all its windows (their bands
-    summed before the FFT), which reads the geometry in the source's plane;
-    a series source holds one SeriesPlan.  Both plans pad the domain by 4
-    cells; the StftPlan keeps the lattice and noise record of its anchor
-    margin, so no sample depends on the pad.  The source's interior, that
-    of its plan and that of each of its grids, is the domain given, bit for
-    bit.  Every realize_batch call, from any thread, draws
-    its FFT frames from the one pool of the source's StftPlan.
-    rectangle_batch draws the same realizations on the plan's `rectangle`
-    only, and edges_batch on its edges only, a block in one plan call,
-    the same way for every family.
+    control, which has no field.  The family picks the plan, once: a
+    window or polyentire source holds one StftPlan over all its windows,
+    which reads the geometry in the source's plane, and a series source one
+    SeriesPlan.  Both plans answer the same block methods, so every method
+    below is one plan call on the block plan.draw gives.  domain, spacing
+    and the theory values (kernel, None with a note for a window without
+    one; density(convention); charge_density; variance_asymptote) refer to
+    the output plane; each is computed once per source, density once per
+    convention.  The source's interior, that of its plan and that of each
+    of its grids, is the domain given, bit for bit.
     """
 
     def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
@@ -956,41 +962,20 @@ class FieldSource:
 
     def realize_batch(self, seed: int, rs: Iterable[int]) -> Iterator[FieldGrid]:
         """Realizations rs, in order, in the source's plane; component k of
-        realization r draws from stream(seed, r, k).  A series source draws
-        the whole batch in one product; window sources make each grid only
-        when it is asked for, and the iterator holds no grid it has handed
-        out."""
-        plan = self.plan
-        if isinstance(plan, SeriesPlan):
-            return iter(plan.realize_batch([stream(seed, r, 0) for r in rs], seed))
-        return (plan.realize([stream(seed, r, k) for k in range(len(plan.windows))], seed)
-                for r in rs)
+        realization r draws from stream(seed, r, k)."""
+        return self.plan.grids(self.plan.draw(seed, rs), seed)
 
     def rectangle_batch(self, seed: int, rs: Iterable[int]) -> Iterator[np.ndarray]:
         """Realizations rs, in order, on the plan's `rectangle`: each one's
         samples at rows j0..j1 and columns i0..i1, the bits realize_batch
-        gives there, one at a time.  A window or polyentire source draws
-        the block's records in one pass and makes no grid
-        (StftPlan.rectangle_samples); a series source cuts the block from
-        realize_batch's grids."""
-        plan = self.plan
-        if isinstance(plan, SeriesPlan):
-            r = plan.rectangle
-            return (grid.values[r.j0:r.j1 + 1, r.i0:r.i1 + 1]
-                    for grid in self.realize_batch(seed, rs))
-        return plan.rectangle_samples([[stream(seed, r, k) for k in range(len(plan.windows))]
-                                       for r in rs])
+        gives there."""
+        return self.plan.rectangle_samples(self.plan.draw(seed, rs))
 
     def edges_batch(self, seed: int, rs: Iterable[int]) -> list[np.ndarray]:
         """Realizations rs, in order, on the four edges of the plan's
         `rectangle`: (len(rs), n) samples of its bottom and top rows and its
-        left and right columns, drawn as realize_batch draws, by one plan
-        call and no grid made; no realizations give four (0, n) arrays."""
-        plan = self.plan
-        if isinstance(plan, SeriesPlan):
-            return plan.edges(plan.coefficients([stream(seed, r, 0) for r in rs]))
-        return list(plan.edges([[stream(seed, r, k) for k in range(len(plan.windows))]
-                                for r in rs]))
+        left and right columns; no realizations give four (0, n) arrays."""
+        return self.plan.edges(self.plan.draw(seed, rs))
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""

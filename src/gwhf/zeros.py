@@ -520,17 +520,15 @@ def _flagged(block: np.ndarray, origin: complex, h: float, i0: int, j0: int
     return i, j, w
 
 
-def rectangle_zero_count(rect: LatticeRectangle, samples: FieldGrid | np.ndarray) -> int:
+def rectangle_zero_count(rect: LatticeRectangle, samples: np.ndarray) -> int:
     """Number of cells of the lattice rectangle rect whose plaquette winding
     is nonzero: one per simple zero of the field in the rectangle, as
     detect_zeros flags them, with no refinement, merge or degenerate rule.
-    samples is a grid on rect's lattice or the rectangle's own samples, rows
-    j0..j1 by columns i0..i1 (FieldSource.rectangle_batch); only those are
-    wound, by the rule of the grid's plaquettes (_windings).  Two zeros of
-    opposite charge in one cell cancel and are not counted.  A cell with
-    |winding| >= 2 raises ResolutionError, as _flagged names it."""
-    if isinstance(samples, FieldGrid):
-        samples = samples.values[rect.j0:rect.j1 + 1, rect.i0:rect.i1 + 1]
+    samples are the rectangle's own, rows j0..j1 by columns i0..i1
+    (FieldSource.rectangle_batch), wound by the rule of a grid's plaquettes
+    (_windings).  Two zeros of opposite charge in one cell cancel and are
+    not counted.  A cell with |winding| >= 2 raises ResolutionError, as
+    _flagged names it."""
     o, h = rect.origin, rect.spacing
     xs = o.real + h * np.arange(rect.i0, rect.i1 + 1)
     ys = o.imag + h * np.arange(rect.j0, rect.j1 + 1)

@@ -382,6 +382,12 @@ def test_verify_exit_code_gates(capsys):
     # refused by the config, before any worker thread is started
     (["verify", "charge", "--window", "hermite:1", "-n", "2", "--threads", "100000"],
      "threads = 100000: at most 64 worker threads"),
+    # a poisson density whose expected count no array may hold, refused before any draw
+    (["verify", "intensity", "--kernel", "@{tmp}/poisson-1e30.json", "-n", "2"],
+     "poisson density 1e+30 on domain (0, 8, 0, 8) expects 6.4e+31 points a realization"),
+    (["verify", "intensity", "--kernel", "@{tmp}/poisson-1e9.json", "-n", "2",
+      "--domain=0,4,0,4"],
+     "poisson density 1e+09 on domain (0, 4, 0, 4) expects 1.6e+10 points a realization"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -402,8 +408,13 @@ def test_verify_exit_code_gates(capsys):
         "gwhf-plane-grid-too-large", "gaussian-nan-sigma", "gaussian-nan-phase",
         "mixture-nan-coefficient", "mixture-inf-coefficient",
         "charge-interior-without-rectangle", "gwhf-charge-interior-without-rectangle",
-        "gwhf-intensity-interior-without-rectangle", "threads-above-the-ceiling"])
+        "gwhf-intensity-interior-without-rectangle", "threads-above-the-ceiling",
+        "poisson-density-beyond-any-draw", "poisson-density-beyond-the-element-cap"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
+    for density in ("1e9", "1e30"):  # the records the poisson cases read
+        (tmp_path / f"poisson-{density}.json").write_text(
+            json.dumps({"family": "poisson", "density": float(density)}))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path)]
     if argv[0] == "plot":

@@ -268,6 +268,32 @@ def test_config_validation():
     for density in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match=f"poisson density {density}"):
             mc.estimate_intensity(_cfg(source={"family": "poisson", "density": density}))
+    # seed and spacing are checked when the config is made, for every source
+    for source in ({"family": "series-gef"}, {"family": "poisson"}):
+        with pytest.raises(ParameterError, match=r"^seed -3 must be a non-negative integer$"):
+            _cfg(source=source, seed=-3)
+        for spacing in ("x", -1.0, 0.0, math.inf):
+            with pytest.raises(ParameterError, match=f"^spacing {re.escape(repr(spacing))} "
+                                                     "must be positive and finite$"):
+                _cfg(source=source, spacing=spacing)
+
+
+@pytest.mark.parametrize("density, domain, expected", [
+    (1e30, (0.0, 8.0, 0.0, 8.0), "6.4e+31"),
+    (1e9, (0.0, 4.0, 0.0, 4.0), "1.6e+10"),
+])
+def test_poisson_density_beyond_the_element_cap_is_refused(density, domain, expected):
+    # the expected count of points is checked when the control is built,
+    # before numpy is asked to draw it
+    cfg = _cfg(source={"family": "poisson", "density": density}, domain=domain, radii=(1.0,))
+    box = ", ".join(f"{v:g}" for v in domain)
+    for estimate in (mc.estimate_intensity, mc.estimate_charge_intensity,
+                     mc.estimate_charge_variance):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"poisson density {density:g} on domain ({box}) expects {expected} points a "
+                f"realization, more than the {simulate._MAX_ELEMENTS} elements any one array "
+                "may hold")):
+            estimate(cfg)
 
 
 def test_cross_simulator_density_agreement():
@@ -638,8 +664,9 @@ def test_detector_called_once_per_block(monkeypatch, n, threads):
     ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
 ], ids=["window", "polyentire"])
 def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, threads):
-    # the charge and the zero intensity each draw all noise records of a
-    # block in one pass: blocks of 8, 8 at one thread and of 4, 4 at two
+    # the charge, the zero intensity and the disk charges each draw all noise
+    # records of a block in one pass: blocks of 8, 8 at one thread and of
+    # 4, 4 at two
     calls = []
     records = simulate.StftPlan._records
 
@@ -648,11 +675,61 @@ def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, t
         return records(self, rngs)
 
     monkeypatch.setattr(simulate.StftPlan, "_records", counted)
-    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=n, threads=threads)
-    for estimate in (mc.estimate_charge_intensity, mc.estimate_intensity):
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=n, threads=threads,
+               radii=(0.5, 1.0))
+    for estimate in (mc.estimate_charge_intensity, mc.estimate_intensity,
+                     mc.estimate_charge_variance):
         calls.clear()
         estimate(cfg)
         assert sorted(calls) == [n // 2, n // 2], estimate.__name__
+
+
+class _StubSource:
+    """The estimators' source interface and nothing else: not a FieldSource."""
+
+    interior, area, charge_density = (-2.0, 2.0, -2.0, 2.0), 4.0, 0.25
+
+    def density(self, convention):
+        return 1.5
+
+    def variance_theory(self, radii):
+        return [10.0 * R for R in radii]
+
+    def notes_for(self, quantity):
+        return [f"stub {quantity}"]
+
+    def zero_counts(self, seed, rs):
+        return (r + 1 for r in rs)
+
+    def net_charges(self, seed, rs):
+        return np.array([3 * r - 7 for r in rs])
+
+    def disk_charges(self, seed, rs, center, radii):
+        assert center == 0j
+        return (np.array([r * R * R for R in radii]) for r in rs)
+
+
+def test_estimators_report_what_any_source_answers(monkeypatch):
+    # every estimator reports the stub's values over its area, its notes and
+    # its theory, through the one interface: no estimator tests a type
+    monkeypatch.setattr(mc, "_source", lambda cfg: _StubSource())
+    cfg = _cfg(n_realizations=10, radii=(1.0, 2.0), threads=2)
+    r = np.arange(10.0)
+    for estimate, quantity, values, theory in (
+            (mc.estimate_intensity, "density", r + 1, 1.5),
+            (mc.estimate_charge_intensity, "charge_density", 3 * r - 7, 0.25)):
+        rep = estimate(cfg)
+        assert rep.items == [mc.McItem(quantity, float(np.mean(values)) / 4.0,
+                                       float(np.std(values, ddof=1) / math.sqrt(10)) / 4.0,
+                                       theory)]
+        assert rep.notes == [f"stub {quantity}"]
+    rep = mc.estimate_charge_variance(cfg)
+    assert [it.label for it in rep.items] == ["R=1", "R=2"]
+    for it, R in zip(rep.items, (1.0, 2.0)):
+        assert it.empirical == pytest.approx(float(np.var(r * R * R, ddof=1)) / R, rel=1e-12)
+        assert it.theory == 10.0 * R
+    assert rep.notes == ["stub charge_variance",
+                         "fewer than 100 realizations: variance standard errors are wide"]
 
 
 @pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])

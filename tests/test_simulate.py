@@ -577,7 +577,7 @@ def test_series_batch_rows_equal_single_realizations():
     singles = [plan.realize(S.stream(13, r)).values for r in range(12)]
     for size in range(1, 10):
         for start in (0, 12 - size):
-            batch = plan.realize_batch([S.stream(13, r) for r in range(start, start + size)])
+            batch = list(plan.grids(plan.draw(13, range(start, start + size))))
             assert len(batch) == size
             for k, grid in enumerate(batch):
                 assert np.array_equal(grid.values, singles[start + k]), (size, start, k)
@@ -648,7 +648,7 @@ def test_threads_build_one_row_operator_and_agree(hermites):
     twin = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
 
     def block(plan, lo):
-        return plan.edges([[S.stream(41, r, k) for k in range(2)] for r in range(lo, lo + 3)])
+        return plan.edges(plan.draw(41, range(lo, lo + 3)))
 
     serial = [block(twin, lo) for lo in range(0, 36, 3)]
     interval = sys.getswitchinterval()

@@ -75,7 +75,7 @@ def test_rectangle_zero_count_refuses_a_winding_two_cell_as_the_detector_does():
     # and the count and the detector raise the one message
     grid = synthetic_grid(lambda z: z * z, half=1.0, n=21, offset=0.05 + 0.05j)
     with pytest.raises(ResolutionError, match=r"^plaquette near \S+ holds winding 2; ") as count:
-        Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid)
+        Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid.values)
     with pytest.raises(ResolutionError) as detect:
         Z.detect_zeros(grid)
     assert str(count.value) == str(detect.value)
@@ -87,10 +87,10 @@ def test_rectangle_zero_count_counts_flagged_cells():
     roots = [0.31 + 0.22j, -0.43 - 0.37j, 0.12 - 0.41j]
     grid = synthetic_grid(lambda z: (z - roots[0]) * (z - roots[1]) * np.conj(z - roots[2]),
                           half=1.0, n=161)
-    assert Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid) == 3
+    assert Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid.values) == 3
     a = grid.origin + grid.spacing * (80.3 + 80.4j)
     pair = synthetic_grid(lambda z: (z - a) * np.conj(z - a - 0.004), half=1.0, n=161)
-    assert Z.rectangle_zero_count(_whole_grid_rectangle(pair), pair) == 0
+    assert Z.rectangle_zero_count(_whole_grid_rectangle(pair), pair.values) == 0
     assert not Z._plaquette_windings(pair).any()
 
 
@@ -939,7 +939,7 @@ def test_circle_charges_match_detector_disk_charges(domain, spacing, center, rad
             fft = Z.circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii, spacing,
                                    lambda rr, counts: plan.circle_values(coeffs, rr, counts))
             assert np.array_equal(np.array(list(fft)), circle), rs
-        grids = plan.realize_batch([S.stream(77, r, 0) for r in rs])
+        grids = plan.grids(coeffs)
         for b, grid in enumerate(grids):
             zs = Z.detect_zeros(grid)
             live = ~zs.degenerate
