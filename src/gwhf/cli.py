@@ -105,6 +105,11 @@ def _by_convention(out: dict, key: str, fn) -> None:
 
 
 def _cmd_intensity(args) -> int:
+    if not (args.window or args.kernel):
+        raise ParameterError("intensity needs a source: give --window or --kernel")
+    if args.window and args.kernel:
+        raise ParameterError(f"--window {args.window} and --kernel {args.kernel} name two "
+                             "sources; intensity takes one")
     out: dict = {}
     if args.window:
         g = window_from_spec(args.window)
@@ -320,11 +325,10 @@ def _cmd_verify(args) -> int:
         if not isinstance(kern, RadialKernel):
             raise GwhfError("tau2 oracle needs a radial kernel")
         ds = np.geomspace(0.05, 8.0, 40)
-        worst = 0.0
-        for d in ds:
-            e = wick_oracle_E(kern, 0.0, complex(d))
-            p = float(kern.p(d * d))
-            worst = max(worst, abs(e / (1.0 - p * p) - 1.0 - i_prime(kern, d * d)))
+        p = kern.p(ds * ds)
+        residuals = np.abs(wick_oracle_E(kern, 0.0, ds.astype(complex)) / (1.0 - p * p)
+                           - 1.0 - i_prime(kern, ds * ds))
+        worst = functools.reduce(max, residuals.tolist(), 0.0)  # skips a NaN, as max does
         _emit_json({"kernel": kern.label, "separations": len(ds),
                     "max_residual": worst, "tolerance": 1e-8},
                    os.path.join(args.out, "tau2_oracle.json") if args.out else None)

@@ -17,6 +17,10 @@ This module computes:
 * the large-radius limit of Var[charge in B_R]/R by quadrature,
 * validation of the standing assumptions.
 
+One kernel evaluation per node: every closed form reads a radial profile
+through one RadialKernel.pd or .pdd call per array of nodes, which a
+built-in poly-exp kernel answers with one exp and one pass per polynomial.
+
 All functions are pure; kernel objects are immutable.
 """
 from __future__ import annotations
@@ -130,15 +134,30 @@ class RadialKernel:
 
     Derivative rules are mandatory: the variance asymptote needs P'' and
     finite differences of user data are too noisy near 0.
+
+    Closed forms read the kernel once per array of nodes, through pd and
+    pdd: profile(s, n) gives (P, ..., P^(n)) for n <= 2 in one evaluation,
+    and without one it is made from the three rules.
     """
     p: Callable[[np.ndarray], np.ndarray]
     dp: Callable[[np.ndarray], np.ndarray]
     ddp: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
+    profile: Callable[[np.ndarray, int], tuple] | None = None
+
+    def __post_init__(self):
+        if self.profile is None:
+            rules = (self.p, self.dp, self.ddp)
+            object.__setattr__(self, "profile",
+                               lambda s, n: tuple(rule(s) for rule in rules[:n + 1]))
+
+    def pd(self, s):
+        """(P, P') evaluated at s."""
+        return self.profile(s, 1)
 
     def pdd(self, s):
         """(P, P', P'') evaluated at s."""
-        return self.p(s), self.dp(s), self.ddp(s)
+        return self.profile(s, 2)
 
 
 @dataclass(frozen=True)
@@ -175,28 +194,28 @@ class ConditionalCov2:
 def poly_exp_kernel(coeffs: Sequence[float], label: str = "poly-exp") -> RadialKernel:
     """Profile P(t) = C(t) exp(-t/2) for a polynomial C with C(0) = 1.
 
-    C, C' and C'' are evaluated by polyval on coefficient arrays: a numpy
-    Polynomial would first map its default domain onto itself, which changes
-    no bit but costs most of a call.
+    (P, ..., P^(n)) share one exp(-s/2) and one Horner pass of each of C,
+    ..., C^(n).  A pass does numpy polyval's arithmetic in its order, so
+    every value has polyval's bits without the cost of its argument handling.
     """
-    c = np.asarray(coeffs, dtype=float)
-    c1 = npoly.polyder(c)
-    c2 = npoly.polyder(c1)
+    base = np.asarray(coeffs, dtype=float)
+    chains = [base.tolist(), npoly.polyder(base).tolist(), npoly.polyder(base, 2).tolist()]
+    mix = (lambda c: c[0], lambda c: c[1] - 0.5 * c[0], lambda c: c[2] - c[1] + 0.25 * c[0])
 
-    def p(s):
+    def horner(c, s):
+        acc = c[-1] + s * 0
+        for ck in c[-2::-1]:
+            acc = ck + acc * s
+        return acc
+
+    def profile(s, n):
         s = np.asarray(s, dtype=float)
-        return npoly.polyval(s, c) * np.exp(-s / 2.0)
+        e = np.exp(-s / 2.0)
+        c = [horner(chain, s) for chain in chains[:n + 1]]
+        return tuple(m(c) * e for m in mix[:n + 1])
 
-    def dp(s):
-        s = np.asarray(s, dtype=float)
-        return (npoly.polyval(s, c1) - 0.5 * npoly.polyval(s, c)) * np.exp(-s / 2.0)
-
-    def ddp(s):
-        s = np.asarray(s, dtype=float)
-        return (npoly.polyval(s, c2) - npoly.polyval(s, c1)
-                + 0.25 * npoly.polyval(s, c)) * np.exp(-s / 2.0)
-
-    return RadialKernel(p=p, dp=dp, ddp=ddp, label=label)
+    return RadialKernel(p=lambda s: profile(s, 0)[0], dp=lambda s: profile(s, 1)[1],
+                        ddp=lambda s: profile(s, 2)[2], label=label, profile=profile)
 
 
 def gef_kernel() -> RadialKernel:
@@ -237,10 +256,9 @@ def BUILTIN_KERNELS() -> dict[str, RadialKernel]:
 
 def jet_from_radial(p: RadialKernel) -> KernelJet:
     """Jet of a radial kernel: first derivatives vanish, h20 = h02 = 2 P'(0)."""
-    p0 = float(p.p(0.0))
+    p0, d0 = (float(v) for v in p.pd(0.0))
     if abs(p0 - 1.0) > 1e-12:
         raise InvalidKernelError(f"profile not normalized: P(0) = {p0!r}")
-    d0 = float(p.dp(0.0))
     return KernelJet(b10=0.0, b01=0.0, h20=2.0 * d0, h02=2.0 * d0, h11=0.0)
 
 
@@ -292,10 +310,9 @@ def rho1(jet: KernelJet, convention: str = DEFAULT_CONVENTION) -> float:
 
 def rho1_radial(p: RadialKernel) -> float:
     """Radial shortcut: rho1 = -(P'(0) + 1/(4 P'(0))) / pi, needs P'(0) <= -1/2."""
-    p0 = float(p.p(0.0))
+    p0, d0 = (float(v) for v in p.pd(0.0))
     if abs(p0 - 1.0) > 1e-12:
         raise InvalidKernelError(f"profile not normalized: P(0) = {p0!r}")
-    d0 = float(p.dp(0.0))
     if d0 > -0.5 + 1e-12:
         raise InvalidKernelError(f"P'(0) = {d0!r} violates P'(0) <= -1/2")
     return -(d0 + 1.0 / (4.0 * d0)) / math.pi
@@ -322,7 +339,7 @@ def i_function(p: RadialKernel, s):
     s_arr = np.atleast_1d(s_arr)
     if np.any(s_arr < 0):
         raise ValueError("s must be >= 0")
-    P, dP = p.p(s_arr), p.dp(s_arr)
+    P, dP = p.pd(s_arr)
     denom = 1.0 - P * P
     zero = s_arr == 0.0
     if np.any((np.abs(denom) < 1e-14) & ~zero):
@@ -363,77 +380,85 @@ def tau2_charged(p: RadialKernel, d):
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
-def _gamma_one_point(p: RadialKernel, z: complex) -> np.ndarray:
-    """Covariance of (F, F10, F01) at z for a radial kernel."""
-    x, y = z.real, z.imag
-    d0 = float(p.dp(0.0))
-    return np.array([
+def _matrices(rows) -> np.ndarray:
+    """A stack of complex 3x3 matrices from rows of scalar or same-shape entries."""
+    flat = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(flat, axis=-1).astype(complex).reshape(flat[0].shape + (3, 3))
+
+
+def _gamma_one_point(d0: float, x, y) -> np.ndarray:
+    """Covariance of (F, F10, F01) at x + iy for a radial kernel with P'(0) = d0."""
+    return _matrices([
         [1.0, 1j * y, -1j * x],
         [-1j * y, y * y - 2.0 * d0, -1j - x * y],
         [1j * x, 1j - x * y, x * x - 2.0 * d0],
-    ], dtype=complex)
+    ])
 
 
-def _gamma_two_point(p: RadialKernel, z: complex, w: complex) -> np.ndarray:
-    """Cross covariance E[(F,F10,F01)(z) (F,F10,F01)(w)^*] for a radial kernel."""
-    x, y = z.real, z.imag
-    u, v = w.real, w.imag
-    s = abs(z - w) ** 2
-    P, dP, ddP = (float(a) for a in p.pdd(s))
+def _gamma_two_point(x: float, y: float, u, v, P, dP, ddP) -> np.ndarray:
+    """E[(F,F10,F01)(x+iy) (F,F10,F01)(u+iv)^*] from (P, P', P'') at the pair."""
     dx, dy = x - u, y - v
-    m1 = np.array([
+    m1 = _matrices([
         [1.0, 1j * y, -1j * x],
         [-1j * v, y * v, -1j - x * v],
         [1j * u, 1j - u * y, x * u],
-    ], dtype=complex)
-    m2 = np.array([
+    ])
+    m2 = _matrices([
         [0.0, -dx, -dy],
         [dx, -1.0 + 1j * dx * (y + v), 1j * dy * v - 1j * dx * x],
         [dy, 1j * dy * y - 1j * dx * u, -1.0 - 1j * dy * (x + u)],
-    ], dtype=complex)
+    ])
     # second-derivative block: -H20, -H11, -H11, -H02 contribute
     # -4 P'' times the outer square of (dx, dy)
-    m3 = np.array([
+    m3 = _matrices([
         [0.0, 0.0, 0.0],
         [0.0, -dx * dx, -dx * dy],
         [0.0, -dx * dy, -dy * dy],
-    ], dtype=complex)
-    return np.exp(1j * (y * u - x * v)) * (P * m1 + 2.0 * dP * m2 + 4.0 * ddP * m3)
+    ])
+    P, dP, ddP, phase = (a[..., None, None] for a in (P, dP, ddP, np.exp(1j * (y * u - x * v))))
+    return phase * (P * m1 + 2.0 * dP * m2 + 4.0 * ddP * m3)
 
 
-def wick_oracle_E(p: RadialKernel, z: complex, w: complex) -> float:
+def wick_oracle_E(p: RadialKernel, z: complex, w):
     """First-principles E[jac F(z) jac F(w) | F(z) = F(w) = 0].
 
     Builds the explicit 6x6 covariance of the field and its gradient at the
     two points, conditions by Gaussian regression Omega = A - B C^{-1} B*,
     and contracts the fourth moment with the Wick/Isserlis identity
         E = -1/2 Re[O12 O34 + O14 O32 - O21 O34 - O24 O31].
+    An array w gives E at every pair (z, w_k) from one stacked build and
+    solve; entry k equals the call with w_k alone, bit for bit.
 
     Independent of i_prime: used as the oracle for the closed form through
     E / (1 - P^2) - 1 = I'(|z-w|^2).
     """
-    z, w = complex(z), complex(w)
-    if z == w:
+    z, w_arr = complex(z), np.asarray(w, dtype=complex)
+    ws = np.atleast_1d(w_arr)
+    if np.any(ws == z):
         raise DegeneratePairError("points must be distinct")
-    s = abs(z - w) ** 2
-    P = float(p.p(s))
-    if abs(P) >= 1.0 - 1e-14:
-        raise DegeneratePairError(f"|P({s})| = {abs(P)} too close to 1")
-    sigma = np.empty((6, 6), dtype=complex)
-    sigma[:3, :3] = _gamma_one_point(p, z)
-    sigma[3:, 3:] = _gamma_one_point(p, w)
-    gzw = _gamma_two_point(p, z, w)
-    sigma[:3, 3:] = gzw
-    sigma[3:, :3] = gzw.conj().T
-    grad_idx = [1, 2, 4, 5]
-    val_idx = [0, 3]
-    a = sigma[np.ix_(grad_idx, grad_idx)]
-    b = sigma[np.ix_(grad_idx, val_idx)]
-    c = sigma[np.ix_(val_idx, val_idx)]
-    om = a - b @ np.linalg.solve(c, b.conj().T)
-    e = -0.5 * (om[0, 1] * om[2, 3] + om[0, 3] * om[2, 1]
-                - om[1, 0] * om[2, 3] - om[1, 3] * om[2, 0]).real
-    return float(e)
+    x, y, u, v = z.real, z.imag, ws.real, ws.imag
+    s = np.hypot(x - u, y - v) ** 2
+    P, dP, ddP = p.pdd(s)
+    near = np.abs(P) >= 1.0 - 1e-14
+    if near.any():
+        raise DegeneratePairError(f"|P({s[near][0]})| = {abs(P[near][0])} too close to 1")
+    d0 = float(p.dp(0.0))
+    sigma = np.empty(ws.shape + (6, 6), dtype=complex)
+    sigma[:, :3, :3] = _gamma_one_point(d0, x, y)
+    sigma[:, 3:, 3:] = _gamma_one_point(d0, u, v)
+    sigma[:, :3, 3:] = gzw = _gamma_two_point(x, y, u, v, P, dP, ddP)
+    sigma[:, 3:, :3] = gzw.conj().transpose(0, 2, 1)
+    grad_idx, val_idx = np.array([1, 2, 4, 5]), np.array([0, 3])
+    a = sigma[:, grad_idx[:, None], grad_idx]
+    b = sigma[:, grad_idx[:, None], val_idx]
+    c = sigma[:, val_idx[:, None], val_idx]
+    om = a - b @ np.linalg.solve(c, b.conj().transpose(0, 2, 1))
+    # Re(O_jk O_lm) formed as a complex scalar product forms it: numpy's
+    # array product may fuse a multiply-add and move the last bit
+    f, g = om[:, [0, 0, 1, 1], [1, 3, 0, 3]], om[:, [2, 2, 2, 2], [3, 1, 3, 0]]
+    re = f.real * g.real - f.imag * g.imag
+    e = -0.5 * (re[:, 0] + re[:, 1] - re[:, 2] - re[:, 3])
+    return float(e[0]) if w_arr.ndim == 0 else e
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +469,7 @@ def variance_integrand(p: RadialKernel, r):
     """2 r^2 P'(r^2)^2 / (1 - P(r^2)^2), with the r = 0 limit -P'(0)."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     s = r_arr ** 2
-    P, dP, _ = p.pdd(s)
+    P, dP = p.pd(s)
     denom = 1.0 - P * P
     zero = s < 1e-28
     denom_safe = np.where(zero, 1.0, denom)
@@ -526,7 +551,7 @@ def validate_kernel(kernel: RadialKernel | KernelJet) -> ValidationReport:
     if isinstance(kernel, KernelJet):
         jet = kernel
     else:
-        p0 = float(kernel.p(0.0))
+        p0, d0 = (float(v) for v in kernel.pd(0.0))
         checks["normalization"] = abs(p0 - 1.0) <= 1e-12
         if not checks["normalization"]:
             details["normalization"] = f"P(0) = {p0!r}"
@@ -539,7 +564,6 @@ def validate_kernel(kernel: RadialKernel | KernelJet) -> ValidationReport:
         if bad.size:
             details["contraction"] = f"|P(t)| = {vals[bad[0]]!r} at grid point t = {grid[bad[0]]!r}"
 
-        d0 = float(kernel.dp(0.0))
         checks["slope"] = d0 <= -0.5 + 1e-12
         if not checks["slope"]:
             details["slope"] = f"P'(0) = {d0!r} > -1/2"

@@ -81,6 +81,8 @@ class McConfig:
         if self.seed < 0:
             raise ParameterError(f"seed {self.seed} must be a non-negative integer")
         _check_spacing(self.spacing)
+        if self.dt is not None and not (_is_number(self.dt) and 0 < self.dt < math.inf):
+            raise ParameterError(f"dt {self.dt!r} must be None or positive and finite")
         if self.n_realizations < 2:
             raise ParameterError(f"n_realizations = {self.n_realizations}: "
                                  "need at least 2 realizations")

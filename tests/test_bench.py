@@ -1,8 +1,8 @@
 """The benchmark's workloads against the package: every workload's set-up
 and one `stft-h1`, one `gef-hyperuniform`, one `poly3-full-2t` and one
-`closed-form` unit under the benchmark's checks, and one `stft-h1` unit under the
-benchmark's tracer, so a name or signature the benchmark calls that stops
-working fails here first."""
+`closed-form` unit under the benchmark's checks, and one `stft-h1` and one
+`closed-form` unit under the benchmark's tracer, so a name or signature the
+benchmark calls that stops working fails here first."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -73,6 +73,44 @@ def test_bench_closed_form_unit_passes_its_checks(monkeypatch):
     assert (unit.ops, unit.failed) == (len(closed.ops), 0)
     checks = closed.checks([unit.output], sign)
     assert checks and all(ok for _, ok in checks), checks
+    # the outputs' bits: a closed form that changes any printed digit moves it
+    assert closed.digest([unit.output]) == "e4f486601f8728e7"
+
+
+def _gwhf_names():
+    """Every object bound to a name in a gwhf module or in one of its classes."""
+    names = {}
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "gwhf":
+            for attr, obj in vars(module).items():
+                names[key, attr] = obj
+                if isinstance(obj, type):
+                    names.update(((key, attr, a), o) for a, o in vars(obj).items())
+    return names
+
+
+def test_bench_traced_closed_form_unit_matches_untraced_and_restores(monkeypatch):
+    wl = _workloads(monkeypatch)
+    tracing = _bench_module(monkeypatch, "tracing")
+    closed = wl.WORKLOADS["closed-form"]
+    closed.setup(1)
+    before = _gwhf_names()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        with wl.SignCheck() as sign:
+            traced = closed.run_unit(1, 1, sign, tracer)
+    finally:
+        tracer.restore()
+    after = _gwhf_names()
+    assert after.keys() == before.keys()
+    assert all(after[name] is obj for name, obj in before.items())
+    assert (traced.ops, traced.failed) == (len(closed.ops), 0)
+    assert closed.digest([traced.output]) == "e4f486601f8728e7"
+    layers = tracing.layer_metrics(tracer, traced.ops, 1)
+    # the node count reads panel_quad's `panels` and `order` arguments
+    assert layers["quadrature.nodes"] > 0 and layers["quadrature.adaptive_calls"] > 0
+    assert layers["kernels.wick_oracle_calls"] == 3
 
 
 def test_bench_traced_stft_unit_matches_untraced_and_restores(monkeypatch):

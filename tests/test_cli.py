@@ -388,6 +388,15 @@ def test_verify_exit_code_gates(capsys):
     (["verify", "intensity", "--kernel", "@{tmp}/poisson-1e9.json", "-n", "2",
       "--domain=0,4,0,4"],
      "poisson density 1e+09 on domain (0, 4, 0, 4) expects 1.6e+10 points a realization"),
+    # dt is checked by the config for every source, not only by an STFT plan
+    (["verify", "intensity", "--kernel", "poisson", "--dt", "-1", "-n", "2",
+      "--domain=-3,3,-3,3"], "dt -1.0 must be None or positive and finite"),
+    (["verify", "intensity", "--kernel", "gef-series", "--dt", "nan", "-n", "2"],
+     "dt nan must be None or positive and finite"),
+    # intensity reads one source and names both flags when given two
+    (["intensity", "--window", "hermite:1", "--kernel", "gef"],
+     "--window hermite:1 and --kernel gef name two sources"),
+    (["intensity"], "intensity needs a source: give --window or --kernel"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -409,7 +418,9 @@ def test_verify_exit_code_gates(capsys):
         "mixture-nan-coefficient", "mixture-inf-coefficient",
         "charge-interior-without-rectangle", "gwhf-charge-interior-without-rectangle",
         "gwhf-intensity-interior-without-rectangle", "threads-above-the-ceiling",
-        "poisson-density-beyond-any-draw", "poisson-density-beyond-the-element-cap"])
+        "poisson-density-beyond-any-draw", "poisson-density-beyond-the-element-cap",
+        "poisson-negative-dt", "series-nan-dt", "intensity-window-and-kernel",
+        "intensity-without-source"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     for density in ("1e9", "1e30"):  # the records the poisson cases read
         (tmp_path / f"poisson-{density}.json").write_text(
@@ -515,6 +526,20 @@ def test_help_smoke(capsys):
             cli.main([sub, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kernel, max_residual, limit", [
+    ("gef", 3.396172232328354e-13, 0.36846874001128194),
+    ("laguerre:1", 1.3522516439934407e-13, 0.9582132577207542),
+    ("laguerre:2", 3.446132268436486e-13, 1.408710250878305),
+])
+def test_closed_form_reports_keep_their_values(capsys, kernel, max_residual, limit):
+    # the oracle's worst residual and the asymptote, frozen to the last bit
+    # from the scalar oracle loop and the profile's separate rules
+    code, out, _ = run_cli(capsys, "verify", "tau2-oracle", "--kernel", kernel)
+    assert code == 0 and json.loads(out)["max_residual"] == max_residual
+    code, out, _ = run_cli(capsys, "variance-asymptote", "--kernel", kernel)
+    assert code == 0 and json.loads(out)["var_per_radius_limit"] == limit
 
 
 _SHARED_PARSER_CALLS = [

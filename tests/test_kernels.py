@@ -183,6 +183,22 @@ def test_builtin_profiles_equal_polynomial_evaluation(builtin_kernels, name):
     for rule, ref in zip((kern.p, kern.dp, kern.ddp), want):
         assert rule(s).tobytes() == ref.tobytes()
         assert [rule(v) for v in s.tolist()] == ref.tolist()
+    # the joint forms every closed form reads give the same bits
+    for joint, n in ((kern.pd, 2), (kern.pdd, 3)):
+        assert [a.tobytes() for a in joint(s)] == [ref.tobytes() for ref in want[:n]]
+        assert [tuple(joint(v)) for v in s.tolist()] == list(zip(*(r.tolist() for r in want[:n])))
+
+
+def test_rule_kernel_joint_forms_call_its_rules():
+    # a kernel made from three rules answers pd and pdd from those rules
+    kern = K.RadialKernel(p=lambda s: np.exp(-np.asarray(s) / 2),
+                          dp=lambda s: -0.5 * np.exp(-np.asarray(s) / 2),
+                          ddp=lambda s: 0.25 * np.exp(-np.asarray(s) / 2))
+    s = np.array([0.0, 0.5, 5.0])
+    rules = [rule(s).tobytes() for rule in (kern.p, kern.dp, kern.ddp)]
+    assert [a.tobytes() for a in kern.pdd(s)] == rules
+    assert [a.tobytes() for a in kern.pd(s)] == rules[:2]
+    assert K.i_function(kern, 2.0) == K.i_function(K.gef_kernel(), 2.0)
 
 
 def test_rho1_charged_universal():
@@ -259,9 +275,21 @@ def test_wick_oracle_identity_on_grid(gef, lag1, lag2):
             assert abs(e / (1 - p * p) - 1 - K.i_prime(kern, d * d)) <= 1e-8
 
 
+def test_wick_oracle_array_equals_its_scalar_calls(gef, lag1, lag2):
+    # one stacked build and solve gives every pair's bits: at the
+    # tau2-oracle suite's z = 0 and at criterion 2's z = 0.1 - 0.7j
+    ds = np.geomspace(0.05, 8.0, 40)
+    for kern in (gef, lag1, lag2):
+        for z, ws in ((0.0, ds.astype(complex)), (0.1 - 0.7j, 0.1 - 0.7j + ds * np.exp(1.1j))):
+            batch = K.wick_oracle_E(kern, z, ws)
+            one_by_one = np.array([K.wick_oracle_E(kern, z, w) for w in ws.tolist()])
+            assert batch.shape == (40,) and batch.tobytes() == one_by_one.tobytes()
+
+
 def test_wick_oracle_degenerate_pair(gef):
-    with pytest.raises(DegeneratePairError):
-        K.wick_oracle_E(gef, 0.2 + 0.1j, 0.2 + 0.1j)
+    for w in (0.2 + 0.1j, np.array([1.0, 0.2 + 0.1j, 2.0])):  # alone or in an array
+        with pytest.raises(DegeneratePairError):
+            K.wick_oracle_E(gef, 0.2 + 0.1j, w)
 
 
 # ---------------------------------------------------------------------------

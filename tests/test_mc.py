@@ -276,6 +276,12 @@ def test_config_validation():
             with pytest.raises(ParameterError, match=f"^spacing {re.escape(repr(spacing))} "
                                                      "must be positive and finite$"):
                 _cfg(source=source, spacing=spacing)
+        # and so is dt; None is kept for the sources that sample no noise
+        for dt in ("x", True, -1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match=f"^dt {re.escape(repr(dt))} "
+                                                     "must be None or positive and finite$"):
+                _cfg(source=source, dt=dt)
+        assert _cfg(source=source, dt=None).dt is None
 
 
 @pytest.mark.parametrize("density, domain, expected", [

@@ -140,6 +140,25 @@ def test_generalized_gaussian_unit_norm_and_minimal_intensity():
         W.generalized_gaussian(-1.0)
 
 
+def test_uncertainty_equality_case_is_gated_on_the_discriminant():
+    # rho1 - 1 is about 2 (s - 1/4)^2 near the floor, so s separates the
+    # equality case from windows whose rho1 sits at the floor's tolerance
+    def s(g):
+        return W._discriminant(W.uncertainty_constants(g), "regression")
+
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        sigma = float(rng.uniform(0.4, 2.5))
+        rest = rng.uniform(-1.0, 1.0, size=4)
+        assert abs(s(W.generalized_gaussian(sigma, *rest)) - 0.25) <= 1e-12
+    for _ in range(30):
+        deg = int(rng.integers(2, 9))
+        assert s(W.hermite_mixture(rng.normal(size=deg) + 1j * rng.normal(size=deg))) > 0.25
+    near = W.hermite_mixture([1, 0, 0, 0.01])
+    assert s(near) - 0.25 == pytest.approx(3.0e-4, rel=1e-3)
+    assert 0.0 < W.rho1_stft(near) - 1.0 < 2e-7
+
+
 def test_alternate_convention_differs_for_chirped_shifted_window():
     g = W.generalized_gaussian(1.0, 0.0, 0.25, 0.0, 0.3)
     c = W.uncertainty_constants(g)
