@@ -29,18 +29,18 @@ is dropped; the rest needs no grid's samples and runs once per block.  The
 flagged cells of all grids take their demodulated stencils in one pass (a
 border cell's stencil is extrapolated past the grid), and are refined at
 once, by Newton on bicubic stencils and the cells Newton rejects by one
-bilinear solve; the merge of duplicates and the degenerate rule act within
-each grid, the cut to grid.interior on all at once.  Each zero's position
-and its Jacobian sign come from one interpolant of one demodulated
-stencil, so the sign is read at that interpolant's own root.  The sign is
-computed from the differential, independently of the winding; simple
-zeros must agree (tested, not assumed).  The zeros of a block are one
-ZeroSet of parallel arrays with a realization column, each grid's zeros
-the same as when it is detected alone.  circle_charges and
-rectangle_charges need no grid: the latter counts a lattice rectangle's
-net charge from its edges' wrap counts, by the rule the plaquettes use.
-rectangle_zero_count counts a rectangle's flagged cells from the
-plaquette windings of its own samples alone, by the rule of a grid's.
+bilinear solve; the degenerate rule, which pairs zeros of one grid only,
+and the cut to grid.interior run once too.  Each zero's position and its
+Jacobian sign come from one interpolant of one demodulated stencil, so the
+sign is read at that interpolant's own root.  The sign is computed from
+the differential, independently of the winding; simple zeros must agree
+(tested, not assumed).  The zeros of a block are one ZeroSet of parallel
+arrays with a realization column, each grid's zeros the same as when it is
+detected alone.  circle_charges and rectangle_charges need no grid: the
+latter counts a lattice rectangle's net charge from its edges' wrap
+counts, by the rule the plaquettes use.  rectangle_zero_count counts a
+rectangle's flagged cells from the plaquette windings of its own samples
+alone, by the rule of a grid's.
 """
 from __future__ import annotations
 
@@ -403,8 +403,8 @@ def _refine(st: np.ndarray, newton: bool, orient: int):
 def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.ndarray,
                  h: float) -> np.ndarray:
     """(K, 2) index pairs a < b of one realization with
-    |pos[a] - pos[b]| < 0.75 h, h being the grids' spacing: every pair that
-    either close-pair rule can use, from the cell lattice.
+    |pos[a] - pos[b]| < 0.75 h, h being the grids' spacing: every pair the
+    degenerate rule flags, from the cell lattice.
 
     Candidate m is the one root of flagged cell (i[m], j[m]) of its
     realization, and lies within _BAND cells of that cell.  Two candidates
@@ -425,49 +425,6 @@ def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.
     hit = np.flatnonzero(keys[at] == target)
     pairs = np.sort(np.column_stack([hit % len(key), order[at[hit]]]), axis=1)
     return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h]
-
-
-def _dedup(raws: list[np.ndarray], origin: complex, h: float, orient: int,
-           realization: np.ndarray, pos: np.ndarray, wind: np.ndarray,
-           pairs: np.ndarray) -> np.ndarray:
-    """Keep-mask over candidates that merges those closer than 0.35 spacing
-    (knife-edge zeros claimed by both adjacent cells): the net raw winding
-    of the 2x2 block of cells around each cluster, read from its grid's raw
-    windings raws[r] on the lattice of this origin, spacing h and plane
-    orientation, decides the surviving winding(s).  pairs are the close
-    pairs of _close_pairs; clusters are visited in realization order, so a
-    ResolutionError carries the first realization that raises."""
-    keep = np.ones(len(pos), dtype=bool)
-    if not len(pairs):
-        return keep
-    label = np.arange(len(pos))
-    while True:  # each cluster takes its smallest member as label
-        low = label.copy()
-        np.minimum.at(low, pairs, label[pairs[:, ::-1]])
-        if np.array_equal(low, label):
-            break
-        label = low
-    for root in np.unique(label[pairs[:, 0]]):
-        r = int(realization[root])
-        raw = raws[r]
-        members = np.flatnonzero(label == root)
-        center = np.mean(pos[members])
-        i0 = int(round((center.real - origin.real) / h)) - 1
-        j0 = int(round((center.imag - origin.imag) / h)) - 1
-        if not (0 <= i0 <= raw.shape[1] - 2 and 0 <= j0 <= raw.shape[0] - 2):
-            continue
-        net = orient * int(raw[j0:j0 + 2, i0:i0 + 2].sum())
-        spread = np.max(np.abs(pos[members, None] - pos[None, members]))
-        if abs(net) >= 2 and spread < 0.75 * h:
-            exc = ResolutionError(
-                f"net winding {net} concentrated near {center:.4g}: "
-                "multiple zero beyond this grid's resolving power; halve the spacing")
-            exc.realization = r
-            raise exc
-        if net != wind[members].sum():
-            keep[members] = False
-            keep[members[wind[members] == (1 if net > 0 else -1)][:abs(net)]] = True
-    return keep
 
 
 def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], slice, slice]:
@@ -523,7 +480,7 @@ def _flagged(block: np.ndarray, origin: complex, h: float, i0: int, j0: int
 def rectangle_zero_count(rect: LatticeRectangle, samples: np.ndarray) -> int:
     """Number of cells of the lattice rectangle rect whose plaquette winding
     is nonzero: one per simple zero of the field in the rectangle, as
-    detect_zeros flags them, with no refinement, merge or degenerate rule.
+    detect_zeros flags them, with no refinement or degenerate rule.
     samples are the rectangle's own, rows j0..j1 by columns i0..i1
     (FieldSource.rectangle_batch), wound by the rule of a grid's plaquettes
     (_windings).  Two zeros of opposite charge in one cell cancel and are
@@ -539,13 +496,12 @@ def rectangle_zero_count(rect: LatticeRectangle, samples: np.ndarray) -> int:
 
 
 def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarray, ...]:
-    """The raw windings of one grid (kept for the merge, as small integers,
-    one per cell) and the cells (i, j), raw windings and raw 4x4 samples of
-    its flagged cells among the rows and columns of cells given (_flagged)."""
+    """The cells (i, j), raw windings and raw 4x4 samples of one grid's
+    flagged cells among the rows and columns of cells given (_flagged)."""
     raw = _plaquette_windings(grid)
     i, j, w = _flagged(raw[rows, cols], grid.origin, grid.spacing, cols.start, rows.start)
     sample_rows, sample_cols = _stencil_indices(i, j, *raw.shape)
-    return raw, i, j, w, grid.values[sample_rows, sample_cols]
+    return i, j, w, grid.values[sample_rows, sample_cols]
 
 
 def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) -> ZeroSet:
@@ -556,28 +512,27 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
 
     Each plaquette's gauged phase circulation is summed along the
     plane-oriented loop; one unit of winding flags one zero.  A cell with
-    |winding| >= 2 raises a ResolutionError asking for a finer grid (a
-    principal-branch four-edge loop reaches it only when every edge
-    increment is within about spacing^2 of +-pi; coincident zeros are
-    caught by the ring check of the merge instead).  Zeros claimed by
-    two adjacent cells (knife-edge positions) are merged by a ring
-    adjudication.  Zeros are kept when their refined position lies in
+    |winding| >= 2 raises a ResolutionError asking for a finer grid.  The
+    two cells beside an edge share its wrap count, so no zero is flagged
+    twice, and the zeros of a block of cells (each refined within _BAND
+    cells of its own) carry its boundary circulation.  Zeros closer than
+    three quarters of a cell to another of their grid are flagged
+    degenerate.  Zeros are kept when their refined position lies in
     grid.interior (position-based, so seams do not double count), or
     anywhere in its extent when the interior is None.
 
     Every grid shares the first grid's origin, spacing, plane, sample shape
     and interior; a grid on another lattice raises ParameterError.  The
-    stencils, Newton, the bilinear fallback, the Jacobian sign and the
-    interior cut run once over the flagged cells of all grids; the merge
-    and the degenerate rule act within each grid.  Each zero's
-    `realization` is its grid's position in the sequence, and the set is
-    ordered by (realization, imag, real); every field of a grid's zeros is
-    the same whichever sequence the grid is detected in.  A GwhfError
-    raised for a grid, or by the sequence while producing it, is raised for
-    the first grid that fails, with that grid's position as its
+    stencils, Newton, the bilinear fallback, the Jacobian sign, the
+    degenerate rule and the interior cut run once over the flagged cells of
+    all grids.  Each zero's `realization` is its grid's position in the
+    sequence, and the set is ordered by (realization, imag, real); every
+    field of a grid's zeros is the same whichever sequence the grid is
+    detected in.  A GwhfError raised for a grid, or by the sequence while
+    producing it, propagates at once with that grid's position as its
     `realization`.
     """
-    lattice, raws, cells, failure = None, [], [], None
+    lattice, cells = None, []
     try:
         for grid in [grids] if isinstance(grids, FieldGrid) else grids:
             key = grid.origin, grid.spacing, grid.plane, grid.values.shape, grid.interior
@@ -585,41 +540,33 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
                 lattice, (box, rows, cols) = key, _kept_cells(grid)
             elif key != lattice:
                 names = ("origin", "spacing", "plane", "sample shape", "interior")
-                raise ParameterError(f"grid {len(raws)} is not on the lattice of grid 0: "
+                raise ParameterError(f"grid {len(cells)} is not on the lattice of grid 0: "
                                      + "; ".join(f"{n} {b!r}, not {a!r}" for n, a, b
                                                  in zip(names, lattice, key) if a != b))
-            raw, *flagged = _flagged_cells(grid, rows, cols)
-            raws.append(raw)
-            cells.append(flagged)
+            cells.append(_flagged_cells(grid, rows, cols))
             del grid  # hold no grid past its gather
     except GwhfError as exc:
-        exc.realization, failure = len(raws), exc
-    if not raws:
-        if failure is not None:
-            raise failure
+        exc.realization = len(cells)
+        raise
+    if not cells:
         return ZeroSet(*(np.empty(0, t) for t in (complex, int, bool, int, bool, int)))
-    origin, h, plane = lattice[:3]
+    origin, h, plane, (ny, nx) = lattice[:4]
     orient = 1 if plane == "gwhf" else -1
     realization = np.repeat(np.arange(len(cells)), [len(c[0]) for c in cells])
     i, j, w, samples = (np.concatenate(column) for column in zip(*cells))
     wind = orient * w
-    st = _stencils(samples, i, j, origin, h, plane, raws[0].shape)
+    st = _stencils(samples, i, j, origin, h, plane, (ny - 1, nx - 1))
     xi, eta, ok, sign, flat = _refine(st, refine, orient)
     pos = _plane_points(origin, h, i, j, xi, eta)
-    pairs = _close_pairs(pos, realization, i, j, h)
-    near = np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.35 * h
-    keep = _dedup(raws, origin, h, orient, realization, pos, wind, pairs[near])
-    if failure is not None:
-        raise failure
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
     # from samples, so they carry the degenerate flag (kept in the set,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
-    degenerate = flat.copy()
-    degenerate[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]].ravel()] = True
+    degenerate = flat
+    degenerate[_close_pairs(pos, realization, i, j, h).ravel()] = True
     x0, x1, y0, y1 = box
-    inside = keep & (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
+    inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
     order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside],
                                                realization[inside]))]
     return ZeroSet(position=pos[order], charge=wind[order], refined=ok[order],

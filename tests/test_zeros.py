@@ -58,10 +58,15 @@ def test_refine_recovers_analytic_root():
     assert z.refined
 
 
-def test_double_zero_raises_resolution_error():
+def test_double_zero_near_a_vertex_gives_two_degenerate_zeros():
+    # z^2 with its double zero 0.13 and 0.07 cells from a lattice point: two
+    # cells beside it hold winding +1 each, so two +1 zeros closer than 0.75
+    # cells, both flagged degenerate, carry the charge 2
     grid = synthetic_grid(lambda z: z * z, half=1.0, n=21)
-    with pytest.raises(ResolutionError):
-        Z.detect_zeros(grid)
+    zs = Z.detect_zeros(grid)
+    assert zs.charge.tolist() == zs.jacobian_sign.tolist() == [1, 1]
+    assert zs.degenerate.all() and zs.charge.sum() == 2
+    assert np.abs(zs.position).max() < 0.75 * grid.spacing
 
 
 def _whole_grid_rectangle(grid):
@@ -188,17 +193,27 @@ _POLY3 = ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.
 ], ids=["stft-204000012-5", "stft-26000020-2", "poly3-margin0-777-2"])
 def test_newton_rejected_zero_sign_matches_winding(source, seed, r, near, margin0):
     # Newton rejects these cells; the sign is read from the bilinear
-    # interpolant whose root places the zero, so it matches the winding
+    # interpolant whose root places the zero, so it matches the winding.
+    # The poly3 zero has a -1 partner 0.03 cells away, Newton-rejected too,
+    # so both are degenerate; the stft zeros have no partner
     src = S.FieldSource(*source, 1 / 64)
     grid = src.realize(seed, r)
     if margin0:  # the zero lies in the anchored plan's grid, beyond the default pad
         plan = anchored_plan(src.plan)
         grid = plan.realize([S.stream(seed, r, k) for k in range(len(plan.windows))], seed)
         grid = dataclasses.replace(grid, interior=None)
-    z = min(Z.detect_zeros(grid), key=lambda z: abs(z.position - near))
+    zs = Z.detect_zeros(grid)
+    z = min(zs, key=lambda z: abs(z.position - near))
     assert abs(z.position - near) < 1e-3
-    assert not z.degenerate and not z.refined
+    assert not z.refined
     assert z.jacobian_sign == z.charge == 1
+    partners = [p for p in zs if 0 < abs(p.position - z.position) < 0.05 * grid.spacing]
+    if margin0:
+        (p,) = partners
+        assert not p.refined and p.jacobian_sign == p.charge == -1
+        assert z.degenerate and p.degenerate
+    else:
+        assert not partners and not z.degenerate
 
 
 def test_detection_regression_fixture(hermites):
@@ -635,6 +650,41 @@ def test_rectangle_charges_equal_the_grids_block_windings(spec, domain, spacing)
                     assert np.abs(edge[k] - want).max() <= 1e-13 * np.abs(v).max()
 
 
+def _in_box(p, box, pad):
+    x0, x1, y0, y1 = box
+    return ((x0 - pad <= p.real) & (p.real <= x1 + pad)
+            & (y0 - pad <= p.imag) & (p.imag <= y1 + pad))
+
+
+@pytest.mark.parametrize("spec, domain, spacing, rs, checked", [
+    (*_STFT_H1, (163, 191, 193, 504, 564, 744), 6),
+    (*_POLY3, (27,), 1),
+    (*_STFT_H1, range(48), 34),
+    (*_POLY3, range(48), 39),
+    ({"family": "series-gef"}, (-6.5, 6.5, -6.5, 6.5), 0.08, range(48), 37),
+], ids=["stft-h1-pinned", "poly3-pinned", "stft-h1", "poly3-full", "series"])
+def test_detected_charges_obey_the_argument_principle(spec, domain, spacing, rs, checked):
+    # the charge of the detected zeros inside the lattice rectangle, on grids
+    # with no interior cut, equals the circulation around its edge.  A
+    # realization with a zero within _BAND cells of the edge is skipped: its
+    # cell may lie on either side.  The pinned seed-2024 realizations hold
+    # a (+1, -1) pair closer than 0.35 cells beside a third flagged cell,
+    # where dropping a member of the pair changes the charge by a unit
+    # (r = 163 would read 64 against 63)
+    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    rect = source.plan.rectangle
+    box, band = rect.box, Z._BAND * rect.spacing
+    charges = Z.rectangle_charges(rect, *source.edges_batch(2024, rs))
+    zs = Z.detect_zeros(dataclasses.replace(grid, interior=None)
+                        for grid in source.realize_batch(2024, rs))
+    inside = _in_box(zs.position, box, 0.0)
+    near_edge = _in_box(zs.position, box, band) & ~_in_box(zs.position, box, -band)
+    clear = [k for k in range(len(rs)) if not (near_edge & (zs.realization == k)).any()]
+    assert len(clear) == checked
+    for k in clear:
+        assert zs.charge[inside & (zs.realization == k)].sum() == charges[k], rs[k]
+
+
 def test_rectangle_is_the_lattice_points_in_the_interior():
     # the rectangle's corners are the first and last grid points inside the
     # interior along each axis, and its area is that of its cells
@@ -739,7 +789,7 @@ def test_block_refuses_a_grid_on_another_lattice(refine, pinned):
 
 
 @pytest.mark.parametrize("spec, domain, spacing, pinned", [
-    (*_STFT_H1, "f58c8e0a7b9956ab94b01248aea524fac0fe713143b5f215903dca2cb94f6b11"),
+    (*_STFT_H1, "9fbdbb651379413c3c56345d903a42474a2884730044c127027f158003ab2d3b"),
     (*_POLY3, "c74faf3ab60cd3cdff52ce6621d1177ad7c2b68d4b90923de10cc30dd053b164"),
     ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-5, 5, -5, 5), 0.08,
      "2dd383debd04b38ad880a5b5270c59f439553747b48062cc0ed0a4d058b451c8"),
@@ -782,10 +832,12 @@ def test_iterating_a_zero_set_gives_charged_zeros():
 
 
 def test_block_error_names_the_first_grid_that_fails():
-    # a grid the sequence fails to make, and a double zero the merge
-    # refuses: the error raised is that of the earliest failing grid, whose
-    # position it carries; grids after it are never read
-    good, double = (synthetic_grid(f, n=21) for f in (lambda z: z, lambda z: z * z))
+    # a grid the sequence fails to make, and a double zero at a cell centre,
+    # whose plaquette holds winding 2: the error raised is that of the
+    # earliest failing grid, whose position it carries; grids after it are
+    # never read
+    good, double = (synthetic_grid(f, n=21, offset=0.05 + 0.05j)
+                    for f in (lambda z: z, lambda z: z * z))
 
     def grids(*kinds):
         for kind in kinds:
@@ -797,10 +849,10 @@ def test_block_error_names_the_first_grid_that_fails():
     with pytest.raises(ParameterError, match="at least") as info:
         Z.detect_zeros(grids("good", "good", "unmade", "double"))
     assert info.value.realization == 2
-    with pytest.raises(ResolutionError, match="net winding 2") as info:
+    with pytest.raises(ResolutionError, match="holds winding 2") as info:
         Z.detect_zeros(grids("good", "double", "good", "unmade"))
     assert info.value.realization == 1
-    with pytest.raises(ResolutionError, match="net winding 2") as info:
+    with pytest.raises(ResolutionError, match="holds winding 2") as info:
         Z.detect_zeros(double)
     assert info.value.realization == 0
 
