@@ -80,12 +80,15 @@ class McConfig:
                 raise ParameterError(f"{name} = {value!r} must be an integer")
         if self.seed < 0:
             raise ParameterError(f"seed {self.seed} must be a non-negative integer")
+        _check_domain(self.domain)
         _check_spacing(self.spacing)
         if self.dt is not None and not (_is_number(self.dt) and 0 < self.dt < math.inf):
             raise ParameterError(f"dt {self.dt!r} must be None or positive and finite")
         if self.n_realizations < 2:
             raise ParameterError(f"n_realizations = {self.n_realizations}: "
                                  "need at least 2 realizations")
+        if not isinstance(self.radii, (tuple, list)):
+            raise ParameterError(f"radii {self.radii!r} must be a sequence of numbers")
         if not all(_is_number(r) for r in self.radii):
             raise ParameterError(f"radii {list(self.radii)} must be numbers")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):

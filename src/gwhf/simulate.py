@@ -21,7 +21,10 @@ factor pi.
 
 Every realization is a pure function of its counter-based stream, derived
 from (seed, realization, component); parallel and serial runs produce
-bit-identical grids.
+bit-identical grids.  A realization enters a plan only through
+draw(seed, rs), a block of realizations, or realize(seed, r), one grid of
+it: no caller hands a plan a generator, and every grid carries the seed
+it was drawn from.
 """
 from __future__ import annotations
 
@@ -102,10 +105,11 @@ class FieldGrid:
     """Complex field samples on a rectangular lattice.
 
     values[j, i] sits at origin + (i + 1j*j) * spacing, both finite.
-    `interior` is the statistics region (x0, x1, y0, y1), a finite
-    rectangle, or None for the whole extent; the simulators record the
-    domain they were given and pad it by 4 cells by default, the stencils
-    the detector reads for zeros inside it.
+    `seed` is the seed the grid was drawn from, a non-negative integer, as
+    a container keeps it.  `interior` is the statistics region (x0, x1,
+    y0, y1), a finite rectangle, or None for the whole extent; the
+    simulators record the domain they were given and pad it by 4 cells by
+    default, the stencils the detector reads for zeros inside it.
     """
     values: np.ndarray
     origin: complex
@@ -126,6 +130,8 @@ class FieldGrid:
         _check_spacing(self.spacing)
         if self.plane not in ("stft", "gwhf"):
             raise PlaneError(f"unknown plane {self.plane!r}")
+        if not (_is_number(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ParameterError(f"grid seed {self.seed!r} must be a non-negative integer")
         if self.interior is not None:
             object.__setattr__(self, "interior", _check_domain(self.interior))
         object.__setattr__(self, "values", v)
@@ -351,18 +357,17 @@ class StftPlan:
     the FFT period); then one FFT over the whole frame, a row gather and the
     (ny, nx) output phase make the grid.  Band i starts at
     tau_i = t0 + D k_i dt, so the output phase, built once per plan, is
-    exp(-2 pi i y_j tau_i) sqrt(dt/q).  grids takes each grid's frame from
-    the plan's pool, making one only when every pooled frame is in use, and
-    returns it after the row gather: a fresh frame per grid faults its pages
-    in again once the allocator has trimmed a freed one.
+    exp(-2 pi i y_j tau_i) sqrt(dt/q).
 
-    A block of realizations is drawn once (draw, its records in one pass)
-    and read by the block methods SeriesPlan also has: grids,
-    rectangle_samples on `rectangle`, the lattice's grid points in the
-    interior, and edges on its four edges.  The latter two make no grid:
-    _samples restricted to the rectangle's columns and rows, and the edge
-    rows by one stacked product with the banded _row_operator, built once
-    per plan, whose tiles of _TILE inner columns each hold the record span
+    A block of realizations is drawn once (draw, its records in one pass,
+    the only way noise enters the plan) and read by the block methods
+    SeriesPlan also has: grids, rectangle_samples on `rectangle`, the
+    lattice's grid points in the interior, and edges on its four edges.
+    grids and rectangle_samples share one loop, _samples, with one frame
+    per call.  rectangle_samples and edges make no grid: _samples
+    restricted to the rectangle's columns and rows, and the edge rows by
+    one stacked product with the banded _row_operator, built once per
+    plan, whose tiles of _TILE inner columns each hold the record span
     their bands cover, all windows stacked.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
@@ -472,7 +477,6 @@ class StftPlan:
         offsets = tk[starts[:, None] + np.arange(W)] - xs[:, None]
         self.window_factors = tuple(np.conj(w.rule(offsets)) for w in windows)  # (nx, W) each
         self.frame_shape = (self.nx, n_fft // D)
-        self._frames = []  # FFT frames no realize call is using
 
         # band i starts at tau_i = t0 + D k_i dt: V(x_i, y_j) is its FFT times
         # exp(-2 pi i y_j tau_i); the gwhf plane adds exp(i pi y_j x_i)
@@ -497,24 +501,6 @@ class StftPlan:
             y1 = self.y0 + s * (self.ny - 1)
             self._lattice = {"origin": complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
                              "spacing": _SQRT_PI * s, "plane": plane}
-
-    def _records(self, rngs: Sequence[Sequence[np.random.Generator]]) -> np.ndarray:
-        """(B, q, n_rec) band-limited noise records at step D dt: row b holds
-        one per window, each drawing K noise samples from its generator in
-        rngs[b], all B q drawn by one complex_normals call.  One FFT pair
-        runs over all B q records, none at D = 1."""
-        q = len(self.windows)
-        for gens in rngs:
-            if len(gens) != q:
-                raise ParameterError(f"{len(gens)} generators for {q} windows")
-        records = complex_normals([gen for gens in rngs for gen in gens], self.K)
-        n_rec = len(self._keep)
-        if self.D == 1:  # every bin is kept: the FFT pair would return the padded record
-            records = np.pad(records, ((0, 0), (0, n_rec - self.K)))
-        else:
-            spec = np.fft.fft(records, n=self.D * n_rec, axis=1)
-            records = np.fft.ifft(spec[:, self._keep], axis=1)
-        return records.reshape(len(rngs), q, n_rec)
 
     def _bands(self, records: np.ndarray) -> np.ndarray:
         """The view (..., q, n_rec - W + 1, W) of records (..., q, n_rec)
@@ -543,42 +529,42 @@ class StftPlan:
                     frame[..., :part.shape[-1]] += part
         return frame
 
-    def _samples(self, bands: np.ndarray, frame: np.ndarray, rows: slice,
-                 cols: slice) -> np.ndarray:
-        """The grid's samples at rows x cols of the realization whose bands
-        (_bands of its (q, n_rec) records) are given: its columns' bands
-        folded into frame, one row per column of `cols`, one FFT over the
-        frame, the rows gathered and the output phase applied.  Each sample
-        depends on its own column's band alone, so any block of the grid has
-        the grid's bits."""
-        np.fft.fft(self._fold(bands, frame, cols), axis=1, out=frame)
-        return frame[:, self._rows[rows]].T * self._phase[rows, cols]
+    def _samples(self, records: np.ndarray, rows: slice, cols: slice) -> Iterator[np.ndarray]:
+        """The grid's samples at rows x cols of each realization of a drawn
+        block, one at a time: its columns' bands folded into one frame of
+        this call, one row per column of `cols`, one FFT over the frame, the
+        rows gathered and the output phase applied.  Each sample depends on
+        its own column's band alone, so any block of the grid has the grid's
+        bits."""
+        frame = np.empty((len(range(self.nx)[cols]), self.frame_shape[1]), dtype=complex)
+        for bands in self._bands(records):
+            np.fft.fft(self._fold(bands, frame, cols), axis=1, out=frame)
+            yield frame[:, self._rows[rows]].T * self._phase[rows, cols]
 
     def draw(self, seed: int, rs: Iterable[int]) -> np.ndarray:
         """The block of realizations rs that every block method takes: their
-        (len(rs), q, n_rec) records (_records), component k of realization
-        r drawn from stream(seed, r, k)."""
-        q = len(self.windows)
-        return self._records([[stream(seed, r, k) for k in range(q)] for r in rs])
+        (len(rs), q, n_rec) band-limited noise records at step D dt, window
+        k's record of realization r made from K samples of stream(seed, r, k)
+        and the whole block drawn by one complex_normals call.  One FFT pair
+        runs over all its records, none at D = 1."""
+        q, n_rec = len(self.windows), len(self._keep)
+        records = complex_normals([stream(seed, r, k) for r in rs for k in range(q)], self.K)
+        if self.D == 1:  # every bin is kept: the FFT pair would return the padded record
+            records = np.pad(records, ((0, 0), (0, n_rec - self.K)))
+        else:
+            spec = np.fft.fft(records, n=self.D * n_rec, axis=1)
+            records = np.fft.ifft(spec[:, self._keep], axis=1)
+        return records.reshape(-1, q, n_rec)
 
     def grids(self, records: np.ndarray, seed_label: int = 0) -> Iterator[FieldGrid]:
         """The grids of a drawn block, one at a time."""
-        for bands in self._bands(records):
-            try:
-                frame = self._frames.pop()
-            except IndexError:  # every frame is in use, or none was made yet
-                frame = np.empty(self.frame_shape, dtype=complex)
-            vals = self._samples(bands, frame, slice(None), slice(None))
-            self._frames.append(frame)
+        for vals in self._samples(records, slice(None), slice(None)):
             yield FieldGrid(values=vals, seed=seed_label, interior=self.interior,
                             meta=dict(self._meta), **self._lattice)
 
-    def realize(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                seed_label: int = 0) -> FieldGrid:
-        """One grid; `rng` holds one generator per window (a single-window
-        plan also takes a bare generator), each drawing K noise samples."""
-        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-        return next(self.grids(self._records([rngs]), seed_label))
+    def realize(self, seed: int, r: int = 0) -> FieldGrid:
+        """Realization r, drawn from stream(seed, r, k), as one grid."""
+        return next(self.grids(self.draw(seed, [r]), seed))
 
     @cached_property
     def rectangle(self) -> LatticeRectangle:
@@ -589,12 +575,9 @@ class StftPlan:
     def rectangle_samples(self, records: np.ndarray) -> Iterator[np.ndarray]:
         """The samples of a drawn block's grids on `rectangle`, rows j0..j1
         by columns i0..i1, one realization at a time: only its columns
-        folded, into one frame of this call, and only its rows gathered."""
+        folded and only its rows gathered."""
         rect = self.rectangle
-        rows, cols = slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1)
-        frame = np.empty((rect.i1 - rect.i0 + 1, self.frame_shape[1]), dtype=complex)
-        for bands in self._bands(records):
-            yield self._samples(bands, frame, rows, cols)
+        return self._samples(records, slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1))
 
     @cached_property
     def _row_operator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -742,14 +725,12 @@ class SeriesPlan:
         # is about 300 times less accurate at 351 terms
         self.scale = np.cumprod(np.r_[1.0, r_max / np.sqrt(np.arange(1.0, self.n_terms))])
 
-    def coefficients(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-        """(B, n_terms) scaled coefficients xi_n c_n, one row per generator."""
-        return complex_normals(list(rngs), self.n_terms) * self.scale
-
     def draw(self, seed: int, rs: Iterable[int]) -> np.ndarray:
         """The block of realizations rs that every block method takes: their
-        scaled coefficients, realization r's drawn from stream(seed, r, 0)."""
-        return self.coefficients([stream(seed, r, 0) for r in rs])
+        (len(rs), n_terms) scaled coefficients xi_n c_n, realization r's
+        drawn from stream(seed, r, 0), the whole block by one complex_normals
+        call."""
+        return complex_normals([stream(seed, r, 0) for r in rs], self.n_terms) * self.scale
 
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(B, z.size) values at points z within the grid radius of the B
@@ -823,8 +804,9 @@ class SeriesPlan:
         r = self.rectangle
         return (grid.values[r.j0:r.j1 + 1, r.i0:r.i1 + 1] for grid in self.grids(coeffs))
 
-    def realize(self, rng: np.random.Generator, seed_label: int = 0) -> FieldGrid:
-        return next(self.grids(self.coefficients([rng]), seed_label))
+    def realize(self, seed: int, r: int = 0) -> FieldGrid:
+        """Realization r, drawn from stream(seed, r, 0), as one grid."""
+        return next(self.grids(self.draw(seed, [r]), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +885,8 @@ class FieldSource:
     window or polyentire source holds one StftPlan over all its windows,
     which reads the geometry in the source's plane, and a series source one
     SeriesPlan.  Both plans answer the same block methods, so every method
-    below is one plan call on the block plan.draw gives.  domain, spacing
+    below is one plan call on the block plan.draw gives, and realize is
+    plan.realize: seed and realization in, never a generator.  domain, spacing
     and the theory values (kernel, None with a note for a window without
     one; density(convention); charge_density; variance_asymptote) refer to
     the output plane; each is computed once per source, density once per
@@ -979,7 +962,7 @@ class FieldSource:
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r in the source's plane."""
-        return next(self.realize_batch(seed, [r]))
+        return self.plan.realize(seed, r)
 
 
 # ---------------------------------------------------------------------------

@@ -200,16 +200,10 @@ def generalized_gaussian(sigma: float, lambda_phase: float = 0.0, x0: float = 0.
     support = abs(x0) + sigma * math.sqrt(math.log(2.0 ** 0.25 / (math.sqrt(sigma) * 1e-12)) / math.pi) + 0.25
     while len(params) > 1 and params[-1] == 0:
         params.pop()
-    w = Window(rule=rule, derivative=derivative, support_radius=support, freq_radius=1.0,
-               label="generalized-gaussian:" + ";".join(map(str, params)),
-               kind="generalized-gaussian")
-    return _with_measured_freq_radius(w)
-
-
-def _with_measured_freq_radius(w: Window) -> Window:
-    freq = _freq_radius_from(w.rule, w.support_radius)
-    return Window(rule=w.rule, derivative=w.derivative, support_radius=w.support_radius,
-                  freq_radius=freq, label=w.label, kind=w.kind, order=w.order)
+    return Window(rule=rule, derivative=derivative, support_radius=support,
+                  freq_radius=_freq_radius_from(rule, support),
+                  label="generalized-gaussian:" + ";".join(map(str, params)),
+                  kind="generalized-gaussian")
 
 
 def modulate(g: Window, x0: float, xi0: float, xi1: float) -> Window:
@@ -225,10 +219,9 @@ def modulate(g: Window, x0: float, xi0: float, xi1: float) -> Window:
                         + g.derivative(t - x0))
 
     support = g.support_radius + abs(x0)
-    w = Window(rule=rule, derivative=derivative, support_radius=support,
-               freq_radius=g.freq_radius, label=f"{g.label}<<shift/chirp",
-               kind="modulated")
-    return _with_measured_freq_radius(w)
+    return Window(rule=rule, derivative=derivative, support_radius=support,
+                  freq_radius=_freq_radius_from(rule, support), label=f"{g.label}<<shift/chirp",
+                  kind="modulated")
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +278,7 @@ def window_from_samples(samples: np.ndarray, dt: float, label: str = "samples") 
 
     support = _support_radius_from(rule, scan=max(abs(t_lo), abs(t_hi)))
     w = Window(rule=rule, derivative=derivative, support_radius=support,
-               freq_radius=1.0, label=label, kind="samples")
-    w = _with_measured_freq_radius(w)
+               freq_radius=_freq_radius_from(rule, support), label=label, kind="samples")
     object.__setattr__(w, "_grid", (t, samples, dsamples, dt))
     return w
 

@@ -86,7 +86,7 @@ def _mc_counts_and_charges(window, n, seed, domain=(0.0, 8.0, 0.0, 8.0)):
     counts = np.empty(n)
     charges = np.empty(n)
     for r in range(n):
-        zs = [z for z in Z.detect_zeros(plan.realize(S.stream(seed, r)))
+        zs = [z for z in Z.detect_zeros(plan.realize(seed, r))
               if not z.degenerate]
         counts[r] = len(zs)
         charges[r] = sum(z.charge for z in zs)
@@ -194,7 +194,7 @@ def test_criterion_7_detector_integrity(hermites, capsys):
     plan = S.StftPlan(hermites[1], (0.0, 8.0, 0.0, 8.0), 1 / 16, 1 / 64)
     total = agree = 0
     for r in range(100):
-        for z in Z.detect_zeros(plan.realize(S.stream(500, r))):
+        for z in Z.detect_zeros(plan.realize(500, r)):
             if not z.degenerate:
                 total += 1
                 agree += int(z.jacobian_sign == z.winding == z.charge)
@@ -204,9 +204,9 @@ def test_criterion_7_detector_integrity(hermites, capsys):
     fine_plan = S.StftPlan(hermites[1], (0.0, 8.0, 0.0, 8.0), 1 / 32, 1 / 64)
     coarse_total = fine_total = flips = 0
     for r in range(10):
-        coarse = [z for z in Z.detect_zeros(plan.realize(S.stream(500, r)))
+        coarse = [z for z in Z.detect_zeros(plan.realize(500, r))
                   if not z.degenerate]
-        fine = [z for z in Z.detect_zeros(fine_plan.realize(S.stream(500, r)))
+        fine = [z for z in Z.detect_zeros(fine_plan.realize(500, r))
                 if not z.degenerate]
         coarse_total += len(coarse)
         fine_total += len(fine)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import anchored_plan
 from gwhf import cli
-from gwhf.simulate import FieldSource, load_grid, save_grid, stream
+from gwhf.simulate import FieldSource, load_grid, save_grid
 
 PI = math.pi
 
@@ -104,7 +104,7 @@ def test_zeros_csv_of_default_container_equals_anchored_one(tmp_path, capsys):
                       small.spacing, small.meta["dt"])
     plan = anchored_plan(src.plan)
     assert (plan.nx, plan.ny) == (345, 345)
-    save_grid(plan.realize(stream(7), 7), str(tmp_path / "anchored.gwhf"))
+    save_grid(plan.realize(7), str(tmp_path / "anchored.gwhf"))
     csvs = []
     for name in (os.path.join(out_dir, "field.gwhf"), str(tmp_path / "anchored.gwhf")):
         csvs.append(tmp_path / (Path(name).stem + ".csv"))

@@ -1,7 +1,7 @@
 """The modules import in one direction: the simulators know nothing of the
 detector or of the Monte Carlo harness, and the detector nothing of the
 harness, so a source's counting methods live in mc, not on simulate's
-FieldSource."""
+FieldSource.  Random draws enter in a few named places only."""
 import ast
 from pathlib import Path
 
@@ -23,6 +23,36 @@ def _imports(module: str) -> set[str]:
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
     return names
+
+
+def _referrers(name: str) -> set[str]:
+    """module.Class.function of every function or method of gwhf whose
+    body names `name`, bare or as an attribute (module level is
+    `module`)."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_realizations_are_drawn_only_by_the_plans():
+    # a realization enters a plan only through its draw(seed, rs), which
+    # makes component k of realization r from stream(seed, r, k); the
+    # Poisson control draws its points from the same streams
+    draws = {"simulate.StftPlan.draw", "simulate.SeriesPlan.draw"}
+    assert _referrers("complex_normals") == draws
+    assert _referrers("stream") == draws | {"mc._PoissonControl._points"}
 
 
 def test_simulate_imports_neither_the_detector_nor_the_harness():

@@ -16,7 +16,7 @@ import pytest
 from gwhf import mc, simulate, windows, zeros
 from gwhf.errors import (DomainError, InvalidKernelError, ParameterError, PlaneError,
                          ResolutionError)
-from gwhf.simulate import FieldSource, SeriesPlan, stream
+from gwhf.simulate import FieldSource, SeriesPlan
 
 PI = math.pi
 
@@ -238,6 +238,17 @@ def test_config_validation():
     for radii in (("a",), (1.0, True)):
         with pytest.raises(ParameterError, match=re.escape(f"radii {list(radii)} must be numbers")):
             _cfg(radii=radii)
+    # a domain or radii that is no sequence is refused when the config is made
+    for radii in (None, 5, 2.0):
+        with pytest.raises(ParameterError, match=f"^radii {radii!r} must be a sequence of "
+                                                 "numbers$"):
+            _cfg(radii=radii)
+    for domain in (5, None, "0,1,0,1"):
+        with pytest.raises(DomainError, match=f"^domain {re.escape(repr(domain))} must be "
+                                              "four numbers x0, x1, y0, y1$"):
+            _cfg(source="series", domain=domain)
+    with pytest.raises(DomainError, match="must be a finite rectangle"):
+        _cfg(source={"family": "poisson"}, domain=(1.0, 0.0, 0.0, 1.0))
     for spacing in ("x", True):
         with pytest.raises(ParameterError, match=f"spacing {spacing!r} must be positive"):
             mc.estimate_intensity(_cfg(spacing=spacing))
@@ -326,17 +337,17 @@ def test_circle_errors_name_seed_and_realization(monkeypatch, threads):
     # the circle of radius 1 about the centre
     cfg = _cfg(source={"family": "series-gef"}, domain=(-3.0, 3.0, -3.0, 3.0), spacing=0.1,
                n_realizations=4, seed=21, radii=(1.0, 2.0), threads=threads)
-    draw = SeriesPlan.coefficients
-    bad = draw(FieldSource(cfg.source, cfg.domain, cfg.spacing).plan, [stream(21, 2, 0)])[0]
+    draw = SeriesPlan.draw
+    bad = draw(FieldSource(cfg.source, cfg.domain, cfg.spacing).plan, 21, [2])[0]
 
-    def vanishing(plan, rngs):
-        coeffs = draw(plan, rngs)
+    def vanishing(plan, seed, rs):
+        coeffs = draw(plan, seed, rs)
         hit = (coeffs == bad).all(axis=1)
         coeffs[hit] = 0.0
         coeffs[hit, :2] = [-1.0, plan.rho]
         return coeffs
 
-    monkeypatch.setattr(SeriesPlan, "coefficients", vanishing)
+    monkeypatch.setattr(SeriesPlan, "draw", vanishing)
     with pytest.raises(ResolutionError,
                        match=r"^seed 21 realization 2: phase on the circle of radius 1 "):
         mc.estimate_charge_variance(cfg)
@@ -631,17 +642,17 @@ def test_errors_name_seed_and_realization(monkeypatch, threads):
     plan = FieldSource(cfg.source, cfg.domain, cfg.spacing).plan
     a = plan.origin + plan.spacing * (34.5 + 34.5j)
     assert abs(a) < 1e-12
-    draw = SeriesPlan.coefficients
-    bad = draw(plan, [stream(21, 3, 0)])[0]
+    draw = SeriesPlan.draw
+    bad = draw(plan, 21, [3])[0]
 
-    def doubled(self, rngs):
-        coeffs = draw(self, rngs)
+    def doubled(self, seed, rs):
+        coeffs = draw(self, seed, rs)
         hit = (coeffs == bad).all(axis=1)
         coeffs[hit] = 0.0
         coeffs[hit, :3] = [a * a, -2.0 * a * self.rho, self.rho ** 2]
         return coeffs
 
-    monkeypatch.setattr(SeriesPlan, "coefficients", doubled)
+    monkeypatch.setattr(SeriesPlan, "draw", doubled)
     with pytest.raises(ResolutionError,
                        match=r"^seed 21 realization 3: plaquette near \S+ holds winding 2; "):
         mc.estimate_intensity(cfg)
@@ -674,13 +685,13 @@ def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, t
     # records of a block in one pass: blocks of 8, 8 at one thread and of
     # 4, 4 at two
     calls = []
-    records = simulate.StftPlan._records
+    draw = simulate.StftPlan.draw
 
-    def counted(self, rngs):
-        calls.append(len(rngs))
-        return records(self, rngs)
+    def counted(self, seed, rs):
+        calls.append(len(rs))
+        return draw(self, seed, rs)
 
-    monkeypatch.setattr(simulate.StftPlan, "_records", counted)
+    monkeypatch.setattr(simulate.StftPlan, "draw", counted)
     cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=n, threads=threads,
                radii=(0.5, 1.0))
     for estimate in (mc.estimate_charge_intensity, mc.estimate_intensity,
@@ -777,7 +788,7 @@ def test_circle_start_values_from_fft_only_about_the_origin(monkeypatch, domain,
     plan = mc._source(cfg).plan
     assert [(c, started) for c, started, _ in seen] == [(center, fft)] * 2
     for lo, (_, _, rows) in zip((0, 8), seen):
-        coeffs = plan.coefficients([stream(77, r, 0) for r in range(lo, lo + 8)])
+        coeffs = plan.draw(77, range(lo, lo + 8))
         ref = count(lambda z: plan.evaluate(coeffs, z), center, cfg.radii, spacing)
         assert np.array_equal(np.array(rows), np.array(list(ref)))
 

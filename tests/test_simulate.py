@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -96,7 +98,7 @@ def test_stft_pointwise_variance_is_window_energy(hermites):
     plan = S.StftPlan(hermites[1], (0, 2, 0, 2), 1 / 16, 1 / 64)
     iy = plan.ny // 2
     ix = plan.nx // 2
-    vals = np.array([plan.realize(S.stream(50, r))
+    vals = np.array([plan.realize(50, r)
                      .values[iy, ix] for r in range(100)])
     assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=0.05)
 
@@ -128,7 +130,7 @@ def test_stft_empirical_covariance(hermites):
         return grid.values[j, i], (xs[i], ys[j])
 
     n = 400
-    grids = [plan.realize(S.stream(77, r)) for r in range(n)]
+    grids = [plan.realize(77, r) for r in range(n)]
     for z, w in pairs:
         samples = []
         for grid in grids:
@@ -150,7 +152,7 @@ def test_stft_interior_row_stationarity(hermites):
     n = 30
     rows = np.zeros((n, len(js)))
     for r in range(n):
-        vals = plan.realize(S.stream(31, r)).values
+        vals = plan.realize(31, r).values
         rows[r] = np.mean(np.abs(vals[np.ix_(js, isel)]) ** 2, axis=1)
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(n)
@@ -226,7 +228,7 @@ def test_single_window_grid_equals_reference_fold(hermites):
     assert plan.n_fft == 1024 and plan.K > plan.n_fft  # the record wraps the frame
     for r in range(3):
         ref = _reference_grid(plan, 31, r)
-        got = plan.realize(S.stream(31, r)).values
+        got = plan.realize(31, r).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -245,7 +247,7 @@ def test_banded_plan_matches_untruncated_fold(label, spacing):
         assert plan.n_fft == 256 and plan.n_fft // plan.D == 64 < plan.W
     for r in range(2):
         ref = _reference_grid(plan, 34, r)
-        got = plan.realize(S.stream(34, r)).values
+        got = plan.realize(34, r).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -261,7 +263,7 @@ def test_general_windows_at_quarter_rate_match_reference_fold(label):
     assert plan.D == _largest_fitting_divisor(plan) == 4
     for r in range(2):
         ref = _reference_grid(plan, 43, r)
-        got = plan.realize(S.stream(43, r)).values
+        got = plan.realize(43, r).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -287,7 +289,7 @@ def test_plan_at_the_edge_of_the_decimated_band_matches_reference_fold(hermites,
     assert plan.W == math.floor(2 * hermites[1].support_radius * 64 / D) + 2
     for r in range(2):
         ref = _reference_grid(plan, 36, r)
-        got = plan.realize(S.stream(36, r)).values
+        got = plan.realize(36, r).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -312,16 +314,16 @@ def test_full_rate_records_are_the_padded_draws(hermites, monkeypatch):
     draws = S.complex_normals([S.stream(38, r) for r in range(3)], plan.K)
     padded = np.zeros((3, 1, n_rec), dtype=complex)
     padded[:, 0, :plan.K] = draws
-    assert np.array_equal(plan._records([[S.stream(38, r)] for r in range(3)]), padded)
-    got = plan.realize(S.stream(38, 1)).values
+    assert np.array_equal(plan.draw(38, range(3)), padded)
+    got = plan.realize(38, 1).values
 
-    def transformed(rngs):
-        draws = S.complex_normals([gen for gens in rngs for gen in gens], plan.K)
+    def transformed(seed, rs):
+        draws = S.complex_normals([S.stream(seed, r) for r in rs], plan.K)
         spec = np.fft.fft(draws, n=n_rec, axis=1)
-        return np.fft.ifft(spec[:, plan._keep], axis=1).reshape(len(rngs), 1, n_rec)
+        return np.fft.ifft(spec[:, plan._keep], axis=1).reshape(len(draws), 1, n_rec)
 
-    monkeypatch.setattr(plan, "_records", transformed)
-    ref = plan.realize(S.stream(38, 1)).values
+    monkeypatch.setattr(plan, "draw", transformed)
+    ref = plan.realize(38, 1).values
     assert np.max(np.abs(got - ref)) <= 1e-13
 
 
@@ -333,27 +335,13 @@ def test_plan_refuses_a_frame_beyond_the_element_cap(hermites):
         S.StftPlan(hermites[1], (0, 1, -14, 14), 1.8e-3, 1 / 64)
 
 
-def test_frame_buffer_changes_no_grid(hermites):
-    ws = [hermites[0], hermites[1]]
-    plan, twin = (S.StftPlan(ws, (0, 4, 0, 4), 1 / 16, 1 / 64) for _ in range(2))
-    frame = np.full(plan.frame_shape, np.nan + 1j, dtype=complex)
-    for r in range(3):
-        fresh = twin.realize([S.stream(37, r, k) for k in range(2)]).values
-        plan._frames[:] = [frame]  # a frame full of stale values
-        reused = plan.realize([S.stream(37, r, k) for k in range(2)], 37).values
-        assert np.array_equal(fresh, reused)
-        assert not np.shares_memory(reused, frame)
-        assert len(plan._frames) == 1 and plan._frames[0] is frame
-
-
-def test_threads_share_one_plan_and_its_frames(hermites):
+def test_threads_share_one_plan(hermites):
     plan = S.StftPlan([hermites[0], hermites[1]], (0, 4, 0, 4), 1 / 16, 1 / 64)
 
     def grid(r):
-        return plan.realize([S.stream(39, r, k) for k in range(2)], 39).values
+        return plan.realize(39, r).values
 
     serial = [grid(r) for r in range(16)]
-    plan._frames.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often inside realize
     try:
@@ -362,7 +350,6 @@ def test_threads_share_one_plan_and_its_frames(hermites):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
-    assert 1 <= len(plan._frames) <= 2
 
 
 @pytest.mark.parametrize("spec", [{"family": "window", "window": "hermite:1"},
@@ -391,21 +378,17 @@ def test_multi_window_plan_matches_per_component_sum(hermites, spacing):
     # the record starts T before the grid column of the anchor margin
     assert plan.t0 == 0 - 2 * max(T, max(w.freq_radius for w in ws)) - T
     for r in range(2):
-        rngs = [S.stream(32, r, k) for k in range(3)]
         ref = _reference_grid(plan, 32, r)
-        got = plan.realize(rngs)
+        got = plan.realize(32, r)
         assert got.meta["components"] == 3
         assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-    with pytest.raises(ValueError):
-        plan.realize(S.stream(32, 0))  # one generator for three windows
 
 
 def test_realize_and_stream_reject_bad_inputs_with_parameter_error(hermites):
-    plan = S.StftPlan([hermites[0], hermites[1]], (0, 2, 0, 2), 1 / 16, 1 / 64)
-    with pytest.raises(ParameterError, match="3 generators for 2 windows"):
-        plan.realize([S.stream(35, 0, k) for k in range(3)])
     with pytest.raises(ParameterError, match="seed -1"):
         S.stream(-1)
+    with pytest.raises(ParameterError, match="seed -1"):
+        S.StftPlan(hermites[0], (0, 2, 0, 2), 1 / 16, 1 / 64).realize(-1)
     for spacing, dt, refused in (("x", 1 / 64, "spacing 'x'"), (True, 1 / 64, "spacing True"),
                                  (1 / 16, "x", "dt 'x'"), (1 / 16, True, "dt True")):
         with pytest.raises(ParameterError, match=refused):
@@ -417,11 +400,10 @@ def test_gwhf_plane_plan_matches_mapped_grid(hermites):
     # reference fold mapped to the invariant plane, on the stft-plane plan's
     # lattice mapped by z = sqrt(pi) conj(u + i v)
     ws = [hermites[0], hermites[1]]
-    rngs = [S.stream(33, 0, k) for k in range(2)]
-    stft = S.StftPlan(ws, (0, 3, -1, 2), 1 / 16, 1 / 64).realize(rngs, 33)
+    stft = S.StftPlan(ws, (0, 3, -1, 2), 1 / 16, 1 / 64).realize(33)
     box = S._gwhf_box((0, 3, -1, 2))
     plan = S.StftPlan(ws, box, math.sqrt(PI) / 16, 1 / 64, plane="gwhf")
-    got = plan.realize([S.stream(33, 0, k) for k in range(2)], 33)
+    got = plan.realize(33, 0)
     ref = _reference_grid(plan, 33, 0)
     assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.allclose(np.abs(got.values), np.abs(stft.values[::-1]))
@@ -437,7 +419,7 @@ def test_direct_gwhf_plane_plan_keeps_the_domain_given(hermites):
     plan = S.StftPlan(hermites[1], (0, 8, 0, 8), 0.08, 1 / 64, plane="gwhf")
     assert S._gwhf_box(plan.requested) != (0.0, 8.0, 0.0, 8.0)
     assert plan.interior == (0.0, 8.0, 0.0, 8.0)
-    assert [plan.realize(S.stream(1, r)).interior for r in range(2)] == \
+    assert [plan.realize(1, r).interior for r in range(2)] == \
         [(0.0, 8.0, 0.0, 8.0)] * 2
 
 
@@ -457,13 +439,12 @@ def test_default_plan_matches_reference_fold_and_anchored_zeros(spec, domain, sp
     plan, twin = src.plan, anchored_plan(src.plan)
     assert (plan.t0, plan.K, plan.n_fft) == (twin.t0, twin.K, twin.n_fft)
     assert plan.nx < twin.nx and plan.ny < twin.ny and plan.D >= twin.D
-    q = len(plan.windows)
     for r in range(2):
-        got = plan.realize([S.stream(41, r, k) for k in range(q)], 41)
+        got = plan.realize(41, r)
         ref = _reference_grid(plan, 41, r)
         assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
         za = Z.detect_zeros(got)
-        zb = Z.detect_zeros(twin.realize([S.stream(41, r, k) for k in range(q)], 41))
+        zb = Z.detect_zeros(twin.realize(41, r))
         assert za and len(za) == len(zb)
         for a, b in zip(za, zb):
             assert (a.charge, a.refined, a.jacobian_sign, a.degenerate) == \
@@ -479,7 +460,7 @@ def test_default_pad_widens_to_the_grid_floor(hermites):
     assert (plan.nx, plan.ny) == (16, 16) and min(twin.nx, twin.ny) > 16
     assert plan.D == _largest_fitting_divisor(plan) == 4
     ref = _reference_grid(plan, 42, 0)
-    got = plan.realize(S.stream(42)).values
+    got = plan.realize(42).values
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # widening never passes the ends of the anchored lattice
     assert S._crop(16, 0.0, 1.0, 5.0, 7.0) == slice(0, 16)
@@ -557,7 +538,7 @@ def test_series_empirical_covariance():
     n = 200
     prods = {p: [] for p in zip(pts, pts[1:] + pts[:1])}
     for r in range(n):
-        vals = plan.realize(S.stream(99, r)).values.ravel()
+        vals = plan.realize(99, r).values.ravel()
         for (a, b) in prods:
             za, zb = zs.ravel()[a[0] * 3 + a[1]], zs.ravel()[b[0] * 3 + b[1]]
             prods[(a, b)].append(vals[a[0] * 3 + a[1]] * np.conj(vals[b[0] * 3 + b[1]]))
@@ -574,7 +555,7 @@ def test_series_batch_rows_equal_single_realizations():
     # 29 x 29 points: three full basis chunks and a partial one
     plan = S.SeriesPlan((-2.0, 2.0, -2.0, 2.0), 0.2)
     assert plan.z.size % S._CHUNK != 0 and plan.z.size > 2 * S._CHUNK
-    singles = [plan.realize(S.stream(13, r)).values for r in range(12)]
+    singles = [plan.realize(13, r).values for r in range(12)]
     for size in range(1, 10):
         for start in (0, 12 - size):
             batch = list(plan.grids(plan.draw(13, range(start, start + size))))
@@ -624,13 +605,11 @@ def test_stft_edges_independent_of_the_block(spec, domain, spacing):
 def test_rectangle_samples_are_the_grids_block(spec, domain, spacing):
     # a realization's samples on the lattice rectangle, drawn in a block of
     # 1, 3 or 8 at either end of it, have the bytes of its grid's block
-    # there; the stft simulator makes them with no grid and leaves the
-    # frame pool of realize alone
+    # there; the stft simulator makes them with no grid
     source = S.FieldSource(spec, domain, spacing, 1 / 64)
     r = source.plan.rectangle
     rows, cols = slice(r.j0, r.j1 + 1), slice(r.i0, r.i1 + 1)
     want = [source.realize(23, k).values[rows, cols] for k in range(8)]
-    pool = [id(frame) for frame in getattr(source.plan, "_frames", [])]
     for size in (1, 3, 8):
         for start in (0, 8 - size):
             got = list(source.rectangle_batch(23, range(start, start + size)))
@@ -638,7 +617,6 @@ def test_rectangle_samples_are_the_grids_block(spec, domain, spacing):
             for k, samples in enumerate(got, start):
                 assert samples.shape == want[k].shape
                 assert samples.tobytes() == want[k].tobytes(), (size, start, k)
-    assert [id(frame) for frame in getattr(source.plan, "_frames", [])] == pool
 
 
 def test_threads_build_one_row_operator_and_agree(hermites):
@@ -711,7 +689,7 @@ def test_series_matches_per_term_sum(n_terms):
             term = term * plan.z / math.sqrt(n)
         acc += xi[n] * term
     ref = np.exp(-0.5 * np.abs(plan.z) ** 2) * acc
-    got = plan.realize(S.stream(77, 4)).values
+    got = plan.realize(77, 4).values
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -722,7 +700,7 @@ def test_series_circle_values_match_evaluator():
     radii = np.arange(1.0, 7.0)
     counts = np.maximum(16, np.ceil(2 * PI * radii / 0.08).astype(int))
     assert counts[3] < plan.n_terms < counts[4]
-    coeffs = plan.coefficients([S.stream(77, r, 0) for r in range(40)])
+    coeffs = plan.draw(77, range(40))
     got = np.split(plan.circle_values(coeffs, radii, counts), np.cumsum(counts)[:-1], axis=1)
     for radius, m, values in zip(radii, counts, got):
         ref = plan.evaluate(coeffs, radius * np.exp(2j * PI * np.arange(m) / m))
@@ -756,7 +734,7 @@ def test_series_matches_extended_precision_sum(domain, spacing, bound):
             term = term * z / np.sqrt(n[k - 1])
         acc += xi[k] * term
     ref = np.exp(-np.abs(z) ** 2 / 2) * acc
-    got = plan.realize(S.stream(77, 4)).values
+    got = plan.realize(77, 4).values
     assert np.all(got != 0)
     assert np.max(np.abs(got.ravel()[idx] - ref)) <= bound * np.max(np.abs(got))
 
@@ -828,3 +806,22 @@ def test_grid_container_roundtrip_property(tmp_path_factory, ny, nx, plane, orig
         path.write_bytes(blob[:int(cut * len(blob))])
         with pytest.raises(ContainerError):
             S.load_grid(str(path))
+
+
+@pytest.mark.parametrize("seed", [1.7, True, "x", -1, None])
+def test_grid_refuses_a_seed_label_a_container_cannot_keep(tmp_path, seed):
+    # a header seed edited to 1.7 or true would load and save back as 1; "x"
+    # and null would make save_grid fail
+    grid = dict(values=np.ones((16, 16), complex), origin=0j, spacing=0.1, plane="gwhf")
+    refused = f"grid seed {re.escape(repr(seed))} must be a non-negative integer"
+    with pytest.raises(ParameterError, match=f"^{refused}$"):
+        S.FieldGrid(**grid, seed=seed)
+    path = tmp_path / "field.gwhf"
+    S.save_grid(S.FieldGrid(**grid, seed=3), str(path))
+    blob = path.read_bytes()
+    start = len(S._MAGIC) + 8
+    (hlen,) = struct.unpack_from("<Q", blob, len(S._MAGIC))
+    header = json.dumps(dict(json.loads(blob[start:start + hlen]), seed=seed)).encode()
+    path.write_bytes(S._MAGIC + struct.pack("<Q", len(header)) + header + blob[start + hlen:])
+    with pytest.raises(ContainerError, match=refused):
+        S.load_grid(str(path))

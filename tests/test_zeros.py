@@ -177,7 +177,7 @@ def test_plane_equivariance(hermites):
 def test_winding_jacobian_agreement_on_realizations(hermites):
     plan = S.StftPlan(hermites[1], (0, 8, 0, 8), 1 / 16, 1 / 64)
     for r in range(5):
-        for z in Z.detect_zeros(plan.realize(S.stream(23, r))):
+        for z in Z.detect_zeros(plan.realize(23, r)):
             if not z.degenerate:
                 assert z.jacobian_sign == z.winding == z.charge
 
@@ -200,7 +200,7 @@ def test_newton_rejected_zero_sign_matches_winding(source, seed, r, near, margin
     grid = src.realize(seed, r)
     if margin0:  # the zero lies in the anchored plan's grid, beyond the default pad
         plan = anchored_plan(src.plan)
-        grid = plan.realize([S.stream(seed, r, k) for k in range(len(plan.windows))], seed)
+        grid = plan.realize(seed, r)
         grid = dataclasses.replace(grid, interior=None)
     zs = Z.detect_zeros(grid)
     z = min(zs, key=lambda z: abs(z.position - near))
@@ -925,7 +925,7 @@ def test_circle_charges_match_the_per_arc_reference(domain, spacing, center, rad
     # origin both start from the FFT circle values
     plan = S.SeriesPlan(domain, spacing)
     for lo in range(0, n, 8):
-        coeffs = plan.coefficients([S.stream(77, r, 0) for r in range(lo, lo + 8)])
+        coeffs = plan.draw(77, range(lo, lo + 8))
         args = (lambda z: plan.evaluate(coeffs, z), center, radii, spacing,
                 None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts)))
         assert np.array_equal(np.array(list(Z.circle_charges(*args))),
@@ -984,7 +984,7 @@ def test_circle_charges_match_detector_disk_charges(domain, spacing, center, rad
     plan = S.SeriesPlan(domain, spacing)
     for lo in range(0, 200, 8):
         rs = range(lo, lo + 8)
-        coeffs = plan.coefficients([S.stream(77, r, 0) for r in rs])
+        coeffs = plan.draw(77, rs)
         circle = np.array(list(Z.circle_charges(lambda z: plan.evaluate(coeffs, z), center,
                                                 radii, spacing)))
         if center == 0:
