@@ -38,7 +38,7 @@ from .kernels import DEFAULT_CONVENTION, _check_convention
 from .simulate import (_MAX_ELEMENTS, FieldSource, _check_domain, _check_spacing, _is_number,
                        source_from_spec, stream)
 from .windows import Window
-from .zeros import circle_charges, detect_zeros, rectangle_charges, rectangle_zero_count
+from .zeros import cells, circle_charges, detect_zeros, rectangle_charges
 
 __all__ = ["McConfig", "McItem", "McReport", "MAX_THREADS",
            "estimate_intensity", "estimate_charge_intensity",
@@ -243,11 +243,14 @@ class _Field(FieldSource):
     """A field source.  It counts on its plan's lattice rectangle, the grid
     points of its lattice in the interior, per unit of its area, from the
     rectangle's samples alone: its zero count is the number of cells whose
-    plaquette winding is nonzero (zeros.rectangle_zero_count), one per
-    simple zero, so unbiased (an opposite-signed pair in one cell cancels),
-    and its net charge is read from the four edges by the argument
-    principle (zeros.rectangle_charges).  Its disk charges are its detected
-    zeros'."""
+    plaquette winding is nonzero (zeros.cells), one per simple zero, and
+    its net charge is read from the four edges by the argument principle
+    (zeros.rectangle_charges).  Its disk charges are its detected zeros'.
+    The zero count has a resolution bias: an opposite-signed pair in one
+    cell cancels, and an edge misread by half a turn adds a pair.  Against
+    the same fields read at a fine spacing, as paired differences, it was
+    +0.07% for the STFT hermite:1 window at spacing 1/16 and -0.10% for
+    polyentire:3:full at 0.08."""
 
     @property
     def area(self) -> float:
@@ -268,7 +271,7 @@ class _Field(FieldSource):
 
     def zero_counts(self, seed: int, rs: range) -> Iterator[int]:
         rect = self.plan.rectangle
-        return (rectangle_zero_count(rect, samples) for samples in self.rectangle_batch(seed, rs))
+        return (len(cells(rect, samples)[2]) for samples in self.rectangle_batch(seed, rs))
 
     def net_charges(self, seed: int, rs: range) -> np.ndarray:
         return rectangle_charges(self.plan.rectangle, *self.edges_batch(seed, rs))

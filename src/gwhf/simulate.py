@@ -79,25 +79,22 @@ def stream(seed: int, realization: int = 0, component: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(ss))
 
 
-def complex_normals(rng: np.random.Generator | Sequence[np.random.Generator],
-                    n: int) -> np.ndarray:
+def complex_normals(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
     """i.i.d. standard circularly symmetric complex Gaussians (unit variance):
-    n of them from one generator, or a (len(rng), n) array, row b drawn
-    from rng[b] as it would be alone, every row from one buffer.
+    a (len(rngs), n) array, row b drawn from rngs[b] as it would be alone,
+    every row from one buffer.
 
     At pairing time each sample stands for the noise integrated over one
     dt cell, and the sqrt(dt) factor is applied inside the pairing sum, so
     E|V|^2 = ||g||^2 holds exactly in the dt -> 0 limit.
     """
-    one = isinstance(rng, np.random.Generator)
-    gens = (rng,) if one else rng
-    z = np.empty((len(gens), 2 * n))
-    for row, gen in zip(z, gens):
+    z = np.empty((len(rngs), 2 * n))
+    for row, gen in zip(z, rngs):
         gen.standard_normal(out=row)
-    out = np.empty((len(gens), n), dtype=complex)
+    out = np.empty((len(rngs), n), dtype=complex)
     np.multiply(z[:, :n], math.sqrt(0.5), out=out.real)
     np.multiply(z[:, n:], math.sqrt(0.5), out=out.imag)
-    return out[0] if one else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -556,10 +553,10 @@ class StftPlan:
             records = np.fft.ifft(spec[:, self._keep], axis=1)
         return records.reshape(-1, q, n_rec)
 
-    def grids(self, records: np.ndarray, seed_label: int = 0) -> Iterator[FieldGrid]:
-        """The grids of a drawn block, one at a time."""
+    def grids(self, records: np.ndarray, seed: int) -> Iterator[FieldGrid]:
+        """The grids of a block drawn from `seed`, one at a time."""
         for vals in self._samples(records, slice(None), slice(None)):
-            yield FieldGrid(values=vals, seed=seed_label, interior=self.interior,
+            yield FieldGrid(values=vals, seed=seed, interior=self.interior,
                             meta=dict(self._meta), **self._lattice)
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
@@ -789,20 +786,21 @@ class SeriesPlan:
         values = self.evaluate(coeffs, np.concatenate(points))
         return np.split(values, np.cumsum([len(p) for p in points[:3]]), axis=1)
 
-    def grids(self, coeffs: np.ndarray, seed_label: int = 0) -> Iterator[FieldGrid]:
-        """The grids of a drawn block, one per row of coeffs, all evaluated
-        at once."""
+    def grids(self, coeffs: np.ndarray, seed: int) -> Iterator[FieldGrid]:
+        """The grids of a block drawn from `seed`, one per row of coeffs, all
+        evaluated at once."""
         meta = {"simulator": "series", "n_terms": self.n_terms}
         return (FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
-                          spacing=self.spacing, plane="gwhf", seed=seed_label,
+                          spacing=self.spacing, plane="gwhf", seed=seed,
                           interior=self.interior, meta=dict(meta))
                 for v in self.evaluate(coeffs, self.z))
 
     def rectangle_samples(self, coeffs: np.ndarray) -> Iterator[np.ndarray]:
         """The samples of a drawn block's grids on `rectangle`, rows j0..j1
-        by columns i0..i1, cut from the grids."""
+        by columns i0..i1, cut from the grids' values, no grid made."""
         r = self.rectangle
-        return (grid.values[r.j0:r.j1 + 1, r.i0:r.i1 + 1] for grid in self.grids(coeffs))
+        return (v.reshape(self.z.shape)[r.j0:r.j1 + 1, r.i0:r.i1 + 1]
+                for v in self.evaluate(coeffs, self.z))
 
     def realize(self, seed: int, r: int = 0) -> FieldGrid:
         """Realization r, drawn from stream(seed, r, 0), as one grid."""

@@ -24,8 +24,9 @@ spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
 One call detects one grid or a block of grids on one lattice (origin,
 spacing, plane, size and interior), all on arrays.  Each grid in turn
-gives its windings and the raw 4x4 samples around its flagged cells, and
-is dropped; the rest needs no grid's samples and runs once per block.  The
+gives the flagged cells of the block of cells that can hold a kept zero
+(cells) and the raw 4x4 samples around them, and is dropped; the rest
+needs no grid's samples and runs once per block.  The
 flagged cells of all grids take their demodulated stencils in one pass (a
 border cell's stencil is extrapolated past the grid), and are refined at
 once, by Newton on bicubic stencils and the cells Newton rejects by one
@@ -38,9 +39,10 @@ the differential, independently of the winding; simple zeros must agree
 arrays with a realization column, each grid's zeros the same as when it is
 detected alone.  circle_charges and rectangle_charges need no grid: the
 latter counts a lattice rectangle's net charge from its edges' wrap
-counts, by the rule the plaquettes use.  rectangle_zero_count counts a
-rectangle's flagged cells from the plaquette windings of its own samples
-alone, by the rule of a grid's.
+counts, by the rule the plaquettes use.  cells is the one winding pass:
+it winds a lattice rectangle's own samples and gives its cells of nonzero
+winding, the cells the detector refines and the Monte Carlo zero count
+counts.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ from .simulate import FieldGrid, LatticeRectangle, _fft_frame
 
 __all__ = [
     "ChargedZero", "ZeroSet",
-    "detect_zeros", "rectangle_charges", "rectangle_zero_count", "circle_charges",
+    "cells", "detect_zeros", "rectangle_charges", "circle_charges",
     "zeros_to_csv", "zeros_from_csv",
 ]
 
@@ -177,9 +179,33 @@ def _windings(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, plane: str,
     return wind.astype(np.int16)
 
 
-def _plaquette_windings(grid: FieldGrid) -> np.ndarray:
-    """The windings (_windings) of every plaquette of the grid."""
-    return _windings(grid.values, grid.xs, grid.ys, grid.plane, grid.spacing)
+def cells(rect: LatticeRectangle, samples: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice indices (i, j) and int windings w of the cells of the lattice
+    rectangle rect whose plaquette winding (_windings) is nonzero, in
+    row-major order: one per simple zero of the field in the rectangle.
+    samples are the rectangle's own, rows j0..j1 by columns i0..i1, and
+    each cell's winding has the bits a whole grid's plaquettes give it.  Two
+    zeros of opposite charge in one cell cancel and are not counted.  A cell
+    with |winding| >= 2 raises ResolutionError naming its centre."""
+    o, h = rect.origin, rect.spacing
+    xs = o.real + h * np.arange(rect.i0, rect.i1 + 1)
+    ys = o.imag + h * np.arange(rect.j0, rect.j1 + 1)
+    wind = _windings(samples, xs, ys, rect.plane, h)
+    # numpy finds the nonzero entries of a boolean mask several times faster
+    # than those of the int16 windings themselves
+    flat = np.flatnonzero(wind != 0)
+    w = wind.ravel()[flat].astype(int)
+    j, i = np.divmod(flat, wind.shape[1])
+    i += rect.i0
+    j += rect.j0
+    multiple = np.flatnonzero(np.abs(w) >= 2)
+    if multiple.size:
+        k = multiple[0]
+        center = _plane_points(o, h, i[k], j[k], 0.5, 0.5)
+        raise ResolutionError(f"plaquette near {center:.4g} holds winding {w[k]}; "
+                              "halve the grid spacing")
+    return i, j, w
 
 
 def rectangle_charges(rect: LatticeRectangle, bottom: np.ndarray, top: np.ndarray,
@@ -239,9 +265,9 @@ def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: complex
               plane: str, shape: tuple[int, int]) -> np.ndarray:
     """(M, 4, 4) stencils of cells (i, j) of grids of one lattice, of this
     origin, spacing h, plane and (rows, columns) of cells, from their raw
-    4x4 samples (_flagged_cells'), the carrier relative to each cell center
-    removed when it matters.  Every step is element-wise, so a cell gets the
-    same bits in any block.
+    4x4 samples (as detect_zeros gathers them), the carrier relative to
+    each cell center removed when it matters.  Every step is element-wise,
+    so a cell gets the same bits in any block.
 
     The demodulation factor is unimodular (zero set unchanged), but it
     perturbs the interpolation error, so a raw stencil is kept whenever
@@ -427,10 +453,10 @@ def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.
     return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h]
 
 
-def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], slice, slice]:
+def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], LatticeRectangle]:
     """The statistics box of the grid's lattice (its interior, or its extent
-    when that is None) and the rows and columns of the cells that can hold a
-    zero in it.  An interior that does not meet the extent raises
+    when that is None) and the lattice rectangle whose cells are those that
+    can hold a zero in it.  An interior that does not meet the extent raises
     DomainError."""
     box = grid.extent if grid.interior is None else grid.interior
     x0, x1, y0, y1 = box
@@ -452,56 +478,8 @@ def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], sli
                             & (grid.origin.real + i_arr * h <= x1 + 2 * h))
     keep_j = np.flatnonzero((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
                             & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
-    return box, slice(keep_j[0], keep_j[-1] + 1), slice(keep_i[0], keep_i[-1] + 1)
-
-
-def _flagged(block: np.ndarray, origin: complex, h: float, i0: int, j0: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells (i, j) and windings of the flagged cells of block, the windings
-    of the cells from (i0, j0) on of the lattice of this origin and spacing
-    h.  A cell with |winding| >= 2 raises ResolutionError naming its
-    centre."""
-    # one flat search of a boolean block: numpy finds nonzero entries of a
-    # 1-d boolean array an order of magnitude faster than of a 2-d one
-    flagged = block != 0
-    j, i = np.divmod(np.flatnonzero(flagged), flagged.shape[1])
-    w = block[j, i].astype(int)
-    i += i0
-    j += j0
-    multiple = np.flatnonzero(np.abs(w) >= 2)
-    if multiple.size:
-        k = multiple[0]
-        center = _plane_points(origin, h, i[k], j[k], 0.5, 0.5)
-        raise ResolutionError(f"plaquette near {center:.4g} holds winding {w[k]}; "
-                              "halve the grid spacing")
-    return i, j, w
-
-
-def rectangle_zero_count(rect: LatticeRectangle, samples: np.ndarray) -> int:
-    """Number of cells of the lattice rectangle rect whose plaquette winding
-    is nonzero: one per simple zero of the field in the rectangle, as
-    detect_zeros flags them, with no refinement or degenerate rule.
-    samples are the rectangle's own, rows j0..j1 by columns i0..i1
-    (FieldSource.rectangle_batch), wound by the rule of a grid's plaquettes
-    (_windings).  Two zeros of opposite charge in one cell cancel and are
-    not counted.  A cell with |winding| >= 2 raises ResolutionError, as
-    _flagged names it."""
-    o, h = rect.origin, rect.spacing
-    xs = o.real + h * np.arange(rect.i0, rect.i1 + 1)
-    ys = o.imag + h * np.arange(rect.j0, rect.j1 + 1)
-    wind = _windings(samples, xs, ys, rect.plane, h)
-    if np.abs(wind).max() >= 2:  # the count needs no cell list, the refusal its first cell
-        _flagged(wind, o, h, rect.i0, rect.j0)
-    return int(np.count_nonzero(wind))
-
-
-def _flagged_cells(grid: FieldGrid, rows: slice, cols: slice) -> tuple[np.ndarray, ...]:
-    """The cells (i, j), raw windings and raw 4x4 samples of one grid's
-    flagged cells among the rows and columns of cells given (_flagged)."""
-    raw = _plaquette_windings(grid)
-    i, j, w = _flagged(raw[rows, cols], grid.origin, grid.spacing, cols.start, rows.start)
-    sample_rows, sample_cols = _stencil_indices(i, j, *raw.shape)
-    return i, j, w, grid.values[sample_rows, sample_cols]
+    return box, LatticeRectangle(grid.origin, h, grid.plane, int(keep_i[0]), int(keep_i[-1]) + 1,
+                                 int(keep_j[0]), int(keep_j[-1]) + 1)
 
 
 def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) -> ZeroSet:
@@ -532,28 +510,32 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     producing it, propagates at once with that grid's position as its
     `realization`.
     """
-    lattice, cells = None, []
+    lattice, gathered = None, []
     try:
         for grid in [grids] if isinstance(grids, FieldGrid) else grids:
             key = grid.origin, grid.spacing, grid.plane, grid.values.shape, grid.interior
             if lattice is None:
-                lattice, (box, rows, cols) = key, _kept_cells(grid)
+                lattice, (box, rect) = key, _kept_cells(grid)
             elif key != lattice:
                 names = ("origin", "spacing", "plane", "sample shape", "interior")
-                raise ParameterError(f"grid {len(cells)} is not on the lattice of grid 0: "
+                raise ParameterError(f"grid {len(gathered)} is not on the lattice of grid 0: "
                                      + "; ".join(f"{n} {b!r}, not {a!r}" for n, a, b
                                                  in zip(names, lattice, key) if a != b))
-            cells.append(_flagged_cells(grid, rows, cols))
+            # the kept block's windings, then the raw 4x4 samples about its
+            # flagged cells, clipped to the whole grid
+            i, j, w = cells(rect, grid.values[rect.j0:rect.j1 + 1, rect.i0:rect.i1 + 1])
+            sample_rows, sample_cols = _stencil_indices(i, j, grid.ny - 1, grid.nx - 1)
+            gathered.append((i, j, w, grid.values[sample_rows, sample_cols]))
             del grid  # hold no grid past its gather
     except GwhfError as exc:
-        exc.realization = len(cells)
+        exc.realization = len(gathered)
         raise
-    if not cells:
+    if not gathered:
         return ZeroSet(*(np.empty(0, t) for t in (complex, int, bool, int, bool, int)))
     origin, h, plane, (ny, nx) = lattice[:4]
     orient = 1 if plane == "gwhf" else -1
-    realization = np.repeat(np.arange(len(cells)), [len(c[0]) for c in cells])
-    i, j, w, samples = (np.concatenate(column) for column in zip(*cells))
+    realization = np.repeat(np.arange(len(gathered)), [len(c[0]) for c in gathered])
+    i, j, w, samples = (np.concatenate(column) for column in zip(*gathered))
     wind = orient * w
     st = _stencils(samples, i, j, origin, h, plane, (ny - 1, nx - 1))
     xi, eta, ok, sign, flat = _refine(st, refine, orient)

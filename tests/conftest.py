@@ -47,6 +47,13 @@ def synthetic_grid(fn, half=1.0, n=41, offset=0.013 + 0.007j, plane="gwhf"):
                      spacing=xs[1] - xs[0], plane=plane, seed=0)
 
 
+def grid_windings(grid):
+    """The plaquette windings of every cell of the grid, as the detector's
+    one winding pass (zeros.cells) computes them, as int16."""
+    from gwhf.zeros import _windings
+    return _windings(grid.values, grid.xs, grid.ys, grid.plane, grid.spacing)
+
+
 def anchored_plan(plan):
     """`plan`'s configuration with the explicit margin 2 max(T, freq), the
     one its noise record is anchored to, given in the plan's output plane:

@@ -1,7 +1,8 @@
 """The modules import in one direction: the simulators know nothing of the
 detector or of the Monte Carlo harness, and the detector nothing of the
 harness, so a source's counting methods live in mc, not on simulate's
-FieldSource.  Random draws enter in a few named places only."""
+FieldSource.  Random draws enter in a few named places only, and the
+plaquettes are wound in one."""
 import ast
 from pathlib import Path
 
@@ -53,6 +54,12 @@ def test_realizations_are_drawn_only_by_the_plans():
     draws = {"simulate.StftPlan.draw", "simulate.SeriesPlan.draw"}
     assert _referrers("complex_normals") == draws
     assert _referrers("stream") == draws | {"mc._PoissonControl._points"}
+
+
+def test_every_lattice_count_winds_in_one_pass():
+    # the detector's flagged cells and the Monte Carlo zero count both come
+    # from zeros.cells, the one caller of the plaquette winding pass
+    assert _referrers("_windings") == {"zeros.cells"}
 
 
 def test_simulate_imports_neither_the_detector_nor_the_harness():

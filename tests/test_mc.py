@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import grid_windings
 from gwhf import mc, simulate, windows, zeros
 from gwhf.errors import (DomainError, InvalidKernelError, ParameterError, PlaneError,
                          ResolutionError)
@@ -466,7 +467,7 @@ def test_intensity_runs_no_detector(monkeypatch, source, domain, spacing):
     fs = FieldSource(source, domain, spacing, 1 / 64)
     rect = fs.plan.rectangle
     cells = (slice(rect.j0, rect.j1), slice(rect.i0, rect.i1))
-    assert counts == [np.count_nonzero(zeros._plaquette_windings(fs.realize(8, r))[cells])
+    assert counts == [np.count_nonzero(grid_windings(fs.realize(8, r))[cells])
                       for r in range(12)]
     assert rep.items[0].empirical == float(np.mean(np.array(counts, dtype=float))) / rect.area
     box = ", ".join(f"{v:.6g}" for v in rect.box)

@@ -21,10 +21,10 @@ PI = math.pi
 
 
 def test_stream_independence_and_determinism():
-    a = S.complex_normals(S.stream(5, 0, 0), 64)
-    b = S.complex_normals(S.stream(5, 0, 0), 64)
-    c = S.complex_normals(S.stream(5, 0, 1), 64)
-    d = S.complex_normals(S.stream(5, 1, 0), 64)
+    a = S.complex_normals([S.stream(5, 0, 0)], 64)[0]
+    b = S.complex_normals([S.stream(5, 0, 0)], 64)[0]
+    c = S.complex_normals([S.stream(5, 0, 1)], 64)[0]
+    d = S.complex_normals([S.stream(5, 1, 0)], 64)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -38,13 +38,13 @@ def test_complex_normals_rows_are_the_one_generator_draws(count):
     assert rows.shape == (count, 64)
     for r in range(count):
         z = S.stream(5, r, 1).standard_normal(128)
-        assert np.array_equal(rows[r], S.complex_normals(S.stream(5, r, 1), 64))
+        assert np.array_equal(rows[r], S.complex_normals([S.stream(5, r, 1)], 64)[0])
         assert np.array_equal(rows[r], (z[:64] + 1j * z[64:]) * math.sqrt(0.5))
     assert S.complex_normals([], 64).shape == (0, 64)
 
 
 def test_complex_normals_moments():
-    z = S.complex_normals(S.stream(1), 200_000)
+    z = S.complex_normals([S.stream(1)], 200_000)[0]
     assert abs(z.mean()) < 0.01
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.01)
 
@@ -214,8 +214,9 @@ def _reference_grid(plan, seed, r):
     F(z) = exp(-i x y) V(conj(z)/sqrt(pi)), when the plan is in the gwhf
     plane."""
     ws = plan.windows
-    ref = sum(_reference_component(plan, g, S.complex_normals(S.stream(seed, r, k), plan.K))
-              for k, g in enumerate(ws)) / math.sqrt(len(ws))
+    draws = S.complex_normals([S.stream(seed, r, k) for k in range(len(ws))], plan.K)
+    ref = sum(_reference_component(plan, g, row)
+              for g, row in zip(ws, draws)) / math.sqrt(len(ws))
     if plan.plane == "gwhf":
         xs = plan.x0 + plan.spacing * np.arange(plan.nx)
         ys = plan.y0 + plan.spacing * np.arange(plan.ny)
@@ -558,10 +559,11 @@ def test_series_batch_rows_equal_single_realizations():
     singles = [plan.realize(13, r).values for r in range(12)]
     for size in range(1, 10):
         for start in (0, 12 - size):
-            batch = list(plan.grids(plan.draw(13, range(start, start + size))))
+            batch = list(plan.grids(plan.draw(13, range(start, start + size)), 13))
             assert len(batch) == size
             for k, grid in enumerate(batch):
                 assert np.array_equal(grid.values, singles[start + k]), (size, start, k)
+                assert grid.seed == 13
     source = S.FieldSource({"family": "series-gef"}, (-2.0, 2.0, -2.0, 2.0), 0.2)
     grids = list(source.realize_batch(13, range(5)))
     assert all(np.array_equal(g.values, singles[r]) for r, g in enumerate(grids))
@@ -681,7 +683,7 @@ def test_series_matches_per_term_sum(n_terms):
     # the rule; 512 and 513 end the basis on a full and a one-row doubling block
     plan = S.SeriesPlan((-6.5, 6.5, -6.5, 6.5), 0.08, n_terms)
     assert plan.n_terms == (n_terms or 351)
-    xi = S.complex_normals(S.stream(77, 4), plan.n_terms)
+    xi = S.complex_normals([S.stream(77, 4)], plan.n_terms)[0]
     acc = np.zeros(plan.z.shape, dtype=complex)
     term = np.ones(plan.z.shape, dtype=complex)
     for n in range(plan.n_terms):
@@ -727,7 +729,7 @@ def test_series_matches_extended_precision_sum(domain, spacing, bound):
     idx = np.r_[np.random.default_rng(5).choice(flat.size, 400, replace=False),
                 0, nx - 1, flat.size - nx, flat.size - 1, np.argmin(flat), np.argmax(flat)]
     z = plan.z.ravel()[idx].astype(np.clongdouble)
-    xi = S.complex_normals(S.stream(77, 4), plan.n_terms).astype(np.clongdouble)
+    xi = S.complex_normals([S.stream(77, 4)], plan.n_terms)[0].astype(np.clongdouble)
     acc, term = np.zeros(z.shape, np.clongdouble), np.ones(z.shape, np.clongdouble)
     for k in range(plan.n_terms):
         if k:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import anchored_plan, synthetic_grid
+from conftest import anchored_plan, grid_windings, synthetic_grid
 from gwhf import simulate as S
 from gwhf import windows as W
 from gwhf import zeros as Z
@@ -74,29 +74,33 @@ def _whole_grid_rectangle(grid):
                                  grid.extent, "the test grid")
 
 
-def test_rectangle_zero_count_refuses_a_winding_two_cell_as_the_detector_does():
+def test_cells_refuse_a_winding_two_cell_as_the_detector_does():
     # z^2 with its double zero at the centre of a cell about the origin, where
     # every edge's carrier advance is h^2/2: the plaquette holds winding 2,
-    # and the count and the detector raise the one message
+    # and the cells and the detector raise the one message
     grid = synthetic_grid(lambda z: z * z, half=1.0, n=21, offset=0.05 + 0.05j)
     with pytest.raises(ResolutionError, match=r"^plaquette near \S+ holds winding 2; ") as count:
-        Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid.values)
+        Z.cells(_whole_grid_rectangle(grid), grid.values)
     with pytest.raises(ResolutionError) as detect:
         Z.detect_zeros(grid)
     assert str(count.value) == str(detect.value)
 
 
-def test_rectangle_zero_count_counts_flagged_cells():
-    # three separated simple zeros flag three cells; a zero and an
-    # anti-zero inside one cell cancel in its winding and are not counted
+def test_cells_are_the_flagged_cells():
+    # three separated simple zeros flag three cells, with their charges as
+    # windings; a zero and an anti-zero inside one cell cancel in its winding
+    # and are not counted
     roots = [0.31 + 0.22j, -0.43 - 0.37j, 0.12 - 0.41j]
     grid = synthetic_grid(lambda z: (z - roots[0]) * (z - roots[1]) * np.conj(z - roots[2]),
                           half=1.0, n=161)
-    assert Z.rectangle_zero_count(_whole_grid_rectangle(grid), grid.values) == 3
+    i, j, w = Z.cells(_whole_grid_rectangle(grid), grid.values)
+    assert len(w) == 3 and sorted(w.tolist()) == [-1, 1, 1]
+    wind = grid_windings(grid)
+    assert np.array_equal(wind[j, i], w) and np.count_nonzero(wind) == 3
     a = grid.origin + grid.spacing * (80.3 + 80.4j)
     pair = synthetic_grid(lambda z: (z - a) * np.conj(z - a - 0.004), half=1.0, n=161)
-    assert Z.rectangle_zero_count(_whole_grid_rectangle(pair), pair.values) == 0
-    assert not Z._plaquette_windings(pair).any()
+    assert len(Z.cells(_whole_grid_rectangle(pair), pair.values)[2]) == 0
+    assert not grid_windings(pair).any()
 
 
 def test_multiple_separated_roots_with_charges():
@@ -571,7 +575,7 @@ def test_windings_match_full_grid_gauge(spec, domain, spacing):
     source = S.FieldSource(spec, domain, spacing, 1 / 64)
     for r in range(3):
         grid = source.realize(61, r)
-        windings = Z._plaquette_windings(grid)
+        windings = grid_windings(grid)
         assert np.count_nonzero(windings) > 50
         assert np.array_equal(windings, _full_grid_windings(grid))
     if domain[1] > 1000:
@@ -609,7 +613,7 @@ def test_block_windings_match_boundary_circulation(realization, data):
     # argument principle: the plaquette windings of any block of cells sum
     # to the gauged circulation around the block's boundary
     grid = realization
-    windings = Z._plaquette_windings(grid)
+    windings = grid_windings(grid)
     ny, nx = windings.shape
     w = data.draw(st.integers(1, nx), label="w")
     h = data.draw(st.integers(1, ny), label="h")
@@ -627,8 +631,10 @@ def test_block_windings_match_boundary_circulation(realization, data):
 def test_rectangle_charges_equal_the_grids_block_windings(spec, domain, spacing):
     # 100 realizations drawn on the lattice rectangle's edges alone: the net
     # charge equals, as an integer, the plane-oriented sum of the plaquette
-    # windings of the rectangle's cells on the full grid; the stft simulator's
-    # edge columns are the grid's bits, its edge rows the grid's to rounding
+    # windings of the rectangle's cells on the full grid, and of its cells
+    # from the rectangle's own samples, which hold at least |net| cells, of
+    # its parity; the stft simulator's edge columns are the grid's bits, its
+    # edge rows the grid's to rounding
     source = S.FieldSource(spec, domain, spacing, 1 / 64)
     rect = source.plan.rectangle
     orient = 1 if rect.plane == "gwhf" else -1
@@ -638,8 +644,12 @@ def test_rectangle_charges_equal_the_grids_block_windings(spec, domain, spacing)
         edges = source.edges_batch(2024, rs)
         charges = Z.rectangle_charges(rect, *edges)
         assert charges.dtype == np.int64
+        for net, samples in zip(charges, source.rectangle_batch(2024, rs), strict=True):
+            w = Z.cells(rect, samples)[2]
+            assert orient * int(w.sum()) == net
+            assert len(w) >= abs(net) and (len(w) - net) % 2 == 0
         for k, grid in enumerate(source.realize_batch(2024, rs)):
-            raw = Z._plaquette_windings(grid)[rect.j0:rect.j1, rect.i0:rect.i1]
+            raw = grid_windings(grid)[rect.j0:rect.j1, rect.i0:rect.i1]
             assert charges[k] == orient * int(raw.sum())
             v = grid.values
             wants = (v[rect.j0, cols], v[rect.j1, cols], v[rows, rect.i0], v[rows, rect.i1])
@@ -726,7 +736,7 @@ def test_block_detection_equals_one_grid_at_a_time(spec, domain, spacing, refine
     g = grids[0]
     phase = -2 * PI * g.xs * (g.ys - g.ys.mean())[:, None] if g.plane == "stft" else 0.0
     flat = dataclasses.replace(g, values=np.exp(1j * phase) * np.ones_like(g.values))
-    assert not Z._plaquette_windings(flat).any()
+    assert not grid_windings(flat).any()
     grids.insert(4, flat)
     alone = [Z.detect_zeros(g, refine=refine) for g in grids]
     assert not len(alone[4]) and all(len(zs) > 10 for k, zs in enumerate(alone) if k != 4)
@@ -991,7 +1001,7 @@ def test_circle_charges_match_detector_disk_charges(domain, spacing, center, rad
             fft = Z.circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii, spacing,
                                    lambda rr, counts: plan.circle_values(coeffs, rr, counts))
             assert np.array_equal(np.array(list(fft)), circle), rs
-        grids = plan.grids(coeffs)
+        grids = plan.grids(coeffs, 77)
         for b, grid in enumerate(grids):
             zs = Z.detect_zeros(grid)
             live = ~zs.degenerate
