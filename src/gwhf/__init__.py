@@ -7,8 +7,8 @@ Layout:
                  function, variance asymptote, first-principles oracle
     windows   -- window families, moment constants, window -> kernel bridge
     simulate  -- field realizations (windowed noise transform, entire series)
-    zeros     -- charged zero detection, refinement, disk statistics
-    mc        -- Monte Carlo verification harness
+    zeros     -- charged zero detection and refinement, the winding pass
+    mc        -- Monte Carlo verification harness: counts in squares, circles, disks
     cli       -- command-line front end (entry point: gwhf)
 """
 

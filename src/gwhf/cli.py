@@ -406,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", help=f"Monte Carlo field source: {_SOURCE_NAMES} | @source.json; "
                                     "tau2-oracle takes a radial kernel spec (default gef)")
     p.add_argument("-n", type=int, default=200, help="number of realizations/draws")
-    p.add_argument("--radii", help="disk radii for charge-variance (default: 1, 2, ... that fit)")
+    p.add_argument("--radii", help="charge-variance radii: the disk radius, or the half-side of "
+                                   "the lattice square (default: 1, 2, ... that fit)")
     p.add_argument("--convention", default="regression", choices=list(OMEGA_CONVENTIONS))
     p.set_defaults(func=_cmd_verify)
 

@@ -2,10 +2,8 @@
 
 
 class GwhfError(Exception):
-    """Base class for all package errors.  `realization` is set when
-    detect_zeros raises for one grid of a sequence: that grid's position."""
-
-    realization: int | None = None
+    """Base class for all package errors.  The Monte Carlo harness re-raises
+    one as its own class, naming the seed and the realization it was for."""
 
 
 class InvalidKernelError(GwhfError, ValueError):

@@ -14,7 +14,8 @@ This module computes:
   independently, via a first-principles Gaussian-regression + fourth-moment
   (Wick) oracle built from the explicit 6x6 covariance of the field and its
   gradient at two points,
-* the large-radius limit of Var[charge in B_R]/R by quadrature,
+* the large-radius limit of Var[charge in B_R]/R by quadrature, and the
+  exact finite-size charge variance of a disk and of a rectangle,
 * validation of the standing assumptions.
 
 One kernel evaluation per node: every closed form reads a radial profile
@@ -46,6 +47,7 @@ __all__ = [
     "rho1_radial", "rho1_charged",
     "i_function", "i_prime", "tau2_charged", "wick_oracle_E",
     "variance_integrand", "variance_asymptote", "charge_variance_exact",
+    "charge_variance_rectangle",
     "validate_kernel",
     "kernel_from_spec", "BUILTIN_KERNELS",
 ]
@@ -516,6 +518,40 @@ def charge_variance_exact(p: RadialKernel, radius: float) -> float:
         return i_function(p, 4.0 * R * R * np.sin(theta) ** 2) * np.cos(theta) ** 2
 
     return 4.0 * R * R / math.pi * adaptive_quad(f, 0.0, 0.5 * math.pi, tol=1e-10)
+
+
+def charge_variance_rectangle(p: RadialKernel, width: float, height: float) -> float:
+    """Var[charge in a width x height rectangle] from the two-point intensity.
+
+    The by-parts route of charge_variance_exact, with the rectangle's set
+    covariance in place of the disks' lens (g is minus a quarter of its
+    r-derivative integrated over angle), keeps I' out:
+        Var = (2/pi^2) int_0^D I(r^2) g(r) dr,   D = sqrt(width^2 + height^2),
+        g(r) = [height sin t - width cos t + (r/2) cos 2t] from
+               t = arccos(min(1, width/r)) to t = arcsin(min(1, height/r)).
+    g is linear below the shorter side and has square-root ends at both
+    sides and at D, so the two pieces above it are mapped by r = a + (b - a)
+    sin^2(phi) to be smooth.  As the sides shrink, Var -> rho1 * area; as
+    they grow, Var / (width + height) -> variance_asymptote / pi.
+    """
+    rho1_radial(p)  # rejects a kernel outside the standing assumptions
+
+    def f(r):
+        def edge(t):
+            return height * np.sin(t) - width * np.cos(t) + 0.5 * r * np.cos(2.0 * t)
+        return i_function(p, r * r) * (edge(np.arcsin(np.minimum(1.0, height / r)))
+                                       - edge(np.arccos(np.minimum(1.0, width / r))))
+
+    def smooth(a, b):
+        def h(phi):
+            s = np.sin(phi)
+            return f(a + (b - a) * s * s) * 2.0 * (b - a) * s * np.cos(phi)
+        return adaptive_quad(h, 0.0, 0.5 * math.pi, tol=1e-10)
+
+    m, big = sorted((width, height))
+    total = (adaptive_quad(f, 0.0, m, tol=1e-10) + smooth(m, big)
+             + smooth(big, math.hypot(width, height)))
+    return 2.0 / math.pi ** 2 * total
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Runs batches of field realizations and compares empirical statistics
 against the closed-form predictions: the zero density, the signed charge
-density and the charge variance in growing disks.  Every source answers
-the estimators through one interface, its class picked by its family
-once, where _source builds it: its area and notes_for(quantity); its
+density and the charge variance in growing regions: lattice squares for a
+window or polyentire source, circles for the series GEF and disks for the
+Poisson control; no path detects zeros.  Every source answers the
+estimators through one interface, its class picked by its family once,
+where _source builds it: its area and notes_for(quantity, radii); its
 theory values density(convention), charge_density and
 variance_theory(radii); and, one value per realization of a block rs,
-zero_counts(seed, rs), net_charges(seed, rs) and disk_charges(seed, rs,
-center, radii).  An estimator maps one of these over the realizations
+zero_counts(seed, rs), net_charges(seed, rs) and region_charges(seed, rs,
+radii).  An estimator maps one of these over the realizations
 (_map_realizations), reduces the values once and reports.  Every
 realization draws from a counter-based stream keyed by (seed,
 realization, component), so reports are deterministic and independent of
@@ -29,16 +31,19 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, GwhfError, ParameterError
-from .kernels import DEFAULT_CONVENTION, _check_convention
-from .simulate import (_MAX_ELEMENTS, FieldSource, _check_domain, _check_spacing, _is_number,
-                       source_from_spec, stream)
+from .kernels import DEFAULT_CONVENTION, _check_convention, charge_variance_rectangle
+from .simulate import (_MAX_ELEMENTS, FieldSource, LatticeRectangle, _check_domain,
+                       _check_spacing, _is_number, source_from_spec, stream)
 from .windows import Window
-from .zeros import cells, circle_charges, detect_zeros, rectangle_charges
+from .zeros import cells, circle_charges, rectangle_charges
+# no estimator detects zeros; bench/workloads.py's SignCheck, bench/tracing.py
+# and tests/test_bench.py look the detector up here
+from .zeros import detect_zeros  # noqa: F401
 
 __all__ = ["McConfig", "McItem", "McReport", "MAX_THREADS",
            "estimate_intensity", "estimate_charge_intensity",
@@ -179,12 +184,17 @@ class McReport:
 # Sources
 # ---------------------------------------------------------------------------
 
-def _in_disks(points: Iterable[tuple[np.ndarray, np.ndarray]], center: complex,
-              radii: list[float]) -> Iterator[np.ndarray]:
-    """The charge in each disk about center of each realization's points
-    (positions, charges), by one broadcast comparison."""
-    column = np.array(radii)[:, None]
-    return (np.where(np.abs(pos - center) <= column, chg, 0).sum(axis=1) for pos, chg in points)
+def _center(box: tuple[float, float, float, float]) -> complex:
+    """The centre of the rectangle box = (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = box
+    return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+
+
+def _lattice_note(what: str, rect: LatticeRectangle, how: str) -> str:
+    """The note saying what a report counts on the lattice rectangle rect."""
+    box = ", ".join(f"{v:.6g}" for v in rect.box)
+    return (f"{what} ({box}): {rect.i1 - rect.i0 + 1} x {rect.j1 - rect.j0 + 1} points at "
+            f"spacing {rect.spacing:.6g}, area {rect.area:.6g}, counted from {how}")
 
 
 class _PoissonControl:
@@ -207,11 +217,12 @@ class _PoissonControl:
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         return self.rate
 
-    def variance_theory(self, radii: list[float]) -> list[float]:
+    def variance_theory(self, radii: list[float]) -> tuple[list[float], float]:
         # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
-        return [self.rate * math.pi * R for R in radii]
+        rows = [self.rate * math.pi * R for R in radii]
+        return rows, rows[-1]
 
-    def notes_for(self, quantity: str) -> list[str]:
+    def notes_for(self, quantity: str, radii: list[float] = ()) -> list[str]:
         return ["poisson control: uniform points, i.i.d. +-1 charges"]
 
     def _points(self, seed: int, rs: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -229,23 +240,20 @@ class _PoissonControl:
     def net_charges(self, seed: int, rs: range) -> Iterator[int]:
         return (int(chg.sum()) for _, chg in self._points(seed, rs))
 
-    def disk_charges(self, seed: int, rs: range, center: complex, radii: list[float]):
-        return _in_disks(self._points(seed, rs), center, radii)
-
-
-# what a field source's count of each report counts on its lattice rectangle,
-# and from what
-_COUNTED = {"density": ("flagged cells", "its plaquette windings"),
-            "charge_density": ("net charge", "its four edges")}
+    def region_charges(self, seed: int, rs: range, radii: list[float]) -> Iterator[np.ndarray]:
+        center, column = _center(self.interior), np.array(radii)[:, None]
+        return (np.where(np.abs(pos - center) <= column, chg, 0).sum(axis=1)
+                for pos, chg in self._points(seed, rs))
 
 
 class _Field(FieldSource):
     """A field source.  It counts on its plan's lattice rectangle, the grid
     points of its lattice in the interior, per unit of its area, from the
-    rectangle's samples alone: its zero count is the number of cells whose
-    plaquette winding is nonzero (zeros.cells), one per simple zero, and
-    its net charge is read from the four edges by the argument principle
-    (zeros.rectangle_charges).  Its disk charges are its detected zeros'.
+    rectangle's samples alone.  One winding pass a realization (cells) gives
+    its cells of nonzero plaquette winding, one per simple zero: the zero
+    count is their number, and a lattice square's charge is the plane
+    orientation times the sum of its cells' windings (argument principle).
+    The net charge is read from the four edges (zeros.rectangle_charges).
     The zero count has a resolution bias: an opposite-signed pair in one
     cell cancels, and an edge misread by half a turn adds a pair.  Against
     the same fields read at a fine spacing, as paired differences, it was
@@ -256,44 +264,72 @@ class _Field(FieldSource):
     def area(self) -> float:
         return self.plan.rectangle.area
 
-    def variance_theory(self, radii: list[float]) -> list[float]:
-        return [self.variance_asymptote] * len(radii)
+    def _squares(self, radii: list[float]) -> list[LatticeRectangle]:
+        """The lattice square of each half-side R, the rectangle's points in
+        [cx - R, cx + R] x [cy - R, cy + R] about the interior's centre;
+        DomainError names an R whose square holds fewer than 2 x 2 points."""
+        rect, c = self.plan.rectangle, _center(self.interior)
+        return [LatticeRectangle.of(rect.origin, rect.spacing, rect.plane,
+                                    (rect.j1 + 1, rect.i1 + 1),
+                                    (c.real - R, c.real + R, c.imag - R, c.imag + R),
+                                    f"the square of half-side {R:g} about ({c.real:.6g}, "
+                                    f"{c.imag:.6g}) at spacing {rect.spacing:.6g}")
+                for R in radii]
 
-    def notes_for(self, quantity: str) -> list[str]:
-        if quantity not in _COUNTED:
-            return list(self.notes)
-        (what, how), rect = _COUNTED[quantity], self.plan.rectangle
-        box = ", ".join(f"{v:.6g}" for v in rect.box)
-        return [*self.notes,
-                f"{what} of the lattice rectangle ({box}): {rect.i1 - rect.i0 + 1} x "
-                f"{rect.j1 - rect.j0 + 1} points at spacing {rect.spacing:.6g}, area "
-                f"{rect.area:.6g}, counted from {how}"]
+    def variance_theory(self, radii: list[float]) -> tuple[list[float], float]:
+        """Var/R of each square, exact for its sides (in the kernel's gwhf
+        plane, sqrt(pi) times an stft-plane side), and the large-R slope of
+        Var, (4/pi) variance_asymptote: perimeter 8R against 2 pi R."""
+        slope = 4.0 / math.pi * self.variance_asymptote
+        unit = 1.0 if self.plane == "gwhf" else math.sqrt(math.pi)
+        return [charge_variance_rectangle(self.kernel, unit * (sq.i1 - sq.i0) * sq.spacing,
+                                          unit * (sq.j1 - sq.j0) * sq.spacing) / R
+                for R, sq in zip(radii, self._squares(radii))], slope
+
+    def notes_for(self, quantity: str, radii: list[float] = ()) -> list[str]:
+        # what each report counts, on which lattice rectangle, and from what
+        rect, wound = self.plan.rectangle, "its plaquette windings"
+        counted = {"density": [("flagged cells of the lattice rectangle", rect, wound)],
+                   "charge_density": [("net charge of the lattice rectangle", rect,
+                                       "its four edges")],
+                   "charge_variance": [(f"{_radius_label(R)}: net charge of the lattice square",
+                                        sq, wound) for R, sq in zip(radii, self._squares(radii))]}
+        return [*self.notes, *(_lattice_note(*c) for c in counted.get(quantity, ()))]
+
+    def cells(self, seed: int, rs: range) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each realization's zeros.cells (i, j, w) of the rectangle."""
+        rect = self.plan.rectangle
+        return (cells(rect, samples) for samples in self.rectangle_batch(seed, rs))
 
     def zero_counts(self, seed: int, rs: range) -> Iterator[int]:
-        rect = self.plan.rectangle
-        return (len(cells(rect, samples)[2]) for samples in self.rectangle_batch(seed, rs))
+        return (len(w) for _, _, w in self.cells(seed, rs))
 
     def net_charges(self, seed: int, rs: range) -> np.ndarray:
         return rectangle_charges(self.plan.rectangle, *self.edges_batch(seed, rs))
 
-    def disk_charges(self, seed: int, rs: range, center: complex, radii: list[float]):
-        # one detector call a block, which drops each grid once its flagged
-        # cells are gathered; the zero set is split by realization
-        zs = detect_zeros(self.realize_batch(seed, rs))
-        live = ~zs.degenerate
-        cuts = np.searchsorted(zs.realization[live], np.arange(1, len(rs)))
-        return _in_disks(zip(np.split(zs.position[live], cuts), np.split(zs.charge[live], cuts)),
-                         center, radii)
+    def region_charges(self, seed: int, rs: range, radii: list[float]) -> Iterator[np.ndarray]:
+        # a square's cells are its columns i0 .. i1 - 1 and rows j0 .. j1 - 1
+        i0, i1, j0, j1 = (np.array([getattr(sq, k) for sq in self._squares(radii)])[:, None]
+                          for k in ("i0", "i1", "j0", "j1"))
+        orient = 1 if self.plane == "gwhf" else -1
+        return (orient * np.where((i0 <= i) & (i < i1) & (j0 <= j) & (j < j1), w, 0).sum(axis=1)
+                for i, j, w in self.cells(seed, rs))
 
 
 class _SeriesField(_Field):
-    """A series source, whose disk charge is its field's winding on the
-    circle (circle_charges), with no grid.  About the origin the circles'
-    starting values come from SeriesPlan.circle_values, one inverse FFT
-    per circle, and only arc midpoints from the evaluator."""
+    """A series source, whose region is the disk and its charge its field's
+    winding on the circle (circle_charges), with no grid.  About the origin
+    the circles' starting values come from SeriesPlan.circle_values, one
+    inverse FFT per circle, and only arc midpoints from the evaluator."""
 
-    def disk_charges(self, seed: int, rs: range, center: complex, radii: list[float]):
-        plan = self.plan
+    def variance_theory(self, radii: list[float]) -> tuple[list[float], float]:
+        return [self.variance_asymptote] * len(radii), self.variance_asymptote
+
+    def notes_for(self, quantity: str, radii: list[float] = ()) -> list[str]:
+        return super().notes_for(quantity)  # no squares
+
+    def region_charges(self, seed: int, rs: range, radii: list[float]) -> Iterator[np.ndarray]:
+        plan, center = self.plan, _center(self.interior)
         coeffs = plan.draw(seed, rs)
         start = None if center else (lambda rr, counts: plan.circle_values(coeffs, rr, counts))
         return circle_charges(lambda z: plan.evaluate(coeffs, z), center, radii, plan.spacing,
@@ -324,8 +360,9 @@ _BLOCK = 8
 
 
 def _disk_fits(box: tuple[float, float, float, float], radius: float) -> bool:
-    """Whether the closed disk of this radius about the centre of the
-    rectangle box = (x0, x1, y0, y1) lies inside it."""
+    """Whether the closed disk of this radius, and so the square of this
+    half-side, about the centre of the rectangle box = (x0, x1, y0, y1)
+    lies inside it."""
     x0, x1, y0, y1 = box
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     return x0 <= cx - radius and cx + radius <= x1 and y0 <= cy - radius and cy + radius <= y1
@@ -360,8 +397,7 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
     values_of(rs) iterating over those of a contiguous block rs of at most
     _BLOCK, fewer when that would leave a thread without a block.  A
     GwhfError is re-raised as its own class, naming the seed and the
-    realization: the one its `realization` names, as detect_zeros sets it
-    for a block, else the one whose value was due.
+    realization whose value was due.
 
     At threads = N > 1 the blocks after the first are queued on the N - 1
     kept workers of N (_workers), and the calling thread runs the first
@@ -382,8 +418,7 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
             failed.set()
             if not isinstance(exc, GwhfError):
                 raise
-            r = rs[len(out) if exc.realization is None else exc.realization]
-            raise type(exc)(f"seed {cfg.seed} realization {r}: {exc}") from exc
+            raise type(exc)(f"seed {cfg.seed} realization {rs[len(out)]}: {exc}") from exc
         return out
 
     starts = range(0, n, size)
@@ -455,11 +490,16 @@ def _variance_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_charge_variance(cfg: McConfig) -> McReport:
-    """Across-realization variance of disk charge, per radius, as Var/R.
+    """Across-realization variance of the charge in the region of each
+    radius R about the interior's centre, as Var/R: the lattice square of
+    half-side R of a window or polyentire source, else the disk.
 
-    One concentric disk per realization per radius about the interior's
-    centre (overlapping disks would correlate samples and bias the standard
-    errors), its charge the source's disk_charges.  The variances and their
+    One concentric region per realization per radius (overlapping regions
+    would correlate samples and bias the standard errors), its charge the
+    source's region_charges and its theory, and the fit slope's, the
+    source's variance_theory.  A region that does not fit the interior, or
+    a square of fewer than 2 x 2 points, raises DomainError before any
+    realization is drawn.  The variances and their
     fourth-moment standard errors come from one reduction over the
     contiguous (radii, realizations) array, bit for bit those of each
     column alone.  A weighted linear fit of Var against R over the upper
@@ -469,19 +509,16 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     t0 = time.time()
     if not cfg.radii:
         raise ParameterError("charge variance needs a radii list (radii is empty)")
-    source = _source(cfg)
-    notes = source.notes_for("charge_variance")
-    x0, x1, y0, y1 = source.interior
-    center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    if not _disk_fits(source.interior, max(cfg.radii)):
-        raise DomainError(f"radius {max(cfg.radii)} disk does not fit interior {source.interior}")
+    source, radii = _source(cfg), list(cfg.radii)
+    if not _disk_fits(source.interior, radii[-1]):
+        raise DomainError(f"radius {radii[-1]} region does not fit interior {source.interior}")
+    notes = source.notes_for("charge_variance", radii)
     if cfg.n_realizations < 100:
         notes.append("fewer than 100 realizations: variance standard errors are wide")
 
-    radii = list(cfg.radii)
-    theory_var = source.variance_theory(radii)
+    theory_var, theory_slope = source.variance_theory(radii)
     charges = np.array(_map_realizations(
-        cfg, lambda rs: source.disk_charges(cfg.seed, rs, center, radii)), dtype=float)
+        cfg, lambda rs: source.region_charges(cfg.seed, rs, radii)), dtype=float)
 
     variances, ses = (a.tolist() for a in _variance_and_se(np.ascontiguousarray(charges.T)))
     items = [McItem(label=_radius_label(R), empirical=v / R, se=se / R, theory=theory)
@@ -500,6 +537,6 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
         coef, cov = np.polyfit([radii[k] for k in upper], [variances[k] for k in upper], 1,
                                w=[1.0 / ses[k] for k in upper], cov="unscaled")
         items.append(McItem(label="fit-slope", empirical=float(coef[0]),
-                            se=math.sqrt(max(cov[0, 0], 0.0)), theory=theory_var[-1]))
+                            se=math.sqrt(max(cov[0, 0], 0.0)), theory=theory_slope))
     return McReport(quantity="charge_variance", items=items, config=cfg.as_dict(),
                     elapsed_s=time.time() - t0, notes=notes)

@@ -935,11 +935,12 @@ class FieldSource:
 
     @cached_property
     def variance_asymptote(self) -> float:
-        """Large-R limit of Var[charge in B_R]/R, from the radial kernel;
-        InvalidKernelError for a window without one."""
+        """Large-R limit of Var[charge in B_R]/R from the radial kernel, R an
+        output-plane radius (sqrt(pi) R in the gwhf plane for an stft-plane
+        source); InvalidKernelError for a window without one."""
         if self.kernel is None:
             raise InvalidKernelError("no radial kernel available for variance theory")
-        return variance_asymptote(self.kernel)
+        return variance_asymptote(self.kernel) * (1.0 if self.plane == "gwhf" else _SQRT_PI)
 
     def realize_batch(self, seed: int, rs: Iterable[int]) -> Iterator[FieldGrid]:
         """Realizations rs, in order, in the source's plane; component k of

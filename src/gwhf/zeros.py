@@ -22,27 +22,19 @@ and the charge is the orientation sign of F as a planar map; spectrogram
 the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
-One call detects one grid or a block of grids on one lattice (origin,
-spacing, plane, size and interior), all on arrays.  Each grid in turn
-gives the flagged cells of the block of cells that can hold a kept zero
-(cells) and the raw 4x4 samples around them, and is dropped; the rest
-needs no grid's samples and runs once per block.  The
-flagged cells of all grids take their demodulated stencils in one pass (a
-border cell's stencil is extrapolated past the grid), and are refined at
-once, by Newton on bicubic stencils and the cells Newton rejects by one
-bilinear solve; the degenerate rule, which pairs zeros of one grid only,
-and the cut to grid.interior run once too.  Each zero's position and its
-Jacobian sign come from one interpolant of one demodulated stencil, so the
-sign is read at that interpolant's own root.  The sign is computed from
-the differential, independently of the winding; simple zeros must agree
-(tested, not assumed).  The zeros of a block are one ZeroSet of parallel
-arrays with a realization column, each grid's zeros the same as when it is
-detected alone.  circle_charges and rectangle_charges need no grid: the
-latter counts a lattice rectangle's net charge from its edges' wrap
-counts, by the rule the plaquettes use.  cells is the one winding pass:
-it winds a lattice rectangle's own samples and gives its cells of nonzero
-winding, the cells the detector refines and the Monte Carlo zero count
-counts.
+detect_zeros reads one grid, all on arrays: the flagged cells that can
+hold a kept zero take their demodulated stencils in one pass (a border
+cell's stencil is extrapolated past the grid) and are refined at once, by
+Newton on bicubic stencils and the cells Newton rejects by one bilinear
+solve.  Each zero's position and Jacobian sign come from one interpolant
+of one stencil, so the sign is read at that interpolant's own root,
+independently of the winding; simple zeros must agree (tested, not
+assumed).  The Monte Carlo harness detects no grid.  cells is the one
+winding pass: it gives a lattice rectangle's cells of nonzero winding,
+which the detector refines and whose count and windings are the Monte
+Carlo zero count and the charge of each lattice square in the rectangle.
+circle_charges and rectangle_charges (from a rectangle's edges, by the
+plaquettes' rule) need no grid.
 """
 from __future__ import annotations
 
@@ -50,11 +42,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContainerError, DomainError, GwhfError, ParameterError, ResolutionError
+from .errors import ContainerError, DomainError, ResolutionError
 from .simulate import FieldGrid, LatticeRectangle, _fft_frame
 
 __all__ = [
@@ -92,17 +84,14 @@ class ChargedZero(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """The zeros of one grid, or of each grid of a sequence, as parallel
-    arrays ordered by (realization, imag, real): position (complex), charge
-    (int), refined (bool), jacobian_sign (int), degenerate (bool) and
-    realization (int, the grid's position in the sequence; 0 for one grid).
-    Iterating it yields one ChargedZero per zero."""
+    """The zeros of one grid as parallel arrays ordered by (imag, real):
+    position (complex), charge (int), refined (bool), jacobian_sign (int)
+    and degenerate (bool).  Iterating it yields one ChargedZero per zero."""
     position: np.ndarray
     charge: np.ndarray
     refined: np.ndarray
     jacobian_sign: np.ndarray
     degenerate: np.ndarray
-    realization: np.ndarray
 
     def __len__(self) -> int:
         return len(self.position)
@@ -261,13 +250,10 @@ def _bicubic(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray):
     return f, fx, _cubic_d([a[0] for a in rows], eta)
 
 
-def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: complex, h: float,
-              plane: str, shape: tuple[int, int]) -> np.ndarray:
-    """(M, 4, 4) stencils of cells (i, j) of grids of one lattice, of this
-    origin, spacing h, plane and (rows, columns) of cells, from their raw
-    4x4 samples (as detect_zeros gathers them), the carrier relative to
-    each cell center removed when it matters.  Every step is element-wise,
-    so a cell gets the same bits in any block.
+def _stencils(grid: FieldGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(M, 4, 4) stencils of the grid's cells (i, j), from the 4x4 samples
+    about each, clipped to the grid, the carrier relative to each cell
+    center removed when it matters.
 
     The demodulation factor is unimodular (zero set unchanged), but it
     perturbs the interpolation error, so a raw stencil is kept whenever
@@ -276,29 +262,22 @@ def _stencils(samples: np.ndarray, i: np.ndarray, j: np.ndarray, origin: complex
     the grid is then extrapolated linearly from the two inside it
     (2 inner - next), so every cell has a stencil.
     """
-    rows, cols = _stencil_indices(i, j, *shape)
-    pos = (origin.real + h * cols) + 1j * (origin.imag + h * rows)
-    center = _plane_points(origin, h, i[:, None, None], j[:, None, None], 0.5, 0.5)
-    gauge = _edge_gauge(plane, center, pos)
+    o, h, k = grid.origin, grid.spacing, np.arange(-1, 3)
+    rows = np.clip(j[:, None] + k, 0, grid.ny - 1)[:, :, None]
+    cols = np.clip(i[:, None] + k, 0, grid.nx - 1)[:, None, :]
+    samples = grid.values[rows, cols]
+    pos = (o.real + h * cols) + 1j * (o.imag + h * rows)
+    center = _plane_points(o, h, i[:, None, None], j[:, None, None], 0.5, 0.5)
+    gauge = _edge_gauge(grid.plane, center, pos)
     keep = (np.abs(gauge) < 0.05).all(axis=(1, 2))
     # np.multiply, not *: numpy reuses the buffer of a large temporary right
     # operand, and the swapped complex product differs in its last bit
     st = np.where(keep[:, None, None], samples, np.multiply(samples, np.exp(-1j * gauge)))
-    for t, c, last in ((st, j, shape[0] - 1), (st.swapaxes(1, 2), i, shape[1] - 1)):
-        lo, hi = c == 0, c == last  # rows, then columns
+    for t, c, last in ((st, j, grid.ny - 2), (st.swapaxes(1, 2), i, grid.nx - 2)):
+        lo, hi = c == 0, c == last  # rows, then columns of cells
         t[lo, 0] = 2.0 * t[lo, 1] - t[lo, 2]
         t[hi, 3] = 2.0 * t[hi, 2] - t[hi, 1]
     return st
-
-
-def _stencil_indices(i, j, last_row, last_col):
-    """(M, 4, 1) sample rows and (M, 1, 4) sample columns of the stencils of
-    cells (i, j), clipped to the grid, whose last sample row and column are
-    its numbers of rows and columns of cells."""
-    k = np.arange(-1, 3)
-    rows = np.clip(j[:, None] + k, 0, last_row)
-    cols = np.clip(i[:, None] + k, 0, last_col)
-    return rows[:, :, None], cols[:, None, :]
 
 
 def _bilinear_zeros(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -426,22 +405,20 @@ def _refine(st: np.ndarray, newton: bool, orient: int):
     return xi, eta, ok & newton, sign, flat
 
 
-def _close_pairs(pos: np.ndarray, realization: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 h: float) -> np.ndarray:
-    """(K, 2) index pairs a < b of one realization with
-    |pos[a] - pos[b]| < 0.75 h, h being the grids' spacing: every pair the
-    degenerate rule flags, from the cell lattice.
+def _close_pairs(pos: np.ndarray, i: np.ndarray, j: np.ndarray, h: float) -> np.ndarray:
+    """(K, 2) index pairs a < b with |pos[a] - pos[b]| < 0.75 h, h being the
+    grid's spacing: every pair the degenerate rule flags, from the cell
+    lattice.
 
-    Candidate m is the one root of flagged cell (i[m], j[m]) of its
-    realization, and lies within _BAND cells of that cell.  Two candidates
+    Candidate m is the one root of flagged cell (i[m], j[m]), and lies
+    within _BAND cells of that cell.  Two candidates
     whose cells are not neighbours are then at least 1 - 2 _BAND cells
     apart, so while _BAND < 0.125 every close pair is a pair of neighbouring
     cells, and each such pair is found once, from the cell whose forward
     neighbour the other is."""
-    # one key per cell; the padding keeps every neighbour's key in its own
-    # row and realization
+    # one key per cell; the padding keeps every neighbour's key in its own row
     width = j.max(initial=0) + 3
-    key = (realization * (i.max(initial=0) + 2) + i) * width + j + 1
+    key = i * width + j + 1
     order = np.argsort(key)
     keys = key[order]
     # the forward neighbours (di, dj) = (1, -1), (1, 0), (1, 1), (0, 1) of
@@ -482,11 +459,8 @@ def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], Lat
                                  int(keep_j[0]), int(keep_j[-1]) + 1)
 
 
-def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) -> ZeroSet:
-    """All charged zeros of one grid, or of each grid of a sequence on one
-    lattice (read one at a time: no grid is held once its cells are
-    gathered), attributed by refined position.  A single grid is a sequence
-    of one.
+def detect_zeros(grid: FieldGrid, refine: bool = True) -> ZeroSet:
+    """All charged zeros of one grid, attributed by refined position.
 
     Each plaquette's gauged phase circulation is summed along the
     plane-oriented loop; one unit of winding flags one zero.  A cell with
@@ -494,66 +468,28 @@ def detect_zeros(grids: FieldGrid | Iterable[FieldGrid], refine: bool = True) ->
     two cells beside an edge share its wrap count, so no zero is flagged
     twice, and the zeros of a block of cells (each refined within _BAND
     cells of its own) carry its boundary circulation.  Zeros closer than
-    three quarters of a cell to another of their grid are flagged
-    degenerate.  Zeros are kept when their refined position lies in
-    grid.interior (position-based, so seams do not double count), or
-    anywhere in its extent when the interior is None.
-
-    Every grid shares the first grid's origin, spacing, plane, sample shape
-    and interior; a grid on another lattice raises ParameterError.  The
-    stencils, Newton, the bilinear fallback, the Jacobian sign, the
-    degenerate rule and the interior cut run once over the flagged cells of
-    all grids.  Each zero's `realization` is its grid's position in the
-    sequence, and the set is ordered by (realization, imag, real); every
-    field of a grid's zeros is the same whichever sequence the grid is
-    detected in.  A GwhfError raised for a grid, or by the sequence while
-    producing it, propagates at once with that grid's position as its
-    `realization`.
+    three quarters of a cell to another are flagged degenerate.  Zeros are
+    kept when their refined position lies in grid.interior (position-based,
+    so seams do not double count), or anywhere in its extent when the
+    interior is None.
     """
-    lattice, gathered = None, []
-    try:
-        for grid in [grids] if isinstance(grids, FieldGrid) else grids:
-            key = grid.origin, grid.spacing, grid.plane, grid.values.shape, grid.interior
-            if lattice is None:
-                lattice, (box, rect) = key, _kept_cells(grid)
-            elif key != lattice:
-                names = ("origin", "spacing", "plane", "sample shape", "interior")
-                raise ParameterError(f"grid {len(gathered)} is not on the lattice of grid 0: "
-                                     + "; ".join(f"{n} {b!r}, not {a!r}" for n, a, b
-                                                 in zip(names, lattice, key) if a != b))
-            # the kept block's windings, then the raw 4x4 samples about its
-            # flagged cells, clipped to the whole grid
-            i, j, w = cells(rect, grid.values[rect.j0:rect.j1 + 1, rect.i0:rect.i1 + 1])
-            sample_rows, sample_cols = _stencil_indices(i, j, grid.ny - 1, grid.nx - 1)
-            gathered.append((i, j, w, grid.values[sample_rows, sample_cols]))
-            del grid  # hold no grid past its gather
-    except GwhfError as exc:
-        exc.realization = len(gathered)
-        raise
-    if not gathered:
-        return ZeroSet(*(np.empty(0, t) for t in (complex, int, bool, int, bool, int)))
-    origin, h, plane, (ny, nx) = lattice[:4]
-    orient = 1 if plane == "gwhf" else -1
-    realization = np.repeat(np.arange(len(gathered)), [len(c[0]) for c in gathered])
-    i, j, w, samples = (np.concatenate(column) for column in zip(*gathered))
-    wind = orient * w
-    st = _stencils(samples, i, j, origin, h, plane, (ny - 1, nx - 1))
-    xi, eta, ok, sign, flat = _refine(st, refine, orient)
-    pos = _plane_points(origin, h, i, j, xi, eta)
+    box, rect = _kept_cells(grid)
+    i, j, w = cells(rect, grid.values[rect.j0:rect.j1 + 1, rect.i0:rect.i1 + 1])
+    orient = 1 if grid.plane == "gwhf" else -1
+    xi, eta, ok, sign, flat = _refine(_stencils(grid, i, j), refine, orient)
+    pos = _plane_points(grid.origin, grid.spacing, i, j, xi, eta)
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
     # from samples, so they carry the degenerate flag (kept in the set,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
     degenerate = flat
-    degenerate[_close_pairs(pos, realization, i, j, h).ravel()] = True
+    degenerate[_close_pairs(pos, i, j, grid.spacing).ravel()] = True
     x0, x1, y0, y1 = box
     inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
-    order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside],
-                                               realization[inside]))]
-    return ZeroSet(position=pos[order], charge=wind[order], refined=ok[order],
-                   jacobian_sign=sign[order], degenerate=degenerate[order],
-                   realization=realization[order])
+    order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside]))]
+    return ZeroSet(position=pos[order], charge=orient * w[order], refined=ok[order],
+                   jacobian_sign=sign[order], degenerate=degenerate[order])
 
 
 @functools.lru_cache(maxsize=8)
@@ -650,17 +586,8 @@ _CSV_HEADER = "x,y,charge,winding,refined,jacobian_sign,degenerate"
 
 
 def zeros_to_csv(zeros: ZeroSet, path: str) -> None:
-    """One row per zero, every ZeroSet field but the realization, the charge
-    twice (as charge and as winding); flags are written as 0/1.  The CSV
-    has no realization column, so a set holding any realization but 0 (the
-    zeros of a block of grids) raises ContainerError naming how many it
-    holds."""
-    if zeros.realization.any():
-        held = np.unique(zeros.realization)
-        raise ContainerError(f"{path}: the zero set holds {held.size} "
-                             f"realization{'s' * (held.size > 1)} "
-                             f"(up to {held[-1]}) and a zeros CSV holds one; "
-                             "write each realization's zeros on its own")
+    """One row per zero, every ZeroSet field, the charge twice (as charge and
+    as winding); flags are written as 0/1."""
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for p, c, r, s, d in zeros:
@@ -699,5 +626,4 @@ def zeros_from_csv(path: str) -> ZeroSet:
         raise ContainerError(f"{path} is not a zeros CSV: {exc}") from exc
     columns = list(zip(*rows)) or [()] * 5
     return ZeroSet(*(np.array(col, dtype=t)
-                     for col, t in zip(columns, (complex, int, bool, int, bool))),
-                   realization=np.zeros(len(rows), dtype=int))
+                     for col, t in zip(columns, (complex, int, bool, int, bool))))

@@ -397,6 +397,11 @@ def test_verify_exit_code_gates(capsys):
     (["intensity", "--window", "hermite:1", "--kernel", "gef"],
      "--window hermite:1 and --kernel gef name two sources"),
     (["intensity"], "intensity needs a source: give --window or --kernel"),
+    # a radius whose lattice square holds fewer than 2 x 2 points, refused
+    # before any realization is drawn
+    (["verify", "charge-variance", "--window", "hermite:1", "--radii", "0.01,1"],
+     "the lattice of the square of half-side 0.01 about (4, 4) at spacing 0.0625 has "
+     "0 x 1 points in the domain; a zero or charge count needs a rectangle of at least 2 x 2"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",
@@ -420,7 +425,7 @@ def test_verify_exit_code_gates(capsys):
         "gwhf-intensity-interior-without-rectangle", "threads-above-the-ceiling",
         "poisson-density-beyond-any-draw", "poisson-density-beyond-the-element-cap",
         "poisson-negative-dt", "series-nan-dt", "intensity-window-and-kernel",
-        "intensity-without-source"])
+        "intensity-without-source", "square-below-2x2"])
 def test_cli_error_paths(capsys, tmp_path, argv, names):
     for density in ("1e9", "1e30"):  # the records the poisson cases read
         (tmp_path / f"poisson-{density}.json").write_text(
@@ -609,6 +614,20 @@ def test_verify_charge_and_variance_cli(tmp_path, capsys):
     assert code == 0
     assert "growth ratio" in err
     assert (tmp_path / "charge_variance.json").exists()
+
+
+def test_verify_charge_variance_of_an_stft_window_counts_squares(capsys):
+    # the stft-plane window's rows are its lattice squares against their
+    # exact variance, the sides scaled by sqrt(pi) to the kernel's plane:
+    # the band check and every row pass
+    code, out, err = run_cli(capsys, "verify", "charge-variance", "--window", "hermite:1",
+                             "-n", "1000", "--seed", "5", "--threads", "2")
+    assert code == 0, err
+    assert "Var/R band at R=4: ok" in err
+    report = json.loads(out)
+    assert [it["label"] for it in report["items"]] == ["R=1", "R=2", "R=3", "R=4", "fit-slope"]
+    assert max(abs(it["z"]) for it in report["items"]) <= 5.0
+    assert report["notes"][0].startswith("R=1: net charge of the lattice square (")
 
 
 @pytest.mark.parametrize("radii, n", [("1,2", "2"), ("0.05,0.1", "3")])

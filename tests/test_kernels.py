@@ -354,6 +354,26 @@ def test_charge_variance_exact_every_builtin_kernel(builtin_kernels, name):
         K.variance_asymptote(kern), rel=1e-3)
 
 
+def test_charge_variance_rectangle_limits(gef, lag1):
+    # small sides: Var -> rho1 * area, L^2/pi for the GEF, with an O(L^2)
+    # error; large sides: Var/(Lx + Ly) -> c/pi, the perimeter term, so a
+    # square of side L has Var/L -> (2/pi) c.  The ratios at small L are
+    # pinned to five digits
+    c = K.variance_asymptote(gef)
+    small = [K.charge_variance_rectangle(gef, L, L) / (L * L / PI) for L in (0.05, 0.01)]
+    assert small == pytest.approx([0.99920, 0.99997], abs=5e-6)
+    assert K.charge_variance_rectangle(gef, 8.0, 8.0) / 8.0 == pytest.approx(2 / PI * c,
+                                                                           abs=1e-13)
+    wide = K.charge_variance_rectangle(gef, 8.0, 12.0)
+    assert wide / 20.0 == pytest.approx(c / PI, abs=1e-13)
+    # the rectangle's variance does not depend on which side lies along x
+    for kern in (gef, lag1):
+        assert K.charge_variance_rectangle(kern, 12.0, 8.0) == pytest.approx(
+            K.charge_variance_rectangle(kern, 8.0, 12.0), rel=1e-12)
+        assert K.charge_variance_rectangle(kern, 0.3, 2.5) == pytest.approx(
+            K.charge_variance_rectangle(kern, 2.5, 0.3), rel=1e-12)
+
+
 def test_antiderivative_decomposition(gef, lag1):
     # I(r^2) minus the variance integrand telescopes to a pure boundary term
     for kern in (gef, lag1):

@@ -1,8 +1,8 @@
 """The modules import in one direction: the simulators know nothing of the
 detector or of the Monte Carlo harness, and the detector nothing of the
 harness, so a source's counting methods live in mc, not on simulate's
-FieldSource.  Random draws enter in a few named places only, and the
-plaquettes are wound in one."""
+FieldSource.  Random draws enter in a few named places only, the
+plaquettes are wound in one, and only the zeros command detects."""
 import ast
 from pathlib import Path
 
@@ -60,6 +60,13 @@ def test_every_lattice_count_winds_in_one_pass():
     # the detector's flagged cells and the Monte Carlo zero count both come
     # from zeros.cells, the one caller of the plaquette winding pass
     assert _referrers("_windings") == {"zeros.cells"}
+
+
+def test_only_the_zeros_command_detects():
+    # no Monte Carlo path detects zeros: every lattice count reduces the
+    # cells of one winding pass, and the detector reads one grid for
+    # `gwhf zeros`
+    assert _referrers("detect_zeros") == {"cli._cmd_zeros"}
 
 
 def test_simulate_imports_neither_the_detector_nor_the_harness():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_windings
-from gwhf import mc, simulate, windows, zeros
+from gwhf import kernels, mc, simulate, windows, zeros
 from gwhf.errors import (DomainError, InvalidKernelError, ParameterError, PlaneError,
                          ResolutionError)
 from gwhf.simulate import FieldSource, SeriesPlan
@@ -478,6 +478,87 @@ def test_intensity_runs_no_detector(monkeypatch, source, domain, spacing):
 
 
 @pytest.mark.parametrize("source, domain, spacing", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
+    ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+    ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
+], ids=["window", "gwhf-window", "polyentire"])
+def test_charge_variance_runs_no_detector(monkeypatch, source, domain, spacing):
+    # the charge of the lattice square of half-side R comes from the
+    # windings of the rectangle's cells: no grid is detected, and each
+    # realization's charge is the plane orientation times the sum of the
+    # windings of the square's cells on the whole grid
+    calls, charges = [], []
+    run = mc._map_realizations
+
+    def kept(cfg, values_of):
+        charges.extend(run(cfg, values_of))
+        return charges
+
+    monkeypatch.setattr(mc, "detect_zeros", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(mc, "_map_realizations", kept)
+    radii = (0.5, 1.0, 1.5)
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=12, seed=8,
+               threads=2, radii=radii)
+    rep = mc.estimate_charge_variance(cfg)
+    assert calls == []
+    fs = FieldSource(source, domain, spacing, 1 / 64)
+    orient = 1 if fs.plane == "gwhf" else -1
+    cx, cy = 0.5 * (domain[0] + domain[1]), 0.5 * (domain[2] + domain[3])
+    grid = fs.realize(8, 0)
+    squares = [(np.flatnonzero((cx - R <= grid.xs) & (grid.xs <= cx + R)),
+                np.flatnonzero((cy - R <= grid.ys) & (grid.ys <= cy + R))) for R in radii]
+    for r in range(12):
+        wind = grid_windings(fs.realize(8, r))
+        assert charges[r].tolist() == [orient * wind[rows[0]:rows[-1], cols[0]:cols[-1]].sum()
+                                       for cols, rows in squares]
+    for note, R, (cols, rows) in zip(rep.notes[-4:], radii, squares):
+        box = ", ".join(f"{v:.6g}" for v in (grid.xs[cols[0]], grid.xs[cols[-1]],
+                                            grid.ys[rows[0]], grid.ys[rows[-1]]))
+        area = (cols[-1] - cols[0]) * (rows[-1] - rows[0]) * grid.spacing ** 2
+        assert note == (f"R={R:g}: net charge of the lattice square ({box}): {len(cols)} x "
+                        f"{len(rows)} points at spacing {grid.spacing:.6g}, area {area:.6g}, "
+                        "counted from its plaquette windings")
+
+
+@pytest.mark.parametrize("source, domain, spacing, radii", [
+    ({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16,
+     (1.0, 2.0, 3.0, 4.0)),
+    ({"family": "polyentire", "q": 2, "kind": "pure"}, (-6.5, 6.5, -6.5, 6.5), 0.08,
+     (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08,
+     (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+], ids=["stft-h1", "poly2-pure", "poly3-full"])
+def test_square_charge_variance_matches_exact_theory(source, domain, spacing, radii):
+    # 800 realizations: each square row's theory is the exact variance of
+    # its lattice square's sides, in the gwhf plane (an stft-plane side is
+    # sqrt(pi) times longer there), and the fit slope's is the squares'
+    # large-R slope (4/pi) sqrt(pi) c on the stft plane, (4/pi) c on the gwhf
+    # plane; every row, the fit slope included, lies within |z| <= 5
+    cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=800, seed=47,
+               threads=2, radii=radii)
+    rep = mc.estimate_charge_variance(cfg)
+    fs = FieldSource(source, domain, spacing, 1 / 64)
+    unit = 1.0 if fs.plane == "gwhf" else math.sqrt(PI)
+    rect = fs.plan.rectangle
+    for it, R in zip(rep.items, radii):
+        sq = simulate.LatticeRectangle.of(rect.origin, rect.spacing, rect.plane,
+                                          (rect.j1 + 1, rect.i1 + 1),
+                                          (0.5 * (domain[0] + domain[1]) - R,
+                                           0.5 * (domain[0] + domain[1]) + R,
+                                           0.5 * (domain[2] + domain[3]) - R,
+                                           0.5 * (domain[2] + domain[3]) + R), "a square")
+        assert it.label == f"R={R:g}"
+        assert it.theory == kernels.charge_variance_rectangle(
+            fs.kernel, unit * (sq.i1 - sq.i0) * sq.spacing,
+            unit * (sq.j1 - sq.j0) * sq.spacing) / R
+    fit = rep.items[-1]
+    assert fit.label == "fit-slope" and len(rep.items) == len(radii) + 1
+    assert fs.variance_asymptote == unit * kernels.variance_asymptote(fs.kernel)
+    assert fit.theory == pytest.approx(4 / PI * fs.variance_asymptote, rel=1e-15)
+    assert rep.max_abs_z <= 5.0, [round(it.z, 2) for it in rep.items]
+
+
+@pytest.mark.parametrize("source, domain, spacing", [
     ({"family": "window", "window": "hermite:1"}, (0.0, 8.0, 0.0, 8.0), 1 / 16),
     ({"family": "polyentire", "q": 3, "kind": "full"}, (-6.5, 6.5, -6.5, 6.5), 0.08),
 ], ids=["stft-h1", "poly3-full"])
@@ -585,12 +666,13 @@ def test_stft_charge_reports_independent_of_threads_and_blocks(source, domain, s
 def test_stft_intensity_reports_independent_of_threads_and_blocks(source, domain, spacing):
     # 9 realizations: blocks of 8 and 1 at one thread, 5 and 4 at two, and
     # 3, 3, 3 at three; the rectangle samples of each block come from one
-    # records pass
+    # records pass, and give both the zero counts and the square charges
     texts = set()
     for threads in (1, 2, 3):
         cfg = _cfg(source=source, domain=domain, spacing=spacing, n_realizations=9, seed=6,
-                   threads=threads)
-        texts.add(mc.estimate_intensity(cfg).to_json(include_elapsed=False))
+                   threads=threads, radii=(0.5, 1.0, 1.5))
+        texts.add(mc.estimate_intensity(cfg).to_json(include_elapsed=False)
+                  + mc.estimate_charge_variance(cfg).to_json(include_elapsed=False))
     assert len(texts) == 1
 
 
@@ -660,30 +742,13 @@ def test_errors_name_seed_and_realization(monkeypatch, threads):
 
 
 @pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
-def test_detector_called_once_per_block(monkeypatch, n, threads):
-    # a window source's disk charges come from its detected zeros: blocks of
-    # 8, 8 at one thread and of 4, 4 at two, one detector call each
-    calls = []
-    detect = mc.detect_zeros
-
-    def counted(grids, *args, **kwargs):
-        calls.append(1)
-        return detect(grids, *args, **kwargs)
-
-    monkeypatch.setattr(mc, "detect_zeros", counted)
-    mc.estimate_charge_variance(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8,
-                                     n_realizations=n, radii=(0.5, 1.0), threads=threads))
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
 @pytest.mark.parametrize("source, domain, spacing", [
     ({"family": "window", "window": "hermite:1"}, (0.0, 4.0, 0.0, 4.0), 1 / 16),
     ({"family": "polyentire", "q": 2, "kind": "full"}, (-3.0, 3.0, -3.0, 3.0), 0.1),
 ], ids=["window", "polyentire"])
 def test_records_drawn_once_per_block(monkeypatch, source, domain, spacing, n, threads):
-    # the charge, the zero intensity and the disk charges each draw all noise
-    # records of a block in one pass: blocks of 8, 8 at one thread and of
+    # the charge, the zero intensity and the square charges each draw all
+    # noise records of a block in one pass: blocks of 8, 8 at one thread and of
     # 4, 4 at two
     calls = []
     draw = simulate.StftPlan.draw
@@ -711,10 +776,10 @@ class _StubSource:
         return 1.5
 
     def variance_theory(self, radii):
-        return [10.0 * R for R in radii]
+        return [10.0 * R for R in radii], 7.0
 
-    def notes_for(self, quantity):
-        return [f"stub {quantity}"]
+    def notes_for(self, quantity, radii=()):
+        return [f"stub {quantity}", *(f"R={R:g}" for R in radii)]
 
     def zero_counts(self, seed, rs):
         return (r + 1 for r in rs)
@@ -722,8 +787,7 @@ class _StubSource:
     def net_charges(self, seed, rs):
         return np.array([3 * r - 7 for r in rs])
 
-    def disk_charges(self, seed, rs, center, radii):
-        assert center == 0j
+    def region_charges(self, seed, rs, radii):
         return (np.array([r * R * R for R in radii]) for r in rs)
 
 
@@ -731,7 +795,7 @@ def test_estimators_report_what_any_source_answers(monkeypatch):
     # every estimator reports the stub's values over its area, its notes and
     # its theory, through the one interface: no estimator tests a type
     monkeypatch.setattr(mc, "_source", lambda cfg: _StubSource())
-    cfg = _cfg(n_realizations=10, radii=(1.0, 2.0), threads=2)
+    cfg = _cfg(n_realizations=10, radii=(1.0, 1.5, 2.0), threads=2)
     r = np.arange(10.0)
     for estimate, quantity, values, theory in (
             (mc.estimate_intensity, "density", r + 1, 1.5),
@@ -742,29 +806,13 @@ def test_estimators_report_what_any_source_answers(monkeypatch):
                                        theory)]
         assert rep.notes == [f"stub {quantity}"]
     rep = mc.estimate_charge_variance(cfg)
-    assert [it.label for it in rep.items] == ["R=1", "R=2"]
-    for it, R in zip(rep.items, (1.0, 2.0)):
+    assert [it.label for it in rep.items] == ["R=1", "R=1.5", "R=2", "fit-slope"]
+    for it, R in zip(rep.items, (1.0, 1.5, 2.0)):
         assert it.empirical == pytest.approx(float(np.var(r * R * R, ddof=1)) / R, rel=1e-12)
         assert it.theory == 10.0 * R
-    assert rep.notes == ["stub charge_variance",
+    assert rep.items[-1].theory == 7.0
+    assert rep.notes == ["stub charge_variance", "R=1", "R=1.5", "R=2",
                          "fewer than 100 realizations: variance standard errors are wide"]
-
-
-@pytest.mark.parametrize("n, threads", [(16, 1), (8, 2)])
-def test_stencil_pass_runs_once_per_block(monkeypatch, n, threads):
-    # the stencils of all flagged cells of a block are made in one call,
-    # however many grids the block holds (the disk charges of a window source)
-    calls = []
-    stencils = zeros._stencils
-
-    def counted(*args):
-        calls.append(len(args[0]))
-        return stencils(*args)
-
-    monkeypatch.setattr(zeros, "_stencils", counted)
-    mc.estimate_charge_variance(_cfg(domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8,
-                                     n_realizations=n, radii=(0.5, 1.0), threads=threads))
-    assert len(calls) == 2 and min(calls) > 0
 
 
 @pytest.mark.parametrize("domain, spacing, center, fft", [
