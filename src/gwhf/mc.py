@@ -217,10 +217,9 @@ class _PoissonControl:
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         return self.rate
 
-    def variance_theory(self, radii: list[float]) -> tuple[list[float], float]:
+    def variance_theory(self, radii: list[float]) -> list[float]:
         # Var[charge in B_R] = density * pi R^2 for i.i.d. signs, so Var/R grows
-        rows = [self.rate * math.pi * R for R in radii]
-        return rows, rows[-1]
+        return [self.rate * math.pi * R for R in radii]
 
     def notes_for(self, quantity: str, radii: list[float] = ()) -> list[str]:
         return ["poisson control: uniform points, i.i.d. +-1 charges"]
@@ -247,12 +246,12 @@ class _PoissonControl:
 
 
 class _Field(FieldSource):
-    """A field source.  It counts on its plan's lattice rectangle, the grid
-    points of its lattice in the interior, per unit of its area, from the
-    rectangle's samples alone.  One winding pass a realization (cells) gives
-    its cells of nonzero plaquette winding, one per simple zero: the zero
-    count is their number, and a lattice square's charge is the plane
-    orientation times the sum of its cells' windings (argument principle).
+    """A field source.  It counts on its plan's lattice rectangle, its whole
+    lattice within the interior, per unit of its area, from the rectangle's
+    samples alone.  One winding pass a realization (cells) gives its cells
+    of nonzero plaquette winding, one per simple zero: the zero count is
+    their number, and the charge of a lattice square (the rectangle within
+    it) is rectangle.orient times the sum of its cells' windings.
     The net charge is read from the four edges (zeros.rectangle_charges).
     The zero count has a resolution bias: an opposite-signed pair in one
     cell cancels, and an edge misread by half a turn adds a pair.  Against
@@ -267,24 +266,21 @@ class _Field(FieldSource):
     def _squares(self, radii: list[float]) -> list[LatticeRectangle]:
         """The lattice square of each half-side R, the rectangle's points in
         [cx - R, cx + R] x [cy - R, cy + R] about the interior's centre;
-        DomainError names an R whose square holds fewer than 2 x 2 points."""
+        DomainError names an R, and its box, whose square has under 2 x 2."""
         rect, c = self.plan.rectangle, _center(self.interior)
-        return [LatticeRectangle.of(rect.origin, rect.spacing, rect.plane,
-                                    (rect.j1 + 1, rect.i1 + 1),
-                                    (c.real - R, c.real + R, c.imag - R, c.imag + R),
-                                    f"the square of half-side {R:g} about ({c.real:.6g}, "
-                                    f"{c.imag:.6g}) at spacing {rect.spacing:.6g}")
-                for R in radii]
+        boxes = [(c.real - R, c.real + R, c.imag - R, c.imag + R) for R in radii]
+        return [rect.within(box, f"the square of half-side {R:g} about ({c.real:.6g}, "
+                            f"{c.imag:.6g}) at spacing {rect.spacing:.6g}",
+                            "its box ({})".format(", ".join(f"{v:.6g}" for v in box)))
+                for R, box in zip(radii, boxes)]
 
-    def variance_theory(self, radii: list[float]) -> tuple[list[float], float]:
+    def variance_theory(self, radii: list[float]) -> list[float]:
         """Var/R of each square, exact for its sides (in the kernel's gwhf
-        plane, sqrt(pi) times an stft-plane side), and the large-R slope of
-        Var, (4/pi) variance_asymptote: perimeter 8R against 2 pi R."""
-        slope = 4.0 / math.pi * self.variance_asymptote
+        plane, sqrt(pi) times an stft-plane side)."""
         unit = 1.0 if self.plane == "gwhf" else math.sqrt(math.pi)
         return [charge_variance_rectangle(self.kernel, unit * (sq.i1 - sq.i0) * sq.spacing,
                                           unit * (sq.j1 - sq.j0) * sq.spacing) / R
-                for R, sq in zip(radii, self._squares(radii))], slope
+                for R, sq in zip(radii, self._squares(radii))]
 
     def notes_for(self, quantity: str, radii: list[float] = ()) -> list[str]:
         # what each report counts, on which lattice rectangle, and from what
@@ -311,7 +307,7 @@ class _Field(FieldSource):
         # a square's cells are its columns i0 .. i1 - 1 and rows j0 .. j1 - 1
         i0, i1, j0, j1 = (np.array([getattr(sq, k) for sq in self._squares(radii)])[:, None]
                           for k in ("i0", "i1", "j0", "j1"))
-        orient = 1 if self.plane == "gwhf" else -1
+        orient = self.plan.rectangle.orient
         return (orient * np.where((i0 <= i) & (i < i1) & (j0 <= j) & (j < j1), w, 0).sum(axis=1)
                 for i, j, w in self.cells(seed, rs))
 
@@ -322,8 +318,8 @@ class _SeriesField(_Field):
     the circles' starting values come from SeriesPlan.circle_values, one
     inverse FFT per circle, and only arc midpoints from the evaluator."""
 
-    def variance_theory(self, radii: list[float]) -> tuple[list[float], float]:
-        return [self.variance_asymptote] * len(radii), self.variance_asymptote
+    def variance_theory(self, radii: list[float]) -> list[float]:
+        return [self.variance_asymptote] * len(radii)
 
     def notes_for(self, quantity: str, radii: list[float] = ()) -> list[str]:
         return super().notes_for(quantity)  # no squares
@@ -496,15 +492,15 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
 
     One concentric region per realization per radius (overlapping regions
     would correlate samples and bias the standard errors), its charge the
-    source's region_charges and its theory, and the fit slope's, the
-    source's variance_theory.  A region that does not fit the interior, or
-    a square of fewer than 2 x 2 points, raises DomainError before any
-    realization is drawn.  The variances and their
-    fourth-moment standard errors come from one reduction over the
-    contiguous (radii, realizations) array, bit for bit those of each
-    column alone.  A weighted linear fit of Var against R over the upper
-    half of the radii is added, unless one of them has a zero standard
-    error, which a note then names.
+    source's region_charges and its theory the source's variance_theory.
+    A region that does not fit the interior, or a square of fewer than
+    2 x 2 points, raises DomainError before any realization is drawn.  The
+    variances and their fourth-moment standard errors come from one
+    reduction over the contiguous (radii, realizations) array, bit for bit
+    those of each column alone.  A weighted linear fit of Var against R over
+    the upper half of the radii is added, its theory the same fit of the
+    rows' theory Var, unless one of the radii has a zero standard error,
+    which a note then names.
     """
     t0 = time.time()
     if not cfg.radii:
@@ -516,7 +512,7 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
     if cfg.n_realizations < 100:
         notes.append("fewer than 100 realizations: variance standard errors are wide")
 
-    theory_var, theory_slope = source.variance_theory(radii)
+    theory_var = source.variance_theory(radii)
     charges = np.array(_map_realizations(
         cfg, lambda rs: source.region_charges(cfg.seed, rs, radii)), dtype=float)
 
@@ -533,10 +529,12 @@ def estimate_charge_variance(cfg: McConfig) -> McReport:
                      + ", ".join(f"{R:g}" for R in flat))
     elif len(upper) >= 2:
         # weights 1/se make polyfit minimize sum ((Var - a - b R) / se)^2,
-        # whose unscaled covariance is inv(A^T diag(1/se^2) A)
-        coef, cov = np.polyfit([radii[k] for k in upper], [variances[k] for k in upper], 1,
-                               w=[1.0 / ses[k] for k in upper], cov="unscaled")
+        # whose unscaled covariance is inv(A^T diag(1/se^2) A); the theory
+        # slope is the same fit of the rows' theory Var
+        r_up, w = [radii[k] for k in upper], [1.0 / ses[k] for k in upper]
+        coef, cov = np.polyfit(r_up, [variances[k] for k in upper], 1, w=w, cov="unscaled")
+        theory = np.polyfit(r_up, [theory_var[k] * radii[k] for k in upper], 1, w=w)[0]
         items.append(McItem(label="fit-slope", empirical=float(coef[0]),
-                            se=math.sqrt(max(cov[0, 0], 0.0)), theory=theory_slope))
+                            se=math.sqrt(max(cov[0, 0], 0.0)), theory=float(theory)))
     return McReport(quantity="charge_variance", items=items, config=cfg.as_dict(),
                     elapsed_s=time.time() - t0, notes=notes)

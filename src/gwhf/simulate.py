@@ -151,14 +151,20 @@ class FieldGrid:
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
-        return (self.origin.real, self.origin.real + self.spacing * (self.nx - 1),
-                self.origin.imag, self.origin.imag + self.spacing * (self.ny - 1))
+        return self.lattice.box
+
+    @property
+    def lattice(self) -> LatticeRectangle:
+        """The rectangle of all the grid's points."""
+        return LatticeRectangle(self.origin, self.spacing, self.plane, 0, self.nx - 1,
+                                0, self.ny - 1)
 
 
 @dataclass(frozen=True)
 class LatticeRectangle:
     """The grid points origin + (i + 1j*j) * spacing of a lattice in `plane`
-    that lie in a box: columns i0..i1 and rows j0..j1, at least two of each.
+    in columns i0..i1 and rows j0..j1, at least two of each: all of a
+    grid's (FieldGrid.lattice), or those of a rectangle in a box (within).
     Its cells are those of a grid on the lattice whose corners it holds."""
     origin: complex
     spacing: float
@@ -168,25 +174,28 @@ class LatticeRectangle:
     j0: int
     j1: int
 
-    @classmethod
-    def of(cls, origin: complex, spacing: float, plane: str, shape: tuple[int, int],
-           box: tuple[float, float, float, float], where: str) -> LatticeRectangle:
-        """The rectangle of a grid of (rows, columns) `shape` on this lattice
-        in box = (x0, x1, y0, y1), each point's coordinates as FieldGrid.xs
-        and ys give them.  DomainError, naming the geometry `where` as the
-        caller gave it (_geometry), when the box holds fewer than two points
-        along an axis."""
+    def within(self, box: tuple[float, float, float, float], where: str,
+               region: str = "the domain") -> LatticeRectangle:
+        """The rectangle of this one's points in box = (x0, x1, y0, y1), at the
+        coordinates FieldGrid.xs and ys give them.  DomainError, naming the
+        lattice `where` as the caller gave it (_geometry) and the box as
+        `region`, when the box holds fewer than two points along an axis."""
         x0, x1, y0, y1 = box
-        xs = origin.real + spacing * np.arange(shape[1])
-        ys = origin.imag + spacing * np.arange(shape[0])
-        cols = np.flatnonzero((x0 <= xs) & (xs <= x1))
-        rows = np.flatnonzero((y0 <= ys) & (ys <= y1))
+        xs = self.origin.real + self.spacing * np.arange(self.i0, self.i1 + 1)
+        ys = self.origin.imag + self.spacing * np.arange(self.j0, self.j1 + 1)
+        cols = self.i0 + np.flatnonzero((x0 <= xs) & (xs <= x1))
+        rows = self.j0 + np.flatnonzero((y0 <= ys) & (ys <= y1))
         if len(cols) < 2 or len(rows) < 2:
             raise DomainError(f"the lattice of {where} has {len(cols)} x {len(rows)} points "
-                              "in the domain; a zero or charge count needs a rectangle of "
+                              f"in {region}; a zero or charge count needs a rectangle of "
                               "at least 2 x 2")
-        return cls(origin, spacing, plane, int(cols[0]), int(cols[-1]),
-                   int(rows[0]), int(rows[-1]))
+        return LatticeRectangle(self.origin, self.spacing, self.plane, int(cols[0]),
+                                int(cols[-1]), int(rows[0]), int(rows[-1]))
+
+    @property
+    def orient(self) -> int:
+        """+1 on the gwhf plane, -1 on the stft plane: a winding times it is a charge."""
+        return 1 if self.plane == "gwhf" else -1
 
     @property
     def box(self) -> tuple[float, float, float, float]:
@@ -566,8 +575,8 @@ class StftPlan:
     @cached_property
     def rectangle(self) -> LatticeRectangle:
         """The grid points of the plan's lattice that lie in its interior."""
-        return LatticeRectangle.of(shape=(self.ny, self.nx), box=self.interior,
-                                   where=self._where, **self._lattice)
+        return LatticeRectangle(**self._lattice, i0=0, i1=self.nx - 1, j0=0,
+                                j1=self.ny - 1).within(self.interior, self._where)
 
     def rectangle_samples(self, records: np.ndarray) -> Iterator[np.ndarray]:
         """The samples of a drawn block's grids on `rectangle`, rows j0..j1
@@ -773,8 +782,8 @@ class SeriesPlan:
     @cached_property
     def rectangle(self) -> LatticeRectangle:
         """The grid points of the plan's lattice that lie in its interior."""
-        return LatticeRectangle.of(self.origin, self.spacing, "gwhf", self.z.shape,
-                                   self.interior, self._where)
+        return LatticeRectangle(self.origin, self.spacing, "gwhf", 0, self.z.shape[1] - 1, 0,
+                                self.z.shape[0] - 1).within(self.interior, self._where)
 
     def edges(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """The (B, n) values of a drawn block of B on the bottom and top rows

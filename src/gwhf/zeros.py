@@ -22,27 +22,27 @@ and the charge is the orientation sign of F as a planar map; spectrogram
 the invariant plane is orientation-reversing and the charge of a
 spectrogram zero is sgn Im[dV/dx conj(dV/dy)] = -sgn det DV.
 
-detect_zeros reads one grid, all on arrays: the flagged cells that can
-hold a kept zero take their demodulated stencils in one pass (a border
-cell's stencil is extrapolated past the grid) and are refined at once, by
-Newton on bicubic stencils and the cells Newton rejects by one bilinear
-solve.  Each zero's position and Jacobian sign come from one interpolant
-of one stencil, so the sign is read at that interpolant's own root,
-independently of the winding; simple zeros must agree (tested, not
-assumed).  The Monte Carlo harness detects no grid.  cells is the one
-winding pass: it gives a lattice rectangle's cells of nonzero winding,
-which the detector refines and whose count and windings are the Monte
-Carlo zero count and the charge of each lattice square in the rectangle.
-circle_charges and rectangle_charges (from a rectangle's edges, by the
-plaquettes' rule) need no grid.
+detect_zeros reads one grid, all on arrays, into a ZeroSet of five
+columns: the flagged cells of the lattice block that can hold a kept
+zero (LatticeRectangle.within) take their demodulated stencils in one
+pass (a border cell's stencil is extrapolated past the grid) and are
+refined at once, by Newton on bicubic stencils and the cells Newton
+rejects by one bilinear solve.  Each zero's position and Jacobian sign
+come from one interpolant of one stencil, so the sign is read at that
+interpolant's own root, independently of the winding; simple zeros must
+agree (tested, not assumed).  The Monte Carlo harness detects no grid.
+cells is the one winding pass: it gives a lattice rectangle's cells of
+nonzero winding, which the detector refines and whose count and windings
+are the Monte Carlo zero count and the charge of each lattice square in
+the rectangle.  circle_charges and rectangle_charges (from a rectangle's
+edges, by the plaquettes' rule) need no grid.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .errors import ContainerError, DomainError, ResolutionError
 from .simulate import FieldGrid, LatticeRectangle, _fft_frame
 
 __all__ = [
-    "ChargedZero", "ZeroSet",
+    "ZeroSet",
     "cells", "detect_zeros", "rectangle_charges", "circle_charges",
     "zeros_to_csv", "zeros_from_csv",
 ]
@@ -62,31 +62,12 @@ _TWO_PI = 2.0 * math.pi
 _BAND = 0.05
 
 
-class ChargedZero(NamedTuple):
-    """One extracted zero with its plane-oriented charge.
-
-    The loop orientation makes the charge the winding itself, so `winding`
-    is a read-only alias of `charge`, kept for the CSV column and for the
-    certificate jacobian_sign == winding == charge.  A named tuple: as
-    immutable as a frozen dataclass, and about half the cost per zero when
-    a ZeroSet is iterated.
-    """
-    position: complex
-    charge: int
-    refined: bool
-    jacobian_sign: int
-    degenerate: bool = False
-
-    @property
-    def winding(self) -> int:
-        return self.charge
-
-
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """The zeros of one grid as parallel arrays ordered by (imag, real):
-    position (complex), charge (int), refined (bool), jacobian_sign (int)
-    and degenerate (bool).  Iterating it yields one ChargedZero per zero."""
+    """The zeros of one grid as five parallel arrays ordered by (imag,
+    real): position (complex), charge (int), refined (bool), jacobian_sign
+    (int) and degenerate (bool).  Each charge is its cell's plane-oriented
+    winding, so no winding column is kept (the CSV writes the charge twice)."""
     position: np.ndarray
     charge: np.ndarray
     refined: np.ndarray
@@ -95,13 +76,6 @@ class ZeroSet:
 
     def __len__(self) -> int:
         return len(self.position)
-
-    def __iter__(self) -> Iterator[ChargedZero]:
-        # tuple.__new__ makes each named tuple from its row at C speed,
-        # without a Python-level ChargedZero.__new__ call per zero
-        return map(tuple.__new__, itertools.repeat(ChargedZero),
-                   zip(self.position.tolist(), self.charge.tolist(), self.refined.tolist(),
-                       self.jacobian_sign.tolist(), self.degenerate.tolist()))
 
 
 def _edge_gauge(plane: str, pa, pb):
@@ -215,7 +189,7 @@ def rectangle_charges(rect: LatticeRectangle, bottom: np.ndarray, top: np.ndarra
         turns = np.angle(edge)
         turns /= _TWO_PI
         net = net + sign * _wrap_counts(np.diff(turns, axis=-1), plane, h, at, vertical).sum(-1)
-    return (1 if plane == "gwhf" else -1) * net.astype(np.int64)
+    return rect.orient * net.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +404,6 @@ def _close_pairs(pos: np.ndarray, i: np.ndarray, j: np.ndarray, h: float) -> np.
     return pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < 0.75 * h]
 
 
-def _kept_cells(grid: FieldGrid) -> tuple[tuple[float, float, float, float], LatticeRectangle]:
-    """The statistics box of the grid's lattice (its interior, or its extent
-    when that is None) and the lattice rectangle whose cells are those that
-    can hold a zero in it.  An interior that does not meet the extent raises
-    DomainError."""
-    box = grid.extent if grid.interior is None else grid.interior
-    x0, x1, y0, y1 = box
-    ex0, ex1, ey0, ey1 = grid.extent
-    if x0 > ex1 or x1 < ex0 or y0 > ey1 or y1 < ey0:
-        box_s, extent_s = (", ".join(f"{v:.6g}" for v in b) for b in (box, grid.extent))
-        raise DomainError(f"interior ({box_s}) does not meet the grid, "
-                          f"whose extent is ({extent_s})")
-    # refinement never moves a candidate outside its own cell, so cells
-    # beyond a two-cell pad of the interior cannot contribute; the stencils
-    # of those within it reach four cells past the interior, the pad both
-    # simulators leave by default.  Each bound is monotone in the cell
-    # index, so the kept cells are one block of columns and rows, and one
-    # that is not empty when the interior meets the extent.
-    h = grid.spacing
-    i_arr = np.arange(grid.nx - 1)
-    j_arr = np.arange(grid.ny - 1)
-    keep_i = np.flatnonzero((grid.origin.real + (i_arr + 1) * h >= x0 - 2 * h)
-                            & (grid.origin.real + i_arr * h <= x1 + 2 * h))
-    keep_j = np.flatnonzero((grid.origin.imag + (j_arr + 1) * h >= y0 - 2 * h)
-                            & (grid.origin.imag + j_arr * h <= y1 + 2 * h))
-    return box, LatticeRectangle(grid.origin, h, grid.plane, int(keep_i[0]), int(keep_i[-1]) + 1,
-                                 int(keep_j[0]), int(keep_j[-1]) + 1)
-
-
 def detect_zeros(grid: FieldGrid, refine: bool = True) -> ZeroSet:
     """All charged zeros of one grid, attributed by refined position.
 
@@ -471,24 +416,34 @@ def detect_zeros(grid: FieldGrid, refine: bool = True) -> ZeroSet:
     three quarters of a cell to another are flagged degenerate.  Zeros are
     kept when their refined position lies in grid.interior (position-based,
     so seams do not double count), or anywhere in its extent when the
-    interior is None.
+    interior is None; an interior that does not meet the extent raises
+    DomainError.
     """
-    box, rect = _kept_cells(grid)
+    ex0, ex1, ey0, ey1 = extent = grid.extent
+    x0, x1, y0, y1 = box = extent if grid.interior is None else grid.interior
+    if x0 > ex1 or x1 < ex0 or y0 > ey1 or y1 < ey0:
+        box_s, extent_s = (", ".join(f"{v:.6g}" for v in b) for b in (box, extent))
+        raise DomainError(f"interior ({box_s}) does not meet the grid, "
+                          f"whose extent is ({extent_s})")
+    # refinement moves no zero over _BAND cells from its cell, so only cells
+    # within two cells of the box (their corners within three spacings) can
+    # hold a zero in it or its close partner; their stencils reach four
+    # cells past the box, the pad both simulators leave by default
+    h = grid.spacing
+    rect = grid.lattice.within((x0 - 3 * h, x1 + 3 * h, y0 - 3 * h, y1 + 3 * h), "the grid")
     i, j, w = cells(rect, grid.values[rect.j0:rect.j1 + 1, rect.i0:rect.i1 + 1])
-    orient = 1 if grid.plane == "gwhf" else -1
-    xi, eta, ok, sign, flat = _refine(_stencils(grid, i, j), refine, orient)
-    pos = _plane_points(grid.origin, grid.spacing, i, j, xi, eta)
+    xi, eta, ok, sign, flat = _refine(_stencils(grid, i, j), refine, rect.orient)
+    pos = _plane_points(grid.origin, h, i, j, xi, eta)
     # zeros with a partner closer than three quarters of a cell are below
     # the grid's resolving power: their differential cannot be certified
     # from samples, so they carry the degenerate flag (kept in the set,
     # excluded from statistics; an opposite-signed pair cancels in every
     # charge total)
     degenerate = flat
-    degenerate[_close_pairs(pos, i, j, grid.spacing).ravel()] = True
-    x0, x1, y0, y1 = box
+    degenerate[_close_pairs(pos, i, j, h).ravel()] = True
     inside = (x0 <= pos.real) & (pos.real <= x1) & (y0 <= pos.imag) & (pos.imag <= y1)
     order = np.flatnonzero(inside)[np.lexsort((pos.real[inside], pos.imag[inside]))]
-    return ZeroSet(position=pos[order], charge=orient * w[order], refined=ok[order],
+    return ZeroSet(position=pos[order], charge=rect.orient * w[order], refined=ok[order],
                    jacobian_sign=sign[order], degenerate=degenerate[order])
 
 
@@ -590,7 +545,7 @@ def zeros_to_csv(zeros: ZeroSet, path: str) -> None:
     as winding); flags are written as 0/1."""
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for p, c, r, s, d in zeros:
+        for p, c, r, s, d in zip(*(getattr(zeros, f.name).tolist() for f in fields(zeros))):
             fh.write(f"{p.real:.9g},{p.imag:.9g},{c},{c},{int(r)},{s},{int(d)}\n")
 
 

@@ -86,10 +86,10 @@ def _mc_counts_and_charges(window, n, seed, domain=(0.0, 8.0, 0.0, 8.0)):
     counts = np.empty(n)
     charges = np.empty(n)
     for r in range(n):
-        zs = [z for z in Z.detect_zeros(plan.realize(seed, r))
-              if not z.degenerate]
-        counts[r] = len(zs)
-        charges[r] = sum(z.charge for z in zs)
+        zs = Z.detect_zeros(plan.realize(seed, r))
+        live = ~zs.degenerate
+        counts[r] = np.count_nonzero(live)
+        charges[r] = zs.charge[live].sum()
     return counts, charges
 
 
@@ -194,29 +194,25 @@ def test_criterion_7_detector_integrity(hermites, capsys):
     plan = S.StftPlan(hermites[1], (0.0, 8.0, 0.0, 8.0), 1 / 16, 1 / 64)
     total = agree = 0
     for r in range(100):
-        for z in Z.detect_zeros(plan.realize(500, r)):
-            if not z.degenerate:
-                total += 1
-                agree += int(z.jacobian_sign == z.winding == z.charge)
+        zs = Z.detect_zeros(plan.realize(500, r))
+        live = ~zs.degenerate
+        total += int(np.count_nonzero(live))
+        agree += int(np.count_nonzero(zs.jacobian_sign[live] == zs.charge[live]))
     # halving gate over ten fixed realizations: a single resolved pair is
     # two zeros, so the population must be large enough that 1% measures
     # systematic drift rather than one borderline pair
     fine_plan = S.StftPlan(hermites[1], (0.0, 8.0, 0.0, 8.0), 1 / 32, 1 / 64)
     coarse_total = fine_total = flips = 0
     for r in range(10):
-        coarse = [z for z in Z.detect_zeros(plan.realize(500, r))
-                  if not z.degenerate]
-        fine = [z for z in Z.detect_zeros(fine_plan.realize(500, r))
-                if not z.degenerate]
-        coarse_total += len(coarse)
-        fine_total += len(fine)
-        pc = np.array([z.position for z in coarse])
-        pf = np.array([z.position for z in fine])
+        coarse = Z.detect_zeros(plan.realize(500, r))
+        fine = Z.detect_zeros(fine_plan.realize(500, r))
+        pc, qc = coarse.position[~coarse.degenerate], coarse.charge[~coarse.degenerate]
+        pf, qf = fine.position[~fine.degenerate], fine.charge[~fine.degenerate]
+        coarse_total += len(pc)
+        fine_total += len(pf)
         nearest = np.abs(pc[:, None] - pf[None, :]).argmin(axis=1)
-        for k, z in enumerate(coarse):
-            other = fine[nearest[k]]
-            if abs(z.position - other.position) < 1 / 16:
-                flips += int(z.charge != other.charge)
+        close = np.abs(pc - pf[nearest]) < 1 / 16
+        flips += int(np.count_nonzero(qc[close] != qf[nearest][close]))
     drift = abs(fine_total - coarse_total) / coarse_total
     ok = total >= 10_000 and agree == total and drift <= 0.01 and flips == 0
     _report(capsys, "criterion-7 detector integrity", ok,

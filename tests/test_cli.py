@@ -398,10 +398,11 @@ def test_verify_exit_code_gates(capsys):
      "--window hermite:1 and --kernel gef name two sources"),
     (["intensity"], "intensity needs a source: give --window or --kernel"),
     # a radius whose lattice square holds fewer than 2 x 2 points, refused
-    # before any realization is drawn
+    # before any realization is drawn, naming the square's box
     (["verify", "charge-variance", "--window", "hermite:1", "--radii", "0.01,1"],
      "the lattice of the square of half-side 0.01 about (4, 4) at spacing 0.0625 has "
-     "0 x 1 points in the domain; a zero or charge count needs a rectangle of at least 2 x 2"),
+     "0 x 1 points in its box (3.99, 4.01, 3.99, 4.01); a zero or charge count needs a "
+     "rectangle of at least 2 x 2"),
 ], ids=["custom-short-jet", "unknown-window", "bad-gaussian-param",
         "laguerre-without-index", "polyentire-without-kind", "polyentire-bad-kind",
         "polyentire-order-too-high", "simulate-without-window", "zero-spacing",

@@ -2,8 +2,10 @@
 detector or of the Monte Carlo harness, and the detector nothing of the
 harness, so a source's counting methods live in mc, not on simulate's
 FieldSource.  Random draws enter in a few named places only, the
-plaquettes are wound in one, and only the zeros command detects."""
+plaquettes are wound in one, and only the zeros command detects.  No
+module keeps an import it does not use."""
 import ast
+import re
 from pathlib import Path
 
 import gwhf
@@ -79,3 +81,36 @@ def test_the_detector_does_not_import_the_harness():
     imported = _imports("zeros")
     assert "gwhf.simulate" in imported
     assert "gwhf.mc" not in imported
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """module:line name of every name an import statement in the module
+    binds that the module never reads, does not list in __all__, and whose
+    statement carries no `# noqa: F401`."""
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not any(
+                re.search(r"#\s*noqa:.*\bF401\b", line)
+                for line in lines[node.lineno - 1:node.end_lineno]):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{path.stem}:{line} {name}" for name, line in sorted(bound.items())
+            if name not in read | exported]
+
+
+def test_every_import_is_used():
+    # a removal that leaves an import behind fails here: every imported name
+    # is read, exported in __all__, or marked `# noqa: F401` where it stays
+    # on purpose (mc's detect_zeros, which the bench looks up there)
+    assert [u for path in sorted(PACKAGE.glob("*.py")) for u in _unused_imports(path)] == []
