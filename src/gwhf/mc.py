@@ -24,11 +24,11 @@ built afresh each call.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -50,8 +50,8 @@ __all__ = ["McConfig", "McItem", "McReport", "MAX_THREADS",
            "estimate_charge_variance"]
 
 
-# most threads one call may ask for: the workers of a thread count are kept
-# for the process, so every count ever asked for keeps its threads alive
+# most threads one call may ask for: the caller and MAX_THREADS - 1 workers
+# of the one pool every call shares (_pool), kept alive once started
 MAX_THREADS = 64
 
 
@@ -360,32 +360,14 @@ def _disk_fits(box: tuple[float, float, float, float], radius: float) -> bool:
     half-side, about the centre of the rectangle box = (x0, x1, y0, y1)
     lies inside it."""
     x0, x1, y0, y1 = box
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return x0 <= cx - radius and cx + radius <= x1 and y0 <= cy - radius and cy + radius <= y1
+    c = _center(box)
+    return (x0 <= c.real - radius and c.real + radius <= x1
+            and y0 <= c.imag - radius and c.imag + radius <= y1)
 
 
-# the kept workers of each thread count: threads = N runs on the caller and
-# N - 1 of them, started at the first call that needs them
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
-
-
-def _workers(threads: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        if threads not in _pools:
-            _pools[threads] = ThreadPoolExecutor(max_workers=threads - 1,
-                                                 thread_name_prefix=f"gwhf-mc{threads}")
-        return _pools[threads]
-
-
-def _here(fn, arg) -> Future:
-    """A finished future holding fn(arg), or what it raised."""
-    done = Future()
-    try:
-        done.set_result(fn(arg))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
+# the workers every call shares: threads = N runs on the caller and at most
+# N - 1 of them, each started when a call first finds no idle one
+_pool = ThreadPoolExecutor(max_workers=MAX_THREADS - 1, thread_name_prefix="gwhf-mc")
 
 
 def _map_realizations(cfg: McConfig, values_of) -> list:
@@ -393,48 +375,45 @@ def _map_realizations(cfg: McConfig, values_of) -> list:
     values_of(rs) iterating over those of a contiguous block rs of at most
     _BLOCK, fewer when that would leave a thread without a block.  A
     GwhfError is re-raised as its own class, naming the seed and the
-    realization whose value was due.
+    realization whose value was due; any other exception is raised as it is.
 
-    At threads = N > 1 the blocks after the first are queued on the N - 1
-    kept workers of N (_workers), and the calling thread runs the first
-    block, then, in order, every block no worker has started.  Once a block
-    fails, the call's queued blocks are cancelled and its running ones
-    waited for, and the first failure in block order is raised: no block
-    outlives the call."""
+    The caller and up to threads - 1 tasks on the shared pool take block
+    indices in order from one counter, the caller block 0 before any task
+    is queued, and each runs blocks until none is left or an earlier one
+    has failed.  A task no worker has started when the caller runs out
+    is cancelled, the running ones are waited for, and the first failure in
+    block order is raised: no block outlives the call."""
     n = cfg.n_realizations
     size = min(_BLOCK, -(-n // cfg.threads))
-    failed = threading.Event()
-
-    def block(lo: int) -> list:
-        rs, out = range(lo, min(lo + size, n)), []
-        try:
-            for value in values_of(rs):
-                out.append(value)
-        except BaseException as exc:
-            failed.set()
-            if not isinstance(exc, GwhfError):
-                raise
-            raise type(exc)(f"seed {cfg.seed} realization {rs[len(out)]}: {exc}") from exc
-        return out
-
     starts = range(0, n, size)
-    if cfg.threads == 1:
-        blocks = [block(lo) for lo in starts]
-    else:
-        futures = [_workers(cfg.threads).submit(block, lo) for lo in starts[1:]]
-        try:
-            futures.insert(0, _here(block, starts[0]))
-            for k in range(1, len(starts)):
-                if failed.is_set():
-                    break
-                if futures[k].cancel():
-                    futures[k] = _here(block, starts[k])
-        finally:
-            # a block still queued lies after the first failure in block order
-            for f in futures:
-                f.cancel()
-            wait(futures)
-        blocks = [f.result() for f in futures]
+    blocks, failures, order = [None] * len(starts), {}, itertools.count()
+
+    def run(k: int) -> None:
+        # indices are taken in order, so a block before the first failure
+        # always runs and the failure raised is the one a single thread meets
+        while k < len(starts) and k < min(failures, default=k + 1):
+            rs, out = range(starts[k], min(starts[k] + size, n)), []
+            try:
+                for value in values_of(rs):
+                    out.append(value)
+            except BaseException as exc:
+                failures[k] = (exc, rs[len(out)])
+                return
+            blocks[k], k = out, next(order)
+
+    first = next(order)
+    tasks = [_pool.submit(lambda: run(next(order)))
+             for _ in range(min(cfg.threads, len(starts)) - 1)]
+    try:
+        run(first)
+    finally:
+        # a cancelled task counts as done only once a worker dequeues it
+        wait([task for task in tasks if not task.cancel()])
+    if failures:
+        exc, r = failures[min(failures)]
+        if isinstance(exc, GwhfError):
+            raise type(exc)(f"seed {cfg.seed} realization {r}: {exc}") from exc
+        raise exc
     return [v for b in blocks for v in b]
 
 

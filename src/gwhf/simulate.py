@@ -101,7 +101,7 @@ def complex_normals(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
 class FieldGrid:
     """Complex field samples on a rectangular lattice.
 
-    values[j, i] sits at origin + (i + 1j*j) * spacing, both finite.
+    values[j, i] sits at origin + (i + 1j*j) * spacing, all three finite.
     `seed` is the seed the grid was drawn from, a non-negative integer, as
     a container keeps it.  `interior` is the statistics region (x0, x1,
     y0, y1), a finite rectangle, or None for the whole extent; the
@@ -121,6 +121,11 @@ class FieldGrid:
         if v.ndim != 2 or min(v.shape) < _MIN_POINTS:
             raise ParameterError(f"values must be a 2-d complex array, at least "
                                  f"{_MIN_POINTS} x {_MIN_POINTS}, got shape {v.shape}")
+        bad = ~np.isfinite(v)
+        if bad.any():
+            j, i = np.argwhere(bad)[0]
+            raise ParameterError(f"values hold {np.count_nonzero(bad)} non-finite samples, "
+                                 f"the first at row {j}, column {i}")
         if not (_is_number(self.origin, (int, float, complex, np.number))
                 and cmath.isfinite(self.origin)):
             raise ParameterError(f"grid origin {self.origin!r} must be a finite number")
@@ -1002,9 +1007,8 @@ def save_grid(grid: FieldGrid, path: str) -> None:
 def load_grid(path: str) -> FieldGrid:
     """Read a container written by save_grid.  A file that is not one, has
     a header key missing (`interior`, null for the whole extent, among
-    them), whose payload is not exactly nx*ny*8 bytes, that holds a
-    non-finite sample or whose geometry FieldGrid refuses raises
-    ContainerError."""
+    them), whose payload is not exactly nx*ny*8 bytes, or whose samples or
+    geometry FieldGrid refuses raises ContainerError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -1019,8 +1023,6 @@ def load_grid(path: str) -> FieldGrid:
             raise ValueError(f"payload is {len(payload)} bytes, the header's "
                              f"{nx} x {ny} grid needs {nx * ny * 8}")
         vals = np.frombuffer(payload, dtype="<c8").reshape(ny, nx).astype(complex)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"{np.count_nonzero(~np.isfinite(vals))} non-finite samples")
         interior = header["interior"]
         return FieldGrid(values=vals, origin=complex(*header["origin"]),
                          spacing=header["spacing"], plane=header["plane"], seed=header["seed"],

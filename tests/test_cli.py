@@ -463,6 +463,25 @@ def test_zeros_refuses_damaged_grid(tmp_path, capsys):
         assert err.startswith("error:") and str(path) in err
 
 
+def test_zeros_refuses_a_container_with_a_nan_sample(tmp_path, capsys):
+    # one NaN at row 2, column 3 of an intact container: FieldGrid's refusal,
+    # named with the path, not a grid wound with a NaN phase
+    out_dir = str(tmp_path / "run")
+    run_cli(capsys, "simulate", "--window", "hermite:0", "--domain", "0,2,0,2",
+            "--out", out_dir)
+    grid = load_grid(os.path.join(out_dir, "field.gwhf"))
+    blob = Path(out_dir, "field.gwhf").read_bytes()
+    at = len(blob) - grid.values.size * 8 + (2 * grid.nx + 3) * 8
+    nan = np.array([complex(np.nan, 0.0)], dtype="<c8").tobytes()
+    path = tmp_path / "nan.gwhf"
+    path.write_bytes(blob[:at] + nan + blob[at + 8:])
+    code, out, err = run_cli(capsys, "zeros", "--grid", str(path),
+                             "--out", str(tmp_path / "z.csv"))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path} is not a valid grid container: ParameterError: values "
+                   "hold 1 non-finite samples, the first at row 2, column 3\n")
+
+
 def _pre_interior_layout(header):
     # containers written before the interior was a header key hold it in
     # meta, beside a margin

@@ -64,6 +64,13 @@ def test_every_lattice_count_winds_in_one_pass():
     assert _referrers("_windings") == {"zeros.cells"}
 
 
+def test_every_threaded_call_runs_on_one_pool_in_one_loop():
+    # the worker pool is built once, at mc's module level, and only the
+    # Monte Carlo block loop queues work on it
+    assert _referrers("ThreadPoolExecutor") == {"mc"}
+    assert _referrers("submit") == {"mc._map_realizations"}
+
+
 def test_only_the_zeros_command_detects():
     # no Monte Carlo path detects zeros: every lattice count reduces the
     # cells of one winding pass, and the detector reads one grid for

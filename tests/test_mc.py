@@ -1018,31 +1018,130 @@ def test_a_failed_call_raises_the_first_failure_in_block_order():
             mc._map_realizations(cfg, values_of)
 
 
-def test_threaded_calls_reuse_their_workers():
-    # the caller's block waits until block 1 has run elsewhere, so each of
-    # the two calls at two threads runs a block on a worker: the same one
-    cfg = _cfg(n_realizations=8, threads=2)
-    caller, workers = threading.get_ident(), []
-    for _ in range(2):
-        ran = threading.Event()
+def test_warm_threaded_calls_start_no_thread():
+    # after a warm-up at three threads, calls at two and three threads find
+    # idle workers in the shared pool, so no thread starts; the caller's
+    # block waits until the others have run, so each call still runs its
+    # blocks after the first off the caller's thread.  A worker counts as
+    # idle only just after its task's future is set, hence the short pause
+    caller = threading.get_ident()
+
+    def call(threads):
+        ran, elsewhere = threading.Event(), []
 
         def values_of(rs):
             if rs.start == 0:
                 assert ran.wait(timeout=60)
             else:
-                workers.append(threading.get_ident())
-                ran.set()
+                elsewhere.append(threading.get_ident())
+                if len(elsewhere) == threads - 1:
+                    ran.set()
             return list(rs)
 
-        assert mc._map_realizations(cfg, values_of) == list(range(8))
-    assert len(workers) == 2 and len(set(workers)) == 1 and caller not in workers
+        assert mc._map_realizations(_cfg(n_realizations=8, threads=threads),
+                                    values_of) == list(range(8))
+        assert len(elsewhere) == threads - 1 and caller not in elsewhere
+        time.sleep(0.05)
+
+    call(3)
+    alive = threading.active_count()
+    for threads in (2, 3, 2, 3):
+        call(threads)
+    assert threading.active_count() == alive
+
+
+def test_a_call_does_not_wait_for_a_busy_pool(monkeypatch):
+    # the pool's one worker is held: a call at two threads runs every block
+    # on the caller, cancels its queued task and returns while the worker
+    # is still held
+    held, release = threading.Event(), threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        holder = pool.submit(lambda: (held.set(), release.wait(timeout=60)))
+        assert held.wait(timeout=60)
+        monkeypatch.setattr(mc, "_pool", pool)
+        caller, ran = threading.get_ident(), []
+
+        def values_of(rs):
+            ran.append(threading.get_ident())
+            return list(rs)
+
+        assert mc._map_realizations(_cfg(n_realizations=24, threads=2),
+                                    values_of) == list(range(24))
+        assert ran == [caller] * 3 and not holder.done()
+    finally:
+        release.set()
+        pool.shutdown(wait=True)
+
+
+def test_concurrent_threaded_calls_equal_the_serial_report():
+    # user threads call at two and three threads at once on one geometry,
+    # all sharing the one pool: every report is the one-thread report
+    cfg = _cfg(source={"family": "window", "window": "hermite:1"},
+               domain=(0.0, 3.0, 0.0, 3.0), spacing=1 / 8, n_realizations=21, seed=9)
+    serial = mc.estimate_charge_intensity(cfg).to_json(include_elapsed=False)
+    with ThreadPoolExecutor(max_workers=4) as users:
+        futures = [users.submit(mc.estimate_charge_intensity,
+                                dataclasses.replace(cfg, threads=2 + k % 2)) for k in range(8)]
+        texts = [f.result(timeout=120).to_json(include_elapsed=False) for f in futures]
+    assert texts == [serial] * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_other_exceptions_propagate_as_they_are(threads):
+    # a KeyError from block 8 is raised as the same object, not wrapped
+    # with a seed and a realization; at two threads the caller's block
+    # waits until a worker has raised it
+    boom, raised, where = KeyError("boom"), threading.Event(), []
+
+    def values_of(rs):
+        if rs.start == 0 and threads == 2:
+            assert raised.wait(timeout=60)
+        if rs.start == 8:
+            where.append(threading.get_ident())
+            raised.set()
+            raise boom
+        return list(rs)
+
+    with pytest.raises(KeyError) as info:
+        mc._map_realizations(_cfg(n_realizations=16, seed=21, threads=threads), values_of)
+    assert info.value is boom
+    assert (where[0] == threading.get_ident()) == (threads == 1)
+
+
+def _fresh_thread_counts(script: str) -> list:
+    """The list a script run in a fresh interpreter prints on its last line."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_call_starts_no_more_workers_than_blocks():
+    # threads = 64 over two realizations makes two blocks of one: one task
+    # is queued, so at most one worker starts
+    before, after = _fresh_thread_counts("""
+import threading
+from gwhf import mc
+alive = [threading.active_count()]
+mc._map_realizations(mc.McConfig(source={"family": "poisson"}, domain=(0, 2, 0, 2),
+                                 spacing=0.1, n_realizations=2, seed=1, threads=64), list)
+alive.append(threading.active_count())
+print(alive)
+""")
+    assert before <= after <= before + 1
 
 
 def test_workers_start_at_the_first_threaded_call_and_are_kept():
     # a fresh interpreter: importing gwhf and a one-thread estimate start no
-    # thread; calls at two and three threads keep 1 + 2 workers in all
-    script = """
+    # thread; calls at two and three threads keep 2 workers in all, the
+    # pause letting each finished worker count itself idle
+    alive = _fresh_thread_counts("""
 import threading
+import time
 alive = [threading.active_count()]
 import gwhf
 from gwhf import mc
@@ -1057,17 +1156,11 @@ reports = {mc.estimate_charge_intensity(cfg(1)).to_json(include_elapsed=False)}
 alive.append(threading.active_count())
 for threads in (2, 3, 2, 3):
     reports.add(mc.estimate_charge_intensity(cfg(threads)).to_json(include_elapsed=False))
+    time.sleep(0.05)
 alive.append(threading.active_count())
-print(alive, len(reports))
-"""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(mc.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    alive, reports = done.stdout.split("] ")
-    before, imported, serial, threaded = json.loads(alive + "]")
+print(alive + [len(reports)])
+""")
+    before, imported, serial, threaded, reports = alive
     assert imported == serial == before
-    assert before < threaded <= before + 1 + 2
-    assert reports.strip() == "1"
+    assert before < threaded <= before + 2
+    assert reports == 1

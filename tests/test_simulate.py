@@ -531,6 +531,18 @@ def test_field_grid_refuses_geometry_that_is_not_a_number(geometry, refused):
         S.FieldGrid(**{**kw, **geometry})
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, math.nan)], ids=["nan", "inf", "both"])
+def test_field_grid_refuses_non_finite_samples(bad):
+    # a non-finite sample would be wound as a phase of NaN: refused with the
+    # count and the first in row-major order
+    values = np.ones((20, 20), complex)
+    values[5, 7] = values[12, 3] = bad
+    with pytest.raises(ParameterError, match="^values hold 2 non-finite samples, "
+                                             "the first at row 5, column 7$"):
+        S.FieldGrid(values=values, origin=0j, spacing=0.1, plane="gwhf", seed=0)
+
+
 def test_series_empirical_covariance():
     plan = S.SeriesPlan((-1.5, 1.5, -1.5, 1.5), 0.4)
     zs = plan.z
