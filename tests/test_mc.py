@@ -1018,36 +1018,38 @@ def test_a_failed_call_raises_the_first_failure_in_block_order():
             mc._map_realizations(cfg, values_of)
 
 
-def test_warm_threaded_calls_start_no_thread():
-    # after a warm-up at three threads, calls at two and three threads find
-    # idle workers in the shared pool, so no thread starts; the caller's
-    # block waits until the others have run, so each call still runs its
-    # blocks after the first off the caller's thread.  A worker counts as
+def test_threaded_calls_reuse_their_workers():
+    # the caller's block waits until the threads - 1 blocks after it have
+    # met at a barrier, so each call at three threads runs two blocks at
+    # once on two workers.  After a first such call, calls at two and three
+    # threads find idle workers in the shared pool: they start no thread and
+    # run their blocks on threads alive before them.  A worker counts as
     # idle only just after its task's future is set, hence the short pause
-    caller = threading.get_ident()
+    caller = threading.current_thread()
 
     def call(threads):
-        ran, elsewhere = threading.Event(), []
+        ran, met, elsewhere = threading.Event(), threading.Barrier(threads - 1), []
 
         def values_of(rs):
             if rs.start == 0:
                 assert ran.wait(timeout=60)
             else:
-                elsewhere.append(threading.get_ident())
-                if len(elsewhere) == threads - 1:
-                    ran.set()
+                elsewhere.append(threading.current_thread())
+                met.wait(timeout=60)
+                ran.set()
             return list(rs)
 
         assert mc._map_realizations(_cfg(n_realizations=8, threads=threads),
                                     values_of) == list(range(8))
-        assert len(elsewhere) == threads - 1 and caller not in elsewhere
+        assert len(set(elsewhere)) == len(elsewhere) == threads - 1
+        assert caller not in elsewhere
         time.sleep(0.05)
+        return elsewhere
 
     call(3)
-    alive = threading.active_count()
-    for threads in (2, 3, 2, 3):
-        call(threads)
-    assert threading.active_count() == alive
+    alive, warm = threading.active_count(), set(threading.enumerate())
+    used = {t for threads in (2, 3, 2, 3) for t in call(threads)}
+    assert threading.active_count() == alive and used <= warm
 
 
 def test_a_call_does_not_wait_for_a_busy_pool(monkeypatch):
