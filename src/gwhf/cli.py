@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> int:
         raise PlaneError(f"the {args.simulator} simulator draws {source.plane}-plane grids "
                          f"only; --plane {args.plane} needs a --window")
     os.makedirs(args.out, exist_ok=True)
-    grid = source.realize(args.seed)
+    grid = source.plan.realize(args.seed)
     path = os.path.join(args.out, "field.gwhf")
     save_grid(grid, path)
     meta = {"path": path, "plane": grid.plane, "nx": grid.nx, "ny": grid.ny,

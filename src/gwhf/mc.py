@@ -294,14 +294,14 @@ class _Field(FieldSource):
 
     def cells(self, seed: int, rs: range) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Each realization's zeros.cells (i, j, w) of the rectangle."""
-        rect = self.plan.rectangle
-        return (cells(rect, samples) for samples in self.rectangle_batch(seed, rs))
+        plan = self.plan
+        return (cells(plan.rectangle, v) for v in plan.rectangle_samples(plan.draw(seed, rs)))
 
     def zero_counts(self, seed: int, rs: range) -> Iterator[int]:
         return (len(w) for _, _, w in self.cells(seed, rs))
 
     def net_charges(self, seed: int, rs: range) -> np.ndarray:
-        return rectangle_charges(self.plan.rectangle, *self.edges_batch(seed, rs))
+        return rectangle_charges(self.plan.rectangle, *self.plan.edges(self.plan.draw(seed, rs)))
 
     def region_charges(self, seed: int, rs: range, radii: list[float]) -> Iterator[np.ndarray]:
         # a square's cells are its columns i0 .. i1 - 1 and rows j0 .. j1 - 1

@@ -1,11 +1,11 @@
 """Field realizations on rectangular grids.
 
 FieldSource turns a source spec, checked by source_from_spec, into a
-plan, an output plane, an interior and theory values; it is the one way to
-realize a field, for the CLI, the Monte Carlo harness and callers alike.
-Two independent simulators, whose plans share one block interface: a
-block of realizations is drawn once, then read as grids, as samples on
-the lattice rectangle in the interior, or on that rectangle's edges.
+plan, an output plane, an interior and theory values, for the CLI, the
+Monte Carlo harness and callers alike.  Two independent simulators, whose
+plans share one block interface, written once on _Plan: a block of
+realizations is drawn once, then read as grids, as samples on the lattice
+rectangle in the interior, or on that rectangle's edges.
 StftPlan pairs discretized complex white noise with translated/modulated
 copies of any window, columnwise by FFT over the noise record, each
 column reading only the window's time band of a record cut by one FFT to
@@ -42,8 +42,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (AliasBandError, ContainerError, DomainError,
                      InvalidKernelError, InvalidWindowError, ParameterError,
                      PlaneError)
-from .kernels import (DEFAULT_CONVENTION, build_from_spec, gef_kernel, laguerre_avg_kernel,
-                      laguerre_kernel, rho1_radial, variance_asymptote)
+from .kernels import (DEFAULT_CONVENTION, _check_convention, build_from_spec, gef_kernel,
+                      laguerre_avg_kernel, laguerre_kernel, rho1_radial, variance_asymptote)
 from .windows import Window, hermite, rho1_stft, window_from_spec
 
 __all__ = [
@@ -282,6 +282,38 @@ def _crop(n: int, pos0: float, s: float, lo: float, hi: float) -> slice:
     return slice(k0, k1)
 
 
+class _Plan:
+    """The block interface of every simulator, written once.  A plan sets
+    `lattice`, the LatticeRectangle of its whole grid, `interior`, `_where`
+    (its geometry for refusals) and `_meta`, and supplies draw(seed, rs),
+    the block of realizations rs every block method takes; _samples(block,
+    rows, cols), each realization's grid samples at rows x cols, one at a
+    time; and edges(block), those on the four edges of `rectangle`."""
+
+    @cached_property
+    def rectangle(self) -> LatticeRectangle:
+        """The grid points of the plan's lattice that lie in its interior."""
+        return self.lattice.within(self.interior, self._where)
+
+    def grids(self, block: np.ndarray, seed: int) -> Iterator[FieldGrid]:
+        """The grids of a block drawn from `seed`, one at a time."""
+        lat = self.lattice
+        for vals in self._samples(block, slice(None), slice(None)):
+            yield FieldGrid(values=vals, origin=lat.origin, spacing=lat.spacing,
+                            plane=lat.plane, seed=seed, interior=self.interior,
+                            meta=dict(self._meta))
+
+    def rectangle_samples(self, block: np.ndarray) -> Iterator[np.ndarray]:
+        """The samples of a drawn block's grids on `rectangle`, rows j0..j1
+        by columns i0..i1, one realization at a time, no grid made."""
+        rect = self.rectangle
+        return self._samples(block, slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1))
+
+    def realize(self, seed: int, r: int = 0) -> FieldGrid:
+        """Realization r, drawn from stream(seed, r, k), as one grid."""
+        return next(self.grids(self.draw(seed, [r]), seed))
+
+
 # ---------------------------------------------------------------------------
 # Windowed transform of white noise
 # ---------------------------------------------------------------------------
@@ -312,7 +344,7 @@ def _outer_phase(y0: float, dy: float, n: int, rate: np.ndarray) -> np.ndarray:
     return (coarse[:, None, :] * fine[None, :, :]).reshape(a * b, -1)[:n]
 
 
-class StftPlan:
+class StftPlan(_Plan):
     """Reusable precomputation for repeated realizations of one configuration.
 
     `window` is one Window or a sequence of q windows.  All windows share one
@@ -371,15 +403,12 @@ class StftPlan:
     exp(-2 pi i y_j tau_i) sqrt(dt/q).
 
     A block of realizations is drawn once (draw, its records in one pass,
-    the only way noise enters the plan) and read by the block methods
-    SeriesPlan also has: grids, rectangle_samples on `rectangle`, the
-    lattice's grid points in the interior, and edges on its four edges.
-    grids and rectangle_samples share one loop, _samples, with one frame
-    per call.  rectangle_samples and edges make no grid: _samples
-    restricted to the rectangle's columns and rows, and the edge rows by
-    one stacked product with the banded _row_operator, built once per
-    plan, whose tiles of _TILE inner columns each hold the record span
-    their bands cover, all windows stacked.
+    the only way noise enters the plan) and read by _Plan's block methods
+    through _samples, one frame per call, which folds only the columns
+    asked for and gathers only the rows.  edges makes no grid: the edge
+    rows come from one stacked product with the banded _row_operator,
+    built once per plan, whose tiles of _TILE inner columns each hold the
+    record span their bands cover, all windows stacked.
 
     n_fft is the smallest 7-smooth length at or above 1/(spacing dt), so the
     spacing is rounded down to 1/(n_fft dt), never up.  The phase table is
@@ -403,6 +432,8 @@ class StftPlan:
         _check_spacing(spacing)
         if not (_is_number(dt) and dt > 0):
             raise ParameterError(f"dt {dt!r} must be positive")
+        if not (margin is None or _is_number(margin) and margin >= 0):
+            raise ParameterError(f"margin {margin!r} must be None or a non-negative number")
         freq = max(w.freq_radius for w in windows)
         T = max(w.support_radius for w in windows)
         if dt > 1.0 / (8.0 * freq):
@@ -504,14 +535,13 @@ class StftPlan:
             self._meta["components"] = len(windows)
         if plane == "stft":
             self._rows, self._phase = freq_rows, phase
-            self._lattice = {"origin": complex(self.x0, self.y0), "spacing": s,
-                             "plane": plane}
+            origin, h = complex(self.x0, self.y0), s
         else:  # rows flipped so y increases in the invariant plane
             self._rows, self._phase = freq_rows[::-1], phase[::-1].copy()
             self._meta["mapped_from"] = "stft"
             y1 = self.y0 + s * (self.ny - 1)
-            self._lattice = {"origin": complex(_SQRT_PI * self.x0, -_SQRT_PI * y1),
-                             "spacing": _SQRT_PI * s, "plane": plane}
+            origin, h = complex(_SQRT_PI * self.x0, -_SQRT_PI * y1), _SQRT_PI * s
+        self.lattice = LatticeRectangle(origin, h, plane, 0, self.nx - 1, 0, self.ny - 1)
 
     def _bands(self, records: np.ndarray) -> np.ndarray:
         """The view (..., q, n_rec - W + 1, W) of records (..., q, n_rec)
@@ -566,29 +596,6 @@ class StftPlan:
             spec = np.fft.fft(records, n=self.D * n_rec, axis=1)
             records = np.fft.ifft(spec[:, self._keep], axis=1)
         return records.reshape(-1, q, n_rec)
-
-    def grids(self, records: np.ndarray, seed: int) -> Iterator[FieldGrid]:
-        """The grids of a block drawn from `seed`, one at a time."""
-        for vals in self._samples(records, slice(None), slice(None)):
-            yield FieldGrid(values=vals, seed=seed, interior=self.interior,
-                            meta=dict(self._meta), **self._lattice)
-
-    def realize(self, seed: int, r: int = 0) -> FieldGrid:
-        """Realization r, drawn from stream(seed, r, k), as one grid."""
-        return next(self.grids(self.draw(seed, [r]), seed))
-
-    @cached_property
-    def rectangle(self) -> LatticeRectangle:
-        """The grid points of the plan's lattice that lie in its interior."""
-        return LatticeRectangle(**self._lattice, i0=0, i1=self.nx - 1, j0=0,
-                                j1=self.ny - 1).within(self.interior, self._where)
-
-    def rectangle_samples(self, records: np.ndarray) -> Iterator[np.ndarray]:
-        """The samples of a drawn block's grids on `rectangle`, rows j0..j1
-        by columns i0..i1, one realization at a time: only its columns
-        folded and only its rows gathered."""
-        rect = self.rectangle
-        return self._samples(records, slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1))
 
     @cached_property
     def _row_operator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -679,7 +686,7 @@ _CHUNK = 256
 _MAX_RADIUS = math.sqrt(1400.0)
 
 
-class SeriesPlan:
+class SeriesPlan(_Plan):
     """Grid, coefficient count and coefficient scale for the entire-series field.
 
     The field exp(-|z|^2/2) sum_n xi_n z^n / sqrt(n!) is split as
@@ -697,8 +704,8 @@ class SeriesPlan:
     the origin the field is a trigonometric polynomial in the angle, so
     circle_values gives it at equispaced angles by one inverse FFT per
     circle, with no basis.  A drawn block (draw: its coefficients) is read
-    by the block methods StftPlan has: grids, rectangle_samples and edges,
-    on `rectangle`, the grid points in the interior.  The grid is the
+    by _Plan's block methods; _samples evaluates it on the whole grid and
+    edges at the edge points of `rectangle` alone.  The grid is the
     domain, the plan's `interior`, padded by _PAD_CELLS cells on each side.
     """
 
@@ -718,7 +725,8 @@ class SeriesPlan:
         xs = xlo + spacing * np.arange(nx)
         ys = ylo + spacing * np.arange(ny)
         self.z = xs[None, :] + 1j * ys[:, None]
-        self.origin = complex(xlo, ylo)
+        self.lattice = LatticeRectangle(complex(xlo, ylo), self.spacing, "gwhf", 0, nx - 1, 0,
+                                        ny - 1)
         r_max = float(np.max(np.abs(self.z)))
         if r_max > _MAX_RADIUS:
             raise ParameterError(f"grid radius {r_max:.2f} exceeds the series limit "
@@ -735,6 +743,7 @@ class SeriesPlan:
         # rho^n / sqrt(n!) as a running product: exp(n log rho - lgamma(n+1)/2)
         # is about 300 times less accurate at 351 terms
         self.scale = np.cumprod(np.r_[1.0, r_max / np.sqrt(np.arange(1.0, self.n_terms))])
+        self._meta = {"simulator": "series", "n_terms": self.n_terms}
 
     def draw(self, seed: int, rs: Iterable[int]) -> np.ndarray:
         """The block of realizations rs that every block method takes: their
@@ -784,12 +793,6 @@ class SeriesPlan:
             out.append(np.fft.ifft(folded, axis=1, norm="forward") * math.exp(-0.5 * radius ** 2))
         return np.concatenate(out, axis=1)
 
-    @cached_property
-    def rectangle(self) -> LatticeRectangle:
-        """The grid points of the plan's lattice that lie in its interior."""
-        return LatticeRectangle(self.origin, self.spacing, "gwhf", 0, self.z.shape[1] - 1, 0,
-                                self.z.shape[0] - 1).within(self.interior, self._where)
-
     def edges(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """The (B, n) values of a drawn block of B on the bottom and top rows
         (columns i0..i1) and the left and right columns (rows j0..j1) of
@@ -800,25 +803,11 @@ class SeriesPlan:
         values = self.evaluate(coeffs, np.concatenate(points))
         return np.split(values, np.cumsum([len(p) for p in points[:3]]), axis=1)
 
-    def grids(self, coeffs: np.ndarray, seed: int) -> Iterator[FieldGrid]:
-        """The grids of a block drawn from `seed`, one per row of coeffs, all
-        evaluated at once."""
-        meta = {"simulator": "series", "n_terms": self.n_terms}
-        return (FieldGrid(values=v.reshape(self.z.shape), origin=self.origin,
-                          spacing=self.spacing, plane="gwhf", seed=seed,
-                          interior=self.interior, meta=dict(meta))
-                for v in self.evaluate(coeffs, self.z))
-
-    def rectangle_samples(self, coeffs: np.ndarray) -> Iterator[np.ndarray]:
-        """The samples of a drawn block's grids on `rectangle`, rows j0..j1
-        by columns i0..i1, cut from the grids' values, no grid made."""
-        r = self.rectangle
-        return (v.reshape(self.z.shape)[r.j0:r.j1 + 1, r.i0:r.i1 + 1]
-                for v in self.evaluate(coeffs, self.z))
-
-    def realize(self, seed: int, r: int = 0) -> FieldGrid:
-        """Realization r, drawn from stream(seed, r, 0), as one grid."""
-        return next(self.grids(self.draw(seed, [r]), seed))
+    def _samples(self, coeffs: np.ndarray, rows: slice, cols: slice) -> Iterator[np.ndarray]:
+        """The grid's samples at rows x cols of each realization of a drawn
+        block, cut from its grid's values, the whole block evaluated at once."""
+        for v in self.evaluate(coeffs, self.z):
+            yield v.reshape(self.z.shape)[rows, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -896,14 +885,14 @@ class FieldSource:
     control, which has no field.  The family picks the plan, once: a
     window or polyentire source holds one StftPlan over all its windows,
     which reads the geometry in the source's plane, and a series source one
-    SeriesPlan.  Both plans answer the same block methods, so every method
-    below is one plan call on the block plan.draw gives, and realize is
-    plan.realize: seed and realization in, never a generator.  domain, spacing
-    and the theory values (kernel, None with a note for a window without
-    one; density(convention); charge_density; variance_asymptote) refer to
-    the output plane; each is computed once per source, density once per
-    convention.  The source's interior, that of its plan and that of each
-    of its grids, is the domain given, bit for bit.
+    SeriesPlan.  Fields are realized by the plan's block methods, seed and
+    realizations in, never a generator.  domain, spacing and the theory
+    values (kernel, None with a note for a window without one;
+    density(convention), of a convention kernels knows; charge_density;
+    variance_asymptote) refer to the output plane; each is computed once
+    per source, density once per convention.  The source's interior, that
+    of its plan and that of each of its grids, is the domain given, bit
+    for bit.
     """
 
     def __init__(self, spec: dict | str, domain: tuple[float, float, float, float],
@@ -938,6 +927,7 @@ class FieldSource:
 
     def density(self, convention: str = DEFAULT_CONVENTION) -> float:
         """Expected zeros per unit area of the output plane."""
+        _check_convention(convention)
         if convention not in self._densities:
             if self.window is None:
                 rho = rho1_radial(self.kernel)
@@ -955,27 +945,6 @@ class FieldSource:
         if self.kernel is None:
             raise InvalidKernelError("no radial kernel available for variance theory")
         return variance_asymptote(self.kernel) * (1.0 if self.plane == "gwhf" else _SQRT_PI)
-
-    def realize_batch(self, seed: int, rs: Iterable[int]) -> Iterator[FieldGrid]:
-        """Realizations rs, in order, in the source's plane; component k of
-        realization r draws from stream(seed, r, k)."""
-        return self.plan.grids(self.plan.draw(seed, rs), seed)
-
-    def rectangle_batch(self, seed: int, rs: Iterable[int]) -> Iterator[np.ndarray]:
-        """Realizations rs, in order, on the plan's `rectangle`: each one's
-        samples at rows j0..j1 and columns i0..i1, the bits realize_batch
-        gives there."""
-        return self.plan.rectangle_samples(self.plan.draw(seed, rs))
-
-    def edges_batch(self, seed: int, rs: Iterable[int]) -> list[np.ndarray]:
-        """Realizations rs, in order, on the four edges of the plan's
-        `rectangle`: (len(rs), n) samples of its bottom and top rows and its
-        left and right columns; no realizations give four (0, n) arrays."""
-        return self.plan.edges(self.plan.draw(seed, rs))
-
-    def realize(self, seed: int, r: int = 0) -> FieldGrid:
-        """Realization r in the source's plane."""
-        return self.plan.realize(seed, r)
 
 
 # ---------------------------------------------------------------------------

@@ -755,7 +755,7 @@ def test_simulate_window_in_the_gwhf_plane_reads_the_domain_there(tmp_path, caps
     assert code == 0
     saved = load_grid(os.path.join(out_dir, "field.gwhf"))
     grid = FieldSource({"family": "window", "window": "hermite:1", "plane": "gwhf"},
-                       (-3, 3, -3, 3), 1 / 16, 1 / 64).realize(5)
+                       (-3, 3, -3, 3), 1 / 16, 1 / 64).plan.realize(5)
     assert np.array_equal(saved.values, grid.values.astype(np.complex64))
     assert (saved.plane, saved.origin, saved.spacing, saved.interior, saved.meta) == \
         (grid.plane, grid.origin, grid.spacing, grid.interior, grid.meta)

@@ -1,7 +1,8 @@
 """The modules import in one direction: the simulators know nothing of the
 detector or of the Monte Carlo harness, and the detector nothing of the
 harness, so a source's counting methods live in mc, not on simulate's
-FieldSource.  Random draws enter in a few named places only, the
+FieldSource.  The simulators' block interface is written once, on
+simulate._Plan.  Random draws enter in a few named places only, the
 plaquettes are wound in one, and only the zeros command detects.  No
 module keeps an import it does not use."""
 import ast
@@ -47,6 +48,37 @@ def _referrers(name: str) -> set[str]:
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def _definers(name: str) -> set[str]:
+    """module.Class.function of every function or method of gwhf whose name
+    matches the pattern `name` in full: where _referrers finds the uses,
+    this finds the definitions."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef) and re.fullmatch(name, child.name):
+                    found.add(f"{scope}.{child.name}")
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_the_block_interface_is_written_once():
+    # _Plan holds the block methods every simulator answers; a plan writes
+    # only its draw, its samples at rows x cols and its edges, and nothing
+    # forwards a block method under another name
+    shared = ("realize", "rectangle", "grids", "rectangle_samples")
+    own = ("draw", "_samples", "edges")
+    assert _definers("|".join([*shared, *own, r"\w+_batch"])) == {
+        *(f"simulate._Plan.{name}" for name in shared),
+        *(f"simulate.{plan}.{name}" for plan in ("StftPlan", "SeriesPlan") for name in own)}
 
 
 def test_realizations_are_drawn_only_by_the_plans():

@@ -119,7 +119,7 @@ def test_window_source_forms_give_identical_reports(tmp_path):
             with pytest.raises(InvalidKernelError, match="a poisson source is a point process"):
                 FieldSource(record, (-2.0, 2.0, -2.0, 2.0), 0.1)
             continue
-        grids = [FieldSource(form, (-2.0, 2.0, -2.0, 2.0), 0.1).realize(7).values
+        grids = [FieldSource(form, (-2.0, 2.0, -2.0, 2.0), 0.1).plan.realize(7).values
                  for form in forms]
         assert all(np.array_equal(grids[0], g) for g in grids[1:]), record
     # the same Window object comes back as itself and keys one cached source
@@ -463,9 +463,9 @@ def test_charge_intensity_runs_no_detector(monkeypatch, source, domain, spacing)
                threads=2)
     rep = mc.estimate_charge_intensity(cfg)
     assert calls == []
-    fs = FieldSource(source, domain, spacing, 1 / 64)
-    rect = fs.plan.rectangle
-    charges = zeros.rectangle_charges(rect, *fs.edges_batch(8, range(12)))
+    plan = FieldSource(source, domain, spacing, 1 / 64).plan
+    rect = plan.rectangle
+    charges = zeros.rectangle_charges(rect, *plan.edges(plan.draw(8, range(12))))
     assert rep.items[0].empirical == float(np.mean(charges.astype(float))) / rect.area
     box = ", ".join(f"{v:.6g}" for v in rect.box)
     assert rep.notes[-1] == (
@@ -499,7 +499,7 @@ def test_intensity_runs_no_detector(monkeypatch, source, domain, spacing):
     fs = FieldSource(source, domain, spacing, 1 / 64)
     rect = fs.plan.rectangle
     cells = (slice(rect.j0, rect.j1), slice(rect.i0, rect.i1))
-    assert counts == [np.count_nonzero(grid_windings(fs.realize(8, r))[cells])
+    assert counts == [np.count_nonzero(grid_windings(fs.plan.realize(8, r))[cells])
                       for r in range(12)]
     assert rep.items[0].empirical == float(np.mean(np.array(counts, dtype=float))) / rect.area
     box = ", ".join(f"{v:.6g}" for v in rect.box)
@@ -536,11 +536,11 @@ def test_charge_variance_runs_no_detector(monkeypatch, source, domain, spacing):
     fs = FieldSource(source, domain, spacing, 1 / 64)
     orient = 1 if fs.plane == "gwhf" else -1
     cx, cy = 0.5 * (domain[0] + domain[1]), 0.5 * (domain[2] + domain[3])
-    grid = fs.realize(8, 0)
+    grid = fs.plan.realize(8, 0)
     squares = [(np.flatnonzero((cx - R <= grid.xs) & (grid.xs <= cx + R)),
                 np.flatnonzero((cy - R <= grid.ys) & (grid.ys <= cy + R))) for R in radii]
     for r in range(12):
-        wind = grid_windings(fs.realize(8, r))
+        wind = grid_windings(fs.plan.realize(8, r))
         assert charges[r].tolist() == [orient * wind[rows[0]:rows[-1], cols[0]:cols[-1]].sum()
                                        for cols, rows in squares]
     for note, R, (cols, rows) in zip(rep.notes[-4:], radii, squares):
@@ -733,7 +733,8 @@ def test_window_intensity_errors_name_seed_and_realization(monkeypatch, threads)
     # at one thread and the first of the block 3, 4 at two
     cfg = _cfg(source={"family": "window", "window": "hermite:1"}, domain=(0.0, 4.0, 0.0, 4.0),
                n_realizations=5, seed=21, threads=threads)
-    bad = next(FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt).rectangle_batch(21, [3]))
+    plan = FieldSource(cfg.source, cfg.domain, cfg.spacing, cfg.dt).plan
+    bad = next(plan.rectangle_samples(plan.draw(21, [3])))
     windings = zeros._windings
 
     def doubled(values, *args):
@@ -758,7 +759,7 @@ def test_errors_name_seed_and_realization(monkeypatch, threads):
     cfg = _cfg(source={"family": "series-gef"}, domain=(-3.05, 3.05, -3.05, 3.05),
                spacing=0.1, n_realizations=4, seed=21, threads=threads)
     plan = FieldSource(cfg.source, cfg.domain, cfg.spacing).plan
-    a = plan.origin + plan.spacing * (34.5 + 34.5j)
+    a = plan.lattice.origin + plan.spacing * (34.5 + 34.5j)
     assert abs(a) < 1e-12
     draw = SeriesPlan.draw
     bad = draw(plan, 21, [3])[0]

@@ -51,19 +51,19 @@ def test_complex_normals_moments():
 
 def test_stft_field_deterministic(hermites):
     g1 = S.FieldSource({"family": "window", "window": hermites[1]},
-                       (0, 4, 0, 4), 1 / 16, 1 / 64).realize(9)
+                       (0, 4, 0, 4), 1 / 16, 1 / 64).plan.realize(9)
     g2 = S.FieldSource({"family": "window", "window": hermites[1]},
-                       (0, 4, 0, 4), 1 / 16, 1 / 64).realize(9)
+                       (0, 4, 0, 4), 1 / 16, 1 / 64).plan.realize(9)
     assert np.array_equal(g1.values, g2.values)
     g3 = S.FieldSource({"family": "window", "window": hermites[1]},
-                       (0, 4, 0, 4), 1 / 16, 1 / 64).realize(10)
+                       (0, 4, 0, 4), 1 / 16, 1 / 64).plan.realize(10)
     assert not np.array_equal(g1.values, g3.values)
 
 
 def test_stft_field_metadata(hermites):
     src = S.FieldSource({"family": "window", "window": hermites[0]},
                         (0, 4, 0, 4), 1 / 16, 1 / 64)
-    g = src.realize(1)
+    g = src.plan.realize(1)
     h = g.spacing
     assert g.plane == "stft"
     assert h == pytest.approx(1 / 16, abs=1e-12)
@@ -91,7 +91,8 @@ def test_gwhf_plane_interior_is_the_domain_given(spec):
     src = S.FieldSource(spec, (0, 8, 0, 8), 0.08)
     assert S._gwhf_box(src.plan.requested) != (0.0, 8.0, 0.0, 8.0)
     assert src.interior == (0.0, 8.0, 0.0, 8.0)
-    assert [g.interior for g in src.realize_batch(1, range(2))] == [(0.0, 8.0, 0.0, 8.0)] * 2
+    grids = src.plan.grids(src.plan.draw(1, range(2)), 1)
+    assert [g.interior for g in grids] == [(0.0, 8.0, 0.0, 8.0)] * 2
 
 
 def test_stft_pointwise_variance_is_window_energy(hermites):
@@ -163,20 +164,20 @@ def test_stft_interior_row_stationarity(hermites):
 def test_alias_band_rejected(hermites):
     with pytest.raises(AliasBandError):
         S.FieldSource({"family": "window", "window": hermites[0]},
-                      (0, 4, 28, 31), 1 / 16, 1 / 64).realize(1)
+                      (0, 4, 28, 31), 1 / 16, 1 / 64).plan.realize(1)
     with pytest.raises(AliasBandError):
         # dt far too coarse for the window's frequency extent
         S.FieldSource({"family": "window", "window": hermites[0]},
-                      (0, 4, 0, 4), 1 / 16, 1 / 2).realize(1)
+                      (0, 4, 0, 4), 1 / 16, 1 / 2).plan.realize(1)
 
 
 def test_gwhf_plane_grid_geometry(hermites):
     # over the image of (0, 4)^2 the gwhf-plane source samples the stft-plane
     # grid's lattice, mapped: rows flipped, spacing and interior scaled
     spec = {"family": "window", "window": hermites[1]}
-    g = S.FieldSource(spec, (0, 4, 0, 4), 1 / 16, 1 / 64).realize(3)
+    g = S.FieldSource(spec, (0, 4, 0, 4), 1 / 16, 1 / 64).plan.realize(3)
     box = S._gwhf_box((0, 4, 0, 4))
-    f = S.FieldSource(dict(spec, plane="gwhf"), box, math.sqrt(PI) / 16, 1 / 64).realize(3)
+    f = S.FieldSource(dict(spec, plane="gwhf"), box, math.sqrt(PI) / 16, 1 / 64).plan.realize(3)
     assert f.plane == "gwhf" and f.interior == box
     assert np.allclose(np.abs(f.values), np.abs(g.values[::-1, :]))
     assert f.spacing == pytest.approx(math.sqrt(PI) * g.spacing)
@@ -357,7 +358,8 @@ def test_threads_share_one_plan(hermites):
                                   {"family": "polyentire", "q": 2, "kind": "full"}],
                          ids=["window", "polyentire"])
 def test_batch_grids_share_no_memory(spec):
-    grids = list(S.FieldSource(spec, (0, 4, 0, 4), 1 / 16, 1 / 64).realize_batch(38, range(4)))
+    plan = S.FieldSource(spec, (0, 4, 0, 4), 1 / 16, 1 / 64).plan
+    grids = list(plan.grids(plan.draw(38, range(4)), 38))
     for a in range(4):
         for b in range(a + 1, 4):
             assert not np.shares_memory(grids[a].values, grids[b].values)
@@ -497,27 +499,56 @@ def test_polyentire_frame_and_spacing():
     src = S.FieldSource({"family": "polyentire", "q": 3, "kind": "full"},
                         (-6.5, 6.5, -6.5, 6.5), 0.08, 1 / 64)
     assert src.plan.n_fft == 1440
-    grid = src.realize(5)
+    grid = src.plan.realize(5)
     assert grid.spacing == pytest.approx(0.0788, abs=5e-5) and grid.spacing < 0.08
     assert grid.meta["requested_spacing_rounded_to"] == src.plan.spacing
     assert grid.meta["components"] == 3 and grid.plane == "gwhf"
 
 
 def test_series_field_deterministic_and_rule():
-    g1 = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(4)
-    g2 = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(4)
+    g1 = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).plan.realize(4)
+    g2 = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).plan.realize(4)
     assert np.array_equal(g1.values, g2.values)
     assert g1.plane == "gwhf"
     r_max = max(abs(complex(x, y)) for x in g1.xs[[0, -1]] for y in g1.ys[[0, -1]])
     assert g1.meta["n_terms"] >= S.series_terms_required(r_max)
     with pytest.raises(ValueError):
-        S.FieldSource({"family": "series-gef", "n_terms": 20}, (-3, 3, -3, 3), 0.1).realize(4)
+        S.FieldSource({"family": "series-gef", "n_terms": 20}, (-3, 3, -3, 3), 0.1).plan.realize(4)
 
 
 @pytest.mark.parametrize("spacing", [math.inf, 0.0, -0.5, math.nan, "x", True])
 def test_series_plan_refuses_spacing_not_positive_and_finite(spacing):
     with pytest.raises(ParameterError, match=f"spacing {spacing!r} must be positive and finite"):
         S.SeriesPlan((0, 4, 0, 4), spacing)
+
+
+@pytest.mark.parametrize("margin", [-1.0, -1e-300, math.nan, "x", True])
+def test_stft_plan_refuses_a_margin_that_is_not_a_non_negative_number(hermites, margin):
+    # a negative margin would shrink the grid inside the interior it records
+    with pytest.raises(ParameterError, match=f"^margin {re.escape(repr(margin))} must be None "
+                                             "or a non-negative number$"):
+        S.StftPlan(hermites[1], (0, 8, 0, 8), 1 / 16, 1 / 64, margin)
+
+
+def test_stft_plan_takes_margin_zero(hermites):
+    # no pad: the whole lattice is the interior's rectangle
+    plan = S.StftPlan(hermites[1], (0, 8, 0, 8), 1 / 16, 1 / 64, 0)
+    assert plan.margin == 0.0 and plan.lattice == plan.rectangle
+    assert plan.rectangle.box == (0.0, 8.0, 0.0, 8.0)
+
+
+@pytest.mark.parametrize("spec", [{"family": "window", "window": "hermite:1"},
+                                  {"family": "polyentire", "q": 3, "kind": "full"},
+                                  {"family": "series-gef"}],
+                         ids=["window", "polyentire", "series"])
+def test_density_refuses_an_unknown_convention(spec):
+    # every family names the convention it does not know and keeps no
+    # density under it
+    source = S.FieldSource(spec, (-3, 3, -3, 3), 0.1, 1 / 64)
+    with pytest.raises(ParameterError, match="^unknown convention 'bogus', expected one of"):
+        source.density("bogus")
+    assert "bogus" not in source._densities
+    assert source.density("regression") > 0
 
 
 @pytest.mark.parametrize("geometry, refused", [
@@ -575,18 +606,18 @@ def test_series_batch_rows_equal_single_realizations():
             for k, grid in enumerate(batch):
                 assert np.array_equal(grid.values, singles[start + k]), (size, start, k)
                 assert grid.seed == 13
-    source = S.FieldSource({"family": "series-gef"}, (-2.0, 2.0, -2.0, 2.0), 0.2)
-    grids = list(source.realize_batch(13, range(5)))
+    plan = S.FieldSource({"family": "series-gef"}, (-2.0, 2.0, -2.0, 2.0), 0.2).plan
+    grids = list(plan.grids(plan.draw(13, range(5)), 13))
     assert all(np.array_equal(g.values, singles[r]) for r, g in enumerate(grids))
-    assert np.array_equal(source.realize(13, 3).values, singles[3])
+    assert np.array_equal(plan.realize(13, 3).values, singles[3])
 
 
 def test_window_source_batch_matches_realize(hermites):
-    source = S.FieldSource({"family": "polyentire", "q": 2, "kind": "full"},
-                           (-2.0, 2.0, -2.0, 2.0), 0.1, 1 / 64)
-    grids = list(source.realize_batch(8, [3, 1, 4]))
+    plan = S.FieldSource({"family": "polyentire", "q": 2, "kind": "full"},
+                         (-2.0, 2.0, -2.0, 2.0), 0.1, 1 / 64).plan
+    grids = list(plan.grids(plan.draw(8, [3, 1, 4]), 8))
     for r, grid in zip([3, 1, 4], grids):
-        assert np.array_equal(grid.values, source.realize(8, r).values)
+        assert np.array_equal(grid.values, plan.realize(8, r).values)
         assert grid.plane == "gwhf" and grid.meta["components"] == 2
 
 
@@ -599,11 +630,11 @@ def test_stft_edges_independent_of_the_block(spec, domain, spacing):
     # or 8, at either end of it; at the polyentire geometry a product of 8
     # rows with the row operator is large enough for a threaded BLAS to
     # split, and round differently, so every product has _GEMM_ROWS rows
-    source = S.FieldSource(spec, domain, spacing, 1 / 64)
-    whole = source.edges_batch(17, range(8))
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    whole = plan.edges(plan.draw(17, range(8)))
     for size in (1, 2, 3, 8):
         for start in (0, 8 - size):
-            edges = source.edges_batch(17, range(start, start + size))
+            edges = plan.edges(plan.draw(17, range(start, start + size)))
             for edge, want in zip(edges, whole):
                 assert edge.shape == (size, want.shape[1])
                 assert edge.tobytes() == want[start:start + size].tobytes(), (size, start)
@@ -619,13 +650,13 @@ def test_rectangle_samples_are_the_grids_block(spec, domain, spacing):
     # a realization's samples on the lattice rectangle, drawn in a block of
     # 1, 3 or 8 at either end of it, have the bytes of its grid's block
     # there; the stft simulator makes them with no grid
-    source = S.FieldSource(spec, domain, spacing, 1 / 64)
-    r = source.plan.rectangle
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    r = plan.rectangle
     rows, cols = slice(r.j0, r.j1 + 1), slice(r.i0, r.i1 + 1)
-    want = [source.realize(23, k).values[rows, cols] for k in range(8)]
+    want = [plan.realize(23, k).values[rows, cols] for k in range(8)]
     for size in (1, 3, 8):
         for start in (0, 8 - size):
-            got = list(source.rectangle_batch(23, range(start, start + size)))
+            got = list(plan.rectangle_samples(plan.draw(23, range(start, start + size))))
             assert len(got) == size
             for k, samples in enumerate(got, start):
                 assert samples.shape == want[k].shape
@@ -659,14 +690,14 @@ def test_threads_build_one_row_operator_and_agree(hermites):
                                   {"family": "series-gef"}],
                          ids=["window", "polyentire", "series"])
 def test_no_realizations_give_empty_edges_and_no_grids(spec):
-    source = S.FieldSource(spec, (-3.0, 3.0, -3.0, 3.0), 0.1, 1 / 64)
-    rect = source.plan.rectangle
-    edges = source.edges_batch(5, [])
+    plan = S.FieldSource(spec, (-3.0, 3.0, -3.0, 3.0), 0.1, 1 / 64).plan
+    rect = plan.rectangle
+    edges = plan.edges(plan.draw(5, []))
     sides = (rect.i1 - rect.i0 + 1,) * 2 + (rect.j1 - rect.j0 + 1,) * 2
     assert [edge.shape for edge in edges] == [(0, n) for n in sides]
     charges = Z.rectangle_charges(rect, *edges)
     assert charges.dtype == np.int64 and charges.shape == (0,)
-    assert list(source.realize_batch(5, [])) == []
+    assert list(plan.grids(plan.draw(5, []), 5)) == []
 
 
 def test_row_operator_refuses_a_geometry_beyond_the_element_cap(monkeypatch):
@@ -681,7 +712,7 @@ def test_row_operator_refuses_a_geometry_beyond_the_element_cap(monkeypatch):
                                              r"0\.08 and dt 0\.015625 with margin [\d.]+ needs a "
                                              r"row operator of 130944 elements, more than the "
                                              r"100000 any one array may hold$"):
-        source.edges_batch(3, range(2))
+        source.plan.edges(source.plan.draw(3, range(2)))
     assert "_row_operator" not in vars(source.plan)
     monkeypatch.setattr(S, "_MAX_ELEMENTS", 130_944)
     first, op = source.plan._row_operator
@@ -755,29 +786,29 @@ def test_series_matches_extended_precision_sum(domain, spacing, bound):
 def test_polyentire_pure_q1_matches_gef_stats(hermites):
     # same machinery as the h0 window: twisted kernel exp(-|z|^2/2)
     f = S.FieldSource({"family": "polyentire", "q": 1, "kind": "pure"},
-                      (-3, 3, -3, 3), 0.1, 1 / 64).realize(6)
+                      (-3, 3, -3, 3), 0.1, 1 / 64).plan.realize(6)
     assert f.plane == "gwhf"
     assert np.mean(np.abs(f.values) ** 2) == pytest.approx(1.0, abs=0.15)
     with pytest.raises(ValueError):
         S.FieldSource({"family": "polyentire", "q": 9, "kind": "pure"},
-                      (-3, 3, -3, 3), 0.1, 1 / 64).realize(6)
+                      (-3, 3, -3, 3), 0.1, 1 / 64).plan.realize(6)
     with pytest.raises(ValueError):
         S.FieldSource({"family": "polyentire", "q": 2, "kind": "mixed"},
-                      (-3, 3, -3, 3), 0.1, 1 / 64).realize(6)
+                      (-3, 3, -3, 3), 0.1, 1 / 64).plan.realize(6)
 
 
 def test_polyentire_full_uses_independent_components():
     pure = S.FieldSource({"family": "polyentire", "q": 2, "kind": "pure"},
-                         (-2, 2, -2, 2), 0.1, 1 / 64).realize(8)
+                         (-2, 2, -2, 2), 0.1, 1 / 64).plan.realize(8)
     full = S.FieldSource({"family": "polyentire", "q": 2, "kind": "full"},
-                         (-2, 2, -2, 2), 0.1, 1 / 64).realize(8)
+                         (-2, 2, -2, 2), 0.1, 1 / 64).plan.realize(8)
     assert pure.values.shape == full.values.shape
     assert not np.allclose(pure.values, full.values)
 
 
 def test_grid_container_roundtrip(tmp_path, hermites):
     g = S.FieldSource({"family": "window", "window": hermites[0]},
-                      (0, 2, 0, 2), 1 / 16, 1 / 64).realize(12)
+                      (0, 2, 0, 2), 1 / 16, 1 / 64).plan.realize(12)
     path = tmp_path / "field.gwhf"
     S.save_grid(g, str(path))
     back = S.load_grid(str(path))

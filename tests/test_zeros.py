@@ -119,7 +119,7 @@ def test_multiple_separated_roots_with_charges():
 # ---------------------------------------------------------------------------
 
 def test_refined_positions_stay_near_cells(hermites):
-    grid = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(2)
+    grid = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).plan.realize(2)
     zs = Z.detect_zeros(grid)
     assert zs, "expected zeros on this domain"
     cell = np.round((zs.position - grid.origin) / grid.spacing - (0.5 + 0.5j))
@@ -128,12 +128,13 @@ def test_refined_positions_stay_near_cells(hermites):
 
 
 def test_gef_series_all_positive_charges():
-    zs = Z.detect_zeros(S.FieldSource({"family": "series-gef"}, (-4, 4, -4, 4), 0.05).realize(3))
+    plan = S.FieldSource({"family": "series-gef"}, (-4, 4, -4, 4), 0.05).plan
+    zs = Z.detect_zeros(plan.realize(3))
     assert zs and (zs.charge[~zs.degenerate] == 1).all()
 
 
 def test_weight_transform_preserves_charges():
-    grid = S.FieldSource({"family": "series-gef"}, (-4, 4, -4, 4), 0.05).realize(13)
+    grid = S.FieldSource({"family": "series-gef"}, (-4, 4, -4, 4), 0.05).plan.realize(13)
     zz = grid.xs[None, :] + 1j * grid.ys[:, None]
     unweighted = S.FieldGrid(values=grid.values * np.exp(0.5 * np.abs(zz) ** 2),
                              origin=grid.origin, spacing=grid.spacing,
@@ -150,9 +151,9 @@ def test_weight_transform_preserves_charges():
 def test_plane_equivariance(hermites):
     # the stft-plane source and the gwhf-plane one over the image of its domain
     spec = {"family": "window", "window": hermites[1]}
-    stft = S.FieldSource(spec, (0, 6, 0, 6), 1 / 16, 1 / 64).realize(17)
+    stft = S.FieldSource(spec, (0, 6, 0, 6), 1 / 16, 1 / 64).plan.realize(17)
     gwhf = S.FieldSource(dict(spec, plane="gwhf"), S._gwhf_box((0, 6, 0, 6)),
-                         math.sqrt(PI) / 16, 1 / 64).realize(17)
+                         math.sqrt(PI) / 16, 1 / 64).plan.realize(17)
     za = Z.detect_zeros(stft)
     zb = Z.detect_zeros(gwhf)
     assert len(za) == len(zb)
@@ -186,7 +187,7 @@ def test_newton_rejected_zero_sign_matches_winding(source, seed, r, near, margin
     # The poly3 zero has a -1 partner 0.03 cells away, Newton-rejected too,
     # so both are degenerate; the stft zeros have no partner
     src = S.FieldSource(*source, 1 / 64)
-    grid = src.realize(seed, r)
+    grid = src.plan.realize(seed, r)
     if margin0:  # the zero lies in the anchored plan's grid, beyond the default pad
         plan = anchored_plan(src.plan)
         grid = plan.realize(seed, r)
@@ -209,7 +210,7 @@ def test_newton_rejected_zero_sign_matches_winding(source, seed, r, near, margin
 def test_detection_regression_fixture(hermites):
     # frozen after the first run with the documented default seed
     grid = S.FieldSource({"family": "window", "window": hermites[1]},
-                         (0, 8, 0, 8), 1 / 16, 1 / 64).realize(0xC0FFEE)
+                         (0, 8, 0, 8), 1 / 16, 1 / 64).plan.realize(0xC0FFEE)
     zs = Z.detect_zeros(grid)
     live = ~zs.degenerate
     assert np.count_nonzero(live) == 109
@@ -265,7 +266,7 @@ def test_interior_the_grid_does_not_meet_raises():
     # the default hermite:1 grid of (0, 8)^2 spans about (-0.2, 8.2)^2; the
     # last box lies within the two-cell pad of cells kept around an interior
     grid = S.FieldSource({"family": "window", "window": "hermite:1"},
-                         (0, 8, 0, 8), 1 / 16, 1 / 64).realize(7)
+                         (0, 8, 0, 8), 1 / 16, 1 / 64).plan.realize(7)
     for box in ((100, 101, 100, 101), (0, 8, 100, 101), (-9, -8.5, 0, 8), (8.25, 9, 0, 8)):
         with pytest.raises(DomainError, match=r"^interior \({}, {}, {}, {}\) does not meet "
                            r"the grid, whose extent is \(-0\.2075, ".format(*box)):
@@ -274,7 +275,7 @@ def test_interior_the_grid_does_not_meet_raises():
 
 def test_interior_holding_the_whole_extent_keeps_every_zero():
     grid = S.FieldSource({"family": "window", "window": "hermite:1"},
-                         (0, 8, 0, 8), 1 / 16, 1 / 64).realize(7)
+                         (0, 8, 0, 8), 1 / 16, 1 / 64).plan.realize(7)
     x0, x1, y0, y1 = grid.extent
     whole = Z.detect_zeros(dataclasses.replace(grid, interior=None))
     wide = Z.detect_zeros(dataclasses.replace(grid, interior=(x0 - 5, x1 + 5, y0 - 5, y1 + 5)))
@@ -297,10 +298,10 @@ def test_a_sub_interior_keeps_the_whole_extents_zeros_in_it(spec, domain, spacin
     # and squares with a side midway between the zeros of a close pair,
     # the first inside.  Counted: the zeros compared, the degenerate ones
     # among them, and the pairs cut
-    source = S.FieldSource(spec, domain, spacing, 1 / 64)
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
     rng = np.random.default_rng(48)
     compared = degenerate = cut = 0
-    for grid in source.realize_batch(2024, range(12)):
+    for grid in plan.grids(plan.draw(2024, range(12)), 2024):
         whole = Z.detect_zeros(dataclasses.replace(grid, interior=None))
         h, (ex0, ex1, ey0, ey1) = grid.spacing, grid.extent
         boxes = []
@@ -504,7 +505,8 @@ def test_newton_matches_reference_loop_bit_for_bit(monkeypatch, spec, domain, sp
     # the stencils of 16 grids, then one whose only root lies outside the
     # band and a constant one, whose Jacobian is 0 at the centre: its Newton
     # step divides by zero, which must neither warn nor be read
-    grids = S.FieldSource(spec, domain, spacing, 1 / 64).realize_batch(44, range(16))
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    grids = plan.grids(plan.draw(44, range(16)), 44)
     st = np.concatenate([_grid_stencils(monkeypatch, grids), _outside_root_stencil(),
                          np.full((1, 4, 4), 0.3 - 0.2j)])
     xi, eta = Z._newton(st, np.stack(Z._coefficients(st)))
@@ -618,7 +620,7 @@ def test_windings_match_full_grid_gauge(spec, domain, spacing):
     # turns, more than an int8 holds
     source = S.FieldSource(spec, domain, spacing, 1 / 64)
     for r in range(3):
-        grid = source.realize(61, r)
+        grid = source.plan.realize(61, r)
         windings = grid_windings(grid)
         assert np.count_nonzero(windings) > 50
         assert np.array_equal(windings, _full_grid_windings(grid))
@@ -630,8 +632,8 @@ def test_windings_match_full_grid_gauge(spec, domain, spacing):
 def realization(request):
     if request.param == "stft":
         return S.FieldSource({"family": "window", "window": W.hermite(1)},
-                             (0, 4, 0, 4), 1 / 16, 1 / 64).realize(41)
-    return S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(41)
+                             (0, 4, 0, 4), 1 / 16, 1 / 64).plan.realize(41)
+    return S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).plan.realize(41)
 
 
 def _boundary_winding(grid, i0, j0, w, h):
@@ -679,20 +681,21 @@ def test_rectangle_charges_equal_the_grids_block_windings(spec, domain, spacing)
     # from the rectangle's own samples, which hold at least |net| cells, of
     # its parity; the stft simulator's edge columns are the grid's bits, its
     # edge rows the grid's to rounding
-    source = S.FieldSource(spec, domain, spacing, 1 / 64)
-    rect = source.plan.rectangle
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    rect = plan.rectangle
     orient = 1 if rect.plane == "gwhf" else -1
     rows, cols = slice(rect.j0, rect.j1 + 1), slice(rect.i0, rect.i1 + 1)
     for lo in range(0, 100, 10):
         rs = range(lo, lo + 10)
-        edges = source.edges_batch(2024, rs)
+        edges = plan.edges(plan.draw(2024, rs))
         charges = Z.rectangle_charges(rect, *edges)
         assert charges.dtype == np.int64
-        for net, samples in zip(charges, source.rectangle_batch(2024, rs), strict=True):
+        for net, samples in zip(charges, plan.rectangle_samples(plan.draw(2024, rs)),
+                                strict=True):
             w = Z.cells(rect, samples)[2]
             assert orient * int(w.sum()) == net
             assert len(w) >= abs(net) and (len(w) - net) % 2 == 0
-        for k, grid in enumerate(source.realize_batch(2024, rs)):
+        for k, grid in enumerate(plan.grids(plan.draw(2024, rs), 2024)):
             raw = grid_windings(grid)[rect.j0:rect.j1, rect.i0:rect.i1]
             assert charges[k] == orient * int(raw.sum())
             v = grid.values
@@ -725,12 +728,12 @@ def test_detected_charges_obey_the_argument_principle(spec, domain, spacing, rs,
     # a (+1, -1) pair closer than 0.35 cells beside a third flagged cell,
     # where dropping a member of the pair changes the charge by a unit
     # (r = 163 would read 64 against 63)
-    source = S.FieldSource(spec, domain, spacing, 1 / 64)
-    rect = source.plan.rectangle
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    rect = plan.rectangle
     box, band = rect.box, Z._BAND * rect.spacing
-    charges = Z.rectangle_charges(rect, *source.edges_batch(2024, rs))
+    charges = Z.rectangle_charges(rect, *plan.edges(plan.draw(2024, rs)))
     checks = 0
-    for grid, charge, r in zip(source.realize_batch(2024, rs), charges, rs):
+    for grid, charge, r in zip(plan.grids(plan.draw(2024, rs), 2024), charges, rs):
         zs = Z.detect_zeros(dataclasses.replace(grid, interior=None))
         if (_in_box(zs.position, box, band) & ~_in_box(zs.position, box, -band)).any():
             continue
@@ -742,10 +745,15 @@ def test_detected_charges_obey_the_argument_principle(spec, domain, spacing, rs,
 def test_rectangle_is_the_lattice_points_in_the_interior():
     # the rectangle's corners are the first and last grid points inside the
     # interior along each axis, and its area is that of its cells
-    for spec, domain, spacing in [({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8),
-                                   1 / 16), ({"family": "series-gef"}, (-3, 3, -3, 3), 0.1)]:
+    # the plan's lattice is that of each of its grids
+    for spec, domain, spacing in [
+            ({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8), 1 / 16),
+            ({"family": "window", "window": "hermite:1", "plane": "gwhf"}, (-4, 4, -4, 4), 0.08),
+            ({"family": "polyentire", "q": 3, "kind": "full"}, (-4, 4, -4, 4), 0.08),
+            ({"family": "series-gef"}, (-3, 3, -3, 3), 0.1)]:
         source = S.FieldSource(spec, domain, spacing, 1 / 64)
-        rect, grid = source.plan.rectangle, source.realize(1)
+        rect, grid = source.plan.rectangle, source.plan.realize(1)
+        assert source.plan.lattice == grid.lattice
         inside_x = np.flatnonzero((domain[0] <= grid.xs) & (grid.xs <= domain[1]))
         inside_y = np.flatnonzero((domain[2] <= grid.ys) & (grid.ys <= domain[3]))
         assert (rect.i0, rect.i1, rect.j0, rect.j1) == \
@@ -782,7 +790,7 @@ def test_grids_on_other_lattices_keep_their_zeros(refine, pinned):
     # also had a realization column, hashed without it
     edge = 0.99 - 0.4j
     g = S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 4, 0, 4), 1 / 16,
-                      1 / 64).realize(63)
+                      1 / 64).plan.realize(63)
     grids = [
         g,
         dataclasses.replace(g, plane="gwhf"),
@@ -791,8 +799,8 @@ def test_grids_on_other_lattices_keep_their_zeros(refine, pinned):
         dataclasses.replace(g, values=g.values[:, :-3]),
         dataclasses.replace(g, interior=(1.0, 3.0, 1.0, 3.0)),
         S.FieldSource({"family": "window", "window": "hermite:1", "plane": "gwhf"},
-                      (-5, 5, -5, 5), 0.08, 1 / 64).realize(63),
-        S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).realize(63),
+                      (-5, 5, -5, 5), 0.08, 1 / 64).plan.realize(63),
+        S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).plan.realize(63),
         synthetic_grid(lambda z: (z + 0.31 - 0.22j) * np.conj(z - edge), plane="stft"),
     ]
     alone = [Z.detect_zeros(grid, refine=refine) for grid in grids]
@@ -815,7 +823,8 @@ def test_detector_bytes_pinned(spec, domain, spacing, pinned):
     # last bit, or changes no count, changes the digest.  The digests are
     # those the 16 grids gave when detected as one block with a realization
     # column, each grid's rows hashed without it
-    grids = S.FieldSource(spec, domain, spacing, 1 / 64).realize_batch(2718, range(16))
+    plan = S.FieldSource(spec, domain, spacing, 1 / 64).plan
+    grids = plan.grids(plan.draw(2718, range(16)), 2718)
     assert _digest(Z.detect_zeros(grid) for grid in grids) == pinned
 
 
@@ -824,8 +833,8 @@ def test_a_zero_set_is_five_columns():
     # carrier, which flags no cell, and the sets of three grids: five
     # parallel columns of one length each, of the same dtypes empty or not,
     # and no per-zero records to iterate
-    grids = list(S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1)
-                 .realize_batch(5, range(3)))
+    plan = S.FieldSource({"family": "series-gef"}, (-3, 3, -3, 3), 0.1).plan
+    grids = list(plan.grids(plan.draw(5, range(3)), 5))
     flat = dataclasses.replace(grids[0], values=np.ones_like(grids[0].values))
     assert not grid_windings(flat).any()
     sets = [Z.detect_zeros(grid) for grid in [flat, *grids]]
@@ -1044,7 +1053,7 @@ def test_zeros_csv_roundtrip(tmp_path):
 
     # a detected STFT hermite:1 realization with degenerate and unrefined zeros
     grid = S.FieldSource({"family": "window", "window": "hermite:1"}, (0, 8, 0, 8),
-                         1 / 16).realize(7, 33)
+                         1 / 16).plan.realize(7, 33)
     zs = Z.detect_zeros(grid)
     assert zs.degenerate.any() and (~zs.refined & ~zs.degenerate).any()
     Z.zeros_to_csv(zs, str(path))
